@@ -108,16 +108,16 @@ fn bench_figure11(c: &mut Criterion) {
     });
 }
 
-/// Per-event stamping cost: the old eager-clone path against copy-on-write
-/// stamps, at n ∈ {8, 32, 128}.
+/// Per-event cost of rebuilding vector stamps (`Trace::to_event_log`): an
+/// eager-clone replay against the copy-on-write clock the rebuild uses, at
+/// n ∈ {8, 32, 128}.
 ///
-/// Reproduces the engine's stamping profile per simulated protocol step:
-/// one send event (tick the working clock, stamp the trace event, stamp the
-/// in-flight `send_vc`), one piggybacked note event (stamp without
-/// advancing), then — once per run — an event-log build that re-records
-/// every stamp (`Trace::to_event_log`). The eager path deep-copies the
-/// n-entry vector at every one of those points; the copy-on-write path
-/// copies only on the tick and shares everything else.
+/// Reproduces the rebuild's profile per simulated protocol step: one send
+/// event (tick the process's clock, stamp the logged event, keep the stamp
+/// for the matching receive) and one piggybacked note event (stamp without
+/// advancing). The eager path deep-copies the n-entry vector at every one
+/// of those points; the copy-on-write path copies only on the tick and
+/// shares everything else.
 fn bench_stamping(c: &mut Criterion) {
     const STEPS: usize = 1_000;
     let mut group = c.benchmark_group("stamping");
@@ -128,12 +128,11 @@ fn bench_stamping(c: &mut Criterion) {
                 let mut stamps = Vec::with_capacity(3 * STEPS);
                 for i in 0..STEPS {
                     vc.tick(i % n);
-                    stamps.push(vc.clone()); // send: trace-event stamp
-                    stamps.push(vc.clone()); // send: in-flight send_vc
+                    stamps.push(vc.clone()); // send: logged-event stamp
+                    stamps.push(vc.clone()); // send: kept for the receive
                     stamps.push(vc.clone()); // note: stamp, no advance
                 }
-                let log: Vec<VectorClock> = stamps.to_vec();
-                black_box(log.len())
+                black_box(stamps.len())
             });
         });
         group.bench_with_input(BenchmarkId::new("cow", n), &n, |b, &n| {
@@ -146,8 +145,7 @@ fn bench_stamping(c: &mut Criterion) {
                     stamps.push(vc.stamp()); // O(1): clock unchanged
                     stamps.push(vc.stamp()); // O(1): clock unchanged
                 }
-                let log: Vec<_> = stamps.to_vec(); // O(1) each
-                black_box(log.len())
+                black_box(stamps.len())
             });
         });
     }

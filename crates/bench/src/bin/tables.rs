@@ -7,7 +7,9 @@
 //! ```
 //!
 //! Experiment ids follow `EXPERIMENTS.md`: t1, f1, f3, f4, f11, c71,
-//! e1..e15, a1, ab1, ab2. Flags:
+//! e1..e15, a1, ab1, ab2. Anything else on the command line — an unknown
+//! id, an unknown flag, a flag without a valid value — is rejected with
+//! the valid ids on stderr and exit code 2. Flags:
 //!
 //! * `--jobs N` — worker threads for the sweep experiments (E8/E9/E10).
 //!   Default: every core the platform reports. For E10 — whose whole
@@ -43,6 +45,23 @@ use gmp_bench::*;
 use gmp_props::{analyze, check_safety};
 use std::num::NonZeroUsize;
 
+/// Every section id, in print order.
+const IDS: [&str; 24] = [
+    "t1", "f1", "f3", "f4", "f11", "c71", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9",
+    "e10", "e11", "e12", "e13", "e14", "e15", "a1", "ab1", "ab2",
+];
+
+/// Rejects a malformed command line: a mistyped CI step must fail, not
+/// pass vacuously by printing nothing.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("tables: {problem}");
+    eprintln!("valid ids: {}", IDS.join(" "));
+    eprintln!(
+        "valid flags: --jobs N, --seeds N, --shards N|auto, --clients N, --batch N, --window N"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut args: Vec<String> = Vec::new();
@@ -56,13 +75,17 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--jobs" | "--seeds" | "--shards" | "--clients" | "--batch" | "--window" => {
-                let raw = it.next().unwrap_or_else(|| panic!("{a} needs a value"));
+                let raw = it
+                    .next()
+                    .unwrap_or_else(|| usage_error(&format!("{a} needs a value")));
                 if a == "--shards" && raw == "auto" {
                     shards_flag = Some(gmp_sim::pool::available_jobs().get());
                     continue;
                 }
                 let v: u64 = raw.parse().ok().filter(|&v| v >= 1).unwrap_or_else(|| {
-                    panic!("{a} needs a numeric value >= 1 (or auto for --shards)")
+                    usage_error(&format!(
+                        "{a} needs a numeric value >= 1 (or auto for --shards), got {raw:?}"
+                    ))
                 });
                 match a.as_str() {
                     "--jobs" => jobs_flag = Some(v as usize),
@@ -73,7 +96,8 @@ fn main() {
                     _ => seeds_flag = Some(v),
                 }
             }
-            _ => args.push(a),
+            id if IDS.contains(&id) => args.push(a),
+            _ => usage_error(&format!("unknown section id or flag {a:?}")),
         }
     }
     let jobs = jobs_flag.and_then(NonZeroUsize::new);
@@ -419,28 +443,7 @@ fn main() {
                 r.identical
             );
         }
-        // Machine-readable mirror for CI artifacts and EXPERIMENTS.md.
-        let mut json =
-            String::from("{\n  \"experiment\": \"e11_arena_hot_path\",\n  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"n\": {}, \"rounds\": {}, \"map_wall_s\": {:.6}, \"arena_wall_s\": {:.6}, \"arena_ref_wall_s\": {:.6}, \"speedup\": {:.3}, \"speedup_ref\": {:.3}, \"identical\": {}}}{}\n",
-                r.n,
-                r.rounds,
-                r.map_wall.as_secs_f64(),
-                r.arena_wall.as_secs_f64(),
-                r.arena_ref_wall.as_secs_f64(),
-                r.speedup,
-                r.speedup_ref,
-                r.identical,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write("BENCH_arena.json", &json) {
-            Ok(()) => println!("(wrote BENCH_arena.json)\n"),
-            Err(e) => println!("(could not write BENCH_arena.json: {e})\n"),
-        }
+        println!();
     }
 
     if want("e12") {
@@ -449,10 +452,6 @@ fn main() {
         // a single-size slice so the quickstart stays minutes-sized.
         let explicit = args.iter().any(|a| a == "e12");
         // --seeds doubles as the length dial: heartbeat intervals per run.
-        // Big-n rows self-cap to fit the host's memory (the settled trace
-        // costs a measured ~14 GiB per interval at n = 1024, and a row
-        // peaks at ~2.5x one run), so the dial is a maximum; rows shed
-        // ladder rungs before they are skipped.
         let intervals = seeds_flag.unwrap_or(8);
         let ns: &[usize] = if explicit { &[256, 512, 1024] } else { &[256] };
         // E12 compares shard counts, so --shards shrinks the swept ladder
@@ -464,7 +463,7 @@ fn main() {
         };
         println!("== E12: intra-run sharding — wall-clock vs shard count at large n ==");
         println!(
-            "(one exclusion, up to {intervals} heartbeat intervals — big-n rows cap their span to fit memory; cores available: {}; identical = output equals the sequential engine)\n",
+            "(one exclusion, {intervals} heartbeat intervals (3 at least); cores available: {}; identical = output equals the sequential engine)\n",
             gmp_sim::pool::available_jobs()
         );
         println!(
@@ -485,14 +484,6 @@ fn main() {
                 r.identical
             );
         }
-        for &n in ns {
-            let have: Vec<usize> = rows.iter().filter(|r| r.n == n).map(|r| r.shards).collect();
-            if have.is_empty() {
-                println!("(n={n} skipped: even the shortest exclusion-covering trace exceeds this host's memory)");
-            } else if have.len() < ladder.len() {
-                println!("(n={n}: shard ladder capped to {have:?} to fit this host's memory)");
-            }
-        }
         println!("(speedup tracks min(shards, cores) on multicore hosts; output never moves)");
         // Hard gate, not just a printed column: the CI smoke run leans on
         // this step failing if any sharded digest leaves the sequential
@@ -501,27 +492,7 @@ fn main() {
             rows.iter().all(|r| r.identical),
             "a sharded run diverged from the sequential engine"
         );
-        // Machine-readable mirror for CI artifacts and EXPERIMENTS.md.
-        let mut json = String::from("{\n  \"experiment\": \"e12_shard_scaling\",\n  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"n\": {}, \"shards\": {}, \"intervals\": {}, \"events\": {}, \"seq_wall_s\": {:.6}, \"wall_s\": {:.6}, \"speedup\": {:.3}, \"identical\": {}}}{}\n",
-                r.n,
-                r.shards,
-                r.intervals,
-                r.events,
-                r.seq_wall.as_secs_f64(),
-                r.wall.as_secs_f64(),
-                r.speedup,
-                r.identical,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write("BENCH_shard.json", &json) {
-            Ok(()) => println!("(wrote BENCH_shard.json)\n"),
-            Err(e) => println!("(could not write BENCH_shard.json: {e})\n"),
-        }
+        println!();
     }
 
     if want("e13") {
@@ -540,7 +511,8 @@ fn main() {
             "(one exclusion per cell, {seeds} seeds; flat = the paper's clique, \
              sparse = 4-regular ring, hier = groups of ceil(sqrt n) + leader overlay;\n \
              identical = every seed reaches the same final membership as the first \
-             admitted topology of that n — cells too big for this host are skipped)\n"
+             topology of that n; the clique stops at n = 1024 — its n = 4096 cell is \
+             117 M events per seed)\n"
         );
         println!(
             "{:<6} {:<8} {:<10} {:<11} {:<10} {:<12} {:<10} identical",
@@ -560,15 +532,6 @@ fn main() {
                 r.identical
             );
         }
-        for &n in ns {
-            for name in e13_topology_names() {
-                if !rows.iter().any(|r| r.n == n && r.topology == name) {
-                    println!(
-                        "(n={n} {name}: skipped — the settled trace exceeds this host's memory)"
-                    );
-                }
-            }
-        }
         println!("(protocol cost stays flat: agreement still runs on the full view; only the monitoring load scales with the graph)");
         // Hard gate, not just a printed column: CI leans on this step
         // failing if any topology changes the agreed membership.
@@ -576,30 +539,7 @@ fn main() {
             rows.iter().all(|r| r.identical),
             "a topology changed the final membership outcome"
         );
-        // Machine-readable mirror for CI artifacts and EXPERIMENTS.md.
-        let mut json =
-            String::from("{\n  \"experiment\": \"e13_topology_sweep\",\n  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"n\": {}, \"topology\": \"{}\", \"seeds\": {}, \"intervals\": {}, \"degree_sum\": {}, \"events\": {}, \"messages\": {:.1}, \"protocol\": {:.1}, \"latency\": {:.1}, \"identical\": {}}}{}\n",
-                r.n,
-                r.topology,
-                r.seeds,
-                r.intervals,
-                r.degree_sum,
-                r.events,
-                r.messages,
-                r.protocol,
-                r.latency,
-                r.identical,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write("BENCH_topology.json", &json) {
-            Ok(()) => println!("(wrote BENCH_topology.json)\n"),
-            Err(e) => println!("(could not write BENCH_topology.json: {e})\n"),
-        }
+        println!();
     }
 
     if want("e14") {
@@ -663,33 +603,7 @@ fn main() {
             rows.iter().all(|r| r.committed > 0.0),
             "a scenario committed nothing"
         );
-        // Machine-readable mirror for CI artifacts and EXPERIMENTS.md.
-        let mut json =
-            String::from("{\n  \"experiment\": \"e14_replicated_log\",\n  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"replicas\": {}, \"clients\": {}, \"seeds\": {}, \"horizon\": {}, \"committed\": {:.1}, \"ops_per_ktick\": {:.2}, \"latency_p50\": {}, \"latency_p99\": {}, \"failover_p50\": {}, \"failover_max\": {}, \"prefix_ok\": {}, \"sharded_identical\": {}}}{}\n",
-                r.scenario,
-                r.replicas,
-                r.clients,
-                r.seeds,
-                r.horizon,
-                r.committed,
-                r.throughput,
-                r.latency.p50,
-                r.latency.p99,
-                r.failover.p50,
-                r.failover.max,
-                r.prefix_ok,
-                r.sharded_identical,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write("BENCH_log.json", &json) {
-            Ok(()) => println!("(wrote BENCH_log.json)\n"),
-            Err(e) => println!("(could not write BENCH_log.json: {e})\n"),
-        }
+        println!();
     }
 
     if want("e15") {
@@ -805,43 +719,7 @@ fn main() {
             sync.tail,
             sync.log_len
         );
-        // Machine-readable mirror for CI artifacts and EXPERIMENTS.md.
-        let mut json = String::from("{\n  \"experiment\": \"e15_log_batching\",\n  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"batch\": {}, \"window\": {}, \"replicas\": {}, \"clients\": {}, \"seeds\": {}, \"horizon\": {}, \"committed\": {:.1}, \"ops_per_ktick\": {:.2}, \"msgs_per_op\": {:.2}, \"latency_p50\": {}, \"latency_p99\": {}, \"speedup\": {:.2}, \"prefix_ok\": {}, \"sharded_identical\": {}}}{}\n",
-                r.batch,
-                r.window,
-                r.replicas,
-                r.clients,
-                r.seeds,
-                r.horizon,
-                r.committed,
-                r.throughput,
-                r.msgs_per_op,
-                r.latency.p50,
-                r.latency.p99,
-                r.speedup,
-                r.prefix_ok,
-                r.sharded_identical,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        json.push_str(&format!(
-            "  ],\n  \"joiner_sync\": {{\"compact_keep\": {}, \"join_at\": {}, \"horizon\": {}, \"log_len\": {}, \"tail\": {}, \"snapshot\": {}, \"joiner_base\": {}, \"agree\": {}}}\n}}\n",
-            sync.compact_keep,
-            sync.join_at,
-            sync.horizon,
-            sync.log_len,
-            sync.tail,
-            sync.snapshot,
-            sync.joiner_base,
-            sync.agree
-        ));
-        match std::fs::write("BENCH_log_batching.json", &json) {
-            Ok(()) => println!("(wrote BENCH_log_batching.json)\n"),
-            Err(e) => println!("(could not write BENCH_log_batching.json: {e})\n"),
-        }
+        println!();
     }
 
     if want("a1") {

@@ -1048,8 +1048,7 @@ pub struct ShardRow {
     pub n: usize,
     /// Shard count used for this row.
     pub shards: usize,
-    /// Heartbeat intervals this row's run actually spanned — the requested
-    /// dial, possibly shortened by the memory cap (see
+    /// Heartbeat intervals this row's run spanned (see
     /// [`e12_shard_scaling`]).
     pub intervals: u64,
     /// Events the run recorded (identical across rows by construction).
@@ -1072,58 +1071,18 @@ pub struct ShardRow {
 /// The per-row scenario E12 times: one exclusion at large `n` under
 /// coarsened detector timing, so heartbeat fan-out (Θ(n²) per interval)
 /// dominates the event loop the way a large-scale deployment would. The
-/// arc is deliberately the tightest the detector allows, because every
-/// heartbeat round costs ~14 GiB of settled trace at n = 1024 (see
-/// [`e12_event_bytes`]): the victim crashes at t = 10, *before its first
-/// heartbeat*, so the initial t = 0 lease is never renewed, the 150-tick
-/// timeout expires it at the survivors' t = 200 tick, and the commit
-/// lands by ~250 — the whole crash → suspicion → commit arc fits in
-/// three rounds. Survivors renew each other at ~101–103 (100 between
-/// beats plus the 1–3-tick delivery jitter), comfortably inside the
-/// 150-tick timeout, so no spurious suspicion is possible.
+/// arc is the tightest the detector allows: the victim crashes at t = 10,
+/// *before its first heartbeat*, so the initial t = 0 lease is never
+/// renewed, the 150-tick timeout expires it at the survivors' t = 200
+/// tick, and the commit lands by ~250 — the whole crash → suspicion →
+/// commit arc fits in three rounds. Survivors renew each other at
+/// ~101–103 (100 between beats plus the 1–3-tick delivery jitter),
+/// comfortably inside the 150-tick timeout, so no spurious suspicion is
+/// possible.
 fn shard_sweep_run(n: usize, seed: u64) -> Sim<Msg, Member> {
     let mut sim = cluster_with(n, seed, Config::builder().timing(100, 150).build());
     sim.crash_at(ProcessId(n as u32 - 1), 10);
     sim
-}
-
-/// Best-effort available-memory probe: Linux `MemAvailable`, with a
-/// conservative 8 GiB default elsewhere. Only the *length* of E12's
-/// big-`n` rows depends on this — per-row values stay deterministic in
-/// `(n, seed, intervals, shards)`.
-fn mem_available_bytes() -> u64 {
-    if let Ok(meminfo) = std::fs::read_to_string("/proc/meminfo") {
-        for line in meminfo.lines() {
-            if let Some(rest) = line.strip_prefix("MemAvailable:") {
-                if let Some(kb) = rest
-                    .split_whitespace()
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                {
-                    return kb * 1024;
-                }
-            }
-        }
-    }
-    8 << 30
-}
-
-/// Settled trace memory one recorded event costs at group size `n`, in
-/// bytes: the materialized Θ(n) vector stamp (every event ticks its
-/// clock, so copy-on-write cannot share across events) plus event
-/// struct, tag and `Arc` overhead. Measured, not derived: a sequential
-/// n = 1024, 3-interval run holds 43 GiB for 5.24 M events once the loop
-/// finishes — 8.6 KiB per event, within 6% of `8n + 512`.
-///
-/// Settled is not peak. The same run transiently peaks at ~2.1× its
-/// settled size while the event loop is live, and a sharded rerun of the
-/// identical scenario reuses *none* of the sequential run's freed memory
-/// (shard workers allocate from their own per-thread malloc arenas, and
-/// glibc free lists never migrate between arenas), so E12's governor in
-/// [`e12_shard_scaling`] charges each row a multiple of the run size
-/// rather than the run size itself. Five OOM kills calibrated this.
-fn e12_event_bytes(n: usize) -> u64 {
-    8 * n as u64 + 512
 }
 
 /// Order-sensitive FNV-1a digest of everything a run makes observable:
@@ -1131,12 +1090,9 @@ fn e12_event_bytes(n: usize) -> u64 {
 /// message ids, tags and peers), plus the statistics counters and the
 /// surviving set.
 ///
-/// The vector stamp is deliberately *not* folded in: it is Θ(n) per event
-/// (a 1024-entry clock at E12's top size), so digesting it would dominate
-/// the very wall-clock the experiment measures. Stamp equality is pinned
-/// separately — at golden granularity and event-for-event — by
-/// `tests/sharding.rs` and `tests/determinism.rs`; the Lamport chain
-/// folded here already fails on any reordering those suites would catch.
+/// Vector stamps need no folding: they are a function of the process ids,
+/// kinds and message ids folded here (`Trace::to_event_log` rebuilds them
+/// from exactly those).
 fn run_digest(sim: &Sim<Msg, Member>) -> (u64, usize, Stats, Vec<ProcessId>) {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1199,19 +1155,10 @@ fn run_digest(sim: &Sim<Msg, Member>) -> (u64, usize, Stats, Vec<ProcessId>) {
 /// any length. A row's wall-clock covers only the event loop; the digest
 /// comparison happens outside the timed section.
 ///
-/// Big-`n` rows cap their own *cost*, in two steps, against ~90% of the
-/// host's available memory and the measured model in `e12_event_bytes`
-/// (a 3-interval n = 1024 run settles at 43 GiB of trace, and a whole
-/// row peaks at ~2.5× one run plus ~0.3× per shard-ladder rung beyond
-/// the second): first the span is clamped, then — if even the shortest
-/// exclusion-covering span (3 intervals) does not fit — the top ladder
-/// rungs are dropped, and only an `n` that cannot fit a single-rung
-/// 3-interval row is skipped entirely (no row) rather than run
-/// truncated. The actual span is reported per row in
-/// [`ShardRow::intervals`]; a capped ladder is visible as missing rows.
-/// Sizes are swept largest-first regardless of the order in `ns` (see
-/// the comment in the body: freed trace memory is only reusable by
-/// *smaller* later runs), so rows come out in descending `n`.
+/// `intervals` is raised to 3 when smaller: the crash → suspicion → commit
+/// arc needs three heartbeat intervals (see `shard_sweep_run`), and
+/// anything shorter would time an exclusion-free run. The span used is
+/// reported per row in [`ShardRow::intervals`].
 ///
 /// ```
 /// use gmp_bench::e12_shard_scaling;
@@ -1227,58 +1174,18 @@ pub fn e12_shard_scaling(
     intervals: u64,
     seed: u64,
 ) -> Vec<ShardRow> {
-    // Sweep the sizes largest-first. Dropping a run hands its trace (tens
-    // of GiB of sub-mmap-threshold stamp chunks at n = 1024) back to the
-    // allocator's free lists, not to the OS; a *smaller* later run reuses
-    // those chunks (splitting a free block always works), while a larger
-    // later run cannot (fragmented small chunks never merge back into the
-    // bigger stamp size it needs) and would pile its peak on top of the
-    // retained memory. Ascending order is exactly how a full sweep
-    // OOM-killed itself while each individual row fit the host.
-    let mut ns: Vec<usize> = ns.to_vec();
-    ns.sort_unstable_by(|a, b| b.cmp(a));
-    let ns = &ns[..];
-    // The victim's never-renewed t = 0 lease expires its 150-tick timeout
-    // at the survivors' t = 200 detector tick and the commit lands by
-    // ~250, so the whole crash → suspicion → commit arc needs 3 heartbeat
-    // intervals; anything shorter would time an exclusion-free run.
     const MIN_INTERVALS: u64 = 3;
-    let budget = mem_available_bytes() / 10 * 9;
+    let intervals = intervals.max(MIN_INTERVALS);
+    let horizon = intervals * 100;
     let mut rows = Vec::new();
     for &n in ns {
-        // Memory governor, calibrated at n = 1024 on a 131 GiB host (see
-        // e12_event_bytes): a run's settled trace is (2·intervals − 1)·n²
-        // events (the last round's sends are never delivered inside the
-        // horizon); the whole row peaks at ~2.4× one run — the sequential
-        // reference's retained trace plus a sharded run's transient, none
-        // of it shared across thread arenas — plus ~0.3× per ladder rung
-        // beyond the second (extra workers bring extra arenas). Charge
-        // 2.5× + 0.3×/rung; shorten the run, then the ladder, and skip
-        // the size only when even a 3-interval single-rung row cannot fit.
-        let half_round = (n as u64 * n as u64) * e12_event_bytes(n);
-        let mut ladder: Vec<usize> = shards_list.iter().map(|&s| s.max(1)).collect();
-        ladder.sort_unstable();
-        ladder.dedup();
-        let plan = loop {
-            let mult_tenths = 25 + 3 * ladder.len().saturating_sub(2) as u64;
-            let max_intervals = (budget * 10 / mult_tenths / half_round.max(1)).div_ceil(2);
-            if max_intervals >= MIN_INTERVALS {
-                break Some(intervals.max(MIN_INTERVALS).min(max_intervals));
-            }
-            ladder.pop();
-            if ladder.is_empty() {
-                break None;
-            }
-        };
-        let Some(intervals) = plan else { continue };
-        let horizon = intervals * 100;
         let (seq_wall, reference) = {
             let mut sim = shard_sweep_run(n, seed);
             let start = Instant::now();
             sim.run_until(horizon);
             (start.elapsed(), run_digest(&sim))
         };
-        for &shards in &ladder {
+        for &shards in shards_list {
             let mut sim = shard_sweep_run(n, seed);
             let start = Instant::now();
             sim.run_until_sharded(horizon, shards);
@@ -1316,11 +1223,6 @@ pub struct TopologyRow {
     /// Seeds sampled for this cell; every per-seed value is deterministic
     /// in `(n, seed, topology)`.
     pub seeds: u64,
-    /// Heartbeat intervals each run spanned: 4, shortened to 3 when the
-    /// memory governor demands it. The exclusion commits by ~250 either
-    /// way (see `shard_sweep_run` for the arc), so the span never
-    /// changes the outcome the gate compares.
-    pub intervals: u64,
     /// Directed monitoring edges of the initial view — the per-interval
     /// heartbeat load this topology buys: `n(n−1)` for the clique,
     /// `k·n` for the ring, `≈ n·(g−1) + g·(g−1)` for the hierarchy.
@@ -1339,7 +1241,7 @@ pub struct TopologyRow {
     pub latency: f64,
     /// The hard gate: every sampled seed excluded the victim AND reached
     /// the same final membership (survivor set and each survivor's view)
-    /// as the first admitted topology at this `n`.
+    /// as the first topology at this `n`.
     pub identical: bool,
 }
 
@@ -1356,17 +1258,17 @@ fn e13_topologies(n: usize) -> Vec<(&'static str, Arc<dyn Topology>)> {
 /// E13's per-cell scenario: the E12 coarse-timing exclusion arc (crash at
 /// t = 10 before the first heartbeat, suspicion at the survivors' t = 200
 /// tick, commit by ~250 — see [`shard_sweep_run`]) under the given
-/// monitoring graph. The victim `p(n−1)` is the most junior member: a
+/// monitoring graph, run for four heartbeat intervals. The victim `p(n−1)` is the most junior member: a
 /// ring edge-member and a non-leader of the hierarchy's last group, so
 /// the sparse and hierarchical cells genuinely exercise relay.
-fn e13_run(n: usize, seed: u64, topology: &Arc<dyn Topology>, horizon: u64) -> Sim<Msg, Member> {
+fn e13_run(n: usize, seed: u64, topology: &Arc<dyn Topology>) -> Sim<Msg, Member> {
     let cfg = Config::builder()
         .timing(100, 150)
         .topology_shared(Arc::clone(topology))
         .build();
     let mut sim = cluster_with(n, seed, cfg);
     sim.crash_at(ProcessId(n as u32 - 1), 10);
-    sim.run_until(horizon);
+    sim.run_until(400);
     sim
 }
 
@@ -1401,25 +1303,20 @@ fn e13_latency(sim: &Sim<Msg, Member>) -> f64 {
     last.saturating_sub(10) as f64
 }
 
+/// Directed monitoring edges above which E13 leaves a `(topology, n)` cell
+/// out. A cell records ~7 events per edge per seed, so the cap bounds a
+/// cell at ~14 M events; the one cell of the `tables e13` ladder it
+/// removes is the clique at n = 4096 (16.8 M edges, 117 M events per
+/// seed) — that the sparse graphs still run there is the experiment's
+/// headline.
+const E13_MAX_EDGES: u64 = 2_000_000;
+
 /// Sweeps one exclusion per `(topology, n, seed)` across the three
 /// monitoring graphs of `e13_topologies`, measuring message load and
 /// exclusion latency and pinning — per seed — that every topology
-/// reaches the *same final membership* as the first admitted topology of
-/// that `n` ([`TopologyRow::identical`]; `tables e13` turns it into a
-/// hard assert).
-///
-/// Cells govern their own memory exactly like [`e12_shard_scaling`]: the
-/// settled trace costs `((2I−1)·deg_sum + I·n + 10n)` events at
-/// `e12_event_bytes` each (the degree sum replaces E12's `n²` — that
-/// is the whole point of a sparse graph), charged 2.5× against ~90% of
-/// available memory. A cell first sheds its span from 4 to 3 intervals,
-/// then is skipped entirely (no row) rather than run truncated; `tables`
-/// prints a note per missing cell. The clique's n = 4096 cell needs
-/// ~2.8 TB of trace and is skipped on any realistic host — that *is*
-/// the experiment's headline, not a defect. Sizes sweep largest-first
-/// and the clique runs before the sparse graphs within each size (freed
-/// trace chunks only serve same-or-smaller later runs; see the comment
-/// in [`e12_shard_scaling`]).
+/// reaches the *same final membership* as the first topology of that `n`
+/// ([`TopologyRow::identical`]; `tables e13` turns it into a hard
+/// assert). Cells above `E13_MAX_EDGES` monitoring edges produce no row.
 ///
 /// ```
 /// use gmp_bench::e13_topology_sweep;
@@ -1429,12 +1326,9 @@ fn e13_latency(sim: &Sim<Msg, Member>) -> f64 {
 /// assert!(rows.iter().all(|r| r.identical), "topologies must agree");
 /// ```
 pub fn e13_topology_sweep(ns: &[usize], seeds: u64) -> Vec<TopologyRow> {
-    let mut ns: Vec<usize> = ns.to_vec();
-    ns.sort_unstable_by(|a, b| b.cmp(a));
-    let budget = mem_available_bytes() / 10 * 9;
     let seeds = seeds.max(1);
     let mut rows = Vec::new();
-    for &n in &ns {
+    for &n in ns {
         let victim = ProcessId(n as u32 - 1);
         let view = View::new((0..n as u32).map(ProcessId).collect());
         let mut reference: Vec<Option<MembershipOutcome>> = vec![None; seeds as usize];
@@ -1443,19 +1337,14 @@ pub fn e13_topology_sweep(ns: &[usize], seeds: u64) -> Vec<TopologyRow> {
                 .iter()
                 .map(|p| topo.monitors(p, &view).len() as u64)
                 .sum();
-            let fits = |i: u64| {
-                let events = (2 * i - 1) * degree_sum + i * n as u64 + 10 * n as u64;
-                events * e12_event_bytes(n) * 25 / 10 <= budget
-            };
-            let Some(intervals) = [4u64, 3].into_iter().find(|&i| fits(i)) else {
+            if degree_sum > E13_MAX_EDGES {
                 continue;
-            };
-            let horizon = intervals * 100;
+            }
             let (mut messages, mut protocol, mut latency) = (0f64, 0f64, 0f64);
             let mut identical = true;
             let mut events = 0usize;
             for s in 0..seeds {
-                let sim = e13_run(n, s, &topo, horizon);
+                let sim = e13_run(n, s, &topo);
                 if s == 0 {
                     events = sim.trace().events.len();
                 }
@@ -1473,7 +1362,6 @@ pub fn e13_topology_sweep(ns: &[usize], seeds: u64) -> Vec<TopologyRow> {
                 n,
                 topology: name,
                 seeds,
-                intervals,
                 degree_sum,
                 events,
                 messages: messages / seeds as f64,
@@ -1484,12 +1372,6 @@ pub fn e13_topology_sweep(ns: &[usize], seeds: u64) -> Vec<TopologyRow> {
         }
     }
     rows
-}
-
-/// The topology labels [`e13_topology_sweep`] tries per size, in sweep
-/// order — `tables e13` diffs rows against this to report skipped cells.
-pub fn e13_topology_names() -> [&'static str; 3] {
-    ["flat", "sparse", "hier"]
 }
 
 // ---------------------------------------------------------------------
@@ -1505,14 +1387,8 @@ pub struct LogRow {
     /// dies mid-run) or `"churn"` (the leader dies while a joiner is
     /// being admitted and state-transferred).
     pub scenario: &'static str,
-    /// Initial replicas (the churn schedule adds one joiner on top).
-    pub replicas: usize,
-    /// Closed-loop clients.
-    pub clients: usize,
     /// Seeds sampled; every per-seed value is deterministic.
     pub seeds: u64,
-    /// Simulated horizon in ticks.
-    pub horizon: u64,
     /// Mean committed client operations per run (`NOOP` fillers excluded).
     pub committed: f64,
     /// Committed client operations per 1 000 simulated ticks.
@@ -1716,10 +1592,7 @@ pub fn e14_replicated_log_with(
         let committed = committed / seeds as f64;
         rows.push(LogRow {
             scenario: sc.name,
-            replicas: sc.replicas,
-            clients: sc.clients,
             seeds,
-            horizon: sc.horizon,
             committed,
             throughput: committed * 1_000.0 / sc.horizon as f64,
             latency: Summary::of(&latencies),
@@ -1744,14 +1617,8 @@ pub struct BatchRow {
     pub batch: usize,
     /// Client pipeline window (1 = strict closed loop).
     pub window: usize,
-    /// Replicas in the steady schedule.
-    pub replicas: usize,
-    /// Closed-loop clients.
-    pub clients: usize,
     /// Seeds sampled; every per-seed value is deterministic.
     pub seeds: u64,
-    /// Simulated horizon in ticks.
-    pub horizon: u64,
     /// Mean committed client operations per run (`NOOP` fillers excluded).
     pub committed: f64,
     /// Committed client operations per 1 000 simulated ticks.
@@ -1778,8 +1645,6 @@ pub struct SyncRow {
     pub compact_keep: usize,
     /// When the joiner first asked to join.
     pub join_at: u64,
-    /// Simulated horizon in ticks.
-    pub horizon: u64,
     /// Applied length of the donor's log when measured (end of run).
     pub log_len: u64,
     /// Tail entries the joiner's `SyncOk` actually shipped.
@@ -1872,10 +1737,7 @@ pub fn e15_log_batching(
         rows.push(BatchRow {
             batch: b,
             window: w,
-            replicas: sc.replicas,
-            clients: sc.clients,
             seeds,
-            horizon: sc.horizon,
             committed,
             throughput: committed * 1_000.0 / sc.horizon as f64,
             msgs_per_op: if committed > 0.0 {
@@ -1938,7 +1800,6 @@ pub fn e15_joiner_sync(seed: u64) -> SyncRow {
     SyncRow {
         compact_keep: keep,
         join_at,
-        horizon,
         log_len: sim.node(ProcessId(1)).log().logical_len(),
         tail,
         snapshot,
@@ -2186,10 +2047,8 @@ mod tests {
             );
             assert!(r.events > 0 && r.wall.as_nanos() > 0 && r.speedup > 0.0);
         }
-        // Sizes sweep largest-first (freed trace memory only reuses
-        // downward), so the n = 16 rows come before the n = 8 rows.
-        assert!(rows[..3].iter().all(|r| r.n == 16));
-        assert!(rows[3..].iter().all(|r| r.n == 8));
+        assert!(rows[..3].iter().all(|r| r.n == 8));
+        assert!(rows[3..].iter().all(|r| r.n == 16));
         // Every row of one n records the same event count (same run).
         assert!(rows[..3].iter().all(|r| r.events == rows[0].events));
         assert!(rows[3..].iter().all(|r| r.events == rows[3].events));
@@ -2197,10 +2056,9 @@ mod tests {
 
     #[test]
     fn e12_minimum_span_still_covers_the_exclusion() {
-        // MIN_INTERVALS = 3 is a promise: even the shortest row the memory
-        // cap can impose (horizon 300, three heartbeat intervals) contains
-        // the whole crash → suspicion → commit arc, so E12 never times an
-        // exclusion-free run on a capped host.
+        // MIN_INTERVALS = 3 is a promise: the shortest row (horizon 300,
+        // three heartbeat intervals) contains the whole crash → suspicion
+        // → commit arc, so E12 never times an exclusion-free run.
         let mut sim = shard_sweep_run(16, 0);
         sim.run_until(300);
         assert_eq!(
@@ -2218,17 +2076,17 @@ mod tests {
             rows.iter().all(|r| r.identical),
             "per-seed final membership must not depend on the topology"
         );
-        // Descending sizes, declaration order within a size.
+        // Sizes as given, declaration order within a size.
         let labels: Vec<(usize, &str)> = rows.iter().map(|r| (r.n, r.topology)).collect();
         assert_eq!(
             labels,
             [
-                (16, "flat"),
-                (16, "sparse"),
-                (16, "hier"),
                 (8, "flat"),
                 (8, "sparse"),
-                (8, "hier")
+                (8, "hier"),
+                (16, "flat"),
+                (16, "sparse"),
+                (16, "hier")
             ]
         );
     }

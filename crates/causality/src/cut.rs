@@ -2,8 +2,8 @@
 //!
 //! A *consistent cut* is a prefix of each process history, closed under
 //! happens-before (§2.1). We represent a cut by the number of events taken
-//! from each process history, and validate closure using the vector clocks
-//! the simulator stamped on each event.
+//! from each process history, and validate closure using the vector clock
+//! of each event (for a simulated run, rebuilt by `Trace::to_event_log`).
 
 use crate::Stamp;
 use gmp_types::ProcessId;
@@ -14,13 +14,13 @@ pub type EventIndex = usize;
 /// An event as seen by the cut machinery: who executed it and its vector
 /// timestamp.
 ///
-/// The timestamp is a [`Stamp`] — an `Arc`-shared snapshot — so building a
-/// log from a recorded trace copies no clock vectors.
+/// The timestamp is a [`Stamp`] — an `Arc`-shared snapshot — so events
+/// whose clock did not advance share one vector.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoggedEvent {
     /// The process that executed the event.
     pub pid: ProcessId,
-    /// Vector timestamp assigned by the runtime.
+    /// Vector timestamp of the event.
     pub vc: Stamp,
 }
 

@@ -3,9 +3,10 @@
 //!
 //! The GMP specification (§2) is stated over *consistent cuts* of a system
 //! run — prefixes of the run closed under Lamport's happens-before relation.
-//! This crate provides the clock machinery the simulator uses to stamp every
-//! event, and the cut machinery the property checkers use to evaluate
-//! cut-indexed propositions such as `IsSysView(x)`.
+//! This crate provides the clock machinery — the Lamport clock the simulator
+//! stamps every event with, the vector clocks `Trace::to_event_log` rebuilds
+//! from a recorded run — and the cut machinery the property checkers use to
+//! evaluate cut-indexed propositions such as `IsSysView(x)`.
 //!
 //! Two clock representations are provided:
 //!
@@ -14,9 +15,8 @@
 //! * [`CowClock`] / [`Stamp`] — a copy-on-write working clock and its
 //!   immutable, `Arc`-shared snapshots. Taking a [`Stamp`] is O(1);
 //!   the underlying vector is only deep-copied when the clock advances
-//!   (tick/observe) *while a previous snapshot is still alive*. The
-//!   simulator stamps every trace event, so this turns the per-event
-//!   stamping cost from O(n) copies into amortized O(1) sharing.
+//!   (tick/observe) *while a previous snapshot is still alive*, so
+//!   events whose clock did not advance (notes) share one allocation.
 //!
 //! # Example
 //!
@@ -196,11 +196,6 @@ impl fmt::Display for VectorClock {
 pub struct Stamp(Arc<VectorClock>);
 
 impl Stamp {
-    /// The zero stamp of dimension `n`.
-    pub fn zero(n: usize) -> Self {
-        Stamp(Arc::new(VectorClock::new(n)))
-    }
-
     /// The snapshotted clock value.
     pub fn clock(&self) -> &VectorClock {
         &self.0
@@ -298,12 +293,6 @@ impl CowClock {
     /// this clock's storage, i.e. the next advance will copy.
     pub fn is_shared(&self) -> bool {
         Arc::strong_count(&self.inner) > 1
-    }
-}
-
-impl Default for CowClock {
-    fn default() -> Self {
-        CowClock::new(0)
     }
 }
 

@@ -86,15 +86,6 @@ impl Config {
     pub fn builder() -> ConfigBuilder {
         ConfigBuilder::default()
     }
-
-    /// Default configuration for an initial member.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Config::default()` or `Config::builder()`"
-    )]
-    pub fn new() -> Self {
-        Config::default()
-    }
 }
 
 /// Builds a [`Config`], knob by knob.
@@ -286,14 +277,6 @@ mod tests {
         assert_eq!(c.heartbeat_every, 10);
         assert_eq!(c.suspect_after, 50);
         assert!(!c.compression && !c.mgr_majority && !c.gossip);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn new_shim_matches_default() {
-        let c = Config::new();
-        assert_eq!(c.heartbeat_every, Config::default().heartbeat_every);
-        assert!(c.compression && c.mgr_majority && c.gossip);
     }
 
     #[test]

@@ -140,7 +140,6 @@ pub fn analyze(trace: &Trace) -> RunAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmp_causality::Stamp;
     use gmp_sim::TraceEvent;
     use gmp_types::note::FaultySource;
 
@@ -149,7 +148,6 @@ mod tests {
             time: 0,
             pid: ProcessId(pid),
             lamport: 1,
-            vc: Stamp::zero(3),
             kind: TraceKind::Note(note),
         }
     }
@@ -194,7 +192,6 @@ mod tests {
             time: 5,
             pid: ProcessId(1),
             lamport: 1,
-            vc: Stamp::zero(3),
             kind: TraceKind::Crash,
         });
 

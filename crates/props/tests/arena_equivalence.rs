@@ -120,8 +120,8 @@ proptest! {
                 .iter()
                 .map(|e| {
                     format!(
-                        "t={} pid={} lamport={} vc={:?} kind={:?}",
-                        e.time, e.pid, e.lamport, e.vc.as_slice(), e.kind
+                        "t={} pid={} lamport={} kind={:?}",
+                        e.time, e.pid, e.lamport, e.kind
                     )
                 })
                 .collect::<Vec<_>>()

@@ -6,9 +6,10 @@
 //! replaying the same scenario under every seed in a range — each run is
 //! independently deterministic (see `tests/determinism.rs`) — and returns
 //! one [`RunStats`] per seed, which [`summarize_runs`] condenses into
-//! percentile [`Summary`] statistics. Cheap copy-on-write trace stamping
-//! (see [`gmp_causality::CowClock`]) keeps this affordable at `n` up to 128
-//! and dozens of seeds per call.
+//! percentile [`Summary`] statistics. Recording an event is O(1) (vector
+//! stamps are rebuilt on demand by [`Trace::to_event_log`](crate::Trace::to_event_log),
+//! never stored), which keeps this affordable at `n` up to 128 and dozens
+//! of seeds per call.
 //!
 //! Because runs are independent, the sweep parallelizes perfectly:
 //! [`run_seeds_parallel`] executes the same sweep on a scoped worker pool
@@ -383,8 +384,8 @@ mod tests {
     /// The engine-level `Send` audit, checked at compile time: a simulator
     /// whose message and node types are `Send` is itself `Send`, which is
     /// what lets whole runs execute on pool worker threads. (All engine
-    /// internals — `SmallRng`, the event queue, `Arc`-backed `Stamp` and
-    /// `Shared` payloads — are `Send + Sync`-safe by construction; nothing
+    /// internals — `SmallRng`, the event queue, `Arc`-backed `Shared`
+    /// payloads — are `Send + Sync`-safe by construction; nothing
     /// in the stack uses `Rc` or interior mutability.)
     #[test]
     fn sim_is_send_when_message_and_node_are() {

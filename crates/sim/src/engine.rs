@@ -1,12 +1,12 @@
 //! The discrete-event engine: deterministic scheduling, fault injection,
-//! causal stamping.
+//! Lamport stamping.
 
 use crate::net::{BlockMode, NetState};
 use crate::node::{Action, Ctx, Message, Node, TimerId};
 use crate::stats::Stats;
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::Time;
-use gmp_causality::{CowClock, LamportClock, Stamp};
+use gmp_causality::LamportClock;
 use gmp_types::ProcessId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -107,10 +107,6 @@ impl Builder {
 pub(crate) struct Slot<N> {
     pub(crate) node: Option<N>,
     pub(crate) status: NodeStatus,
-    /// Copy-on-write working clock: stamping an event is an O(1) snapshot,
-    /// and the vector is deep-copied only on the first advance after a
-    /// snapshot (see `gmp_causality::CowClock`).
-    pub(crate) vc: CowClock,
     pub(crate) lamport: LamportClock,
 }
 
@@ -121,7 +117,6 @@ pub(crate) struct InFlight<M> {
     pub(crate) msg: M,
     pub(crate) msg_id: u64,
     pub(crate) tag: &'static str,
-    pub(crate) send_vc: Stamp,
     pub(crate) send_lamport: u64,
 }
 
@@ -186,19 +181,40 @@ impl<M> Ord for Queued<M> {
     }
 }
 
-enum Trigger<M> {
+/// What makes a process take a step. Shared by both engines, so the
+/// stamping rule and the handler dispatch exist once.
+pub(crate) enum Trigger<M> {
     Start,
-    Recv {
-        from: ProcessId,
-        msg: M,
-        msg_id: u64,
-        tag: &'static str,
-        send_vc: Stamp,
-        send_lamport: u64,
-    },
-    Timer {
-        tag: u64,
-    },
+    Recv(InFlight<M>),
+    Timer { tag: u64 },
+}
+
+impl<M: Message> Trigger<M> {
+    /// Advances the process's Lamport clock for this step and returns the
+    /// stamp together with the event kind the trace records for it.
+    pub(crate) fn stamp(&self, clock: &mut LamportClock) -> (u64, TraceKind) {
+        match self {
+            Trigger::Start => (clock.tick(), TraceKind::Start),
+            Trigger::Recv(inf) => (
+                clock.merge(inf.send_lamport),
+                TraceKind::Recv {
+                    from: inf.from,
+                    msg_id: inf.msg_id,
+                    tag: inf.tag,
+                },
+            ),
+            Trigger::Timer { tag } => (clock.tick(), TraceKind::Timer { tag: *tag }),
+        }
+    }
+
+    /// Runs the handler this trigger calls for.
+    pub(crate) fn run<N: Node<M>>(self, node: &mut N, ctx: &mut Ctx<'_, M>) {
+        match self {
+            Trigger::Start => node.on_start(ctx),
+            Trigger::Recv(inf) => node.on_message(ctx, inf.from, inf.msg),
+            Trigger::Timer { tag } => node.on_timer(ctx, tag),
+        }
+    }
 }
 
 /// A scheduled mid-broadcast crash (Figure 3): the process may perform
@@ -247,7 +263,6 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         self.slots.push(Slot {
             node: Some(node),
             status: NodeStatus::Up,
-            vc: CowClock::new(0),
             lamport: LamportClock::new(),
         });
         pid
@@ -409,9 +424,6 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         self.started = true;
         let n = self.slots.len();
         self.trace = Trace::new(n);
-        for slot in &mut self.slots {
-            slot.vc = CowClock::new(n);
-        }
         // Apply fault-injection and link controls scheduled at time 0 before
         // any process takes a step, so experiments can shape the run from
         // the very first event (e.g. arm a mid-broadcast crash for a
@@ -481,26 +493,7 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
             None => {}
         }
         self.stats.record_delivery(inf.tag);
-        let InFlight {
-            from,
-            to,
-            msg,
-            msg_id,
-            tag,
-            send_vc,
-            send_lamport,
-        } = inf;
-        self.invoke(
-            to,
-            Trigger::Recv {
-                from,
-                msg,
-                msg_id,
-                tag,
-                send_vc,
-                send_lamport,
-            },
-        );
+        self.invoke(inf.to, Trigger::Recv(inf));
     }
 
     pub(crate) fn apply_control(&mut self, c: Control) {
@@ -556,14 +549,11 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
 
     /// Records a crash/quit lifecycle event with proper stamping.
     fn record_lifecycle(&mut self, pid: ProcessId, kind: TraceKind) {
-        let slot = &mut self.slots[pid.index()];
-        slot.vc.tick(pid.index());
-        let lamport = slot.lamport.tick();
+        let lamport = self.slots[pid.index()].lamport.tick();
         self.trace.events.push(TraceEvent {
             time: self.time,
             pid,
             lamport,
-            vc: slot.vc.stamp(),
             kind,
         });
     }
@@ -574,57 +564,13 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
             return;
         }
         // Stamp and record the triggering event, then run the handler.
-        let (call, pre_event): (HandlerCall, TraceKind) = match trigger {
-            Trigger::Start => (HandlerCall::Start, TraceKind::Start),
-            Trigger::Recv {
-                from,
-                msg,
-                msg_id,
-                tag,
-                send_vc,
-                send_lamport,
-            } => {
-                let slot = &mut self.slots[idx];
-                slot.vc.observe(&send_vc);
-                slot.lamport.merge(send_lamport);
-                // merge() already ticked lamport; only vc needs its tick.
-                slot.vc.tick(idx);
-                let kind = TraceKind::Recv { from, msg_id, tag };
-                self.trace.events.push(TraceEvent {
-                    time: self.time,
-                    pid,
-                    lamport: slot.lamport.value(),
-                    vc: slot.vc.stamp(),
-                    kind: kind.clone(),
-                });
-                let mut node = self.slots[idx].node.take().expect("node present");
-                let mut ctx = Ctx {
-                    pid,
-                    now: self.time,
-                    actions: Vec::new(),
-                    rng: &mut self.rng,
-                    timer_counter: &mut self.timer_counter,
-                };
-                node.on_message(&mut ctx, from, msg);
-                let actions = std::mem::take(&mut ctx.actions);
-                self.slots[idx].node = Some(node);
-                self.apply_actions(pid, actions);
-                return;
-            }
-            Trigger::Timer { tag } => (HandlerCall::Timer(tag), TraceKind::Timer { tag }),
-        };
-        {
-            let slot = &mut self.slots[idx];
-            slot.vc.tick(idx);
-            let lamport = slot.lamport.tick();
-            self.trace.events.push(TraceEvent {
-                time: self.time,
-                pid,
-                lamport,
-                vc: slot.vc.stamp(),
-                kind: pre_event,
-            });
-        }
+        let (lamport, kind) = trigger.stamp(&mut self.slots[idx].lamport);
+        self.trace.events.push(TraceEvent {
+            time: self.time,
+            pid,
+            lamport,
+            kind,
+        });
         let mut node = self.slots[idx].node.take().expect("node present");
         let mut ctx = Ctx {
             pid,
@@ -633,10 +579,7 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
             rng: &mut self.rng,
             timer_counter: &mut self.timer_counter,
         };
-        match call {
-            HandlerCall::Start => node.on_start(&mut ctx),
-            HandlerCall::Timer(tag) => node.on_timer(&mut ctx, tag),
-        }
+        trigger.run(&mut node, &mut ctx);
         let actions = std::mem::take(&mut ctx.actions);
         self.slots[idx].node = Some(node);
         self.apply_actions(pid, actions);
@@ -657,18 +600,13 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
                     let tag = msg.tag();
                     self.msg_counter += 1;
                     let msg_id = self.msg_counter;
-                    {
-                        let slot = &mut self.slots[idx];
-                        slot.vc.tick(idx);
-                        let lamport = slot.lamport.tick();
-                        self.trace.events.push(TraceEvent {
-                            time: self.time,
-                            pid,
-                            lamport,
-                            vc: slot.vc.stamp(),
-                            kind: TraceKind::Send { to, msg_id, tag },
-                        });
-                    }
+                    let lamport = self.slots[idx].lamport.tick();
+                    self.trace.events.push(TraceEvent {
+                        time: self.time,
+                        pid,
+                        lamport,
+                        kind: TraceKind::Send { to, msg_id, tag },
+                    });
                     self.stats.record_send(tag);
                     let inf = InFlight {
                         from: pid,
@@ -676,10 +614,7 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
                         msg,
                         msg_id,
                         tag,
-                        // Shares storage with the Send trace event above:
-                        // the clock has not advanced since that stamp.
-                        send_vc: self.slots[idx].vc.stamp(),
-                        send_lamport: self.slots[idx].lamport.value(),
+                        send_lamport: lamport,
                     };
                     match self.net.fate(pid, to) {
                         Some(BlockMode::Hold) => {
@@ -714,12 +649,10 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
                     self.cancelled.insert(id.0);
                 }
                 Action::Note(note) => {
-                    let slot = &self.slots[idx];
                     self.trace.events.push(TraceEvent {
                         time: self.time,
                         pid,
-                        lamport: slot.lamport.value(),
-                        vc: slot.vc.stamp(),
+                        lamport: self.slots[idx].lamport.value(),
                         kind: TraceKind::Note(note),
                     });
                 }
@@ -730,11 +663,6 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
             }
         }
     }
-}
-
-enum HandlerCall {
-    Start,
-    Timer(u64),
 }
 
 #[cfg(test)]

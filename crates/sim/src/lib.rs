@@ -12,12 +12,13 @@
 //!
 //! Protocols are [`Node`] state machines; every send, receive, timer, crash,
 //! quit and semantic [`Note`](gmp_types::Note) is recorded in a [`Trace`]
-//! stamped with Lamport and vector clocks, so runs can be checked against
-//! the GMP specification afterwards (`gmp-props`) and message complexity can
-//! be measured (`gmp-bench`). Stamps are copy-on-write snapshots
-//! ([`gmp_causality::Stamp`]): recording an event is O(1) unless the clock
-//! advanced since the previous stamp, which keeps tracing cheap at large
-//! `n`. Fan-out payloads get the same treatment: wrapping a payload in
+//! with its Lamport stamp, so runs can be checked against the GMP
+//! specification afterwards (`gmp-props`) and message complexity can be
+//! measured (`gmp-bench`). Recording an event is O(1) at every `n`: vector
+//! clocks are a function of the recorded `Send`/`Recv` edges, so the engine
+//! never carries them — [`Trace::to_event_log`] rebuilds them for the
+//! caller that needs happens-before. Fan-out payloads are cheap too:
+//! wrapping a payload in
 //! [`Shared`] makes every per-recipient message clone — whether via
 //! [`Ctx::broadcast`] or a per-target [`Ctx::send`] loop — an O(1)
 //! reference bump on one allocation instead of a deep copy. The [`batch`]
@@ -40,8 +41,8 @@
 //! `Sim<M, N>: Send` whenever `M: Send` and `N: Send`: every engine
 //! internal is owned data (`SmallRng` is a plain xoshiro256++ state, the
 //! event queue and link state are `std` collections of owned values) or an
-//! atomically reference-counted snapshot ([`gmp_causality::Stamp`] and
-//! [`Shared`] both wrap [`std::sync::Arc`]). Nothing in the stack uses
+//! atomically reference-counted payload ([`Shared`] wraps
+//! [`std::sync::Arc`]). Nothing in the stack uses
 //! `Rc`, thread-locals, or interior mutability, so the auto trait holds —
 //! pinned by a compile-time assertion in `batch.rs`'s tests and relied on
 //! by [`run_seeds_parallel`]'s `M: Send, N: Send` bounds.

@@ -4,7 +4,7 @@
 //!
 //! [`Sim::run_until_sharded`] partitions the processes across `S` shards
 //! with the stable function [`shard_of`] (`pid mod S`). Each shard worker
-//! owns the node state, causal clocks, liveness status and pending
+//! owns the node state, Lamport clocks, liveness status and pending
 //! mid-broadcast crashes of its processes; the calling thread acts as the
 //! **sequencer** and keeps everything whose mutation order is globally
 //! visible — the priority queue, the run RNG, `seq`/`msg_id` allocation,
@@ -52,12 +52,11 @@
 //! batches, or with ids the sequential path allocated earlier in the same
 //! run — see the property tests at the bottom of this module.
 
-use crate::engine::{Control, InFlight, QKind, Queued, SendCrash, Sim, Slot};
+use crate::engine::{Control, InFlight, QKind, Queued, SendCrash, Sim, Slot, Trigger};
 use crate::net::BlockMode;
 use crate::node::{Action, Ctx, Message, Node, TimerId};
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::{NodeStatus, Time};
-use gmp_causality::{CowClock, Stamp};
 use gmp_types::ProcessId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -162,7 +161,6 @@ enum Effect<M> {
         to: ProcessId,
         msg: M,
         tag: &'static str,
-        send_vc: Stamp,
         send_lamport: u64,
     },
     /// Arm a timer `delay` ticks from now.
@@ -213,21 +211,6 @@ struct ShardWorker<N> {
     crash_after: Vec<Option<SendCrash>>,
 }
 
-enum Trig<M> {
-    Start,
-    Recv {
-        from: ProcessId,
-        msg: M,
-        msg_id: u64,
-        tag: &'static str,
-        send_vc: Stamp,
-        send_lamport: u64,
-    },
-    Timer {
-        tag: u64,
-    },
-}
-
 impl<N> ShardWorker<N> {
     fn run<M>(mut self, rx: Receiver<ToShard<M>>, tx: Sender<BundleResult<M>>) -> ShardFinal<N>
     where
@@ -275,7 +258,7 @@ impl<N> ShardWorker<N> {
     {
         match work {
             Work::Start { pid } => {
-                self.invoke(time, pid, Trig::Start, start_timer_base(pid), fx);
+                self.invoke(time, pid, Trigger::Start, start_timer_base(pid), fx);
             }
             Work::Crash { pid } => {
                 let slot = self.slot_mut(pid);
@@ -295,7 +278,7 @@ impl<N> ShardWorker<N> {
                 if !self.slot_mut(pid).status.is_up() {
                     return;
                 }
-                self.invoke(time, pid, Trig::Timer { tag }, event_timer_base(seq), fx);
+                self.invoke(time, pid, Trigger::Timer { tag }, event_timer_base(seq), fx);
             }
             Work::Deliver { inf, fate, seq } => {
                 // Status before fate, exactly like the sequential engine —
@@ -310,29 +293,8 @@ impl<N> ShardWorker<N> {
                     Some(BlockMode::Drop) => fx.push(Effect::LinkDropped),
                     None => {
                         fx.push(Effect::Delivered { tag: inf.tag });
-                        let InFlight {
-                            from,
-                            to,
-                            msg,
-                            msg_id,
-                            tag,
-                            send_vc,
-                            send_lamport,
-                        } = inf;
-                        self.invoke(
-                            time,
-                            to,
-                            Trig::Recv {
-                                from,
-                                msg,
-                                msg_id,
-                                tag,
-                                send_vc,
-                                send_lamport,
-                            },
-                            event_timer_base(seq),
-                            fx,
-                        );
+                        let base = event_timer_base(seq);
+                        self.invoke(time, inf.to, Trigger::Recv(inf), base, fx);
                     }
                 }
             }
@@ -345,54 +307,24 @@ impl<N> ShardWorker<N> {
         &mut self,
         time: Time,
         pid: ProcessId,
-        trigger: Trig<M>,
+        trigger: Trigger<M>,
         id_base: u64,
         fx: &mut Vec<Effect<M>>,
     ) where
         M: Message,
         N: Node<M>,
     {
-        let idx = pid.index();
         let slot = self.slot_mut(pid);
         if !slot.status.is_up() {
             return;
         }
-        enum Call<M> {
-            Start,
-            Recv(ProcessId, M),
-            Timer(u64),
-        }
-        let call = match trigger {
-            Trig::Start => {
-                stamp_pre_event(slot, time, pid, TraceKind::Start, fx);
-                Call::Start
-            }
-            Trig::Timer { tag } => {
-                stamp_pre_event(slot, time, pid, TraceKind::Timer { tag }, fx);
-                Call::Timer(tag)
-            }
-            Trig::Recv {
-                from,
-                msg,
-                msg_id,
-                tag,
-                send_vc,
-                send_lamport,
-            } => {
-                slot.vc.observe(&send_vc);
-                slot.lamport.merge(send_lamport);
-                // merge() already ticked lamport; only vc needs its tick.
-                slot.vc.tick(idx);
-                fx.push(Effect::Trace(TraceEvent {
-                    time,
-                    pid,
-                    lamport: slot.lamport.value(),
-                    vc: slot.vc.stamp(),
-                    kind: TraceKind::Recv { from, msg_id, tag },
-                }));
-                Call::Recv(from, msg)
-            }
-        };
+        let (lamport, kind) = trigger.stamp(&mut slot.lamport);
+        fx.push(Effect::Trace(TraceEvent {
+            time,
+            pid,
+            lamport,
+            kind,
+        }));
         let mut node = slot.node.take().expect("node present");
         // Handlers must not draw from the run RNG in sharded mode (none of
         // the shipped protocols do): the draw order would depend on which
@@ -408,11 +340,7 @@ impl<N> ShardWorker<N> {
             rng: &mut decoy,
             timer_counter: &mut timer_counter,
         };
-        match call {
-            Call::Start => node.on_start(&mut ctx),
-            Call::Recv(from, msg) => node.on_message(&mut ctx, from, msg),
-            Call::Timer(tag) => node.on_timer(&mut ctx, tag),
-        }
+        trigger.run(&mut node, &mut ctx);
         let actions = std::mem::take(&mut ctx.actions);
         assert!(
             decoy == pristine,
@@ -451,26 +379,19 @@ impl<N> ShardWorker<N> {
                 Action::Send { to, msg } => {
                     assert!(to.index() < self.n, "send to unknown process {to}");
                     let tag = msg.tag();
-                    let slot = self.slot_mut(pid);
-                    slot.vc.tick(idx);
-                    let lamport = slot.lamport.tick();
+                    let lamport = self.slot_mut(pid).lamport.tick();
                     let ev = TraceEvent {
                         time,
                         pid,
                         lamport,
-                        vc: slot.vc.stamp(),
                         kind: TraceKind::Send { to, msg_id: 0, tag },
                     };
-                    // Shares storage with the Send trace event above: the
-                    // clock has not advanced since that stamp.
-                    let send_vc = slot.vc.stamp();
                     fx.push(Effect::Send {
                         ev,
                         from: pid,
                         to,
                         msg,
                         tag,
-                        send_vc,
                         send_lamport: lamport,
                     });
                     // Mid-broadcast crash bookkeeping (Figure 3).
@@ -503,12 +424,10 @@ impl<N> ShardWorker<N> {
                     }
                 }
                 Action::Note(note) => {
-                    let slot = self.slot_mut(pid);
                     fx.push(Effect::Trace(TraceEvent {
                         time,
                         pid,
-                        lamport: slot.lamport.value(),
-                        vc: slot.vc.stamp(),
+                        lamport: self.slot_mut(pid).lamport.value(),
                         kind: TraceKind::Note(note),
                     }));
                 }
@@ -523,35 +442,14 @@ impl<N> ShardWorker<N> {
     }
 }
 
-/// Mirror of the engine's `record_lifecycle`: tick both clocks and stamp.
+/// Mirror of the engine's `record_lifecycle`: tick the clock and stamp.
 fn lifecycle<N>(slot: &mut Slot<N>, time: Time, pid: ProcessId, kind: TraceKind) -> TraceEvent {
-    slot.vc.tick(pid.index());
-    let lamport = slot.lamport.tick();
     TraceEvent {
         time,
         pid,
-        lamport,
-        vc: slot.vc.stamp(),
+        lamport: slot.lamport.tick(),
         kind,
     }
-}
-
-fn stamp_pre_event<N, M>(
-    slot: &mut Slot<N>,
-    time: Time,
-    pid: ProcessId,
-    kind: TraceKind,
-    fx: &mut Vec<Effect<M>>,
-) {
-    slot.vc.tick(pid.index());
-    let lamport = slot.lamport.tick();
-    fx.push(Effect::Trace(TraceEvent {
-        time,
-        pid,
-        lamport,
-        vc: slot.vc.stamp(),
-        kind,
-    }));
 }
 
 impl<M: Message + Send, N: Node<M> + Send> Sim<M, N> {
@@ -602,9 +500,6 @@ impl<M: Message + Send, N: Node<M> + Send> Sim<M, N> {
             assert!(n > 0, "simulation needs at least one node");
             self.started = true;
             self.trace = Trace::new(n);
-            for slot in &mut self.slots {
-                slot.vc = CowClock::new(n);
-            }
         }
 
         // Carve the process-local state out into per-shard tables.
@@ -824,7 +719,6 @@ impl<M: Message + Send, N: Node<M> + Send> Sim<M, N> {
                     to,
                     msg,
                     tag,
-                    send_vc,
                     send_lamport,
                 } => {
                     self.msg_counter += 1;
@@ -840,7 +734,6 @@ impl<M: Message + Send, N: Node<M> + Send> Sim<M, N> {
                         msg,
                         msg_id,
                         tag,
-                        send_vc,
                         send_lamport,
                     };
                     match self.net.fate(from, to) {
@@ -976,8 +869,8 @@ mod tests {
             .iter()
             .map(|e| {
                 format!(
-                    "t={} pid={} lamport={} vc={:?} kind={:?}",
-                    e.time, e.pid, e.lamport, e.vc, e.kind
+                    "t={} pid={} lamport={} kind={:?}",
+                    e.time, e.pid, e.lamport, e.kind
                 )
             })
             .collect();

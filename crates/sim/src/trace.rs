@@ -1,8 +1,11 @@
-//! Recorded runs: every event of every process history, causally stamped.
+//! Recorded runs: every event of every process history, with its Lamport
+//! stamp. Vector stamps are a function of the recorded `Send`/`Recv` edges
+//! and are rebuilt on demand by [`Trace::to_event_log`].
 
 use crate::Time;
-use gmp_causality::{EventLog, LoggedEvent, Stamp};
+use gmp_causality::{CowClock, EventLog, LoggedEvent, Stamp};
 use gmp_types::{Note, ProcessId};
+use std::collections::HashMap;
 
 /// What happened at one event of a process history.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,19 +44,15 @@ pub enum TraceKind {
     Note(Note),
 }
 
-/// One stamped event.
+/// One recorded event.
 #[derive(Clone, Debug)]
 pub struct TraceEvent {
     /// Simulated time of the event.
     pub time: Time,
     /// The process that executed the event.
     pub pid: ProcessId,
-    /// Lamport timestamp.
+    /// Lamport timestamp, recorded by the engine.
     pub lamport: u64,
-    /// Vector timestamp (dimension = number of processes in the run). A
-    /// [`Stamp`] is an `Arc`-shared snapshot, so events whose clocks did not
-    /// advance between stamps share one allocation.
-    pub vc: Stamp,
     /// The event itself.
     pub kind: TraceKind,
 }
@@ -92,15 +91,43 @@ impl Trace {
 
     /// Converts the run into an [`EventLog`] for happens-before and
     /// consistent-cut queries. Event indices in the log coincide with
-    /// indices into [`Trace::events`]. Stamps are `Arc`-shared, so this
-    /// copies no clock vectors.
+    /// indices into [`Trace::events`].
+    ///
+    /// The vector stamps are rebuilt here, in one pass in simulation order:
+    /// every event ticks its process's clock, except a `Note`, which shares
+    /// the process's current stamp; a `Recv` first observes the stamp of
+    /// the `Send` carrying its `msg_id`. Θ(n) time and memory per
+    /// clock-advancing event — paid by the caller that asks for
+    /// happens-before, not by every run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `Recv` names a `msg_id` that no earlier, still
+    /// unreceived `Send` carried: such a trace is malformed.
     pub fn to_event_log(&self) -> EventLog {
         let mut log = EventLog::new(self.n);
+        let mut clocks = vec![CowClock::new(self.n); self.n];
+        let mut in_flight: HashMap<u64, Stamp> = HashMap::new();
         for ev in &self.events {
-            log.push(LoggedEvent {
-                pid: ev.pid,
-                vc: ev.vc.clone(),
-            });
+            let p = ev.pid.index();
+            let clock = &mut clocks[p];
+            match &ev.kind {
+                TraceKind::Note(_) => {}
+                TraceKind::Recv { msg_id, .. } => {
+                    // A message is received at most once: forget its stamp.
+                    let sent = in_flight.remove(msg_id).unwrap_or_else(|| {
+                        panic!("malformed trace: recv of msg_id {msg_id} has no earlier send")
+                    });
+                    clock.observe(&sent);
+                    clock.tick(p);
+                }
+                _ => clock.tick(p),
+            }
+            let vc = clock.stamp();
+            if let TraceKind::Send { msg_id, .. } = ev.kind {
+                in_flight.insert(msg_id, vc.clone());
+            }
+            log.push(LoggedEvent { pid: ev.pid, vc });
         }
         log
     }
@@ -142,8 +169,23 @@ mod tests {
             time: 0,
             pid: ProcessId(pid),
             lamport: 1,
-            vc: Stamp::zero(2),
             kind,
+        }
+    }
+
+    fn send(to: u32, msg_id: u64) -> TraceKind {
+        TraceKind::Send {
+            to: ProcessId(to),
+            msg_id,
+            tag: "x",
+        }
+    }
+
+    fn recv(from: u32, msg_id: u64) -> TraceKind {
+        TraceKind::Recv {
+            from: ProcessId(from),
+            msg_id,
+            tag: "x",
         }
     }
 
@@ -162,14 +204,7 @@ mod tests {
     fn render_selected() {
         let mut t = Trace::new(1);
         t.events.push(ev(0, TraceKind::Start));
-        t.events.push(ev(
-            0,
-            TraceKind::Send {
-                to: ProcessId(1),
-                msg_id: 1,
-                tag: "x",
-            },
-        ));
+        t.events.push(ev(0, send(1, 1)));
         let s = t.render(|e| matches!(e.kind, TraceKind::Send { .. }));
         assert!(s.contains("send x -> p1"));
         assert!(!s.contains("start"));
@@ -183,5 +218,49 @@ mod tests {
         let log = t.to_event_log();
         assert_eq!(log.len(), 2);
         assert_eq!(log.processes(), 2);
+    }
+
+    /// A hand-computed run: p0 → p1 → p2 relay, a note at p0, a timer at
+    /// p2, and a send (id 3) that is never received.
+    #[test]
+    fn rebuilt_stamps_match_hand_computed_vectors_and_notes_share_storage() {
+        let mut t = Trace::new(3);
+        let expected: Vec<(TraceEvent, [u64; 3])> = vec![
+            (ev(0, TraceKind::Start), [1, 0, 0]),
+            (ev(1, TraceKind::Start), [0, 1, 0]),
+            (ev(2, TraceKind::Start), [0, 0, 1]),
+            (ev(0, send(1, 1)), [2, 0, 0]),
+            (ev(0, TraceKind::Note(Note::Custom("n".into()))), [2, 0, 0]),
+            (ev(2, TraceKind::Timer { tag: 7 }), [0, 0, 2]),
+            (ev(1, recv(0, 1)), [2, 2, 0]),
+            (ev(1, send(2, 2)), [2, 3, 0]),
+            (ev(0, send(2, 3)), [3, 0, 0]),
+            (ev(2, recv(1, 2)), [2, 3, 3]),
+            (ev(2, TraceKind::Crash), [2, 3, 4]),
+        ];
+        t.events.extend(expected.iter().map(|(e, _)| e.clone()));
+        let log = t.to_event_log();
+        assert_eq!(log.len(), expected.len());
+        for (i, (e, want)) in expected.iter().enumerate() {
+            assert_eq!(log.event(i).pid, e.pid, "event {i}");
+            assert_eq!(log.event(i).vc.as_slice(), want, "event {i}: {:?}", e.kind);
+        }
+        // send(1) → recv(1) → send(2) → recv(2); the unreceived send(3) is
+        // concurrent with everything off p0.
+        assert!(log.happens_before(3, 6) && log.happens_before(3, 9));
+        assert!(!log.happens_before(8, 10) && !log.happens_before(10, 8));
+        // The note shares p0's current stamp; the next tick copies away.
+        let stamp = |i: usize| &log.event(i).vc;
+        assert!(stamp(4).shares_storage_with(stamp(3)));
+        assert!(!stamp(8).shares_storage_with(stamp(3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "recv of msg_id 9 has no earlier send")]
+    fn a_recv_without_a_send_is_a_malformed_trace() {
+        let mut t = Trace::new(2);
+        t.events.push(ev(0, send(1, 1)));
+        t.events.push(ev(1, recv(0, 9)));
+        t.to_event_log();
     }
 }

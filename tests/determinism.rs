@@ -6,37 +6,20 @@
 //! granularity the trace records: the exact event sequence with event
 //! kinds, simulated times, and Lamport/vector stamps.
 
-use gmp::causality::VectorClock;
-use gmp::protocol::cluster;
-use gmp::sim::{run_seeds, run_seeds_parallel, BatchConfig, Sim, TraceEvent, TraceKind};
-use gmp::types::ProcessId;
-use std::collections::HashMap;
-use std::num::NonZeroUsize;
+mod common;
 
-/// Serializes every recorded event, including its causal stamps, so two
-/// fingerprints are equal iff the traces are byte-identical.
-fn fingerprint(events: &[TraceEvent]) -> Vec<String> {
-    events
-        .iter()
-        .map(|e| {
-            format!(
-                "t={} pid={} lamport={} vc={:?} kind={:?}",
-                e.time,
-                e.pid,
-                e.lamport,
-                e.vc.as_slice(),
-                e.kind
-            )
-        })
-        .collect()
-}
+use common::{fingerprint, fnv1a};
+use gmp::protocol::cluster;
+use gmp::sim::{run_seeds, run_seeds_parallel, BatchConfig, Sim};
+use gmp::types::ProcessId;
+use std::num::NonZeroUsize;
 
 fn run(n: usize, seed: u64) -> Vec<String> {
     let mut sim = cluster(n, seed);
     sim.crash_at(ProcessId(n as u32 - 1), 400);
     sim.crash_at(ProcessId(1), 900);
     sim.run_until(20_000);
-    fingerprint(&sim.trace().events)
+    fingerprint(sim.trace())
 }
 
 #[test]
@@ -67,20 +50,6 @@ fn different_seeds_diverge() {
     assert_ne!(a, b, "distinct seeds produced identical traces");
 }
 
-/// FNV-1a over the serialized fingerprint, for compact golden pinning.
-fn fnv1a(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for &b in line.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Pins the stamped traces against golden fingerprints so that pure
 /// *representation* refactors provably change no recorded value.
 ///
@@ -107,45 +76,6 @@ fn traces_are_byte_identical_to_the_per_peer_clone_path() {
         assert_eq!(fp.len(), events, "n={n} seed={seed}: event count drifted");
         assert_eq!(fnv1a(&fp), hash, "n={n} seed={seed}: stamped trace drifted");
     }
-}
-
-/// Recomputes every vector stamp of a run with plain, eagerly-cloned
-/// `VectorClock`s — replaying tick/observe exactly as the engine specifies
-/// them per event kind — and checks the copy-on-write stamps match
-/// event-for-event. Unlike the golden hashes above, this validates any
-/// seed, including the message-reception merge path.
-#[test]
-fn cow_stamps_equal_eager_recomputation() {
-    let mut sim = cluster(6, 1234);
-    sim.crash_at(ProcessId(5), 400);
-    sim.run_until(10_000);
-    let trace = sim.trace();
-    let n = trace.n;
-    let mut clocks: Vec<VectorClock> = (0..n).map(|_| VectorClock::new(n)).collect();
-    let mut send_stamps: HashMap<u64, VectorClock> = HashMap::new();
-    for (i, ev) in trace.events.iter().enumerate() {
-        let p = ev.pid.index();
-        match &ev.kind {
-            TraceKind::Recv { msg_id, .. } => {
-                let send_vc = send_stamps.get(msg_id).expect("recv has a send");
-                clocks[p].observe(send_vc);
-                clocks[p].tick(p);
-            }
-            TraceKind::Note(_) => {} // notes stamp without advancing
-            _ => clocks[p].tick(p),
-        }
-        assert_eq!(
-            ev.vc.clock(),
-            &clocks[p],
-            "event {i} ({:?} at {}): cow stamp diverges from eager replay",
-            ev.kind,
-            ev.pid
-        );
-        if let TraceKind::Send { msg_id, .. } = ev.kind {
-            send_stamps.insert(msg_id, clocks[p].clone());
-        }
-    }
-    assert!(!send_stamps.is_empty(), "run exercised the send/recv path");
 }
 
 /// The thread pool must be invisible in sweep output: for the golden
@@ -192,7 +122,7 @@ fn determinism_survives_mid_run_inspection() {
         let _ = sim.living();
         let _ = sim.stats().sends_total();
     }
-    assert_eq!(fingerprint(&sim.trace().events), uninterrupted);
+    assert_eq!(fingerprint(sim.trace()), uninterrupted);
 }
 
 /// The intra-run sharded engine must be invisible at golden granularity:
@@ -213,7 +143,7 @@ fn sharded_reruns_reproduce_the_crash_only_goldens() {
             sim.crash_at(ProcessId(n as u32 - 1), 400);
             sim.crash_at(ProcessId(1), 900);
             sim.run_until_sharded(20_000, shards);
-            let fp = fingerprint(&sim.trace().events);
+            let fp = fingerprint(sim.trace());
             assert_eq!(
                 fp.len(),
                 events,
@@ -245,7 +175,7 @@ fn sharded_reruns_reproduce_the_join_bearing_goldens() {
                 .build();
             sim.crash_at(ProcessId(4), 1_400);
             sim.run_until_sharded(12_000, shards);
-            let fp = fingerprint(&sim.trace().events);
+            let fp = fingerprint(sim.trace());
             assert_eq!(
                 fp.len(),
                 events,
@@ -277,13 +207,13 @@ fn sparse_topology_replays_byte_identical() {
     };
     let mut first = build();
     first.run_until(12_000);
-    let reference = fingerprint(&first.trace().events);
+    let reference = fingerprint(first.trace());
     assert!(!reference.is_empty(), "run produced no events");
 
     let mut again = build();
     again.run_until(12_000);
     assert_eq!(
-        fingerprint(&again.trace().events),
+        fingerprint(again.trace()),
         reference,
         "sparse-topology replay diverged"
     );
@@ -292,7 +222,7 @@ fn sparse_topology_replays_byte_identical() {
         let mut sharded = build();
         sharded.run_until_sharded(12_000, shards);
         assert_eq!(
-            fingerprint(&sharded.trace().events),
+            fingerprint(sharded.trace()),
             reference,
             "shards={shards}: sharded sparse-topology run diverged from sequential"
         );
@@ -322,13 +252,13 @@ fn log_workload_replays_byte_identical() {
     };
     let mut first = build();
     first.run_until(15_000);
-    let reference = fingerprint(&first.trace().events);
+    let reference = fingerprint(first.trace());
     assert!(!reference.is_empty(), "run produced no events");
 
     let mut again = build();
     again.run_until(15_000);
     assert_eq!(
-        fingerprint(&again.trace().events),
+        fingerprint(again.trace()),
         reference,
         "log-workload replay diverged"
     );
@@ -337,7 +267,7 @@ fn log_workload_replays_byte_identical() {
         let mut sharded = build();
         sharded.run_until_sharded(15_000, shards);
         assert_eq!(
-            fingerprint(&sharded.trace().events),
+            fingerprint(sharded.trace()),
             reference,
             "shards={shards}: sharded log-workload run diverged from sequential"
         );
@@ -363,7 +293,7 @@ fn batched_log_workload_replays_byte_identical() {
     };
     let mut first = build();
     first.run_until(15_000);
-    let reference = fingerprint(&first.trace().events);
+    let reference = fingerprint(first.trace());
     assert!(!reference.is_empty(), "run produced no events");
     // The flush timer and the compactor must both have been in play,
     // or this scenario pins less than it claims.
@@ -375,7 +305,7 @@ fn batched_log_workload_replays_byte_identical() {
     let mut again = build();
     again.run_until(15_000);
     assert_eq!(
-        fingerprint(&again.trace().events),
+        fingerprint(again.trace()),
         reference,
         "batched log-workload replay diverged"
     );
@@ -384,7 +314,7 @@ fn batched_log_workload_replays_byte_identical() {
         let mut sharded = build();
         sharded.run_until_sharded(15_000, shards);
         assert_eq!(
-            fingerprint(&sharded.trace().events),
+            fingerprint(sharded.trace()),
             reference,
             "shards={shards}: sharded batched log run diverged from sequential"
         );
@@ -413,7 +343,7 @@ fn join_bearing_traces_match_the_digest_gap_fix_goldens() {
             .build();
         sim.crash_at(ProcessId(4), 1_400);
         sim.run_until(12_000);
-        let fp = fingerprint(&sim.trace().events);
+        let fp = fingerprint(sim.trace());
         assert_eq!(fp.len(), events, "seed={seed}: event count drifted");
         assert_eq!(fnv1a(&fp), hash, "seed={seed}: stamped trace drifted");
     }

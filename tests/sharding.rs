@@ -13,42 +13,13 @@
 //! 3. a property test over arbitrary `(seed, n, horizon, shards)`
 //!    combinations, including a mid-run engine switch.
 
+mod common;
+
+use common::{fingerprint, fnv1a};
 use gmp::protocol::{cluster, ClusterBuilder, Config, JoinConfig};
-use gmp::sim::{Builder, Message, Node, Sim, TraceEvent};
+use gmp::sim::{Builder, Message, Node, Sim};
 use gmp::types::ProcessId;
 use proptest::prelude::*;
-
-/// Serializes every recorded event, including its causal stamps, so two
-/// fingerprints are equal iff the traces are byte-identical.
-fn fingerprint(events: &[TraceEvent]) -> Vec<String> {
-    events
-        .iter()
-        .map(|e| {
-            format!(
-                "t={} pid={} lamport={} vc={:?} kind={:?}",
-                e.time,
-                e.pid,
-                e.lamport,
-                e.vc.as_slice(),
-                e.kind
-            )
-        })
-        .collect()
-}
-
-/// FNV-1a over the serialized fingerprint, for compact golden pinning.
-fn fnv1a(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for &b in line.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Everything a run makes observable: stamped trace, statistics, and
 /// per-process liveness.
@@ -58,11 +29,7 @@ fn observables<M: Message, N: Node<M>>(
     let statuses = (0..sim.n())
         .map(|i| sim.status(ProcessId(i as u32)).is_up())
         .collect();
-    (
-        fingerprint(&sim.trace().events),
-        sim.stats().clone(),
-        statuses,
-    )
+    (fingerprint(sim.trace()), sim.stats().clone(), statuses)
 }
 
 /// The crash-only golden scenario of `tests/determinism.rs`, byte-for-byte.
@@ -98,7 +65,7 @@ fn crash_only_goldens_hold_at_every_shard_count() {
         for shards in [1usize, 2, 4, 8] {
             let mut sim = crash_scenario(n, seed);
             sim.run_until_sharded(20_000, shards);
-            let fp = fingerprint(&sim.trace().events);
+            let fp = fingerprint(sim.trace());
             assert_eq!(
                 fp.len(),
                 events,
@@ -126,7 +93,7 @@ fn join_bearing_goldens_hold_at_every_shard_count() {
         for shards in [1usize, 2, 4, 8] {
             let mut sim = join_scenario(seed);
             sim.run_until_sharded(12_000, shards);
-            let fp = fingerprint(&sim.trace().events);
+            let fp = fingerprint(sim.trace());
             assert_eq!(
                 fp.len(),
                 events,

@@ -17,43 +17,13 @@
 //!    *to* the coordinator) and bounds how long the ring takes to carry
 //!    it to every survivor, for arbitrary `(seed, n, k)`.
 
+mod common;
+
+use common::{fingerprint, fnv1a};
 use gmp::protocol::{cluster_with, Config, Flat, Sparse};
 use gmp::sim::{TraceEvent, TraceKind};
 use gmp::types::{Note, ProcessId};
 use proptest::prelude::*;
-
-/// Serializes every recorded event, including its causal stamps — equal
-/// fingerprints iff the traces are byte-identical (same convention as
-/// `tests/determinism.rs`).
-fn fingerprint(events: &[TraceEvent]) -> Vec<String> {
-    events
-        .iter()
-        .map(|e| {
-            format!(
-                "t={} pid={} lamport={} vc={:?} kind={:?}",
-                e.time,
-                e.pid,
-                e.lamport,
-                e.vc.as_slice(),
-                e.kind
-            )
-        })
-        .collect()
-}
-
-/// FNV-1a over the serialized fingerprint, for compact golden pinning.
-fn fnv1a(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for &b in line.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The crash-only golden scenario of `tests/determinism.rs`, with the
 /// clique topology configured *explicitly* instead of by default.
@@ -78,7 +48,7 @@ fn explicit_flat_topology_reproduces_the_pre_refactor_goldens() {
     for (n, seed, events, hash) in GOLDEN {
         let mut sim = flat_crash_run(n, seed);
         sim.run_until(20_000);
-        let fp = fingerprint(&sim.trace().events);
+        let fp = fingerprint(sim.trace());
         assert_eq!(fp.len(), events, "n={n} seed={seed}: event count drifted");
         assert_eq!(
             fnv1a(&fp),
@@ -94,7 +64,7 @@ fn explicit_flat_topology_reproduces_the_goldens_through_the_sharded_engine() {
         for shards in [1usize, 2, 4] {
             let mut sim = flat_crash_run(n, seed);
             sim.run_until_sharded(20_000, shards);
-            let fp = fingerprint(&sim.trace().events);
+            let fp = fingerprint(sim.trace());
             assert_eq!(
                 fp.len(),
                 events,
