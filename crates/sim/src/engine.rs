@@ -1,8 +1,10 @@
 //! The discrete-event engine: deterministic scheduling, fault injection,
 //! Lamport stamping.
 
+use crate::hash::IntSet;
 use crate::net::{BlockMode, NetState};
 use crate::node::{Action, Ctx, Message, Node, TimerId};
+use crate::queue::EventQueue;
 use crate::stats::Stats;
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::Time;
@@ -10,8 +12,7 @@ use gmp_causality::LamportClock;
 use gmp_types::ProcessId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Liveness status of a simulated process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,7 +88,7 @@ impl Builder {
     pub fn build<M: Message, N: Node<M>>(self) -> Sim<M, N> {
         Sim {
             slots: Vec::new(),
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             held: HashMap::new(),
             net: NetState::new(self.delay_min, self.delay_max, self.fifo),
             rng: SmallRng::seed_from_u64(self.seed),
@@ -95,7 +96,8 @@ impl Builder {
             seq: 0,
             msg_counter: 0,
             timer_counter: 0,
-            cancelled: HashSet::new(),
+            cancelled: IntSet::default(),
+            actions: Vec::new(),
             crash_after: Vec::new(),
             trace: Trace::default(),
             stats: Stats::default(),
@@ -105,7 +107,7 @@ impl Builder {
 }
 
 pub(crate) struct Slot<N> {
-    pub(crate) node: Option<N>,
+    pub(crate) node: N,
     pub(crate) status: NodeStatus,
     pub(crate) lamport: LamportClock,
 }
@@ -164,23 +166,6 @@ pub(crate) struct Queued<M> {
     pub(crate) kind: QKind<M>,
 }
 
-impl<M> PartialEq for Queued<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<M> Eq for Queued<M> {}
-impl<M> PartialOrd for Queued<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Queued<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
 /// What makes a process take a step. Shared by both engines, so the
 /// stamping rule and the handler dispatch exist once.
 pub(crate) enum Trigger<M> {
@@ -229,7 +214,7 @@ pub(crate) struct SendCrash {
 /// The deterministic simulator. See the crate docs for an example.
 pub struct Sim<M: Message, N: Node<M>> {
     pub(crate) slots: Vec<Slot<N>>,
-    pub(crate) queue: BinaryHeap<Reverse<Queued<M>>>,
+    pub(crate) queue: EventQueue<M>,
     /// Held messages per directed link, in send order.
     pub(crate) held: HashMap<(u32, u32), Vec<InFlight<M>>>,
     pub(crate) net: NetState,
@@ -238,7 +223,11 @@ pub struct Sim<M: Message, N: Node<M>> {
     pub(crate) seq: u64,
     pub(crate) msg_counter: u64,
     pub(crate) timer_counter: u64,
-    pub(crate) cancelled: HashSet<u64>,
+    pub(crate) cancelled: IntSet<u64>,
+    /// Scratch buffer lent to each handler's [`Ctx`] and drained by
+    /// `apply_actions`, so a heartbeat fan-out does not regrow a fresh
+    /// `Vec` on every tick.
+    actions: Vec<Action<M>>,
     /// Pending mid-broadcast crash per process, indexed by pid (the slot
     /// table is dense, so this follows the same index-addressed scheme as
     /// the protocol's peer arenas).
@@ -261,7 +250,7 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         );
         let pid = ProcessId(self.slots.len() as u32);
         self.slots.push(Slot {
-            node: Some(node),
+            node,
             status: NodeStatus::Up,
             lamport: LamportClock::new(),
         });
@@ -305,18 +294,12 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
 
     /// Immutable access to a node's protocol state (for assertions).
     pub fn node(&self, pid: ProcessId) -> &N {
-        self.slots[pid.index()]
-            .node
-            .as_ref()
-            .expect("node is present outside dispatch")
+        &self.slots[pid.index()].node
     }
 
     /// Mutable access to a node's protocol state (test setup only).
     pub fn node_mut(&mut self, pid: ProcessId) -> &mut N {
-        self.slots[pid.index()]
-            .node
-            .as_mut()
-            .expect("node is present outside dispatch")
+        &mut self.slots[pid.index()].node
     }
 
     pub(crate) fn next_seq(&mut self) -> u64 {
@@ -324,12 +307,16 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         self.seq
     }
 
+    /// Queues `kind` for `time` — or for now, if `time` is already past:
+    /// the clock never runs backwards.
     pub(crate) fn enqueue(&mut self, time: Time, kind: QKind<M>) {
+        let time = time.max(self.time);
         let seq = self.next_seq();
-        self.queue.push(Reverse(Queued { time, seq, kind }));
+        self.queue.push(Queued { time, seq, kind });
     }
 
-    /// Schedules a crash (`quit_p`) at the given time.
+    /// Schedules a crash (`quit_p`) at the given time. Like every `*_at`
+    /// method, a time that is already past means "now".
     pub fn crash_at(&mut self, pid: ProcessId, at: Time) {
         self.enqueue(at, QKind::Crash { pid });
     }
@@ -337,7 +324,8 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
     /// From time `at` on, lets `pid` perform `sends` more message sends
     /// (optionally counting only messages whose tag equals `tag`) and then
     /// crashes it *immediately after the matching send* — i.e. possibly in
-    /// the middle of a broadcast, as in Figure 3.
+    /// the middle of a broadcast, as in Figure 3. An `at` already past
+    /// means "now".
     pub fn crash_after_sends_at(
         &mut self,
         pid: ProcessId,
@@ -355,7 +343,8 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         );
     }
 
-    /// Blocks the directed link `from -> to` starting at `at`.
+    /// Blocks the directed link `from -> to` starting at `at` (now, if
+    /// `at` is already past).
     pub fn block_link_at(&mut self, from: ProcessId, to: ProcessId, mode: BlockMode, at: Time) {
         self.enqueue(at, QKind::Control(Control::Block { from, to, mode }));
     }
@@ -367,7 +356,8 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
     }
 
     /// Partitions the processes into the given groups at time `at`.
-    /// Cross-partition messages are held (unbounded delay), not lost.
+    /// Cross-partition messages are held (unbounded delay), not lost. An
+    /// `at` already past means "now".
     ///
     /// # Panics
     ///
@@ -386,14 +376,16 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         self.enqueue(at, QKind::Control(Control::Partition(assignment)));
     }
 
-    /// Heals any partition at time `at`, releasing held messages.
+    /// Heals any partition at time `at` (now, if `at` is already past),
+    /// releasing held messages.
     pub fn heal_at(&mut self, at: Time) {
         self.enqueue(at, QKind::Control(Control::Heal));
     }
 
     /// Overrides the delay range of the directed link `from -> to` at `at`
     /// (`None` restores the default). Used to model degraded links that
-    /// trigger spurious failure detection (§2.2).
+    /// trigger spurious failure detection (§2.2). An `at` already past
+    /// means "now".
     pub fn set_link_delay_at(
         &mut self,
         from: ProcessId,
@@ -409,11 +401,7 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         if !self.started {
             self.start();
         }
-        while let Some(Reverse(top)) = self.queue.peek() {
-            if top.time > until {
-                break;
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked event exists");
+        while let Some(ev) = self.queue.pop_due(until) {
             self.dispatch(ev);
         }
         self.time = self.time.max(until);
@@ -429,18 +417,14 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         // the very first event (e.g. arm a mid-broadcast crash for a
         // broadcast performed in `on_start`).
         let mut deferred = Vec::new();
-        while let Some(Reverse(top)) = self.queue.peek() {
-            if top.time > 0 {
-                break;
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked event exists");
+        while let Some(ev) = self.queue.pop_due(0) {
             match ev.kind {
                 QKind::Control(_) | QKind::Crash { .. } => self.dispatch(ev),
                 _ => deferred.push(ev),
             }
         }
         for ev in deferred {
-            self.queue.push(Reverse(ev));
+            self.queue.push(ev);
         }
         for i in 0..n {
             self.invoke(ProcessId(i as u32), Trigger::Start);
@@ -559,35 +543,38 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
     }
 
     fn invoke(&mut self, pid: ProcessId, trigger: Trigger<M>) {
-        let idx = pid.index();
-        if !self.slots[idx].status.is_up() {
+        let slot = &mut self.slots[pid.index()];
+        if !slot.status.is_up() {
             return;
         }
         // Stamp and record the triggering event, then run the handler.
-        let (lamport, kind) = trigger.stamp(&mut self.slots[idx].lamport);
+        let (lamport, kind) = trigger.stamp(&mut slot.lamport);
         self.trace.events.push(TraceEvent {
             time: self.time,
             pid,
             lamport,
             kind,
         });
-        let mut node = self.slots[idx].node.take().expect("node present");
+        // The handler runs on the node where it sits: the slot, the RNG and
+        // the timer counter are disjoint fields.
         let mut ctx = Ctx {
             pid,
             now: self.time,
-            actions: Vec::new(),
+            actions: std::mem::take(&mut self.actions),
             rng: &mut self.rng,
             timer_counter: &mut self.timer_counter,
         };
-        trigger.run(&mut node, &mut ctx);
-        let actions = std::mem::take(&mut ctx.actions);
-        self.slots[idx].node = Some(node);
-        self.apply_actions(pid, actions);
+        trigger.run(&mut slot.node, &mut ctx);
+        let mut actions = ctx.actions;
+        self.apply_actions(pid, &mut actions);
+        self.actions = actions;
     }
 
-    fn apply_actions(&mut self, pid: ProcessId, actions: Vec<Action<M>>) {
+    /// Applies a handler's effects in emission order, leaving `actions`
+    /// empty.
+    fn apply_actions(&mut self, pid: ProcessId, actions: &mut Vec<Action<M>>) {
         let idx = pid.index();
-        for action in actions {
+        for action in actions.drain(..) {
             if !self.slots[idx].status.is_up() {
                 break; // quit/crash mid-handler: remaining effects are lost
             }
@@ -880,6 +867,47 @@ mod tests {
         sim.add_node(T { fired: Vec::new() });
         sim.run_until(100);
         assert_eq!(sim.node(ProcessId(0)).fired, vec![1, 3]);
+    }
+
+    /// A fault scheduled for a moment already past takes effect now: the
+    /// trace's clock never steps backwards.
+    #[test]
+    fn scheduling_in_the_past_takes_effect_now() {
+        struct Ticker;
+        #[derive(Clone, Debug)]
+        struct Never;
+        impl Message for Never {
+            fn tag(&self) -> &'static str {
+                "never"
+            }
+        }
+        impl Node<Never> for Ticker {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Never>) {
+                ctx.set_timer(7, 0);
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, Never>, _: ProcessId, _: Never) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, Never>, _tag: u64) {
+                ctx.set_timer(7, 0);
+            }
+        }
+        let mut sim: Sim<Never, Ticker> = Builder::new().build();
+        sim.add_node(Ticker);
+        sim.add_node(Ticker);
+        sim.run_until(500);
+        sim.crash_at(ProcessId(1), 5);
+        sim.run_until(600);
+        let events = &sim.trace().events;
+        assert!(
+            events.windows(2).all(|w| w[0].time <= w[1].time),
+            "trace times must be non-decreasing"
+        );
+        let crash = events
+            .iter()
+            .find(|e| matches!(e.kind, TraceKind::Crash))
+            .expect("the crash was recorded");
+        assert_eq!(crash.time, 500, "a past-dated crash happens now");
+        assert_eq!(sim.status(ProcessId(1)), NodeStatus::Crashed);
+        assert_eq!(events.last().map(|e| e.pid), Some(ProcessId(0)));
     }
 
     #[test]

@@ -39,9 +39,10 @@
 //! every shard count (see the `shard` module docs for the frontier and
 //! seq-stability arguments). Both are sound because
 //! `Sim<M, N>: Send` whenever `M: Send` and `N: Send`: every engine
-//! internal is owned data (`SmallRng` is a plain xoshiro256++ state, the
-//! event queue and link state are `std` collections of owned values) or an
-//! atomically reference-counted payload ([`Shared`] wraps
+//! internal is owned data (`SmallRng` is a plain xoshiro256++ state; the
+//! event queue is a slab `Vec`, a boxed bucket array of indices into it
+//! and a heap of far-event keys; link state is hash maps of plain values) or
+//! an atomically reference-counted payload ([`Shared`] wraps
 //! [`std::sync::Arc`]). Nothing in the stack uses
 //! `Rc`, thread-locals, or interior mutability, so the auto trait holds —
 //! pinned by a compile-time assertion in `batch.rs`'s tests and relied on
@@ -86,6 +87,8 @@ pub mod stats;
 pub mod trace;
 
 mod engine;
+mod hash;
+mod queue;
 mod shard;
 
 pub use batch::{run_seeds, run_seeds_parallel, summarize_runs, BatchConfig, RunStats};

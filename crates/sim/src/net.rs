@@ -5,11 +5,11 @@
 //! delay) or sever them (messages dropped — used only by baseline
 //! counter-example scenarios), and may partition the process set.
 
+use crate::hash::IntMap;
 use crate::Time;
 use gmp_types::ProcessId;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// What a blocked link does with traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,19 +24,22 @@ pub enum BlockMode {
 }
 
 /// Link-level state: delays, blocks, partitions, FIFO bookkeeping.
+///
+/// The per-link tables are only ever probed by key — nothing iterates
+/// them — so their hasher is free to be the cheap integer one.
 #[derive(Debug)]
 pub(crate) struct NetState {
     delay_min: Time,
     delay_max: Time,
     fifo: bool,
     /// Per-directed-link blocks.
-    blocked: HashMap<(u32, u32), BlockMode>,
+    blocked: IntMap<(u32, u32), BlockMode>,
     /// Partition id per process; `None` means fully connected.
     partition: Option<Vec<usize>>,
     /// Per-directed-link delay overrides.
-    delay_override: HashMap<(u32, u32), (Time, Time)>,
+    delay_override: IntMap<(u32, u32), (Time, Time)>,
     /// Last scheduled delivery time per directed link (FIFO enforcement).
-    last_sched: HashMap<(u32, u32), Time>,
+    last_sched: IntMap<(u32, u32), Time>,
 }
 
 impl NetState {
@@ -50,10 +53,10 @@ impl NetState {
             delay_min,
             delay_max,
             fifo,
-            blocked: HashMap::new(),
+            blocked: IntMap::default(),
             partition: None,
-            delay_override: HashMap::new(),
-            last_sched: HashMap::new(),
+            delay_override: IntMap::default(),
+            last_sched: IntMap::default(),
         }
     }
 

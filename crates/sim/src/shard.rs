@@ -7,7 +7,7 @@
 //! owns the node state, Lamport clocks, liveness status and pending
 //! mid-broadcast crashes of its processes; the calling thread acts as the
 //! **sequencer** and keeps everything whose mutation order is globally
-//! visible — the priority queue, the run RNG, `seq`/`msg_id` allocation,
+//! visible — the event queue, the run RNG, `seq`/`msg_id` allocation,
 //! link state, held messages, statistics and the trace.
 //!
 //! # Why the merge is deterministic
@@ -53,6 +53,7 @@
 //! run — see the property tests at the bottom of this module.
 
 use crate::engine::{Control, InFlight, QKind, Queued, SendCrash, Sim, Slot, Trigger};
+use crate::hash::IntSet;
 use crate::net::BlockMode;
 use crate::node::{Action, Ctx, Message, Node, TimerId};
 use crate::trace::{Trace, TraceEvent, TraceKind};
@@ -60,8 +61,6 @@ use crate::{NodeStatus, Time};
 use gmp_types::ProcessId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::HashSet;
 use std::sync::mpsc::{Receiver, Sender};
 
 /// The stable shard partition: process `pid` is owned by shard
@@ -190,8 +189,8 @@ type BundleResult<M> = Result<Vec<Effect<M>>, Box<dyn std::any::Any + Send>>;
 /// What a worker hands back when its channel closes.
 struct ShardFinal<N> {
     slots: Vec<Option<Slot<N>>>,
-    cancel_added: HashSet<u64>,
-    cancel_removed: HashSet<u64>,
+    cancel_added: IntSet<u64>,
+    cancel_removed: IntSet<u64>,
     crash_after: Vec<Option<SendCrash>>,
 }
 
@@ -205,9 +204,9 @@ struct ShardWorker<N> {
     /// Live view of the cancelled-timer set. Seeded from the engine's set;
     /// sound to check shard-locally because a process's timers and its
     /// cancellations both execute on its owning shard, in global order.
-    cancelled: HashSet<u64>,
-    cancel_added: HashSet<u64>,
-    cancel_removed: HashSet<u64>,
+    cancelled: IntSet<u64>,
+    cancel_added: IntSet<u64>,
+    cancel_removed: IntSet<u64>,
     crash_after: Vec<Option<SendCrash>>,
 }
 
@@ -325,7 +324,6 @@ impl<N> ShardWorker<N> {
             lamport,
             kind,
         }));
-        let mut node = slot.node.take().expect("node present");
         // Handlers must not draw from the run RNG in sharded mode (none of
         // the shipped protocols do): the draw order would depend on which
         // shard ran first. The context gets a decoy whose state is checked
@@ -340,8 +338,8 @@ impl<N> ShardWorker<N> {
             rng: &mut decoy,
             timer_counter: &mut timer_counter,
         };
-        trigger.run(&mut node, &mut ctx);
-        let actions = std::mem::take(&mut ctx.actions);
+        trigger.run(&mut slot.node, &mut ctx);
+        let actions = ctx.actions;
         assert!(
             decoy == pristine,
             "Ctx::rng() is not available under run_until_sharded: RNG draw \
@@ -351,7 +349,6 @@ impl<N> ShardWorker<N> {
             timer_counter - id_base <= BLOCK_CAPACITY,
             "a handler may arm at most {BLOCK_CAPACITY} timers per invocation in sharded mode"
         );
-        self.slot_mut(pid).node = Some(node);
         self.pre_apply(time, pid, actions, fx);
     }
 
@@ -527,8 +524,8 @@ impl<M: Message + Send, N: Node<M> + Send> Sim<M, N> {
                     n,
                     slots: std::mem::take(&mut shard_slots[sh]),
                     cancelled: self.cancelled.clone(),
-                    cancel_added: HashSet::new(),
-                    cancel_removed: HashSet::new(),
+                    cancel_added: IntSet::default(),
+                    cancel_removed: IntSet::default(),
                     crash_after: std::mem::take(&mut shard_crash[sh]),
                 };
                 handles.push(scope.spawn(move || worker.run(work_rx, bundle_tx)));
@@ -587,11 +584,7 @@ impl<M: Message + Send, N: Node<M> + Send> Sim<M, N> {
         rxs: &[Receiver<BundleResult<M>>],
     ) {
         let mut deferred = Vec::new();
-        while let Some(Reverse(top)) = self.queue.peek() {
-            if top.time > 0 {
-                break;
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked event exists");
+        while let Some(ev) = self.queue.pop_due(0) {
             match ev.kind {
                 QKind::Control(c) => {
                     self.time = ev.time;
@@ -608,7 +601,7 @@ impl<M: Message + Send, N: Node<M> + Send> Sim<M, N> {
             }
         }
         for ev in deferred {
-            self.queue.push(Reverse(ev));
+            self.queue.push(ev);
         }
         for i in 0..n {
             let pid = ProcessId(i as u32);
@@ -631,15 +624,10 @@ impl<M: Message + Send, N: Node<M> + Send> Sim<M, N> {
         txs: &[Sender<ToShard<M>>],
         rxs: &[Receiver<BundleResult<M>>],
     ) {
-        loop {
-            let (t, is_control) = match self.queue.peek() {
-                Some(Reverse(top)) if top.time <= until => {
-                    (top.time, matches!(top.kind, QKind::Control(_)))
-                }
-                _ => break,
-            };
+        while let Some(top) = self.queue.peek_due(until) {
+            let (t, is_control) = (top.time, matches!(top.kind, QKind::Control(_)));
             if is_control {
-                let Reverse(ev) = self.queue.pop().expect("peeked event exists");
+                let ev = self.queue.pop_due(t).expect("peeked event exists");
                 self.time = ev.time;
                 match ev.kind {
                     QKind::Control(c) => self.apply_control_sharded(c, shards, txs),
@@ -650,14 +638,16 @@ impl<M: Message + Send, N: Node<M> + Send> Sim<M, N> {
             self.time = t;
             let mut order = Vec::new();
             loop {
-                let batchable = match self.queue.peek() {
-                    Some(Reverse(top)) => top.time == t && !matches!(top.kind, QKind::Control(_)),
-                    None => false,
-                };
+                // The earliest event is at `t` or later, so "due by `t`"
+                // means "at `t`".
+                let batchable = self
+                    .queue
+                    .peek_due(t)
+                    .is_some_and(|top| !matches!(top.kind, QKind::Control(_)));
                 if !batchable {
                     break;
                 }
-                let Reverse(ev) = self.queue.pop().expect("peeked event exists");
+                let ev = self.queue.pop_due(t).expect("peeked event exists");
                 let Queued { seq, kind, .. } = ev;
                 let (sh, work) = match kind {
                     QKind::Deliver(inf) => {

@@ -348,3 +348,74 @@ fn join_bearing_traces_match_the_digest_gap_fix_goldens() {
         assert_eq!(fnv1a(&fp), hash, "seed={seed}: stamped trace drifted");
     }
 }
+
+/// Runs `build()` to `until` sequentially and at shards ∈ {2, 4} and pins
+/// every run to the same recorded `(events, FNV-1a)` pair.
+fn assert_far_path_golden(
+    name: &str,
+    build: impl Fn() -> Sim<gmp::protocol::Msg, gmp::protocol::Member>,
+    until: u64,
+    events: usize,
+    hash: u64,
+) {
+    for shards in [0usize, 2, 4] {
+        let mut sim = build();
+        if shards == 0 {
+            sim.run_until(until);
+        } else {
+            sim.run_until_sharded(until, shards);
+        }
+        let fp = fingerprint(sim.trace());
+        assert_eq!(
+            (fp.len(), fnv1a(&fp)),
+            (events, hash),
+            "{name} shards={shards} (0 = sequential): stamped trace drifted from the golden"
+        );
+    }
+}
+
+/// Every heartbeat (400 ticks) and every suspicion deadline (600 ticks)
+/// lies beyond the event queue's near window, so each timer of this run
+/// waits in the queue's far heap and is migrated into its tick bucket
+/// when the window opens over it. Recorded on the binary-heap engine (the
+/// parent of the tick-ring PR): the ring must reproduce it byte for byte.
+#[test]
+fn far_timer_traces_match_the_binary_heap_goldens() {
+    use gmp::protocol::{cluster_with, Config};
+    let build = || {
+        let mut sim = cluster_with(8, 17, Config::builder().timing(400, 600).build());
+        sim.crash_at(ProcessId(7), 1_500);
+        sim
+    };
+    assert_far_path_golden("far timers", build, 20_000, 4_690, 0x253c_ce5e_5cb8_d41e);
+}
+
+/// A partition held for 3 000 ticks, then healed: `release_unblocked`
+/// re-enqueues hundreds of held messages at one instant, all with fresh
+/// delays inside the near window. Recorded on the binary-heap engine like
+/// the scenario above.
+#[test]
+fn partition_heal_burst_matches_the_binary_heap_golden() {
+    let build = || {
+        let mut sim = cluster(9, 9);
+        let minority: Vec<ProcessId> = (5..9).map(ProcessId).collect();
+        let majority: Vec<ProcessId> = (0..5).map(ProcessId).collect();
+        sim.partition_at(&[&majority, &minority], 500);
+        sim.heal_at(3_500);
+        sim
+    };
+    let mut probe = build();
+    probe.run_until(3_499);
+    assert!(
+        probe.stats().held >= 200,
+        "the heal must release a burst, only {} held",
+        probe.stats().held
+    );
+    assert_far_path_golden(
+        "partition heal burst",
+        build,
+        12_000,
+        15_827,
+        0xc7ec_11d9_a1be_144a,
+    );
+}
