@@ -51,6 +51,7 @@ pub mod cluster;
 pub mod msg;
 pub mod node;
 pub mod replica;
+mod window;
 
 pub use client::Client;
 pub use cluster::{log_cluster, logs_agree, prefix_identical, LogClusterBuilder, LogConfig};

@@ -2,13 +2,13 @@
 //! log traffic and membership traffic share one simulated network.
 
 use gmp_core::Msg;
-use gmp_sim::Message;
+use gmp_sim::{Message, Shared};
 use gmp_types::{ProcessId, Ver};
 
 /// A client command. The log stores command *identities*; `(client, seq)`
 /// is unique because each client numbers its own requests. Slot fillers
 /// proposed during leader recovery use [`LogCmd::NOOP`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LogCmd {
     /// The issuing client (a process outside the group).
     pub client: ProcessId,
@@ -114,8 +114,9 @@ pub enum LogMsg {
         ballot: Ver,
         /// Slot of `cmds[0]`; `cmds[i]` goes into `first_slot + i`.
         first_slot: u64,
-        /// The proposed commands, in slot order.
-        cmds: Vec<LogCmd>,
+        /// The proposed commands, in slot order — one allocation shared by
+        /// the copies sent to every acceptor.
+        cmds: Shared<[LogCmd]>,
     },
     /// Acceptor → leader: the whole range `[first_slot, first_slot +
     /// count)` is accepted. One message acks a whole `AcceptBatch`.
@@ -135,8 +136,9 @@ pub enum LogMsg {
         ballot: Ver,
         /// Slot of `cmds[0]`.
         first_slot: u64,
-        /// The decided commands, in slot order.
-        cmds: Vec<LogCmd>,
+        /// The decided commands, in slot order (shared like an
+        /// `AcceptBatch`'s).
+        cmds: Shared<[LogCmd]>,
     },
     /// New leader → view members: report every accepted entry at slot ≥
     /// `from` (the leader's committed length), so in-flight proposals of

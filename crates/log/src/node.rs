@@ -63,7 +63,7 @@ impl Replica {
     /// 1-tick timer is what coalesces every same-tick admission into one
     /// `AcceptBatch`.
     fn drain_log(&mut self, ctx: &mut Ctx<'_, AppMsg>) {
-        for (to, m) in self.log.take_outbox() {
+        for (to, m) in self.log.drain_outbox() {
             ctx.send(to, AppMsg::Log(m));
         }
         if self.log.take_flush_request() {

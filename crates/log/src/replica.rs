@@ -19,6 +19,24 @@
 //! decisions also arrive in order and the applied prefix never holds holes
 //! for long.
 //!
+//! # Where per-slot state lives
+//!
+//! Slot numbers are dense and monotone, so nothing here is a tree keyed
+//! by slot. A replica's history is three parallel vectors — `committed`,
+//! `ballots`, `applied_at` — covering `[base, logical_len)`, and
+//! everything above is one `SlotWindow` of `(ballot, cmd, decided)`
+//! entries: an accept writes an entry, a decision marks it (a decided
+//! entry is final — later accepts leave it alone), and applying pops the
+//! window's front onto the vectors. The window therefore never holds an
+//! applied slot; `Recover` and `Sync` answer for those from the vectors
+//! (decided ⊇ accepted, so the deciding ballot is a valid accepted
+//! ballot). The leader's in-flight proposals are a second window whose
+//! slots carry their ack set as a bitmask over view ranks, a slot leaving
+//! it the moment it reaches quorum; the recovery round collects reports
+//! in a third. The two command-keyed dedup tables (`by_cmd`, the leader's
+//! `admitted`) are hash tables: they are only probed, never iterated on a
+//! path that reaches the outbox.
+//!
 //! # Batching and pipelining
 //!
 //! With `batch_max == 1` the hot path is PR-9's per-slot
@@ -29,23 +47,26 @@
 //! one `AcceptBatch`; acceptors ack the whole range in one
 //! `AcceptOkRange`, and decisions ship as `DecideBatch` runs. Message
 //! cost per command drops from `3(n-1) + 2` to `3(n-1)/B + 2` for batch
-//! size `B`. Decide-path refills re-propose straight from the queue (no
-//! extra flush tick), so a saturated pipeline stays saturated.
+//! size `B`, and a batch's commands are allocated once and shared by the
+//! copies sent to every peer. Decide-path refills re-propose straight
+//! from the queue (no extra flush tick), so a saturated pipeline stays
+//! saturated.
 //!
 //! # Compaction
 //!
-//! Replicas maintain a **compaction floor**: every slot below it is
-//! committed and summarized by a [`Snapshot`] — the floor itself plus one
-//! `(last seq, slot)` dedup high-water mark per client. The mark is a
-//! complete dedup summary because links are FIFO and the leader proposes
-//! in admission order, so each client's sequence numbers commit in
-//! monotone order: `seq ≤ mark` ⇔ committed. Once `logical_len - floor >
-//! 2·compact_keep`, the floor advances to `logical_len - compact_keep`
-//! and `accepted`/`parked`/`by_cmd` are pruned below it — replica hot
-//! state is bounded by the window, not the run length. Joiner `Sync`
-//! below the floor answers with snapshot + tail (O(tail), not O(log));
-//! a snapshot-booted replica starts its applied vectors at `base =
-//! snapshot.floor` instead of 0.
+//! Replicas maintain a **compaction floor**, `base ≤ floor ≤
+//! logical_len`: every slot below it is committed and summarized by a
+//! [`Snapshot`] — the floor itself plus one `(last seq, slot)` dedup
+//! high-water mark per client. The mark is a complete dedup summary
+//! because links are FIFO and the leader proposes in admission order, so
+//! each client's sequence numbers commit in monotone order: `seq ≤ mark`
+//! ⇔ committed. Once `logical_len - floor > 2·compact_keep`, the floor
+//! advances to `logical_len - compact_keep` and `by_cmd` — the one
+//! per-slot table that outlives application — is pruned below it; the
+//! window needs no pruning, it ends where the applied prefix begins.
+//! Joiner `Sync` below the floor answers with snapshot + tail (O(tail),
+//! not O(log)); a snapshot-booted replica starts its applied vectors at
+//! `base = snapshot.floor` instead of 0.
 //!
 //! On every view install where this process is `Mgr` it (re)runs the
 //! **recovery round** — multipaxos phase 1 at ballot = the new `ver`: ask
@@ -69,7 +90,9 @@
 //! the hosting node converts into a [`LOG_FLUSH`] timer.
 
 use crate::msg::{LogCmd, LogMsg, Snapshot};
+use crate::window::SlotWindow;
 use gmp_core::MemberEvent;
+use gmp_sim::{IntMap, IntSet, Shared};
 use gmp_types::{ProcessId, Ver};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -94,19 +117,14 @@ struct LeaderState {
     /// Leader-side dedup: mirror of `queue` ∪ `in_flight`. Entries leave
     /// when their command is learned; committed dedup is `by_cmd` and the
     /// per-client high-water marks, so this set stays window-sized.
-    admitted: BTreeSet<LogCmd>,
-    /// Proposed, awaiting a quorum of acks. Keyed by slot.
-    in_flight: BTreeMap<u64, Accepting>,
+    admitted: IntSet<LogCmd>,
+    /// Proposed, awaiting a quorum of acks: the command per slot, whose
+    /// mark `r` is the ack of view rank `r` (the leader counts itself
+    /// implicitly). A slot leaves on reaching quorum, so `len()` is the
+    /// undecided count the window-room test wants.
+    in_flight: SlotWindow<LogCmd>,
     /// The recovery round, while it runs. `None` once steady-state.
     recovery: Option<Recovery>,
-}
-
-/// One in-flight proposal.
-#[derive(Clone, Debug)]
-struct Accepting {
-    cmd: LogCmd,
-    /// Acceptors that acked (the leader counts itself implicitly).
-    oks: BTreeSet<ProcessId>,
 }
 
 /// Recovery-round bookkeeping (phase 1 at the new ballot).
@@ -115,7 +133,27 @@ struct Recovery {
     /// View members whose `RecoverOk` is still awaited.
     pending: BTreeSet<ProcessId>,
     /// Highest-ballot accepted entry reported per slot.
-    found: BTreeMap<u64, (Ver, LogCmd)>,
+    found: SlotWindow<(Ver, LogCmd)>,
+}
+
+impl Recovery {
+    /// Keeps the report for `slot` unless one at `ballot` or above is held.
+    fn adopt(&mut self, slot: u64, ballot: Ver, cmd: LogCmd) {
+        let held = self.found.get(slot);
+        if held.is_none_or(|&(have, _)| have < ballot) {
+            self.found.insert(slot, (ballot, cmd));
+        }
+    }
+}
+
+/// What a replica holds for one slot above its applied prefix.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    /// Ballot of the accept — or, once `decided`, of the decision.
+    ballot: Ver,
+    cmd: LogCmd,
+    /// Learned as decided; waits here only for the slots below it.
+    decided: bool,
 }
 
 /// The per-process replicated-log state machine. Embed one next to a
@@ -133,12 +171,10 @@ pub struct ReplicatedLog {
     /// Highest ballot promised: max of every installed version and every
     /// ballot accepted from. Accepts below it are stale and ignored.
     promised: Ver,
-    /// Accepted entries at slot ≥ `floor` (pruned below by compaction,
-    /// never by lower ballots): `slot → (ballot, cmd)`. Recovery reads
-    /// this; it is a superset of the committed suffix above the floor.
-    accepted: BTreeMap<u64, (Ver, LogCmd)>,
-    /// Decided entries not yet contiguous with the applied prefix.
-    parked: BTreeMap<u64, (Ver, LogCmd)>,
+    /// Accepted and decided-but-parked entries, all at slot ≥
+    /// `logical_len()`. Recovery reads this; below it the applied vectors
+    /// answer.
+    slots: SlotWindow<Entry>,
     /// First slot the applied vectors cover: 0 unless this replica booted
     /// from a snapshot, in which case its history starts at the
     /// snapshot's floor.
@@ -154,9 +190,10 @@ pub struct ReplicatedLog {
     floor: u64,
     /// Slot of each applied client command at slot ≥ `floor` (exact
     /// duplicate replies above the floor; the marks answer below it).
-    by_cmd: BTreeMap<LogCmd, u64>,
+    by_cmd: IntMap<LogCmd, u64>,
     /// Per-client dedup high-water mark: `client → (last committed seq,
     /// its slot)`. Complete because per-client seqs commit in order.
+    /// Ordered: the failover re-reply walks it into the outbox.
     client_hwm: BTreeMap<ProcessId, (u64, u64)>,
     /// Processes the membership layer currently suspects.
     suspected: BTreeSet<ProcessId>,
@@ -180,6 +217,9 @@ pub struct ReplicatedLog {
     last_sync: Option<(bool, u64)>,
     /// True between activation (initial view / welcome) and quit.
     active: bool,
+    /// Slots an ack just brought to quorum, ascending; scratch between
+    /// `count_acks` and the decide that consumes it.
+    decided: Vec<(u64, LogCmd)>,
     /// Outbound messages, drained by the hosting node.
     outbox: Vec<(ProcessId, LogMsg)>,
 }
@@ -205,14 +245,13 @@ impl ReplicatedLog {
             ver: 0,
             leader: None,
             promised: 0,
-            accepted: BTreeMap::new(),
-            parked: BTreeMap::new(),
+            slots: SlotWindow::new(0),
             base: 0,
             committed: Vec::new(),
             ballots: Vec::new(),
             applied_at: Vec::new(),
             floor: 0,
-            by_cmd: BTreeMap::new(),
+            by_cmd: IntMap::default(),
             client_hwm: BTreeMap::new(),
             suspected: BTreeSet::new(),
             lead: None,
@@ -223,6 +262,7 @@ impl ReplicatedLog {
             flush_armed: false,
             last_sync: None,
             active: false,
+            decided: Vec::new(),
             outbox: Vec::new(),
         }
     }
@@ -274,11 +314,12 @@ impl ReplicatedLog {
     }
 
     /// Sizes of the prunable hot state, for memory-bound assertions:
-    /// `(accepted, parked, by_cmd, client marks)`.
+    /// `(accepted, parked, by_cmd, client marks)` — window entries, the
+    /// decided ones among them, exact dedup entries, per-client marks.
     pub fn hot_sizes(&self) -> (usize, usize, usize, usize) {
         (
-            self.accepted.len(),
-            self.parked.len(),
+            self.slots.len(),
+            self.slots.range_from(0).filter(|(_, e)| e.decided).count(),
             self.by_cmd.len(),
             self.client_hwm.len(),
         )
@@ -308,7 +349,13 @@ impl ReplicatedLog {
 
     /// Drains the outbound messages queued by the last handler call.
     pub fn take_outbox(&mut self) -> Vec<(ProcessId, LogMsg)> {
-        std::mem::take(&mut self.outbox)
+        self.drain_outbox().collect()
+    }
+
+    /// [`take_outbox`](Self::take_outbox) without the `Vec`: the hosting
+    /// node sends straight out of the outbox, which keeps its capacity.
+    pub(crate) fn drain_outbox(&mut self) -> std::vec::Drain<'_, (ProcessId, LogMsg)> {
+        self.outbox.drain(..)
     }
 
     /// True once per wanted flush: the hosting node calls this after every
@@ -410,7 +457,7 @@ impl ReplicatedLog {
         // …minus anything a leader in between already committed (the
         // client resubmitted it there while we were a follower).
         queue.retain(|c| self.committed_slot_of(c).is_none());
-        let admitted: BTreeSet<LogCmd> = queue.iter().copied().collect();
+        let admitted = queue.iter().copied().collect();
         let pending: BTreeSet<ProcessId> = self
             .view
             .iter()
@@ -422,25 +469,23 @@ impl ReplicatedLog {
             next_slot: self.logical_len(),
             queue,
             admitted,
-            in_flight: BTreeMap::new(),
+            in_flight: SlotWindow::new(self.view.len()),
             recovery: Some(Recovery {
                 pending,
-                found: BTreeMap::new(),
+                found: SlotWindow::new(0),
             }),
         });
         let from = self.logical_len();
-        let peers: Vec<ProcessId> = self
-            .view
-            .iter()
-            .filter(|&&p| p != self.me)
-            .copied()
-            .collect();
-        for p in peers {
-            self.outbox.push((p, LogMsg::Recover { ballot, from }));
-        }
+        self.broadcast(|| LogMsg::Recover { ballot, from });
         // A solitary (or fully-suspicious) leader recovers from its own
         // accepted set alone.
         self.finish_recovery_if_ready(now);
+    }
+
+    /// Queues `msg()` for every other view member, in view order.
+    fn broadcast(&mut self, msg: impl Fn() -> LogMsg) {
+        let others = self.view.iter().filter(|&&p| p != self.me);
+        self.outbox.extend(others.map(|&p| (p, msg())));
     }
 
     // ------------------------------------------------------------------
@@ -457,13 +502,17 @@ impl ReplicatedLog {
             LogMsg::Accept { ballot, slot, cmd } => {
                 if ballot >= self.promised {
                     self.promised = ballot;
-                    if slot >= self.floor {
-                        self.accepted.insert(slot, (ballot, cmd));
+                    if self.accept(slot, ballot, cmd) {
+                        self.outbox.push((from, LogMsg::AcceptOk { ballot, slot }));
                     }
-                    self.outbox.push((from, LogMsg::AcceptOk { ballot, slot }));
                 }
             }
-            LogMsg::AcceptOk { ballot, slot } => self.on_accept_ok(from, ballot, slot, now),
+            LogMsg::AcceptOk { ballot, slot } => {
+                self.count_acks(from, ballot, slot, 1);
+                if let Some((slot, cmd)) = self.decided.pop() {
+                    self.decide(slot, ballot, cmd, now);
+                }
+            }
             LogMsg::Decide { ballot, slot, cmd } => {
                 self.learn(slot, ballot, cmd);
                 self.apply_contiguous(now);
@@ -475,36 +524,39 @@ impl ReplicatedLog {
             } => {
                 if ballot >= self.promised {
                     self.promised = ballot;
-                    let count = cmds.len() as u64;
-                    for (i, cmd) in cmds.into_iter().enumerate() {
-                        let slot = first_slot + i as u64;
-                        // Slots under the floor are committed and pruned;
-                        // acking them is still correct (decided ⊇ accepted).
-                        if slot >= self.floor {
-                            self.accepted.insert(slot, (ballot, cmd));
-                        }
+                    let mut kept = true;
+                    for (i, &cmd) in cmds.iter().enumerate() {
+                        kept &= self.accept(first_slot + i as u64, ballot, cmd);
                     }
-                    self.outbox.push((
-                        from,
-                        LogMsg::AcceptOkRange {
-                            ballot,
-                            first_slot,
-                            count,
-                        },
-                    ));
+                    if kept {
+                        let count = cmds.len() as u64;
+                        self.outbox.push((
+                            from,
+                            LogMsg::AcceptOkRange {
+                                ballot,
+                                first_slot,
+                                count,
+                            },
+                        ));
+                    }
                 }
             }
             LogMsg::AcceptOkRange {
                 ballot,
                 first_slot,
                 count,
-            } => self.on_accept_ok_range(from, ballot, first_slot, count, now),
+            } => {
+                self.count_acks(from, ballot, first_slot, count);
+                if !self.decided.is_empty() {
+                    self.decide_slots(ballot, now);
+                }
+            }
             LogMsg::DecideBatch {
                 ballot,
                 first_slot,
                 cmds,
             } => {
-                for (i, cmd) in cmds.into_iter().enumerate() {
+                for (i, &cmd) in cmds.iter().enumerate() {
                     self.learn(first_slot + i as u64, ballot, cmd);
                 }
                 self.apply_contiguous(now);
@@ -529,12 +581,7 @@ impl ReplicatedLog {
                     return;
                 };
                 for (slot, b, cmd) in entries {
-                    match rec.found.get(&slot) {
-                        Some(&(have, _)) if have >= b => {}
-                        _ => {
-                            rec.found.insert(slot, (b, cmd));
-                        }
-                    }
+                    rec.adopt(slot, b, cmd);
                 }
                 rec.pending.remove(&from);
                 self.finish_recovery_if_ready(now);
@@ -547,11 +594,7 @@ impl ReplicatedLog {
                 } else {
                     (None, req)
                 };
-                debug_assert!(start >= self.base, "sync start under the applied base");
-                let lo = (start - self.base) as usize;
-                let entries: Vec<(Ver, LogCmd)> = (lo..self.committed.len())
-                    .map(|i| (self.ballots[i], self.committed[i]))
-                    .collect();
+                let entries = self.applied_from(start).map(|(_, b, c)| (b, c)).collect();
                 self.outbox.push((
                     from,
                     LogMsg::SyncOk {
@@ -580,34 +623,35 @@ impl ReplicatedLog {
         }
     }
 
+    /// The applied entries at slot ≥ `start`, as `(slot, deciding ballot,
+    /// cmd)`. `start` must not lie below `base`.
+    fn applied_from(&self, start: u64) -> impl Iterator<Item = (u64, Ver, LogCmd)> + '_ {
+        debug_assert!(start >= self.base, "start under the applied base");
+        let lo = (start - self.base).min(self.committed.len() as u64) as usize;
+        (lo..self.committed.len())
+            .map(|i| (self.base + i as u64, self.ballots[i], self.committed[i]))
+    }
+
     /// Answers a `Recover` probe: promise the ballot and report everything
-    /// accepted at slot ≥ `req`. Compaction makes this three-cased: above
-    /// the floor the accepted map answers directly; between base and floor
-    /// the applied vectors fill in (committed implies accepted); below
-    /// base nothing survives as entries and the snapshot goes instead.
+    /// accepted at slot ≥ `req` — the applied vectors up to the applied
+    /// prefix (committed implies accepted), the window above it. Below
+    /// `base` nothing survives as entries; the snapshot goes instead and
+    /// the entries start at its floor.
     fn on_recover(&mut self, from: ProcessId, ballot: Ver, req: u64) {
         if ballot < self.promised {
             return;
         }
         self.promised = ballot;
-        let mut snapshot = None;
-        let mut entries: Vec<(u64, Ver, LogCmd)> = Vec::new();
-        if req < self.floor {
-            if req < self.base {
-                snapshot = Some(self.snapshot());
-            } else {
-                for i in (req - self.base) as usize..(self.floor - self.base) as usize {
-                    entries.push((self.base + i as u64, self.ballots[i], self.committed[i]));
-                }
-            }
-            entries.extend(
-                self.accepted
-                    .range(self.floor..)
-                    .map(|(&s, &(b, c))| (s, b, c)),
-            );
+        let (snapshot, start) = if req < self.base {
+            (Some(self.snapshot()), self.floor)
         } else {
-            entries.extend(self.accepted.range(req..).map(|(&s, &(b, c))| (s, b, c)));
-        }
+            (None, req)
+        };
+        let above = self.slots.range_from(start);
+        let entries = self
+            .applied_from(start)
+            .chain(above.map(|(slot, e)| (slot, e.ballot, e.cmd)))
+            .collect();
         self.outbox.push((
             from,
             LogMsg::RecoverOk {
@@ -673,54 +717,32 @@ impl ReplicatedLog {
         }
     }
 
-    fn on_accept_ok(&mut self, from: ProcessId, ballot: Ver, slot: u64, now: Time) {
+    /// Counts `from`'s ack for `[first_slot, first_slot + count)` at
+    /// `ballot` and moves every slot it brings to quorum from the
+    /// in-flight window to `decided`. The range is off the wire: only its
+    /// overlap with the window is walked, and only a member of the
+    /// current view is counted (once — its rank is its bit).
+    fn count_acks(&mut self, from: ProcessId, ballot: Ver, first_slot: u64, count: u64) {
         let quorum = self.quorum();
-        let Some(lead) = &mut self.lead else { return };
-        if lead.ballot != ballot {
+        let Some(lead) = self.lead.as_mut().filter(|l| l.ballot == ballot) else {
             return;
-        }
-        let Some(acc) = lead.in_flight.get_mut(&slot) else {
-            return; // already decided (or never ours)
         };
-        acc.oks.insert(from);
-        // +1: the leader accepted its own proposal at propose time.
-        if acc.oks.len() + 1 >= quorum {
-            let cmd = acc.cmd;
-            lead.in_flight.remove(&slot);
-            self.decide(slot, ballot, cmd, now);
-        }
-    }
-
-    /// One `AcceptOkRange` acks every slot in its range; any slot that
-    /// reaches quorum decides, and contiguous decisions ship as one
-    /// `DecideBatch`.
-    fn on_accept_ok_range(
-        &mut self,
-        from: ProcessId,
-        ballot: Ver,
-        first_slot: u64,
-        count: u64,
-        now: Time,
-    ) {
-        let quorum = self.quorum();
-        let Some(lead) = &mut self.lead else { return };
-        if lead.ballot != ballot {
+        let me = self.me;
+        let Some(rank) = self.view.iter().position(|&p| p == from && p != me) else {
             return;
-        }
-        let mut decided: Vec<(u64, LogCmd)> = Vec::new();
-        for slot in first_slot..first_slot + count {
-            if let Some(acc) = lead.in_flight.get_mut(&slot) {
-                acc.oks.insert(from);
-                if acc.oks.len() + 1 >= quorum {
-                    decided.push((slot, acc.cmd));
-                }
+        };
+        let span = lead.in_flight.span();
+        let end = first_slot.saturating_add(count).min(span.end);
+        for slot in first_slot.max(span.start)..end {
+            // +1: the leader accepted its own proposal at propose time.
+            if lead
+                .in_flight
+                .mark(slot, rank)
+                .is_some_and(|n| n + 1 >= quorum)
+            {
+                let cmd = lead.in_flight.remove(slot).expect("a marked slot");
+                self.decided.push((slot, cmd));
             }
-        }
-        for &(slot, _) in &decided {
-            lead.in_flight.remove(&slot);
-        }
-        if !decided.is_empty() {
-            self.decide_slots(decided, ballot, now);
         }
     }
 
@@ -729,15 +751,7 @@ impl ReplicatedLog {
     /// the freed in-flight window.
     fn decide(&mut self, slot: u64, ballot: Ver, cmd: LogCmd, now: Time) {
         self.learn(slot, ballot, cmd);
-        let peers: Vec<ProcessId> = self
-            .view
-            .iter()
-            .filter(|&&p| p != self.me)
-            .copied()
-            .collect();
-        for p in peers {
-            self.outbox.push((p, LogMsg::Decide { ballot, slot, cmd }));
-        }
+        self.broadcast(|| LogMsg::Decide { ballot, slot, cmd });
         if !cmd.is_noop() {
             self.outbox
                 .push((cmd.client, LogMsg::Reply { seq: cmd.seq, slot }));
@@ -746,37 +760,24 @@ impl ReplicatedLog {
         self.propose_queued(now);
     }
 
-    /// Commits a set of slots on the batched path: learn them all, ship
-    /// one `DecideBatch` per contiguous run per peer, answer the clients,
-    /// and refill the pipeline straight from the queue.
-    fn decide_slots(&mut self, decided: Vec<(u64, LogCmd)>, ballot: Ver, now: Time) {
+    /// Commits the `decided` slots on the batched path: learn them all,
+    /// ship one `DecideBatch` per contiguous run per peer (one allocation
+    /// per run), answer the clients, and refill the pipeline straight
+    /// from the queue.
+    fn decide_slots(&mut self, ballot: Ver, now: Time) {
+        let mut decided = std::mem::take(&mut self.decided);
         for &(slot, cmd) in &decided {
             self.learn(slot, ballot, cmd);
         }
-        let mut runs: Vec<(u64, Vec<LogCmd>)> = Vec::new();
-        for &(slot, cmd) in &decided {
-            match runs.last_mut() {
-                Some((first, cmds)) if *first + cmds.len() as u64 == slot => cmds.push(cmd),
-                _ => runs.push((slot, vec![cmd])),
-            }
-        }
-        let peers: Vec<ProcessId> = self
-            .view
-            .iter()
-            .filter(|&&p| p != self.me)
-            .copied()
-            .collect();
-        for (first_slot, cmds) in &runs {
-            for &p in &peers {
-                self.outbox.push((
-                    p,
-                    LogMsg::DecideBatch {
-                        ballot,
-                        first_slot: *first_slot,
-                        cmds: cmds.clone(),
-                    },
-                ));
-            }
+        for run in decided.chunk_by(|a, b| a.0 + 1 == b.0) {
+            let first_slot = run[0].0;
+            let cmds: Vec<LogCmd> = run.iter().map(|&(_, cmd)| cmd).collect();
+            let cmds: Shared<[LogCmd]> = cmds.into();
+            self.broadcast(|| LogMsg::DecideBatch {
+                ballot,
+                first_slot,
+                cmds: cmds.clone(),
+            });
         }
         for &(slot, cmd) in &decided {
             if !cmd.is_noop() {
@@ -784,8 +785,30 @@ impl ReplicatedLog {
                     .push((cmd.client, LogMsg::Reply { seq: cmd.seq, slot }));
             }
         }
+        // Hand the scratch back before anything below can decide again.
+        decided.clear();
+        self.decided = decided;
         self.apply_contiguous(now);
         self.propose_queued_batched(now);
+    }
+
+    /// Records an accepted entry. Below the applied prefix the slot is
+    /// already final here, and so is a parked decision: both are left
+    /// alone and still acked (decided ⊇ accepted). False — do not ack —
+    /// only when the window refuses a slot absurdly far from the rest.
+    fn accept(&mut self, slot: u64, ballot: Ver, cmd: LogCmd) -> bool {
+        if slot < self.logical_len() || self.slots.get(slot).is_some_and(|e| e.decided) {
+            return true;
+        }
+        let decided = false;
+        self.slots.insert(
+            slot,
+            Entry {
+                ballot,
+                cmd,
+                decided,
+            },
+        )
     }
 
     /// Records a decided entry (idempotent; decides imply accepts so the
@@ -797,16 +820,29 @@ impl ReplicatedLog {
         if let Some(lead) = &mut self.lead {
             lead.admitted.remove(&cmd);
         }
-        self.accepted.insert(slot, (ballot, cmd));
-        self.parked.insert(slot, (ballot, cmd));
+        let decided = true;
+        self.slots.insert(
+            slot,
+            Entry {
+                ballot,
+                cmd,
+                decided,
+            },
+        );
     }
 
-    /// Applies every parked decision contiguous with the applied prefix,
-    /// then compacts if the hot state outgrew its bound.
+    /// Applies every parked decision contiguous with the applied prefix —
+    /// popping the window's front — then compacts if the hot state
+    /// outgrew its bound.
     fn apply_contiguous(&mut self, now: Time) {
-        while let Some(&(ballot, cmd)) = self.parked.get(&self.logical_len()) {
+        while let Some(&Entry {
+            ballot,
+            cmd,
+            decided: true,
+        }) = self.slots.get(self.logical_len())
+        {
             let slot = self.logical_len();
-            self.parked.remove(&slot);
+            self.slots.remove(slot);
             self.committed.push(cmd);
             self.ballots.push(ballot);
             self.applied_at.push(now);
@@ -823,9 +859,9 @@ impl ReplicatedLog {
     }
 
     /// Advances the compaction floor once the applied suffix above it
-    /// exceeds twice the keep budget, pruning `accepted`/`parked`/`by_cmd`
-    /// below the new floor. The 2× hysteresis makes the amortized cost
-    /// O(1) per applied slot.
+    /// exceeds twice the keep budget, pruning `by_cmd` below the new
+    /// floor. The 2× hysteresis makes the amortized cost O(1) per applied
+    /// slot.
     fn maybe_compact(&mut self) {
         if self.compact_keep == usize::MAX {
             return;
@@ -835,8 +871,6 @@ impl ReplicatedLog {
             return;
         }
         let new_floor = len - self.compact_keep as u64;
-        self.accepted = self.accepted.split_off(&new_floor);
-        self.parked = self.parked.split_off(&new_floor);
         self.by_cmd.retain(|_, s| *s >= new_floor);
         self.floor = new_floor;
     }
@@ -870,8 +904,7 @@ impl ReplicatedLog {
             self.ballots.clear();
             self.applied_at.clear();
             self.base = snap.floor;
-            self.accepted = self.accepted.split_off(&snap.floor);
-            self.parked = self.parked.split_off(&snap.floor);
+            self.slots.truncate_below(snap.floor);
             self.by_cmd.retain(|_, s| *s >= snap.floor);
         }
         self.floor = self.floor.max(snap.floor);
@@ -889,54 +922,34 @@ impl ReplicatedLog {
     fn finish_recovery_if_ready(&mut self, now: Time) {
         let floor_slot = self.logical_len();
         let Some(lead) = &mut self.lead else { return };
-        let Some(rec) = &mut lead.recovery else {
+        let Some(mut rec) = lead.recovery.take_if(|r| r.pending.is_empty()) else {
             return;
         };
-        if !rec.pending.is_empty() {
-            return;
-        }
         let ballot = lead.ballot;
-        let mut chosen = std::mem::take(&mut rec.found);
-        lead.recovery = None;
         // Decides kept arriving from the old leader while we probed:
         // never propose below (or into) the applied prefix.
         lead.next_slot = lead.next_slot.max(floor_slot);
         // Our own accepted set is a recovery response like any other.
-        for (&slot, &(b, cmd)) in self.accepted.range(floor_slot..) {
-            match chosen.get(&slot) {
-                Some(&(have, _)) if have >= b => {}
-                _ => {
-                    chosen.insert(slot, (b, cmd));
-                }
-            }
+        for (slot, e) in self.slots.range_from(floor_slot) {
+            rec.adopt(slot, e.ballot, e.cmd);
         }
-        let top = chosen
-            .iter()
-            .next_back()
-            .map(|(&s, _)| s)
-            .filter(|&s| s >= floor_slot);
-        if let Some(top) = top {
+        let chosen = rec.found;
+        if let Some((top, _)) = chosen.range_from(floor_slot).last() {
             let plan: Vec<LogCmd> = (floor_slot..=top)
-                .map(|s| chosen.get(&s).map(|&(_, c)| c).unwrap_or(LogCmd::NOOP))
+                .map(|s| chosen.get(s).map_or(LogCmd::NOOP, |&(_, c)| c))
                 .collect();
             // A recovered command may *also* sit in our queue (its client
             // retried to us while we probed). Re-proposing it once under
             // its recovered slot is the exactly-once path; drop the
             // queued twin.
-            let rec_set: BTreeSet<LogCmd> = plan.iter().copied().filter(|c| !c.is_noop()).collect();
-            if let Some(lead) = &mut self.lead {
-                lead.queue.retain(|c| !rec_set.contains(c));
-                lead.admitted.extend(rec_set.iter().copied());
-                lead.next_slot = lead.next_slot.max(top + 1);
-            }
+            lead.queue.retain(|c| !plan.contains(c));
+            lead.admitted
+                .extend(plan.iter().filter(|c| !c.is_noop()).copied());
+            lead.next_slot = lead.next_slot.max(top + 1);
             if self.batch_max > 1 {
-                let mut i = 0usize;
-                while i < plan.len() {
-                    let take = (plan.len() - i).min(self.batch_max);
-                    let first = floor_slot + i as u64;
-                    let cmds: Vec<LogCmd> = plan[i..i + take].to_vec();
-                    self.propose_batch(first, ballot, cmds, now);
-                    i += take;
+                for (i, cmds) in plan.chunks(self.batch_max).enumerate() {
+                    let first = floor_slot + (i * self.batch_max) as u64;
+                    self.propose_batch(first, ballot, cmds.to_vec().into(), now);
                 }
             } else {
                 for (i, &cmd) in plan.iter().enumerate() {
@@ -948,12 +961,7 @@ impl ReplicatedLog {
         // have lost its reply with the crash. One reply per known client
         // (its high-water mark) unsticks any such client immediately;
         // completed clients ignore it by seq.
-        let replies: Vec<(ProcessId, u64, u64)> = self
-            .client_hwm
-            .iter()
-            .map(|(&c, &(seq, slot))| (c, seq, slot))
-            .collect();
-        for (client, seq, slot) in replies {
+        for (&client, &(seq, slot)) in &self.client_hwm {
             self.outbox.push((client, LogMsg::Reply { seq, slot }));
         }
         if self.batch_max > 1 {
@@ -998,7 +1006,7 @@ impl ReplicatedLog {
             lead.next_slot += take as u64;
             let ballot = lead.ballot;
             let cmds: Vec<LogCmd> = lead.queue.drain(..take).collect();
-            self.propose_batch(first, ballot, cmds, now);
+            self.propose_batch(first, ballot, cmds.into(), now);
         }
     }
 
@@ -1006,27 +1014,13 @@ impl ReplicatedLog {
     /// in the degenerate single-member view — decide on the spot.
     fn propose(&mut self, slot: u64, ballot: Ver, cmd: LogCmd, now: Time) {
         self.promised = self.promised.max(ballot);
-        self.accepted.insert(slot, (ballot, cmd));
+        self.accept(slot, ballot, cmd);
         let Some(lead) = &mut self.lead else { return };
-        lead.in_flight.insert(
-            slot,
-            Accepting {
-                cmd,
-                oks: BTreeSet::new(),
-            },
-        );
-        let peers: Vec<ProcessId> = self
-            .view
-            .iter()
-            .filter(|&&p| p != self.me)
-            .copied()
-            .collect();
-        for p in peers {
-            self.outbox.push((p, LogMsg::Accept { ballot, slot, cmd }));
-        }
+        lead.in_flight.insert(slot, cmd);
+        self.broadcast(|| LogMsg::Accept { ballot, slot, cmd });
         if self.quorum() == 1 {
             let Some(lead) = &mut self.lead else { return };
-            lead.in_flight.remove(&slot);
+            lead.in_flight.remove(slot);
             self.decide(slot, ballot, cmd, now);
         }
     }
@@ -1034,51 +1028,27 @@ impl ReplicatedLog {
     /// Proposes `cmds` into the contiguous range starting at `first_slot`:
     /// self-accept each, one `AcceptBatch` per peer, and — in the
     /// single-member view — decide the whole range on the spot.
-    fn propose_batch(&mut self, first_slot: u64, ballot: Ver, cmds: Vec<LogCmd>, now: Time) {
+    fn propose_batch(&mut self, first_slot: u64, ballot: Ver, cmds: Shared<[LogCmd]>, now: Time) {
         self.promised = self.promised.max(ballot);
-        for (i, &cmd) in cmds.iter().enumerate() {
-            self.accepted.insert(first_slot + i as u64, (ballot, cmd));
+        for (slot, &cmd) in (first_slot..).zip(cmds.iter()) {
+            self.accept(slot, ballot, cmd);
         }
-        {
-            let Some(lead) = &mut self.lead else { return };
-            for (i, &cmd) in cmds.iter().enumerate() {
-                lead.in_flight.insert(
-                    first_slot + i as u64,
-                    Accepting {
-                        cmd,
-                        oks: BTreeSet::new(),
-                    },
-                );
+        let solitary = self.quorum() == 1;
+        let Some(lead) = &mut self.lead else { return };
+        for (slot, &cmd) in (first_slot..).zip(cmds.iter()) {
+            if solitary {
+                self.decided.push((slot, cmd));
+            } else {
+                lead.in_flight.insert(slot, cmd);
             }
         }
-        let peers: Vec<ProcessId> = self
-            .view
-            .iter()
-            .filter(|&&p| p != self.me)
-            .copied()
-            .collect();
-        for p in peers {
-            self.outbox.push((
-                p,
-                LogMsg::AcceptBatch {
-                    ballot,
-                    first_slot,
-                    cmds: cmds.clone(),
-                },
-            ));
-        }
-        if self.quorum() == 1 {
-            let decided: Vec<(u64, LogCmd)> = cmds
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (first_slot + i as u64, c))
-                .collect();
-            if let Some(lead) = &mut self.lead {
-                for &(slot, _) in &decided {
-                    lead.in_flight.remove(&slot);
-                }
-            }
-            self.decide_slots(decided, ballot, now);
+        self.broadcast(|| LogMsg::AcceptBatch {
+            ballot,
+            first_slot,
+            cmds: cmds.clone(),
+        });
+        if solitary {
+            self.decide_slots(ballot, now);
         }
     }
 }
@@ -1383,7 +1353,7 @@ mod tests {
             LogMsg::DecideBatch {
                 ballot: 0,
                 first_slot: 1,
-                cmds: vec![cmd(9, 1), cmd(9, 2)],
+                cmds: vec![cmd(9, 1), cmd(9, 2)].into(),
             },
             5,
         );
@@ -1433,7 +1403,7 @@ mod tests {
         // trigger at len 9 → 5, 14 → 10, 19 → 15.
         assert_eq!(log.floor(), 15);
         let (acc, parked, by_cmd, hwm) = log.hot_sizes();
-        assert!(acc <= 2 * 4 + 1, "accepted pruned below the floor");
+        assert_eq!(acc, 0, "the window holds nothing applied");
         assert_eq!(parked, 0);
         assert_eq!(by_cmd, 5, "only slots ≥ floor keep exact entries");
         assert_eq!(hwm, 1, "one mark per client");
@@ -1515,6 +1485,231 @@ mod tests {
         };
         assert_eq!(entries.first().map(|e| e.0), Some(10));
         assert_eq!(entries.len(), 10, "[10, 20) with nothing missing");
+    }
+
+    // ------------------------------------------------------------------
+    // Slot windows, ack bitmasks, shared batches
+    // ------------------------------------------------------------------
+
+    /// p0 leading `n` members at ballot 0 with batches of up to 4, its
+    /// recovery round already answered.
+    fn batched_leader(n: u32) -> ReplicatedLog {
+        let mut log = ReplicatedLog::with_tuning(8, 4, usize::MAX);
+        log.bind(ProcessId(0));
+        log.on_member_event(
+            MemberEvent::ViewInstalled {
+                ver: 0,
+                members: (0..n).map(ProcessId).collect(),
+                mgr: ProcessId(0),
+            },
+            0,
+        );
+        for p in 1..n {
+            recover_ok_empty(&mut log, p, 0, 1);
+        }
+        log.take_outbox();
+        log
+    }
+
+    /// Admits client 9's commands `seqs` within one tick and flushes them.
+    fn propose(log: &mut ReplicatedLog, seqs: std::ops::Range<u64>) -> Vec<(ProcessId, LogMsg)> {
+        for s in seqs {
+            log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, s) }, 5);
+        }
+        assert!(log.take_flush_request());
+        log.on_flush(6);
+        log.take_outbox()
+    }
+
+    fn ack_range(log: &mut ReplicatedLog, from: u32, first_slot: u64, count: u64) {
+        let ballot = 0;
+        log.on_message(
+            ProcessId(from),
+            LogMsg::AcceptOkRange {
+                ballot,
+                first_slot,
+                count,
+            },
+            7,
+        );
+    }
+
+    #[test]
+    fn a_range_ack_is_clamped_to_the_in_flight_window() {
+        let mut log = batched_leader(3);
+        propose(&mut log, 0..3);
+        // `first_slot + count` overflows, and the range names 2^64 slots:
+        // only its overlap with the window, slots 1 and 2, is walked.
+        ack_range(&mut log, 1, 1, u64::MAX);
+        assert!(log.committed().is_empty(), "slot 0 is still undecided");
+        assert_eq!(log.hot_sizes().1, 2, "slots 1 and 2 decided and parked");
+        ack_range(&mut log, 1, u64::MAX - 1, 7);
+        ack_range(&mut log, 1, 0, u64::MAX);
+        assert_eq!(log.committed(), &[cmd(9, 0), cmd(9, 1), cmd(9, 2)]);
+    }
+
+    #[test]
+    fn only_view_members_other_than_the_leader_are_counted() {
+        let mut log = batched_leader(3);
+        propose(&mut log, 0..1);
+        ack_range(&mut log, 7, 0, 1); // never in the view
+        ack_range(&mut log, 0, 0, 1); // the leader's own vote is implicit
+        assert!(log.committed().is_empty(), "neither is a second acceptor");
+        ack_range(&mut log, 2, 0, 1);
+        assert_eq!(log.committed(), &[cmd(9, 0)]);
+        // Same rule on the per-slot path.
+        let mut log = ReplicatedLog::new(8);
+        log.bind(ProcessId(0));
+        installed(&mut log, 0, 0);
+        for p in [1, 2] {
+            recover_ok_empty(&mut log, p, 0, 1);
+        }
+        log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 2);
+        for outsider in [7, 0] {
+            let ack = LogMsg::AcceptOk { ballot: 0, slot: 0 };
+            log.on_message(ProcessId(outsider), ack, 3);
+        }
+        assert!(log.committed().is_empty());
+        log.on_message(ProcessId(1), LogMsg::AcceptOk { ballot: 0, slot: 0 }, 3);
+        assert_eq!(log.committed(), &[cmd(9, 0)]);
+    }
+
+    #[test]
+    fn a_batch_is_allocated_once_for_all_peers() {
+        let mut log = batched_leader(3);
+        let out = propose(&mut log, 0..3);
+        let [(_, LogMsg::AcceptBatch { cmds: a, .. }), (_, LogMsg::AcceptBatch { cmds: b, .. })] =
+            out.as_slice()
+        else {
+            panic!("expected one AcceptBatch per peer, got {out:?}");
+        };
+        assert!(Shared::ptr_eq(a, b));
+        ack_range(&mut log, 1, 0, 3);
+        let out = log.take_outbox();
+        let [(_, LogMsg::DecideBatch { cmds: a, .. }), (_, LogMsg::DecideBatch { cmds: b, .. }), ..] =
+            out.as_slice()
+        else {
+            panic!("expected one DecideBatch per peer first, got {out:?}");
+        };
+        assert!(Shared::ptr_eq(a, b));
+        assert_eq!(&a[..], &[cmd(9, 0), cmd(9, 1), cmd(9, 2)]);
+    }
+
+    #[test]
+    fn an_ack_set_wider_than_a_machine_word_reaches_quorum() {
+        // 130 members: quorum 66, so 65 acceptors beside the leader, and
+        // ranks 64.. live in the second and third word of the bitmask.
+        let mut log = batched_leader(130);
+        propose(&mut log, 0..1);
+        for round in 0..2 {
+            for p in 1..=64 {
+                ack_range(&mut log, p, 0, 1);
+            }
+            assert!(log.committed().is_empty(), "round {round}: 64 acks + self");
+        }
+        ack_range(&mut log, 129, 0, 1);
+        assert_eq!(log.committed(), &[cmd(9, 0)]);
+    }
+
+    #[test]
+    fn recover_below_the_applied_prefix_answers_from_vectors_then_window() {
+        // p1 follows p0: slots 0..4 applied, 4 and 6 accepted, 7 decided
+        // but parked behind the holes.
+        let mut p1 = ReplicatedLog::new(8);
+        p1.bind(ProcessId(1));
+        installed(&mut p1, 0, 0);
+        let leader = ProcessId(0);
+        let (ballot, first_slot) = (0, 0);
+        let cmds = (0..4).map(|s| cmd(9, s)).collect::<Vec<_>>().into();
+        p1.on_message(
+            leader,
+            LogMsg::DecideBatch {
+                ballot,
+                first_slot,
+                cmds,
+            },
+            5,
+        );
+        for slot in [4, 6] {
+            let cmd = cmd(9, slot);
+            p1.on_message(leader, LogMsg::Accept { ballot, slot, cmd }, 5);
+        }
+        let (slot, cmd7) = (7, cmd(9, 7));
+        p1.on_message(
+            leader,
+            LogMsg::Decide {
+                ballot,
+                slot,
+                cmd: cmd7,
+            },
+            5,
+        );
+        assert_eq!((p1.logical_len(), p1.hot_sizes().0), (4, 3));
+        p1.take_outbox();
+        // p2 applied only 0..2 before taking over at ballot 1.
+        let mut p2 = ReplicatedLog::new(8);
+        p2.bind(ProcessId(2));
+        installed(&mut p2, 0, 0);
+        let cmds = vec![cmd(9, 0), cmd(9, 1)].into();
+        p2.on_message(
+            leader,
+            LogMsg::DecideBatch {
+                ballot,
+                first_slot,
+                cmds,
+            },
+            5,
+        );
+        p2.take_outbox();
+        p2.on_member_event(
+            MemberEvent::ViewInstalled {
+                ver: 1,
+                members: vec![ProcessId(1), ProcessId(2)],
+                mgr: ProcessId(2),
+            },
+            10,
+        );
+        let probe = p2.take_outbox();
+        assert!(matches!(
+            probe.as_slice(),
+            [(ProcessId(1), LogMsg::Recover { ballot: 1, from: 2 })]
+        ));
+        p1.on_message(ProcessId(2), probe[0].1.clone(), 11);
+        let answer = p1.take_outbox();
+        let [(
+            ProcessId(2),
+            LogMsg::RecoverOk {
+                snapshot: None,
+                entries,
+                ..
+            },
+        )] = answer.as_slice()
+        else {
+            panic!("expected an entry-only RecoverOk, got {answer:?}");
+        };
+        let slots: Vec<u64> = entries.iter().map(|e| e.0).collect();
+        assert_eq!(slots, vec![2, 3, 4, 6, 7], "vectors, then the window");
+        // The new leader's plan: everything above its own prefix, whether
+        // the responder reported it from the vectors or the window, with
+        // the hole at 5 filled by a no-op.
+        p2.on_message(ProcessId(1), answer[0].1.clone(), 12);
+        let accepts: Vec<_> = p2
+            .take_outbox()
+            .iter()
+            .filter_map(|(_, m)| match m {
+                LogMsg::Accept { slot, cmd, .. } => Some((*slot, *cmd)),
+                _ => None,
+            })
+            .collect();
+        let plan = [
+            cmd(9, 2),
+            cmd(9, 3),
+            cmd(9, 4),
+            LogCmd::NOOP,
+            cmd(9, 6),
+            cmd7,
+        ];
+        assert_eq!(accepts, (2..).zip(plan).collect::<Vec<_>>());
     }
 
     // ------------------------------------------------------------------

@@ -13,8 +13,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Odd 64-bit constant derived from the golden ratio (Fibonacci hashing).
 const K: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// Xor-multiply hasher for keys the program generates itself (ids,
+/// counters): fast, and with no defence against crafted collisions.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct IntHasher(u64);
+pub struct IntHasher(u64);
 
 impl IntHasher {
     fn mix(&mut self, v: u64) {
@@ -45,8 +47,11 @@ impl Hasher for IntHasher {
     }
 }
 
-pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
-pub(crate) type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
+/// A `HashMap` over [`IntHasher`]. Its iteration order is arbitrary: keep
+/// it away from anything a run's output depends on.
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+/// A `HashSet` over [`IntHasher`]; same caveat as [`IntMap`].
+pub type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
 #[cfg(test)]
 mod tests {

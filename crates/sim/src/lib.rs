@@ -93,6 +93,7 @@ mod shard;
 
 pub use batch::{run_seeds, run_seeds_parallel, summarize_runs, BatchConfig, RunStats};
 pub use engine::{Builder, NodeStatus, Sim};
+pub use hash::{IntHasher, IntMap, IntSet};
 pub use net::BlockMode;
 pub use node::{Ctx, Message, Node, TimerId};
 pub use shard::shard_of;

@@ -250,28 +250,13 @@ fn log_workload_replays_byte_identical() {
         sim.crash_at(ProcessId(0), 2_000);
         sim
     };
-    let mut first = build();
-    first.run_until(15_000);
-    let reference = fingerprint(first.trace());
-    assert!(!reference.is_empty(), "run produced no events");
-
-    let mut again = build();
-    again.run_until(15_000);
-    assert_eq!(
-        fingerprint(again.trace()),
-        reference,
-        "log-workload replay diverged"
+    assert_golden(
+        "unbatched log",
+        build,
+        15_000,
+        32_050,
+        0xa560_e09a_e480_921c,
     );
-
-    for shards in [2usize, 4] {
-        let mut sharded = build();
-        sharded.run_until_sharded(15_000, shards);
-        assert_eq!(
-            fingerprint(sharded.trace()),
-            reference,
-            "shards={shards}: sharded log-workload run diverged from sequential"
-        );
-    }
 }
 
 /// Batched companion to the scenario above: the same crash schedule with
@@ -291,34 +276,62 @@ fn batched_log_workload_replays_byte_identical() {
         sim.crash_at(ProcessId(0), 2_000);
         sim
     };
-    let mut first = build();
-    first.run_until(15_000);
-    let reference = fingerprint(first.trace());
-    assert!(!reference.is_empty(), "run produced no events");
     // The flush timer and the compactor must both have been in play,
     // or this scenario pins less than it claims.
+    let mut probe = build();
+    probe.run_until(15_000);
     assert!(
-        first.node(ProcessId(1)).log().floor() > 0,
+        probe.node(ProcessId(1)).log().floor() > 0,
         "the run never compacted"
     );
+    assert_golden("batched log", build, 15_000, 66_703, 0xd408_7c80_57e4_9b24);
+}
 
-    let mut again = build();
-    again.run_until(15_000);
-    assert_eq!(
-        fingerprint(again.trace()),
-        reference,
-        "batched log-workload replay diverged"
+/// The log's hard schedule, pinned across commits: a joiner admitted via
+/// p2 at 2 500, the leader p0 crashed at 3 000 (mid-admission), its
+/// successor p1 at 6 000, under a saturated pipeline (`window(8)` every 5
+/// ticks) with partial batches and a compaction budget small enough that
+/// every floor advance, snapshot `Sync` and `Recover` below a floor
+/// happens several times. Recorded on the B-tree `replica.rs` (the parent
+/// of the slot-window PR).
+#[test]
+fn log_joiner_double_failover_matches_the_btree_golden() {
+    use gmp::log::{LogClusterBuilder, LogConfig};
+    use gmp::protocol::JoinConfig;
+    let build = || {
+        let mut sim = LogClusterBuilder::new(5, 6)
+            .seed(2024)
+            .log_config(
+                LogConfig::default()
+                    .batch(4)
+                    .window(8)
+                    .request_every(5)
+                    .compact_keep(64),
+            )
+            .joiner(JoinConfig::new(2_500, vec![ProcessId(2)]))
+            .build();
+        sim.crash_at(ProcessId(0), 3_000);
+        sim.crash_at(ProcessId(1), 6_000);
+        sim
+    };
+    let mut probe = build();
+    probe.run_until(12_000);
+    let joiner = probe.node(ProcessId(5));
+    assert!(
+        joiner.member().view().contains(ProcessId(5)),
+        "the joiner was never admitted"
     );
-
-    for shards in [2usize, 4] {
-        let mut sharded = build();
-        sharded.run_until_sharded(15_000, shards);
-        assert_eq!(
-            fingerprint(sharded.trace()),
-            reference,
-            "shards={shards}: sharded batched log run diverged from sequential"
-        );
-    }
+    assert!(
+        joiner.log().base() > 0,
+        "the joiner never booted from a snapshot"
+    );
+    assert_golden(
+        "log joiner + double failover",
+        build,
+        12_000,
+        118_158,
+        0xc311_2d36_7e3c_3069,
+    );
 }
 
 /// A join-bearing companion to the goldens above. The crash-only goldens
@@ -351,13 +364,16 @@ fn join_bearing_traces_match_the_digest_gap_fix_goldens() {
 
 /// Runs `build()` to `until` sequentially and at shards ∈ {2, 4} and pins
 /// every run to the same recorded `(events, FNV-1a)` pair.
-fn assert_far_path_golden(
+fn assert_golden<M, N>(
     name: &str,
-    build: impl Fn() -> Sim<gmp::protocol::Msg, gmp::protocol::Member>,
+    build: impl Fn() -> Sim<M, N>,
     until: u64,
     events: usize,
     hash: u64,
-) {
+) where
+    M: gmp::sim::Message + Send,
+    N: gmp::sim::Node<M> + Send,
+{
     for shards in [0usize, 2, 4] {
         let mut sim = build();
         if shards == 0 {
@@ -387,7 +403,7 @@ fn far_timer_traces_match_the_binary_heap_goldens() {
         sim.crash_at(ProcessId(7), 1_500);
         sim
     };
-    assert_far_path_golden("far timers", build, 20_000, 4_690, 0x253c_ce5e_5cb8_d41e);
+    assert_golden("far timers", build, 20_000, 4_690, 0x253c_ce5e_5cb8_d41e);
 }
 
 /// A partition held for 3 000 ticks, then healed: `release_unblocked`
@@ -411,7 +427,7 @@ fn partition_heal_burst_matches_the_binary_heap_golden() {
         "the heal must release a burst, only {} held",
         probe.stats().held
     );
-    assert_far_path_golden(
+    assert_golden(
         "partition heal burst",
         build,
         12_000,

@@ -142,11 +142,12 @@ fn pipelining_multiplies_committed_throughput() {
 
 #[test]
 fn hot_state_stays_bounded_on_long_runs() {
-    // With compaction on, the per-slot maps (`accepted`, `parked`,
-    // `by_cmd`) and the per-client marks must stay flat no matter how
-    // long the run: everything below the floor is summarized, and the
-    // floor chases the applied length. Without pruning, by_cmd alone
-    // would hold one entry per committed command (thousands here).
+    // With compaction on, the per-slot state (the window above the
+    // applied prefix, reported as its entries and the decided ones among
+    // them, and `by_cmd`) and the per-client marks must stay flat no
+    // matter how long the run: everything below the floor is summarized,
+    // and the floor chases the applied length. Without pruning, by_cmd
+    // alone would hold one entry per committed command (thousands here).
     let keep = 64usize;
     let clients = 2usize;
     let lc = LogConfig::default().batch(8).window(4).compact_keep(keep);
