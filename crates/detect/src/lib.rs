@@ -20,15 +20,17 @@
 //! (F2) is a protocol concern and lives in `gmp-core`, which piggybacks
 //! faulty sets on protocol messages.
 //!
-//! The detector's per-peer hot state (leases, heap entries) lives in the
-//! index-addressed arenas of [`gmp_types::arena`]; the retired map-backed
-//! implementation survives as [`reference::MapDetector`], the behavioral
-//! oracle for the equivalence proptests in `gmp-props` and the baseline arm
-//! of the `arena_hot_path` benchmarks.
+//! The detector's per-peer hot state (one lease per peer) lives in the
+//! index-addressed arenas of [`gmp_types::arena`], and a life sign is one
+//! store into it; expiry is a scan of that arena, skipped while a cached
+//! lower bound says nothing can be due. The retired map-and-heap
+//! implementation survives as [`reference::MapDetector`] — a different
+//! algorithm, hence an independent behavioral oracle for the equivalence
+//! proptests in `gmp-props` — and as the baseline arm of the
+//! `arena_hot_path` benchmarks.
 
 use gmp_types::{Arena, PeerRef, PeerRoster, ProcessId};
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeSet;
 
 pub mod reference;
 
@@ -42,13 +44,24 @@ pub use reference::MapDetector;
 /// message counts as a life sign, not just heartbeats — which matches the
 /// paper's reading of "time" as a mere tool for suspecting crashes.
 ///
-/// Internally, expiry is driven by a min-heap of lease deadlines (one entry
-/// pushed per life sign, deadline = life sign + `suspect_after`) with lazy
-/// deletion: superseded, suspected and forgotten entries are discarded when
-/// popped. A quiescent [`tick`](HeartbeatDetector::tick) therefore costs one
-/// heap peek — O(expired · log n) instead of a full O(n) scan of every
-/// tracked peer — while suspecting in exactly the same order (ascending id)
-/// and at exactly the same instants as the scan did.
+/// # A lease scan behind a lower bound
+///
+/// More than 99 % of what a member receives is a life sign, and the
+/// question "has a lease run out?" is asked once per heartbeat period, so
+/// the two are priced accordingly: a life sign is one store into the
+/// peer's lease and nothing else, and [`tick`](HeartbeatDetector::tick)
+/// scans the leases only when `now` has reached `next_due`, a cached
+/// *lower bound* on the earliest lease deadline (lease + `suspect_after`).
+/// The bound stays valid without being touched by life signs because
+/// leases only move forward; [`track`](HeartbeatDetector::track) — the one
+/// operation that can introduce an earlier deadline — lowers it with
+/// `min`, removals leave it (a bound that is too low costs one scan, never
+/// a missed expiry), and each scan recomputes it exactly. The scan walks
+/// the lease arena in *slot* order, Θ(peers ever enrolled here), not the
+/// roster's id order, which is Θ(largest id) — a degree-4 member of a
+/// 1024-ring would pay for a thousand empty entries per scan. The rare
+/// expired ids are sorted afterwards, so suspicions come out in ascending
+/// id order at exactly the instants a deadline heap would produce.
 ///
 /// # Arena-backed hot state
 ///
@@ -60,10 +73,14 @@ pub use reference::MapDetector;
 /// to address its own per-peer arenas (digest epochs, report throttles), so
 /// all hot per-peer state of one member lives in a handful of parallel
 /// arrays. Slots of excluded peers are tombstoned and recycled for later
-/// joiners under a bumped generation; heap entries carry the
-/// generation-stamped [`PeerRef`], so a stale entry whose slot has been
-/// recycled fails the generation check and can never suspect the slot's new
-/// occupant (see `gmp_types::arena` for the aliasing contract).
+/// joiners under a bumped generation. The detector itself keeps no handle
+/// across calls any more (a lease is removed together with its roster
+/// slot, so every lease the scan meets belongs to the slot's live
+/// occupant); what the generations still guard is the handles the *owner*
+/// keeps: a [`heard_from_ref`](HeartbeatDetector::heard_from_ref) through a
+/// handle resolved before its slot was recycled fails the generation check
+/// and can never renew the new occupant's lease (see `gmp_types::arena`
+/// for the aliasing contract).
 ///
 /// # Invariant: process instances never return
 ///
@@ -85,13 +102,12 @@ pub struct HeartbeatDetector {
     /// (a gossiped suspect may never have been tracked here) and S1 makes
     /// them permanent.
     suspects: BTreeSet<ProcessId>,
-    /// Min-heap of `(lease deadline, peer handle)`. Never pruned eagerly;
-    /// an entry is live iff its generation-stamped handle still reads the
-    /// matching lease from `last_heard`.
-    deadlines: BinaryHeap<Reverse<(u64, PeerRef)>>,
+    /// Lower bound on the earliest lease deadline (`u64::MAX`: no lease
+    /// can be due); [`tick`](Self::tick) returns at once below it.
+    next_due: u64,
     /// Ids retired by `forget`, kept (in debug builds only) to assert that
     /// no retired instance is ever tracked again — nor ever resurfaces
-    /// from a stale heap entry after its slot is recycled.
+    /// from a recycled slot.
     #[cfg(debug_assertions)]
     forgotten: BTreeSet<ProcessId>,
 }
@@ -110,7 +126,7 @@ impl HeartbeatDetector {
             roster: PeerRoster::new(),
             last_heard: Arena::new(),
             suspects: BTreeSet::new(),
-            deadlines: BinaryHeap::new(),
+            next_due: u64::MAX,
             #[cfg(debug_assertions)]
             forgotten: BTreeSet::new(),
         }
@@ -143,11 +159,6 @@ impl HeartbeatDetector {
         self.roster.iter()
     }
 
-    /// The lease deadline for a life sign observed at `t`.
-    fn deadline(&self, t: u64) -> u64 {
-        t.saturating_add(self.suspect_after)
-    }
-
     /// Starts monitoring `p`, treating `now` as the last life sign (a grace
     /// period equal to the full timeout).
     ///
@@ -168,7 +179,8 @@ impl HeartbeatDetector {
         let r = self.roster.insert(p);
         if self.last_heard.get(r).is_none() {
             self.last_heard.set(r, now);
-            self.deadlines.push(Reverse((self.deadline(now), r)));
+            // The one way an earlier deadline than the bound can appear.
+            self.next_due = self.next_due.min(now.saturating_add(self.suspect_after));
         }
     }
 
@@ -177,8 +189,7 @@ impl HeartbeatDetector {
     /// instances never return in the model, so tracking it again is
     /// rejected (in debug builds) rather than silently restarting
     /// monitoring with a fresh lease. The roster slot is tombstoned for
-    /// recycling; any heap entries still pointing at it die on the
-    /// generation check when popped.
+    /// recycling and its lease goes with it.
     pub fn forget(&mut self, p: ProcessId) {
         if let Some(r) = self.roster.remove(p) {
             self.last_heard.remove(r);
@@ -214,40 +225,26 @@ impl HeartbeatDetector {
     /// (e.g. a joiner whose admission has not committed here yet) must not
     /// silently enroll it for suspicion.
     pub fn heard_from(&mut self, p: ProcessId, now: u64) {
-        if self.suspects.contains(&p) {
-            return;
-        }
-        let Some(r) = self.roster.resolve(p) else {
-            return;
-        };
-        if let Some(t) = self.last_heard.get_mut(r) {
-            if now > *t {
-                // The lease advanced: the old heap entry goes stale and a
-                // fresh one carries the new deadline. (Stale information —
-                // `now <= *t` — must not shorten the lease, and pushes
-                // nothing.)
-                *t = now;
-                let d = now.saturating_add(self.suspect_after);
-                self.deadlines.push(Reverse((d, r)));
-            }
+        // A suspect holds no lease (`suspect` cleared it, `track` refuses
+        // suspects), so the lease read below is the suspicion check too.
+        if let Some(r) = self.roster.resolve(p) {
+            self.heard_from_ref(r, now);
         }
     }
 
     /// Ref-addressed fast path of [`heard_from`](Self::heard_from): records
     /// a life sign for the peer behind `r` without the id→slot resolve.
     ///
-    /// The generation-checked lease read subsumes every guard the id path
-    /// spells out: a suspected peer's lease was cleared by
+    /// The generation-checked lease read is every guard there is: a
+    /// suspected peer's lease was cleared by
     /// [`suspect`](Self::suspect), a forgotten peer's slot is tombstoned
     /// (or recycled under a bumped generation), and an untracked handle
     /// never had a lease — all of them read `None` here and are ignored.
     pub fn heard_from_ref(&mut self, r: PeerRef, now: u64) {
         if let Some(t) = self.last_heard.get_mut(r) {
-            if now > *t {
-                *t = now;
-                let d = now.saturating_add(self.suspect_after);
-                self.deadlines.push(Reverse((d, r)));
-            }
+            // Stale information (`now <= *t`) must not shorten the lease;
+            // a lease that only moves forward keeps `next_due` a bound.
+            *t = (*t).max(now);
         }
     }
 
@@ -255,7 +252,7 @@ impl HeartbeatDetector {
     /// injection). Returns `true` if this is a new suspicion.
     pub fn suspect(&mut self, p: ProcessId) -> bool {
         if let Some(r) = self.roster.resolve(p) {
-            // Clear the lease so pending heap entries go stale; the slot
+            // Clear the lease so the scan passes over `p`; the slot
             // itself stays enrolled until `forget` retires it, so the
             // owner can keep addressing its per-peer arenas for `p`.
             self.last_heard.remove(r);
@@ -272,41 +269,40 @@ impl HeartbeatDetector {
     /// by observation (F1), in ascending id order. They are also recorded as
     /// suspects.
     ///
-    /// Cost: O(expired · log n) heap pops (plus one peek when nothing
-    /// expired) — not a scan of every tracked peer. Stale heap entries
-    /// (lease renewed, peer suspected by gossip, forgotten, or pointing at
-    /// a recycled slot) are lazily discarded as they surface: the
-    /// generation-stamped handle reads nothing from `last_heard` once the
-    /// lease it carried is gone.
+    /// Cost: one comparison while `now` is below the cached bound on the
+    /// earliest deadline — every call between two heartbeat rounds — and
+    /// otherwise one pass over the lease arena in slot order, which
+    /// expires what is due and recomputes the bound. A lease whose
+    /// deadline would overflow `u64` never expires.
     pub fn tick(&mut self, now: u64) -> Vec<ProcessId> {
-        let mut expired = Vec::new();
-        while let Some(&Reverse((deadline, r))) = self.deadlines.peek() {
-            if deadline > now {
-                break;
-            }
-            self.deadlines.pop();
-            // Live iff this entry carries the peer's *current* lease. A
-            // handle whose slot was recycled fails the arena's generation
-            // check and reads `None` here — a forgotten peer's entry can
-            // never surface as a suspicion of the slot's new occupant.
-            if self.last_heard.get(r) == Some(&deadline.saturating_sub(self.suspect_after)) {
-                self.last_heard.remove(r);
-                let p = self
-                    .roster
-                    .pid_of(r)
-                    .expect("a live lease implies a live roster slot");
-                #[cfg(debug_assertions)]
-                debug_assert!(
-                    !self.forgotten.contains(&p),
-                    "forgotten {p} resurfaced from a stale heap entry"
-                );
-                self.suspects.insert(p);
-                expired.push(p);
-            }
+        if now < self.next_due {
+            return Vec::new();
         }
-        // The scan this replaces reported expiries in map (ascending-id)
-        // order; deterministic replay depends on preserving that.
+        let mut expired = Vec::new();
+        let mut next_due = u64::MAX;
+        let (suspect_after, roster) = (self.suspect_after, &self.roster);
+        self.last_heard.retain(|r, &t| {
+            // `now - t`, not `t + suspect_after`: exact at any magnitude.
+            if now.saturating_sub(t) < suspect_after {
+                next_due = next_due.min(t.saturating_add(suspect_after));
+                return true;
+            }
+            let p = roster
+                .pid_of(r)
+                .expect("a live lease implies a live roster slot");
+            expired.push(p);
+            false
+        });
+        self.next_due = next_due;
+        // Slot order is enrolment order; suspicions are reported (and
+        // deterministic replay depends on them being) in ascending id order.
         expired.sort_unstable();
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            expired.iter().all(|p| !self.forgotten.contains(p)),
+            "a forgotten id resurfaced from a recycled slot: {expired:?}"
+        );
+        self.suspects.extend(&expired);
         expired
     }
 
@@ -330,9 +326,14 @@ impl HeartbeatDetector {
 /// "Once a process `p` believes another, `q`, to be faulty, `p` never
 /// receives messages from `q` again" — including after `q`'s removal from
 /// the view, and forever (process instances are never reused).
+///
+/// The filter is consulted for every received message, so it is a bitmap
+/// indexed by `ProcessId` (ids are small and dense — the assumption
+/// [`PeerRoster`] already makes).
 #[derive(Clone, Debug, Default)]
 pub struct Isolation {
-    set: BTreeSet<ProcessId>,
+    /// Bit `q.index()` is set iff `q` is isolated; grown on demand.
+    bits: Vec<u64>,
 }
 
 impl Isolation {
@@ -343,27 +344,37 @@ impl Isolation {
 
     /// Adds `q` to the isolated set. Returns `true` if newly isolated.
     pub fn isolate(&mut self, q: ProcessId) -> bool {
-        self.set.insert(q)
+        let (word, bit) = (q.index() / 64, 1u64 << (q.index() % 64));
+        if self.bits.len() <= word {
+            self.bits.resize(word + 1, 0);
+        }
+        let fresh = self.bits[word] & bit == 0;
+        self.bits[word] |= bit;
+        fresh
     }
 
     /// Whether messages from `q` must be discarded.
+    #[inline]
     pub fn is_isolated(&self, q: ProcessId) -> bool {
-        self.set.contains(&q)
+        let word = self.bits.get(q.index() / 64).copied().unwrap_or(0);
+        word >> (q.index() % 64) & 1 == 1
     }
 
-    /// Iterator over isolated processes.
+    /// Iterator over isolated processes, in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.set.iter().copied()
+        (0..self.bits.len() * 64)
+            .map(|i| ProcessId(i as u32))
+            .filter(|&q| self.is_isolated(q))
     }
 
     /// Number of isolated processes.
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True when nothing is isolated yet.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.bits.iter().all(|&w| w == 0)
     }
 }
 
@@ -486,16 +497,68 @@ mod tests {
 
     #[test]
     fn simultaneous_expiries_surface_in_ascending_id_order() {
-        // The heap orders by (deadline, handle); equal deadlines must still
-        // come out ascending by id, like the map scan this replaced.
+        // The scan meets leases in slot order — enrolment order, shuffled
+        // further by recycling — yet equal deadlines must come out
+        // ascending by id.
         let mut d = HeartbeatDetector::new(50);
-        let ids = [7, 3, 9, 1, 5].map(ProcessId);
-        for p in ids {
+        for p in [7, 3, 9, 1, 5].map(ProcessId) {
             d.track(p, 0);
         }
+        d.forget(ProcessId(3));
+        d.track(ProcessId(8), 0); // recycles slot 1, between 7 and 9
         let expired = d.tick(50);
-        assert_eq!(expired, [1, 3, 5, 7, 9].map(ProcessId).to_vec());
+        assert_eq!(expired, [1, 5, 7, 8, 9].map(ProcessId).to_vec());
         assert!(d.tracked().next().is_none());
+    }
+
+    #[test]
+    fn a_peer_tracked_after_a_scan_lowers_the_cached_bound() {
+        let mut d = HeartbeatDetector::new(100);
+        d.track(P1, 0);
+        d.heard_from(P1, 450);
+        assert!(d.tick(100).is_empty()); // scans; the bound becomes 550
+        d.track(P2, 200); // deadline 300, earlier than the bound
+        assert!(d.tick(299).is_empty());
+        assert_eq!(d.tick(300), vec![P2], "suspected on time, not at 550");
+        assert!(d.tick(549).is_empty());
+        assert_eq!(d.tick(550), vec![P1]);
+    }
+
+    #[test]
+    fn re_knits_and_recycled_slots_neither_resurrect_nor_miss_a_suspicion() {
+        let mut d = HeartbeatDetector::new(100);
+        let p9 = ProcessId(9);
+        d.track(P1, 0);
+        d.track(P2, 0);
+        d.heard_from(P2, 80);
+        d.release(P1); // a re-knit moves P1 out, deadline 100 still cached
+        assert!(d.tick(100).is_empty(), "a released lease cannot expire");
+        d.track(P1, 120); // and back in: slot 0 under gen 1, deadline 220
+        d.forget(P2); // exclusion frees slot 1 ...
+        d.track(p9, 50); // ... for a joiner whose lease predates the scan
+        assert!(d.tick(149).is_empty());
+        assert_eq!(d.tick(150), vec![p9], "below the scanned bound of 180");
+        assert!(d.tick(219).is_empty());
+        assert_eq!(d.tick(220), vec![P1], "the fresh lease, not the old one");
+        assert!(!d.is_suspect(P2), "the retired id never resurfaces");
+        assert!(d.tick(u64::MAX).is_empty(), "nothing fires twice");
+    }
+
+    #[test]
+    fn deadlines_beyond_u64_saturate_without_a_spurious_expiry() {
+        let suspect_after = u64::MAX - 10;
+        let mut d = HeartbeatDetector::new(suspect_after);
+        let mut oracle = MapDetector::new(suspect_after);
+        for (p, t) in [(P1, 5), (P2, 100)] {
+            d.track(p, t); // P1 is due at MAX - 5, P2 beyond the clock
+            oracle.track(p, t);
+        }
+        for now in [u64::MAX - 6, u64::MAX - 5, u64::MAX] {
+            let expired = d.tick(now);
+            assert_eq!(expired, oracle.tick(now), "tick at {now}");
+            assert_eq!(expired.contains(&P1), now == u64::MAX - 5);
+        }
+        assert_eq!(d.tracked().collect::<Vec<_>>(), vec![P2]);
     }
 
     #[test]
@@ -513,22 +576,20 @@ mod tests {
 
     #[test]
     fn forgotten_entry_cannot_resurface_after_slot_reuse() {
-        // The bugfix this pins: `forget` leaves heap entries behind (lazy
-        // deletion). When the arena recycles the forgotten peer's slot for
-        // a newcomer, a stale entry sharing the *same slot and the same
-        // deadline value* as the newcomer's live lease must still die on
-        // the generation check — it must neither suspect the retired id
-        // nor the slot's new occupant ahead of its own lease.
+        // When the arena recycles a forgotten peer's slot for a newcomer
+        // with the *same deadline value*, whatever the forgotten peer left
+        // behind (its lease under the old generation, its share of the
+        // cached bound) must neither suspect the retired id nor the
+        // slot's new occupant ahead of its own lease.
         let mut d = HeartbeatDetector::new(100);
         let p9 = ProcessId(9);
-        d.track(P1, 0); // heap entry (100, slot0 gen0)
-        d.forget(P1); // tombstones slot 0, heap entry left behind
+        d.track(P1, 0); // lease at slot0 gen0, deadline 100
+        d.forget(P1); // tombstones slot 0, the lease goes with it
         d.track(p9, 0); // recycles slot 0 (gen1), same deadline 100
 
         let r1 = d.resolve(p9).expect("newcomer resolves");
-        // The stale (100, slot0 gen0) entry pops first at t=100 and must
-        // read nothing; the live (100, slot0 gen1) entry then suspects the
-        // newcomer — exactly once, at its own lease's expiry.
+        // One scan at t=100 meets one lease, the newcomer's, and suspects
+        // it exactly once, at its own expiry.
         assert!(d.tick(99).is_empty());
         assert_eq!(d.tick(100), vec![p9], "only the live lease fires");
         assert!(!d.is_suspect(P1), "the retired id never resurfaces");
@@ -538,8 +599,8 @@ mod tests {
 
     #[test]
     fn forgotten_entry_is_discarded_even_with_a_renewed_occupant() {
-        // Variant: the newcomer renews its lease past the stale deadline,
-        // so at the stale entry's pop time *no* lease matches — the slot
+        // Variant: the newcomer renews its lease past the old deadline, so
+        // at the time the bound still points to *no* lease is due — the slot
         // must stay silent until the renewed lease itself expires.
         let mut d = HeartbeatDetector::new(100);
         let p9 = ProcessId(9);
@@ -601,14 +662,14 @@ mod tests {
 
     #[test]
     fn stale_heap_entries_from_a_released_slot_die_on_generation() {
-        // Release leaves heap entries behind, like forget; a recycled slot
-        // must not inherit them.
+        // Release leaves a too-low bound behind, like forget; a recycled
+        // slot must not inherit the released peer's deadline through it.
         let mut d = HeartbeatDetector::new(100);
-        d.track(P1, 0); // heap entry (100, slot0 gen0)
+        d.track(P1, 0); // bound 100 (slot0 gen0)
         d.release(P1);
         d.track(P2, 0); // recycles slot 0 under gen1, deadline 100
         d.heard_from(P2, 50);
-        assert!(d.tick(100).is_empty(), "gen-0 entry reads nothing");
+        assert!(d.tick(100).is_empty(), "the scan finds only P2's lease");
         assert_eq!(d.tick(150), vec![P2]);
         assert!(!d.is_suspect(P1));
     }
@@ -638,5 +699,20 @@ mod tests {
         assert!(!iso.is_isolated(P2));
         assert_eq!(iso.len(), 1);
         assert_eq!(iso.iter().collect::<Vec<_>>(), vec![P1]);
+    }
+
+    #[test]
+    fn isolation_iterates_ascending_across_bitmap_words() {
+        let mut iso = Isolation::new();
+        for q in [200, 3, 64, 63, 1_000] {
+            assert!(iso.isolate(ProcessId(q)));
+        }
+        assert!(!iso.isolate(ProcessId(64)));
+        assert_eq!(iso.len(), 5);
+        let ids: Vec<u32> = iso.iter().map(|q| q.0).collect();
+        assert_eq!(ids, vec![3, 63, 64, 200, 1_000]);
+        // Ids past the bitmap's end read as not isolated, without growing it.
+        assert!(!iso.is_isolated(ProcessId(1_001)));
+        assert!(!iso.is_isolated(ProcessId(u32::MAX)));
     }
 }

@@ -43,10 +43,15 @@
 //! event queue is a slab `Vec`, a boxed bucket array of indices into it
 //! and a heap of far-event keys; link state is hash maps of plain values) or
 //! an atomically reference-counted payload ([`Shared`] wraps
-//! [`std::sync::Arc`]). Nothing in the stack uses
-//! `Rc`, thread-locals, or interior mutability, so the auto trait holds —
+//! [`std::sync::Arc`]). No *value* in the stack holds an `Rc`, a
+//! thread-local or interior mutability, so the auto trait holds —
 //! pinned by a compile-time assertion in `batch.rs`'s tests and relied on
-//! by [`run_seeds_parallel`]'s `M: Send, N: Send` bounds.
+//! by [`run_seeds_parallel`]'s `M: Send, N: Send` bounds. (The one
+//! thread-local in the crate is not part of any value: a dropped
+//! [`Trace`] parks its cleared event buffer in a per-thread spare slot
+//! that the next `Trace` built on *that* thread takes over — capacity
+//! only, never contents — so a `Sim` moved to another thread simply
+//! parks its buffer there.)
 //!
 //! # Example
 //!

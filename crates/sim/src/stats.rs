@@ -1,7 +1,54 @@
 //! Message accounting for complexity experiments (§7.2), and order
 //! statistics for aggregating one metric across a batch of seeded runs.
 
-use std::collections::BTreeMap;
+/// Per-tag counters for the dozen or so message kinds of a run.
+///
+/// A message's tag is a string literal, so the same `&'static str` —
+/// pointer and length — arrives every time: [`bump`](TagCounts::bump)
+/// probes by identity first and compares text only on a miss, when a tag
+/// is new or the same text reaches it from a second address (another
+/// codegen unit's copy of the literal, a leaked `String`). Entries sit in
+/// first-seen order; everything that reads them goes by text.
+#[derive(Clone, Debug, Default)]
+struct TagCounts(Vec<(&'static str, u64)>);
+
+impl TagCounts {
+    #[inline]
+    fn bump(&mut self, tag: &'static str) {
+        match self.0.iter_mut().find(|(t, _)| std::ptr::eq(*t, tag)) {
+            Some((_, count)) => *count += 1,
+            None => self.bump_by_text(tag),
+        }
+    }
+
+    #[cold]
+    fn bump_by_text(&mut self, tag: &'static str) {
+        match self.0.iter_mut().find(|(t, _)| *t == tag) {
+            Some((_, count)) => *count += 1,
+            None => self.0.push((tag, 1)),
+        }
+    }
+
+    fn get(&self, tag: &str) -> u64 {
+        self.0.iter().find(|(t, _)| *t == tag).map_or(0, |e| e.1)
+    }
+
+    /// The counters sorted by tag: the form that does not depend on the
+    /// order the tags were first seen in.
+    fn sorted(&self) -> Vec<(&'static str, u64)> {
+        let mut pairs = self.0.clone();
+        pairs.sort_unstable();
+        pairs
+    }
+}
+
+impl PartialEq for TagCounts {
+    fn eq(&self, other: &Self) -> bool {
+        self.sorted() == other.sorted()
+    }
+}
+
+impl Eq for TagCounts {}
 
 /// Counters over a run, keyed by message tag.
 ///
@@ -15,8 +62,8 @@ use std::collections::BTreeMap;
 /// the comparison the parallel-vs-sequential determinism tests rest on.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Stats {
-    sends: BTreeMap<&'static str, u64>,
-    delivered: BTreeMap<&'static str, u64>,
+    sends: TagCounts,
+    delivered: TagCounts,
     /// Messages addressed to a crashed or quit process.
     pub dropped_dead_receiver: u64,
     /// Messages dropped by a severed link.
@@ -26,27 +73,29 @@ pub struct Stats {
 }
 
 impl Stats {
+    #[inline]
     pub(crate) fn record_send(&mut self, tag: &'static str) {
-        *self.sends.entry(tag).or_insert(0) += 1;
+        self.sends.bump(tag);
     }
 
+    #[inline]
     pub(crate) fn record_delivery(&mut self, tag: &'static str) {
-        *self.delivered.entry(tag).or_insert(0) += 1;
+        self.delivered.bump(tag);
     }
 
     /// Number of messages sent with the given tag.
     pub fn sends(&self, tag: &str) -> u64 {
-        self.sends.get(tag).copied().unwrap_or(0)
+        self.sends.get(tag)
     }
 
     /// Number of messages delivered with the given tag.
     pub fn delivered(&self, tag: &str) -> u64 {
-        self.delivered.get(tag).copied().unwrap_or(0)
+        self.delivered.get(tag)
     }
 
     /// Total messages sent across all tags.
     pub fn sends_total(&self) -> u64 {
-        self.sends.values().sum()
+        self.sends_matching(|_| true)
     }
 
     /// Sum of send counts over tags accepted by `filter`.
@@ -55,6 +104,7 @@ impl Stats {
         F: FnMut(&str) -> bool,
     {
         self.sends
+            .0
             .iter()
             .filter(|(t, _)| filter(t))
             .map(|(_, c)| *c)
@@ -63,7 +113,7 @@ impl Stats {
 
     /// All (tag, send-count) pairs, sorted by tag.
     pub fn send_counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.sends.iter().map(|(t, c)| (*t, *c))
+        self.sends.sorted().into_iter()
     }
 }
 
@@ -144,6 +194,49 @@ mod tests {
         assert_eq!(s.sends_matching(|t| t == "a"), 2);
         let pairs: Vec<_> = s.send_counts().collect();
         assert_eq!(pairs, vec![("a", 2), ("b", 1)]);
+    }
+
+    #[test]
+    fn equality_ignores_the_order_tags_were_first_seen_in() {
+        let (mut a, mut b) = (Stats::default(), Stats::default());
+        for tag in ["x", "y", "y"] {
+            a.record_send(tag);
+            a.record_delivery(tag);
+        }
+        for tag in ["y", "x", "y"] {
+            b.record_send(tag);
+            b.record_delivery(tag);
+        }
+        assert_eq!(a, b, "same per-tag counts");
+        b.record_send("x");
+        assert_ne!(a, b, "a count differs");
+        a.record_send("z");
+        assert_ne!(a, b, "equal totals, different tags");
+        let mut c = a.clone();
+        c.record_delivery("x");
+        assert_ne!(a, c, "delivered counts compare too");
+    }
+
+    #[test]
+    fn equal_text_at_another_address_lands_in_the_same_counter() {
+        // The same tag text from a second address — another codegen unit's
+        // copy of a literal, here a leaked `String` — misses the identity
+        // probe and must still aggregate, whichever copy came first.
+        let leaked: &'static str = Box::leak(String::from("hb").into_boxed_str());
+        assert!(!std::ptr::eq(leaked, "hb"));
+        let mut s = Stats::default();
+        for tag in ["zz", leaked, "hb", "aa", leaked, "hb"] {
+            s.record_send(tag);
+        }
+        assert_eq!(s.sends("hb"), 4);
+        assert_eq!(s.sends_total(), 6);
+        assert_eq!(s.sends_matching(|t| t == "hb"), 4);
+        let pairs: Vec<_> = s.send_counts().collect();
+        assert_eq!(
+            pairs,
+            vec![("aa", 1), ("hb", 4), ("zz", 1)],
+            "sorted by tag"
+        );
     }
 
     #[test]

@@ -2,10 +2,27 @@
 //! stamp. Vector stamps are a function of the recorded `Send`/`Recv` edges
 //! and are rebuilt on demand by [`Trace::to_event_log`].
 
+use crate::hash::IntMap;
 use crate::Time;
 use gmp_causality::{CowClock, EventLog, LoggedEvent, Stamp};
 use gmp_types::{Note, ProcessId};
-use std::collections::HashMap;
+use std::cell::RefCell;
+
+/// Largest event buffer, in bytes of capacity, that a dropped [`Trace`]
+/// parks for reuse; a one-off giant run's buffer goes back to the
+/// allocator instead of staying pinned to its thread.
+const SPARE_MAX_BYTES: usize = 64 << 20;
+
+thread_local! {
+    /// The cleared event buffer of the largest `Trace` dropped on this
+    /// thread so far (up to [`SPARE_MAX_BYTES`]); [`Trace::new`] takes it,
+    /// so the second and every later run on a thread — a seed sweep, a
+    /// pool worker, a proptest case — appends into warm capacity instead
+    /// of re-growing a multi-megabyte `Vec` from empty. One slot, replaced
+    /// only by a larger buffer; per thread, so parallel sweeps share
+    /// nothing. Contents never survive: only capacity is recycled.
+    static SPARE: RefCell<Vec<TraceEvent>> = const { RefCell::new(Vec::new()) };
+}
 
 /// What happened at one event of a process history.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,6 +77,9 @@ pub struct TraceEvent {
 /// A recorded run: the n-tuple of process histories (§2.1), flattened in
 /// simulation order (which is a linearization consistent with
 /// happens-before).
+///
+/// Dropping a trace lends the *capacity* of `events` to the next run the
+/// engine starts on the same thread; a clone owns an ordinary buffer.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Number of processes in the run.
@@ -68,11 +88,27 @@ pub struct Trace {
     pub events: Vec<TraceEvent>,
 }
 
+impl Drop for Trace {
+    /// Parks the event buffer in the thread's spare slot (see `SPARE`).
+    fn drop(&mut self) {
+        let bytes = self.events.capacity() * std::mem::size_of::<TraceEvent>();
+        // `try_with`: a trace dropped while its thread's locals are being
+        // torn down simply frees its buffer.
+        let _ = SPARE.try_with(|spare| {
+            let mut parked = spare.borrow_mut();
+            if self.events.capacity() > parked.capacity() && bytes <= SPARE_MAX_BYTES {
+                self.events.clear();
+                std::mem::swap(&mut *parked, &mut self.events);
+            }
+        });
+    }
+}
+
 impl Trace {
     pub(crate) fn new(n: usize) -> Self {
         Trace {
             n,
-            events: Vec::new(),
+            events: SPARE.take(),
         }
     }
 
@@ -107,7 +143,8 @@ impl Trace {
     pub fn to_event_log(&self) -> EventLog {
         let mut log = EventLog::new(self.n);
         let mut clocks = vec![CowClock::new(self.n); self.n];
-        let mut in_flight: HashMap<u64, Stamp> = HashMap::new();
+        // `msg_id`s are the engine's own counter: no crafted collisions.
+        let mut in_flight: IntMap<u64, Stamp> = IntMap::default();
         for ev in &self.events {
             let p = ev.pid.index();
             let clock = &mut clocks[p];
@@ -187,6 +224,43 @@ mod tests {
             msg_id,
             tag: "x",
         }
+    }
+
+    #[test]
+    fn a_dropped_trace_lends_its_cleared_buffer_to_the_next_one() {
+        // (Each test runs on its own thread: the spare starts empty.)
+        let mut big = Trace::new(2);
+        assert_eq!(big.events.capacity(), 0, "nothing parked yet");
+        big.events.resize(1_000, ev(0, TraceKind::Start));
+        let (cap, copy) = (big.events.capacity(), big.clone());
+        drop(big);
+        assert_eq!(copy.events.len(), 1_000, "a clone owns its events");
+
+        let mut small = Trace::new(3);
+        assert_eq!((small.n, small.events.len()), (3, 0), "only capacity");
+        assert_eq!(small.events.capacity(), cap);
+        small.events.push(ev(1, TraceKind::Crash));
+        drop(small);
+        // One slot, replaced only by a larger buffer: dropping an empty or
+        // a smaller trace keeps the parked one.
+        drop(Trace::default());
+        drop(Trace {
+            n: 1,
+            events: Vec::with_capacity(cap / 2),
+        });
+        assert_eq!(Trace::new(1).events.capacity(), cap);
+        drop(copy);
+    }
+
+    #[test]
+    fn a_buffer_above_the_retention_cap_goes_back_to_the_allocator() {
+        let over = SPARE_MAX_BYTES / std::mem::size_of::<TraceEvent>() + 1;
+        drop(Trace {
+            n: 1,
+            // Capacity only: the pages are never touched.
+            events: Vec::with_capacity(over),
+        });
+        assert_eq!(Trace::new(1).events.capacity(), 0, "not parked");
     }
 
     #[test]

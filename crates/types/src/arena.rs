@@ -343,6 +343,23 @@ impl<T> Arena<T> {
         }
     }
 
+    /// Visits every stored value in ascending *slot* order with the handle
+    /// it was written under, and drops those `keep` rejects. Θ(slots ever
+    /// allocated), independent of how large the occupants' ids are — the
+    /// walk a periodic scan of all per-peer state wants.
+    pub fn retain(&mut self, mut keep: impl FnMut(PeerRef, &T) -> bool) {
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let Some(s) = slot else { continue };
+            let r = PeerRef {
+                idx: PeerIdx(i as u32),
+                gen: s.gen,
+            };
+            if !keep(r, &s.value) {
+                *slot = None;
+            }
+        }
+    }
+
     /// Drops every stored value.
     pub fn clear(&mut self) {
         self.slots.clear();
@@ -407,6 +424,32 @@ mod tests {
         roster.remove(ProcessId(5));
         let pids: Vec<u32> = roster.iter().map(|(p, _)| p.0).collect();
         assert_eq!(pids, vec![0, 2, 9]);
+    }
+
+    #[test]
+    fn retain_walks_slot_order_with_the_writing_handle() {
+        let mut roster = PeerRoster::new();
+        let mut arena: Arena<u64> = Arena::new();
+        // Slot order is enrolment order, not id order; slot 1 is recycled.
+        for pid in [9u32, 2, 5] {
+            let r = roster.insert(ProcessId(pid));
+            arena.set(r, u64::from(pid));
+        }
+        let p2 = roster.remove(ProcessId(2)).expect("live");
+        arena.remove(p2);
+        let p7 = roster.insert(ProcessId(7));
+        arena.set(p7, 7);
+        let mut seen = Vec::new();
+        arena.retain(|r, v| {
+            seen.push((roster.pid_of(r), *v));
+            *v != 5
+        });
+        let pids = [9, 7, 5].map(|p| Some(ProcessId(p)));
+        assert_eq!(seen, vec![(pids[0], 9), (pids[1], 7), (pids[2], 5)]);
+        assert_eq!(arena.get(p7), Some(&7), "accepted values stay");
+        let p5 = roster.resolve(ProcessId(5)).expect("live");
+        assert_eq!(arena.get(p5), None, "rejected values are dropped");
+        assert_eq!(arena.get(p2), None);
     }
 
     #[test]

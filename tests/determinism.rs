@@ -61,7 +61,9 @@ fn different_seeds_diverge() {
 /// scan moved to a deadline min-heap. Byte-identical fingerprints (times,
 /// event kinds, Lamport and vector stamps) prove those two optimizations
 /// change how payloads are represented and leases are scanned, never a
-/// protocol-visible event.
+/// protocol-visible event. (They have since also outlived the heap: the
+/// detector is a lease scan behind a cached lower bound again, and
+/// `Stats` and the trace buffer changed representation under them.)
 #[test]
 fn traces_are_byte_identical_to_the_per_peer_clone_path() {
     // (n, seed, events, FNV-1a of the fingerprint) — from the post-bugfix,
@@ -78,12 +80,35 @@ fn traces_are_byte_identical_to_the_per_peer_clone_path() {
     }
 }
 
+/// A dropped `Sim`'s trace buffer is taken over by the next `Sim` built on
+/// the thread (capacity only — `gmp-sim`'s `trace.rs`). The golden run
+/// must not be able to tell: replayed into the buffer a *larger* run left
+/// behind, and again into its own, it records the bytes a cold process
+/// records.
+#[test]
+fn a_recycled_trace_buffer_replays_the_cold_goldens() {
+    let (events, hash) = (8044, 0xde3b_806b_eee6_1872);
+    let cold = run(5, 7);
+    assert_eq!((cold.len(), fnv1a(&cold)), (events, hash), "cold");
+    assert_eq!(run(9, 0xDEAD_BEEF).len(), 46640, "the larger run");
+    for warm in ["after a larger run", "after itself"] {
+        let mut sim = cluster(5, 7);
+        assert_eq!(sim.trace().events.len(), 0, "{warm}: starts empty");
+        sim.crash_at(ProcessId(4), 400);
+        sim.crash_at(ProcessId(1), 900);
+        sim.run_until(20_000);
+        let fp = fingerprint(sim.trace());
+        assert_eq!((fp.len(), fnv1a(&fp)), (events, hash), "{warm}");
+    }
+}
+
 /// The thread pool must be invisible in sweep output: for the golden
 /// cluster scenario (the same `(n, seed, fault schedule)` family the
 /// fingerprints above pin), `run_seeds_parallel` at every job count
 /// returns the exact `RunStats` vector of the sequential runner —
 /// including per-tag message counters, trace lengths and survivors.
-/// Worker threads race for *seeds*, never for a run's events.
+/// Worker threads race for *seeds*, never for a run's events (and each
+/// recycles only its own thread's trace buffer).
 #[test]
 fn parallel_sweep_is_byte_identical_to_sequential() {
     let build = |seed: u64| {
