@@ -234,25 +234,7 @@ fn bench_heartbeat_fanout(c: &mut Criterion) {
     group.finish();
 }
 
-/// E11 — the detector hot path on the map-backed oracle vs the
-/// index-addressed arena, by id and by stored ref (see `tables e11` for
-/// the message-level table; this measures the same schedule wall-clock).
-fn bench_arena_hot_path(c: &mut Criterion) {
-    use gmp_bench::e11_arena_hot_path;
-    let mut group = c.benchmark_group("arena_hot_path");
-    for n in [8usize, 32, 128, 512] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| {
-                let rows = e11_arena_hot_path(&[n], 64);
-                assert!(rows[0].identical, "arena diverged from the map oracle");
-                black_box(rows)
-            });
-        });
-    }
-    group.finish();
-}
-
-/// E15 — the replicated-log hot path: the unbatched per-slot baseline
+/// E15 — the replicated-log hot path: the unbatched baseline (batches of one)
 /// against batched + pipelined cells of the ladder, wall-clock for the
 /// same steady schedule (see `tables e15` for the message-level table).
 /// Batched runs commit ~4x the operations in the same horizon, so this
@@ -300,7 +282,6 @@ criterion_group! {
         bench_seed_sweep,
         bench_seed_sweep_parallel,
         bench_heartbeat_fanout,
-        bench_arena_hot_path,
         bench_log_batching
 }
 criterion_main!(benches);

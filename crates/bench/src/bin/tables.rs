@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Experiment ids follow `EXPERIMENTS.md`: t1, f1, f3, f4, f11, c71,
-//! e1..e15, a1, ab1, ab2. Anything else on the command line — an unknown
+//! e1..e10, e12..e15, a1, ab1, ab2. Anything else on the command line — an unknown
 //! id, an unknown flag, a flag without a valid value — is rejected with
 //! the valid ids on stderr and exit code 2. Flags:
 //!
@@ -20,8 +20,8 @@
 //!   `e10` is requested by name, 32 in the bare "everything" run so the
 //!   no-argument quickstart stays minutes, not hours). Output *values*
 //!   are per-seed deterministic either way; fewer seeds just samples
-//!   fewer schedules. E11 and E12 reuse the flag as a length dial:
-//!   rounds per arm for E11, heartbeat intervals per run for E12.
+//!   fewer schedules. E12 reuses the flag as a length dial: heartbeat
+//!   intervals per run.
 //! * `--shards N` — shrinks E12's swept shard ladder to `{1, N}` (the
 //!   CI smoke run uses `--seeds 8 --shards 2`); without it the ladder
 //!   is `{1, 2, 4, 8}`. Output is pinned identical at every value.
@@ -46,9 +46,9 @@ use gmp_props::{analyze, check_safety};
 use std::num::NonZeroUsize;
 
 /// Every section id, in print order.
-const IDS: [&str; 24] = [
+const IDS: [&str; 23] = [
     "t1", "f1", "f3", "f4", "f11", "c71", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9",
-    "e10", "e11", "e12", "e13", "e14", "e15", "a1", "ab1", "ab2",
+    "e10", "e12", "e13", "e14", "e15", "a1", "ab1", "ab2",
 ];
 
 /// Rejects a malformed command line: a mistyped CI step must fail, not
@@ -418,34 +418,6 @@ fn main() {
         println!("(runs are independent: speedup tracks min(jobs, cores); output never moves)\n");
     }
 
-    if want("e11") {
-        // --seeds scales the rounds driven through each arm (the CI smoke
-        // run uses 16); outcomes are pinned identical at any length.
-        let rounds = 256 * seeds_flag.unwrap_or(64);
-        let ns = [8usize, 32, 128, 512];
-        println!("== E11: arena vs map detector hot path — index-addressed peer state ==");
-        println!("({rounds} heartbeat rounds per arm; identical = same suspicions/tracking)\n");
-        println!(
-            "{:<6} {:<10} {:<12} {:<14} {:<14} {:<9} {:<9} identical",
-            "n", "rounds", "map wall", "arena (by id)", "arena (by ref)", "spd(id)", "spd(ref)"
-        );
-        let rows = e11_arena_hot_path(&ns, rounds);
-        for r in &rows {
-            println!(
-                "{:<6} {:<10} {:<12} {:<14} {:<14} {:<9} {:<9} {}",
-                r.n,
-                r.rounds,
-                format!("{:.2}ms", r.map_wall.as_secs_f64() * 1e3),
-                format!("{:.2}ms", r.arena_wall.as_secs_f64() * 1e3),
-                format!("{:.2}ms", r.arena_ref_wall.as_secs_f64() * 1e3),
-                format!("{:.2}x", r.speedup),
-                format!("{:.2}x", r.speedup_ref),
-                r.identical
-            );
-        }
-        println!();
-    }
-
     if want("e12") {
         // Full scale (n up to 1024, shard ladder {1, 2, 4, 8}) only when
         // e12 is asked for by name; the bare "everything" invocation gets
@@ -509,7 +481,7 @@ fn main() {
         println!("== E13: monitoring topologies — message load and exclusion latency vs n ==");
         println!(
             "(one exclusion per cell, {seeds} seeds; flat = the paper's clique, \
-             sparse = 4-regular ring, hier = groups of ceil(sqrt n) + leader overlay;\n \
+             sparse = 4-regular ring;\n \
              identical = every seed reaches the same final membership as the first \
              topology of that n; the clique stops at n = 1024 — its n = 4096 cell is \
              117 M events per seed)\n"
@@ -615,7 +587,7 @@ fn main() {
         println!(
             "(steady schedule, 5 replicas; batch = max commands the leader coalesces per \
              AcceptBatch,\n window = requests each client keeps in flight; cell (1,1) is the \
-             unbatched per-slot baseline;\n msgs/op counts log-layer wire messages per committed \
+             unbatched baseline (batches of one);\n msgs/op counts log-layer wire messages per committed \
              operation; {seeds} seeds per cell,\n each run sequential AND sharded)\n"
         );
         println!(
@@ -647,7 +619,7 @@ fn main() {
             );
         }
         println!(
-            "(per command the per-slot path costs 3(n-1)+2 messages; a full batch of B \
+            "(per command a batch of one costs 3(n-1)+2 messages; a full batch of B \
              amortizes the\n quorum round to 3(n-1)/B + 2 — pipelining lifts throughput, \
              batching cuts msgs/op)"
         );

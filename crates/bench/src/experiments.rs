@@ -10,8 +10,8 @@
 
 use gmp_baselines::{SymMsg, SymmetricMember};
 use gmp_core::{
-    cluster_with, is_protocol_tag, ClusterBuilder, Config, Flat, Hierarchical, JoinConfig, Member,
-    Msg, Sparse, Topology,
+    cluster_with, is_protocol_tag, ClusterBuilder, Config, Flat, JoinConfig, Member, Msg, Sparse,
+    Topology,
 };
 use gmp_log::{
     logs_agree, prefix_identical, AppMsg, LogClusterBuilder, LogCmd, LogConfig, LogProc,
@@ -858,184 +858,6 @@ pub fn e10_parallel_scaling(
 }
 
 // ---------------------------------------------------------------------
-// E11 — arena vs map detector hot path: index-addressed peer state
-// ---------------------------------------------------------------------
-
-/// One row of the E11 arena-hot-path table: the same detector schedule
-/// timed on the map-backed oracle and the arena-backed implementation.
-#[derive(Clone, Debug)]
-pub struct ArenaRow {
-    /// Tracked peers (working-set size).
-    pub n: usize,
-    /// Heartbeat rounds driven through each arm.
-    pub rounds: u64,
-    /// Wall-clock of the `MapDetector` (pre-arena oracle) arm.
-    pub map_wall: Duration,
-    /// Wall-clock of the arena-backed `HeartbeatDetector` arm, addressed
-    /// by `ProcessId` (pays the roster resolve on every life sign).
-    pub arena_wall: Duration,
-    /// Wall-clock of the arena arm addressed by stored [`gmp_types::PeerRef`]s (the
-    /// owner keeps handles; every life sign is one generation-checked
-    /// array access).
-    pub arena_ref_wall: Duration,
-    /// `map_wall / arena_wall` — > 1 means the arena is faster.
-    pub speedup: f64,
-    /// `map_wall / arena_ref_wall` for the ref-addressed arm.
-    pub speedup_ref: f64,
-    /// Whether both arms produced the identical suspicion/tracking
-    /// outcome. Must always be `true` (the proptests in `gmp-props` pin
-    /// the same equivalence under adversarial schedules).
-    pub identical: bool,
-}
-
-/// Drives one synthetic steady-state schedule — every live peer heard
-/// every round, one lease scan per round, plus a slow forget-and-track
-/// churn so slot reuse is exercised — through a detector, returning an
-/// outcome checksum.
-fn arena_hot_path_schedule<D>(
-    n: usize,
-    rounds: u64,
-    mut heard: impl FnMut(&mut D, ProcessId, u64),
-    mut tick: impl FnMut(&mut D, u64) -> Vec<ProcessId>,
-    mut track: impl FnMut(&mut D, ProcessId, u64),
-    mut forget: impl FnMut(&mut D, ProcessId),
-    d: &mut D,
-) -> u64 {
-    let hb = 40u64;
-    let mut live: std::collections::VecDeque<u32> = (0..n as u32).collect();
-    let mut next_id = n as u32;
-    let mut checksum = 0u64;
-    for p in live.iter() {
-        track(d, ProcessId(*p), 0);
-    }
-    for r in 1..=rounds {
-        let now = r * hb;
-        for &p in live.iter() {
-            heard(d, ProcessId(p), now);
-        }
-        for s in tick(d, now) {
-            checksum = checksum.wrapping_mul(31).wrapping_add(u64::from(s.0) + 1);
-        }
-        // Churn one peer every 16 rounds: the oldest id is forgotten (its
-        // slot tombstones) and a fresh id takes its place (the slot is
-        // reused under a bumped generation).
-        if r % 16 == 0 {
-            if let Some(old) = live.pop_front() {
-                forget(d, ProcessId(old));
-                track(d, ProcessId(next_id), now);
-                live.push_back(next_id);
-                next_id += 1;
-            }
-        }
-    }
-    checksum.wrapping_add(next_id.into())
-}
-
-/// The same schedule as [`arena_hot_path_schedule`], but the driver holds
-/// each tracked peer's [`gmp_types::PeerRef`] and reports life signs
-/// through [`HeartbeatDetector::heard_from_ref`] — the pattern an owner
-/// that already resolves peers once per view change would use. Every life
-/// sign is a generation-checked array access; no per-beat id lookup.
-fn arena_ref_hot_path_schedule(
-    n: usize,
-    rounds: u64,
-    d: &mut gmp_detect::HeartbeatDetector,
-) -> u64 {
-    let hb = 40u64;
-    let mut live: std::collections::VecDeque<(u32, gmp_types::PeerRef)> = (0..n as u32)
-        .map(|p| {
-            d.track(ProcessId(p), 0);
-            (p, d.resolve(ProcessId(p)).expect("just tracked"))
-        })
-        .collect();
-    let mut next_id = n as u32;
-    let mut checksum = 0u64;
-    for r in 1..=rounds {
-        let now = r * hb;
-        for &(_, pr) in live.iter() {
-            d.heard_from_ref(pr, now);
-        }
-        for s in d.tick(now) {
-            checksum = checksum.wrapping_mul(31).wrapping_add(u64::from(s.0) + 1);
-        }
-        if r % 16 == 0 {
-            if let Some((old, _)) = live.pop_front() {
-                d.forget(ProcessId(old));
-                d.track(ProcessId(next_id), now);
-                let pr = d.resolve(ProcessId(next_id)).expect("just tracked");
-                live.push_back((next_id, pr));
-                next_id += 1;
-            }
-        }
-    }
-    checksum.wrapping_add(next_id.into())
-}
-
-/// Times the detector hot path (heard_from × n + lease scan per round,
-/// with slot-reuse churn) on the map-backed oracle vs the arena-backed
-/// detector, at each working-set size in `ns`.
-///
-/// `rounds` scales runtime linearly; the *outcome* of each arm is pinned
-/// identical regardless.
-///
-/// ```
-/// use gmp_bench::e11_arena_hot_path;
-///
-/// let rows = e11_arena_hot_path(&[8], 256);
-/// assert!(rows[0].identical, "arena diverged from the map oracle");
-/// ```
-pub fn e11_arena_hot_path(ns: &[usize], rounds: u64) -> Vec<ArenaRow> {
-    use gmp_detect::{HeartbeatDetector, MapDetector};
-    let suspect_after = 200u64;
-    ns.iter()
-        .map(|&n| {
-            let mut map = MapDetector::new(suspect_after);
-            let start = Instant::now();
-            let map_sum = arena_hot_path_schedule(
-                n,
-                rounds,
-                |d: &mut MapDetector, p, t| d.heard_from(p, t),
-                |d, t| d.tick(t),
-                |d, p, t| d.track(p, t),
-                |d, p| d.forget(p),
-                &mut map,
-            );
-            let map_wall = start.elapsed();
-
-            let mut arena = HeartbeatDetector::new(suspect_after);
-            let start = Instant::now();
-            let arena_sum = arena_hot_path_schedule(
-                n,
-                rounds,
-                |d: &mut HeartbeatDetector, p, t| d.heard_from(p, t),
-                |d, t| d.tick(t),
-                |d, p, t| d.track(p, t),
-                |d, p| d.forget(p),
-                &mut arena,
-            );
-            let arena_wall = start.elapsed();
-
-            let mut arena_ref = HeartbeatDetector::new(suspect_after);
-            let start = Instant::now();
-            let ref_sum = arena_ref_hot_path_schedule(n, rounds, &mut arena_ref);
-            let arena_ref_wall = start.elapsed();
-
-            ArenaRow {
-                n,
-                rounds,
-                map_wall,
-                arena_wall,
-                arena_ref_wall,
-                speedup: map_wall.as_secs_f64() / arena_wall.as_secs_f64().max(f64::EPSILON),
-                speedup_ref: map_wall.as_secs_f64()
-                    / arena_ref_wall.as_secs_f64().max(f64::EPSILON),
-                identical: map_sum == arena_sum && map_sum == ref_sum,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
 // E12 — intra-run sharding: wall-clock vs shard count at large n, with
 // per-row output equality against the sequential engine
 // ---------------------------------------------------------------------
@@ -1208,7 +1030,7 @@ pub fn e12_shard_scaling(
 
 // ---------------------------------------------------------------------
 // E13 — monitoring topologies: message load and exclusion latency vs n
-// for the flat clique, the sparse ring and the two-level hierarchy
+// for the flat clique and the sparse ring
 // ---------------------------------------------------------------------
 
 /// One (topology, n) cell of E13's monitoring-graph sweep.
@@ -1216,16 +1038,15 @@ pub fn e12_shard_scaling(
 pub struct TopologyRow {
     /// Group size.
     pub n: usize,
-    /// Topology label: `"flat"` (the paper's clique), `"sparse"`
-    /// ([`Sparse`] with k = 4) or `"hier"` ([`Hierarchical`] with groups
-    /// of ⌈√n⌉).
+    /// Topology label: `"flat"` (the paper's clique) or `"sparse"`
+    /// ([`Sparse`] with k = 4).
     pub topology: &'static str,
     /// Seeds sampled for this cell; every per-seed value is deterministic
     /// in `(n, seed, topology)`.
     pub seeds: u64,
     /// Directed monitoring edges of the initial view — the per-interval
-    /// heartbeat load this topology buys: `n(n−1)` for the clique,
-    /// `k·n` for the ring, `≈ n·(g−1) + g·(g−1)` for the hierarchy.
+    /// heartbeat load this topology buys: `n(n−1)` for the clique, `k·n`
+    /// for the ring.
     pub degree_sum: u64,
     /// Events the seed-0 run recorded (representative: other seeds differ
     /// only in delivery jitter).
@@ -1245,22 +1066,20 @@ pub struct TopologyRow {
     pub identical: bool,
 }
 
-/// The three monitoring graphs E13 compares at size `n`.
-fn e13_topologies(n: usize) -> Vec<(&'static str, Arc<dyn Topology>)> {
-    let group = ((n as f64).sqrt().ceil() as usize).max(2);
-    vec![
-        ("flat", Arc::new(Flat) as Arc<dyn Topology>),
+/// The monitoring graphs E13 compares.
+fn e13_topologies() -> [(&'static str, Arc<dyn Topology>); 2] {
+    [
+        ("flat", Arc::new(Flat)),
         ("sparse", Arc::new(Sparse::new(4))),
-        ("hier", Arc::new(Hierarchical::new(group))),
     ]
 }
 
 /// E13's per-cell scenario: the E12 coarse-timing exclusion arc (crash at
 /// t = 10 before the first heartbeat, suspicion at the survivors' t = 200
 /// tick, commit by ~250 — see [`shard_sweep_run`]) under the given
-/// monitoring graph, run for four heartbeat intervals. The victim `p(n−1)` is the most junior member: a
-/// ring edge-member and a non-leader of the hierarchy's last group, so
-/// the sparse and hierarchical cells genuinely exercise relay.
+/// monitoring graph, run for four heartbeat intervals. The victim `p(n−1)`
+/// is the most junior member, a ring edge-member, so the sparse cells
+/// genuinely exercise relay.
 fn e13_run(n: usize, seed: u64, topology: &Arc<dyn Topology>) -> Sim<Msg, Member> {
     let cfg = Config::builder()
         .timing(100, 150)
@@ -1311,8 +1130,8 @@ fn e13_latency(sim: &Sim<Msg, Member>) -> f64 {
 /// headline.
 const E13_MAX_EDGES: u64 = 2_000_000;
 
-/// Sweeps one exclusion per `(topology, n, seed)` across the three
-/// monitoring graphs of `e13_topologies`, measuring message load and
+/// Sweeps one exclusion per `(topology, n, seed)` across the monitoring
+/// graphs of `e13_topologies`, measuring message load and
 /// exclusion latency and pinning — per seed — that every topology
 /// reaches the *same final membership* as the first topology of that `n`
 /// ([`TopologyRow::identical`]; `tables e13` turns it into a hard
@@ -1322,7 +1141,7 @@ const E13_MAX_EDGES: u64 = 2_000_000;
 /// use gmp_bench::e13_topology_sweep;
 ///
 /// let rows = e13_topology_sweep(&[8], 2);
-/// assert_eq!(rows.len(), 3);
+/// assert_eq!(rows.len(), 2);
 /// assert!(rows.iter().all(|r| r.identical), "topologies must agree");
 /// ```
 pub fn e13_topology_sweep(ns: &[usize], seeds: u64) -> Vec<TopologyRow> {
@@ -1332,7 +1151,7 @@ pub fn e13_topology_sweep(ns: &[usize], seeds: u64) -> Vec<TopologyRow> {
         let victim = ProcessId(n as u32 - 1);
         let view = View::new((0..n as u32).map(ProcessId).collect());
         let mut reference: Vec<Option<MembershipOutcome>> = vec![None; seeds as usize];
-        for (name, topo) in e13_topologies(n) {
+        for (name, topo) in e13_topologies() {
             let degree_sum: u64 = view
                 .iter()
                 .map(|p| topo.monitors(p, &view).len() as u64)
@@ -1554,8 +1373,9 @@ pub fn e14_replicated_log_with(
     window: Option<usize>,
 ) -> Vec<LogRow> {
     let seeds = seeds.max(1);
-    // The default E14 arm is the PR-9 baseline: per-slot wire messages,
-    // strict closed loop, no compaction. The batching ladder is E15's.
+    // The default E14 arm is the PR-9 baseline: batches of one (PR 9's
+    // per-slot traffic), strict closed loop, no compaction. The batching
+    // ladder is E15's.
     let lc = LogConfig::default()
         .unbatched()
         .batch(batch.unwrap_or(1))
@@ -1613,7 +1433,7 @@ pub fn e14_replicated_log_with(
 /// One `(batch, window)` cell of E15's ladder, aggregated over seeds.
 #[derive(Clone, Debug)]
 pub struct BatchRow {
-    /// Leader batch size (1 = the per-slot legacy wire path).
+    /// Leader batch size (1 = batches of one, proposed on arrival).
     pub batch: usize,
     /// Client pipeline window (1 = strict closed loop).
     pub window: usize,
@@ -2027,15 +1847,6 @@ mod tests {
     }
 
     #[test]
-    fn e11_arms_agree_and_time() {
-        for row in e11_arena_hot_path(&[8, 32], 128) {
-            assert!(row.identical, "n={}: arena diverged from oracle", row.n);
-            assert!(row.map_wall.as_nanos() > 0 && row.arena_wall.as_nanos() > 0);
-            assert!(row.speedup > 0.0);
-        }
-    }
-
-    #[test]
     fn e12_pins_output_equality_while_it_times() {
         let rows = e12_shard_scaling(&[8, 16], &[1, 2, 4], 8, 0);
         assert_eq!(rows.len(), 6);
@@ -2071,7 +1882,7 @@ mod tests {
     #[test]
     fn e13_every_topology_reaches_the_same_membership() {
         let rows = e13_topology_sweep(&[8, 16], 2);
-        assert_eq!(rows.len(), 6, "two sizes x three topologies");
+        assert_eq!(rows.len(), 4, "two sizes x two topologies");
         assert!(
             rows.iter().all(|r| r.identical),
             "per-seed final membership must not depend on the topology"
@@ -2080,14 +1891,7 @@ mod tests {
         let labels: Vec<(usize, &str)> = rows.iter().map(|r| (r.n, r.topology)).collect();
         assert_eq!(
             labels,
-            [
-                (8, "flat"),
-                (8, "sparse"),
-                (8, "hier"),
-                (16, "flat"),
-                (16, "sparse"),
-                (16, "hier")
-            ]
+            [(8, "flat"), (8, "sparse"), (16, "flat"), (16, "sparse")]
         );
     }
 
@@ -2102,9 +1906,6 @@ mod tests {
         };
         assert_eq!(deg("flat"), 16 * 15, "clique: n(n-1) directed edges");
         assert_eq!(deg("sparse"), 16 * 4, "4-regular ring: 4n directed edges");
-        // Groups of ceil(sqrt(16)) = 4: every member monitors its 3 group
-        // peers; the 4 leaders each monitor the 3 other leaders.
-        assert_eq!(deg("hier"), 16 * 3 + 4 * 3);
     }
 
     #[test]
@@ -2112,11 +1913,10 @@ mod tests {
         let rows = e13_topology_sweep(&[32], 1);
         let msgs = |label: &str| rows.iter().find(|r| r.topology == label).unwrap().messages;
         assert!(
-            msgs("sparse") < msgs("flat") && msgs("hier") < msgs("flat"),
-            "sparse and hierarchical monitoring must send fewer messages \
-             than the clique at n = 32 (sparse {} / hier {} / flat {})",
+            msgs("sparse") < msgs("flat"),
+            "sparse monitoring must send fewer messages than the clique at \
+             n = 32 (sparse {} / flat {})",
             msgs("sparse"),
-            msgs("hier"),
             msgs("flat")
         );
     }

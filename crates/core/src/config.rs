@@ -57,7 +57,7 @@ pub struct Config {
     /// The monitoring graph: who this member heartbeats (and carries
     /// digests to). Recomputed against the view on every view install.
     /// Defaults to the paper's clique ([`Flat`]); see
-    /// [`crate::topology`] for the sparse and hierarchical graphs. All
+    /// [`crate::topology`] for the sparse ring. All
     /// members of a cluster must share one topology (the symmetry contract
     /// is between *peers*), which `ClusterBuilder` guarantees by cloning
     /// the config.

@@ -55,4 +55,4 @@ pub use decide::{determine, get_stable, proposals_for_ver, Decision, PhaseOneRes
 pub use event::MemberEvent;
 pub use member::{Lifecycle, Member};
 pub use msg::{is_protocol_tag, HeartbeatDigest, Msg, PROTOCOL_TAGS};
-pub use topology::{Flat, Hierarchical, Sparse, Topology};
+pub use topology::{Flat, Sparse, Topology};

@@ -127,67 +127,6 @@ impl Topology for Sparse {
     }
 }
 
-/// Two-level hierarchy: local groups run the paper's protocol among
-/// themselves, group leaders form a top-level overlay.
-///
-/// The view's seniority order is partitioned into consecutive groups of
-/// `group` members; the most senior member of each group is its *leader*.
-/// A member monitors its group peers; a leader additionally monitors the
-/// other leaders. Heartbeat load is Θ(n·g + (n/g)²) per interval —
-/// minimized around `g ≈ √n` — instead of Θ(n²).
-///
-/// GMP events *escalate* across levels without any new message type:
-/// an intra-group F1 detection is reported point-to-point to the global
-/// `Mgr` exactly as in the flat protocol (reports were never broadcast),
-/// and the resulting commit is a global broadcast, so every group installs
-/// the same view. Suspicions travel *between* groups along the leader
-/// overlay via digest relay: group → leader → other leaders → their
-/// groups. If an entire group (leader included) crashes, the leader
-/// overlay detects the leader first; its exclusion shifts the seniority
-/// ranks, the next view install re-partitions the groups, and the
-/// re-grouped survivors monitor (and then exclude) the remaining victims —
-/// a cascade, each step driven by ordinary F1 detection.
-///
-/// `group ≥ n` degenerates to [`Flat`].
-#[derive(Clone, Copy, Debug)]
-pub struct Hierarchical {
-    /// Members per local group (the last group may be smaller).
-    pub group: usize,
-}
-
-impl Hierarchical {
-    /// A hierarchy of local groups of `group` members.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group < 2`: singleton groups monitor nothing locally,
-    /// which disconnects every non-leader.
-    pub fn new(group: usize) -> Self {
-        assert!(group >= 2, "hierarchical groups need at least 2 members");
-        Hierarchical { group }
-    }
-}
-
-impl Topology for Hierarchical {
-    fn monitors(&self, me: ProcessId, view: &View) -> Vec<ProcessId> {
-        let n = view.len();
-        let Some(i) = view.index_of(me) else {
-            return Vec::new();
-        };
-        let g = self.group;
-        if g >= n {
-            return view.iter().filter(|&p| p != me).collect();
-        }
-        let my_group = i / g;
-        let is_leader = i % g == 0;
-        view.iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i && (j / g == my_group || (is_leader && j % g == 0)))
-            .map(|(_, p)| p)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,55 +218,15 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_groups_and_leader_overlay() {
-        let v = view(9);
-        let t = Hierarchical::new(3);
-        check_contract(&t, &v);
-        // Non-leader p4 (group 1: indices 3,4,5) monitors its group peers.
-        assert_eq!(t.monitors(ProcessId(4), &v), [3, 5].map(ProcessId).to_vec());
-        // Leader p3 also monitors the other leaders (indices 0 and 6).
-        assert_eq!(
-            t.monitors(ProcessId(3), &v),
-            [0, 4, 5, 6].map(ProcessId).to_vec()
-        );
-    }
-
-    #[test]
-    fn hierarchical_handles_a_ragged_last_group() {
-        let v = view(7); // groups {0,1,2}, {3,4,5}, {6}
-        let t = Hierarchical::new(3);
-        check_contract(&t, &v);
-        // p6 is a singleton group's leader: only the leader overlay links it.
-        assert_eq!(t.monitors(ProcessId(6), &v), [0, 3].map(ProcessId).to_vec());
-    }
-
-    #[test]
-    fn hierarchical_degenerates_to_flat_on_small_views() {
-        let v = view(4);
-        let t = Hierarchical::new(5);
-        check_contract(&t, &v);
-        for p in v.iter() {
-            assert_eq!(t.monitors(p, &v), Flat.monitors(p, &v));
-        }
-    }
-
-    #[test]
     fn strangers_monitor_no_one() {
         let v = view(5);
         let outsider = ProcessId(99);
         assert!(Sparse::new(2).monitors(outsider, &v).is_empty());
-        assert!(Hierarchical::new(2).monitors(outsider, &v).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "k >= 2")]
     fn degree_one_rings_are_rejected() {
         let _ = Sparse::new(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2")]
-    fn singleton_groups_are_rejected() {
-        let _ = Hierarchical::new(1);
     }
 }

@@ -26,8 +26,7 @@
 //! lower bound says nothing can be due. The retired map-and-heap
 //! implementation survives as [`reference::MapDetector`] — a different
 //! algorithm, hence an independent behavioral oracle for the equivalence
-//! proptests in `gmp-props` — and as the baseline arm of the
-//! `arena_hot_path` benchmarks.
+//! proptests in `gmp-props`.
 
 use gmp_types::{Arena, PeerRef, PeerRoster, ProcessId};
 use std::collections::BTreeSet;

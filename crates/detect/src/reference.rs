@@ -3,15 +3,12 @@
 //! [`MapDetector`] is the exact pre-arena implementation of
 //! [`HeartbeatDetector`](crate::HeartbeatDetector): per-peer leases in a
 //! `BTreeMap<ProcessId, u64>` and heap entries keyed by `ProcessId`, with
-//! the same lazy-deletion discipline. It exists for two jobs:
-//!
-//! * the **equivalence proptests** in `gmp-props` drive identical schedules
-//!   of track / heard_from / suspect / forget / tick through both
-//!   implementations and assert identical suspicions, identical expiry
-//!   instants and identical tracked sets — the arena migration is pinned
-//!   behaviorally, not just by golden fingerprints;
-//! * the **`arena_hot_path` benchmarks** (`tables e11`, Criterion group)
-//!   use it as the map-backed arm of the map-vs-arena comparison.
+//! the same lazy-deletion discipline. It exists for the **equivalence
+//! proptests** in `gmp-props`, which drive identical schedules of track /
+//! heard_from / suspect / forget / tick through both implementations and
+//! assert identical suspicions, identical expiry instants and identical
+//! tracked sets — the arena migration is pinned behaviorally, not just by
+//! golden fingerprints.
 //!
 //! It is deliberately frozen: bugfixes that change *behavior* must land in
 //! both implementations or the proptests will say so.

@@ -1,8 +1,8 @@
 //! The workload generator: a closed-loop client outside the group.
 //!
 //! Each client keeps a bounded *pipeline window* of requests in flight
-//! (`window = 1` reproduces the strict one-at-a-time loop of the unbatched
-//! baseline). Every `request_every` ticks it tops the window back up with
+//! (`window = 1` is the strict one-at-a-time loop of the unbatched
+//! preset). Every `request_every` ticks it tops the window back up with
 //! fresh commands; an unacknowledged command is re-sent after
 //! `retry_after` ticks — periodically to the *whole* replica set, which is
 //! how a client whose leader died (together with the `Redirect` hints of

@@ -24,8 +24,9 @@ pub struct LogConfig {
     /// Leader pipelining: max concurrently proposed slots before client
     /// commands queue.
     pub max_inflight: usize,
-    /// Leader batching: max commands per `AcceptBatch`. 1 selects the
-    /// per-slot legacy wire path, bit-identical to the PR-9 baseline.
+    /// Leader batching: max commands per `AcceptBatch`. At 1 there is
+    /// nothing to coalesce: each command is proposed as a batch of one
+    /// without waiting for the flush tick.
     pub batch: usize,
     /// Client pipeline window: requests each client keeps in flight.
     /// 1 reproduces the strict closed loop of the unbatched baseline.
@@ -70,7 +71,8 @@ impl LogConfig {
         self
     }
 
-    /// Sets the leader's max batch size (1 = unbatched legacy path).
+    /// Sets the leader's max batch size (1 = batches of one, no flush
+    /// timer).
     pub fn batch(mut self, batch: usize) -> Self {
         assert!(batch >= 1, "a batch carries at least one command");
         self.batch = batch;
@@ -91,8 +93,8 @@ impl LogConfig {
         self
     }
 
-    /// The unbatched, uncompacted PR-9 baseline trim: per-slot wire
-    /// messages, one request in flight per client, full history retained.
+    /// The unbatched, uncompacted preset: batches of one, one request in
+    /// flight per client, full history retained — PR 9's baseline traffic.
     pub fn unbatched(self) -> Self {
         self.batch(1).window(1).compact_keep(usize::MAX)
     }

@@ -12,17 +12,17 @@
 //! * **reconfiguration** — view installs *are* the configuration changes;
 //!   [`MemberEvent`](gmp_core::MemberEvent)s deliver them to the log.
 //!
-//! What remains is the steady-state phase 2 — per-slot
-//! (`Accept`/`AcceptOk`/`Decide`) with batching off, per-range
-//! (`AcceptBatch`/`AcceptOkRange`/`DecideBatch`) with batching on — the
-//! new-leader recovery round, and joiner state transfer (snapshot + tail
-//! once compaction has passed the joiner's prefix) — see
-//! [`ReplicatedLog`]. Everything is sans-IO and runs inside [`gmp_sim`]'s
-//! deterministic engines, sequential or sharded. Batch size, client
-//! pipeline window and the compaction budget are [`LogConfig`] knobs;
-//! `LogConfig::default()` is the batched trim and
-//! [`LogConfig::unbatched`](cluster::LogConfig::unbatched) restores the
-//! PR-9 baseline bit-for-bit.
+//! What remains is the steady-state phase 2 — one per-range path
+//! (`AcceptBatch`/`AcceptOkRange`/`DecideBatch`), a single command being a
+//! range of one — the new-leader recovery round, and joiner state
+//! transfer (snapshot + tail once compaction has passed the joiner's
+//! prefix) — see [`ReplicatedLog`]. Everything is sans-IO and runs inside
+//! [`gmp_sim`]'s deterministic engines, sequential or sharded. Batch size,
+//! client pipeline window and the compaction budget are [`LogConfig`]
+//! knobs; `LogConfig::default()` is the batched trim and
+//! [`LogConfig::unbatched`](cluster::LogConfig::unbatched) is the batch-1,
+//! window-1, uncompacted preset, whose traffic matches PR 9's per-slot
+//! baseline message for message.
 //!
 //! # Quickstart
 //!

@@ -57,11 +57,11 @@ pub struct Snapshot {
 ///
 /// Ballots are GMP view versions: monotone, agreed, and free — the
 /// membership layer already paid for the agreement. The steady state is
-/// phase-2-only multipaxos; with batching off it runs per-slot
-/// (`Accept`/`AcceptOk`/`Decide`), with batching on the same phase runs
-/// per *range* (`AcceptBatch`/`AcceptOkRange`/`DecideBatch`) so the
-/// message cost per command is amortized by the batch size. Phase 1
-/// exists as the `Recover` round a new leader runs after a view install.
+/// phase-2-only multipaxos, run per *range* of slots
+/// (`AcceptBatch`/`AcceptOkRange`/`DecideBatch`) so the message cost per
+/// command is amortized by the batch size; a single command is a range of
+/// one. Phase 1 exists as the `Recover` round a new leader runs after a
+/// view install.
 #[derive(Clone, Debug)]
 pub enum LogMsg {
     /// Client → leader: append `cmd` to the log.
@@ -81,34 +81,9 @@ pub enum LogMsg {
         /// The log position the command occupies.
         slot: u64,
     },
-    /// Leader → acceptors: accept `cmd` in `slot` at `ballot`.
-    Accept {
-        /// The proposing leader's ballot (its view version).
-        ballot: Ver,
-        /// Log position.
-        slot: u64,
-        /// Proposed command.
-        cmd: LogCmd,
-    },
-    /// Acceptor → leader: accepted.
-    AcceptOk {
-        /// Echo of the accept's ballot.
-        ballot: Ver,
-        /// Echo of the accept's slot.
-        slot: u64,
-    },
-    /// Leader → replicas: `slot` is decided (majority-accepted).
-    Decide {
-        /// Ballot under which the slot was decided.
-        ballot: Ver,
-        /// Log position.
-        slot: u64,
-        /// The decided command.
-        cmd: LogCmd,
-    },
     /// Leader → acceptors: accept `cmds` into the contiguous slot range
-    /// starting at `first_slot`, at `ballot`. One message replaces
-    /// `cmds.len()` individual `Accept`s — the batched hot path.
+    /// starting at `first_slot`, at `ballot`. A batch of one is how a
+    /// single command is proposed.
     AcceptBatch {
         /// The proposing leader's ballot (its view version).
         ballot: Ver,
@@ -129,8 +104,7 @@ pub enum LogMsg {
         count: u64,
     },
     /// Leader → replicas: the contiguous range starting at `first_slot`
-    /// is decided. One message replaces `cmds.len()` individual
-    /// `Decide`s.
+    /// is decided (majority-accepted).
     DecideBatch {
         /// Ballot under which the range was decided.
         ballot: Ver,
@@ -193,9 +167,6 @@ impl Message for LogMsg {
             LogMsg::Request { .. } => "log-request",
             LogMsg::Redirect { .. } => "log-redirect",
             LogMsg::Reply { .. } => "log-reply",
-            LogMsg::Accept { .. } => "log-accept",
-            LogMsg::AcceptOk { .. } => "log-accept-ok",
-            LogMsg::Decide { .. } => "log-decide",
             LogMsg::AcceptBatch { .. } => "log-accept-batch",
             LogMsg::AcceptOkRange { .. } => "log-accept-ok-range",
             LogMsg::DecideBatch { .. } => "log-decide-batch",

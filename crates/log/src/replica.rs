@@ -39,18 +39,19 @@
 //!
 //! # Batching and pipelining
 //!
-//! With `batch_max == 1` the hot path is PR-9's per-slot
-//! `Accept`/`AcceptOk`/`Decide` — kept bit-for-bit as the unbatched
-//! baseline. With `batch_max > 1` the leader coalesces every command that
-//! arrives within a tick (the hosting node arms a 1-tick [`LOG_FLUSH`]
-//! timer on the first admission) and proposes up to `batch_max` of them in
-//! one `AcceptBatch`; acceptors ack the whole range in one
-//! `AcceptOkRange`, and decisions ship as `DecideBatch` runs. Message
-//! cost per command drops from `3(n-1) + 2` to `3(n-1)/B + 2` for batch
-//! size `B`, and a batch's commands are allocated once and shared by the
-//! copies sent to every peer. Decide-path refills re-propose straight
-//! from the queue (no extra flush tick), so a saturated pipeline stays
-//! saturated.
+//! Phase 2 has one wire path: the leader proposes up to `batch_max`
+//! queued commands in one `AcceptBatch`, acceptors ack the whole range in
+//! one `AcceptOkRange`, and decisions ship as `DecideBatch` runs. A batch
+//! of one is the per-command case, not a separate protocol. The one
+//! size-dependent policy is *when* to propose: with `batch_max > 1` the
+//! leader coalesces every command that arrives within a tick (the hosting
+//! node arms a 1-tick [`LOG_FLUSH`] timer on the first admission), with
+//! `batch_max == 1` there is nothing to coalesce and it proposes in the
+//! call that admitted the command. Message cost per command drops from
+//! `3(n-1) + 2` to `3(n-1)/B + 2` for batch size `B`, and a batch's
+//! commands are allocated once and shared by the copies sent to every
+//! peer. Decide-path refills re-propose straight from the queue (no extra
+//! flush tick), so a saturated pipeline stays saturated.
 //!
 //! # Compaction
 //!
@@ -156,6 +157,12 @@ struct Entry {
     decided: bool,
 }
 
+/// The slots `[first, first + len)` a range message names; `None` when the
+/// end overflows, and the message is then ignored whole.
+fn slot_range(first: u64, len: usize) -> Option<std::ops::Range<u64>> {
+    Some(first..first.checked_add(len as u64)?)
+}
+
 /// The per-process replicated-log state machine. Embed one next to a
 /// [`Member`](gmp_core::Member) (the [`Replica`](crate::Replica) node does
 /// this) and feed it the member's drained events plus incoming [`LogMsg`]s.
@@ -201,8 +208,8 @@ pub struct ReplicatedLog {
     lead: Option<LeaderState>,
     /// Max in-flight slots before client commands wait in the queue.
     max_inflight: usize,
-    /// Max commands per `AcceptBatch`; 1 selects the per-slot legacy wire
-    /// path (bit-identical to the unbatched baseline, no flush timer).
+    /// Max commands per `AcceptBatch`; at 1 requests are proposed on
+    /// arrival instead of waiting for a flush timer.
     batch_max: usize,
     /// Applied suffix length that triggers compaction (`usize::MAX`
     /// disables it; compaction runs when `logical_len - floor > 2·keep`).
@@ -225,16 +232,10 @@ pub struct ReplicatedLog {
 }
 
 impl ReplicatedLog {
-    /// A blank log in legacy (unbatched, uncompacted) trim: per-slot wire
-    /// messages, full history retained. `max_inflight` caps concurrently
-    /// proposed slots (≥ 1).
-    pub fn new(max_inflight: usize) -> Self {
-        Self::with_tuning(max_inflight, 1, usize::MAX)
-    }
-
-    /// A blank log with the full perf trim: `batch_max` commands per
-    /// `AcceptBatch` (1 = legacy per-slot path) and compaction keeping
-    /// `compact_keep` applied slots of hot state (`usize::MAX` = off).
+    /// A blank log: `max_inflight` caps concurrently proposed slots,
+    /// `batch_max` commands go per `AcceptBatch` (1 = propose each request
+    /// on arrival) and compaction keeps `compact_keep` applied slots of hot
+    /// state (`usize::MAX` = off).
     pub fn with_tuning(max_inflight: usize, batch_max: usize, compact_keep: usize) -> Self {
         assert!(max_inflight >= 1, "the in-flight window must admit work");
         assert!(batch_max >= 1, "a batch carries at least one command");
@@ -374,7 +375,7 @@ impl ReplicatedLog {
     /// it was armed (up to `batch_max` per `AcceptBatch`).
     pub fn on_flush(&mut self, now: Time) {
         self.flush_armed = false;
-        self.propose_queued_batched(now);
+        self.propose_queued(now);
     }
 
     // ------------------------------------------------------------------
@@ -499,34 +500,19 @@ impl ReplicatedLog {
         }
         match msg {
             LogMsg::Request { cmd } => self.on_request(from, cmd, now),
-            LogMsg::Accept { ballot, slot, cmd } => {
-                if ballot >= self.promised {
-                    self.promised = ballot;
-                    if self.accept(slot, ballot, cmd) {
-                        self.outbox.push((from, LogMsg::AcceptOk { ballot, slot }));
-                    }
-                }
-            }
-            LogMsg::AcceptOk { ballot, slot } => {
-                self.count_acks(from, ballot, slot, 1);
-                if let Some((slot, cmd)) = self.decided.pop() {
-                    self.decide(slot, ballot, cmd, now);
-                }
-            }
-            LogMsg::Decide { ballot, slot, cmd } => {
-                self.learn(slot, ballot, cmd);
-                self.apply_contiguous(now);
-            }
             LogMsg::AcceptBatch {
                 ballot,
                 first_slot,
                 cmds,
             } => {
+                let Some(slots) = slot_range(first_slot, cmds.len()) else {
+                    return;
+                };
                 if ballot >= self.promised {
                     self.promised = ballot;
                     let mut kept = true;
-                    for (i, &cmd) in cmds.iter().enumerate() {
-                        kept &= self.accept(first_slot + i as u64, ballot, cmd);
+                    for (slot, &cmd) in slots.zip(cmds.iter()) {
+                        kept &= self.accept(slot, ballot, cmd);
                     }
                     if kept {
                         let count = cmds.len() as u64;
@@ -556,8 +542,11 @@ impl ReplicatedLog {
                 first_slot,
                 cmds,
             } => {
-                for (i, &cmd) in cmds.iter().enumerate() {
-                    self.learn(first_slot + i as u64, ballot, cmd);
+                let Some(slots) = slot_range(first_slot, cmds.len()) else {
+                    return;
+                };
+                for (slot, &cmd) in slots.zip(cmds.iter()) {
+                    self.learn(slot, ballot, cmd);
                 }
                 self.apply_contiguous(now);
             }
@@ -609,12 +598,15 @@ impl ReplicatedLog {
                 snapshot,
                 entries,
             } => {
+                let Some(slots) = slot_range(start, entries.len()) else {
+                    return;
+                };
                 self.last_sync = Some((snapshot.is_some(), entries.len() as u64));
                 if let Some(snap) = snapshot {
                     self.install_snapshot(snap);
                 }
-                for (i, (b, cmd)) in entries.into_iter().enumerate() {
-                    self.learn(start + i as u64, b, cmd);
+                for (slot, (b, cmd)) in slots.zip(entries) {
+                    self.learn(slot, b, cmd);
                 }
                 self.apply_contiguous(now);
             }
@@ -692,6 +684,7 @@ impl ReplicatedLog {
             // hosting node arms a 1-tick flush on our request.
             self.ask_flush();
         } else {
+            // A batch of one has nothing to wait for.
             self.propose_queued(now);
         }
     }
@@ -746,24 +739,9 @@ impl ReplicatedLog {
         }
     }
 
-    /// Commits `slot` on the legacy per-slot path: record, broadcast
-    /// `Decide`, answer the client, and let follow-on queued work into
-    /// the freed in-flight window.
-    fn decide(&mut self, slot: u64, ballot: Ver, cmd: LogCmd, now: Time) {
-        self.learn(slot, ballot, cmd);
-        self.broadcast(|| LogMsg::Decide { ballot, slot, cmd });
-        if !cmd.is_noop() {
-            self.outbox
-                .push((cmd.client, LogMsg::Reply { seq: cmd.seq, slot }));
-        }
-        self.apply_contiguous(now);
-        self.propose_queued(now);
-    }
-
-    /// Commits the `decided` slots on the batched path: learn them all,
-    /// ship one `DecideBatch` per contiguous run per peer (one allocation
-    /// per run), answer the clients, and refill the pipeline straight
-    /// from the queue.
+    /// Commits the `decided` slots: learn them all, ship one `DecideBatch`
+    /// per contiguous run per peer (one allocation per run), answer the
+    /// clients, and refill the pipeline straight from the queue.
     fn decide_slots(&mut self, ballot: Ver, now: Time) {
         let mut decided = std::mem::take(&mut self.decided);
         for &(slot, cmd) in &decided {
@@ -789,7 +767,7 @@ impl ReplicatedLog {
         decided.clear();
         self.decided = decided;
         self.apply_contiguous(now);
-        self.propose_queued_batched(now);
+        self.propose_queued(now);
     }
 
     /// Records an accepted entry. Below the applied prefix the slot is
@@ -946,15 +924,9 @@ impl ReplicatedLog {
             lead.admitted
                 .extend(plan.iter().filter(|c| !c.is_noop()).copied());
             lead.next_slot = lead.next_slot.max(top + 1);
-            if self.batch_max > 1 {
-                for (i, cmds) in plan.chunks(self.batch_max).enumerate() {
-                    let first = floor_slot + (i * self.batch_max) as u64;
-                    self.propose_batch(first, ballot, cmds.to_vec().into(), now);
-                }
-            } else {
-                for (i, &cmd) in plan.iter().enumerate() {
-                    self.propose(floor_slot + i as u64, ballot, cmd, now);
-                }
+            for (i, cmds) in plan.chunks(self.batch_max).enumerate() {
+                let first = floor_slot + (i * self.batch_max) as u64;
+                self.propose_batch(first, ballot, cmds.to_vec().into(), now);
             }
         }
         // Failover re-reply: a command decided under the dead leader may
@@ -964,34 +936,12 @@ impl ReplicatedLog {
         for (&client, &(seq, slot)) in &self.client_hwm {
             self.outbox.push((client, LogMsg::Reply { seq, slot }));
         }
-        if self.batch_max > 1 {
-            self.propose_queued_batched(now);
-        } else {
-            self.propose_queued(now);
-        }
-    }
-
-    /// Moves queued client commands into the in-flight window, one slot
-    /// per `Accept` (the legacy path).
-    fn propose_queued(&mut self, now: Time) {
-        loop {
-            let Some(lead) = &mut self.lead else { return };
-            if lead.recovery.is_some() || lead.in_flight.len() >= self.max_inflight {
-                return;
-            }
-            let Some(cmd) = lead.queue.pop_front() else {
-                return;
-            };
-            let slot = lead.next_slot;
-            lead.next_slot += 1;
-            let ballot = lead.ballot;
-            self.propose(slot, ballot, cmd, now);
-        }
+        self.propose_queued(now);
     }
 
     /// Moves queued client commands into the in-flight window in batches
     /// of up to `batch_max`, as window room allows.
-    fn propose_queued_batched(&mut self, now: Time) {
+    fn propose_queued(&mut self, now: Time) {
         loop {
             let Some(lead) = &mut self.lead else { return };
             if lead.recovery.is_some() || lead.in_flight.len() >= self.max_inflight {
@@ -1007,21 +957,6 @@ impl ReplicatedLog {
             let ballot = lead.ballot;
             let cmds: Vec<LogCmd> = lead.queue.drain(..take).collect();
             self.propose_batch(first, ballot, cmds.into(), now);
-        }
-    }
-
-    /// Proposes `cmd` into `slot`: self-accept, broadcast `Accept`, and —
-    /// in the degenerate single-member view — decide on the spot.
-    fn propose(&mut self, slot: u64, ballot: Ver, cmd: LogCmd, now: Time) {
-        self.promised = self.promised.max(ballot);
-        self.accept(slot, ballot, cmd);
-        let Some(lead) = &mut self.lead else { return };
-        lead.in_flight.insert(slot, cmd);
-        self.broadcast(|| LogMsg::Accept { ballot, slot, cmd });
-        if self.quorum() == 1 {
-            let Some(lead) = &mut self.lead else { return };
-            lead.in_flight.remove(slot);
-            self.decide(slot, ballot, cmd, now);
         }
     }
 
@@ -1091,9 +1026,63 @@ mod tests {
         );
     }
 
+    /// p1 following p0 in a 3-member view, at ballot 0.
+    fn follower() -> ReplicatedLog {
+        let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
+        log.bind(ProcessId(1));
+        installed(&mut log, 0, 0);
+        log.take_outbox();
+        log
+    }
+
+    /// A batch of one: `cmd` proposed into `slot`.
+    fn accept_one(ballot: Ver, slot: u64, cmd: LogCmd) -> LogMsg {
+        let cmds = vec![cmd].into();
+        LogMsg::AcceptBatch {
+            ballot,
+            first_slot: slot,
+            cmds,
+        }
+    }
+
+    /// The ack of a batch of one.
+    fn ack_one(ballot: Ver, slot: u64) -> LogMsg {
+        LogMsg::AcceptOkRange {
+            ballot,
+            first_slot: slot,
+            count: 1,
+        }
+    }
+
+    /// The decision of a batch of one.
+    fn decide_one(ballot: Ver, slot: u64, cmd: LogCmd) -> LogMsg {
+        let cmds = vec![cmd].into();
+        LogMsg::DecideBatch {
+            ballot,
+            first_slot: slot,
+            cmds,
+        }
+    }
+
+    /// The `(slot, cmd)` of every `AcceptBatch` in `out`, each of which
+    /// must be a batch of one.
+    fn single_accepts(out: &[(ProcessId, LogMsg)]) -> Vec<(u64, LogCmd)> {
+        out.iter()
+            .filter_map(|(_, m)| match m {
+                LogMsg::AcceptBatch {
+                    first_slot, cmds, ..
+                } => {
+                    assert_eq!(cmds.len(), 1, "expected a batch of one, got {m:?}");
+                    Some((*first_slot, cmds[0]))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn leader_recovers_then_serves() {
-        let mut log = ReplicatedLog::new(8);
+        let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         log.bind(ProcessId(0));
         installed(&mut log, 0, 0);
         // Recovery round goes out to both peers…
@@ -1107,18 +1096,12 @@ mod tests {
             recover_ok_empty(&mut log, p, 0, 2);
         }
         let out = log.take_outbox();
-        // Accept for slot 0 to both peers.
+        // A batch of one for slot 0 to both peers.
         assert_eq!(out.len(), 2);
-        assert!(matches!(
-            out[0].1,
-            LogMsg::Accept {
-                ballot: 0,
-                slot: 0,
-                ..
-            }
-        ));
-        // One AcceptOk + self = 2 of 3: decided, replied, applied.
-        log.on_message(ProcessId(1), LogMsg::AcceptOk { ballot: 0, slot: 0 }, 3);
+        assert_eq!(single_accepts(&out), vec![(0, cmd(9, 0)); 2]);
+        assert!(matches!(out[0].1, LogMsg::AcceptBatch { ballot: 0, .. }));
+        // One ack + self = 2 of 3: decided, replied, applied.
+        log.on_message(ProcessId(1), ack_one(0, 0), 3);
         let out = log.take_outbox();
         assert!(out
             .iter()
@@ -1129,56 +1112,36 @@ mod tests {
 
     #[test]
     fn acceptor_rejects_stale_ballots() {
-        let mut log = ReplicatedLog::new(8);
-        log.bind(ProcessId(1));
-        installed(&mut log, 0, 0);
-        log.take_outbox();
+        let mut log = follower();
         // A view install at ver 2 raises the promise…
         installed(&mut log, 2, 0);
         log.take_outbox();
         // …so a ballot-1 accept is ignored.
-        log.on_message(
-            ProcessId(0),
-            LogMsg::Accept {
-                ballot: 1,
-                slot: 0,
-                cmd: cmd(9, 0),
-            },
-            5,
-        );
+        log.on_message(ProcessId(0), accept_one(1, 0, cmd(9, 0)), 5);
         assert!(log.take_outbox().is_empty());
-        log.on_message(
-            ProcessId(0),
-            LogMsg::Accept {
-                ballot: 2,
-                slot: 0,
-                cmd: cmd(9, 0),
-            },
-            6,
-        );
+        log.on_message(ProcessId(0), accept_one(2, 0, cmd(9, 0)), 6);
         assert!(matches!(
             log.take_outbox().as_slice(),
-            [(ProcessId(0), LogMsg::AcceptOk { ballot: 2, slot: 0 })]
+            [(
+                ProcessId(0),
+                LogMsg::AcceptOkRange {
+                    ballot: 2,
+                    first_slot: 0,
+                    count: 1
+                }
+            )]
         ));
     }
 
     #[test]
     fn recovery_adopts_highest_ballot_and_fills_gaps() {
-        let mut log = ReplicatedLog::new(8);
+        let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         log.bind(ProcessId(1));
         // Follower first: accept slot 1 (not 0) at ballot 0 from the old
         // leader, then take over at ver 1.
         installed(&mut log, 0, 0);
         log.take_outbox();
-        log.on_message(
-            ProcessId(0),
-            LogMsg::Accept {
-                ballot: 0,
-                slot: 1,
-                cmd: cmd(9, 1),
-            },
-            5,
-        );
+        log.on_message(ProcessId(0), accept_one(0, 1, cmd(9, 1)), 5);
         log.take_outbox();
         let members = vec![ProcessId(1), ProcessId(2)];
         log.on_member_event(
@@ -1200,19 +1163,12 @@ mod tests {
             },
             11,
         );
-        let out = log.take_outbox();
-        let accepts: Vec<_> = out
-            .iter()
-            .filter_map(|(_, m)| match m {
-                LogMsg::Accept { slot, cmd, .. } => Some((*slot, *cmd)),
-                _ => None,
-            })
-            .collect();
+        let accepts = single_accepts(&log.take_outbox());
         // Slot 0 was a hole → no-op; slot 1 re-proposed with the adopted value.
         assert_eq!(accepts, vec![(0, LogCmd::NOOP), (1, cmd(8, 4))]);
         // The 2-member view decides with the peer's ok.
-        log.on_message(ProcessId(2), LogMsg::AcceptOk { ballot: 1, slot: 0 }, 12);
-        log.on_message(ProcessId(2), LogMsg::AcceptOk { ballot: 1, slot: 1 }, 12);
+        log.on_message(ProcessId(2), ack_one(1, 0), 12);
+        log.on_message(ProcessId(2), ack_one(1, 1), 12);
         assert_eq!(log.committed(), &[LogCmd::NOOP, cmd(8, 4)]);
         assert_eq!(log.committed_ops(), 1);
         assert_eq!(log.ballots(), &[1, 1]);
@@ -1220,7 +1176,7 @@ mod tests {
 
     #[test]
     fn duplicate_requests_answer_from_the_log() {
-        let mut log = ReplicatedLog::new(8);
+        let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         log.bind(ProcessId(0));
         installed(&mut log, 0, 0);
         log.take_outbox();
@@ -1230,7 +1186,7 @@ mod tests {
         log.take_outbox();
         log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 2);
         log.take_outbox();
-        log.on_message(ProcessId(1), LogMsg::AcceptOk { ballot: 0, slot: 0 }, 3);
+        log.on_message(ProcessId(1), ack_one(0, 0), 3);
         log.take_outbox();
         // Same command again: replied immediately, not re-proposed.
         log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 4);
@@ -1244,10 +1200,7 @@ mod tests {
 
     #[test]
     fn followers_redirect_clients() {
-        let mut log = ReplicatedLog::new(8);
-        log.bind(ProcessId(1));
-        installed(&mut log, 0, 0);
-        log.take_outbox();
+        let mut log = follower();
         log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 1);
         assert!(matches!(
             log.take_outbox().as_slice(),
@@ -1262,29 +1215,10 @@ mod tests {
 
     #[test]
     fn out_of_order_decides_apply_contiguously() {
-        let mut log = ReplicatedLog::new(8);
-        log.bind(ProcessId(2));
-        installed(&mut log, 0, 0);
-        log.take_outbox();
-        log.on_message(
-            ProcessId(0),
-            LogMsg::Decide {
-                ballot: 0,
-                slot: 1,
-                cmd: cmd(9, 1),
-            },
-            5,
-        );
+        let mut log = follower();
+        log.on_message(ProcessId(0), decide_one(0, 1, cmd(9, 1)), 5);
         assert!(log.committed().is_empty());
-        log.on_message(
-            ProcessId(0),
-            LogMsg::Decide {
-                ballot: 0,
-                slot: 0,
-                cmd: cmd(9, 0),
-            },
-            6,
-        );
+        log.on_message(ProcessId(0), decide_one(0, 0, cmd(9, 0)), 6);
         assert_eq!(log.committed(), &[cmd(9, 0), cmd(9, 1)]);
         assert_eq!(log.applied_at(), &[6, 6]);
     }
@@ -1344,30 +1278,104 @@ mod tests {
 
     #[test]
     fn decide_batches_apply_like_single_decides() {
-        let mut log = ReplicatedLog::new(8);
-        log.bind(ProcessId(2));
-        installed(&mut log, 0, 0);
-        log.take_outbox();
-        log.on_message(
-            ProcessId(0),
-            LogMsg::DecideBatch {
-                ballot: 0,
-                first_slot: 1,
-                cmds: vec![cmd(9, 1), cmd(9, 2)].into(),
-            },
-            5,
-        );
-        assert!(log.committed().is_empty(), "slot 0 still missing");
-        log.on_message(
-            ProcessId(0),
-            LogMsg::Decide {
-                ballot: 0,
-                slot: 0,
-                cmd: cmd(9, 0),
-            },
-            6,
-        );
-        assert_eq!(log.committed(), &[cmd(9, 0), cmd(9, 1), cmd(9, 2)]);
+        let cmds: Vec<LogCmd> = (0..3).map(|s| cmd(9, s)).collect();
+        let mut whole = follower();
+        let (ballot, first_slot) = (0, 0);
+        let batch = LogMsg::DecideBatch {
+            ballot,
+            first_slot,
+            cmds: cmds.clone().into(),
+        };
+        whole.on_message(ProcessId(0), batch, 6);
+        // The same range as three batches of one, slot 0 last.
+        let mut singles = follower();
+        for slot in [2, 1] {
+            singles.on_message(ProcessId(0), decide_one(0, slot, cmds[slot as usize]), 5);
+        }
+        assert!(singles.committed().is_empty(), "slot 0 still missing");
+        singles.on_message(ProcessId(0), decide_one(0, 0, cmds[0]), 6);
+        assert_eq!(whole.committed(), &cmds[..]);
+        assert_eq!(singles.committed(), whole.committed());
+        assert_eq!(singles.ballots(), whole.ballots());
+        assert_eq!(singles.applied_at(), whole.applied_at());
+    }
+
+    #[test]
+    fn a_batch_of_one_is_proposed_on_arrival() {
+        // batch_max 1: the request goes out in the call that admitted it,
+        // one single-command AcceptBatch per peer, with no flush asked.
+        let mut log = batched_leader(3, 1);
+        log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 5);
+        let out = log.take_outbox();
+        let peers: Vec<ProcessId> = out.iter().map(|&(to, _)| to).collect();
+        assert_eq!(peers, vec![ProcessId(1), ProcessId(2)]);
+        assert_eq!(single_accepts(&out), vec![(0, cmd(9, 0)); 2]);
+        assert!(!log.take_flush_request());
+        // batch_max 8: the same request only asks for the flush, and
+        // nothing is proposed until it fires.
+        let mut log = batched_leader(3, 8);
+        log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 5);
+        assert!(log.take_outbox().is_empty());
+        assert!(log.take_flush_request());
+        log.on_flush(6);
+        let out = log.take_outbox();
+        assert_eq!(single_accepts(&out), vec![(0, cmd(9, 0)); 2]);
+    }
+
+    // ------------------------------------------------------------------
+    // Range messages off the wire
+    // ------------------------------------------------------------------
+
+    /// Three commands from `u64::MAX - 1` on: the range's end overflows.
+    fn past_the_last_slot() -> (u64, Vec<LogCmd>) {
+        (u64::MAX - 1, (0..3).map(|s| cmd(9, s)).collect())
+    }
+
+    #[test]
+    fn an_accept_batch_past_the_last_slot_is_ignored() {
+        let mut log = follower();
+        let (first_slot, cmds) = past_the_last_slot();
+        let ballot = 0;
+        let cmds = cmds.into();
+        let msg = LogMsg::AcceptBatch {
+            ballot,
+            first_slot,
+            cmds,
+        };
+        log.on_message(ProcessId(0), msg, 5);
+        assert!(log.take_outbox().is_empty(), "no ack");
+        assert_eq!(log.hot_sizes().0, 0, "no entry");
+    }
+
+    #[test]
+    fn a_decide_batch_past_the_last_slot_is_ignored() {
+        let mut log = follower();
+        let (first_slot, cmds) = past_the_last_slot();
+        let ballot = 0;
+        let cmds = cmds.into();
+        let msg = LogMsg::DecideBatch {
+            ballot,
+            first_slot,
+            cmds,
+        };
+        log.on_message(ProcessId(0), msg, 5);
+        assert_eq!(log.hot_sizes().0, 0, "no entry");
+        assert!(log.committed().is_empty());
+    }
+
+    #[test]
+    fn a_sync_ok_past_the_last_slot_is_ignored() {
+        let mut log = follower();
+        let (from, cmds) = past_the_last_slot();
+        let entries = cmds.into_iter().map(|c| (0, c)).collect();
+        let msg = LogMsg::SyncOk {
+            from,
+            snapshot: None,
+            entries,
+        };
+        log.on_message(ProcessId(0), msg, 5);
+        assert_eq!(log.hot_sizes().0, 0, "no entry");
+        assert_eq!(log.last_sync(), None);
     }
 
     // ------------------------------------------------------------------
@@ -1440,7 +1448,7 @@ mod tests {
         assert_eq!(snap.clients, vec![(ProcessId(9), 19, 19)]);
         assert_eq!(entries.len(), 5, "O(tail), not O(log)");
         // A fresh replica boots from it: vectors restart at the floor.
-        let mut joiner = ReplicatedLog::new(8);
+        let mut joiner = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         joiner.bind(ProcessId(5));
         joiner.on_member_event(
             MemberEvent::ViewInstalled {
@@ -1491,10 +1499,10 @@ mod tests {
     // Slot windows, ack bitmasks, shared batches
     // ------------------------------------------------------------------
 
-    /// p0 leading `n` members at ballot 0 with batches of up to 4, its
-    /// recovery round already answered.
-    fn batched_leader(n: u32) -> ReplicatedLog {
-        let mut log = ReplicatedLog::with_tuning(8, 4, usize::MAX);
+    /// p0 leading `n` members at ballot 0 with batches of up to
+    /// `batch_max`, its recovery round already answered.
+    fn batched_leader(n: u32, batch_max: usize) -> ReplicatedLog {
+        let mut log = ReplicatedLog::with_tuning(8, batch_max, usize::MAX);
         log.bind(ProcessId(0));
         log.on_member_event(
             MemberEvent::ViewInstalled {
@@ -1536,7 +1544,7 @@ mod tests {
 
     #[test]
     fn a_range_ack_is_clamped_to_the_in_flight_window() {
-        let mut log = batched_leader(3);
+        let mut log = batched_leader(3, 4);
         propose(&mut log, 0..3);
         // `first_slot + count` overflows, and the range names 2^64 slots:
         // only its overlap with the window, slots 1 and 2, is walked.
@@ -1550,33 +1558,27 @@ mod tests {
 
     #[test]
     fn only_view_members_other_than_the_leader_are_counted() {
-        let mut log = batched_leader(3);
+        let mut log = batched_leader(3, 4);
         propose(&mut log, 0..1);
         ack_range(&mut log, 7, 0, 1); // never in the view
         ack_range(&mut log, 0, 0, 1); // the leader's own vote is implicit
         assert!(log.committed().is_empty(), "neither is a second acceptor");
         ack_range(&mut log, 2, 0, 1);
         assert_eq!(log.committed(), &[cmd(9, 0)]);
-        // Same rule on the per-slot path.
-        let mut log = ReplicatedLog::new(8);
-        log.bind(ProcessId(0));
-        installed(&mut log, 0, 0);
-        for p in [1, 2] {
-            recover_ok_empty(&mut log, p, 0, 1);
-        }
+        // Same rule when the batch of one went out on arrival.
+        let mut log = batched_leader(3, 1);
         log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 2);
         for outsider in [7, 0] {
-            let ack = LogMsg::AcceptOk { ballot: 0, slot: 0 };
-            log.on_message(ProcessId(outsider), ack, 3);
+            ack_range(&mut log, outsider, 0, 1);
         }
         assert!(log.committed().is_empty());
-        log.on_message(ProcessId(1), LogMsg::AcceptOk { ballot: 0, slot: 0 }, 3);
+        ack_range(&mut log, 1, 0, 1);
         assert_eq!(log.committed(), &[cmd(9, 0)]);
     }
 
     #[test]
     fn a_batch_is_allocated_once_for_all_peers() {
-        let mut log = batched_leader(3);
+        let mut log = batched_leader(3, 4);
         let out = propose(&mut log, 0..3);
         let [(_, LogMsg::AcceptBatch { cmds: a, .. }), (_, LogMsg::AcceptBatch { cmds: b, .. })] =
             out.as_slice()
@@ -1599,7 +1601,7 @@ mod tests {
     fn an_ack_set_wider_than_a_machine_word_reaches_quorum() {
         // 130 members: quorum 66, so 65 acceptors beside the leader, and
         // ranks 64.. live in the second and third word of the bitmask.
-        let mut log = batched_leader(130);
+        let mut log = batched_leader(130, 4);
         propose(&mut log, 0..1);
         for round in 0..2 {
             for p in 1..=64 {
@@ -1615,9 +1617,7 @@ mod tests {
     fn recover_below_the_applied_prefix_answers_from_vectors_then_window() {
         // p1 follows p0: slots 0..4 applied, 4 and 6 accepted, 7 decided
         // but parked behind the holes.
-        let mut p1 = ReplicatedLog::new(8);
-        p1.bind(ProcessId(1));
-        installed(&mut p1, 0, 0);
+        let mut p1 = follower();
         let leader = ProcessId(0);
         let (ballot, first_slot) = (0, 0);
         let cmds = (0..4).map(|s| cmd(9, s)).collect::<Vec<_>>().into();
@@ -1631,23 +1631,14 @@ mod tests {
             5,
         );
         for slot in [4, 6] {
-            let cmd = cmd(9, slot);
-            p1.on_message(leader, LogMsg::Accept { ballot, slot, cmd }, 5);
+            p1.on_message(leader, accept_one(ballot, slot, cmd(9, slot)), 5);
         }
-        let (slot, cmd7) = (7, cmd(9, 7));
-        p1.on_message(
-            leader,
-            LogMsg::Decide {
-                ballot,
-                slot,
-                cmd: cmd7,
-            },
-            5,
-        );
+        let cmd7 = cmd(9, 7);
+        p1.on_message(leader, decide_one(ballot, 7, cmd7), 5);
         assert_eq!((p1.logical_len(), p1.hot_sizes().0), (4, 3));
         p1.take_outbox();
         // p2 applied only 0..2 before taking over at ballot 1.
-        let mut p2 = ReplicatedLog::new(8);
+        let mut p2 = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         p2.bind(ProcessId(2));
         installed(&mut p2, 0, 0);
         let cmds = vec![cmd(9, 0), cmd(9, 1)].into();
@@ -1693,14 +1684,7 @@ mod tests {
         // the responder reported it from the vectors or the window, with
         // the hole at 5 filled by a no-op.
         p2.on_message(ProcessId(1), answer[0].1.clone(), 12);
-        let accepts: Vec<_> = p2
-            .take_outbox()
-            .iter()
-            .filter_map(|(_, m)| match m {
-                LogMsg::Accept { slot, cmd, .. } => Some((*slot, *cmd)),
-                _ => None,
-            })
-            .collect();
+        let accepts = single_accepts(&p2.take_outbox());
         let plan = [
             cmd(9, 2),
             cmd(9, 3),
@@ -1718,20 +1702,9 @@ mod tests {
 
     #[test]
     fn a_new_leader_re_replies_for_committed_commands() {
-        let mut log = ReplicatedLog::new(8);
-        log.bind(ProcessId(1));
-        installed(&mut log, 0, 0);
-        log.take_outbox();
+        let mut log = follower();
         // Slot 0 committed under the old leader; its Reply died with it.
-        log.on_message(
-            ProcessId(0),
-            LogMsg::Decide {
-                ballot: 0,
-                slot: 0,
-                cmd: cmd(9, 0),
-            },
-            5,
-        );
+        log.on_message(ProcessId(0), decide_one(0, 0, cmd(9, 0)), 5);
         log.take_outbox();
         log.on_member_event(
             MemberEvent::ViewInstalled {
@@ -1754,7 +1727,7 @@ mod tests {
 
     #[test]
     fn recovered_commands_are_not_proposed_twice() {
-        let mut log = ReplicatedLog::new(8);
+        let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         log.bind(ProcessId(1));
         let members = vec![ProcessId(1), ProcessId(2)];
         log.on_member_event(
@@ -1779,14 +1752,7 @@ mod tests {
             },
             2,
         );
-        let out = log.take_outbox();
-        let accepts: Vec<u64> = out
-            .iter()
-            .filter_map(|(_, m)| match m {
-                LogMsg::Accept { slot, .. } => Some(*slot),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(accepts, vec![0], "the queued twin is dropped");
+        let accepts = single_accepts(&log.take_outbox());
+        assert_eq!(accepts, vec![(0, cmd(9, 0))], "the queued twin is dropped");
     }
 }

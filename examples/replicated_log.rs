@@ -16,8 +16,9 @@
 //! same-tick commands into one `AcceptBatch` (`batch`), clients keep a
 //! pipeline window in flight (`window`), and replicas compact per-slot
 //! state below a floor once the log outgrows `compact_keep`.
-//! `LogConfig::default().unbatched()` restores the strict one-at-a-time
-//! per-slot baseline — try it here and watch committed ops drop ~4x.
+//! `LogConfig::default().unbatched()` is the strict one-at-a-time preset —
+//! every command a batch of one, proposed on arrival — try it here and
+//! watch committed ops drop ~4x.
 
 use gmp::prelude::*;
 

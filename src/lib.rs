@@ -63,7 +63,7 @@ pub mod prelude {
         cluster, cluster_with, ClusterBuilder, Config, ConfigBuilder, JoinConfig, Lifecycle,
         Member, MemberEvent, ObserveConfig,
     };
-    pub use gmp_core::{Flat, Hierarchical, Sparse, Topology};
+    pub use gmp_core::{Flat, Sparse, Topology};
     pub use gmp_log::{
         log_cluster, logs_agree, prefix_identical, Client, LogClusterBuilder, LogConfig,
         ReplicatedLog,

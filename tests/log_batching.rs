@@ -1,6 +1,6 @@
 //! Integration: the batched/pipelined log hot path (`AcceptBatch` /
 //! `AcceptOkRange` / `DecideBatch`, client pipeline windows, snapshot
-//! compaction) against the unbatched per-slot baseline — safety across
+//! compaction) against the unbatched baseline (batches of one) — safety across
 //! the knob space, exactly-once replies, sharded-engine equality,
 //! bounded hot state on long runs, and O(tail) joiner catch-up.
 

@@ -144,7 +144,7 @@ fn churn_with_leader_crash_and_joiner_stays_safe() {
 #[test]
 fn new_leader_re_replies_for_recovered_slots() {
     // The lost-reply window: the leader commits a command, broadcasts
-    // `Decide`, and dies before the client's `Reply` leaves — with the
+    // `DecideBatch`, and dies before the client's `Reply` leaves — with the
     // client's retry timer effectively off, only the new leader's
     // re-reply at recovery completion can unstick it. Regression test:
     // the successor must re-acknowledge every recovered client mark it
@@ -153,9 +153,9 @@ fn new_leader_re_replies_for_recovered_slots() {
         .seed(13)
         .log_config(LogConfig::default().unbatched().retry_after(1_000_000))
         .build();
-    // Crash immediately after the first Decide send: one follower learns
-    // the commit, the client's Reply is never sent.
-    sim.crash_after_sends_at(ProcessId(0), 0, Some("log-decide"), 1);
+    // Crash immediately after the first DecideBatch send: one follower
+    // learns the commit, the client's Reply is never sent.
+    sim.crash_after_sends_at(ProcessId(0), 0, Some("log-decide-batch"), 1);
     sim.run_until(25_000);
 
     let s = sim.node(ProcessId(1));
