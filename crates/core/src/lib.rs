@@ -19,9 +19,12 @@
 //! * the failure-detection rules of §2.2: timeout observation (F1), gossip
 //!   (F2) and the isolation rule (S1).
 //!
-//! The protocol runs inside the deterministic simulator of [`gmp_sim`]; the
-//! resulting traces can be checked against the formal GMP specification
-//! with `gmp-props`.
+//! A [`Member`] does no I/O: [`Member::start`], [`Member::receive`] and
+//! [`Member::fire`] take the current time and queue [`Effect`]s (sends,
+//! timers, trace notes, `quit`). Its [`Node`](gmp_sim::Node) impl replays
+//! them into the deterministic simulator of [`gmp_sim`], whose traces can
+//! be checked against the formal GMP specification with `gmp-props`; a
+//! test can equally step members by hand and route the effects itself.
 //!
 //! # Quickstart
 //!
@@ -53,6 +56,6 @@ pub use cluster::{cluster, cluster_with, ClusterBuilder};
 pub use config::{Config, ConfigBuilder, JoinConfig, ObserveConfig};
 pub use decide::{determine, get_stable, proposals_for_ver, Decision, PhaseOneResp, Proposal};
 pub use event::MemberEvent;
-pub use member::{Lifecycle, Member};
+pub use member::{Effect, Lifecycle, Member};
 pub use msg::{is_protocol_tag, HeartbeatDigest, Msg, PROTOCOL_TAGS};
 pub use topology::{Flat, Sparse, Topology};

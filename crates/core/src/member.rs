@@ -13,13 +13,19 @@
 //! The failure-detector (F1), gossip (F2) and isolation (S1) rules of §2.2
 //! are integrated here; the decision procedures of Fig. 6 live in
 //! [`crate::decide`].
+//!
+//! The member does no I/O. Its three entry points — [`Member::start`],
+//! [`Member::receive`] and [`Member::fire`] — take the current time and
+//! append [`Effect`]s to an outbox, which a host drains: the simulator
+//! through [`Member::drain_into`] (bare, or wrapped in a composite node's
+//! envelope), a hand-wired test through [`Member::take_outbox`].
 
 use crate::config::Config;
 use crate::decide::{determine, PhaseOneResp};
 use crate::event::MemberEvent;
 use crate::msg::{HeartbeatDigest, Msg};
 use gmp_detect::{HeartbeatDetector, Isolation};
-use gmp_sim::{Ctx, Node, Shared};
+use gmp_sim::{Ctx, Message, Node, Shared};
 use gmp_types::note::{FaultySource, QuitReason};
 use gmp_types::{Arena, NextEntry, Note, Op, OpKind, PeerRef, ProcessId, Ver, View};
 use std::collections::{BTreeSet, VecDeque};
@@ -30,6 +36,29 @@ const TICK: u64 = 1;
 const JOIN: u64 = 2;
 /// Timer tag: observer subscription health check.
 const OBSERVE: u64 = 3;
+
+/// One side effect a [`Member`] handler requested, in emission order.
+#[derive(Clone, Debug)]
+pub enum Effect {
+    /// Send `msg` to `to`.
+    Send {
+        /// The recipient.
+        to: ProcessId,
+        /// The message.
+        msg: Msg,
+    },
+    /// Call [`Member::fire`] with `tag` once `delay` ticks have passed.
+    Timer {
+        /// Ticks from now.
+        delay: u64,
+        /// The tag handed back to [`Member::fire`].
+        tag: u64,
+    },
+    /// A trace annotation for the GMP property checkers.
+    Note(Note),
+    /// The member executed `quit`: every later effect is void.
+    Quit,
+}
 
 /// Where this process stands in the group lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,7 +118,8 @@ enum After {
 /// Construct initial members with [`Member::new`] (all initial members must
 /// be given the *same* view — GMP-0 assumes the initial membership is
 /// commonly known) and late joiners with a [`Config`] carrying a
-/// [`JoinConfig`](crate::JoinConfig).
+/// [`JoinConfig`](crate::JoinConfig). Step it through [`Member::start`],
+/// [`Member::receive`] and [`Member::fire`], then drain its outbox.
 pub struct Member {
     cfg: Config,
     me: ProcessId,
@@ -133,6 +163,10 @@ pub struct Member {
     /// protocol-invisible — no sends, notes or randomness — so the queue
     /// never perturbs the byte-identical golden runs.
     events: Vec<MemberEvent>,
+    /// Undrained effects ([`Member::drain_into`], [`Member::take_outbox`]).
+    outbox: Vec<Effect>,
+    /// The time of the input being handled, as the entry point was given.
+    now: u64,
 }
 
 /// Sender-side heartbeat-gossip state: the faulty set travels as one
@@ -211,32 +245,7 @@ impl Member {
             "initial members must not carry a join config"
         );
         assert!(!initial_view.is_empty(), "initial view must be non-empty");
-        let mgr = initial_view.most_senior().expect("non-empty view");
-        let suspect_after = cfg.suspect_after;
-        Member {
-            cfg,
-            me: ProcessId(u32::MAX), // assigned at start
-            lifecycle: Lifecycle::Active,
-            view: initial_view,
-            ver: 0,
-            seq: Vec::new(),
-            next: Vec::new(),
-            mgr,
-            faulty: BTreeSet::new(),
-            recovered: VecDeque::new(),
-            forced: VecDeque::new(),
-            iso: Isolation::new(),
-            fd: HeartbeatDetector::new(suspect_after),
-            role: Role::Outer,
-            buffered: Vec::new(),
-            injected: Vec::new(),
-            last_report: Arena::new(),
-            hb: HbGossip::default(),
-            topo_monitored: Vec::new(),
-            subscribers: BTreeSet::new(),
-            obs: None,
-            events: Vec::new(),
-        }
+        Member::blank(cfg, Lifecycle::Active, initial_view, None)
     }
 
     /// Creates a process outside the group that will ask to join (§7).
@@ -246,31 +255,7 @@ impl Member {
     /// Panics if `cfg` lacks a join configuration.
     pub fn joiner(cfg: Config) -> Self {
         assert!(cfg.join.is_some(), "a joiner requires a join config");
-        let suspect_after = cfg.suspect_after;
-        Member {
-            cfg,
-            me: ProcessId(u32::MAX),
-            lifecycle: Lifecycle::Joining,
-            view: View::empty(),
-            ver: 0,
-            seq: Vec::new(),
-            next: Vec::new(),
-            mgr: ProcessId(u32::MAX),
-            faulty: BTreeSet::new(),
-            recovered: VecDeque::new(),
-            forced: VecDeque::new(),
-            iso: Isolation::new(),
-            fd: HeartbeatDetector::new(suspect_after),
-            role: Role::Outer,
-            buffered: Vec::new(),
-            injected: Vec::new(),
-            last_report: Arena::new(),
-            hb: HbGossip::default(),
-            topo_monitored: Vec::new(),
-            subscribers: BTreeSet::new(),
-            obs: None,
-            events: Vec::new(),
-        }
+        Member::blank(cfg, Lifecycle::Joining, View::empty(), None)
     }
 
     /// Creates an observer of the group (§8): it receives every agreed
@@ -284,9 +269,7 @@ impl Member {
             .observe
             .clone()
             .expect("an observer requires an observe config");
-        let mut m = Member::joiner_unchecked(cfg);
-        m.lifecycle = Lifecycle::Observing;
-        m.obs = Some(ObsState {
+        let obs = ObsState {
             contacts: observe.contacts,
             idx: 0,
             last_update: 0,
@@ -295,22 +278,23 @@ impl Member {
             ver: 0,
             mgr: ProcessId(u32::MAX),
             seen_any: false,
-        });
-        m
+        };
+        Member::blank(cfg, Lifecycle::Observing, View::empty(), Some(obs))
     }
 
-    /// Shared blank-state constructor for processes outside the group.
-    fn joiner_unchecked(cfg: Config) -> Self {
+    /// The one constructor: version 0, no role yet, `Mgr` the most senior
+    /// of `view` (a placeholder id while the view is empty).
+    fn blank(cfg: Config, lifecycle: Lifecycle, view: View, obs: Option<ObsState>) -> Self {
         let suspect_after = cfg.suspect_after;
         Member {
             cfg,
-            me: ProcessId(u32::MAX),
-            lifecycle: Lifecycle::Joining,
-            view: View::empty(),
+            me: ProcessId(u32::MAX), // assigned at start
+            lifecycle,
+            mgr: view.most_senior().unwrap_or(ProcessId(u32::MAX)),
+            view,
             ver: 0,
             seq: Vec::new(),
             next: Vec::new(),
-            mgr: ProcessId(u32::MAX),
             faulty: BTreeSet::new(),
             recovered: VecDeque::new(),
             forced: VecDeque::new(),
@@ -323,8 +307,10 @@ impl Member {
             hb: HbGossip::default(),
             topo_monitored: Vec::new(),
             subscribers: BTreeSet::new(),
-            obs: None,
+            obs,
             events: Vec::new(),
+            outbox: Vec::new(),
+            now: 0,
         }
     }
 
@@ -436,10 +422,171 @@ impl Member {
     }
 
     // ------------------------------------------------------------------
+    // Entry points and the outbox
+    // ------------------------------------------------------------------
+
+    /// Starts the member as process `me` at time `now` (once, first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an initial member is not in its own initial view.
+    pub fn start(&mut self, me: ProcessId, now: u64) {
+        self.me = me;
+        self.now = now;
+        if self.obs.is_some() {
+            let at = self.cfg.observe.as_ref().expect("observer config").at;
+            self.set_timer(at.max(1), OBSERVE);
+            return;
+        }
+        if let Some(join) = &self.cfg.join {
+            let at = join.at.max(1);
+            self.set_timer(at, JOIN);
+            return;
+        }
+        assert!(
+            self.view.contains(self.me),
+            "initial member {} must appear in its initial view",
+            self.me
+        );
+        self.install_topology(self.now);
+        // GMP-0: the initial membership is commonly known and every initial
+        // member starts `Active`, so digests to monitored peers may be
+        // delta-encoded from the first beat.
+        for p in self.topo_monitored.clone() {
+            self.confirm_peer(p);
+        }
+        self.events.push(MemberEvent::ViewInstalled {
+            ver: 0,
+            members: self.view.to_vec(),
+            mgr: self.mgr,
+        });
+        self.note(Note::ViewInstalled {
+            ver: 0,
+            members: self.view.to_vec(),
+            mgr: self.mgr,
+        });
+        if self.mgr == self.me {
+            self.role = Role::MgrIdle;
+            self.note(Note::BecameMgr { ver: 0 });
+        }
+        self.set_timer(self.cfg.heartbeat_every, TICK);
+    }
+
+    /// Handles `msg` from `from`, delivered at time `now`.
+    #[inline] // into the `Node` impl: the per-message hot path
+    pub fn receive(&mut self, from: ProcessId, msg: Msg, now: u64) {
+        self.now = now;
+        if self.lifecycle == Lifecycle::Stopped {
+            return;
+        }
+        // S1: messages from perceived-faulty processes are discarded.
+        if self.iso.is_isolated(from) {
+            self.note(Note::Isolated { from });
+            return;
+        }
+        if self.lifecycle == Lifecycle::Joining {
+            match msg {
+                Msg::Welcome {
+                    members,
+                    ver,
+                    seq,
+                    mgr,
+                } => self.on_welcome(from, members, ver, seq, mgr),
+                // Coordinator rounds addressed to this process as an
+                // already-added member can overtake its Welcome (the add
+                // commits first, and the Welcome may need a retried join
+                // request if the original welcomer died). Invitations and
+                // interrogations are never retransmitted, so discarding
+                // them would wedge the coordinator awaiting this process's
+                // response. Hold them and replay once a Welcome installs a
+                // view; each handler's version guard discards stale ones.
+                Msg::Invite { .. }
+                | Msg::Commit { .. }
+                | Msg::Interrogate
+                | Msg::Propose { .. }
+                | Msg::ReconfCommit { .. } => self.buffered.push((from, msg)),
+                _ => {}
+            }
+            return;
+        }
+        if self.lifecycle == Lifecycle::Observing {
+            if let Msg::ViewUpdate { members, ver, mgr } = msg {
+                self.on_view_update(members, ver, mgr);
+            }
+            return;
+        }
+        // Ref-addressed life sign: the handle cached at track time replaces
+        // the id→slot resolve on every received message. The
+        // generation-checked lease read subsumes the id path's guards — a
+        // suspected peer's lease was cleared, a forgotten peer's handle was
+        // dropped with its slot, and a stranger has no handle at all.
+        if let Some(r) = self.peer_ref(from) {
+            self.fd.heard_from_ref(r, self.now);
+        }
+        // Any message except the sender's own `JoinRequest` is evidence the
+        // sender reached `Active` (joiners emit join requests while still
+        // `Joining`; everything else is sent by active members — observers'
+        // `Subscribe`s come from processes without a roster slot, so
+        // confirming them is a structural no-op). A *forwarded* join
+        // request (`joiner != from`) does confirm the forwarder.
+        if !matches!(&msg, Msg::JoinRequest { joiner } if *joiner == from) {
+            self.confirm_peer(from);
+        }
+        self.dispatch(from, msg);
+    }
+
+    /// Handles the timer `tag` of an [`Effect::Timer`], due at time `now`.
+    #[inline] // into the `Node` impl: the heartbeat tick's path
+    pub fn fire(&mut self, tag: u64, now: u64) {
+        self.now = now;
+        if self.lifecycle == Lifecycle::Stopped {
+            return;
+        }
+        match tag {
+            TICK => self.on_tick(),
+            JOIN if self.lifecycle == Lifecycle::Joining => {
+                let join = self.cfg.join.clone().expect("joiner has join config");
+                for c in &join.contacts {
+                    self.send(*c, Msg::JoinRequest { joiner: self.me });
+                }
+                self.set_timer(join.retry_every, JOIN);
+            }
+            OBSERVE => self.on_observe_tick(),
+            _ => {}
+        }
+    }
+
+    /// Drains the effects queued since the last drain, in emission order.
+    pub fn take_outbox(&mut self) -> Vec<Effect> {
+        std::mem::take(&mut self.outbox)
+    }
+
+    /// Replays the queued effects into a simulator context in emission
+    /// order, wrapping each sent message with `wrap` — the identity for a
+    /// bare member, an envelope variant for a composite node. The member
+    /// draws no randomness and never reads a timer id, so the replay yields
+    /// exactly the actions (and timer ids) of handlers writing to `ctx`.
+    pub fn drain_into<M: Message>(&mut self, ctx: &mut Ctx<'_, M>, wrap: impl Fn(Msg) -> M) {
+        if self.outbox.is_empty() {
+            return; // most deliveries are life signs that queue nothing
+        }
+        for effect in self.outbox.drain(..) {
+            match effect {
+                Effect::Send { to, msg } => ctx.send(to, wrap(msg)),
+                Effect::Timer { delay, tag } => {
+                    ctx.set_timer(delay, tag);
+                }
+                Effect::Note(note) => ctx.note(note),
+                Effect::Quit => ctx.quit(),
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Helpers
     // ------------------------------------------------------------------
 
-    fn do_quit(&mut self, ctx: &mut Ctx<'_, Msg>, reason: QuitReason) {
+    fn do_quit(&mut self, reason: QuitReason) {
         self.lifecycle = Lifecycle::Stopped;
         // A stopped member neither reports nor heartbeats ever again; free
         // the per-peer arenas rather than letting them outlive the
@@ -451,12 +598,31 @@ impl Member {
         self.events.push(MemberEvent::Quit {
             reason: reason.clone(),
         });
-        ctx.note(Note::Quit { reason });
-        ctx.quit();
+        self.note(Note::Quit { reason });
+        self.outbox.push(Effect::Quit);
     }
 
-    fn others(&self) -> Vec<ProcessId> {
-        self.view.iter().filter(|&p| p != self.me).collect()
+    fn send(&mut self, to: ProcessId, msg: Msg) {
+        self.outbox.push(Effect::Send { to, msg });
+    }
+
+    /// `Bcast(p, G, m)` (§3.1) to the rest of the view: not failure-atomic,
+    /// since a crash may cut the host's replay of it short.
+    fn broadcast(&mut self, msg: Msg) {
+        for to in self.view.iter().filter(|&p| p != self.me) {
+            self.outbox.push(Effect::Send {
+                to,
+                msg: msg.clone(),
+            });
+        }
+    }
+
+    fn set_timer(&mut self, delay: u64, tag: u64) {
+        self.outbox.push(Effect::Timer { delay, tag });
+    }
+
+    fn note(&mut self, note: Note) {
+        self.outbox.push(Effect::Note(note));
     }
 
     /// `Memb − {me} − Faulty`: the processes whose response is awaited.
@@ -615,17 +781,17 @@ impl Member {
 
     /// Applies one committed membership operation, bumping the version and
     /// emitting the trace notes the property checkers consume.
-    fn apply_op(&mut self, ctx: &mut Ctx<'_, Msg>, op: Op) {
+    fn apply_op(&mut self, op: Op) {
         let excluded = (op.kind == OpKind::Remove).then_some(op.target);
         match op.kind {
             OpKind::Remove => {
                 if op.target == self.me {
-                    self.do_quit(ctx, QuitReason::Excluded);
+                    self.do_quit(QuitReason::Excluded);
                     return;
                 }
                 // GMP-1: `q ∉ Memb(p) ⇒ faulty_p(q)` — the belief always
                 // precedes the removal, whatever path committed it.
-                self.mark_faulty_quiet(ctx, op.target, FaultySource::Gossip);
+                self.mark_faulty_quiet(op.target, FaultySource::Gossip);
                 self.view.remove(op.target);
                 self.faulty.remove(&op.target);
                 self.forget_peer(op.target);
@@ -642,7 +808,7 @@ impl Member {
         // a removal this also enrolls whoever the shifted graph newly
         // assigns to us (a sparse ring closes over the gap); under Flat it
         // reduces to tracking exactly the added member.
-        self.install_topology(ctx.now());
+        self.install_topology(self.now);
         self.seq.push(op);
         self.ver += 1;
         // Installing a view needs no explicit pruning of the per-peer
@@ -652,8 +818,8 @@ impl Member {
         // entries are already unreadable (and a recycled slot's generation
         // check keeps them invisible to later joiners). The state stays
         // bounded by the view size across arbitrarily long runs.
-        ctx.note(Note::OpApplied { op, ver: self.ver });
-        ctx.note(Note::ViewInstalled {
+        self.note(Note::OpApplied { op, ver: self.ver });
+        self.note(Note::ViewInstalled {
             ver: self.ver,
             members: self.view.to_vec(),
             mgr: self.mgr,
@@ -669,11 +835,11 @@ impl Member {
             members: self.view.to_vec(),
             mgr: self.mgr,
         });
-        self.notify_subscribers(ctx);
+        self.notify_subscribers();
     }
 
     /// Streams the current view to subscribed observers (§8).
-    fn notify_subscribers(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn notify_subscribers(&mut self) {
         if self.subscribers.is_empty() {
             return;
         }
@@ -682,8 +848,11 @@ impl Member {
             ver: self.ver,
             mgr: self.mgr,
         };
-        for s in self.subscribers.clone() {
-            ctx.send(s, update.clone());
+        for &to in &self.subscribers {
+            self.outbox.push(Effect::Send {
+                to,
+                msg: update.clone(),
+            });
         }
     }
 
@@ -691,14 +860,14 @@ impl Member {
     /// already inside a protocol transition (e.g. applying a reconfiguration
     /// proposal), where GMP-1 requires the belief to precede the removal but
     /// triggering succession logic mid-step would be unsound.
-    fn mark_faulty_quiet(&mut self, ctx: &mut Ctx<'_, Msg>, q: ProcessId, source: FaultySource) {
+    fn mark_faulty_quiet(&mut self, q: ProcessId, source: FaultySource) {
         if q == self.me || !self.iso.isolate(q) {
             return;
         }
         self.fd.suspect(q);
         self.events
             .push(MemberEvent::PeerSuspected { peer: q, source });
-        ctx.note(Note::Faulty { suspect: q, source });
+        self.note(Note::Faulty { suspect: q, source });
         if self.view.contains(q) {
             self.faulty.insert(q);
         }
@@ -707,7 +876,7 @@ impl Member {
 
     /// Applies a reconfiguration proposal `rl` installing version `v`,
     /// starting from whatever prefix this process already holds.
-    fn apply_rl(&mut self, ctx: &mut Ctx<'_, Msg>, rl: &[Op], v: Ver) {
+    fn apply_rl(&mut self, rl: &[Op], v: Ver) {
         if self.ver >= v {
             return;
         }
@@ -719,7 +888,7 @@ impl Member {
         if self.ver < start {
             // Further behind than the proposal can repair; impossible per
             // Prop. 5.1 but tolerated defensively.
-            ctx.note(Note::Custom(format!(
+            self.note(Note::Custom(format!(
                 "cannot catch up: at v{} but proposal covers v{}..v{}",
                 self.ver, start, v
             )));
@@ -727,7 +896,7 @@ impl Member {
         }
         let skip = (self.ver - start) as usize;
         for &op in &rl[skip..] {
-            self.apply_op(ctx, op);
+            self.apply_op(op);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
@@ -737,7 +906,7 @@ impl Member {
 
     /// The core `faulty_p(q)` event (§2.2): isolates `q` (S1), records the
     /// belief, and drives whatever protocol step the suspicion unblocks.
-    fn handle_faulty(&mut self, ctx: &mut Ctx<'_, Msg>, q: ProcessId, source: FaultySource) {
+    fn handle_faulty(&mut self, q: ProcessId, source: FaultySource) {
         if q == self.me || self.lifecycle == Lifecycle::Stopped {
             return;
         }
@@ -747,7 +916,7 @@ impl Member {
         self.fd.suspect(q);
         self.events
             .push(MemberEvent::PeerSuspected { peer: q, source });
-        ctx.note(Note::Faulty { suspect: q, source });
+        self.note(Note::Faulty { suspect: q, source });
         if !self.view.contains(q) {
             return;
         }
@@ -790,10 +959,10 @@ impl Member {
         };
         match after {
             After::None => {}
-            After::MgrStart => self.mgr_start_update(ctx),
-            After::MgrComplete => self.mgr_oks_complete(ctx),
-            After::Phase1Complete => self.reconf_phase1_complete(ctx),
-            After::Phase2Complete => self.reconf_phase2_complete(ctx),
+            After::MgrStart => self.mgr_start_update(),
+            After::MgrComplete => self.mgr_oks_complete(),
+            After::Phase1Complete => self.reconf_phase1_complete(),
+            After::Phase2Complete => self.reconf_phase2_complete(),
             After::MaybeInitiate => {
                 // Report the observation so Mgr starts the exclusion
                 // algorithm (§3.1); gossip-derived beliefs are re-reported
@@ -803,14 +972,14 @@ impl Member {
                     && self.mgr != self.me
                     && !self.faulty.contains(&self.mgr)
                 {
-                    ctx.send(self.mgr, Msg::FaultyReport { suspect: q });
+                    self.send(self.mgr, Msg::FaultyReport { suspect: q });
                     // `q` is in view, so its roster slot is live (suspicion
                     // keeps the slot; only removal retires it).
                     if let Some(r) = self.peer_ref(q) {
-                        self.last_report.set(r, ctx.now());
+                        self.last_report.set(r, self.now);
                     }
                 }
-                self.maybe_initiate(ctx);
+                self.maybe_initiate();
             }
         }
     }
@@ -818,7 +987,7 @@ impl Member {
     /// The succession rule (§4.2): initiate reconfiguration when every
     /// member ranked above this process — and the coordinator — is
     /// perceived faulty.
-    fn maybe_initiate(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn maybe_initiate(&mut self) {
         if self.lifecycle != Lifecycle::Active || !matches!(self.role, Role::Outer) {
             return;
         }
@@ -831,7 +1000,7 @@ impl Member {
             .iter()
             .all(|s| self.faulty.contains(s));
         if seniors_faulty && self.faulty.contains(&self.mgr) {
-            self.start_reconf(ctx);
+            self.start_reconf();
         }
     }
 
@@ -839,13 +1008,13 @@ impl Member {
     // Coordinator: two-phase update with condensed rounds (Fig. 8)
     // ------------------------------------------------------------------
 
-    fn mgr_start_update(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn mgr_start_update(&mut self) {
         let Some(op) = self.mgr_pick_next() else {
             self.role = Role::MgrIdle;
             return;
         };
         let vnext = self.ver + 1;
-        ctx.broadcast(self.others(), Msg::Invite { op, ver: vnext });
+        self.broadcast(Msg::Invite { op, ver: vnext });
         let pending = self.await_set();
         self.role = Role::MgrAwait {
             op,
@@ -853,18 +1022,18 @@ impl Member {
             pending,
             oks: BTreeSet::new(),
         };
-        self.mgr_check_complete(ctx);
+        self.mgr_check_complete();
     }
 
-    fn mgr_check_complete(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn mgr_check_complete(&mut self) {
         let done = matches!(&self.role, Role::MgrAwait { pending, .. } if pending.is_empty());
         if done {
-            self.mgr_oks_complete(ctx);
+            self.mgr_oks_complete();
         }
     }
 
     /// Every awaited member has responded or been suspected: commit.
-    fn mgr_oks_complete(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn mgr_oks_complete(&mut self) {
         let Role::MgrAwait {
             op, ver: v, oks, ..
         } = std::mem::replace(&mut self.role, Role::MgrIdle)
@@ -875,17 +1044,17 @@ impl Member {
             let got = oks.len() + 1; // counting Mgr itself
             let needed = self.view.majority();
             if got < needed {
-                self.do_quit(ctx, QuitReason::NoMajority { got, needed });
+                self.do_quit(QuitReason::NoMajority { got, needed });
                 return;
             }
         }
-        self.apply_op(ctx, op);
+        self.apply_op(op);
         if self.lifecycle == Lifecycle::Stopped {
             return;
         }
         debug_assert_eq!(self.ver, v);
         if op.kind == OpKind::Add {
-            ctx.send(
+            self.send(
                 op.target,
                 Msg::Welcome {
                     members: self.view.to_vec(),
@@ -897,16 +1066,13 @@ impl Member {
         }
         if self.cfg.compression {
             let nxt = self.mgr_pick_next();
-            ctx.broadcast(
-                self.others(),
-                Msg::Commit {
-                    op,
-                    ver: v,
-                    next: nxt,
-                    faulty: self.faulty_vec(),
-                    recovered: self.recovered_vec(),
-                },
-            );
+            self.broadcast(Msg::Commit {
+                op,
+                ver: v,
+                next: nxt,
+                faulty: self.faulty_vec(),
+                recovered: self.recovered_vec(),
+            });
             if let Some(n) = nxt {
                 let pending = self.await_set();
                 self.role = Role::MgrAwait {
@@ -915,23 +1081,20 @@ impl Member {
                     pending,
                     oks: BTreeSet::new(),
                 };
-                self.mgr_check_complete(ctx);
+                self.mgr_check_complete();
             } else {
                 self.role = Role::MgrIdle;
             }
         } else {
-            ctx.broadcast(
-                self.others(),
-                Msg::Commit {
-                    op,
-                    ver: v,
-                    next: None,
-                    faulty: self.faulty_vec(),
-                    recovered: self.recovered_vec(),
-                },
-            );
+            self.broadcast(Msg::Commit {
+                op,
+                ver: v,
+                next: None,
+                faulty: self.faulty_vec(),
+                recovered: self.recovered_vec(),
+            });
             self.role = Role::MgrIdle;
-            self.mgr_start_update(ctx); // fresh invitation for the next op
+            self.mgr_start_update(); // fresh invitation for the next op
         }
     }
 
@@ -939,33 +1102,44 @@ impl Member {
     // Outer process: update protocol (Fig. 9)
     // ------------------------------------------------------------------
 
-    fn on_invite(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcessId, op: Op, v: Ver) {
+    fn on_invite(&mut self, from: ProcessId, op: Op, v: Ver) {
         if from != self.mgr || !matches!(self.role, Role::Outer) {
             return;
         }
         if v <= self.ver {
             return; // stale duplicate
         }
-        if v > self.ver + 1 {
+        if v - self.ver > 1 {
             self.buffered.push((from, Msg::Invite { op, ver: v }));
             return;
         }
+        self.accept_invite(op, self.mgr);
+    }
+
+    /// Fig. 9's answer to an invitation for `op` from `coord`, or to the
+    /// contingent op a commit carries in its place: act on the belief it
+    /// states, expect `op` at the next version and acknowledge. `Ver::MAX`
+    /// has no next version, so there the invitation is dropped.
+    fn accept_invite(&mut self, op: Op, coord: ProcessId) {
         if op.removes(self.me) {
-            self.do_quit(ctx, QuitReason::Excluded);
+            self.do_quit(QuitReason::Excluded);
             return;
         }
         match op.kind {
-            OpKind::Remove => self.handle_faulty(ctx, op.target, FaultySource::Gossip),
-            OpKind::Add => ctx.note(Note::Operating { id: op.target }),
+            OpKind::Remove => self.handle_faulty(op.target, FaultySource::Gossip),
+            OpKind::Add => self.note(Note::Operating { id: op.target }),
         }
         if self.lifecycle == Lifecycle::Stopped {
             return;
         }
-        self.next = vec![NextEntry::concrete(vec![op], self.mgr, v)];
-        ctx.send(self.mgr, Msg::UpdateOk { ver: v });
+        let Some(v) = self.ver.checked_add(1) else {
+            return;
+        };
+        self.next = vec![NextEntry::concrete(vec![op], coord, v)];
+        self.send(coord, Msg::UpdateOk { ver: v });
     }
 
-    fn on_update_ok(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcessId, v: Ver) {
+    fn on_update_ok(&mut self, from: ProcessId, v: Ver) {
         let complete = match &mut self.role {
             Role::MgrAwait {
                 ver, pending, oks, ..
@@ -978,16 +1152,12 @@ impl Member {
             _ => false,
         };
         if complete {
-            self.mgr_oks_complete(ctx);
+            self.mgr_oks_complete();
         }
     }
 
-    // One parameter per field of the paper's commit message; bundling them
-    // into a struct would just duplicate `Msg::Commit`.
-    #[allow(clippy::too_many_arguments)]
     fn on_commit(
         &mut self,
-        ctx: &mut Ctx<'_, Msg>,
         from: ProcessId,
         op: Op,
         v: Ver,
@@ -998,7 +1168,10 @@ impl Member {
         if from != self.mgr || !matches!(self.role, Role::Outer) {
             return;
         }
-        if v > self.ver + 1 {
+        if v < self.ver {
+            return; // stale
+        }
+        if v - self.ver > 1 {
             self.buffered.push((
                 from,
                 Msg::Commit {
@@ -1011,87 +1184,60 @@ impl Member {
             ));
             return;
         }
-        if v < self.ver {
-            return; // stale
-        }
         if f.contains(&self.me) || nxt.map(|n| n.removes(self.me)).unwrap_or(false) {
-            self.do_quit(ctx, QuitReason::Excluded);
+            self.do_quit(QuitReason::Excluded);
             return;
         }
         if v == self.ver {
             // Already installed (e.g. a joiner bootstrapped by `Welcome` at
             // this very version): only the contingent part matters.
-            self.process_contingent(ctx, nxt, &f, &r);
+            self.process_contingent(nxt, &f, &r);
             return;
         }
         // v == self.ver + 1: apply.
         for &q in &f {
             if q != op.target {
-                self.handle_faulty(ctx, q, FaultySource::Gossip);
+                self.handle_faulty(q, FaultySource::Gossip);
                 if self.lifecycle == Lifecycle::Stopped {
                     return;
                 }
             }
         }
         for &j in &r {
-            ctx.note(Note::Operating { id: j });
+            self.note(Note::Operating { id: j });
         }
         if op.removes(self.me) {
-            self.do_quit(ctx, QuitReason::Excluded);
+            self.do_quit(QuitReason::Excluded);
             return;
         }
-        self.apply_op(ctx, op);
+        self.apply_op(op);
         if self.lifecycle == Lifecycle::Stopped {
             return;
         }
-        self.process_contingent(ctx, nxt, &[], &[]);
-        self.drain_buffer(ctx);
+        self.process_contingent(nxt, &[], &[]);
+        self.drain_buffer();
     }
 
     /// Handles the `Contingent(next-op(next-id) : F : R)` part of a commit:
     /// under compression it doubles as the next invitation (§3.1).
-    fn process_contingent(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        nxt: Option<Op>,
-        f: &[ProcessId],
-        r: &[ProcessId],
-    ) {
+    fn process_contingent(&mut self, nxt: Option<Op>, f: &[ProcessId], r: &[ProcessId]) {
         for &q in f {
-            self.handle_faulty(ctx, q, FaultySource::Gossip);
+            self.handle_faulty(q, FaultySource::Gossip);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
         }
         for &j in r {
-            ctx.note(Note::Operating { id: j });
+            self.note(Note::Operating { id: j });
         }
         match nxt {
-            Some(n) => {
-                if n.removes(self.me) {
-                    self.do_quit(ctx, QuitReason::Excluded);
-                    return;
-                }
-                match n.kind {
-                    OpKind::Remove => {
-                        self.handle_faulty(ctx, n.target, FaultySource::Gossip);
-                        if self.lifecycle == Lifecycle::Stopped {
-                            return;
-                        }
-                    }
-                    OpKind::Add => ctx.note(Note::Operating { id: n.target }),
-                }
-                self.next = vec![NextEntry::concrete(vec![n], self.mgr, self.ver + 1)];
-                ctx.send(self.mgr, Msg::UpdateOk { ver: self.ver + 1 });
-            }
-            None => {
-                self.next.clear();
-            }
+            Some(n) => self.accept_invite(n, self.mgr),
+            None => self.next.clear(),
         }
     }
 
     /// Replays buffered future-view messages that have become current.
-    fn drain_buffer(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn drain_buffer(&mut self) {
         loop {
             if self.lifecycle == Lifecycle::Stopped {
                 return;
@@ -1103,16 +1249,14 @@ impl Member {
                 _ => true,
             });
             let pos = self.buffered.iter().position(|(_, m)| match m {
-                Msg::Invite { ver, .. } => *ver == cur + 1,
-                Msg::Commit { ver, .. } => *ver == cur + 1,
+                Msg::Invite { ver, .. } | Msg::Commit { ver, .. } => {
+                    cur.checked_add(1) == Some(*ver)
+                }
                 _ => false,
             });
             let Some(pos) = pos else { return };
             let (from, msg) = self.buffered.remove(pos);
-            self.dispatch(ctx, from, msg);
-            if self.ver == cur && !matches!(self.role, Role::Outer) {
-                return;
-            }
+            self.dispatch(from, msg);
             if self.ver == cur {
                 // Nothing advanced (the buffered message was an invite):
                 // wait for more traffic.
@@ -1125,9 +1269,9 @@ impl Member {
     // Reconfiguration (Figs. 5, 10)
     // ------------------------------------------------------------------
 
-    fn start_reconf(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        ctx.note(Note::ReconfStarted { from_ver: self.ver });
-        ctx.broadcast(self.others(), Msg::Interrogate);
+    fn start_reconf(&mut self) {
+        self.note(Note::ReconfStarted { from_ver: self.ver });
+        self.broadcast(Msg::Interrogate);
         let my_resp = PhaseOneResp {
             from: self.me,
             ver: self.ver,
@@ -1142,11 +1286,11 @@ impl Member {
         let done =
             matches!(&self.role, Role::ReconfInterrogate { pending, .. } if pending.is_empty());
         if done {
-            self.reconf_phase1_complete(ctx);
+            self.reconf_phase1_complete();
         }
     }
 
-    fn on_interrogate(&mut self, ctx: &mut Ctx<'_, Msg>, r: ProcessId) {
+    fn on_interrogate(&mut self, r: ProcessId) {
         if !matches!(self.lifecycle, Lifecycle::Active) {
             return;
         }
@@ -1156,11 +1300,11 @@ impl Member {
         // Fig. 10: a process ranked above the initiator is in HiFaulty(r)
         // and is being excluded — it quits.
         if ri > mi {
-            self.do_quit(ctx, QuitReason::Excluded);
+            self.do_quit(QuitReason::Excluded);
             return;
         }
         // Respond with the pre-placeholder state (§4.4 ordering).
-        ctx.send(
+        self.send(
             r,
             Msg::InterrogateOk {
                 ver: self.ver,
@@ -1170,7 +1314,7 @@ impl Member {
         );
         // Infer HiFaulty(r): every member senior to r (§4.5).
         for s in self.view.seniors_of(r).to_vec() {
-            self.handle_faulty(ctx, s, FaultySource::HiFaultyInference);
+            self.handle_faulty(s, FaultySource::HiFaultyInference);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
@@ -1178,14 +1322,7 @@ impl Member {
         self.next.push(NextEntry::placeholder(r));
     }
 
-    fn on_interrogate_ok(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: ProcessId,
-        ver: Ver,
-        seq: Vec<Op>,
-        next: Vec<NextEntry>,
-    ) {
+    fn on_interrogate_ok(&mut self, from: ProcessId, ver: Ver, seq: Vec<Op>, next: Vec<NextEntry>) {
         let complete = match &mut self.role {
             Role::ReconfInterrogate { pending, resp } => {
                 if pending.remove(&from) {
@@ -1201,11 +1338,11 @@ impl Member {
             _ => return,
         };
         if complete {
-            self.reconf_phase1_complete(ctx);
+            self.reconf_phase1_complete();
         }
     }
 
-    fn reconf_phase1_complete(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn reconf_phase1_complete(&mut self) {
         let Role::ReconfInterrogate { resp, .. } = std::mem::replace(&mut self.role, Role::Outer)
         else {
             return;
@@ -1213,7 +1350,7 @@ impl Member {
         let got = resp.len(); // includes this initiator
         let needed = self.view.majority();
         if got < needed {
-            self.do_quit(ctx, QuitReason::NoMajority { got, needed });
+            self.do_quit(QuitReason::NoMajority { got, needed });
             return;
         }
         let queue = self.queue_ops();
@@ -1223,18 +1360,15 @@ impl Member {
             // proposal phase is what plants each initiator's plan in the
             // respondents' `next` lists; skipping it makes invisible commits
             // undetectable — see `gmp-baselines` for the counterexample.
-            self.reconf_commit_now(ctx, decision.v, decision.rl, decision.invis);
+            self.reconf_commit_now(decision.v, decision.rl, decision.invis);
             return;
         }
-        ctx.broadcast(
-            self.others(),
-            Msg::Propose {
-                rl: decision.rl.clone(),
-                ver: decision.v,
-                invis: decision.invis.clone(),
-                faulty: self.faulty_vec(),
-            },
-        );
+        self.broadcast(Msg::Propose {
+            rl: decision.rl.clone(),
+            ver: decision.v,
+            invis: decision.invis.clone(),
+            faulty: self.faulty_vec(),
+        });
         let pending = self.await_set();
         self.role = Role::ReconfPropose {
             v: decision.v,
@@ -1245,13 +1379,12 @@ impl Member {
         };
         let done = matches!(&self.role, Role::ReconfPropose { pending, .. } if pending.is_empty());
         if done {
-            self.reconf_phase2_complete(ctx);
+            self.reconf_phase2_complete();
         }
     }
 
     fn on_propose(
         &mut self,
-        ctx: &mut Ctx<'_, Msg>,
         from: ProcessId,
         rl: Vec<Op>,
         v: Ver,
@@ -1268,11 +1401,11 @@ impl Member {
             || rl.iter().any(|op| op.removes(self.me))
             || invis.iter().any(|op| op.removes(self.me))
         {
-            self.do_quit(ctx, QuitReason::Excluded);
+            self.do_quit(QuitReason::Excluded);
             return;
         }
         for &q in &f {
-            self.handle_faulty(ctx, q, FaultySource::Gossip);
+            self.handle_faulty(q, FaultySource::Gossip);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
@@ -1280,14 +1413,14 @@ impl Member {
         // "p executes faulty_p(RL_r) upon receipt of r's proposal" (§6).
         for op in &rl {
             if op.kind == OpKind::Remove {
-                self.mark_faulty_quiet(ctx, op.target, FaultySource::Gossip);
+                self.mark_faulty_quiet(op.target, FaultySource::Gossip);
             }
         }
         self.next = vec![NextEntry::concrete(rl, from, v)];
-        ctx.send(from, Msg::ProposeOk { ver: v });
+        self.send(from, Msg::ProposeOk { ver: v });
     }
 
-    fn on_propose_ok(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcessId, v: Ver) {
+    fn on_propose_ok(&mut self, from: ProcessId, v: Ver) {
         let complete = match &mut self.role {
             Role::ReconfPropose {
                 v: pv,
@@ -1303,11 +1436,11 @@ impl Member {
             _ => return,
         };
         if complete {
-            self.reconf_phase2_complete(ctx);
+            self.reconf_phase2_complete();
         }
     }
 
-    fn reconf_phase2_complete(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn reconf_phase2_complete(&mut self) {
         let Role::ReconfPropose {
             v, rl, invis, oks, ..
         } = std::mem::replace(&mut self.role, Role::Outer)
@@ -1317,37 +1450,34 @@ impl Member {
         let got = oks.len() + 1;
         let needed = self.view.majority();
         if got < needed {
-            self.do_quit(ctx, QuitReason::NoMajority { got, needed });
+            self.do_quit(QuitReason::NoMajority { got, needed });
             return;
         }
-        self.reconf_commit_now(ctx, v, rl, invis);
+        self.reconf_commit_now(v, rl, invis);
     }
 
     /// Phase III: install `rl`, announce the commit, and assume the `Mgr`
     /// role on the contingent plan.
-    fn reconf_commit_now(&mut self, ctx: &mut Ctx<'_, Msg>, v: Ver, rl: Vec<Op>, invis: Vec<Op>) {
+    fn reconf_commit_now(&mut self, v: Ver, rl: Vec<Op>, invis: Vec<Op>) {
         // The commit's authority *is* the new coordinator: attribute the
         // installed views (and observer notifications) to it.
         self.mgr = self.me;
-        self.apply_rl(ctx, &rl, v);
+        self.apply_rl(&rl, v);
         if self.lifecycle == Lifecycle::Stopped {
             return;
         }
-        ctx.note(Note::BecameMgr { ver: self.ver });
+        self.note(Note::BecameMgr { ver: self.ver });
         let carried_invis = if self.cfg.compression {
             invis.clone()
         } else {
             Vec::new()
         };
-        ctx.broadcast(
-            self.others(),
-            Msg::ReconfCommit {
-                rl,
-                ver: v,
-                invis: carried_invis,
-                faulty: self.faulty_vec(),
-            },
-        );
+        self.broadcast(Msg::ReconfCommit {
+            rl,
+            ver: v,
+            invis: carried_invis,
+            faulty: self.faulty_vec(),
+        });
         self.next.clear();
         // Begin the Mgr role on the contingent plan.
         self.forced = invis.iter().copied().collect();
@@ -1363,17 +1493,16 @@ impl Member {
                 pending,
                 oks: BTreeSet::new(),
             };
-            self.mgr_check_complete(ctx);
+            self.mgr_check_complete();
         } else {
             // No usable plan (or compression off): fresh invitations.
             self.role = Role::MgrIdle;
-            self.mgr_start_update(ctx);
+            self.mgr_start_update();
         }
     }
 
     fn on_reconf_commit(
         &mut self,
-        ctx: &mut Ctx<'_, Msg>,
         from: ProcessId,
         rl: Vec<Op>,
         v: Ver,
@@ -1390,48 +1519,38 @@ impl Member {
             || rl.iter().any(|op| op.removes(self.me))
             || invis.first().map(|op| op.removes(self.me)).unwrap_or(false)
         {
-            self.do_quit(ctx, QuitReason::Excluded);
+            self.do_quit(QuitReason::Excluded);
             return;
         }
         for &q in &f {
-            self.handle_faulty(ctx, q, FaultySource::Gossip);
+            self.handle_faulty(q, FaultySource::Gossip);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
         }
         self.mgr = from; // the commit's authority is the new coordinator
-        self.apply_rl(ctx, &rl, v);
+        self.apply_rl(&rl, v);
         if self.lifecycle == Lifecycle::Stopped {
             return;
         }
         // Compressed continuation: the commit doubles as the invitation for
         // the first contingent operation.
         match invis.first().copied() {
-            Some(n) => {
-                match n.kind {
-                    OpKind::Remove => {
-                        self.handle_faulty(ctx, n.target, FaultySource::Gossip);
-                        if self.lifecycle == Lifecycle::Stopped {
-                            return;
-                        }
-                    }
-                    OpKind::Add => ctx.note(Note::Operating { id: n.target }),
-                }
-                self.next = vec![NextEntry::concrete(vec![n], from, self.ver + 1)];
-                ctx.send(from, Msg::UpdateOk { ver: self.ver + 1 });
-            }
+            Some(n) => self.accept_invite(n, from),
             None => self.next.clear(),
         }
+        if self.lifecycle == Lifecycle::Stopped {
+            return;
+        }
         // GMP-5 liveness: surviving suspicions reach the new coordinator.
-        self.report_suspects(ctx);
-        self.drain_buffer(ctx);
+        self.report_suspects();
+        self.drain_buffer();
     }
 
-    fn report_suspects(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn report_suspects(&mut self) {
         if self.mgr == self.me || self.faulty.contains(&self.mgr) {
             return;
         }
-        let now = ctx.now();
         let suspects: Vec<ProcessId> = self
             .faulty
             .iter()
@@ -1439,9 +1558,9 @@ impl Member {
             .copied()
             .collect();
         for q in suspects {
-            ctx.send(self.mgr, Msg::FaultyReport { suspect: q });
+            self.send(self.mgr, Msg::FaultyReport { suspect: q });
             if let Some(r) = self.peer_ref(q) {
-                self.last_report.set(r, now);
+                self.last_report.set(r, self.now);
             }
         }
     }
@@ -1450,14 +1569,14 @@ impl Member {
     // Joins (§7)
     // ------------------------------------------------------------------
 
-    fn on_join_request(&mut self, ctx: &mut Ctx<'_, Msg>, joiner: ProcessId) {
+    fn on_join_request(&mut self, joiner: ProcessId) {
         if self.lifecycle != Lifecycle::Active || joiner == self.me {
             return;
         }
         if self.view.contains(joiner) {
             // Already a member (it may have missed its Welcome): any member
             // can re-welcome it.
-            ctx.send(
+            self.send(
                 joiner,
                 Msg::Welcome {
                     members: self.view.to_vec(),
@@ -1471,19 +1590,18 @@ impl Member {
         if self.is_mgr() {
             if !self.recovered.contains(&joiner) && !self.iso.is_isolated(joiner) {
                 self.recovered.push_back(joiner);
-                ctx.note(Note::JoinRequested { joiner });
+                self.note(Note::JoinRequested { joiner });
                 if matches!(self.role, Role::MgrIdle) {
-                    self.mgr_start_update(ctx);
+                    self.mgr_start_update();
                 }
             }
         } else if !self.faulty.contains(&self.mgr) && self.mgr != self.me {
-            ctx.send(self.mgr, Msg::JoinRequest { joiner });
+            self.send(self.mgr, Msg::JoinRequest { joiner });
         }
     }
 
     fn on_welcome(
         &mut self,
-        ctx: &mut Ctx<'_, Msg>,
         from: ProcessId,
         members: Vec<ProcessId>,
         v: Ver,
@@ -1493,7 +1611,11 @@ impl Member {
         if self.lifecycle != Lifecycle::Joining {
             return;
         }
-        self.view = View::new(members);
+        // A member list that repeats a process is no view: ignore it whole.
+        let Some(view) = View::try_new(members) else {
+            return;
+        };
+        self.view = view;
         self.ver = v;
         self.seq = seq;
         self.mgr = mgr;
@@ -1504,7 +1626,7 @@ impl Member {
         // the Welcome if the coordinator fails mid-broadcast. Future-dating
         // the first life sign gives them three full timeout windows before
         // the joiner may suspect anyone it has never heard from.
-        let grace = ctx.now() + 2 * self.cfg.suspect_after;
+        let grace = self.now + 2 * self.cfg.suspect_after;
         self.install_topology(grace);
         // The welcomer demonstrably executes the protocol; other view
         // members may themselves still be joining, so they stay
@@ -1515,14 +1637,14 @@ impl Member {
             members: self.view.to_vec(),
             mgr: self.mgr,
         });
-        ctx.note(Note::ViewInstalled {
+        self.note(Note::ViewInstalled {
             ver: self.ver,
             members: self.view.to_vec(),
             mgr: self.mgr,
         });
-        ctx.set_timer(self.cfg.heartbeat_every, TICK);
+        self.set_timer(self.cfg.heartbeat_every, TICK);
         // Replay coordinator rounds that overtook this Welcome (see the
-        // `Joining` arm of `on_message`). `dispatch` re-buffers anything
+        // `Joining` arm of `receive`). `dispatch` re-buffers anything
         // still ahead of the installed view; stale entries fail the
         // handlers' version guards.
         let held = std::mem::take(&mut self.buffered);
@@ -1531,10 +1653,10 @@ impl Member {
                 break;
             }
             if let Some(r) = self.peer_ref(sender) {
-                self.fd.heard_from_ref(r, ctx.now());
+                self.fd.heard_from_ref(r, self.now);
             }
             self.confirm_peer(sender);
-            self.dispatch(ctx, sender, msg);
+            self.dispatch(sender, msg);
         }
     }
 
@@ -1543,24 +1665,22 @@ impl Member {
     // ------------------------------------------------------------------
 
     /// Handles a view notification at an observer.
-    fn on_view_update(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        members: Vec<ProcessId>,
-        v: Ver,
-        mgr: ProcessId,
-    ) {
-        let Some(obs) = self.obs.as_mut() else { return };
-        obs.last_update = ctx.now();
+    fn on_view_update(&mut self, members: Vec<ProcessId>, v: Ver, mgr: ProcessId) {
+        // A member list that repeats a process is no view: ignore it whole.
+        let (Some(obs), Some(view)) = (self.obs.as_mut(), View::try_new(members)) else {
+            return;
+        };
+        obs.last_update = self.now;
         obs.subscribed = true;
         if obs.seen_any && v <= obs.ver {
             return; // stale or duplicate snapshot
         }
-        obs.view = View::new(members.clone());
+        let members = view.to_vec();
+        obs.view = view;
         obs.ver = v;
         obs.mgr = mgr;
         obs.seen_any = true;
-        ctx.note(Note::ObservedView {
+        self.note(Note::ObservedView {
             ver: v,
             members,
             mgr,
@@ -1569,7 +1689,7 @@ impl Member {
 
     /// Periodic observer maintenance: subscribe, detect a dead contact,
     /// fail over to the next one.
-    fn on_observe_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn on_observe_tick(&mut self) {
         if self.lifecycle != Lifecycle::Observing {
             return;
         }
@@ -1579,7 +1699,7 @@ impl Member {
             .as_ref()
             .expect("observer config")
             .poll_every;
-        let now = ctx.now();
+        let now = self.now;
         let Some(obs) = self.obs.as_mut() else { return };
         // Fail-over candidates: configured contacts plus every member we
         // have observed (the service outlives any single member).
@@ -1599,20 +1719,20 @@ impl Member {
         }
         let contact = candidates[obs.idx % candidates.len()];
         if !obs.subscribed {
-            ctx.send(contact, Msg::Subscribe);
+            self.send(contact, Msg::Subscribe);
         }
-        ctx.set_timer(poll_every, OBSERVE);
+        self.set_timer(poll_every, OBSERVE);
     }
 
     // ------------------------------------------------------------------
     // Periodic tick: heartbeats + failure detection (F1)
     // ------------------------------------------------------------------
 
-    fn on_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn on_tick(&mut self) {
         if self.lifecycle != Lifecycle::Active {
             return;
         }
-        let now = ctx.now();
+        let now = self.now;
 
         // Apply injected (spurious) suspicions and detector timeouts
         // *before* choosing heartbeat targets: S1 starts at the suspicion,
@@ -1620,13 +1740,13 @@ impl Member {
         // more heartbeat from us.
         let injected = std::mem::take(&mut self.injected);
         for q in injected {
-            self.handle_faulty(ctx, q, FaultySource::Injected);
+            self.handle_faulty(q, FaultySource::Injected);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
         }
         for q in self.fd.tick(now) {
-            self.handle_faulty(ctx, q, FaultySource::Observation);
+            self.handle_faulty(q, FaultySource::Observation);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
@@ -1669,15 +1789,13 @@ impl Member {
         // epoch bump above: learning `Faulty{q}` (by timeout or digest)
         // changes `self.faulty`, which re-publishes the snapshot to
         // exactly these monitors on this very tick.
-        let targets: Vec<ProcessId> = self
-            .topo_monitored
-            .iter()
-            .copied()
-            .filter(|p| !self.faulty.contains(p))
-            .collect();
         let snapshot = self.hb.snapshot.clone();
         let epoch = self.hb.epoch;
-        for p in targets {
+        for i in 0..self.topo_monitored.len() {
+            let p = self.topo_monitored[i];
+            if self.faulty.contains(&p) {
+                continue;
+            }
             let digest = match (&snapshot, self.peer_ref(p)) {
                 (Some(set), Some(r)) => {
                     let peer = self.hb.peers.entry(r);
@@ -1692,7 +1810,7 @@ impl Member {
                 }
                 _ => HeartbeatDigest::empty(),
             };
-            ctx.send(p, Msg::Heartbeat { digest });
+            self.send(p, Msg::Heartbeat { digest });
         }
 
         // Periodic re-reports keep GMP-5 live across coordinator changes
@@ -1711,24 +1829,24 @@ impl Member {
                 .copied()
                 .collect();
             for q in due {
-                ctx.send(self.mgr, Msg::FaultyReport { suspect: q });
+                self.send(self.mgr, Msg::FaultyReport { suspect: q });
                 if let Some(r) = self.peer_ref(q) {
                     self.last_report.set(r, now);
                 }
             }
         }
 
-        ctx.set_timer(self.cfg.heartbeat_every, TICK);
+        self.set_timer(self.cfg.heartbeat_every, TICK);
     }
 
     /// Central message dispatch (shared by live delivery and buffer replay).
-    fn dispatch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcessId, msg: Msg) {
+    fn dispatch(&mut self, from: ProcessId, msg: Msg) {
         match msg {
             Msg::Heartbeat { digest } => {
                 if self.cfg.gossip {
                     for q in digest.faulty() {
                         if q != self.me {
-                            self.handle_faulty(ctx, q, FaultySource::Gossip);
+                            self.handle_faulty(q, FaultySource::Gossip);
                             if self.lifecycle == Lifecycle::Stopped {
                                 return;
                             }
@@ -1738,46 +1856,44 @@ impl Member {
             }
             Msg::FaultyReport { suspect } => {
                 if self.is_mgr() {
-                    self.handle_faulty(ctx, suspect, FaultySource::Gossip);
+                    self.handle_faulty(suspect, FaultySource::Gossip);
                 }
             }
-            Msg::JoinRequest { joiner } => self.on_join_request(ctx, joiner),
-            Msg::Invite { op, ver } => self.on_invite(ctx, from, op, ver),
-            Msg::UpdateOk { ver } => self.on_update_ok(ctx, from, ver),
+            Msg::JoinRequest { joiner } => self.on_join_request(joiner),
+            Msg::Invite { op, ver } => self.on_invite(from, op, ver),
+            Msg::UpdateOk { ver } => self.on_update_ok(from, ver),
             Msg::Commit {
                 op,
                 ver,
                 next,
                 faulty,
                 recovered,
-            } => self.on_commit(ctx, from, op, ver, next, faulty, recovered),
-            Msg::Interrogate => self.on_interrogate(ctx, from),
-            Msg::InterrogateOk { ver, seq, next } => {
-                self.on_interrogate_ok(ctx, from, ver, seq, next)
-            }
+            } => self.on_commit(from, op, ver, next, faulty, recovered),
+            Msg::Interrogate => self.on_interrogate(from),
+            Msg::InterrogateOk { ver, seq, next } => self.on_interrogate_ok(from, ver, seq, next),
             Msg::Propose {
                 rl,
                 ver,
                 invis,
                 faulty,
-            } => self.on_propose(ctx, from, rl, ver, invis, faulty),
-            Msg::ProposeOk { ver } => self.on_propose_ok(ctx, from, ver),
+            } => self.on_propose(from, rl, ver, invis, faulty),
+            Msg::ProposeOk { ver } => self.on_propose_ok(from, ver),
             Msg::ReconfCommit {
                 rl,
                 ver,
                 invis,
                 faulty,
-            } => self.on_reconf_commit(ctx, from, rl, ver, invis, faulty),
+            } => self.on_reconf_commit(from, rl, ver, invis, faulty),
             Msg::Welcome {
                 members,
                 ver,
                 seq,
                 mgr,
-            } => self.on_welcome(ctx, from, members, ver, seq, mgr),
+            } => self.on_welcome(from, members, ver, seq, mgr),
             Msg::Subscribe => {
                 if self.lifecycle == Lifecycle::Active {
                     self.subscribers.insert(from);
-                    ctx.send(
+                    self.send(
                         from,
                         Msg::ViewUpdate {
                             members: self.view.to_vec(),
@@ -1794,132 +1910,113 @@ impl Member {
 
 impl Node<Msg> for Member {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        self.me = ctx.id();
-        if self.obs.is_some() {
-            let at = self
-                .cfg
-                .observe
-                .as_ref()
-                .expect("observer config")
-                .at
-                .max(1);
-            ctx.set_timer(at, OBSERVE);
-            return;
-        }
-        match self.cfg.join.clone() {
-            Some(join) => {
-                self.lifecycle = Lifecycle::Joining;
-                let delay = join.at.max(1);
-                ctx.set_timer(delay, JOIN);
-            }
-            None => {
-                assert!(
-                    self.view.contains(self.me),
-                    "initial member {} must appear in its initial view",
-                    self.me
-                );
-                let now = ctx.now();
-                self.install_topology(now);
-                // GMP-0: the initial membership is commonly known and every
-                // initial member starts `Active`, so digests to monitored
-                // peers may be delta-encoded from the first beat.
-                for p in self.topo_monitored.clone() {
-                    self.confirm_peer(p);
-                }
-                self.events.push(MemberEvent::ViewInstalled {
-                    ver: 0,
-                    members: self.view.to_vec(),
-                    mgr: self.mgr,
-                });
-                ctx.note(Note::ViewInstalled {
-                    ver: 0,
-                    members: self.view.to_vec(),
-                    mgr: self.mgr,
-                });
-                if self.mgr == self.me {
-                    self.role = Role::MgrIdle;
-                    ctx.note(Note::BecameMgr { ver: 0 });
-                }
-                ctx.set_timer(self.cfg.heartbeat_every, TICK);
-            }
-        }
+        self.start(ctx.id(), ctx.now());
+        self.drain_into(ctx, std::convert::identity);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcessId, msg: Msg) {
-        if self.lifecycle == Lifecycle::Stopped {
-            return;
-        }
-        // S1: messages from perceived-faulty processes are discarded.
-        if self.iso.is_isolated(from) {
-            ctx.note(Note::Isolated { from });
-            return;
-        }
-        if self.lifecycle == Lifecycle::Joining {
-            match msg {
-                Msg::Welcome {
-                    members,
-                    ver,
-                    seq,
-                    mgr,
-                } => self.on_welcome(ctx, from, members, ver, seq, mgr),
-                // Coordinator rounds addressed to this process as an
-                // already-added member can overtake its Welcome (the add
-                // commits first, and the Welcome may need a retried join
-                // request if the original welcomer died). Invitations and
-                // interrogations are never retransmitted, so discarding
-                // them would wedge the coordinator awaiting this process's
-                // response. Hold them and replay once a Welcome installs a
-                // view; each handler's version guard discards stale ones.
-                Msg::Invite { .. }
-                | Msg::Commit { .. }
-                | Msg::Interrogate
-                | Msg::Propose { .. }
-                | Msg::ReconfCommit { .. } => self.buffered.push((from, msg)),
-                _ => {}
-            }
-            return;
-        }
-        if self.lifecycle == Lifecycle::Observing {
-            if let Msg::ViewUpdate { members, ver, mgr } = msg {
-                self.on_view_update(ctx, members, ver, mgr);
-            }
-            return;
-        }
-        // Ref-addressed life sign: the handle cached at track time replaces
-        // the id→slot resolve on every received message. The
-        // generation-checked lease read subsumes the id path's guards — a
-        // suspected peer's lease was cleared, a forgotten peer's handle was
-        // dropped with its slot, and a stranger has no handle at all.
-        if let Some(r) = self.peer_ref(from) {
-            self.fd.heard_from_ref(r, ctx.now());
-        }
-        // Any message except the sender's own `JoinRequest` is evidence the
-        // sender reached `Active` (joiners emit join requests while still
-        // `Joining`; everything else is sent by active members — observers'
-        // `Subscribe`s come from processes without a roster slot, so
-        // confirming them is a structural no-op). A *forwarded* join
-        // request (`joiner != from`) does confirm the forwarder.
-        if !matches!(&msg, Msg::JoinRequest { joiner } if *joiner == from) {
-            self.confirm_peer(from);
-        }
-        self.dispatch(ctx, from, msg);
+        self.receive(from, msg, ctx.now());
+        self.drain_into(ctx, std::convert::identity);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
-        if self.lifecycle == Lifecycle::Stopped {
-            return;
+        self.fire(tag, ctx.now());
+        self.drain_into(ctx, std::convert::identity);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{JoinConfig, ObserveConfig};
+
+    /// A joiner started as p2 with p0 as its contact.
+    fn joiner() -> Member {
+        let cfg = Config::builder()
+            .joining(JoinConfig::new(1, vec![ProcessId(0)]))
+            .build();
+        let mut m = Member::joiner(cfg);
+        m.start(ProcessId(2), 0);
+        m.take_outbox();
+        m
+    }
+
+    fn welcome(members: &[u32], ver: Ver) -> Msg {
+        Msg::Welcome {
+            members: members.iter().copied().map(ProcessId).collect(),
+            ver,
+            seq: Vec::new(),
+            mgr: ProcessId(0),
         }
-        match tag {
-            TICK => self.on_tick(ctx),
-            JOIN if self.lifecycle == Lifecycle::Joining => {
-                let join = self.cfg.join.clone().expect("joiner has join config");
-                for c in &join.contacts {
-                    ctx.send(*c, Msg::JoinRequest { joiner: self.me });
-                }
-                ctx.set_timer(join.retry_every, JOIN);
+    }
+
+    #[test]
+    fn welcome_repeating_a_member_is_ignored() {
+        let mut m = joiner();
+        m.receive(ProcessId(0), welcome(&[0, 2, 0], 3), 5);
+        assert_eq!(m.lifecycle(), Lifecycle::Joining);
+        assert!(m.view().is_empty());
+        assert!(m.take_outbox().is_empty());
+        assert!(m.take_events().is_empty());
+    }
+
+    #[test]
+    fn view_update_repeating_a_member_is_ignored() {
+        let cfg = Config::builder()
+            .observing(ObserveConfig::new(1, vec![ProcessId(0)]))
+            .build();
+        let mut m = Member::observer(cfg);
+        m.start(ProcessId(5), 0);
+        m.take_outbox();
+        let update = |members: Vec<ProcessId>| Msg::ViewUpdate {
+            members,
+            ver: 2,
+            mgr: ProcessId(1),
+        };
+        m.receive(ProcessId(0), update(vec![ProcessId(1), ProcessId(1)]), 5);
+        assert!(m.observed_view().is_none());
+        assert!(m.take_outbox().is_empty());
+        m.receive(ProcessId(0), update(vec![ProcessId(1), ProcessId(3)]), 6);
+        let (view, ver, _) = m.observed_view().expect("a well-formed update is taken");
+        assert_eq!(
+            (view.as_slice(), ver),
+            ([ProcessId(1), ProcessId(3)].as_slice(), 2)
+        );
+    }
+
+    /// `Ver::MAX` has no successor: rounds that would need one are dropped
+    /// instead of overflowing.
+    #[test]
+    fn rounds_at_the_last_version_do_not_overflow() {
+        let mut m = joiner();
+        m.receive(ProcessId(0), welcome(&[0, 1, 2], Ver::MAX), 5);
+        assert_eq!((m.lifecycle(), m.ver()), (Lifecycle::Active, Ver::MAX));
+        m.take_outbox();
+        let invite = Op::add(ProcessId(4));
+        for ver in [Ver::MAX, Ver::MAX - 7] {
+            let commit = Msg::Commit {
+                op: Op::add(ProcessId(3)),
+                ver,
+                next: Some(invite),
+                faulty: Vec::new(),
+                recovered: Vec::new(),
+            };
+            m.receive(ProcessId(0), commit, 6);
+        }
+        let reconf = Msg::ReconfCommit {
+            rl: vec![Op::add(ProcessId(3))],
+            ver: Ver::MAX,
+            invis: vec![invite],
+            faulty: Vec::new(),
+        };
+        m.receive(ProcessId(0), reconf, 7);
+        assert_eq!((m.lifecycle(), m.ver()), (Lifecycle::Active, Ver::MAX));
+        assert!(!m.take_outbox().iter().any(|e| matches!(
+            e,
+            Effect::Send {
+                msg: Msg::UpdateOk { .. },
+                ..
             }
-            OBSERVE => self.on_observe_tick(ctx),
-            _ => {}
-        }
+        )));
     }
 }

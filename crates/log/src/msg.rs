@@ -184,10 +184,11 @@ impl Message for LogMsg {
 /// counting only the membership side).
 #[derive(Clone, Debug)]
 pub enum AppMsg {
-    /// A membership-protocol message, delivered to the embedded [`Member`]
-    /// (see [`Ctx::embedded`](gmp_sim::Ctx::embedded)).
+    /// A membership-protocol message, delivered to the replica's
+    /// [`Member`] (whose sends come back wrapped by [`Member::drain_into`]).
     ///
     /// [`Member`]: gmp_core::Member
+    /// [`Member::drain_into`]: gmp_core::Member::drain_into
     Gmp(Msg),
     /// A replicated-log message, delivered to the [`ReplicatedLog`]
     /// (replicas) or the [`Client`](crate::Client).

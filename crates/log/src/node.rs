@@ -1,20 +1,21 @@
 //! The composite simulator node: a [`Member`] and a [`ReplicatedLog`] in
 //! one process, or a [`Client`] outside the group.
 //!
-//! The replica hosts the membership state machine through
-//! [`Ctx::embedded`]: membership messages and timers are handed to the
-//! embedded [`Member`] unchanged (its sends come back out wrapped in
-//! [`AppMsg::Gmp`]), and after *every* member interaction the replica
-//! pumps the drained [`MemberEvent`](gmp_core::MemberEvent)s into the log and flushes the log's
-//! outbox onto the wire. Timer tags route by value: the membership layer
-//! owns tags 1–3, the client loop uses its own, and [`LOG_FLUSH`] is the
-//! log's batch-coalescing flush — the log never sets it itself, it raises
-//! a request the node converts into a 1-tick timer here.
+//! Both layers are plain state machines. Membership messages and timers
+//! go to the [`Member`]'s entry points unchanged; after *every* member
+//! step the replica replays the member's effects into the context (its
+//! sends wrapped in [`AppMsg::Gmp`] by [`Member::drain_into`]), then feeds
+//! the drained [`MemberEvent`](gmp_core::MemberEvent)s to the log and
+//! flushes the log's outbox after them. Timer tags route by value: the
+//! membership layer owns tags 1–3, the client loop uses its own, and
+//! [`LOG_FLUSH`] is the log's batch-coalescing flush — the log never sets
+//! it itself, it raises a request the node converts into a 1-tick timer
+//! here.
 
 use crate::client::Client;
 use crate::msg::{AppMsg, LogMsg};
 use crate::replica::{ReplicatedLog, LOG_FLUSH};
-use gmp_core::{Member, Msg};
+use gmp_core::Member;
 use gmp_sim::{Ctx, Node};
 use gmp_types::ProcessId;
 
@@ -32,21 +33,12 @@ impl Replica {
         Replica { member, log }
     }
 
-    /// Runs `f` against the embedded member, then pumps its events into
-    /// the log and the log's outbox onto the wire.
-    fn with_member(
-        &mut self,
-        ctx: &mut Ctx<'_, AppMsg>,
-        f: impl FnOnce(&mut Member, &mut Ctx<'_, Msg>),
-    ) {
-        let member = &mut self.member;
-        ctx.embedded(AppMsg::Gmp, |inner| f(member, inner));
-        self.pump(ctx);
-    }
-
-    /// Event/outbox pump. Member handlers only ever *push* events, and the
-    /// log only ever *consumes* them, so one pass settles everything.
+    /// After a member step: its effects onto the wire, then its events
+    /// into the log and the log's outbox after them. Member handlers only
+    /// ever *push* events, and the log only ever *consumes* them, so one
+    /// pass settles everything.
     fn pump(&mut self, ctx: &mut Ctx<'_, AppMsg>) {
+        self.member.drain_into(ctx, AppMsg::Gmp);
         let now = ctx.now();
         for ev in self.member.take_events() {
             self.log.on_member_event(ev, now);
@@ -117,7 +109,8 @@ impl Node<AppMsg> for LogProc {
         match self {
             LogProc::Replica(r) => {
                 r.log.bind(ctx.id());
-                r.with_member(ctx, |m, c| m.on_start(c));
+                r.member.start(ctx.id(), ctx.now());
+                r.pump(ctx);
             }
             LogProc::Client(c) => c.on_start(ctx),
         }
@@ -126,7 +119,8 @@ impl Node<AppMsg> for LogProc {
     fn on_message(&mut self, ctx: &mut Ctx<'_, AppMsg>, from: ProcessId, msg: AppMsg) {
         match (self, msg) {
             (LogProc::Replica(r), AppMsg::Gmp(m)) => {
-                r.with_member(ctx, |mem, c| mem.on_message(c, from, m));
+                r.member.receive(from, m, ctx.now());
+                r.pump(ctx);
             }
             (LogProc::Replica(r), AppMsg::Log(m)) => r.on_log_message(ctx, from, m),
             (LogProc::Client(c), AppMsg::Log(m)) => c.on_message(ctx, from, m),
@@ -142,7 +136,10 @@ impl Node<AppMsg> for LogProc {
                 r.log.on_flush(ctx.now());
                 r.drain_log(ctx);
             }
-            LogProc::Replica(r) => r.with_member(ctx, |m, c| m.on_timer(c, tag)),
+            LogProc::Replica(r) => {
+                r.member.fire(tag, ctx.now());
+                r.pump(ctx);
+            }
             LogProc::Client(c) => c.on_timer(ctx, tag),
         }
     }

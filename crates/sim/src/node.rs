@@ -82,10 +82,10 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// that clone is trivially cheap; for bulk payloads, wrap them in
     /// [`Shared`](crate::Shared) so one constructed payload fans out to
     /// `n − 1` recipients as O(1) reference bumps instead of deep copies.
-    /// (The same holds for a hand-rolled per-target [`send`](Ctx::send)
-    /// loop, which is what `gmp-core`'s heartbeat digests use — each
-    /// recipient picks a full or empty digest, but all full ones share one
-    /// `Shared` snapshot.)
+    /// (`gmp-core`'s `Member` does not call this: it broadcasts, and fans
+    /// out heartbeat digests that share one `Shared` snapshot, into its own
+    /// outbox, which its host replays here as single [`send`](Ctx::send)s —
+    /// so a crash cuts them the same way.)
     pub fn broadcast<I>(&mut self, to: I, msg: M)
     where
         I: IntoIterator<Item = ProcessId>,
@@ -130,51 +130,6 @@ impl<'a, M: Message> Ctx<'a, M> {
     pub fn rng(&mut self) -> &mut SmallRng {
         self.rng
     }
-
-    /// Runs `body` against a context typed for an embedded sub-protocol's
-    /// message type `M2`, then lifts every effect the sub-protocol queued
-    /// back into this context, wrapping its sends with `wrap`.
-    ///
-    /// This is how a composite node hosts an inner protocol written against
-    /// its own message enum — e.g. a replicated-log replica embedding a
-    /// membership `Member`: the inner handler runs unchanged, and its sends
-    /// go out on the wire inside the composite's envelope. Effects keep
-    /// their emission order relative to each other and to anything the
-    /// outer handler queues before or after, so determinism (and the
-    /// quit-cuts-the-broadcast semantics) is preserved. Timer *ids* come
-    /// from the shared per-process counter and never collide across
-    /// layers, but timer *tags* share one namespace: composites must
-    /// partition tags and route [`Node::on_timer`] to the right layer
-    /// themselves.
-    pub fn embedded<M2, R>(
-        &mut self,
-        wrap: impl Fn(M2) -> M,
-        body: impl FnOnce(&mut Ctx<'_, M2>) -> R,
-    ) -> R
-    where
-        M2: Message,
-    {
-        let mut inner: Ctx<'_, M2> = Ctx {
-            pid: self.pid,
-            now: self.now,
-            actions: Vec::new(),
-            rng: &mut *self.rng,
-            timer_counter: &mut *self.timer_counter,
-        };
-        let out = body(&mut inner);
-        let lifted = inner.actions;
-        self.actions.reserve(lifted.len());
-        for a in lifted {
-            self.actions.push(match a {
-                Action::Send { to, msg } => Action::Send { to, msg: wrap(msg) },
-                Action::SetTimer { id, delay, tag } => Action::SetTimer { id, delay, tag },
-                Action::CancelTimer { id } => Action::CancelTimer { id },
-                Action::Note(n) => Action::Note(n),
-                Action::Quit => Action::Quit,
-            });
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -211,51 +166,6 @@ mod tests {
             })
             .collect();
         assert_eq!(targets, vec![ProcessId(0), ProcessId(2)]);
-    }
-
-    #[derive(Clone, Debug)]
-    enum Outer {
-        Wrapped(M0),
-    }
-    impl Message for Outer {
-        fn tag(&self) -> &'static str {
-            "outer"
-        }
-    }
-
-    #[test]
-    fn embedded_lifts_and_wraps_effects() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut counter = 0;
-        let mut ctx: Ctx<'_, Outer> = Ctx {
-            pid: ProcessId(1),
-            now: 7,
-            actions: Vec::new(),
-            rng: &mut rng,
-            timer_counter: &mut counter,
-        };
-        let outer_timer = ctx.set_timer(5, 100);
-        let (inner_id, inner_now) = ctx.embedded(Outer::Wrapped, |inner| {
-            inner.send(ProcessId(2), M0);
-            let t = inner.set_timer(3, 1);
-            (t, inner.now())
-        });
-        // The inner context mirrors identity and clock…
-        assert_eq!(inner_now, 7);
-        // …and draws timer ids from the shared counter: no collision.
-        assert_ne!(inner_id, outer_timer);
-        // Effects are lifted in order, sends wrapped in the outer enum.
-        assert_eq!(ctx.actions.len(), 3);
-        assert!(matches!(
-            &ctx.actions[1],
-            Action::Send {
-                to: ProcessId(2),
-                msg: Outer::Wrapped(M0)
-            }
-        ));
-        assert!(
-            matches!(&ctx.actions[2], Action::SetTimer { id, delay: 3, tag: 1 } if *id == inner_id)
-        );
     }
 
     #[test]

@@ -28,10 +28,14 @@ impl View {
     /// Panics if `members` contains duplicates: a process is a member at
     /// most once.
     pub fn new(members: Vec<ProcessId>) -> Self {
-        for (i, m) in members.iter().enumerate() {
-            assert!(!members[..i].contains(m), "duplicate member {m} in view");
-        }
-        View { members }
+        View::try_new(members).expect("duplicate member in view")
+    }
+
+    /// [`View::new`] for untrusted input: `None` if `members` repeats a
+    /// process.
+    pub fn try_new(members: Vec<ProcessId>) -> Option<Self> {
+        let unique = (0..members.len()).all(|i| !members[..i].contains(&members[i]));
+        unique.then_some(View { members })
     }
 
     /// The empty view (used by processes that have not yet joined).

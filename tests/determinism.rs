@@ -256,8 +256,8 @@ fn sparse_topology_replays_byte_identical() {
 
 /// Log-bearing replay: the `gmp-log` workload stacks a second protocol
 /// (multipaxos phase 2) and a client population on top of membership in
-/// the same simulator — `Ctx::embedded` sub-contexts, wrapped messages,
-/// two timer namespaces. A run must stay a pure function of `(topology,
+/// the same simulator — member outboxes replayed by `Member::drain_into`,
+/// wrapped messages, two timer namespaces. A run must stay a pure function of `(topology,
 /// seed, fault schedule)` with all of that in play, and the sharded
 /// engine must reproduce it event for event. The CI determinism job
 /// double-runs this scenario alongside the membership-only ones.
