@@ -7,31 +7,22 @@
 //! ```
 //!
 //! Experiment ids follow `EXPERIMENTS.md`: t1, f1, f3, f4, f11, c71,
-//! e1..e10, e12..e15, a1, ab1, ab2. Anything else on the command line — an unknown
+//! e1..e9, e13..e15, a1, ab1, ab2. Anything else on the command line — an unknown
 //! id, an unknown flag, a flag without a valid value — is rejected with
-//! the valid ids on stderr and exit code 2. Flags:
+//! the valid ids on stderr and exit code 2. Every table is simulated, so
+//! stdout is a pure function of the code and the flags: CI diffs
+//! `tables --jobs 2 --seeds 16` against `tests/golden/tables.txt`. Flags:
 //!
-//! * `--jobs N` — worker threads for the sweep experiments (E8/E9/E10).
-//!   Default: every core the platform reports. For E10 — whose whole
-//!   point is comparing thread counts — `--jobs N` shrinks the swept
-//!   ladder to `{1, N}` so smoke runs stay cheap; without it the ladder
-//!   is `{1, 2, 4, 8}`.
-//! * `--seeds N` — seeds per sweep (default 48 for E8; 256 for E10 when
-//!   `e10` is requested by name, 32 in the bare "everything" run so the
-//!   no-argument quickstart stays minutes, not hours). Output *values*
-//!   are per-seed deterministic either way; fewer seeds just samples
-//!   fewer schedules. E12 reuses the flag as a length dial: heartbeat
-//!   intervals per run.
-//! * `--shards N` — shrinks E12's swept shard ladder to `{1, N}` (the
-//!   CI smoke run uses `--seeds 8 --shards 2`); without it the ladder
-//!   is `{1, 2, 4, 8}`. Output is pinned identical at every value.
-//!   `--shards auto` resolves N to the cores the host reports — the
-//!   engine clamps deeper ladders to that anyway.
+//! * `--jobs N` — worker threads for the sweep experiments (E8/E9).
+//!   Default: every core the platform reports. Output is identical at
+//!   every value.
+//! * `--seeds N` — seeds per sweep (default 48 for E8). Output *values*
+//!   are per-seed deterministic; fewer seeds just samples fewer
+//!   schedules.
 //!
-//! For E13 `--seeds` is the seeds sampled per (topology, n) cell (the CI
-//! smoke run uses `tables e13 --seeds 8`; default 4). For E14 it is the
-//! schedules sampled per workload scenario (CI: `tables e14 --seeds 8`;
-//! default 4), each run through both engines.
+//! For E13 `--seeds` is the seeds sampled per (topology, n) cell
+//! (default 4). For E14 it is the schedules sampled per workload scenario
+//! (default 4), each run through both engines.
 //!
 //! E14 and E15 additionally take the workload axes:
 //!
@@ -46,9 +37,9 @@ use gmp_props::{analyze, check_safety};
 use std::num::NonZeroUsize;
 
 /// Every section id, in print order.
-const IDS: [&str; 23] = [
+const IDS: [&str; 21] = [
     "t1", "f1", "f3", "f4", "f11", "c71", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9",
-    "e10", "e12", "e13", "e14", "e15", "a1", "ab1", "ab2",
+    "e13", "e14", "e15", "a1", "ab1", "ab2",
 ];
 
 /// Rejects a malformed command line: a mistyped CI step must fail, not
@@ -56,40 +47,30 @@ const IDS: [&str; 23] = [
 fn usage_error(problem: &str) -> ! {
     eprintln!("tables: {problem}");
     eprintln!("valid ids: {}", IDS.join(" "));
-    eprintln!(
-        "valid flags: --jobs N, --seeds N, --shards N|auto, --clients N, --batch N, --window N"
-    );
+    eprintln!("valid flags: --jobs N, --seeds N, --clients N, --batch N, --window N");
     std::process::exit(2);
 }
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut args: Vec<String> = Vec::new();
-    let mut jobs_flag: Option<usize> = None;
+    let mut jobs: Option<NonZeroUsize> = None;
     let mut seeds_flag: Option<u64> = None;
-    let mut shards_flag: Option<usize> = None;
     let mut clients_flag: Option<usize> = None;
     let mut batch_flag: Option<usize> = None;
     let mut window_flag: Option<usize> = None;
     let mut it = raw.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--jobs" | "--seeds" | "--shards" | "--clients" | "--batch" | "--window" => {
+            "--jobs" | "--seeds" | "--clients" | "--batch" | "--window" => {
                 let raw = it
                     .next()
                     .unwrap_or_else(|| usage_error(&format!("{a} needs a value")));
-                if a == "--shards" && raw == "auto" {
-                    shards_flag = Some(gmp_sim::pool::available_jobs().get());
-                    continue;
-                }
                 let v: u64 = raw.parse().ok().filter(|&v| v >= 1).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "{a} needs a numeric value >= 1 (or auto for --shards), got {raw:?}"
-                    ))
+                    usage_error(&format!("{a} needs a numeric value >= 1, got {raw:?}"))
                 });
                 match a.as_str() {
-                    "--jobs" => jobs_flag = Some(v as usize),
-                    "--shards" => shards_flag = Some(v as usize),
+                    "--jobs" => jobs = NonZeroUsize::new(v as usize),
                     "--clients" => clients_flag = Some(v as usize),
                     "--batch" => batch_flag = Some(v as usize),
                     "--window" => window_flag = Some(v as usize),
@@ -100,7 +81,6 @@ fn main() {
             _ => usage_error(&format!("unknown section id or flag {a:?}")),
         }
     }
-    let jobs = jobs_flag.and_then(NonZeroUsize::new);
     let all = args.is_empty();
     let want = |id: &str| all || args.iter().any(|a| a == id);
     let seed = 42;
@@ -381,92 +361,6 @@ fn main() {
         );
     }
 
-    if want("e10") {
-        // Full scale (256 seeds, n up to 192 — an hour-plus single-core,
-        // see EXPERIMENTS.md) only when e10 is asked for by name; the
-        // bare "everything" invocation gets a minutes-sized slice.
-        let explicit = args.iter().any(|a| a == "e10");
-        let seeds = seeds_flag.unwrap_or(if explicit { 256 } else { 32 });
-        let ns: &[usize] = if explicit { &[128, 192] } else { &[128] };
-        // E10 compares thread counts, so --jobs shrinks the swept ladder
-        // ({1, N}) rather than pinning a single value.
-        let ladder: Vec<usize> = match jobs_flag {
-            Some(1) => vec![1],
-            Some(n) => vec![1, n],
-            None => vec![1, 2, 4, 8],
-        };
-        println!("== E10: parallel seed-sweep scaling — wall-clock vs worker threads ==");
-        println!(
-            "({seeds}-seed exclusion sweeps; cores available: {}; identical = output equals jobs=1)\n",
-            gmp_sim::pool::available_jobs()
-        );
-        println!(
-            "{:<6} {:<7} {:<6} {:<12} {:<9} identical",
-            "n", "seeds", "jobs", "wall", "speedup"
-        );
-        for r in e10_parallel_scaling(ns, 0..seeds, &ladder) {
-            println!(
-                "{:<6} {:<7} {:<6} {:<12} {:<9} {}",
-                r.n,
-                r.seeds,
-                r.jobs,
-                format!("{:.2}s", r.wall.as_secs_f64()),
-                format!("{:.2}x", r.speedup),
-                r.identical
-            );
-        }
-        println!("(runs are independent: speedup tracks min(jobs, cores); output never moves)\n");
-    }
-
-    if want("e12") {
-        // Full scale (n up to 1024, shard ladder {1, 2, 4, 8}) only when
-        // e12 is asked for by name; the bare "everything" invocation gets
-        // a single-size slice so the quickstart stays minutes-sized.
-        let explicit = args.iter().any(|a| a == "e12");
-        // --seeds doubles as the length dial: heartbeat intervals per run.
-        let intervals = seeds_flag.unwrap_or(8);
-        let ns: &[usize] = if explicit { &[256, 512, 1024] } else { &[256] };
-        // E12 compares shard counts, so --shards shrinks the swept ladder
-        // ({1, N}) rather than pinning a single value.
-        let ladder: Vec<usize> = match shards_flag {
-            Some(1) => vec![1],
-            Some(s) => vec![1, s],
-            None => vec![1, 2, 4, 8],
-        };
-        println!("== E12: intra-run sharding — wall-clock vs shard count at large n ==");
-        println!(
-            "(one exclusion, {intervals} heartbeat intervals (3 at least); cores available: {}; identical = output equals the sequential engine)\n",
-            gmp_sim::pool::available_jobs()
-        );
-        println!(
-            "{:<6} {:<8} {:<10} {:<10} {:<12} {:<12} {:<9} identical",
-            "n", "shards", "intervals", "events", "seq wall", "wall", "speedup"
-        );
-        let rows = e12_shard_scaling(ns, &ladder, intervals, seed);
-        for r in &rows {
-            println!(
-                "{:<6} {:<8} {:<10} {:<10} {:<12} {:<12} {:<9} {}",
-                r.n,
-                r.shards,
-                r.intervals,
-                r.events,
-                format!("{:.2}s", r.seq_wall.as_secs_f64()),
-                format!("{:.2}s", r.wall.as_secs_f64()),
-                format!("{:.2}x", r.speedup),
-                r.identical
-            );
-        }
-        println!("(speedup tracks min(shards, cores) on multicore hosts; output never moves)");
-        // Hard gate, not just a printed column: the CI smoke run leans on
-        // this step failing if any sharded digest leaves the sequential
-        // reference.
-        assert!(
-            rows.iter().all(|r| r.identical),
-            "a sharded run diverged from the sequential engine"
-        );
-        println!();
-    }
-
     if want("e13") {
         // Full scale (n up to 4096) only when e13 is asked for by name;
         // the bare "everything" invocation gets the minutes-sized sizes.
@@ -515,9 +409,9 @@ fn main() {
     }
 
     if want("e14") {
-        // --seeds is the schedules sampled per scenario row (the CI smoke
-        // run uses `tables e14 --seeds 8`; default 4). Every seed runs
-        // twice: once sequential, once sharded, and the two must agree.
+        // --seeds is the schedules sampled per scenario row (default 4).
+        // Every seed runs twice: once sequential, once sharded, and the
+        // two must agree.
         let seeds = seeds_flag.unwrap_or(4);
         println!("== E14: replicated log over membership — throughput, failover, safety ==");
         println!(
@@ -579,9 +473,8 @@ fn main() {
     }
 
     if want("e15") {
-        // --seeds is the schedules sampled per ladder cell (the CI smoke
-        // run uses `tables e15 --seeds 8`; default 4); --batch/--window
-        // shrink the ladder to baseline + that one cell.
+        // --seeds is the schedules sampled per ladder cell (default 4);
+        // --batch/--window shrink the ladder to baseline + that one cell.
         let seeds = seeds_flag.unwrap_or(4);
         println!("== E15: batching & pipelining ladder — amortized messages per command ==");
         println!(

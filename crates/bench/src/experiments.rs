@@ -24,7 +24,6 @@ use gmp_types::{Note, ProcessId, View};
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Total protocol messages sent in a run (§7.2 counting convention).
 pub fn protocol_messages(stats: &Stats) -> u64 {
@@ -664,8 +663,7 @@ pub struct SweepRow {
 ///
 /// Runs execute on the [`run_seeds_parallel`] worker pool — `jobs = None`
 /// auto-detects the core count (`tables … --jobs N` overrides it). The
-/// rows are identical for every `jobs` value; only wall-clock time moves
-/// (E10 measures by how much).
+/// rows are identical for every `jobs` value; only wall-clock time moves.
 ///
 /// ```
 /// use gmp_bench::e8_seed_sweep;
@@ -691,7 +689,7 @@ pub fn e8_seed_sweep(ns: &[usize], seeds: Range<u64>, jobs: Option<NonZeroUsize>
         .collect()
 }
 
-/// The per-seed scenario E8 and E10 sweep: one exclusion under coarsened
+/// The per-seed scenario E8 sweeps: one exclusion under coarsened
 /// detector timing, delays resampled by the seed.
 fn exclusion_sweep_run(n: usize, seed: u64) -> Sim<Msg, Member> {
     let mut sim = cluster_with(n, seed, Config::builder().timing(100, 400).build());
@@ -777,258 +775,6 @@ pub fn e9_heartbeat_fanout(ns: &[usize], seed: u64, jobs: Option<NonZeroUsize>) 
 }
 
 // ---------------------------------------------------------------------
-// E10 — parallel scaling of the seed-sweep engine: wall-clock vs. jobs
-// ---------------------------------------------------------------------
-
-/// One row of the E10 parallel-scaling table: the same seed sweep timed at
-/// one worker-thread count.
-#[derive(Clone, Debug)]
-pub struct ScalingRow {
-    /// Group size.
-    pub n: usize,
-    /// Seeds swept.
-    pub seeds: usize,
-    /// Worker threads used for this row.
-    pub jobs: usize,
-    /// Wall-clock time of the whole sweep.
-    pub wall: Duration,
-    /// Wall-clock of this table's `jobs = 1` row divided by this row's —
-    /// ideal is `min(jobs, cores)`.
-    pub speedup: f64,
-    /// Whether this row's `RunStats` vector is identical to the
-    /// sequential (`jobs = 1`) row's. Must always be `true`: the pool
-    /// trades wall-clock time, never output.
-    pub identical: bool,
-}
-
-/// Times the E8 exclusion sweep at each worker-thread count in
-/// `jobs_list`, pinning output equality against the `jobs = 1` baseline
-/// as it goes.
-///
-/// Runs are independent (one `Sim` per seed, no shared state), so the
-/// sweep scales with physical cores; on a single-core host every row
-/// degenerates to ~1× but `identical` still proves the thread pool is
-/// output-invisible. This is the experiment that makes large sweeps —
-/// 256 seeds at n ≥ 128, previously a multi-minute sequential run —
-/// practical on multicore hosts.
-///
-/// ```
-/// use gmp_bench::e10_parallel_scaling;
-///
-/// let rows = e10_parallel_scaling(&[8], 0..6, &[1, 2]);
-/// assert_eq!(rows.len(), 2);
-/// assert!(rows.iter().all(|r| r.identical), "jobs must not change output");
-/// assert_eq!((rows[0].jobs, rows[1].jobs), (1, 2));
-/// ```
-pub fn e10_parallel_scaling(
-    ns: &[usize],
-    seeds: Range<u64>,
-    jobs_list: &[usize],
-) -> Vec<ScalingRow> {
-    let mut rows = Vec::new();
-    for &n in ns {
-        let timed_sweep = |jobs: usize| {
-            let start = Instant::now();
-            let runs = run_seeds_parallel(
-                seeds.clone(),
-                BatchConfig::new(2_000),
-                NonZeroUsize::new(jobs.max(1)),
-                |seed| exclusion_sweep_run(n, seed),
-            );
-            (start.elapsed(), runs)
-        };
-        let (base_wall, base_runs) = timed_sweep(1);
-        for &jobs in jobs_list {
-            let (wall, runs) = if jobs == 1 {
-                (base_wall, base_runs.clone())
-            } else {
-                timed_sweep(jobs)
-            };
-            rows.push(ScalingRow {
-                n,
-                seeds: runs.len(),
-                jobs,
-                speedup: base_wall.as_secs_f64() / wall.as_secs_f64().max(f64::EPSILON),
-                wall,
-                identical: runs == base_runs,
-            });
-        }
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------
-// E12 — intra-run sharding: wall-clock vs shard count at large n, with
-// per-row output equality against the sequential engine
-// ---------------------------------------------------------------------
-
-/// One row of the E12 shard-scaling table: the same large-`n` run timed
-/// through [`Sim::run_until_sharded`] at one shard count.
-#[derive(Clone, Debug)]
-pub struct ShardRow {
-    /// Group size.
-    pub n: usize,
-    /// Shard count used for this row.
-    pub shards: usize,
-    /// Heartbeat intervals this row's run spanned (see
-    /// [`e12_shard_scaling`]).
-    pub intervals: u64,
-    /// Events the run recorded (identical across rows by construction).
-    pub events: usize,
-    /// Wall-clock of the sequential (`run_until`) reference run.
-    pub seq_wall: Duration,
-    /// Wall-clock of this row's sharded run.
-    pub wall: Duration,
-    /// `seq_wall / wall` — > 1 means sharding beat the sequential engine.
-    /// On a single-core host every row degenerates to ≲ 1× (the shard
-    /// workers serialize), but `identical` still proves shard count is
-    /// protocol-invisible.
-    pub speedup: f64,
-    /// Whether this row's digest (trace, statistics, survivors) equals the
-    /// sequential run's. Must always be `true`: sharding trades wall-clock
-    /// time, never output.
-    pub identical: bool,
-}
-
-/// The per-row scenario E12 times: one exclusion at large `n` under
-/// coarsened detector timing, so heartbeat fan-out (Θ(n²) per interval)
-/// dominates the event loop the way a large-scale deployment would. The
-/// arc is the tightest the detector allows: the victim crashes at t = 10,
-/// *before its first heartbeat*, so the initial t = 0 lease is never
-/// renewed, the 150-tick timeout expires it at the survivors' t = 200
-/// tick, and the commit lands by ~250 — the whole crash → suspicion →
-/// commit arc fits in three rounds. Survivors renew each other at
-/// ~101–103 (100 between beats plus the 1–3-tick delivery jitter),
-/// comfortably inside the 150-tick timeout, so no spurious suspicion is
-/// possible.
-fn shard_sweep_run(n: usize, seed: u64) -> Sim<Msg, Member> {
-    let mut sim = cluster_with(n, seed, Config::builder().timing(100, 150).build());
-    sim.crash_at(ProcessId(n as u32 - 1), 10);
-    sim
-}
-
-/// Order-sensitive FNV-1a digest of everything a run makes observable:
-/// every trace event's time, process, Lamport stamp and kind (including
-/// message ids, tags and peers), plus the statistics counters and the
-/// surviving set.
-///
-/// Vector stamps need no folding: they are a function of the process ids,
-/// kinds and message ids folded here (`Trace::to_event_log` rebuilds them
-/// from exactly those).
-fn run_digest(sim: &Sim<Msg, Member>) -> (u64, usize, Stats, Vec<ProcessId>) {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let fold = |h: &mut u64, x: u64| {
-        *h ^= x;
-        *h = h.wrapping_mul(PRIME);
-    };
-    let fold_str = |h: &mut u64, s: &str| {
-        for &b in s.as_bytes() {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(PRIME);
-        }
-        *h = h.wrapping_mul(PRIME);
-    };
-    for e in &sim.trace().events {
-        fold(&mut h, e.time);
-        fold(&mut h, u64::from(e.pid.0));
-        fold(&mut h, e.lamport);
-        match &e.kind {
-            TraceKind::Start => fold(&mut h, 1),
-            TraceKind::Send { to, msg_id, tag } => {
-                fold(&mut h, 2);
-                fold(&mut h, u64::from(to.0));
-                fold(&mut h, *msg_id);
-                fold_str(&mut h, tag);
-            }
-            TraceKind::Recv { from, msg_id, tag } => {
-                fold(&mut h, 3);
-                fold(&mut h, u64::from(from.0));
-                fold(&mut h, *msg_id);
-                fold_str(&mut h, tag);
-            }
-            TraceKind::Timer { tag } => {
-                fold(&mut h, 4);
-                fold(&mut h, *tag);
-            }
-            TraceKind::Crash => fold(&mut h, 5),
-            TraceKind::Quit => fold(&mut h, 6),
-            TraceKind::Note(note) => {
-                fold(&mut h, 7);
-                fold_str(&mut h, &format!("{note:?}"));
-            }
-        }
-    }
-    (
-        h,
-        sim.trace().events.len(),
-        sim.stats().clone(),
-        sim.living(),
-    )
-}
-
-/// Times one large-`n` exclusion run through the intra-run sharded engine
-/// at each shard count in `shards_list`, pinning output equality against
-/// a sequential (`run_until`) reference run of the identical scenario as
-/// it goes.
-///
-/// The run spans `intervals` heartbeat intervals — the CI smoke run uses
-/// 8 (`tables e12 --seeds 8 --shards 2`); outputs are pinned identical at
-/// any length. A row's wall-clock covers only the event loop; the digest
-/// comparison happens outside the timed section.
-///
-/// `intervals` is raised to 3 when smaller: the crash → suspicion → commit
-/// arc needs three heartbeat intervals (see `shard_sweep_run`), and
-/// anything shorter would time an exclusion-free run. The span used is
-/// reported per row in [`ShardRow::intervals`].
-///
-/// ```
-/// use gmp_bench::e12_shard_scaling;
-///
-/// let rows = e12_shard_scaling(&[8], &[1, 2], 8, 0);
-/// assert_eq!(rows.len(), 2);
-/// assert!(rows.iter().all(|r| r.identical), "shards must not change output");
-/// assert_eq!((rows[0].shards, rows[1].shards), (1, 2));
-/// ```
-pub fn e12_shard_scaling(
-    ns: &[usize],
-    shards_list: &[usize],
-    intervals: u64,
-    seed: u64,
-) -> Vec<ShardRow> {
-    const MIN_INTERVALS: u64 = 3;
-    let intervals = intervals.max(MIN_INTERVALS);
-    let horizon = intervals * 100;
-    let mut rows = Vec::new();
-    for &n in ns {
-        let (seq_wall, reference) = {
-            let mut sim = shard_sweep_run(n, seed);
-            let start = Instant::now();
-            sim.run_until(horizon);
-            (start.elapsed(), run_digest(&sim))
-        };
-        for &shards in shards_list {
-            let mut sim = shard_sweep_run(n, seed);
-            let start = Instant::now();
-            sim.run_until_sharded(horizon, shards);
-            let wall = start.elapsed();
-            let digest = run_digest(&sim);
-            rows.push(ShardRow {
-                n,
-                shards,
-                intervals,
-                events: digest.1,
-                seq_wall,
-                wall,
-                speedup: seq_wall.as_secs_f64() / wall.as_secs_f64().max(f64::EPSILON),
-                identical: digest == reference,
-            });
-        }
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------
 // E13 — monitoring topologies: message load and exclusion latency vs n
 // for the flat clique and the sparse ring
 // ---------------------------------------------------------------------
@@ -1074,12 +820,15 @@ fn e13_topologies() -> [(&'static str, Arc<dyn Topology>); 2] {
     ]
 }
 
-/// E13's per-cell scenario: the E12 coarse-timing exclusion arc (crash at
-/// t = 10 before the first heartbeat, suspicion at the survivors' t = 200
-/// tick, commit by ~250 — see [`shard_sweep_run`]) under the given
-/// monitoring graph, run for four heartbeat intervals. The victim `p(n−1)`
-/// is the most junior member, a ring edge-member, so the sparse cells
-/// genuinely exercise relay.
+/// E13's per-cell scenario: the tightest exclusion arc the detector allows,
+/// under the given monitoring graph, run for four heartbeat intervals. The
+/// victim crashes at t = 10, *before its first heartbeat*, so the initial
+/// t = 0 lease is never renewed, the 150-tick timeout expires it at the
+/// survivors' t = 200 tick, and the commit lands by ~250. Survivors renew
+/// each other at ~101–103 (100 between beats plus the 1–3-tick delivery
+/// jitter), inside the timeout, so no spurious suspicion is possible. The
+/// victim `p(n−1)` is the most junior member, a ring edge-member, so the
+/// sparse cells genuinely exercise relay.
 fn e13_run(n: usize, seed: u64, topology: &Arc<dyn Topology>) -> Sim<Msg, Member> {
     let cfg = Config::builder()
         .timing(100, 150)
@@ -1628,14 +1377,6 @@ pub fn e15_joiner_sync(seed: u64) -> SyncRow {
     }
 }
 
-/// Convenience: a standard exclusion run for the Criterion benchmarks.
-pub fn bench_exclusion_run(n: usize, seed: u64) -> Sim<Msg, Member> {
-    let mut sim = cluster_with(n, seed, Config::default());
-    sim.crash_at(ProcessId(n as u32 - 1), 300);
-    sim.run_until(8_000);
-    sim
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1807,7 +1548,7 @@ mod tests {
     /// The protocol-level half of the `Send` audit: a full cluster
     /// simulator (protocol messages carrying `Shared` digest payloads,
     /// members owning a heartbeat detector) crosses thread boundaries,
-    /// which is what lets E8/E10 sweep real exclusions on the pool.
+    /// which is what lets E8 sweep real exclusions on the pool.
     #[test]
     fn cluster_sim_is_send() {
         fn assert_send<T: Send>() {}
@@ -1828,55 +1569,6 @@ mod tests {
             );
             assert_eq!(s.events, p.events, "n={}: events summary drifted", s.n);
         }
-    }
-
-    #[test]
-    fn e10_pins_output_equality_while_it_times() {
-        let rows = e10_parallel_scaling(&[8], 0..8, &[1, 2, 4]);
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            assert_eq!(r.seeds, 8);
-            assert!(r.identical, "jobs={}: output diverged from jobs=1", r.jobs);
-            assert!(r.wall.as_nanos() > 0);
-            assert!(r.speedup > 0.0);
-        }
-        assert!(
-            (rows[0].speedup - 1.0).abs() < 1e-9,
-            "jobs=1 is its own baseline"
-        );
-    }
-
-    #[test]
-    fn e12_pins_output_equality_while_it_times() {
-        let rows = e12_shard_scaling(&[8, 16], &[1, 2, 4], 8, 0);
-        assert_eq!(rows.len(), 6);
-        for r in &rows {
-            assert!(
-                r.identical,
-                "n={} shards={}: sharded output diverged from the sequential engine",
-                r.n, r.shards
-            );
-            assert!(r.events > 0 && r.wall.as_nanos() > 0 && r.speedup > 0.0);
-        }
-        assert!(rows[..3].iter().all(|r| r.n == 8));
-        assert!(rows[3..].iter().all(|r| r.n == 16));
-        // Every row of one n records the same event count (same run).
-        assert!(rows[..3].iter().all(|r| r.events == rows[0].events));
-        assert!(rows[3..].iter().all(|r| r.events == rows[3].events));
-    }
-
-    #[test]
-    fn e12_minimum_span_still_covers_the_exclusion() {
-        // MIN_INTERVALS = 3 is a promise: the shortest row (horizon 300,
-        // three heartbeat intervals) contains the whole crash → suspicion
-        // → commit arc, so E12 never times an exclusion-free run.
-        let mut sim = shard_sweep_run(16, 0);
-        sim.run_until(300);
-        assert_eq!(
-            sim.node(ProcessId(0)).ver(),
-            1,
-            "the exclusion must commit within three heartbeat intervals"
-        );
     }
 
     #[test]

@@ -1,17 +1,20 @@
-//! Benchmark harness regenerating every analytic table and figure of the
-//! paper (see `EXPERIMENTS.md` for the full index).
+//! Paper-reproduction harness regenerating every analytic table and figure
+//! of the paper (see `EXPERIMENTS.md` for the full index).
 //!
 //! * The [`experiments`] module builds each experiment's workload and
 //!   returns structured rows (measured vs. formula);
-//! * `src/bin/tables.rs` prints them (`cargo run -p gmp-bench --bin tables`);
-//! * `benches/protocol.rs` wraps the same workloads in Criterion wall-clock
-//!   benchmarks (`cargo bench -p gmp-bench`).
+//! * `src/bin/tables.rs` prints them (`cargo run -p gmp-bench --bin tables`).
+//!
+//! Every table is simulated: the paper prices its protocols in messages,
+//! so nothing here reads a clock, and `tables`' output is a pure function
+//! of the code. Wall-clock measurement lives in the separate `benchmark/`
+//! package.
 //!
 //! Experiments come in two shapes: single-run workloads pinned to one seed
-//! (E1–E7, the tables and figures), and the *seed sweeps* (E8, E10), which
-//! drive the [`gmp_sim::run_seeds_parallel`] batch runner across a whole
+//! (E1–E7, the tables and figures), and the *seed sweep* (E8), which
+//! drives the [`gmp_sim::run_seeds_parallel`] batch runner across a whole
 //! seed range — on the scoped worker pool, `--jobs` threads at a time —
-//! and report percentile statistics. Schedule-space exploration in one
+//! and reports percentile statistics. Schedule-space exploration in one
 //! call, at multicore speed, with output pinned identical to the
 //! sequential runner's.
 //!

@@ -27,11 +27,15 @@ fn an_unknown_section_id_exits_2_with_the_valid_ids() {
     assert_rejected(&["e99"], "\"e99\"");
     // A bad id next to a good one still runs nothing.
     assert_rejected(&["t1", "e99"], "\"e99\"");
+    // E10 and E12 timed the host, not the protocol, and are retired.
+    assert_rejected(&["e10"], "\"e10\"");
+    assert_rejected(&["e12"], "\"e12\"");
 }
 
 #[test]
 fn an_unknown_flag_exits_2_instead_of_being_dropped() {
     assert_rejected(&["e13", "--seed", "8"], "\"--seed\"");
+    assert_rejected(&["e14", "--shards", "2"], "\"--shards\"");
 }
 
 #[test]

@@ -148,25 +148,33 @@ fn get_next(queue: &[Op], rl: &[Op]) -> Vec<Op> {
 ///
 /// Respondents outside the `ver(r) ± 1` band permitted by Prop. 5.1 are
 /// ignored defensively (they cannot occur in protocol-generated runs).
+///
+/// Returns `None` when the proposal would need a version after
+/// `Ver::MAX`: no round can be numbered, so none is started. A catch-up
+/// to `Ver::MAX` itself is still decided, with a contingent plan that
+/// the new `Mgr` cannot number either.
 pub fn determine(
     me: &PhaseOneResp,
     others: &[PhaseOneResp],
     view: &View,
     old_mgr: ProcessId,
     queue: &[Op],
-) -> Decision {
+) -> Option<Decision> {
     let mut all: Vec<&PhaseOneResp> = Vec::with_capacity(others.len() + 1);
     all.push(me);
-    all.extend(
-        others
-            .iter()
-            .filter(|r| r.ver + 1 >= me.ver && r.ver <= me.ver + 1),
-    );
+    all.extend(others.iter().filter(|r| r.ver.abs_diff(me.ver) <= 1));
     let owned: Vec<PhaseOneResp> = all.iter().map(|r| (*r).clone()).collect();
+    // The contingent plan after a catch-up to `v`: the detectable proposal
+    // for `v + 1`, else `GetNext`. `Ver::MAX` has no successor to plan for.
+    let plan_after = |v: Ver, rl: &[Op]| {
+        v.checked_add(1)
+            .and_then(|next| select_proposal(&owned, next, view))
+            .unwrap_or_else(|| get_next(queue, rl))
+    };
 
     // L: respondents one version ahead; S: one version behind (§5).
-    let l_rep = all.iter().find(|r| r.ver == me.ver + 1);
-    let s_rep = all.iter().find(|r| r.ver + 1 == me.ver);
+    let l_rep = all.iter().find(|r| r.ver > me.ver);
+    let s_rep = all.iter().find(|r| r.ver < me.ver);
     // The proposal must cover the gap from the *slowest* respondent: with
     // two successive partial commits, L (at ver(r)+1) and S (at ver(r)−1)
     // can coexist (Prop. 5.1 allows the ±1 band), and a proposal starting
@@ -188,8 +196,8 @@ pub fn determine(
             "seqs must be prefix-compatible"
         );
         let rl: Vec<Op> = l.seq[min_len..].to_vec();
-        let invis = select_proposal(&owned, v + 1, view).unwrap_or_else(|| get_next(queue, &rl));
-        Decision { v, rl, invis }
+        let invis = plan_after(v, &rl);
+        Some(Decision { v, rl, invis })
     } else if let Some(s) = s_rep {
         // Incomplete installation of version ver(r): re-propose the suffix
         // the laggards are missing.
@@ -199,16 +207,16 @@ pub fn determine(
             "seqs must be prefix-compatible"
         );
         let rl: Vec<Op> = me.seq[min_len..].to_vec();
-        let invis = select_proposal(&owned, v + 1, view).unwrap_or_else(|| get_next(queue, &rl));
-        Decision { v, rl, invis }
+        let invis = plan_after(v, &rl);
+        Some(Decision { v, rl, invis })
     } else {
         // Everyone agrees on ver(r): propose a fresh change for v =
         // ver(r)+1, propagating any detectable proposal for it (D.4–D.6,
         // with the index fix described in the module docs).
-        let v = me.ver + 1;
+        let v = me.ver.checked_add(1)?;
         let rl = select_proposal(&owned, v, view).unwrap_or_else(|| vec![Op::remove(old_mgr)]);
         let invis = get_next(queue, &rl);
-        Decision { v, rl, invis }
+        Some(Decision { v, rl, invis })
     }
 }
 
@@ -248,7 +256,8 @@ mod tests {
             &v,
             pid(0),
             &[Op::remove(pid(0)), Op::remove(pid(4))],
-        );
+        )
+        .unwrap();
         assert_eq!(d.v, 1);
         assert_eq!(d.rl, vec![Op::remove(pid(0))]);
         // GetNext skips ops already in rl.
@@ -266,7 +275,7 @@ mod tests {
             resp(2, 0, vec![], vec![mgr_plan]),
             resp(3, 0, vec![], vec![]),
         ];
-        let d = determine(&me, &others, &v, pid(0), &[Op::remove(pid(0))]);
+        let d = determine(&me, &others, &v, pid(0), &[Op::remove(pid(0))]).unwrap();
         assert_eq!(d.v, 1);
         assert_eq!(d.rl, vec![Op::remove(pid(4))]);
         assert_eq!(d.invis, vec![Op::remove(pid(0))]);
@@ -287,7 +296,7 @@ mod tests {
             resp(3, 0, vec![], vec![from_mgr]),
             resp(4, 0, vec![], vec![from_rec]),
         ];
-        let d = determine(&me, &others, &v, pid(0), &[]);
+        let d = determine(&me, &others, &v, pid(0), &[]).unwrap();
         assert_eq!(d.v, 1);
         assert_eq!(
             d.rl,
@@ -307,7 +316,7 @@ mod tests {
             resp(2, 1, vec![committed], vec![]), // member of L
             resp(3, 0, vec![], vec![]),
         ];
-        let d = determine(&me, &others, &v, pid(0), &[Op::remove(pid(0))]);
+        let d = determine(&me, &others, &v, pid(0), &[Op::remove(pid(0))]).unwrap();
         assert_eq!(d.v, 1);
         assert_eq!(d.rl, vec![committed]);
         assert_eq!(d.invis, vec![Op::remove(pid(0))]);
@@ -322,7 +331,7 @@ mod tests {
         let plan = NextEntry::concrete(vec![Op::remove(pid(0))], pid(0), 2);
         let me = resp(1, 0, vec![], vec![]);
         let others = [resp(2, 1, vec![committed], vec![plan])];
-        let d = determine(&me, &others, &v, pid(0), &[]);
+        let d = determine(&me, &others, &v, pid(0), &[]).unwrap();
         assert_eq!(d.v, 1);
         assert_eq!(d.rl, vec![committed]);
         assert_eq!(d.invis, vec![Op::remove(pid(0))]);
@@ -339,7 +348,7 @@ mod tests {
             resp(2, 1, vec![committed], vec![]),
             resp(3, 0, vec![], vec![]),
         ];
-        let d = determine(&me, &others, &v, pid(0), &[Op::remove(pid(0))]);
+        let d = determine(&me, &others, &v, pid(0), &[Op::remove(pid(0))]).unwrap();
         assert_eq!(d.v, 1);
         assert_eq!(d.rl, vec![committed]);
         assert_eq!(d.invis, vec![Op::remove(pid(0))]);
@@ -351,7 +360,7 @@ mod tests {
         let v = view(&[0, 1, 2]);
         let me = resp(1, 0, vec![], vec![NextEntry::placeholder(pid(2))]);
         let others = [resp(2, 0, vec![], vec![NextEntry::placeholder(pid(1))])];
-        let d = determine(&me, &others, &v, pid(0), &[]);
+        let d = determine(&me, &others, &v, pid(0), &[]).unwrap();
         assert_eq!(d.rl, vec![Op::remove(pid(0))]);
     }
 
@@ -386,8 +395,27 @@ mod tests {
         let v = view(&[0, 1, 2]);
         let me = resp(1, 5, vec![], vec![]);
         let others = [resp(2, 9, vec![], vec![])]; // impossible per Prop. 5.1
-        let d = determine(&me, &others, &v, pid(0), &[]);
+        let d = determine(&me, &others, &v, pid(0), &[]).unwrap();
         assert_eq!(d.v, 6, "fresh branch from the initiator's own version");
+    }
+
+    /// `Ver::MAX` has no successor: a fresh proposal there is not numbered,
+    /// and a catch-up to it looks for no proposal beyond it.
+    #[test]
+    fn the_last_version_bounds_every_branch() {
+        let v = view(&[0, 1, 2, 3, 4]);
+        let (op, queue) = (Op::remove(pid(4)), [Op::remove(pid(0))]);
+        let fresh = [resp(2, Ver::MAX, vec![], vec![])];
+        let me = resp(1, Ver::MAX, vec![], vec![]);
+        assert_eq!(determine(&me, &fresh, &v, pid(0), &queue), None);
+        let ahead = [resp(2, Ver::MAX, vec![op], vec![])];
+        let me = resp(1, Ver::MAX - 1, vec![], vec![]);
+        let behind = [resp(2, Ver::MAX - 1, vec![], vec![])];
+        let me_at_max = resp(1, Ver::MAX, vec![op], vec![]);
+        for (me, others) in [(&me, &ahead), (&me_at_max, &behind)] {
+            let d = determine(me, others, &v, pid(0), &queue).unwrap();
+            assert_eq!((d.v, d.rl, d.invis), (Ver::MAX, vec![op], queue.to_vec()));
+        }
     }
 
     #[test]
@@ -431,7 +459,7 @@ mod catch_up_tests {
             seq: vec![],
             next: vec![],
         };
-        let d = determine(&me, &[ahead, behind], &view, pid(0), &[]);
+        let d = determine(&me, &[ahead, behind], &view, pid(0), &[]).unwrap();
         assert_eq!(d.v, 2);
         assert_eq!(
             d.rl,
@@ -458,7 +486,7 @@ mod catch_up_tests {
             seq: vec![],
             next: vec![],
         };
-        let d = determine(&me, &[behind], &view, pid(0), &[]);
+        let d = determine(&me, &[behind], &view, pid(0), &[]).unwrap();
         assert_eq!(d.v, 1);
         assert_eq!(d.rl, vec![op1]);
     }
@@ -473,7 +501,7 @@ mod catch_up_tests {
             seq: vec![],
             next: vec![],
         };
-        let d = determine(&me, &[], &view, pid(0), &[Op::remove(pid(0))]);
+        let d = determine(&me, &[], &view, pid(0), &[Op::remove(pid(0))]).unwrap();
         assert_eq!(d.rl, vec![Op::remove(pid(0))]);
         assert!(d.invis.is_empty(), "queue head conflicts with RL");
     }

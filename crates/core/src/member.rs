@@ -1008,12 +1008,18 @@ impl Member {
     // Coordinator: two-phase update with condensed rounds (Fig. 8)
     // ------------------------------------------------------------------
 
+    /// Invites the group to the next operation, if there is one and a
+    /// version to number it: `Ver::MAX` has no successor, so no round
+    /// starts there.
     fn mgr_start_update(&mut self) {
+        let Some(vnext) = self.ver.checked_add(1) else {
+            self.role = Role::MgrIdle;
+            return;
+        };
         let Some(op) = self.mgr_pick_next() else {
             self.role = Role::MgrIdle;
             return;
         };
-        let vnext = self.ver + 1;
         self.broadcast(Msg::Invite { op, ver: vnext });
         let pending = self.await_set();
         self.role = Role::MgrAwait {
@@ -1354,7 +1360,9 @@ impl Member {
             return;
         }
         let queue = self.queue_ops();
-        let decision = determine(&resp[0], &resp[1..], &self.view, self.mgr, &queue);
+        let Some(decision) = determine(&resp[0], &resp[1..], &self.view, self.mgr, &queue) else {
+            return; // at `Ver::MAX`: no version left to propose
+        };
         if !self.cfg.three_phase_reconfig {
             // Claim 7.2 baseline: commit directly after interrogation. The
             // proposal phase is what plants each initiator's plan in the
@@ -1481,11 +1489,11 @@ impl Member {
         self.next.clear();
         // Begin the Mgr role on the contingent plan.
         self.forced = invis.iter().copied().collect();
-        if self.cfg.compression && invis.first().map(|&op| self.op_valid(op)).unwrap_or(false) {
+        let usable = self.cfg.compression && invis.first().is_some_and(|&op| self.op_valid(op));
+        if let Some(vnext) = self.ver.checked_add(1).filter(|_| usable) {
             // The reconfiguration commit doubled as the invitation for the
             // first contingent operation: go straight to the await phase.
             let op = self.forced.pop_front().expect("plan is non-empty");
-            let vnext = self.ver + 1;
             let pending = self.await_set();
             self.role = Role::MgrAwait {
                 op,
@@ -1495,7 +1503,8 @@ impl Member {
             };
             self.mgr_check_complete();
         } else {
-            // No usable plan (or compression off): fresh invitations.
+            // No usable plan, compression off, or no version after
+            // `Ver::MAX`: fresh invitations, if they can be numbered.
             self.role = Role::MgrIdle;
             self.mgr_start_update();
         }
@@ -1928,13 +1937,15 @@ impl Node<Msg> for Member {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{JoinConfig, ObserveConfig};
+    use crate::config::{ConfigBuilder, JoinConfig, ObserveConfig};
 
     /// A joiner started as p2 with p0 as its contact.
     fn joiner() -> Member {
-        let cfg = Config::builder()
-            .joining(JoinConfig::new(1, vec![ProcessId(0)]))
-            .build();
+        joiner_with(Config::builder())
+    }
+
+    fn joiner_with(cfg: ConfigBuilder) -> Member {
+        let cfg = cfg.joining(JoinConfig::new(1, vec![ProcessId(0)])).build();
         let mut m = Member::joiner(cfg);
         m.start(ProcessId(2), 0);
         m.take_outbox();
@@ -2018,5 +2029,74 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// p2, welcomed into p0..p4 at `ver`, suspects both seniors and
+    /// interrogates the rest; p3 answers from `ahead` with `seq`, p4 from
+    /// `ver`. Returns the messages p2 sent after the answers.
+    fn interrogate_at(m: &mut Member, ver: Ver, ahead: Ver, seq: Vec<Op>) -> Vec<Msg> {
+        m.receive(ProcessId(0), welcome(&[0, 1, 2, 3, 4], ver), 5);
+        m.inject_suspicion(ProcessId(0));
+        m.inject_suspicion(ProcessId(1));
+        m.fire(TICK, 6);
+        assert!(sent(m).iter().any(|msg| matches!(msg, Msg::Interrogate)));
+        for (p, ver, seq) in [(3, ahead, seq), (4, ver, Vec::new())] {
+            let next = Vec::new();
+            m.receive(ProcessId(p), Msg::InterrogateOk { ver, seq, next }, 7);
+        }
+        sent(m)
+    }
+
+    fn sent(m: &mut Member) -> Vec<Msg> {
+        let out = m.take_outbox().into_iter();
+        out.filter_map(|e| match e {
+            Effect::Send { msg, .. } => Some(msg),
+            _ => None,
+        })
+        .collect()
+    }
+
+    /// A reconfiguration initiator at `Ver::MAX` has no version to propose:
+    /// it starts no round. One a version behind still catches up to it.
+    #[test]
+    fn reconfiguration_proposes_no_version_after_the_last() {
+        let mut m = joiner();
+        let out = interrogate_at(&mut m, Ver::MAX, Ver::MAX, Vec::new());
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!((m.lifecycle(), m.ver()), (Lifecycle::Active, Ver::MAX));
+
+        let mut m = joiner();
+        let seq = vec![Op::remove(ProcessId(1))];
+        let out = interrogate_at(&mut m, Ver::MAX - 1, Ver::MAX, seq.clone());
+        assert!(out.iter().all(|msg| matches!(
+            msg,
+            Msg::Propose { rl, ver: Ver::MAX, .. } if *rl == seq
+        )));
+        assert_eq!(out.len(), 4, "one proposal per other member");
+    }
+
+    /// A reconfiguration that installs `Ver::MAX` makes its initiator `Mgr`
+    /// with no version left for the contingent plan: it announces the
+    /// commit and invites nobody, with or without condensed rounds.
+    #[test]
+    fn the_new_mgr_at_the_last_version_invites_nobody() {
+        for compression in [true, false] {
+            let mut m = joiner_with(Config::builder().compression(compression));
+            let out = interrogate_at(&mut m, Ver::MAX - 1, Ver::MAX - 1, Vec::new());
+            assert!(matches!(out[0], Msg::Propose { ver: Ver::MAX, .. }));
+            for p in [3, 4] {
+                m.receive(ProcessId(p), Msg::ProposeOk { ver: Ver::MAX }, 8);
+            }
+            let out = sent(&mut m);
+            assert_eq!((m.ver(), m.mgr()), (Ver::MAX, ProcessId(2)));
+            assert!(matches!(out[0], Msg::ReconfCommit { ver: Ver::MAX, .. }));
+            assert!(!out.iter().any(|msg| matches!(msg, Msg::Invite { .. })));
+            // A later suspicion finds no version to number its update.
+            let report = Msg::FaultyReport {
+                suspect: ProcessId(4),
+            };
+            m.receive(ProcessId(3), report, 9);
+            assert!(sent(&mut m).is_empty());
+        }
     }
 }

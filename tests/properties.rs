@@ -116,7 +116,7 @@ proptest! {
                 next: vec![],
             });
         }
-        let d = determine(&me, &others, &view, ProcessId(0), &[]);
+        let d = determine(&me, &others, &view, ProcessId(0), &[]).unwrap();
         // The proposed version is at most one past the fastest respondent.
         let vmax = others.iter().map(|r| r.ver).chain([my_ver]).max().unwrap();
         prop_assert!(d.v <= vmax + 1, "proposal skips: v={} vmax={}", d.v, vmax);
