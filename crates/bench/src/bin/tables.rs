@@ -22,7 +22,7 @@
 //!
 //! For E13 `--seeds` is the seeds sampled per (topology, n) cell
 //! (default 4). For E14 it is the schedules sampled per workload scenario
-//! (default 4), each run through both engines.
+//! (default 4).
 //!
 //! E14 and E15 additionally take the workload axes:
 //!
@@ -410,26 +410,17 @@ fn main() {
 
     if want("e14") {
         // --seeds is the schedules sampled per scenario row (default 4).
-        // Every seed runs twice: once sequential, once sharded, and the
-        // two must agree.
         let seeds = seeds_flag.unwrap_or(4);
         println!("== E14: replicated log over membership — throughput, failover, safety ==");
         println!(
             "(multipaxos riding on views: Mgr = leader, view version = ballot, view \
-             install = reconfiguration;\n {seeds} seeds per scenario, each run sequential \
-             AND sharded; crash = leader dies mid-run, churn = + a joiner mid-admission;\n \
-             prefix = survivors' logs prefix-identical, sharded = sharded engine equals \
-             sequential)\n"
+             install = reconfiguration;\n {seeds} seeds per scenario; crash = leader dies \
+             mid-run, churn = + a joiner mid-admission;\n prefix = survivors' logs \
+             prefix-identical)\n"
         );
         println!(
-            "{:<8} {:<6} {:<9} {:<12} {:<20} {:<22} {:<7} sharded",
-            "sched",
-            "seeds",
-            "ops/run",
-            "ops/ktick",
-            "latency p50/p99",
-            "failover p50/max",
-            "prefix"
+            "{:<8} {:<6} {:<9} {:<12} {:<20} {:<22} prefix",
+            "sched", "seeds", "ops/run", "ops/ktick", "latency p50/p99", "failover p50/max"
         );
         let rows = e14_replicated_log_with(seeds, clients_flag, batch_flag, window_flag);
         for r in &rows {
@@ -439,15 +430,14 @@ fn main() {
                 format!("{} / {}", r.failover.p50, r.failover.max)
             };
             println!(
-                "{:<8} {:<6} {:<9.0} {:<12.1} {:<20} {:<22} {:<7} {}",
+                "{:<8} {:<6} {:<9.0} {:<12.1} {:<20} {:<22} {}",
                 r.scenario,
                 r.seeds,
                 r.committed,
                 r.throughput,
                 format!("{} / {}", r.latency.p50, r.latency.p99),
                 failover,
-                r.prefix_ok,
-                r.sharded_identical
+                r.prefix_ok
             );
         }
         println!(
@@ -455,15 +445,10 @@ fn main() {
              steady-state latency is one client→leader→quorum round trip)"
         );
         // Hard gates, not just printed columns: the CI smoke run leans on
-        // this step failing if any survivor log diverges or the sharded
-        // engine leaves the sequential reference.
+        // this step failing if any survivor log diverges.
         assert!(
             rows.iter().all(|r| r.prefix_ok),
             "a survivor's committed log diverged"
-        );
-        assert!(
-            rows.iter().all(|r| r.sharded_identical),
-            "a sharded log run diverged from the sequential engine"
         );
         assert!(
             rows.iter().all(|r| r.committed > 0.0),
@@ -481,10 +466,10 @@ fn main() {
             "(steady schedule, 5 replicas; batch = max commands the leader coalesces per \
              AcceptBatch,\n window = requests each client keeps in flight; cell (1,1) is the \
              unbatched baseline (batches of one);\n msgs/op counts log-layer wire messages per committed \
-             operation; {seeds} seeds per cell,\n each run sequential AND sharded)\n"
+             operation; {seeds} seeds per cell)\n"
         );
         println!(
-            "{:<7} {:<8} {:<6} {:<9} {:<12} {:<9} {:<18} {:<9} {:<7} sharded",
+            "{:<7} {:<8} {:<6} {:<9} {:<12} {:<9} {:<18} {:<9} prefix",
             "batch",
             "window",
             "seeds",
@@ -492,13 +477,12 @@ fn main() {
             "ops/ktick",
             "msgs/op",
             "latency p50/p99",
-            "speedup",
-            "prefix"
+            "speedup"
         );
         let rows = e15_log_batching(seeds, clients_flag, batch_flag, window_flag);
         for r in &rows {
             println!(
-                "{:<7} {:<8} {:<6} {:<9.0} {:<12.1} {:<9.2} {:<18} {:<9.2} {:<7} {}",
+                "{:<7} {:<8} {:<6} {:<9.0} {:<12.1} {:<9.2} {:<18} {:<9.2} {}",
                 r.batch,
                 r.window,
                 r.seeds,
@@ -507,8 +491,7 @@ fn main() {
                 r.msgs_per_op,
                 format!("{} / {}", r.latency.p50, r.latency.p99),
                 r.speedup,
-                r.prefix_ok,
-                r.sharded_identical
+                r.prefix_ok
             );
         }
         println!(
@@ -520,10 +503,6 @@ fn main() {
         assert!(
             rows.iter().all(|r| r.prefix_ok),
             "a replica's committed log diverged"
-        );
-        assert!(
-            rows.iter().all(|r| r.sharded_identical),
-            "a sharded ladder run diverged from the sequential engine"
         );
         assert!(
             rows.iter().all(|r| r.committed > 0.0),

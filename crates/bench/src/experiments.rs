@@ -969,10 +969,6 @@ pub struct LogRow {
     /// Hard gate: on every seed the survivors' committed logs were
     /// prefix-identical (they may lag, never diverge).
     pub prefix_ok: bool,
-    /// Hard gate: on every seed the sharded engine reproduced the
-    /// sequential run exactly — same committed log on every survivor,
-    /// same acknowledgement count and latencies at every client.
-    pub sharded_identical: bool,
 }
 
 /// One E14 schedule: who runs, who crashes, who joins.
@@ -1037,9 +1033,9 @@ fn e14_build(sc: &LogScenario, seed: u64, lc: &LogConfig) -> Sim<AppMsg, LogProc
     sim
 }
 
-/// Everything the cross-engine gate compares: each surviving replica's
-/// committed log, and each client's acknowledged latencies (count and
-/// values — acks pin the replies, latencies pin their timing).
+/// Each surviving replica's committed log, and each client's
+/// acknowledged latencies (count and values — acks pin the replies,
+/// latencies pin their timing).
 type LogOutcome = (Vec<(ProcessId, Vec<LogCmd>)>, Vec<Vec<u64>>);
 
 fn e14_outcome(sim: &Sim<AppMsg, LogProc>, sc: &LogScenario) -> LogOutcome {
@@ -1093,18 +1089,16 @@ fn e14_failover(sim: &Sim<AppMsg, LogProc>, crash_at: u64) -> Option<u64> {
 
 /// Drives the replicated-log workload of `crates/log` through the three
 /// schedules of `e14_scenarios`, measuring committed throughput, commit
-/// latency and failover latency, and pinning two hard gates per seed:
-/// survivors' logs prefix-identical ([`LogRow::prefix_ok`]), and the
-/// sharded engine byte-equal to the sequential one on logs and client
-/// acknowledgements ([`LogRow::sharded_identical`]). `tables e14` turns
-/// both into hard asserts.
+/// latency and failover latency, and pinning one hard gate per seed:
+/// survivors' logs prefix-identical ([`LogRow::prefix_ok`]). `tables e14`
+/// turns it into a hard assert.
 ///
 /// ```
 /// use gmp_bench::e14_replicated_log;
 ///
 /// let rows = e14_replicated_log(1);
 /// assert_eq!(rows.len(), 3);
-/// assert!(rows.iter().all(|r| r.prefix_ok && r.sharded_identical));
+/// assert!(rows.iter().all(|r| r.prefix_ok));
 /// assert!(rows.iter().all(|r| r.committed > 0.0));
 /// ```
 pub fn e14_replicated_log(seeds: u64) -> Vec<LogRow> {
@@ -1137,7 +1131,7 @@ pub fn e14_replicated_log_with(
         let mut committed = 0f64;
         let mut latencies: Vec<u64> = Vec::new();
         let mut failovers: Vec<u64> = Vec::new();
-        let (mut prefix_ok, mut sharded_identical) = (true, true);
+        let mut prefix_ok = true;
         for s in 0..seeds {
             let mut seq = e14_build(&sc, s, &lc);
             seq.run_until(sc.horizon);
@@ -1152,11 +1146,6 @@ pub fn e14_replicated_log_with(
                     failovers.push(f);
                 }
             }
-            // The same schedule through the sharded engine must land on
-            // the same logs and the same client-visible behaviour.
-            let mut sharded = e14_build(&sc, s, &lc);
-            sharded.run_until_sharded(sc.horizon, 2);
-            sharded_identical &= e14_outcome(&sharded, &sc) == (logs, lats);
         }
         let committed = committed / seeds as f64;
         rows.push(LogRow {
@@ -1167,7 +1156,6 @@ pub fn e14_replicated_log_with(
             latency: Summary::of(&latencies),
             failover: Summary::of(&failovers),
             prefix_ok,
-            sharded_identical,
         });
     }
     rows
@@ -1201,9 +1189,6 @@ pub struct BatchRow {
     pub speedup: f64,
     /// Hard gate: replicas' committed logs prefix-identical on every seed.
     pub prefix_ok: bool,
-    /// Hard gate: the sharded engine reproduced the sequential run
-    /// exactly on every seed (logs and client acknowledgements).
-    pub sharded_identical: bool,
 }
 
 /// Outcome of E15's joiner-sync arm: one run with compaction forced low,
@@ -1246,8 +1231,8 @@ fn e15_scenario(clients: usize) -> LogScenario {
 /// `(batch, window)` cells — the unbatched PR-9 baseline first, then
 /// batching and client pipelining switched on separately and together —
 /// measuring committed throughput and log-layer wire messages per
-/// operation. Every cell runs under the same hard gates as E14
-/// (prefix-identical logs, sharded engine byte-equal to sequential).
+/// operation. Every cell runs under the same hard gate as E14
+/// (prefix-identical logs).
 /// `batch`/`window` overrides shrink the ladder to baseline + that one
 /// cell; `clients` rescales the offered load.
 ///
@@ -1256,7 +1241,7 @@ fn e15_scenario(clients: usize) -> LogScenario {
 ///
 /// let rows = e15_log_batching(1, None, Some(8), Some(4));
 /// assert_eq!(rows.len(), 2);
-/// assert!(rows.iter().all(|r| r.prefix_ok && r.sharded_identical));
+/// assert!(rows.iter().all(|r| r.prefix_ok));
 /// assert!(rows[1].throughput > rows[0].throughput);
 /// ```
 pub fn e15_log_batching(
@@ -1287,7 +1272,7 @@ pub fn e15_log_batching(
         let mut committed = 0f64;
         let mut msgs = 0f64;
         let mut latencies: Vec<u64> = Vec::new();
-        let (mut prefix_ok, mut sharded_identical) = (true, true);
+        let mut prefix_ok = true;
         for s in 0..seeds {
             let mut seq = e14_build(&sc, s, &lc);
             seq.run_until(sc.horizon);
@@ -1298,9 +1283,6 @@ pub fn e15_log_batching(
             for l in &lats {
                 latencies.extend_from_slice(l);
             }
-            let mut sharded = e14_build(&sc, s, &lc);
-            sharded.run_until_sharded(sc.horizon, 2);
-            sharded_identical &= e14_outcome(&sharded, &sc) == (logs, lats);
         }
         let committed = committed / seeds as f64;
         rows.push(BatchRow {
@@ -1317,7 +1299,6 @@ pub fn e15_log_batching(
             latency: Summary::of(&latencies),
             speedup: 0.0, // filled below, once the baseline cell exists
             prefix_ok,
-            sharded_identical,
         });
     }
     let base = rows[0].throughput;

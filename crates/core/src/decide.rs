@@ -152,7 +152,10 @@ fn get_next(queue: &[Op], rl: &[Op]) -> Vec<Op> {
 /// Returns `None` when the proposal would need a version after
 /// `Ver::MAX`: no round can be numbered, so none is started. A catch-up
 /// to `Ver::MAX` itself is still decided, with a contingent plan that
-/// the new `Mgr` cannot number either.
+/// the new `Mgr` cannot number either. Also `None` when the responses
+/// would make `RL_r` empty (an ahead respondent whose `seq` is no longer,
+/// or a detectable proposal of no operations): receivers ignore such a
+/// proposal, so no round could complete.
 pub fn determine(
     me: &PhaseOneResp,
     others: &[PhaseOneResp],
@@ -188,7 +191,7 @@ pub fn determine(
         .min()
         .unwrap_or(me.seq.len());
 
-    if let Some(l) = l_rep {
+    let decision = if let Some(l) = l_rep {
         // Incomplete installation of version ver(L): catch everyone up.
         let v = l.ver;
         debug_assert!(
@@ -197,7 +200,7 @@ pub fn determine(
         );
         let rl: Vec<Op> = l.seq[min_len..].to_vec();
         let invis = plan_after(v, &rl);
-        Some(Decision { v, rl, invis })
+        Decision { v, rl, invis }
     } else if let Some(s) = s_rep {
         // Incomplete installation of version ver(r): re-propose the suffix
         // the laggards are missing.
@@ -208,7 +211,7 @@ pub fn determine(
         );
         let rl: Vec<Op> = me.seq[min_len..].to_vec();
         let invis = plan_after(v, &rl);
-        Some(Decision { v, rl, invis })
+        Decision { v, rl, invis }
     } else {
         // Everyone agrees on ver(r): propose a fresh change for v =
         // ver(r)+1, propagating any detectable proposal for it (D.4–D.6,
@@ -216,8 +219,9 @@ pub fn determine(
         let v = me.ver.checked_add(1)?;
         let rl = select_proposal(&owned, v, view).unwrap_or_else(|| vec![Op::remove(old_mgr)]);
         let invis = get_next(queue, &rl);
-        Some(Decision { v, rl, invis })
-    }
+        Decision { v, rl, invis }
+    };
+    Some(decision).filter(|d| !d.rl.is_empty())
 }
 
 #[cfg(test)]
@@ -416,6 +420,19 @@ mod tests {
             let d = determine(me, others, &v, pid(0), &queue).unwrap();
             assert_eq!((d.v, d.rl, d.invis), (Ver::MAX, vec![op], queue.to_vec()));
         }
+    }
+
+    /// A catch-up that would install nothing, and a detectable proposal
+    /// of no operations, decide nothing.
+    #[test]
+    fn an_empty_rl_is_never_decided() {
+        let v = view(&[0, 1, 2, 3, 4]);
+        let me = resp(1, 3, vec![], vec![]);
+        let ahead = [resp(2, 4, vec![], vec![])];
+        assert_eq!(determine(&me, &ahead, &v, pid(0), &[]), None);
+        let empty = NextEntry::concrete(vec![], pid(0), 4);
+        let fresh = [resp(2, 3, vec![], vec![empty])];
+        assert_eq!(determine(&me, &fresh, &v, pid(0), &[]), None);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   identical whether or not anyone drains the queue (the golden
 //!   fingerprints in `tests/determinism.rs` pin this).
 //! * **Deterministic.** For a fixed `(n, seed, fault schedule)` the event
-//!   stream of every process is a pure function of the run — identical
-//!   under the sequential and sharded engines (`tests/member_events.rs`
+//!   stream of every process is a pure function of the run — two replays
+//!   of the same schedule drain identical streams (`tests/member_events.rs`
 //!   proptests this).
 //! * **Ordered.** Events appear in the order the transitions happened at
 //!   this process. A `ViewInstalled` for version `v` precedes any event

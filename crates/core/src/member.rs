@@ -563,9 +563,8 @@ impl Member {
 
     /// Replays the queued effects into a simulator context in emission
     /// order, wrapping each sent message with `wrap` — the identity for a
-    /// bare member, an envelope variant for a composite node. The member
-    /// draws no randomness and never reads a timer id, so the replay yields
-    /// exactly the actions (and timer ids) of handlers writing to `ctx`.
+    /// bare member, an envelope variant for a composite node. The replay
+    /// yields exactly the actions of handlers writing to `ctx` directly.
     pub fn drain_into<M: Message>(&mut self, ctx: &mut Ctx<'_, M>, wrap: impl Fn(Msg) -> M) {
         if self.outbox.is_empty() {
             return; // most deliveries are life signs that queue nothing
@@ -573,9 +572,7 @@ impl Member {
         for effect in self.outbox.drain(..) {
             match effect {
                 Effect::Send { to, msg } => ctx.send(to, wrap(msg)),
-                Effect::Timer { delay, tag } => {
-                    ctx.set_timer(delay, tag);
-                }
+                Effect::Timer { delay, tag } => ctx.set_timer(delay, tag),
                 Effect::Note(note) => ctx.note(note),
                 Effect::Quit => ctx.quit(),
             }
@@ -1361,7 +1358,7 @@ impl Member {
         }
         let queue = self.queue_ops();
         let Some(decision) = determine(&resp[0], &resp[1..], &self.view, self.mgr, &queue) else {
-            return; // at `Ver::MAX`: no version left to propose
+            return; // no version left to propose, or nothing to install
         };
         if !self.cfg.three_phase_reconfig {
             // Claim 7.2 baseline: commit directly after interrogation. The
@@ -1402,8 +1399,8 @@ impl Member {
         if !matches!(self.role, Role::Outer) || self.lifecycle != Lifecycle::Active {
             return;
         }
-        if v < self.ver {
-            return; // initiator is behind us: stale
+        if v < self.ver || rl.is_empty() {
+            return; // initiator is behind us (stale), or proposes no change
         }
         if f.contains(&self.me)
             || rl.iter().any(|op| op.removes(self.me))
@@ -1521,8 +1518,8 @@ impl Member {
         if !matches!(self.role, Role::Outer) || self.lifecycle != Lifecycle::Active {
             return;
         }
-        if v < self.ver {
-            return;
+        if v < self.ver || rl.is_empty() {
+            return; // stale, or a commit that installs nothing
         }
         if f.contains(&self.me)
             || rl.iter().any(|op| op.removes(self.me))
@@ -2029,6 +2026,51 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// A wire message whose reconfiguration installs no operation is
+    /// ignored whole: p2, welcomed at v3 into p0..p2, keeps its version,
+    /// view and `Mgr`, and emits nothing.
+    fn assert_empty_rl_ignored(msg: Msg) {
+        let mut m = joiner();
+        m.receive(ProcessId(0), welcome(&[0, 1, 2], 3), 5);
+        m.take_outbox();
+        m.take_events();
+        m.receive(ProcessId(1), msg, 6);
+        assert_eq!((m.ver(), m.mgr(), m.view().len()), (3, ProcessId(0), 3));
+        assert!(m.take_outbox().is_empty());
+        assert!(m.take_events().is_empty());
+    }
+
+    #[test]
+    fn propose_with_an_empty_rl_is_ignored() {
+        assert_empty_rl_ignored(Msg::Propose {
+            rl: Vec::new(),
+            ver: 4,
+            invis: Vec::new(),
+            faulty: Vec::new(),
+        });
+    }
+
+    #[test]
+    fn reconf_commit_with_an_empty_rl_is_ignored() {
+        assert_empty_rl_ignored(Msg::ReconfCommit {
+            rl: Vec::new(),
+            ver: 4,
+            invis: Vec::new(),
+            faulty: Vec::new(),
+        });
+    }
+
+    /// p3 answers the interrogation from one version ahead but with no
+    /// longer a `seq`: the catch-up would install nothing, so p2 proposes
+    /// nothing rather than a proposal with an empty `rl`.
+    #[test]
+    fn interrogation_that_decides_an_empty_rl_proposes_nothing() {
+        let mut m = joiner();
+        let out = interrogate_at(&mut m, 3, 4, Vec::new());
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!((m.lifecycle(), m.ver()), (Lifecycle::Active, 3));
     }
 
     /// p2, welcomed into p0..p4 at `ver`, suspects both seniors and

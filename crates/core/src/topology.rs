@@ -59,8 +59,8 @@ pub trait Topology: fmt::Debug + Send + Sync {
 /// The paper's implicit clique: everyone monitors everyone else.
 ///
 /// This is the default and reproduces the pre-topology engine
-/// byte-for-byte (pinned by the goldens in `tests/determinism.rs`,
-/// `tests/sharding.rs` and `tests/topology.rs`).
+/// byte-for-byte (pinned by the goldens in `tests/determinism.rs` and
+/// `tests/topology.rs`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Flat;
 

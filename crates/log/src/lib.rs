@@ -17,9 +17,9 @@
 //! range of one — the new-leader recovery round, and joiner state
 //! transfer (snapshot + tail once compaction has passed the joiner's
 //! prefix) — see [`ReplicatedLog`]. Everything is sans-IO and runs inside
-//! [`gmp_sim`]'s deterministic engines, sequential or sharded. Batch size,
-//! client pipeline window and the compaction budget are [`LogConfig`]
-//! knobs; `LogConfig::default()` is the batched trim and
+//! [`gmp_sim`]'s deterministic engine. Batch size, client pipeline
+//! window and the compaction budget are [`LogConfig`] knobs;
+//! `LogConfig::default()` is the batched trim and
 //! [`LogConfig::unbatched`](cluster::LogConfig::unbatched) is the batch-1,
 //! window-1, uncompacted preset, whose traffic matches PR 9's per-slot
 //! baseline message for message.

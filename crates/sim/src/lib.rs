@@ -29,15 +29,11 @@
 //!
 //! # Threading and the `Send` audit
 //!
-//! The engine supports two kinds of parallelism. *Between* runs, the
-//! worker pool gives each thread its own `Sim` built from its own seed
-//! ([`run_seeds_parallel`]). *Within* a run, [`Sim::run_until_sharded`]
-//! partitions the processes across shard worker threads ([`shard_of`]:
-//! `pid mod shards`) while the calling thread sequences every globally
-//! visible mutation — the RNG, message ids, queue order, the trace — so
-//! the output is byte-identical to the single-threaded `run_until` for
-//! every shard count (see the `shard` module docs for the frontier and
-//! seq-stability arguments). Both are sound because
+//! A run is one deterministic sequential event loop; the engine's only
+//! parallelism is *between* runs. The worker pool gives each thread its
+//! own `Sim`, built from its own seed ([`run_seeds_parallel`]), and
+//! returns the results in seed order — byte-identical to the sequential
+//! [`run_seeds`] at every job count. That is sound because
 //! `Sim<M, N>: Send` whenever `M: Send` and `N: Send`: every engine
 //! internal is owned data (`SmallRng` is a plain xoshiro256++ state; the
 //! event queue is a slab `Vec`, a boxed bucket array of indices into it
@@ -94,14 +90,12 @@ pub mod trace;
 mod engine;
 mod hash;
 mod queue;
-mod shard;
 
 pub use batch::{run_seeds, run_seeds_parallel, summarize_runs, BatchConfig, RunStats};
 pub use engine::{Builder, NodeStatus, Sim};
 pub use hash::{IntHasher, IntMap, IntSet};
 pub use net::BlockMode;
-pub use node::{Ctx, Message, Node, TimerId};
-pub use shard::shard_of;
+pub use node::{Ctx, Message, Node};
 pub use shared::Shared;
 pub use stats::{Stats, Summary};
 pub use trace::{Trace, TraceEvent, TraceKind};

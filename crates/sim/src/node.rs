@@ -2,7 +2,6 @@
 
 use crate::Time;
 use gmp_types::{Note, ProcessId};
-use rand::rngs::SmallRng;
 
 /// A protocol message. `tag` names the message kind for trace recording and
 /// message-complexity accounting (the benchmarks count sends per tag).
@@ -28,16 +27,11 @@ pub trait Node<M: Message> {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, tag: u64);
 }
 
-/// Identifier of a pending timer, used for cancellation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerId(pub(crate) u64);
-
 /// An effect requested by a node handler.
 #[derive(Clone, Debug)]
 pub(crate) enum Action<M> {
     Send { to: ProcessId, msg: M },
-    SetTimer { id: TimerId, delay: Time, tag: u64 },
-    CancelTimer { id: TimerId },
+    SetTimer { delay: Time, tag: u64 },
     Note(Note),
     Quit,
 }
@@ -45,14 +39,13 @@ pub(crate) enum Action<M> {
 /// The effect context passed to every [`Node`] handler.
 ///
 /// All interaction with the outside world — sending, timers, quitting,
-/// trace annotations, randomness — goes through this context so the
-/// simulator can record and order it deterministically.
+/// trace annotations — goes through this context so the simulator can
+/// record and order it deterministically.
 pub struct Ctx<'a, M> {
     pub(crate) pid: ProcessId,
     pub(crate) now: Time,
-    pub(crate) actions: Vec<Action<M>>,
-    pub(crate) rng: &'a mut SmallRng,
-    pub(crate) timer_counter: &'a mut u64,
+    /// The engine's effect buffer, lent for the duration of one handler.
+    pub(crate) actions: &'a mut Vec<Action<M>>,
 }
 
 impl<'a, M: Message> Ctx<'a, M> {
@@ -98,19 +91,10 @@ impl<'a, M: Message> Ctx<'a, M> {
     }
 
     /// Arms a one-shot timer that fires after `delay` ticks, delivering
-    /// `tag` to [`Node::on_timer`]. Returns an id usable with
-    /// [`Ctx::cancel_timer`].
-    pub fn set_timer(&mut self, delay: Time, tag: u64) -> TimerId {
-        *self.timer_counter += 1;
-        let id = TimerId(*self.timer_counter);
-        self.actions.push(Action::SetTimer { id, delay, tag });
-        id
-    }
-
-    /// Cancels a pending timer. Cancelling an already-fired or unknown timer
-    /// is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.actions.push(Action::CancelTimer { id });
+    /// `tag` to [`Node::on_timer`]. Timers cannot be cancelled: a handler
+    /// that no longer wants one ignores its tag when it fires.
+    pub fn set_timer(&mut self, delay: Time, tag: u64) {
+        self.actions.push(Action::SetTimer { delay, tag });
     }
 
     /// Records a semantic annotation into the trace (e.g. `faulty_p(q)`,
@@ -125,17 +109,11 @@ impl<'a, M: Message> Ctx<'a, M> {
     pub fn quit(&mut self) {
         self.actions.push(Action::Quit);
     }
-
-    /// Deterministic, seeded randomness for protocol-level choices.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[derive(Clone, Debug)]
     struct M0;
@@ -147,18 +125,14 @@ mod tests {
 
     #[test]
     fn broadcast_skips_self() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut counter = 0;
+        let mut actions = Vec::new();
         let mut ctx: Ctx<'_, M0> = Ctx {
             pid: ProcessId(1),
             now: 0,
-            actions: Vec::new(),
-            rng: &mut rng,
-            timer_counter: &mut counter,
+            actions: &mut actions,
         };
         ctx.broadcast([ProcessId(0), ProcessId(1), ProcessId(2)], M0);
-        let targets: Vec<ProcessId> = ctx
-            .actions
+        let targets: Vec<ProcessId> = actions
             .iter()
             .filter_map(|a| match a {
                 Action::Send { to, .. } => Some(*to),
@@ -166,21 +140,5 @@ mod tests {
             })
             .collect();
         assert_eq!(targets, vec![ProcessId(0), ProcessId(2)]);
-    }
-
-    #[test]
-    fn timer_ids_are_unique() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut counter = 0;
-        let mut ctx: Ctx<'_, M0> = Ctx {
-            pid: ProcessId(0),
-            now: 0,
-            actions: Vec::new(),
-            rng: &mut rng,
-            timer_counter: &mut counter,
-        };
-        let a = ctx.set_timer(5, 1);
-        let b = ctx.set_timer(5, 1);
-        assert_ne!(a, b);
     }
 }

@@ -2,7 +2,7 @@
 //! through a slab, with a binary heap of keys only for events beyond the
 //! ring.
 //!
-//! Both engines consume events in `(time, seq)` order. Almost every event
+//! The engine consumes events in `(time, seq)` order. Almost every event
 //! is scheduled a few ticks ahead (message delays, heartbeat and detector
 //! timers), so instead of sifting ~150-byte entries through a heap of tens
 //! of thousands, the queue keeps one FIFO per tick for the next
@@ -130,15 +130,6 @@ impl<M> EventQueue<M> {
         } else {
             self.far.push(Reverse((time, seq, idx)));
         }
-    }
-
-    /// The earliest pending event if its time is at most `until`.
-    pub(crate) fn peek_due(&mut self, until: Time) -> Option<&Queued<M>> {
-        if !self.seek(until) {
-            return None;
-        }
-        let head = self.buckets[bucket_of(self.base)].head;
-        self.slab[head as usize].ev.as_ref()
     }
 
     /// Removes and returns the earliest pending event if its time is at
@@ -287,16 +278,11 @@ mod tests {
                     continue;
                 }
                 // 7: one pop a few ticks on; 8: drain a stretch that may
-                // span windows; 9: peek, then pop what was peeked.
+                // span windows; 9: drain a shorter one.
                 until += match op { 7 => x % 16, 8 => x % 1_024, _ => x % 64 };
                 loop {
-                    let peeked = (op == 9)
-                        .then(|| queue.peek_due(until).map(|e| (e.time, e.seq)));
                     let got = key(queue.pop_due(until));
                     prop_assert_eq!(got, reference.pop_due(until));
-                    if let Some(peeked) = peeked {
-                        prop_assert_eq!(peeked, got);
-                    }
                     now = got.map_or(now.max(until), |(time, _)| time);
                     if got.is_none() || op == 7 {
                         break;
@@ -364,7 +350,7 @@ mod tests {
         // The search stopped at 999, so scheduling there is still legal.
         q.push(ev(999, 2));
         assert_eq!(key(q.pop_due(999)), Some((999, 2)));
-        assert!(q.peek_due(999).is_none());
+        assert!(q.pop_due(999).is_none());
         assert_eq!(key(q.pop_due(1_000)), Some((1_000, 1)));
         assert!(q.pop_due(Time::MAX).is_none());
     }

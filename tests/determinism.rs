@@ -150,77 +150,12 @@ fn determinism_survives_mid_run_inspection() {
     assert_eq!(fingerprint(sim.trace()), uninterrupted);
 }
 
-/// The intra-run sharded engine must be invisible at golden granularity:
-/// every crash-only golden scenario reruns through
-/// [`Sim::run_until_sharded`] at shards ∈ {1, 2, 4} and must reproduce the
-/// *same* recorded hashes — deliberately no new goldens, because the claim
-/// under test is that shard count changes nothing the trace records.
-#[test]
-fn sharded_reruns_reproduce_the_crash_only_goldens() {
-    let golden: [(usize, u64, usize, u64); 3] = [
-        (6, 42, 14696, 0x5240_f36d_ee7d_f5d8),
-        (5, 7, 8044, 0xde3b_806b_eee6_1872),
-        (9, 0xDEAD_BEEF, 46640, 0x1d76_8c0b_f965_d980),
-    ];
-    for (n, seed, events, hash) in golden {
-        for shards in [1usize, 2, 4] {
-            let mut sim = cluster(n, seed);
-            sim.crash_at(ProcessId(n as u32 - 1), 400);
-            sim.crash_at(ProcessId(1), 900);
-            sim.run_until_sharded(20_000, shards);
-            let fp = fingerprint(sim.trace());
-            assert_eq!(
-                fp.len(),
-                events,
-                "n={n} seed={seed} shards={shards}: event count drifted"
-            );
-            assert_eq!(
-                fnv1a(&fp),
-                hash,
-                "n={n} seed={seed} shards={shards}: sharded trace drifted from the golden"
-            );
-        }
-    }
-}
-
-/// Sharded rerun of the join-bearing goldens below: the `Joining` receiver
-/// path (buffered coordinator rounds, digest re-carry) crosses shards too.
-#[test]
-fn sharded_reruns_reproduce_the_join_bearing_goldens() {
-    use gmp::protocol::{ClusterBuilder, Config, JoinConfig};
-    let golden: [(u64, usize, u64); 2] = [
-        (3, 14049, 0x57ce_8337_edd4_bb4f),
-        (21, 14051, 0xe388_d53c_14f8_fb08),
-    ];
-    for (seed, events, hash) in golden {
-        for shards in [1usize, 2, 4] {
-            let mut sim = ClusterBuilder::new(5, Config::default())
-                .joiner(JoinConfig::new(500, vec![ProcessId(1)]))
-                .sim(gmp::sim::Builder::new().seed(seed))
-                .build();
-            sim.crash_at(ProcessId(4), 1_400);
-            sim.run_until_sharded(12_000, shards);
-            let fp = fingerprint(sim.trace());
-            assert_eq!(
-                fp.len(),
-                events,
-                "seed={seed} shards={shards}: event count drifted"
-            );
-            assert_eq!(
-                fnv1a(&fp),
-                hash,
-                "seed={seed} shards={shards}: sharded trace drifted from the golden"
-            );
-        }
-    }
-}
-
 /// Sparse-topology replay: a run on the k-regular monitoring ring (PR 7's
 /// topology layer, `gmp::protocol::Sparse`) is as much a pure function of
 /// `(n, seed, fault schedule)` as the clique's, with the *relay* path —
 /// suspicion crossing the graph by digest re-carry, hop by hop — in
 /// play. The CI determinism job double-runs this scenario alongside the
-/// flat ones; the sharded rerun must also match, event for event.
+/// flat ones.
 #[test]
 fn sparse_topology_replays_byte_identical() {
     use gmp::protocol::{cluster_with, Config, Sparse};
@@ -242,25 +177,15 @@ fn sparse_topology_replays_byte_identical() {
         reference,
         "sparse-topology replay diverged"
     );
-
-    for shards in [2usize, 4] {
-        let mut sharded = build();
-        sharded.run_until_sharded(12_000, shards);
-        assert_eq!(
-            fingerprint(sharded.trace()),
-            reference,
-            "shards={shards}: sharded sparse-topology run diverged from sequential"
-        );
-    }
 }
 
 /// Log-bearing replay: the `gmp-log` workload stacks a second protocol
 /// (multipaxos phase 2) and a client population on top of membership in
 /// the same simulator — member outboxes replayed by `Member::drain_into`,
-/// wrapped messages, two timer namespaces. A run must stay a pure function of `(topology,
-/// seed, fault schedule)` with all of that in play, and the sharded
-/// engine must reproduce it event for event. The CI determinism job
-/// double-runs this scenario alongside the membership-only ones.
+/// wrapped messages, two timer namespaces. A run must stay a pure function
+/// of `(topology, seed, fault schedule)` with all of that in play. The CI
+/// determinism job double-runs this scenario alongside the
+/// membership-only ones.
 ///
 /// The golden was recorded on PR 9's per-slot `Accept`/`AcceptOk`/`Decide`
 /// path. That path is gone: at batch size 1 the log sends batches of one
@@ -297,9 +222,9 @@ fn log_workload_replays_byte_identical() {
 /// Batched companion to the scenario above: the same crash schedule with
 /// leader batching (`AcceptBatch` + the 1-tick flush timer), client
 /// pipelining and a small compaction budget all active — the three
-/// mechanisms the unbatched trim never exercises. Replay and the sharded
-/// engine must reproduce it event for event; the CI determinism job
-/// double-runs this scenario too.
+/// mechanisms the unbatched trim never exercises. Replay must reproduce
+/// it event for event; the CI determinism job double-runs this scenario
+/// too.
 #[test]
 fn batched_log_workload_replays_byte_identical() {
     use gmp::log::{LogClusterBuilder, LogConfig};
@@ -397,8 +322,8 @@ fn join_bearing_traces_match_the_digest_gap_fix_goldens() {
     }
 }
 
-/// Runs `build()` to `until` sequentially and at shards ∈ {2, 4} and pins
-/// every run to the same recorded `(events, FNV-1a)` pair.
+/// Runs `build()` to `until` and pins the run to the recorded
+/// `(events, FNV-1a)` pair.
 fn assert_golden<M, N>(
     name: &str,
     build: impl Fn() -> Sim<M, N>,
@@ -406,8 +331,8 @@ fn assert_golden<M, N>(
     events: usize,
     hash: u64,
 ) where
-    M: gmp::sim::Message + Send,
-    N: gmp::sim::Node<M> + Send,
+    M: gmp::sim::Message,
+    N: gmp::sim::Node<M>,
 {
     assert_golden_as(name, build, until, events, hash, |line| line);
 }
@@ -422,23 +347,17 @@ fn assert_golden_as<M, N>(
     hash: u64,
     map: impl Fn(String) -> String,
 ) where
-    M: gmp::sim::Message + Send,
-    N: gmp::sim::Node<M> + Send,
+    M: gmp::sim::Message,
+    N: gmp::sim::Node<M>,
 {
-    for shards in [0usize, 2, 4] {
-        let mut sim = build();
-        if shards == 0 {
-            sim.run_until(until);
-        } else {
-            sim.run_until_sharded(until, shards);
-        }
-        let fp: Vec<String> = fingerprint(sim.trace()).into_iter().map(&map).collect();
-        assert_eq!(
-            (fp.len(), fnv1a(&fp)),
-            (events, hash),
-            "{name} shards={shards} (0 = sequential): stamped trace drifted from the golden"
-        );
-    }
+    let mut sim = build();
+    sim.run_until(until);
+    let fp: Vec<String> = fingerprint(sim.trace()).into_iter().map(map).collect();
+    assert_eq!(
+        (fp.len(), fnv1a(&fp)),
+        (events, hash),
+        "{name}: stamped trace drifted from the golden"
+    );
 }
 
 /// Every heartbeat (400 ticks) and every suspicion deadline (600 ticks)

@@ -1,8 +1,8 @@
 //! The [`MemberEvent`] queue contract (`crates/core/src/event.rs`):
 //! every event kind is exercised against a golden scenario family —
 //! crash-only, join-bearing, sparse-topology, partition — and the event
-//! stream of every process is pinned identical between the sequential
-//! and sharded engines over proptest-sampled schedules.
+//! stream of every process is pinned identical between two replays of
+//! the same proptest-sampled schedule.
 
 use gmp::prelude::*;
 use gmp::protocol::{Msg, Sparse};
@@ -227,9 +227,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// The event stream of every process is a pure function of the run:
-    /// the sharded engine replays it element-for-element.
+    /// a second build of the same schedule replays it element-for-element.
     #[test]
-    fn event_streams_identical_sequential_vs_sharded(
+    fn event_streams_replay_identically(
         n in 4usize..8,
         seed in 0u64..1_000,
         victim in 1u32..4,
@@ -240,22 +240,15 @@ proptest! {
             sim.crash_at(ProcessId(victim), crash_at);
             sim
         };
-        let mut seq = build();
-        seq.run_until(12_000);
-        let reference = drain_all(&mut seq);
+        let mut first = build();
+        first.run_until(12_000);
+        let reference = drain_all(&mut first);
         prop_assert!(
             reference.iter().any(|(_, evs)| !evs.is_empty()),
             "run produced no events at all"
         );
-        for shards in [2usize, 4] {
-            let mut sharded = build();
-            sharded.run_until_sharded(12_000, shards);
-            prop_assert_eq!(
-                drain_all(&mut sharded),
-                reference.clone(),
-                "shards={}: event stream diverged",
-                shards
-            );
-        }
+        let mut again = build();
+        again.run_until(12_000);
+        prop_assert_eq!(drain_all(&mut again), reference, "event stream diverged on replay");
     }
 }

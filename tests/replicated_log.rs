@@ -1,6 +1,6 @@
 //! Integration: the replicated log (`gmp-log`) riding on membership —
 //! leader failover, joiner catch-up, exactly-once commits, and the
-//! prefix-identity safety gate, across seeds and both engines.
+//! prefix-identity safety gate, across seeds.
 
 use gmp::log::{AppMsg, LogProc};
 use gmp::prelude::*;
@@ -176,40 +176,4 @@ fn new_leader_re_replies_for_recovered_slots() {
         c.acked() >= 1,
         "the lost reply was never re-sent by the new leader"
     );
-}
-
-#[test]
-fn sharded_engine_reproduces_the_log_workload() {
-    // The log workload crosses the sharded engine too: same committed
-    // logs, same client-visible latencies, at every shard count.
-    for seed in [0u64, 7, 42] {
-        let build = || {
-            let mut sim = log_cluster(5, 3, seed);
-            sim.crash_at(ProcessId(0), 2_000);
-            sim
-        };
-        let mut seq = build();
-        seq.run_until(15_000);
-        let logs = survivor_logs(&seq);
-        let lats: Vec<Vec<u64>> = (0..3u32)
-            .map(|k| seq.node(ProcessId(5 + k)).client().latencies().to_vec())
-            .collect();
-
-        for shards in [2usize, 4] {
-            let mut sharded = build();
-            sharded.run_until_sharded(15_000, shards);
-            assert_eq!(
-                survivor_logs(&sharded),
-                logs,
-                "seed {seed} shards={shards}: committed logs diverged"
-            );
-            let sharded_lats: Vec<Vec<u64>> = (0..3u32)
-                .map(|k| sharded.node(ProcessId(5 + k)).client().latencies().to_vec())
-                .collect();
-            assert_eq!(
-                sharded_lats, lats,
-                "seed {seed} shards={shards}: client latencies diverged"
-            );
-        }
-    }
 }

@@ -6,8 +6,7 @@
 //!    hardwired "all other members" loops behind the `Topology` trait is
 //!    a pure representation refactor: under the default clique the exact
 //!    golden fingerprints recorded *before* the trait existed must
-//!    reproduce — through the sequential and the sharded engine alike —
-//!    even when the topology is spelled out explicitly.
+//!    reproduce, even when the topology is spelled out explicitly.
 //! 2. **Sparse graphs still disseminate suspicion.** A `Sparse(k)` ring
 //!    member heartbeats only its `k` neighbours, so a suspicion born at
 //!    one member must be *relayed* — re-carried by each learner's own
@@ -55,27 +54,6 @@ fn explicit_flat_topology_reproduces_the_pre_refactor_goldens() {
             hash,
             "n={n} seed={seed}: the topology layer moved a stamp under Flat"
         );
-    }
-}
-
-#[test]
-fn explicit_flat_topology_reproduces_the_goldens_through_the_sharded_engine() {
-    for (n, seed, events, hash) in GOLDEN {
-        for shards in [1usize, 2, 4] {
-            let mut sim = flat_crash_run(n, seed);
-            sim.run_until_sharded(20_000, shards);
-            let fp = fingerprint(sim.trace());
-            assert_eq!(
-                fp.len(),
-                events,
-                "n={n} seed={seed} shards={shards}: event count drifted"
-            );
-            assert_eq!(
-                fnv1a(&fp),
-                hash,
-                "n={n} seed={seed} shards={shards}: sharded Flat drifted from the golden"
-            );
-        }
     }
 }
 
