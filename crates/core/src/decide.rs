@@ -56,7 +56,10 @@ pub struct Proposal {
 /// found among the Phase I responses (§4.5). Proposals are deduplicated by
 /// `(ops, coord)`; distinct proposers of identical operations are kept so
 /// `GetStable` can rank them.
-pub fn proposals_for_ver(responses: &[PhaseOneResp], x: Ver) -> Vec<Proposal> {
+pub fn proposals_for_ver<'a>(
+    responses: impl IntoIterator<Item = &'a PhaseOneResp>,
+    x: Ver,
+) -> Vec<Proposal> {
     let mut out: Vec<Proposal> = Vec::new();
     for resp in responses {
         for entry in &resp.next {
@@ -113,8 +116,8 @@ pub fn get_stable(proposals: &[Proposal], view: &View) -> Vec<Op> {
 
 /// Selects the proposal operations for a version according to the
 /// 0 / 1 / many case split shared by all three `Determine` branches.
-fn select_proposal(responses: &[PhaseOneResp], x: Ver, view: &View) -> Option<Vec<Op>> {
-    let proposals = proposals_for_ver(responses, x);
+fn select_proposal(responses: &[&PhaseOneResp], x: Ver, view: &View) -> Option<Vec<Op>> {
+    let proposals = proposals_for_ver(responses.iter().copied(), x);
     match distinct_op_sets(&proposals) {
         0 => None,
         1 => Some(proposals[0].ops.clone()),
@@ -166,12 +169,11 @@ pub fn determine(
     let mut all: Vec<&PhaseOneResp> = Vec::with_capacity(others.len() + 1);
     all.push(me);
     all.extend(others.iter().filter(|r| r.ver.abs_diff(me.ver) <= 1));
-    let owned: Vec<PhaseOneResp> = all.iter().map(|r| (*r).clone()).collect();
     // The contingent plan after a catch-up to `v`: the detectable proposal
     // for `v + 1`, else `GetNext`. `Ver::MAX` has no successor to plan for.
     let plan_after = |v: Ver, rl: &[Op]| {
         v.checked_add(1)
-            .and_then(|next| select_proposal(&owned, next, view))
+            .and_then(|next| select_proposal(&all, next, view))
             .unwrap_or_else(|| get_next(queue, rl))
     };
 
@@ -217,7 +219,7 @@ pub fn determine(
         // ver(r)+1, propagating any detectable proposal for it (D.4–D.6,
         // with the index fix described in the module docs).
         let v = me.ver.checked_add(1)?;
-        let rl = select_proposal(&owned, v, view).unwrap_or_else(|| vec![Op::remove(old_mgr)]);
+        let rl = select_proposal(&all, v, view).unwrap_or_else(|| vec![Op::remove(old_mgr)]);
         let invis = get_next(queue, &rl);
         Decision { v, rl, invis }
     };

@@ -57,5 +57,8 @@ pub use config::{Config, ConfigBuilder, JoinConfig, ObserveConfig};
 pub use decide::{determine, get_stable, proposals_for_ver, Decision, PhaseOneResp, Proposal};
 pub use event::MemberEvent;
 pub use member::{Effect, Lifecycle, Member};
-pub use msg::{is_protocol_tag, HeartbeatDigest, Msg, PROTOCOL_TAGS};
+pub use msg::{
+    is_protocol_tag, CommitBody, HeartbeatDigest, InterrogateOkBody, Msg, ReconfBody,
+    ViewUpdateBody, WelcomeBody, PROTOCOL_TAGS,
+};
 pub use topology::{Flat, Sparse, Topology};

@@ -23,7 +23,9 @@
 use crate::config::Config;
 use crate::decide::{determine, PhaseOneResp};
 use crate::event::MemberEvent;
-use crate::msg::{HeartbeatDigest, Msg};
+use crate::msg::{
+    CommitBody, HeartbeatDigest, InterrogateOkBody, Msg, ReconfBody, ViewUpdateBody, WelcomeBody,
+};
 use gmp_detect::{HeartbeatDetector, Isolation};
 use gmp_sim::{Ctx, Message, Node, Shared};
 use gmp_types::note::{FaultySource, QuitReason};
@@ -486,12 +488,7 @@ impl Member {
         }
         if self.lifecycle == Lifecycle::Joining {
             match msg {
-                Msg::Welcome {
-                    members,
-                    ver,
-                    seq,
-                    mgr,
-                } => self.on_welcome(from, members, ver, seq, mgr),
+                Msg::Welcome(body) => self.on_welcome(from, body),
                 // Coordinator rounds addressed to this process as an
                 // already-added member can overtake its Welcome (the add
                 // commits first, and the Welcome may need a retried join
@@ -501,17 +498,17 @@ impl Member {
                 // response. Hold them and replay once a Welcome installs a
                 // view; each handler's version guard discards stale ones.
                 Msg::Invite { .. }
-                | Msg::Commit { .. }
+                | Msg::Commit(_)
                 | Msg::Interrogate
-                | Msg::Propose { .. }
-                | Msg::ReconfCommit { .. } => self.buffered.push((from, msg)),
+                | Msg::Propose(_)
+                | Msg::ReconfCommit(_) => self.buffered.push((from, msg)),
                 _ => {}
             }
             return;
         }
         if self.lifecycle == Lifecycle::Observing {
-            if let Msg::ViewUpdate { members, ver, mgr } = msg {
-                self.on_view_update(members, ver, mgr);
+            if let Msg::ViewUpdate(body) = msg {
+                self.on_view_update(body);
             }
             return;
         }
@@ -729,8 +726,35 @@ impl Member {
         cached
     }
 
-    fn recovered_vec(&self) -> Vec<ProcessId> {
-        self.recovered.iter().copied().collect()
+    /// A `Commit` of `op` installing `ver`, with `next` as its contingent
+    /// invitation: one body, shared by every recipient of the broadcast.
+    fn commit(&self, op: Op, ver: Ver, next: Option<Op>) -> Msg {
+        Msg::Commit(Shared::from(CommitBody {
+            op,
+            ver,
+            next,
+            faulty: self.faulty_vec(),
+            recovered: self.recovered.iter().copied().collect(),
+        }))
+    }
+
+    /// State transfer of the current view, naming `mgr` as coordinator.
+    fn welcome(&self, mgr: ProcessId) -> Msg {
+        Msg::Welcome(Shared::from(WelcomeBody {
+            members: self.view.to_vec(),
+            ver: self.ver,
+            seq: self.seq.clone(),
+            mgr,
+        }))
+    }
+
+    /// The current view, as streamed to observers.
+    fn view_update(&self) -> Msg {
+        Msg::ViewUpdate(Shared::from(ViewUpdateBody {
+            members: self.view.to_vec(),
+            ver: self.ver,
+            mgr: self.mgr,
+        }))
     }
 
     /// The initiator's own pending operations for `GetNext`: queued joiners
@@ -840,11 +864,7 @@ impl Member {
         if self.subscribers.is_empty() {
             return;
         }
-        let update = Msg::ViewUpdate {
-            members: self.view.to_vec(),
-            ver: self.ver,
-            mgr: self.mgr,
-        };
+        let update = self.view_update();
         for &to in &self.subscribers {
             self.outbox.push(Effect::Send {
                 to,
@@ -1057,25 +1077,11 @@ impl Member {
         }
         debug_assert_eq!(self.ver, v);
         if op.kind == OpKind::Add {
-            self.send(
-                op.target,
-                Msg::Welcome {
-                    members: self.view.to_vec(),
-                    ver: self.ver,
-                    seq: self.seq.clone(),
-                    mgr: self.me,
-                },
-            );
+            self.send(op.target, self.welcome(self.me));
         }
         if self.cfg.compression {
             let nxt = self.mgr_pick_next();
-            self.broadcast(Msg::Commit {
-                op,
-                ver: v,
-                next: nxt,
-                faulty: self.faulty_vec(),
-                recovered: self.recovered_vec(),
-            });
+            self.broadcast(self.commit(op, v, nxt));
             if let Some(n) = nxt {
                 let pending = self.await_set();
                 self.role = Role::MgrAwait {
@@ -1089,13 +1095,7 @@ impl Member {
                 self.role = Role::MgrIdle;
             }
         } else {
-            self.broadcast(Msg::Commit {
-                op,
-                ver: v,
-                next: None,
-                faulty: self.faulty_vec(),
-                recovered: self.recovered_vec(),
-            });
+            self.broadcast(self.commit(op, v, None));
             self.role = Role::MgrIdle;
             self.mgr_start_update(); // fresh invitation for the next op
         }
@@ -1159,32 +1159,22 @@ impl Member {
         }
     }
 
-    fn on_commit(
-        &mut self,
-        from: ProcessId,
-        op: Op,
-        v: Ver,
-        nxt: Option<Op>,
-        f: Vec<ProcessId>,
-        r: Vec<ProcessId>,
-    ) {
+    fn on_commit(&mut self, from: ProcessId, body: Shared<CommitBody>) {
         if from != self.mgr || !matches!(self.role, Role::Outer) {
             return;
         }
+        let CommitBody {
+            op,
+            ver: v,
+            next: nxt,
+            faulty: ref f,
+            recovered: ref r,
+        } = *body;
         if v < self.ver {
             return; // stale
         }
         if v - self.ver > 1 {
-            self.buffered.push((
-                from,
-                Msg::Commit {
-                    op,
-                    ver: v,
-                    next: nxt,
-                    faulty: f,
-                    recovered: r,
-                },
-            ));
+            self.buffered.push((from, Msg::Commit(body)));
             return;
         }
         if f.contains(&self.me) || nxt.map(|n| n.removes(self.me)).unwrap_or(false) {
@@ -1194,11 +1184,11 @@ impl Member {
         if v == self.ver {
             // Already installed (e.g. a joiner bootstrapped by `Welcome` at
             // this very version): only the contingent part matters.
-            self.process_contingent(nxt, &f, &r);
+            self.process_contingent(nxt, f, r);
             return;
         }
         // v == self.ver + 1: apply.
-        for &q in &f {
+        for &q in f {
             if q != op.target {
                 self.handle_faulty(q, FaultySource::Gossip);
                 if self.lifecycle == Lifecycle::Stopped {
@@ -1206,7 +1196,7 @@ impl Member {
                 }
             }
         }
-        for &j in &r {
+        for &j in r {
             self.note(Note::Operating { id: j });
         }
         if op.removes(self.me) {
@@ -1247,15 +1237,15 @@ impl Member {
             }
             let cur = self.ver;
             // Discard obsolete entries.
-            self.buffered.retain(|(_, m)| match m {
-                Msg::Invite { ver, .. } | Msg::Commit { ver, .. } => *ver > cur,
-                _ => true,
-            });
-            let pos = self.buffered.iter().position(|(_, m)| match m {
-                Msg::Invite { ver, .. } | Msg::Commit { ver, .. } => {
-                    cur.checked_add(1) == Some(*ver)
-                }
-                _ => false,
+            let update_ver = |m: &Msg| match m {
+                Msg::Invite { ver, .. } => Some(*ver),
+                Msg::Commit(c) => Some(c.ver),
+                _ => None,
+            };
+            self.buffered
+                .retain(|(_, m)| update_ver(m).is_none_or(|ver| ver > cur));
+            let pos = self.buffered.iter().position(|(_, m)| {
+                update_ver(m).is_some_and(|ver| cur.checked_add(1) == Some(ver))
             });
             let Some(pos) = pos else { return };
             let (from, msg) = self.buffered.remove(pos);
@@ -1307,14 +1297,12 @@ impl Member {
             return;
         }
         // Respond with the pre-placeholder state (§4.4 ordering).
-        self.send(
-            r,
-            Msg::InterrogateOk {
-                ver: self.ver,
-                seq: self.seq.clone(),
-                next: self.next.clone(),
-            },
-        );
+        let resp = InterrogateOkBody {
+            ver: self.ver,
+            seq: self.seq.clone(),
+            next: self.next.clone(),
+        };
+        self.send(r, Msg::InterrogateOk(Shared::from(resp)));
         // Infer HiFaulty(r): every member senior to r (§4.5).
         for s in self.view.seniors_of(r).to_vec() {
             self.handle_faulty(s, FaultySource::HiFaultyInference);
@@ -1325,10 +1313,11 @@ impl Member {
         self.next.push(NextEntry::placeholder(r));
     }
 
-    fn on_interrogate_ok(&mut self, from: ProcessId, ver: Ver, seq: Vec<Op>, next: Vec<NextEntry>) {
+    fn on_interrogate_ok(&mut self, from: ProcessId, body: Shared<InterrogateOkBody>) {
         let complete = match &mut self.role {
             Role::ReconfInterrogate { pending, resp } => {
                 if pending.remove(&from) {
+                    let InterrogateOkBody { ver, seq, next } = Shared::unwrap_or_clone(body);
                     resp.push(PhaseOneResp {
                         from,
                         ver,
@@ -1368,12 +1357,12 @@ impl Member {
             self.reconf_commit_now(decision.v, decision.rl, decision.invis);
             return;
         }
-        self.broadcast(Msg::Propose {
+        self.broadcast(Msg::Propose(Shared::from(ReconfBody {
             rl: decision.rl.clone(),
             ver: decision.v,
             invis: decision.invis.clone(),
             faulty: self.faulty_vec(),
-        });
+        })));
         let pending = self.await_set();
         self.role = Role::ReconfPropose {
             v: decision.v,
@@ -1388,17 +1377,16 @@ impl Member {
         }
     }
 
-    fn on_propose(
-        &mut self,
-        from: ProcessId,
-        rl: Vec<Op>,
-        v: Ver,
-        invis: Vec<Op>,
-        f: Vec<ProcessId>,
-    ) {
+    fn on_propose(&mut self, from: ProcessId, body: &ReconfBody) {
         if !matches!(self.role, Role::Outer) || self.lifecycle != Lifecycle::Active {
             return;
         }
+        let ReconfBody {
+            ref rl,
+            ver: v,
+            ref invis,
+            faulty: ref f,
+        } = *body;
         if v < self.ver || rl.is_empty() {
             return; // initiator is behind us (stale), or proposes no change
         }
@@ -1409,19 +1397,19 @@ impl Member {
             self.do_quit(QuitReason::Excluded);
             return;
         }
-        for &q in &f {
+        for &q in f {
             self.handle_faulty(q, FaultySource::Gossip);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
         }
         // "p executes faulty_p(RL_r) upon receipt of r's proposal" (§6).
-        for op in &rl {
+        for op in rl {
             if op.kind == OpKind::Remove {
                 self.mark_faulty_quiet(op.target, FaultySource::Gossip);
             }
         }
-        self.next = vec![NextEntry::concrete(rl, from, v)];
+        self.next = vec![NextEntry::concrete(rl.clone(), from, v)];
         self.send(from, Msg::ProposeOk { ver: v });
     }
 
@@ -1477,12 +1465,12 @@ impl Member {
         } else {
             Vec::new()
         };
-        self.broadcast(Msg::ReconfCommit {
+        self.broadcast(Msg::ReconfCommit(Shared::from(ReconfBody {
             rl,
             ver: v,
             invis: carried_invis,
             faulty: self.faulty_vec(),
-        });
+        })));
         self.next.clear();
         // Begin the Mgr role on the contingent plan.
         self.forced = invis.iter().copied().collect();
@@ -1507,17 +1495,16 @@ impl Member {
         }
     }
 
-    fn on_reconf_commit(
-        &mut self,
-        from: ProcessId,
-        rl: Vec<Op>,
-        v: Ver,
-        invis: Vec<Op>,
-        f: Vec<ProcessId>,
-    ) {
+    fn on_reconf_commit(&mut self, from: ProcessId, body: &ReconfBody) {
         if !matches!(self.role, Role::Outer) || self.lifecycle != Lifecycle::Active {
             return;
         }
+        let ReconfBody {
+            ref rl,
+            ver: v,
+            ref invis,
+            faulty: ref f,
+        } = *body;
         if v < self.ver || rl.is_empty() {
             return; // stale, or a commit that installs nothing
         }
@@ -1528,14 +1515,14 @@ impl Member {
             self.do_quit(QuitReason::Excluded);
             return;
         }
-        for &q in &f {
+        for &q in f {
             self.handle_faulty(q, FaultySource::Gossip);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
         }
         self.mgr = from; // the commit's authority is the new coordinator
-        self.apply_rl(&rl, v);
+        self.apply_rl(rl, v);
         if self.lifecycle == Lifecycle::Stopped {
             return;
         }
@@ -1582,15 +1569,7 @@ impl Member {
         if self.view.contains(joiner) {
             // Already a member (it may have missed its Welcome): any member
             // can re-welcome it.
-            self.send(
-                joiner,
-                Msg::Welcome {
-                    members: self.view.to_vec(),
-                    ver: self.ver,
-                    seq: self.seq.clone(),
-                    mgr: self.mgr,
-                },
-            );
+            self.send(joiner, self.welcome(self.mgr));
             return;
         }
         if self.is_mgr() {
@@ -1606,17 +1585,16 @@ impl Member {
         }
     }
 
-    fn on_welcome(
-        &mut self,
-        from: ProcessId,
-        members: Vec<ProcessId>,
-        v: Ver,
-        seq: Vec<Op>,
-        mgr: ProcessId,
-    ) {
+    fn on_welcome(&mut self, from: ProcessId, body: Shared<WelcomeBody>) {
         if self.lifecycle != Lifecycle::Joining {
             return;
         }
+        let WelcomeBody {
+            members,
+            ver: v,
+            seq,
+            mgr,
+        } = Shared::unwrap_or_clone(body);
         // A member list that repeats a process is no view: ignore it whole.
         let Some(view) = View::try_new(members) else {
             return;
@@ -1671,7 +1649,12 @@ impl Member {
     // ------------------------------------------------------------------
 
     /// Handles a view notification at an observer.
-    fn on_view_update(&mut self, members: Vec<ProcessId>, v: Ver, mgr: ProcessId) {
+    fn on_view_update(&mut self, body: Shared<ViewUpdateBody>) {
+        let ViewUpdateBody {
+            members,
+            ver: v,
+            mgr,
+        } = Shared::unwrap_or_clone(body);
         // A member list that repeats a process is no view: ignore it whole.
         let (Some(obs), Some(view)) = (self.obs.as_mut(), View::try_new(members)) else {
             return;
@@ -1868,48 +1851,20 @@ impl Member {
             Msg::JoinRequest { joiner } => self.on_join_request(joiner),
             Msg::Invite { op, ver } => self.on_invite(from, op, ver),
             Msg::UpdateOk { ver } => self.on_update_ok(from, ver),
-            Msg::Commit {
-                op,
-                ver,
-                next,
-                faulty,
-                recovered,
-            } => self.on_commit(from, op, ver, next, faulty, recovered),
+            Msg::Commit(body) => self.on_commit(from, body),
             Msg::Interrogate => self.on_interrogate(from),
-            Msg::InterrogateOk { ver, seq, next } => self.on_interrogate_ok(from, ver, seq, next),
-            Msg::Propose {
-                rl,
-                ver,
-                invis,
-                faulty,
-            } => self.on_propose(from, rl, ver, invis, faulty),
+            Msg::InterrogateOk(body) => self.on_interrogate_ok(from, body),
+            Msg::Propose(body) => self.on_propose(from, &body),
             Msg::ProposeOk { ver } => self.on_propose_ok(from, ver),
-            Msg::ReconfCommit {
-                rl,
-                ver,
-                invis,
-                faulty,
-            } => self.on_reconf_commit(from, rl, ver, invis, faulty),
-            Msg::Welcome {
-                members,
-                ver,
-                seq,
-                mgr,
-            } => self.on_welcome(from, members, ver, seq, mgr),
+            Msg::ReconfCommit(body) => self.on_reconf_commit(from, &body),
+            Msg::Welcome(body) => self.on_welcome(from, body),
             Msg::Subscribe => {
                 if self.lifecycle == Lifecycle::Active {
                     self.subscribers.insert(from);
-                    self.send(
-                        from,
-                        Msg::ViewUpdate {
-                            members: self.view.to_vec(),
-                            ver: self.ver,
-                            mgr: self.mgr,
-                        },
-                    );
+                    self.send(from, self.view_update());
                 }
             }
-            Msg::ViewUpdate { .. } => {} // members ignore stray updates
+            Msg::ViewUpdate(_) => {} // members ignore stray updates
         }
     }
 }
@@ -1950,12 +1905,21 @@ mod tests {
     }
 
     fn welcome(members: &[u32], ver: Ver) -> Msg {
-        Msg::Welcome {
+        Msg::Welcome(Shared::from(WelcomeBody {
             members: members.iter().copied().map(ProcessId).collect(),
             ver,
             seq: Vec::new(),
             mgr: ProcessId(0),
-        }
+        }))
+    }
+
+    fn reconf(rl: Vec<Op>, ver: Ver, invis: Vec<Op>) -> Shared<ReconfBody> {
+        Shared::from(ReconfBody {
+            rl,
+            ver,
+            invis,
+            faulty: Vec::new(),
+        })
     }
 
     #[test]
@@ -1976,10 +1940,12 @@ mod tests {
         let mut m = Member::observer(cfg);
         m.start(ProcessId(5), 0);
         m.take_outbox();
-        let update = |members: Vec<ProcessId>| Msg::ViewUpdate {
-            members,
-            ver: 2,
-            mgr: ProcessId(1),
+        let update = |members: Vec<ProcessId>| {
+            Msg::ViewUpdate(Shared::from(ViewUpdateBody {
+                members,
+                ver: 2,
+                mgr: ProcessId(1),
+            }))
         };
         m.receive(ProcessId(0), update(vec![ProcessId(1), ProcessId(1)]), 5);
         assert!(m.observed_view().is_none());
@@ -2002,21 +1968,17 @@ mod tests {
         m.take_outbox();
         let invite = Op::add(ProcessId(4));
         for ver in [Ver::MAX, Ver::MAX - 7] {
-            let commit = Msg::Commit {
+            let commit = Msg::Commit(Shared::from(CommitBody {
                 op: Op::add(ProcessId(3)),
                 ver,
                 next: Some(invite),
                 faulty: Vec::new(),
                 recovered: Vec::new(),
-            };
+            }));
             m.receive(ProcessId(0), commit, 6);
         }
-        let reconf = Msg::ReconfCommit {
-            rl: vec![Op::add(ProcessId(3))],
-            ver: Ver::MAX,
-            invis: vec![invite],
-            faulty: Vec::new(),
-        };
+        let rl = vec![Op::add(ProcessId(3))];
+        let reconf = Msg::ReconfCommit(reconf(rl, Ver::MAX, vec![invite]));
         m.receive(ProcessId(0), reconf, 7);
         assert_eq!((m.lifecycle(), m.ver()), (Lifecycle::Active, Ver::MAX));
         assert!(!m.take_outbox().iter().any(|e| matches!(
@@ -2044,22 +2006,12 @@ mod tests {
 
     #[test]
     fn propose_with_an_empty_rl_is_ignored() {
-        assert_empty_rl_ignored(Msg::Propose {
-            rl: Vec::new(),
-            ver: 4,
-            invis: Vec::new(),
-            faulty: Vec::new(),
-        });
+        assert_empty_rl_ignored(Msg::Propose(reconf(Vec::new(), 4, Vec::new())));
     }
 
     #[test]
     fn reconf_commit_with_an_empty_rl_is_ignored() {
-        assert_empty_rl_ignored(Msg::ReconfCommit {
-            rl: Vec::new(),
-            ver: 4,
-            invis: Vec::new(),
-            faulty: Vec::new(),
-        });
+        assert_empty_rl_ignored(Msg::ReconfCommit(reconf(Vec::new(), 4, Vec::new())));
     }
 
     /// p3 answers the interrogation from one version ahead but with no
@@ -2084,7 +2036,8 @@ mod tests {
         assert!(sent(m).iter().any(|msg| matches!(msg, Msg::Interrogate)));
         for (p, ver, seq) in [(3, ahead, seq), (4, ver, Vec::new())] {
             let next = Vec::new();
-            m.receive(ProcessId(p), Msg::InterrogateOk { ver, seq, next }, 7);
+            let resp = Shared::from(InterrogateOkBody { ver, seq, next });
+            m.receive(ProcessId(p), Msg::InterrogateOk(resp), 7);
         }
         sent(m)
     }
@@ -2112,7 +2065,7 @@ mod tests {
         let out = interrogate_at(&mut m, Ver::MAX - 1, Ver::MAX, seq.clone());
         assert!(out.iter().all(|msg| matches!(
             msg,
-            Msg::Propose { rl, ver: Ver::MAX, .. } if *rl == seq
+            Msg::Propose(body) if body.ver == Ver::MAX && body.rl == seq
         )));
         assert_eq!(out.len(), 4, "one proposal per other member");
     }
@@ -2125,13 +2078,13 @@ mod tests {
         for compression in [true, false] {
             let mut m = joiner_with(Config::builder().compression(compression));
             let out = interrogate_at(&mut m, Ver::MAX - 1, Ver::MAX - 1, Vec::new());
-            assert!(matches!(out[0], Msg::Propose { ver: Ver::MAX, .. }));
+            assert!(matches!(&out[0], Msg::Propose(body) if body.ver == Ver::MAX));
             for p in [3, 4] {
                 m.receive(ProcessId(p), Msg::ProposeOk { ver: Ver::MAX }, 8);
             }
             let out = sent(&mut m);
             assert_eq!((m.ver(), m.mgr()), (Ver::MAX, ProcessId(2)));
-            assert!(matches!(out[0], Msg::ReconfCommit { ver: Ver::MAX, .. }));
+            assert!(matches!(&out[0], Msg::ReconfCommit(body) if body.ver == Ver::MAX));
             assert!(!out.iter().any(|msg| matches!(msg, Msg::Invite { .. })));
             // A later suspicion finds no version to number its update.
             let report = Msg::FaultyReport {

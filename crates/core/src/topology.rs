@@ -113,17 +113,14 @@ impl Topology for Sparse {
         if half * 2 >= n.saturating_sub(1) {
             return view.iter().filter(|&p| p != me).collect();
         }
-        let mut picked = vec![false; n];
-        for d in 1..=half {
-            picked[(i + d) % n] = true;
-            picked[(i + n - d) % n] = true;
-        }
-        picked[i] = false;
-        view.iter()
-            .enumerate()
-            .filter(|&(j, _)| picked[j])
-            .map(|(_, p)| p)
-            .collect()
+        // O(k): the ring neighbours' indices, put in view order.
+        let mut picked: Vec<usize> = (1..=half)
+            .flat_map(|d| [(i + d) % n, (i + n - d) % n])
+            .collect();
+        picked.sort_unstable();
+        picked.dedup();
+        let members = view.as_slice();
+        picked.into_iter().map(|j| members[j]).collect()
     }
 }
 
@@ -215,6 +212,46 @@ mod tests {
             }
         }
         assert!(reach.iter().all(|&r| r));
+    }
+
+    /// The O(n) filter `Sparse::monitors` used to run over the whole view,
+    /// kept as the reference for the O(k) neighbour computation.
+    fn reference_monitors(k: usize, me: ProcessId, view: &View) -> Vec<ProcessId> {
+        let n = view.len();
+        let Some(i) = view.index_of(me) else {
+            return Vec::new();
+        };
+        let half = k.div_ceil(2);
+        if half * 2 >= n.saturating_sub(1) {
+            return view.iter().filter(|&p| p != me).collect();
+        }
+        let mut picked = vec![false; n];
+        for d in 1..=half {
+            picked[(i + d) % n] = true;
+            picked[(i + n - d) % n] = true;
+        }
+        picked[i] = false;
+        view.iter()
+            .enumerate()
+            .filter(|&(j, _)| picked[j])
+            .map(|(_, p)| p)
+            .collect()
+    }
+
+    #[test]
+    fn sparse_matches_the_whole_view_filter() {
+        for n in 1..=40u32 {
+            // Ids out of step with seniority, so a mix-up of index and id
+            // shows.
+            let v: View = (0..n).map(|i| ProcessId((i * 7 + 3) % 101)).collect();
+            for k in 2..=8 {
+                let t = Sparse::new(k);
+                for p in v.iter().chain([ProcessId(500)]) {
+                    let want = reference_monitors(k, p, &v);
+                    assert_eq!(t.monitors(p, &v), want, "n={n} k={k} {p}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,6 +55,6 @@ mod window;
 
 pub use client::Client;
 pub use cluster::{log_cluster, logs_agree, prefix_identical, LogClusterBuilder, LogConfig};
-pub use msg::{AppMsg, LogCmd, LogMsg, Snapshot};
+pub use msg::{AppMsg, LogCmd, LogMsg, RecoverOkBody, Snapshot, SyncOkBody};
 pub use node::{LogProc, Replica};
 pub use replica::{ReplicatedLog, LOG_FLUSH};

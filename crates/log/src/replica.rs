@@ -90,7 +90,7 @@
 //! flush *request* ([`take_flush_request`](ReplicatedLog::take_flush_request))
 //! the hosting node converts into a [`LOG_FLUSH`] timer.
 
-use crate::msg::{LogCmd, LogMsg, Snapshot};
+use crate::msg::{LogCmd, LogMsg, RecoverOkBody, Snapshot, SyncOkBody};
 use crate::window::SlotWindow;
 use gmp_core::MemberEvent;
 use gmp_sim::{IntMap, IntSet, Shared};
@@ -554,11 +554,12 @@ impl ReplicatedLog {
                 ballot,
                 from: floor,
             } => self.on_recover(from, ballot, floor),
-            LogMsg::RecoverOk {
-                ballot,
-                snapshot,
-                entries,
-            } => {
+            LogMsg::RecoverOk(body) => {
+                let RecoverOkBody {
+                    ballot,
+                    snapshot,
+                    entries,
+                } = Shared::unwrap_or_clone(body);
                 if let Some(snap) = snapshot {
                     self.install_snapshot(snap);
                 }
@@ -584,20 +585,19 @@ impl ReplicatedLog {
                     (None, req)
                 };
                 let entries = self.applied_from(start).map(|(_, b, c)| (b, c)).collect();
-                self.outbox.push((
-                    from,
-                    LogMsg::SyncOk {
-                        from: start,
-                        snapshot,
-                        entries,
-                    },
-                ));
+                let body = SyncOkBody {
+                    from: start,
+                    snapshot,
+                    entries,
+                };
+                self.outbox.push((from, LogMsg::SyncOk(Shared::from(body))));
             }
-            LogMsg::SyncOk {
-                from: start,
-                snapshot,
-                entries,
-            } => {
+            LogMsg::SyncOk(body) => {
+                let SyncOkBody {
+                    from: start,
+                    snapshot,
+                    entries,
+                } = Shared::unwrap_or_clone(body);
                 let Some(slots) = slot_range(start, entries.len()) else {
                     return;
                 };
@@ -644,14 +644,13 @@ impl ReplicatedLog {
             .applied_from(start)
             .chain(above.map(|(slot, e)| (slot, e.ballot, e.cmd)))
             .collect();
-        self.outbox.push((
-            from,
-            LogMsg::RecoverOk {
-                ballot,
-                snapshot,
-                entries,
-            },
-        ));
+        let body = RecoverOkBody {
+            ballot,
+            snapshot,
+            entries,
+        };
+        self.outbox
+            .push((from, LogMsg::RecoverOk(Shared::from(body))));
     }
 
     fn on_request(&mut self, client: ProcessId, cmd: LogCmd, now: Time) {
@@ -1014,16 +1013,16 @@ mod tests {
         }
     }
 
+    fn recover_ok(ballot: Ver, entries: Vec<(u64, Ver, LogCmd)>) -> LogMsg {
+        LogMsg::RecoverOk(Shared::from(RecoverOkBody {
+            ballot,
+            snapshot: None,
+            entries,
+        }))
+    }
+
     fn recover_ok_empty(log: &mut ReplicatedLog, from: u32, ballot: Ver, at: Time) {
-        log.on_message(
-            ProcessId(from),
-            LogMsg::RecoverOk {
-                ballot,
-                snapshot: None,
-                entries: vec![],
-            },
-            at,
-        );
+        log.on_message(ProcessId(from), recover_ok(ballot, vec![]), at);
     }
 
     /// p1 following p0 in a 3-member view, at ballot 0.
@@ -1154,15 +1153,7 @@ mod tests {
         );
         log.take_outbox();
         // The peer reports a higher-ballot value for slot 1 — adopted.
-        log.on_message(
-            ProcessId(2),
-            LogMsg::RecoverOk {
-                ballot: 1,
-                snapshot: None,
-                entries: vec![(1, 1, cmd(8, 4))],
-            },
-            11,
-        );
+        log.on_message(ProcessId(2), recover_ok(1, vec![(1, 1, cmd(8, 4))]), 11);
         let accepts = single_accepts(&log.take_outbox());
         // Slot 0 was a hole → no-op; slot 1 re-proposed with the adopted value.
         assert_eq!(accepts, vec![(0, LogCmd::NOOP), (1, cmd(8, 4))]);
@@ -1368,11 +1359,11 @@ mod tests {
         let mut log = follower();
         let (from, cmds) = past_the_last_slot();
         let entries = cmds.into_iter().map(|c| (0, c)).collect();
-        let msg = LogMsg::SyncOk {
+        let msg = LogMsg::SyncOk(Shared::from(SyncOkBody {
             from,
             snapshot: None,
             entries,
-        };
+        }));
         log.on_message(ProcessId(0), msg, 5);
         assert_eq!(log.hot_sizes().0, 0, "no entry");
         assert_eq!(log.last_sync(), None);
@@ -1435,13 +1426,16 @@ mod tests {
         log.on_message(ProcessId(5), LogMsg::Sync { from: 0 }, 40);
         let out = log.take_outbox();
         assert_eq!(out.len(), 1);
-        let LogMsg::SyncOk {
+        let LogMsg::SyncOk(body) = &out[0].1 else {
+            panic!("expected a SyncOk, got {:?}", out[0].1);
+        };
+        let SyncOkBody {
             from,
             snapshot: Some(snap),
             entries,
-        } = &out[0].1
+        } = &**body
         else {
-            panic!("expected a snapshot-bearing SyncOk, got {:?}", out[0].1);
+            panic!("expected a snapshot-bearing SyncOk, got {body:?}");
         };
         assert_eq!(*from, 15);
         assert_eq!(snap.floor, 15);
@@ -1483,13 +1477,16 @@ mod tests {
             50,
         );
         let out = log.take_outbox();
-        let LogMsg::RecoverOk {
+        let LogMsg::RecoverOk(body) = &out[0].1 else {
+            panic!("expected a RecoverOk, got {:?}", out[0].1);
+        };
+        let RecoverOkBody {
             snapshot: None,
             entries,
             ..
-        } = &out[0].1
+        } = &**body
         else {
-            panic!("expected an entry-only RecoverOk, got {:?}", out[0].1);
+            panic!("expected an entry-only RecoverOk, got {body:?}");
         };
         assert_eq!(entries.first().map(|e| e.0), Some(10));
         assert_eq!(entries.len(), 10, "[10, 20) with nothing missing");
@@ -1667,16 +1664,16 @@ mod tests {
         ));
         p1.on_message(ProcessId(2), probe[0].1.clone(), 11);
         let answer = p1.take_outbox();
-        let [(
-            ProcessId(2),
-            LogMsg::RecoverOk {
-                snapshot: None,
-                entries,
-                ..
-            },
-        )] = answer.as_slice()
+        let [(ProcessId(2), LogMsg::RecoverOk(body))] = answer.as_slice() else {
+            panic!("expected one RecoverOk to p2, got {answer:?}");
+        };
+        let RecoverOkBody {
+            snapshot: None,
+            entries,
+            ..
+        } = &**body
         else {
-            panic!("expected an entry-only RecoverOk, got {answer:?}");
+            panic!("expected an entry-only RecoverOk, got {body:?}");
         };
         let slots: Vec<u64> = entries.iter().map(|e| e.0).collect();
         assert_eq!(slots, vec![2, 3, 4, 6, 7], "vectors, then the window");
@@ -1743,15 +1740,7 @@ mod tests {
         log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 1);
         assert!(log.take_outbox().is_empty(), "queued behind recovery");
         // …and the same command comes back as a recovered entry.
-        log.on_message(
-            ProcessId(2),
-            LogMsg::RecoverOk {
-                ballot: 1,
-                snapshot: None,
-                entries: vec![(0, 0, cmd(9, 0))],
-            },
-            2,
-        );
+        log.on_message(ProcessId(2), recover_ok(1, vec![(0, 0, cmd(9, 0))]), 2);
         let accepts = single_accepts(&log.take_outbox());
         assert_eq!(accepts, vec![(0, cmd(9, 0))], "the queued twin is dropped");
     }

@@ -93,11 +93,14 @@ impl NetState {
             .copied()
             .unwrap_or((self.delay_min, self.delay_max));
         let delay = if lo == hi { lo } else { rng.gen_range(lo..=hi) };
-        let mut at = now + delay;
+        // Saturating: a delivery past the end of time stays there, and
+        // events at one time pop in `seq` order, so FIFO holds at
+        // `Time::MAX` too.
+        let mut at = now.saturating_add(delay);
         if self.fifo {
             let last = self.last_sched.entry((from.0, to.0)).or_insert(0);
             if at <= *last {
-                at = *last + 1;
+                at = last.saturating_add(1);
             }
             *last = at;
         }
@@ -176,6 +179,19 @@ mod tests {
         assert_eq!(net.fate(ProcessId(0), ProcessId(1)), None);
         net.set_partition(None);
         assert_eq!(net.fate(ProcessId(0), ProcessId(2)), None);
+    }
+
+    /// Deliveries past the end of time saturate at `Time::MAX` rather
+    /// than wrap around, and a FIFO link keeps them there.
+    #[test]
+    fn deliveries_past_the_end_of_time_saturate() {
+        let mut net = NetState::new(1, 2, true);
+        let mut rng = SmallRng::seed_from_u64(1);
+        let (a, b) = (ProcessId(0), ProcessId(1));
+        net.set_delay_override(a, b, Some((u64::MAX, u64::MAX)));
+        assert_eq!(net.schedule(&mut rng, 5, a, b), u64::MAX);
+        net.set_delay_override(a, b, None);
+        assert_eq!(net.schedule(&mut rng, 6, a, b), u64::MAX);
     }
 
     #[test]

@@ -75,10 +75,13 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// that clone is trivially cheap; for bulk payloads, wrap them in
     /// [`Shared`](crate::Shared) so one constructed payload fans out to
     /// `n − 1` recipients as O(1) reference bumps instead of deep copies.
-    /// (`gmp-core`'s `Member` does not call this: it broadcasts, and fans
-    /// out heartbeat digests that share one `Shared` snapshot, into its own
-    /// outbox, which its host replays here as single [`send`](Ctx::send)s —
-    /// so a crash cuts them the same way.)
+    /// The same wrapping keeps `M` small, and every send and delivery
+    /// moves `M` through the engine's event record. (`gmp-core`'s `Member`
+    /// does not call this: it broadcasts into its own outbox, each
+    /// recipient's copy sharing one body — a `Commit`'s, a
+    /// `ReconfCommit`'s, a heartbeat digest's snapshot — and its host
+    /// replays the outbox here as single [`send`](Ctx::send)s, so a crash
+    /// cuts them the same way.)
     pub fn broadcast<I>(&mut self, to: I, msg: M)
     where
         I: IntoIterator<Item = ProcessId>,

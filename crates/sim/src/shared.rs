@@ -1,13 +1,21 @@
-//! `Arc`-shared broadcast payloads.
+//! `Arc`-shared message payloads.
 //!
-//! [`Ctx::broadcast`](crate::Ctx::broadcast) clones the message once per
-//! recipient, so a payload embedded by value (a `Vec`, say) is deep-copied
-//! `n − 1` times per fan-out — the dominant allocation cost of periodic
-//! full-group traffic such as heartbeats. [`Shared`] is the same trick
+//! A message sent to `n − 1` recipients is cloned once per recipient, so a
+//! payload embedded by value (a `Vec`, say) is deep-copied `n − 1` times
+//! per fan-out — the dominant allocation cost of periodic full-group
+//! traffic such as heartbeats. [`Shared`] is the same trick
 //! [`gmp_causality::Stamp`] plays for vector-clock snapshots, applied to
 //! message payloads: construct the payload once, wrap it, and every
 //! per-recipient message clone is an O(1) reference-count bump on the one
 //! allocation.
+//!
+//! It also keeps messages small. The engine moves every message into its
+//! event record on send and out of it on delivery, so the record's size is
+//! paid per event; a `Vec` costs a message 24 bytes and several of them
+//! push a whole record past what the compiler moves inline, while a
+//! `Shared` body costs 8 (16 for a slice). The membership and log crates
+//! therefore keep every vector-carrying variant's fields in one body
+//! behind a `Shared` (DESIGN.md, "The event record").
 
 use std::fmt;
 use std::ops::Deref;
@@ -36,6 +44,14 @@ impl<T: ?Sized> Shared<T> {
     /// the other). Used by tests to prove fan-out does not copy.
     pub fn ptr_eq(a: &Shared<T>, b: &Shared<T>) -> bool {
         Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl<T: Clone> Shared<T> {
+    /// The payload by value: moved out when `this` is its only handle (a
+    /// point-to-point message at its receiver), cloned otherwise.
+    pub fn unwrap_or_clone(this: Shared<T>) -> T {
+        Arc::unwrap_or_clone(this.0)
     }
 }
 
@@ -101,6 +117,20 @@ mod tests {
         let b: Shared<[u8]> = vec![1].into();
         assert!(!Shared::ptr_eq(&a, &b));
         assert_eq!(a, b, "equality is by value, sharing is by pointer");
+    }
+
+    #[test]
+    fn the_last_handle_moves_the_payload_out() {
+        let a: Shared<Vec<u8>> = vec![1, 2].into();
+        let ptr = a.as_ptr();
+        let b = a.clone();
+        assert_eq!(
+            Shared::unwrap_or_clone(a),
+            vec![1, 2],
+            "cloned: b still holds it"
+        );
+        let v = Shared::unwrap_or_clone(b);
+        assert_eq!(v.as_ptr(), ptr, "moved, not copied");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use gmp::props::{analyze, check_all, check_safety};
 use gmp::protocol::{ClusterBuilder, Config, JoinConfig, Lifecycle};
-use gmp::sim::Builder;
+use gmp::sim::{Builder, TraceKind};
 use gmp::types::ProcessId;
 
 fn joining_cluster(
@@ -120,6 +120,38 @@ fn joiner_crash_after_joining_is_excluded_again() {
         assert_eq!(m.ver(), 2, "add then remove");
         assert!(!m.view().contains(ProcessId(4)));
     }
+}
+
+/// `retry_every(u64::MAX)` means "never retry": the joiner's retry timer
+/// lies past the end of time, so it sends one round of requests and is
+/// welcomed off that round alone.
+#[test]
+fn a_joiner_that_never_retries_sends_one_round() {
+    let join = JoinConfig::new(10, vec![ProcessId(0), ProcessId(1)]).retry_every(u64::MAX);
+    let mut sim = ClusterBuilder::new(3, Config::default())
+        .joiner(join)
+        .sim(Builder::new().seed(2))
+        .build();
+    sim.run_until(5_000);
+    let joiner = ProcessId(3);
+    let requests = sim
+        .trace()
+        .events
+        .iter()
+        .filter(|e| e.pid == joiner)
+        .filter(|e| {
+            matches!(
+                e.kind,
+                TraceKind::Send {
+                    tag: "join-request",
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(requests, 2, "one request per contact, never retried");
+    assert_eq!(sim.node(joiner).lifecycle(), Lifecycle::Active);
+    check_all(sim.trace()).assert_ok();
 }
 
 #[test]
