@@ -560,8 +560,10 @@ impl Member {
 
     /// Replays the queued effects into a simulator context in emission
     /// order, wrapping each sent message with `wrap` — the identity for a
-    /// bare member, an envelope variant for a composite node. The replay
-    /// yields exactly the actions of handlers writing to `ctx` directly.
+    /// bare member, an envelope variant for a composite node. The context
+    /// applies each effect as it is replayed, so the run is exactly that of
+    /// a handler writing to `ctx` directly: the same trace, and the same
+    /// cut-off after a `quit` or a mid-broadcast crash.
     pub fn drain_into<M: Message>(&mut self, ctx: &mut Ctx<'_, M>, wrap: impl Fn(Msg) -> M) {
         if self.outbox.is_empty() {
             return; // most deliveries are life signs that queue nothing

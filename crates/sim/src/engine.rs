@@ -2,13 +2,13 @@
 //! Lamport stamping.
 
 use crate::net::{BlockMode, NetState};
-use crate::node::{Action, Ctx, Message, Node};
+use crate::node::{Ctx, Message, Node};
 use crate::queue::EventQueue;
 use crate::stats::Stats;
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::Time;
 use gmp_causality::LamportClock;
-use gmp_types::ProcessId;
+use gmp_types::{Note, ProcessId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -87,17 +87,19 @@ impl Builder {
     pub fn build<M: Message, N: Node<M>>(self) -> Sim<M, N> {
         Sim {
             slots: Vec::new(),
-            queue: EventQueue::new(),
-            held: HashMap::new(),
-            net: NetState::new(self.delay_min, self.delay_max, self.fifo),
-            rng: SmallRng::seed_from_u64(self.seed),
-            time: 0,
-            seq: 0,
-            msg_counter: 0,
-            actions: Vec::new(),
-            crash_after: Vec::new(),
-            trace: Trace::default(),
-            stats: Stats::default(),
+            core: Core {
+                queue: EventQueue::new(),
+                held: HashMap::new(),
+                net: NetState::new(self.delay_min, self.delay_max, self.fifo),
+                rng: SmallRng::seed_from_u64(self.seed),
+                time: 0,
+                seq: 0,
+                msg_counter: 0,
+                n: 0,
+                crash_after: Vec::new(),
+                trace: Trace::default(),
+                stats: Stats::default(),
+            },
             started: false,
         }
     }
@@ -105,6 +107,12 @@ impl Builder {
 
 struct Slot<N> {
     node: N,
+    proc: Proc,
+}
+
+/// The engine's per-process state, lent to the process's handlers (in
+/// their [`Ctx`]) next to the node itself.
+pub(crate) struct Proc {
     status: NodeStatus,
     lamport: LamportClock,
 }
@@ -132,7 +140,7 @@ pub(crate) enum QKind<M> {
 }
 
 pub(crate) enum Control {
-    Partition(Vec<usize>),
+    Partition(Vec<Vec<ProcessId>>),
     Heal,
     Block {
         from: ProcessId,
@@ -180,25 +188,29 @@ struct SendCrash {
 /// The deterministic simulator. See the crate docs for an example.
 pub struct Sim<M: Message, N: Node<M>> {
     slots: Vec<Slot<N>>,
+    core: Core<M>,
+    started: bool,
+}
+
+/// Everything of the engine but the processes: what a handler's effects
+/// update, so [`Ctx`] borrows it while the handler runs.
+pub(crate) struct Core<M> {
     queue: EventQueue<M>,
     /// Held messages per directed link, in send order.
     held: HashMap<(u32, u32), Vec<InFlight<M>>>,
     net: NetState,
     rng: SmallRng,
-    time: Time,
+    pub(crate) time: Time,
     seq: u64,
     msg_counter: u64,
-    /// Scratch buffer lent to each handler's [`Ctx`] and drained by
-    /// `apply_actions`, so a heartbeat fan-out does not regrow a fresh
-    /// `Vec` on every tick.
-    actions: Vec<Action<M>>,
+    /// Number of processes, fixed when the run starts.
+    n: usize,
     /// Pending mid-broadcast crash per process, indexed by pid (the slot
     /// table is dense, so this follows the same index-addressed scheme as
     /// the protocol's peer arenas).
     crash_after: Vec<Option<SendCrash>>,
     trace: Trace,
     stats: Stats,
-    started: bool,
 }
 
 impl<M: Message, N: Node<M>> Sim<M, N> {
@@ -215,8 +227,10 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         let pid = ProcessId(self.slots.len() as u32);
         self.slots.push(Slot {
             node,
-            status: NodeStatus::Up,
-            lamport: LamportClock::new(),
+            proc: Proc {
+                status: NodeStatus::Up,
+                lamport: LamportClock::new(),
+            },
         });
         pid
     }
@@ -228,22 +242,22 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
 
     /// Current simulated time.
     pub fn now(&self) -> Time {
-        self.time
+        self.core.time
     }
 
     /// The recorded run so far.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.core.trace
     }
 
     /// Message counters so far.
     pub fn stats(&self) -> &Stats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Liveness status of a process.
     pub fn status(&self, pid: ProcessId) -> NodeStatus {
-        self.slots[pid.index()].status
+        self.slots[pid.index()].proc.status
     }
 
     /// Processes that are still up.
@@ -251,7 +265,7 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         self.slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.status.is_up())
+            .filter(|(_, s)| s.proc.status.is_up())
             .map(|(i, _)| ProcessId(i as u32))
             .collect()
     }
@@ -266,22 +280,10 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         &mut self.slots[pid.index()].node
     }
 
-    /// Queues `kind` for `time` — or for now, if `time` is already past:
-    /// the clock never runs backwards.
-    fn enqueue(&mut self, time: Time, kind: QKind<M>) {
-        let time = time.max(self.time);
-        self.seq += 1;
-        self.queue.push(Queued {
-            time,
-            seq: self.seq,
-            kind,
-        });
-    }
-
     /// Schedules a crash (`quit_p`) at the given time. Like every `*_at`
     /// method, a time that is already past means "now".
     pub fn crash_at(&mut self, pid: ProcessId, at: Time) {
-        self.enqueue(at, QKind::Crash { pid });
+        self.core.enqueue(at, QKind::Crash { pid });
     }
 
     /// From time `at` on, lets `pid` perform `sends` more message sends
@@ -296,7 +298,7 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         tag: Option<&'static str>,
         sends: u32,
     ) {
-        self.enqueue(
+        self.core.enqueue(
             at,
             QKind::Control(Control::CrashAfterSends {
                 pid,
@@ -309,13 +311,15 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
     /// Blocks the directed link `from -> to` starting at `at` (now, if
     /// `at` is already past).
     pub fn block_link_at(&mut self, from: ProcessId, to: ProcessId, mode: BlockMode, at: Time) {
-        self.enqueue(at, QKind::Control(Control::Block { from, to, mode }));
+        self.core
+            .enqueue(at, QKind::Control(Control::Block { from, to, mode }));
     }
 
     /// Unblocks the directed link `from -> to` at `at`; held messages are
     /// then delivered (with fresh delays, preserving FIFO order).
     pub fn unblock_link_at(&mut self, from: ProcessId, to: ProcessId, at: Time) {
-        self.enqueue(at, QKind::Control(Control::Unblock { from, to }));
+        self.core
+            .enqueue(at, QKind::Control(Control::Unblock { from, to }));
     }
 
     /// Partitions the processes into the given groups at time `at`.
@@ -324,25 +328,19 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
     ///
     /// # Panics
     ///
-    /// Panics (at application time) if a process appears in no group.
+    /// Panics when the partition is applied — against every node of the
+    /// run, including those added after this call — unless each process
+    /// appears in exactly one group.
     pub fn partition_at(&mut self, groups: &[&[ProcessId]], at: Time) {
-        let mut assignment = vec![usize::MAX; self.slots.len()];
-        for (g, members) in groups.iter().enumerate() {
-            for p in *members {
-                assignment[p.index()] = g;
-            }
-        }
-        assert!(
-            assignment.iter().all(|&g| g != usize::MAX),
-            "every process must appear in exactly one partition group"
-        );
-        self.enqueue(at, QKind::Control(Control::Partition(assignment)));
+        let groups = groups.iter().map(|g| g.to_vec()).collect();
+        self.core
+            .enqueue(at, QKind::Control(Control::Partition(groups)));
     }
 
     /// Heals any partition at time `at` (now, if `at` is already past),
     /// releasing held messages.
     pub fn heal_at(&mut self, at: Time) {
-        self.enqueue(at, QKind::Control(Control::Heal));
+        self.core.enqueue(at, QKind::Control(Control::Heal));
     }
 
     /// Overrides the delay range of the directed link `from -> to` at `at`
@@ -356,7 +354,8 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         range: Option<(Time, Time)>,
         at: Time,
     ) {
-        self.enqueue(at, QKind::Control(Control::SetDelay { from, to, range }));
+        self.core
+            .enqueue(at, QKind::Control(Control::SetDelay { from, to, range }));
     }
 
     /// Runs the simulation, processing every event with `time <= until`.
@@ -364,10 +363,10 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         if !self.started {
             self.start();
         }
-        while let Some(ev) = self.queue.pop_due(until) {
+        while let Some(ev) = self.core.queue.pop_due(until) {
             self.dispatch(ev);
         }
-        self.time = self.time.max(until);
+        self.core.time = self.core.time.max(until);
     }
 
     /// Runs sequentially: exactly [`Sim::run_until`], whatever `_shards`
@@ -384,20 +383,21 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         assert!(!self.slots.is_empty(), "simulation needs at least one node");
         self.started = true;
         let n = self.slots.len();
-        self.trace = Trace::new(n);
+        self.core.n = n;
+        self.core.trace = Trace::new(n);
         // Apply fault-injection and link controls scheduled at time 0 before
         // any process takes a step, so experiments can shape the run from
         // the very first event (e.g. arm a mid-broadcast crash for a
         // broadcast performed in `on_start`).
         let mut deferred = Vec::new();
-        while let Some(ev) = self.queue.pop_due(0) {
+        while let Some(ev) = self.core.queue.pop_due(0) {
             match ev.kind {
                 QKind::Control(_) | QKind::Crash { .. } => self.dispatch(ev),
                 _ => deferred.push(ev),
             }
         }
         for ev in deferred {
-            self.queue.push(ev);
+            self.core.queue.push(ev);
         }
         for i in 0..n {
             self.invoke(ProcessId(i as u32), Trigger::Start);
@@ -405,49 +405,182 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
     }
 
     fn dispatch(&mut self, ev: Queued<M>) {
-        self.time = ev.time;
+        self.core.time = ev.time;
         match ev.kind {
             QKind::Deliver(inf) => self.deliver(inf),
             QKind::Timer { pid, tag } => self.invoke(pid, Trigger::Timer { tag }),
             QKind::Crash { pid } => {
-                if self.slots[pid.index()].status.is_up() {
-                    self.record_lifecycle(pid, TraceKind::Crash);
-                    self.slots[pid.index()].status = NodeStatus::Crashed;
-                }
+                let proc = &mut self.slots[pid.index()].proc;
+                self.core.stop(pid, proc, TraceKind::Crash);
             }
-            QKind::Control(c) => self.apply_control(c),
+            QKind::Control(c) => self.core.apply_control(c),
         }
     }
 
     fn deliver(&mut self, inf: InFlight<M>) {
-        if !self.slots[inf.to.index()].status.is_up() {
-            self.stats.dropped_dead_receiver += 1;
+        let core = &mut self.core;
+        if !self.slots[inf.to.index()].proc.status.is_up() {
+            core.stats.dropped_dead_receiver += 1;
             return;
         }
         // The link state is consulted at delivery time, so a block installed
         // after the send still catches in-flight messages.
-        match self.net.fate(inf.from, inf.to) {
+        match core.net.fate(inf.from, inf.to) {
             Some(BlockMode::Hold) => {
-                self.stats.held += 1;
-                self.held
+                core.stats.held += 1;
+                core.held
                     .entry((inf.from.0, inf.to.0))
                     .or_default()
                     .push(inf);
                 return;
             }
             Some(BlockMode::Drop) => {
-                self.stats.dropped_link += 1;
+                core.stats.dropped_link += 1;
                 return;
             }
             None => {}
         }
-        self.stats.record_delivery(inf.msg.tag());
+        core.stats.record_delivery(inf.msg.tag());
         self.invoke(inf.to, Trigger::Recv(inf));
+    }
+
+    fn invoke(&mut self, pid: ProcessId, trigger: Trigger<M>) {
+        let Slot { node, proc } = &mut self.slots[pid.index()];
+        if !proc.status.is_up() {
+            return;
+        }
+        // Stamp and record the triggering event, then run the handler.
+        let (lamport, kind) = match &trigger {
+            Trigger::Start => (proc.lamport.tick(), TraceKind::Start),
+            Trigger::Recv(inf) => (
+                proc.lamport.merge(inf.send_lamport),
+                TraceKind::Recv {
+                    from: inf.from,
+                    msg_id: inf.msg_id,
+                    tag: inf.msg.tag(),
+                },
+            ),
+            Trigger::Timer { tag } => (proc.lamport.tick(), TraceKind::Timer { tag: *tag }),
+        };
+        self.core.record(pid, lamport, kind);
+        // The handler runs on the node where it sits, and each effect takes
+        // hold where the handler emits it: the node, its `Proc` and the
+        // core are disjoint borrows.
+        let ctx = &mut Ctx {
+            pid,
+            core: &mut self.core,
+            proc,
+        };
+        match trigger {
+            Trigger::Start => node.on_start(ctx),
+            Trigger::Recv(inf) => node.on_message(ctx, inf.from, inf.msg),
+            Trigger::Timer { tag } => node.on_timer(ctx, tag),
+        }
+    }
+}
+
+/// `send`, `set_timer`, `note` and `stop` are the effects a handler emits
+/// through its [`Ctx`], applied on the spot. Each does nothing once the
+/// process is no longer up: after its own `quit`, or after the send a
+/// mid-broadcast crash cut it off at.
+impl<M: Message> Core<M> {
+    /// Queues `kind` for `time` — or for now, if `time` is already past:
+    /// the clock never runs backwards.
+    fn enqueue(&mut self, time: Time, kind: QKind<M>) {
+        let time = time.max(self.time);
+        self.seq += 1;
+        self.queue.push(Queued {
+            time,
+            seq: self.seq,
+            kind,
+        });
+    }
+
+    fn record(&mut self, pid: ProcessId, lamport: u64, kind: TraceKind) {
+        self.trace.events.push(TraceEvent {
+            time: self.time,
+            pid,
+            lamport,
+            kind,
+        });
+    }
+
+    /// Stamps, records and counts `pid`'s send, then queues, holds or
+    /// drops the message by the link's fate.
+    pub(crate) fn send(&mut self, pid: ProcessId, proc: &mut Proc, to: ProcessId, msg: M) {
+        if !proc.status.is_up() {
+            return;
+        }
+        assert!(to.index() < self.n, "send to unknown process {to}");
+        let tag = msg.tag();
+        self.msg_counter += 1;
+        let msg_id = self.msg_counter;
+        let lamport = proc.lamport.tick();
+        self.record(pid, lamport, TraceKind::Send { to, msg_id, tag });
+        self.stats.record_send(tag);
+        let inf = InFlight {
+            from: pid,
+            to,
+            msg,
+            msg_id,
+            send_lamport: lamport,
+        };
+        match self.net.fate(pid, to) {
+            Some(BlockMode::Hold) => {
+                self.stats.held += 1;
+                self.held.entry((pid.0, to.0)).or_default().push(inf);
+            }
+            Some(BlockMode::Drop) => {
+                self.stats.dropped_link += 1;
+            }
+            None => {
+                let at = self.net.schedule(&mut self.rng, self.time, pid, to);
+                self.enqueue(at, QKind::Deliver(inf));
+            }
+        }
+        // Mid-broadcast crash bookkeeping (Figure 3).
+        let crash = self
+            .crash_after
+            .get_mut(pid.index())
+            .and_then(Option::as_mut);
+        if let Some(sc) = crash.filter(|sc| sc.tag.is_none_or(|f| f == tag)) {
+            sc.remaining -= 1;
+            if sc.remaining == 0 {
+                self.crash_after[pid.index()] = None;
+                self.stop(pid, proc, TraceKind::Crash);
+            }
+        }
+    }
+
+    pub(crate) fn set_timer(&mut self, pid: ProcessId, proc: &Proc, delay: Time, tag: u64) {
+        if proc.status.is_up() {
+            // A delay past the end of time never fires, rather than
+            // wrapping around to fire at once.
+            self.enqueue(self.time.saturating_add(delay), QKind::Timer { pid, tag });
+        }
+    }
+
+    pub(crate) fn note(&mut self, pid: ProcessId, proc: &Proc, note: Note) {
+        if proc.status.is_up() {
+            self.record(pid, proc.lamport.value(), TraceKind::Note(note));
+        }
+    }
+
+    /// Stops `pid` for good and records why: `kind` is its `Crash` or
+    /// its own `Quit`.
+    pub(crate) fn stop(&mut self, pid: ProcessId, proc: &mut Proc, kind: TraceKind) {
+        if proc.status.is_up() {
+            proc.status = match kind {
+                TraceKind::Crash => NodeStatus::Crashed,
+                _ => NodeStatus::Quit,
+            };
+            self.record(pid, proc.lamport.tick(), kind);
+        }
     }
 
     fn apply_control(&mut self, c: Control) {
         match c {
-            Control::Partition(groups) => self.net.set_partition(Some(groups)),
+            Control::Partition(groups) => self.net.partition(self.n, &groups),
             Control::Heal => {
                 self.net.set_partition(None);
                 self.release_unblocked();
@@ -464,7 +597,7 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
                 remaining,
             } => {
                 if remaining == 0 {
-                    self.crash_at(pid, self.time);
+                    self.enqueue(self.time, QKind::Crash { pid });
                 } else {
                     if self.crash_after.len() <= pid.index() {
                         self.crash_after.resize(pid.index() + 1, None);
@@ -491,138 +624,6 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
                         .net
                         .schedule(&mut self.rng, self.time, inf.from, inf.to);
                     self.enqueue(at, QKind::Deliver(inf));
-                }
-            }
-        }
-    }
-
-    /// Records a crash/quit lifecycle event with proper stamping.
-    fn record_lifecycle(&mut self, pid: ProcessId, kind: TraceKind) {
-        let lamport = self.slots[pid.index()].lamport.tick();
-        self.trace.events.push(TraceEvent {
-            time: self.time,
-            pid,
-            lamport,
-            kind,
-        });
-    }
-
-    fn invoke(&mut self, pid: ProcessId, trigger: Trigger<M>) {
-        let slot = &mut self.slots[pid.index()];
-        if !slot.status.is_up() {
-            return;
-        }
-        // Stamp and record the triggering event, then run the handler.
-        let (lamport, kind) = match &trigger {
-            Trigger::Start => (slot.lamport.tick(), TraceKind::Start),
-            Trigger::Recv(inf) => (
-                slot.lamport.merge(inf.send_lamport),
-                TraceKind::Recv {
-                    from: inf.from,
-                    msg_id: inf.msg_id,
-                    tag: inf.msg.tag(),
-                },
-            ),
-            Trigger::Timer { tag } => (slot.lamport.tick(), TraceKind::Timer { tag: *tag }),
-        };
-        self.trace.events.push(TraceEvent {
-            time: self.time,
-            pid,
-            lamport,
-            kind,
-        });
-        // The handler runs on the node where it sits: the slot and the
-        // effect buffer are disjoint fields.
-        let ctx = &mut Ctx {
-            pid,
-            now: self.time,
-            actions: &mut self.actions,
-        };
-        match trigger {
-            Trigger::Start => slot.node.on_start(ctx),
-            Trigger::Recv(inf) => slot.node.on_message(ctx, inf.from, inf.msg),
-            Trigger::Timer { tag } => slot.node.on_timer(ctx, tag),
-        }
-        let mut actions = std::mem::take(&mut self.actions);
-        self.apply_actions(pid, &mut actions);
-        self.actions = actions;
-    }
-
-    /// Applies a handler's effects in emission order, leaving `actions`
-    /// empty.
-    fn apply_actions(&mut self, pid: ProcessId, actions: &mut Vec<Action<M>>) {
-        let idx = pid.index();
-        for action in actions.drain(..) {
-            if !self.slots[idx].status.is_up() {
-                break; // quit/crash mid-handler: remaining effects are lost
-            }
-            match action {
-                Action::Send { to, msg } => {
-                    assert!(
-                        to.index() < self.slots.len(),
-                        "send to unknown process {to}"
-                    );
-                    let tag = msg.tag();
-                    self.msg_counter += 1;
-                    let msg_id = self.msg_counter;
-                    let lamport = self.slots[idx].lamport.tick();
-                    self.trace.events.push(TraceEvent {
-                        time: self.time,
-                        pid,
-                        lamport,
-                        kind: TraceKind::Send { to, msg_id, tag },
-                    });
-                    self.stats.record_send(tag);
-                    let inf = InFlight {
-                        from: pid,
-                        to,
-                        msg,
-                        msg_id,
-                        send_lamport: lamport,
-                    };
-                    match self.net.fate(pid, to) {
-                        Some(BlockMode::Hold) => {
-                            self.stats.held += 1;
-                            self.held.entry((pid.0, to.0)).or_default().push(inf);
-                        }
-                        Some(BlockMode::Drop) => {
-                            self.stats.dropped_link += 1;
-                        }
-                        None => {
-                            let at = self.net.schedule(&mut self.rng, self.time, pid, to);
-                            self.enqueue(at, QKind::Deliver(inf));
-                        }
-                    }
-                    // Mid-broadcast crash bookkeeping (Figure 3).
-                    if let Some(sc) = self.crash_after.get_mut(idx).and_then(Option::as_mut) {
-                        let counts = sc.tag.map(|f| f == tag).unwrap_or(true);
-                        if counts {
-                            sc.remaining -= 1;
-                            if sc.remaining == 0 {
-                                self.crash_after[idx] = None;
-                                self.record_lifecycle(pid, TraceKind::Crash);
-                                self.slots[idx].status = NodeStatus::Crashed;
-                            }
-                        }
-                    }
-                }
-                Action::SetTimer { delay, tag } => {
-                    // A delay past the end of time never fires, rather
-                    // than wrapping around to fire at once.
-                    let at = self.time.saturating_add(delay);
-                    self.enqueue(at, QKind::Timer { pid, tag });
-                }
-                Action::Note(note) => {
-                    self.trace.events.push(TraceEvent {
-                        time: self.time,
-                        pid,
-                        lamport: self.slots[idx].lamport.value(),
-                        kind: TraceKind::Note(note),
-                    });
-                }
-                Action::Quit => {
-                    self.record_lifecycle(pid, TraceKind::Quit);
-                    self.slots[idx].status = NodeStatus::Quit;
                 }
             }
         }
@@ -743,6 +744,108 @@ mod tests {
         sim.run_until(1_000);
         assert_eq!(sim.stats().sends("ping"), 2, "broadcast must be cut short");
         assert_eq!(sim.status(ProcessId(0)), NodeStatus::Crashed);
+    }
+
+    /// Process 0 emits a fixed effect sequence at start; the rest listen.
+    struct Script(fn(&mut Ctx<'_, TMsg>));
+
+    impl Node<TMsg> for Script {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg>) {
+            if ctx.id() == ProcessId(0) {
+                (self.0)(ctx);
+            }
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TMsg>, _: ProcessId, _: TMsg) {}
+        fn on_timer(&mut self, _: &mut Ctx<'_, TMsg>, _: u64) {}
+    }
+
+    /// Runs `script` on process 0 of `n` and returns p0's history as
+    /// `(lamport, kind)` pairs.
+    fn p0_history(
+        n: u32,
+        script: fn(&mut Ctx<'_, TMsg>),
+        setup: impl FnOnce(&mut Sim<TMsg, Script>),
+    ) -> Vec<(u64, TraceKind)> {
+        let mut sim = Builder::new().seed(2).build();
+        for _ in 0..n {
+            sim.add_node(Script(script));
+        }
+        setup(&mut sim);
+        sim.run_until(1_000);
+        let trace = &sim.trace().events;
+        trace
+            .iter()
+            .filter(|e| e.pid == ProcessId(0))
+            .map(|e| (e.lamport, e.kind.clone()))
+            .collect()
+    }
+
+    /// Effects take hold in emission order, and `quit` cuts off everything
+    /// emitted after it: the second send, note and timer leave no trace,
+    /// and the timer armed before the quit never fires.
+    #[test]
+    fn quit_cuts_off_every_later_effect() {
+        let history = p0_history(
+            2,
+            |ctx| {
+                ctx.note(Note::Custom("before".into()));
+                ctx.send(ProcessId(1), TMsg::Ping(1));
+                ctx.set_timer(5, 1);
+                ctx.quit();
+                ctx.send(ProcessId(1), TMsg::Ping(2));
+                ctx.note(Note::Custom("after".into()));
+                ctx.set_timer(5, 2);
+            },
+            |_| {},
+        );
+        let send = TraceKind::Send {
+            to: ProcessId(1),
+            msg_id: 1,
+            tag: "ping",
+        };
+        assert_eq!(
+            history,
+            vec![
+                (1, TraceKind::Start),
+                (1, TraceKind::Note(Note::Custom("before".into()))),
+                (2, send),
+                (3, TraceKind::Quit),
+            ]
+        );
+    }
+
+    /// A mid-broadcast crash (Figure 3) drops every effect the handler
+    /// emits after the crashing send, not only the remaining sends.
+    #[test]
+    fn mid_broadcast_crash_drops_later_notes_and_timers() {
+        let history = p0_history(
+            4,
+            |ctx| {
+                ctx.broadcast((0..4).map(ProcessId), TMsg::Ping(0));
+                ctx.note(Note::Custom("sent".into()));
+                ctx.set_timer(5, 1);
+            },
+            |sim| sim.crash_after_sends_at(ProcessId(0), 0, None, 2),
+        );
+        let kinds: Vec<&TraceKind> = history.iter().map(|(_, k)| k).collect();
+        assert!(
+            matches!(
+                kinds[..],
+                [
+                    TraceKind::Start,
+                    TraceKind::Send {
+                        to: ProcessId(1),
+                        ..
+                    },
+                    TraceKind::Send {
+                        to: ProcessId(2),
+                        ..
+                    },
+                    TraceKind::Crash,
+                ]
+            ),
+            "{kinds:?}"
+        );
     }
 
     #[test]
@@ -1103,5 +1206,24 @@ mod release_tests {
         sim.run_until(10_000);
         assert_eq!(sim.node(ProcessId(1)).got, (0..30).collect::<Vec<_>>());
         assert_eq!(sim.stats().delivered("num"), 30);
+    }
+
+    /// A node added after `partition_at` (legal before the run starts) is
+    /// checked against the groups when the partition is applied.
+    #[test]
+    #[should_panic(expected = "exactly one partition group")]
+    fn partition_must_cover_a_node_added_later() {
+        let mut sim = two_nodes(7);
+        sim.partition_at(&[&[ProcessId(0)], &[ProcessId(1)]], 0);
+        sim.add_node(Burst { got: Vec::new() });
+        sim.run_until(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one partition group")]
+    fn partition_rejects_a_process_in_two_groups() {
+        let mut sim = two_nodes(8);
+        sim.partition_at(&[&[ProcessId(0), ProcessId(1)], &[ProcessId(1)]], 0);
+        sim.run_until(10);
     }
 }

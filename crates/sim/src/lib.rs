@@ -10,7 +10,12 @@
 //! (Figure 3), blocked links and partitions (Figure 4, Claim 7.1), and
 //! spurious failure detections.
 //!
-//! Protocols are [`Node`] state machines; every send, receive, timer, crash,
+//! Protocols are [`Node`] state machines. A handler acts only through its
+//! [`Ctx`], which borrows the engine for the handler's duration and applies
+//! each effect where the handler emits it: a [`Ctx::send`] is stamped,
+//! recorded, counted and queued before it returns, and once the process
+//! quits or a scheduled crash cuts it off mid-broadcast, the handler's
+//! further effects are discarded. Every send, receive, timer, crash,
 //! quit and semantic [`Note`](gmp_types::Note) is recorded in a [`Trace`]
 //! with its Lamport stamp, so runs can be checked against the GMP
 //! specification afterwards (`gmp-props`) and message complexity can be

@@ -119,6 +119,25 @@ impl NetState {
         self.partition = groups;
     }
 
+    /// Partitions the processes `0..n` into `groups`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless each of them appears in exactly one group, and no
+    /// other process appears in any.
+    pub(crate) fn partition(&mut self, n: usize, groups: &[Vec<ProcessId>]) {
+        const ONE_GROUP: &str = "every process must appear in exactly one partition group";
+        let mut assignment = vec![None; n];
+        for (g, members) in groups.iter().enumerate() {
+            for p in members {
+                let unassigned = assignment.get_mut(p.index()).filter(|a| a.is_none());
+                *unassigned.expect(ONE_GROUP) = Some(g);
+            }
+        }
+        let assignment = assignment.into_iter().map(|g| g.expect(ONE_GROUP));
+        self.set_partition(Some(assignment.collect()));
+    }
+
     pub(crate) fn set_delay_override(
         &mut self,
         from: ProcessId,

@@ -1,5 +1,7 @@
 //! The [`Node`] protocol trait and the effect context [`Ctx`] handed to it.
 
+use crate::engine::{Core, Proc};
+use crate::trace::TraceKind;
 use crate::Time;
 use gmp_types::{Note, ProcessId};
 
@@ -12,10 +14,10 @@ pub trait Message: Clone + std::fmt::Debug {
 
 /// A deterministic protocol state machine driven by the simulator.
 ///
-/// Handlers perform effects exclusively through [`Ctx`]; the simulator
-/// applies them in emission order after the handler returns, which keeps
-/// the run deterministic and lets a scheduled mid-broadcast crash cut a
-/// broadcast short exactly as in the paper's Figure 3.
+/// Handlers perform effects exclusively through [`Ctx`], and the simulator
+/// applies each one as the handler emits it. That keeps the run
+/// deterministic and lets a scheduled mid-broadcast crash cut a broadcast
+/// short exactly as in the paper's Figure 3.
 pub trait Node<M: Message> {
     /// Called once at simulated time 0, in process-id order.
     fn on_start(&mut self, ctx: &mut Ctx<'_, M>);
@@ -27,25 +29,20 @@ pub trait Node<M: Message> {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, tag: u64);
 }
 
-/// An effect requested by a node handler.
-#[derive(Clone, Debug)]
-pub(crate) enum Action<M> {
-    Send { to: ProcessId, msg: M },
-    SetTimer { delay: Time, tag: u64 },
-    Note(Note),
-    Quit,
-}
-
 /// The effect context passed to every [`Node`] handler.
 ///
 /// All interaction with the outside world — sending, timers, quitting,
-/// trace annotations — goes through this context so the simulator can
-/// record and order it deterministically.
+/// trace annotations — goes through this context, and the simulator
+/// applies each effect as the handler emits it: a send is stamped,
+/// recorded, counted and queued before `send` returns. Once the process
+/// has quit, or a scheduled crash has cut it off mid-broadcast, every
+/// further effect of the handler is discarded.
 pub struct Ctx<'a, M> {
     pub(crate) pid: ProcessId,
-    pub(crate) now: Time,
-    /// The engine's effect buffer, lent for the duration of one handler.
-    pub(crate) actions: &'a mut Vec<Action<M>>,
+    /// The engine core, lent for the duration of one handler.
+    pub(crate) core: &'a mut Core<M>,
+    /// This process's status and Lamport clock.
+    pub(crate) proc: &'a mut Proc,
 }
 
 impl<'a, M: Message> Ctx<'a, M> {
@@ -57,13 +54,13 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// Current simulated time. Protocols should treat this as opaque "local
     /// clock" information only (timeouts), never as a global clock.
     pub fn now(&self) -> Time {
-        self.now
+        self.core.time
     }
 
     /// Sends `msg` to `to`. Channels are reliable and FIFO unless the
     /// experiment has blocked the link or crashed the receiver.
     pub fn send(&mut self, to: ProcessId, msg: M) {
-        self.actions.push(Action::Send { to, msg });
+        self.core.send(self.pid, self.proc, to, msg);
     }
 
     /// `Bcast(p, G, m)` (§3.1): sends `msg` to every process in `to` except
@@ -97,20 +94,20 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// `tag` to [`Node::on_timer`]. Timers cannot be cancelled: a handler
     /// that no longer wants one ignores its tag when it fires.
     pub fn set_timer(&mut self, delay: Time, tag: u64) {
-        self.actions.push(Action::SetTimer { delay, tag });
+        self.core.set_timer(self.pid, self.proc, delay, tag);
     }
 
     /// Records a semantic annotation into the trace (e.g. `faulty_p(q)`,
     /// view installation). The GMP property checkers read these.
     pub fn note(&mut self, note: Note) {
-        self.actions.push(Action::Note(note));
+        self.core.note(self.pid, self.proc, note);
     }
 
     /// Executes the event `quit_p`: this process permanently ceases
-    /// communication (§2.1). Remaining queued effects of the current handler
-    /// are discarded.
+    /// communication (§2.1). Every effect the handler emits after this is
+    /// discarded.
     pub fn quit(&mut self) {
-        self.actions.push(Action::Quit);
+        self.core.stop(self.pid, self.proc, TraceKind::Quit);
     }
 }
 
@@ -126,19 +123,31 @@ mod tests {
         }
     }
 
+    /// Process 1 broadcasts to the whole group at start.
+    struct Caster;
+    impl Node<M0> for Caster {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, M0>) {
+            if ctx.id() == ProcessId(1) {
+                ctx.broadcast([ProcessId(0), ProcessId(1), ProcessId(2)], M0);
+            }
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, M0>, _: ProcessId, _: M0) {}
+        fn on_timer(&mut self, _: &mut Ctx<'_, M0>, _: u64) {}
+    }
+
     #[test]
     fn broadcast_skips_self() {
-        let mut actions = Vec::new();
-        let mut ctx: Ctx<'_, M0> = Ctx {
-            pid: ProcessId(1),
-            now: 0,
-            actions: &mut actions,
-        };
-        ctx.broadcast([ProcessId(0), ProcessId(1), ProcessId(2)], M0);
-        let targets: Vec<ProcessId> = actions
+        let mut sim = crate::Builder::new().build::<M0, Caster>();
+        for _ in 0..3 {
+            sim.add_node(Caster);
+        }
+        sim.run_until(0);
+        let targets: Vec<ProcessId> = sim
+            .trace()
+            .events
             .iter()
-            .filter_map(|a| match a {
-                Action::Send { to, .. } => Some(*to),
+            .filter_map(|e| match e.kind {
+                TraceKind::Send { to, .. } => Some(to),
                 _ => None,
             })
             .collect();

@@ -167,7 +167,8 @@ impl Summary {
             count: sorted.len(),
             min: sorted[0],
             max: *sorted.last().expect("non-empty"),
-            mean: sorted.iter().sum::<u64>() as f64 / sorted.len() as f64,
+            // Summed in `u128`: samples near `u64::MAX` must not wrap.
+            mean: sorted.iter().map(|&v| u128::from(v)).sum::<u128>() as f64 / sorted.len() as f64,
             p50: pct(50.0),
             p90: pct(90.0),
             p99: pct(99.0),
@@ -283,6 +284,13 @@ mod tests {
         assert_eq!(s.mean, 6.0);
     }
 
+    /// Samples at the top of the range (`end_time`s of runs swept to
+    /// `Time::MAX`) sum past `u64::MAX` without wrapping the mean.
+    #[test]
+    fn summary_mean_does_not_overflow() {
+        assert_eq!(Summary::of(&[u64::MAX, u64::MAX]).mean, u64::MAX as f64);
+    }
+
     #[test]
     fn summary_all_equal_inputs() {
         for len in [1usize, 2, 3, 17] {
@@ -311,7 +319,7 @@ mod tests {
             /// sample: min ≤ p50 ≤ p90 ≤ p99 ≤ max (and every one is an
             /// actual sample value, which nearest-rank guarantees).
             #[test]
-            fn percentiles_are_monotone(values in proptest::collection::vec(0u64..1_000_000, 1..80)) {
+            fn percentiles_are_monotone(values in proptest::collection::vec(0u64..=u64::MAX, 1..80)) {
                 let s = Summary::of(&values);
                 prop_assert_eq!(s.count, values.len());
                 prop_assert!(s.min <= s.p50);
