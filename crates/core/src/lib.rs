@@ -20,11 +20,13 @@
 //!   (F2) and the isolation rule (S1).
 //!
 //! A [`Member`] does no I/O: [`Member::start`], [`Member::receive`] and
-//! [`Member::fire`] take the current time and queue [`Effect`]s (sends,
-//! timers, trace notes, `quit`). Its [`Node`](gmp_sim::Node) impl replays
-//! them into the deterministic simulator of [`gmp_sim`], whose traces can
-//! be checked against the formal GMP specification with `gmp-props`; a
-//! test can equally step members by hand and route the effects itself.
+//! [`Member::fire`] take the current time and emit their effects (sends,
+//! timers, trace notes, `quit`) through a [`gmp_sim::Out`] sink. Its
+//! [`Node`](gmp_sim::Node) impl passes the simulator's context as that
+//! sink, so the deterministic engine of [`gmp_sim`] applies each effect as
+//! it is emitted, and its traces can be checked against the formal GMP
+//! specification with `gmp-props`; a test can equally step members by hand
+//! into a `Vec<`[`gmp_sim::Effect`]`>` and route the effects itself.
 //!
 //! # Quickstart
 //!
@@ -56,7 +58,7 @@ pub use cluster::{cluster, cluster_with, ClusterBuilder};
 pub use config::{Config, ConfigBuilder, JoinConfig, ObserveConfig};
 pub use decide::{determine, get_stable, proposals_for_ver, Decision, PhaseOneResp, Proposal};
 pub use event::MemberEvent;
-pub use member::{Effect, Lifecycle, Member};
+pub use member::{Lifecycle, Member};
 pub use msg::{
     is_protocol_tag, CommitBody, HeartbeatDigest, InterrogateOkBody, Msg, ReconfBody,
     ViewUpdateBody, WelcomeBody, PROTOCOL_TAGS,

@@ -16,9 +16,10 @@
 //!
 //! The member does no I/O. Its three entry points — [`Member::start`],
 //! [`Member::receive`] and [`Member::fire`] — take the current time and
-//! append [`Effect`]s to an outbox, which a host drains: the simulator
-//! through [`Member::drain_into`] (bare, or wrapped in a composite node's
-//! envelope), a hand-wired test through [`Member::take_outbox`].
+//! emit every effect through a sink, `&mut impl Out<Msg>`: in the
+//! simulator that is the handler's [`Ctx`] (bare, or a composite node's
+//! whose envelope converts from [`Msg`]), which applies each effect as it
+//! is emitted; in a hand-wired test it is a `Vec<Effect<Msg>>`.
 
 use crate::config::Config;
 use crate::decide::{determine, PhaseOneResp};
@@ -27,7 +28,7 @@ use crate::msg::{
     CommitBody, HeartbeatDigest, InterrogateOkBody, Msg, ReconfBody, ViewUpdateBody, WelcomeBody,
 };
 use gmp_detect::{HeartbeatDetector, Isolation};
-use gmp_sim::{Ctx, Message, Node, Shared};
+use gmp_sim::{Ctx, Node, Out, Shared};
 use gmp_types::note::{FaultySource, QuitReason};
 use gmp_types::{Arena, NextEntry, Note, Op, OpKind, PeerRef, ProcessId, Ver, View};
 use std::collections::{BTreeSet, VecDeque};
@@ -38,29 +39,6 @@ const TICK: u64 = 1;
 const JOIN: u64 = 2;
 /// Timer tag: observer subscription health check.
 const OBSERVE: u64 = 3;
-
-/// One side effect a [`Member`] handler requested, in emission order.
-#[derive(Clone, Debug)]
-pub enum Effect {
-    /// Send `msg` to `to`.
-    Send {
-        /// The recipient.
-        to: ProcessId,
-        /// The message.
-        msg: Msg,
-    },
-    /// Call [`Member::fire`] with `tag` once `delay` ticks have passed.
-    Timer {
-        /// Ticks from now.
-        delay: u64,
-        /// The tag handed back to [`Member::fire`].
-        tag: u64,
-    },
-    /// A trace annotation for the GMP property checkers.
-    Note(Note),
-    /// The member executed `quit`: every later effect is void.
-    Quit,
-}
 
 /// Where this process stands in the group lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,7 +99,8 @@ enum After {
 /// be given the *same* view — GMP-0 assumes the initial membership is
 /// commonly known) and late joiners with a [`Config`] carrying a
 /// [`JoinConfig`](crate::JoinConfig). Step it through [`Member::start`],
-/// [`Member::receive`] and [`Member::fire`], then drain its outbox.
+/// [`Member::receive`] and [`Member::fire`], each given the sink its
+/// effects go to.
 pub struct Member {
     cfg: Config,
     me: ProcessId,
@@ -165,8 +144,6 @@ pub struct Member {
     /// protocol-invisible — no sends, notes or randomness — so the queue
     /// never perturbs the byte-identical golden runs.
     events: Vec<MemberEvent>,
-    /// Undrained effects ([`Member::drain_into`], [`Member::take_outbox`]).
-    outbox: Vec<Effect>,
     /// The time of the input being handled, as the entry point was given.
     now: u64,
 }
@@ -311,7 +288,6 @@ impl Member {
             subscribers: BTreeSet::new(),
             obs,
             events: Vec::new(),
-            outbox: Vec::new(),
             now: 0,
         }
     }
@@ -424,7 +400,7 @@ impl Member {
     }
 
     // ------------------------------------------------------------------
-    // Entry points and the outbox
+    // Entry points
     // ------------------------------------------------------------------
 
     /// Starts the member as process `me` at time `now` (once, first).
@@ -432,17 +408,17 @@ impl Member {
     /// # Panics
     ///
     /// Panics if an initial member is not in its own initial view.
-    pub fn start(&mut self, me: ProcessId, now: u64) {
+    pub fn start(&mut self, out: &mut impl Out<Msg>, me: ProcessId, now: u64) {
         self.me = me;
         self.now = now;
         if self.obs.is_some() {
             let at = self.cfg.observe.as_ref().expect("observer config").at;
-            self.set_timer(at.max(1), OBSERVE);
+            out.set_timer(at.max(1), OBSERVE);
             return;
         }
         if let Some(join) = &self.cfg.join {
             let at = join.at.max(1);
-            self.set_timer(at, JOIN);
+            out.set_timer(at, JOIN);
             return;
         }
         assert!(
@@ -462,33 +438,33 @@ impl Member {
             members: self.view.to_vec(),
             mgr: self.mgr,
         });
-        self.note(Note::ViewInstalled {
+        out.note(Note::ViewInstalled {
             ver: 0,
             members: self.view.to_vec(),
             mgr: self.mgr,
         });
         if self.mgr == self.me {
             self.role = Role::MgrIdle;
-            self.note(Note::BecameMgr { ver: 0 });
+            out.note(Note::BecameMgr { ver: 0 });
         }
-        self.set_timer(self.cfg.heartbeat_every, TICK);
+        out.set_timer(self.cfg.heartbeat_every, TICK);
     }
 
     /// Handles `msg` from `from`, delivered at time `now`.
     #[inline] // into the `Node` impl: the per-message hot path
-    pub fn receive(&mut self, from: ProcessId, msg: Msg, now: u64) {
+    pub fn receive(&mut self, out: &mut impl Out<Msg>, from: ProcessId, msg: Msg, now: u64) {
         self.now = now;
         if self.lifecycle == Lifecycle::Stopped {
             return;
         }
         // S1: messages from perceived-faulty processes are discarded.
         if self.iso.is_isolated(from) {
-            self.note(Note::Isolated { from });
+            out.note(Note::Isolated { from });
             return;
         }
         if self.lifecycle == Lifecycle::Joining {
             match msg {
-                Msg::Welcome(body) => self.on_welcome(from, body),
+                Msg::Welcome(body) => self.on_welcome(out, from, body),
                 // Coordinator rounds addressed to this process as an
                 // already-added member can overtake its Welcome (the add
                 // commits first, and the Welcome may need a retried join
@@ -508,7 +484,7 @@ impl Member {
         }
         if self.lifecycle == Lifecycle::Observing {
             if let Msg::ViewUpdate(body) = msg {
-                self.on_view_update(body);
+                self.on_view_update(out, body);
             }
             return;
         }
@@ -529,52 +505,27 @@ impl Member {
         if !matches!(&msg, Msg::JoinRequest { joiner } if *joiner == from) {
             self.confirm_peer(from);
         }
-        self.dispatch(from, msg);
+        self.dispatch(out, from, msg);
     }
 
-    /// Handles the timer `tag` of an [`Effect::Timer`], due at time `now`.
+    /// Handles the timer `tag` this member armed, due at time `now`.
     #[inline] // into the `Node` impl: the heartbeat tick's path
-    pub fn fire(&mut self, tag: u64, now: u64) {
+    pub fn fire(&mut self, out: &mut impl Out<Msg>, tag: u64, now: u64) {
         self.now = now;
         if self.lifecycle == Lifecycle::Stopped {
             return;
         }
         match tag {
-            TICK => self.on_tick(),
+            TICK => self.on_tick(out),
             JOIN if self.lifecycle == Lifecycle::Joining => {
-                let join = self.cfg.join.clone().expect("joiner has join config");
-                for c in &join.contacts {
-                    self.send(*c, Msg::JoinRequest { joiner: self.me });
+                let join = self.cfg.join.as_ref().expect("joiner has join config");
+                for &c in &join.contacts {
+                    out.send(c, Msg::JoinRequest { joiner: self.me });
                 }
-                self.set_timer(join.retry_every, JOIN);
+                out.set_timer(join.retry_every, JOIN);
             }
-            OBSERVE => self.on_observe_tick(),
+            OBSERVE => self.on_observe_tick(out),
             _ => {}
-        }
-    }
-
-    /// Drains the effects queued since the last drain, in emission order.
-    pub fn take_outbox(&mut self) -> Vec<Effect> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Replays the queued effects into a simulator context in emission
-    /// order, wrapping each sent message with `wrap` — the identity for a
-    /// bare member, an envelope variant for a composite node. The context
-    /// applies each effect as it is replayed, so the run is exactly that of
-    /// a handler writing to `ctx` directly: the same trace, and the same
-    /// cut-off after a `quit` or a mid-broadcast crash.
-    pub fn drain_into<M: Message>(&mut self, ctx: &mut Ctx<'_, M>, wrap: impl Fn(Msg) -> M) {
-        if self.outbox.is_empty() {
-            return; // most deliveries are life signs that queue nothing
-        }
-        for effect in self.outbox.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => ctx.send(to, wrap(msg)),
-                Effect::Timer { delay, tag } => ctx.set_timer(delay, tag),
-                Effect::Note(note) => ctx.note(note),
-                Effect::Quit => ctx.quit(),
-            }
         }
     }
 
@@ -582,7 +533,7 @@ impl Member {
     // Helpers
     // ------------------------------------------------------------------
 
-    fn do_quit(&mut self, reason: QuitReason) {
+    fn do_quit(&mut self, out: &mut impl Out<Msg>, reason: QuitReason) {
         self.lifecycle = Lifecycle::Stopped;
         // A stopped member neither reports nor heartbeats ever again; free
         // the per-peer arenas rather than letting them outlive the
@@ -594,31 +545,16 @@ impl Member {
         self.events.push(MemberEvent::Quit {
             reason: reason.clone(),
         });
-        self.note(Note::Quit { reason });
-        self.outbox.push(Effect::Quit);
-    }
-
-    fn send(&mut self, to: ProcessId, msg: Msg) {
-        self.outbox.push(Effect::Send { to, msg });
+        out.note(Note::Quit { reason });
+        out.quit();
     }
 
     /// `Bcast(p, G, m)` (§3.1) to the rest of the view: not failure-atomic,
-    /// since a crash may cut the host's replay of it short.
-    fn broadcast(&mut self, msg: Msg) {
+    /// since a crash may cut it short after any prefix of the sends.
+    fn broadcast(&self, out: &mut impl Out<Msg>, msg: Msg) {
         for to in self.view.iter().filter(|&p| p != self.me) {
-            self.outbox.push(Effect::Send {
-                to,
-                msg: msg.clone(),
-            });
+            out.send(to, msg.clone());
         }
-    }
-
-    fn set_timer(&mut self, delay: u64, tag: u64) {
-        self.outbox.push(Effect::Timer { delay, tag });
-    }
-
-    fn note(&mut self, note: Note) {
-        self.outbox.push(Effect::Note(note));
     }
 
     /// `Memb − {me} − Faulty`: the processes whose response is awaited.
@@ -804,17 +740,17 @@ impl Member {
 
     /// Applies one committed membership operation, bumping the version and
     /// emitting the trace notes the property checkers consume.
-    fn apply_op(&mut self, op: Op) {
+    fn apply_op(&mut self, out: &mut impl Out<Msg>, op: Op) {
         let excluded = (op.kind == OpKind::Remove).then_some(op.target);
         match op.kind {
             OpKind::Remove => {
                 if op.target == self.me {
-                    self.do_quit(QuitReason::Excluded);
+                    self.do_quit(out, QuitReason::Excluded);
                     return;
                 }
                 // GMP-1: `q ∉ Memb(p) ⇒ faulty_p(q)` — the belief always
                 // precedes the removal, whatever path committed it.
-                self.mark_faulty_quiet(op.target, FaultySource::Gossip);
+                self.mark_faulty_quiet(out, op.target, FaultySource::Gossip);
                 self.view.remove(op.target);
                 self.faulty.remove(&op.target);
                 self.forget_peer(op.target);
@@ -841,8 +777,8 @@ impl Member {
         // entries are already unreadable (and a recycled slot's generation
         // check keeps them invisible to later joiners). The state stays
         // bounded by the view size across arbitrarily long runs.
-        self.note(Note::OpApplied { op, ver: self.ver });
-        self.note(Note::ViewInstalled {
+        out.note(Note::OpApplied { op, ver: self.ver });
+        out.note(Note::ViewInstalled {
             ver: self.ver,
             members: self.view.to_vec(),
             mgr: self.mgr,
@@ -858,20 +794,17 @@ impl Member {
             members: self.view.to_vec(),
             mgr: self.mgr,
         });
-        self.notify_subscribers();
+        self.notify_subscribers(out);
     }
 
     /// Streams the current view to subscribed observers (§8).
-    fn notify_subscribers(&mut self) {
+    fn notify_subscribers(&self, out: &mut impl Out<Msg>) {
         if self.subscribers.is_empty() {
             return;
         }
         let update = self.view_update();
         for &to in &self.subscribers {
-            self.outbox.push(Effect::Send {
-                to,
-                msg: update.clone(),
-            });
+            out.send(to, update.clone());
         }
     }
 
@@ -879,14 +812,14 @@ impl Member {
     /// already inside a protocol transition (e.g. applying a reconfiguration
     /// proposal), where GMP-1 requires the belief to precede the removal but
     /// triggering succession logic mid-step would be unsound.
-    fn mark_faulty_quiet(&mut self, q: ProcessId, source: FaultySource) {
+    fn mark_faulty_quiet(&mut self, out: &mut impl Out<Msg>, q: ProcessId, source: FaultySource) {
         if q == self.me || !self.iso.isolate(q) {
             return;
         }
         self.fd.suspect(q);
         self.events
             .push(MemberEvent::PeerSuspected { peer: q, source });
-        self.note(Note::Faulty { suspect: q, source });
+        out.note(Note::Faulty { suspect: q, source });
         if self.view.contains(q) {
             self.faulty.insert(q);
         }
@@ -895,7 +828,7 @@ impl Member {
 
     /// Applies a reconfiguration proposal `rl` installing version `v`,
     /// starting from whatever prefix this process already holds.
-    fn apply_rl(&mut self, rl: &[Op], v: Ver) {
+    fn apply_rl(&mut self, out: &mut impl Out<Msg>, rl: &[Op], v: Ver) {
         if self.ver >= v {
             return;
         }
@@ -907,7 +840,7 @@ impl Member {
         if self.ver < start {
             // Further behind than the proposal can repair; impossible per
             // Prop. 5.1 but tolerated defensively.
-            self.note(Note::Custom(format!(
+            out.note(Note::Custom(format!(
                 "cannot catch up: at v{} but proposal covers v{}..v{}",
                 self.ver, start, v
             )));
@@ -915,7 +848,7 @@ impl Member {
         }
         let skip = (self.ver - start) as usize;
         for &op in &rl[skip..] {
-            self.apply_op(op);
+            self.apply_op(out, op);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
@@ -925,7 +858,7 @@ impl Member {
 
     /// The core `faulty_p(q)` event (§2.2): isolates `q` (S1), records the
     /// belief, and drives whatever protocol step the suspicion unblocks.
-    fn handle_faulty(&mut self, q: ProcessId, source: FaultySource) {
+    fn handle_faulty(&mut self, out: &mut impl Out<Msg>, q: ProcessId, source: FaultySource) {
         if q == self.me || self.lifecycle == Lifecycle::Stopped {
             return;
         }
@@ -935,7 +868,7 @@ impl Member {
         self.fd.suspect(q);
         self.events
             .push(MemberEvent::PeerSuspected { peer: q, source });
-        self.note(Note::Faulty { suspect: q, source });
+        out.note(Note::Faulty { suspect: q, source });
         if !self.view.contains(q) {
             return;
         }
@@ -978,10 +911,10 @@ impl Member {
         };
         match after {
             After::None => {}
-            After::MgrStart => self.mgr_start_update(),
-            After::MgrComplete => self.mgr_oks_complete(),
-            After::Phase1Complete => self.reconf_phase1_complete(),
-            After::Phase2Complete => self.reconf_phase2_complete(),
+            After::MgrStart => self.mgr_start_update(out),
+            After::MgrComplete => self.mgr_oks_complete(out),
+            After::Phase1Complete => self.reconf_phase1_complete(out),
+            After::Phase2Complete => self.reconf_phase2_complete(out),
             After::MaybeInitiate => {
                 // Report the observation so Mgr starts the exclusion
                 // algorithm (§3.1); gossip-derived beliefs are re-reported
@@ -991,14 +924,14 @@ impl Member {
                     && self.mgr != self.me
                     && !self.faulty.contains(&self.mgr)
                 {
-                    self.send(self.mgr, Msg::FaultyReport { suspect: q });
+                    out.send(self.mgr, Msg::FaultyReport { suspect: q });
                     // `q` is in view, so its roster slot is live (suspicion
                     // keeps the slot; only removal retires it).
                     if let Some(r) = self.peer_ref(q) {
                         self.last_report.set(r, self.now);
                     }
                 }
-                self.maybe_initiate();
+                self.maybe_initiate(out);
             }
         }
     }
@@ -1006,7 +939,7 @@ impl Member {
     /// The succession rule (§4.2): initiate reconfiguration when every
     /// member ranked above this process — and the coordinator — is
     /// perceived faulty.
-    fn maybe_initiate(&mut self) {
+    fn maybe_initiate(&mut self, out: &mut impl Out<Msg>) {
         if self.lifecycle != Lifecycle::Active || !matches!(self.role, Role::Outer) {
             return;
         }
@@ -1019,7 +952,7 @@ impl Member {
             .iter()
             .all(|s| self.faulty.contains(s));
         if seniors_faulty && self.faulty.contains(&self.mgr) {
-            self.start_reconf();
+            self.start_reconf(out);
         }
     }
 
@@ -1030,7 +963,7 @@ impl Member {
     /// Invites the group to the next operation, if there is one and a
     /// version to number it: `Ver::MAX` has no successor, so no round
     /// starts there.
-    fn mgr_start_update(&mut self) {
+    fn mgr_start_update(&mut self, out: &mut impl Out<Msg>) {
         let Some(vnext) = self.ver.checked_add(1) else {
             self.role = Role::MgrIdle;
             return;
@@ -1039,7 +972,7 @@ impl Member {
             self.role = Role::MgrIdle;
             return;
         };
-        self.broadcast(Msg::Invite { op, ver: vnext });
+        self.broadcast(out, Msg::Invite { op, ver: vnext });
         let pending = self.await_set();
         self.role = Role::MgrAwait {
             op,
@@ -1047,18 +980,18 @@ impl Member {
             pending,
             oks: BTreeSet::new(),
         };
-        self.mgr_check_complete();
+        self.mgr_check_complete(out);
     }
 
-    fn mgr_check_complete(&mut self) {
+    fn mgr_check_complete(&mut self, out: &mut impl Out<Msg>) {
         let done = matches!(&self.role, Role::MgrAwait { pending, .. } if pending.is_empty());
         if done {
-            self.mgr_oks_complete();
+            self.mgr_oks_complete(out);
         }
     }
 
     /// Every awaited member has responded or been suspected: commit.
-    fn mgr_oks_complete(&mut self) {
+    fn mgr_oks_complete(&mut self, out: &mut impl Out<Msg>) {
         let Role::MgrAwait {
             op, ver: v, oks, ..
         } = std::mem::replace(&mut self.role, Role::MgrIdle)
@@ -1069,21 +1002,21 @@ impl Member {
             let got = oks.len() + 1; // counting Mgr itself
             let needed = self.view.majority();
             if got < needed {
-                self.do_quit(QuitReason::NoMajority { got, needed });
+                self.do_quit(out, QuitReason::NoMajority { got, needed });
                 return;
             }
         }
-        self.apply_op(op);
+        self.apply_op(out, op);
         if self.lifecycle == Lifecycle::Stopped {
             return;
         }
         debug_assert_eq!(self.ver, v);
         if op.kind == OpKind::Add {
-            self.send(op.target, self.welcome(self.me));
+            out.send(op.target, self.welcome(self.me));
         }
         if self.cfg.compression {
             let nxt = self.mgr_pick_next();
-            self.broadcast(self.commit(op, v, nxt));
+            self.broadcast(out, self.commit(op, v, nxt));
             if let Some(n) = nxt {
                 let pending = self.await_set();
                 self.role = Role::MgrAwait {
@@ -1092,14 +1025,14 @@ impl Member {
                     pending,
                     oks: BTreeSet::new(),
                 };
-                self.mgr_check_complete();
+                self.mgr_check_complete(out);
             } else {
                 self.role = Role::MgrIdle;
             }
         } else {
-            self.broadcast(self.commit(op, v, None));
+            self.broadcast(out, self.commit(op, v, None));
             self.role = Role::MgrIdle;
-            self.mgr_start_update(); // fresh invitation for the next op
+            self.mgr_start_update(out); // fresh invitation for the next op
         }
     }
 
@@ -1107,7 +1040,7 @@ impl Member {
     // Outer process: update protocol (Fig. 9)
     // ------------------------------------------------------------------
 
-    fn on_invite(&mut self, from: ProcessId, op: Op, v: Ver) {
+    fn on_invite(&mut self, out: &mut impl Out<Msg>, from: ProcessId, op: Op, v: Ver) {
         if from != self.mgr || !matches!(self.role, Role::Outer) {
             return;
         }
@@ -1118,21 +1051,21 @@ impl Member {
             self.buffered.push((from, Msg::Invite { op, ver: v }));
             return;
         }
-        self.accept_invite(op, self.mgr);
+        self.accept_invite(out, op, self.mgr);
     }
 
     /// Fig. 9's answer to an invitation for `op` from `coord`, or to the
     /// contingent op a commit carries in its place: act on the belief it
     /// states, expect `op` at the next version and acknowledge. `Ver::MAX`
     /// has no next version, so there the invitation is dropped.
-    fn accept_invite(&mut self, op: Op, coord: ProcessId) {
+    fn accept_invite(&mut self, out: &mut impl Out<Msg>, op: Op, coord: ProcessId) {
         if op.removes(self.me) {
-            self.do_quit(QuitReason::Excluded);
+            self.do_quit(out, QuitReason::Excluded);
             return;
         }
         match op.kind {
-            OpKind::Remove => self.handle_faulty(op.target, FaultySource::Gossip),
-            OpKind::Add => self.note(Note::Operating { id: op.target }),
+            OpKind::Remove => self.handle_faulty(out, op.target, FaultySource::Gossip),
+            OpKind::Add => out.note(Note::Operating { id: op.target }),
         }
         if self.lifecycle == Lifecycle::Stopped {
             return;
@@ -1141,10 +1074,10 @@ impl Member {
             return;
         };
         self.next = vec![NextEntry::concrete(vec![op], coord, v)];
-        self.send(coord, Msg::UpdateOk { ver: v });
+        out.send(coord, Msg::UpdateOk { ver: v });
     }
 
-    fn on_update_ok(&mut self, from: ProcessId, v: Ver) {
+    fn on_update_ok(&mut self, out: &mut impl Out<Msg>, from: ProcessId, v: Ver) {
         let complete = match &mut self.role {
             Role::MgrAwait {
                 ver, pending, oks, ..
@@ -1157,11 +1090,11 @@ impl Member {
             _ => false,
         };
         if complete {
-            self.mgr_oks_complete();
+            self.mgr_oks_complete(out);
         }
     }
 
-    fn on_commit(&mut self, from: ProcessId, body: Shared<CommitBody>) {
+    fn on_commit(&mut self, out: &mut impl Out<Msg>, from: ProcessId, body: Shared<CommitBody>) {
         if from != self.mgr || !matches!(self.role, Role::Outer) {
             return;
         }
@@ -1180,59 +1113,65 @@ impl Member {
             return;
         }
         if f.contains(&self.me) || nxt.map(|n| n.removes(self.me)).unwrap_or(false) {
-            self.do_quit(QuitReason::Excluded);
+            self.do_quit(out, QuitReason::Excluded);
             return;
         }
         if v == self.ver {
             // Already installed (e.g. a joiner bootstrapped by `Welcome` at
             // this very version): only the contingent part matters.
-            self.process_contingent(nxt, f, r);
+            self.process_contingent(out, nxt, f, r);
             return;
         }
         // v == self.ver + 1: apply.
         for &q in f {
             if q != op.target {
-                self.handle_faulty(q, FaultySource::Gossip);
+                self.handle_faulty(out, q, FaultySource::Gossip);
                 if self.lifecycle == Lifecycle::Stopped {
                     return;
                 }
             }
         }
         for &j in r {
-            self.note(Note::Operating { id: j });
+            out.note(Note::Operating { id: j });
         }
         if op.removes(self.me) {
-            self.do_quit(QuitReason::Excluded);
+            self.do_quit(out, QuitReason::Excluded);
             return;
         }
-        self.apply_op(op);
+        self.apply_op(out, op);
         if self.lifecycle == Lifecycle::Stopped {
             return;
         }
-        self.process_contingent(nxt, &[], &[]);
-        self.drain_buffer();
+        self.process_contingent(out, nxt, &[], &[]);
+        self.drain_buffer(out);
     }
 
     /// Handles the `Contingent(next-op(next-id) : F : R)` part of a commit:
     /// under compression it doubles as the next invitation (§3.1).
-    fn process_contingent(&mut self, nxt: Option<Op>, f: &[ProcessId], r: &[ProcessId]) {
+    fn process_contingent(
+        &mut self,
+        out: &mut impl Out<Msg>,
+        nxt: Option<Op>,
+        f: &[ProcessId],
+        r: &[ProcessId],
+    ) {
         for &q in f {
-            self.handle_faulty(q, FaultySource::Gossip);
+            self.handle_faulty(out, q, FaultySource::Gossip);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
         }
         for &j in r {
-            self.note(Note::Operating { id: j });
+            out.note(Note::Operating { id: j });
         }
         match nxt {
-            Some(n) => self.accept_invite(n, self.mgr),
+            Some(n) => self.accept_invite(out, n, self.mgr),
             None => self.next.clear(),
         }
     }
 
     /// Replays buffered future-view messages that have become current.
-    fn drain_buffer(&mut self) {
+    fn drain_buffer(&mut self, out: &mut impl Out<Msg>) {
         loop {
             if self.lifecycle == Lifecycle::Stopped {
                 return;
@@ -1251,7 +1190,7 @@ impl Member {
             });
             let Some(pos) = pos else { return };
             let (from, msg) = self.buffered.remove(pos);
-            self.dispatch(from, msg);
+            self.dispatch(out, from, msg);
             if self.ver == cur {
                 // Nothing advanced (the buffered message was an invite):
                 // wait for more traffic.
@@ -1264,9 +1203,9 @@ impl Member {
     // Reconfiguration (Figs. 5, 10)
     // ------------------------------------------------------------------
 
-    fn start_reconf(&mut self) {
-        self.note(Note::ReconfStarted { from_ver: self.ver });
-        self.broadcast(Msg::Interrogate);
+    fn start_reconf(&mut self, out: &mut impl Out<Msg>) {
+        out.note(Note::ReconfStarted { from_ver: self.ver });
+        self.broadcast(out, Msg::Interrogate);
         let my_resp = PhaseOneResp {
             from: self.me,
             ver: self.ver,
@@ -1281,11 +1220,11 @@ impl Member {
         let done =
             matches!(&self.role, Role::ReconfInterrogate { pending, .. } if pending.is_empty());
         if done {
-            self.reconf_phase1_complete();
+            self.reconf_phase1_complete(out);
         }
     }
 
-    fn on_interrogate(&mut self, r: ProcessId) {
+    fn on_interrogate(&mut self, out: &mut impl Out<Msg>, r: ProcessId) {
         if !matches!(self.lifecycle, Lifecycle::Active) {
             return;
         }
@@ -1295,7 +1234,7 @@ impl Member {
         // Fig. 10: a process ranked above the initiator is in HiFaulty(r)
         // and is being excluded — it quits.
         if ri > mi {
-            self.do_quit(QuitReason::Excluded);
+            self.do_quit(out, QuitReason::Excluded);
             return;
         }
         // Respond with the pre-placeholder state (§4.4 ordering).
@@ -1304,10 +1243,10 @@ impl Member {
             seq: self.seq.clone(),
             next: self.next.clone(),
         };
-        self.send(r, Msg::InterrogateOk(Shared::from(resp)));
+        out.send(r, Msg::InterrogateOk(Shared::from(resp)));
         // Infer HiFaulty(r): every member senior to r (§4.5).
         for s in self.view.seniors_of(r).to_vec() {
-            self.handle_faulty(s, FaultySource::HiFaultyInference);
+            self.handle_faulty(out, s, FaultySource::HiFaultyInference);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
@@ -1315,7 +1254,12 @@ impl Member {
         self.next.push(NextEntry::placeholder(r));
     }
 
-    fn on_interrogate_ok(&mut self, from: ProcessId, body: Shared<InterrogateOkBody>) {
+    fn on_interrogate_ok(
+        &mut self,
+        out: &mut impl Out<Msg>,
+        from: ProcessId,
+        body: Shared<InterrogateOkBody>,
+    ) {
         let complete = match &mut self.role {
             Role::ReconfInterrogate { pending, resp } => {
                 if pending.remove(&from) {
@@ -1332,11 +1276,11 @@ impl Member {
             _ => return,
         };
         if complete {
-            self.reconf_phase1_complete();
+            self.reconf_phase1_complete(out);
         }
     }
 
-    fn reconf_phase1_complete(&mut self) {
+    fn reconf_phase1_complete(&mut self, out: &mut impl Out<Msg>) {
         let Role::ReconfInterrogate { resp, .. } = std::mem::replace(&mut self.role, Role::Outer)
         else {
             return;
@@ -1344,7 +1288,7 @@ impl Member {
         let got = resp.len(); // includes this initiator
         let needed = self.view.majority();
         if got < needed {
-            self.do_quit(QuitReason::NoMajority { got, needed });
+            self.do_quit(out, QuitReason::NoMajority { got, needed });
             return;
         }
         let queue = self.queue_ops();
@@ -1356,15 +1300,18 @@ impl Member {
             // proposal phase is what plants each initiator's plan in the
             // respondents' `next` lists; skipping it makes invisible commits
             // undetectable — see `gmp-baselines` for the counterexample.
-            self.reconf_commit_now(decision.v, decision.rl, decision.invis);
+            self.reconf_commit_now(out, decision.v, decision.rl, decision.invis);
             return;
         }
-        self.broadcast(Msg::Propose(Shared::from(ReconfBody {
-            rl: decision.rl.clone(),
-            ver: decision.v,
-            invis: decision.invis.clone(),
-            faulty: self.faulty_vec(),
-        })));
+        self.broadcast(
+            out,
+            Msg::Propose(Shared::from(ReconfBody {
+                rl: decision.rl.clone(),
+                ver: decision.v,
+                invis: decision.invis.clone(),
+                faulty: self.faulty_vec(),
+            })),
+        );
         let pending = self.await_set();
         self.role = Role::ReconfPropose {
             v: decision.v,
@@ -1375,11 +1322,11 @@ impl Member {
         };
         let done = matches!(&self.role, Role::ReconfPropose { pending, .. } if pending.is_empty());
         if done {
-            self.reconf_phase2_complete();
+            self.reconf_phase2_complete(out);
         }
     }
 
-    fn on_propose(&mut self, from: ProcessId, body: &ReconfBody) {
+    fn on_propose(&mut self, out: &mut impl Out<Msg>, from: ProcessId, body: &ReconfBody) {
         if !matches!(self.role, Role::Outer) || self.lifecycle != Lifecycle::Active {
             return;
         }
@@ -1396,11 +1343,11 @@ impl Member {
             || rl.iter().any(|op| op.removes(self.me))
             || invis.iter().any(|op| op.removes(self.me))
         {
-            self.do_quit(QuitReason::Excluded);
+            self.do_quit(out, QuitReason::Excluded);
             return;
         }
         for &q in f {
-            self.handle_faulty(q, FaultySource::Gossip);
+            self.handle_faulty(out, q, FaultySource::Gossip);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
@@ -1408,14 +1355,14 @@ impl Member {
         // "p executes faulty_p(RL_r) upon receipt of r's proposal" (§6).
         for op in rl {
             if op.kind == OpKind::Remove {
-                self.mark_faulty_quiet(op.target, FaultySource::Gossip);
+                self.mark_faulty_quiet(out, op.target, FaultySource::Gossip);
             }
         }
         self.next = vec![NextEntry::concrete(rl.clone(), from, v)];
-        self.send(from, Msg::ProposeOk { ver: v });
+        out.send(from, Msg::ProposeOk { ver: v });
     }
 
-    fn on_propose_ok(&mut self, from: ProcessId, v: Ver) {
+    fn on_propose_ok(&mut self, out: &mut impl Out<Msg>, from: ProcessId, v: Ver) {
         let complete = match &mut self.role {
             Role::ReconfPropose {
                 v: pv,
@@ -1431,11 +1378,11 @@ impl Member {
             _ => return,
         };
         if complete {
-            self.reconf_phase2_complete();
+            self.reconf_phase2_complete(out);
         }
     }
 
-    fn reconf_phase2_complete(&mut self) {
+    fn reconf_phase2_complete(&mut self, out: &mut impl Out<Msg>) {
         let Role::ReconfPropose {
             v, rl, invis, oks, ..
         } = std::mem::replace(&mut self.role, Role::Outer)
@@ -1445,34 +1392,37 @@ impl Member {
         let got = oks.len() + 1;
         let needed = self.view.majority();
         if got < needed {
-            self.do_quit(QuitReason::NoMajority { got, needed });
+            self.do_quit(out, QuitReason::NoMajority { got, needed });
             return;
         }
-        self.reconf_commit_now(v, rl, invis);
+        self.reconf_commit_now(out, v, rl, invis);
     }
 
     /// Phase III: install `rl`, announce the commit, and assume the `Mgr`
     /// role on the contingent plan.
-    fn reconf_commit_now(&mut self, v: Ver, rl: Vec<Op>, invis: Vec<Op>) {
+    fn reconf_commit_now(&mut self, out: &mut impl Out<Msg>, v: Ver, rl: Vec<Op>, invis: Vec<Op>) {
         // The commit's authority *is* the new coordinator: attribute the
         // installed views (and observer notifications) to it.
         self.mgr = self.me;
-        self.apply_rl(&rl, v);
+        self.apply_rl(out, &rl, v);
         if self.lifecycle == Lifecycle::Stopped {
             return;
         }
-        self.note(Note::BecameMgr { ver: self.ver });
+        out.note(Note::BecameMgr { ver: self.ver });
         let carried_invis = if self.cfg.compression {
             invis.clone()
         } else {
             Vec::new()
         };
-        self.broadcast(Msg::ReconfCommit(Shared::from(ReconfBody {
-            rl,
-            ver: v,
-            invis: carried_invis,
-            faulty: self.faulty_vec(),
-        })));
+        self.broadcast(
+            out,
+            Msg::ReconfCommit(Shared::from(ReconfBody {
+                rl,
+                ver: v,
+                invis: carried_invis,
+                faulty: self.faulty_vec(),
+            })),
+        );
         self.next.clear();
         // Begin the Mgr role on the contingent plan.
         self.forced = invis.iter().copied().collect();
@@ -1488,16 +1438,16 @@ impl Member {
                 pending,
                 oks: BTreeSet::new(),
             };
-            self.mgr_check_complete();
+            self.mgr_check_complete(out);
         } else {
             // No usable plan, compression off, or no version after
             // `Ver::MAX`: fresh invitations, if they can be numbered.
             self.role = Role::MgrIdle;
-            self.mgr_start_update();
+            self.mgr_start_update(out);
         }
     }
 
-    fn on_reconf_commit(&mut self, from: ProcessId, body: &ReconfBody) {
+    fn on_reconf_commit(&mut self, out: &mut impl Out<Msg>, from: ProcessId, body: &ReconfBody) {
         if !matches!(self.role, Role::Outer) || self.lifecycle != Lifecycle::Active {
             return;
         }
@@ -1514,46 +1464,41 @@ impl Member {
             || rl.iter().any(|op| op.removes(self.me))
             || invis.first().map(|op| op.removes(self.me)).unwrap_or(false)
         {
-            self.do_quit(QuitReason::Excluded);
+            self.do_quit(out, QuitReason::Excluded);
             return;
         }
         for &q in f {
-            self.handle_faulty(q, FaultySource::Gossip);
+            self.handle_faulty(out, q, FaultySource::Gossip);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
         }
         self.mgr = from; // the commit's authority is the new coordinator
-        self.apply_rl(rl, v);
+        self.apply_rl(out, rl, v);
         if self.lifecycle == Lifecycle::Stopped {
             return;
         }
         // Compressed continuation: the commit doubles as the invitation for
         // the first contingent operation.
         match invis.first().copied() {
-            Some(n) => self.accept_invite(n, from),
+            Some(n) => self.accept_invite(out, n, from),
             None => self.next.clear(),
         }
         if self.lifecycle == Lifecycle::Stopped {
             return;
         }
         // GMP-5 liveness: surviving suspicions reach the new coordinator.
-        self.report_suspects();
-        self.drain_buffer();
+        self.report_suspects(out);
+        self.drain_buffer(out);
     }
 
-    fn report_suspects(&mut self) {
+    fn report_suspects(&mut self, out: &mut impl Out<Msg>) {
         if self.mgr == self.me || self.faulty.contains(&self.mgr) {
             return;
         }
-        let suspects: Vec<ProcessId> = self
-            .faulty
-            .iter()
-            .filter(|q| self.view.contains(**q) && **q != self.mgr)
-            .copied()
-            .collect();
-        for q in suspects {
-            self.send(self.mgr, Msg::FaultyReport { suspect: q });
+        let suspects = self.faulty.iter().copied();
+        for q in suspects.filter(|&q| self.view.contains(q) && q != self.mgr) {
+            out.send(self.mgr, Msg::FaultyReport { suspect: q });
             if let Some(r) = self.peer_ref(q) {
                 self.last_report.set(r, self.now);
             }
@@ -1564,30 +1509,30 @@ impl Member {
     // Joins (§7)
     // ------------------------------------------------------------------
 
-    fn on_join_request(&mut self, joiner: ProcessId) {
+    fn on_join_request(&mut self, out: &mut impl Out<Msg>, joiner: ProcessId) {
         if self.lifecycle != Lifecycle::Active || joiner == self.me {
             return;
         }
         if self.view.contains(joiner) {
             // Already a member (it may have missed its Welcome): any member
             // can re-welcome it.
-            self.send(joiner, self.welcome(self.mgr));
+            out.send(joiner, self.welcome(self.mgr));
             return;
         }
         if self.is_mgr() {
             if !self.recovered.contains(&joiner) && !self.iso.is_isolated(joiner) {
                 self.recovered.push_back(joiner);
-                self.note(Note::JoinRequested { joiner });
+                out.note(Note::JoinRequested { joiner });
                 if matches!(self.role, Role::MgrIdle) {
-                    self.mgr_start_update();
+                    self.mgr_start_update(out);
                 }
             }
         } else if !self.faulty.contains(&self.mgr) && self.mgr != self.me {
-            self.send(self.mgr, Msg::JoinRequest { joiner });
+            out.send(self.mgr, Msg::JoinRequest { joiner });
         }
     }
 
-    fn on_welcome(&mut self, from: ProcessId, body: Shared<WelcomeBody>) {
+    fn on_welcome(&mut self, out: &mut impl Out<Msg>, from: ProcessId, body: Shared<WelcomeBody>) {
         if self.lifecycle != Lifecycle::Joining {
             return;
         }
@@ -1623,12 +1568,12 @@ impl Member {
             members: self.view.to_vec(),
             mgr: self.mgr,
         });
-        self.note(Note::ViewInstalled {
+        out.note(Note::ViewInstalled {
             ver: self.ver,
             members: self.view.to_vec(),
             mgr: self.mgr,
         });
-        self.set_timer(self.cfg.heartbeat_every, TICK);
+        out.set_timer(self.cfg.heartbeat_every, TICK);
         // Replay coordinator rounds that overtook this Welcome (see the
         // `Joining` arm of `receive`). `dispatch` re-buffers anything
         // still ahead of the installed view; stale entries fail the
@@ -1642,7 +1587,7 @@ impl Member {
                 self.fd.heard_from_ref(r, self.now);
             }
             self.confirm_peer(sender);
-            self.dispatch(sender, msg);
+            self.dispatch(out, sender, msg);
         }
     }
 
@@ -1651,7 +1596,7 @@ impl Member {
     // ------------------------------------------------------------------
 
     /// Handles a view notification at an observer.
-    fn on_view_update(&mut self, body: Shared<ViewUpdateBody>) {
+    fn on_view_update(&mut self, out: &mut impl Out<Msg>, body: Shared<ViewUpdateBody>) {
         let ViewUpdateBody {
             members,
             ver: v,
@@ -1671,7 +1616,7 @@ impl Member {
         obs.ver = v;
         obs.mgr = mgr;
         obs.seen_any = true;
-        self.note(Note::ObservedView {
+        out.note(Note::ObservedView {
             ver: v,
             members,
             mgr,
@@ -1680,7 +1625,7 @@ impl Member {
 
     /// Periodic observer maintenance: subscribe, detect a dead contact,
     /// fail over to the next one.
-    fn on_observe_tick(&mut self) {
+    fn on_observe_tick(&mut self, out: &mut impl Out<Msg>) {
         if self.lifecycle != Lifecycle::Observing {
             return;
         }
@@ -1710,16 +1655,16 @@ impl Member {
         }
         let contact = candidates[obs.idx % candidates.len()];
         if !obs.subscribed {
-            self.send(contact, Msg::Subscribe);
+            out.send(contact, Msg::Subscribe);
         }
-        self.set_timer(poll_every, OBSERVE);
+        out.set_timer(poll_every, OBSERVE);
     }
 
     // ------------------------------------------------------------------
     // Periodic tick: heartbeats + failure detection (F1)
     // ------------------------------------------------------------------
 
-    fn on_tick(&mut self) {
+    fn on_tick(&mut self, out: &mut impl Out<Msg>) {
         if self.lifecycle != Lifecycle::Active {
             return;
         }
@@ -1731,13 +1676,13 @@ impl Member {
         // more heartbeat from us.
         let injected = std::mem::take(&mut self.injected);
         for q in injected {
-            self.handle_faulty(q, FaultySource::Injected);
+            self.handle_faulty(out, q, FaultySource::Injected);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
         }
         for q in self.fd.tick(now) {
-            self.handle_faulty(q, FaultySource::Observation);
+            self.handle_faulty(out, q, FaultySource::Observation);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
             }
@@ -1782,8 +1727,7 @@ impl Member {
         // exactly these monitors on this very tick.
         let snapshot = self.hb.snapshot.clone();
         let epoch = self.hb.epoch;
-        for i in 0..self.topo_monitored.len() {
-            let p = self.topo_monitored[i];
+        for &p in &self.topo_monitored {
             if self.faulty.contains(&p) {
                 continue;
             }
@@ -1801,43 +1745,36 @@ impl Member {
                 }
                 _ => HeartbeatDigest::empty(),
             };
-            self.send(p, Msg::Heartbeat { digest });
+            out.send(p, Msg::Heartbeat { digest });
         }
 
         // Periodic re-reports keep GMP-5 live across coordinator changes
         // and lost observers.
         if !self.is_mgr() && self.mgr != self.me && !self.faulty.contains(&self.mgr) {
-            let due: Vec<ProcessId> = self
-                .faulty
-                .iter()
-                .filter(|q| self.view.contains(**q))
-                .filter(|q| {
-                    self.peer_ref(**q)
-                        .and_then(|r| self.last_report.get(r))
-                        .map(|&t| now.saturating_sub(t) >= self.cfg.suspect_after)
-                        .unwrap_or(true)
-                })
-                .copied()
-                .collect();
-            for q in due {
-                self.send(self.mgr, Msg::FaultyReport { suspect: q });
-                if let Some(r) = self.peer_ref(q) {
-                    self.last_report.set(r, now);
+            for &q in &self.faulty {
+                let r = self.peer_ref(q);
+                let last = r.and_then(|r| self.last_report.get(r));
+                let due = last.is_none_or(|&t| now.saturating_sub(t) >= self.cfg.suspect_after);
+                if self.view.contains(q) && due {
+                    out.send(self.mgr, Msg::FaultyReport { suspect: q });
+                    if let Some(r) = r {
+                        self.last_report.set(r, now);
+                    }
                 }
             }
         }
 
-        self.set_timer(self.cfg.heartbeat_every, TICK);
+        out.set_timer(self.cfg.heartbeat_every, TICK);
     }
 
     /// Central message dispatch (shared by live delivery and buffer replay).
-    fn dispatch(&mut self, from: ProcessId, msg: Msg) {
+    fn dispatch(&mut self, out: &mut impl Out<Msg>, from: ProcessId, msg: Msg) {
         match msg {
             Msg::Heartbeat { digest } => {
                 if self.cfg.gossip {
                     for q in digest.faulty() {
                         if q != self.me {
-                            self.handle_faulty(q, FaultySource::Gossip);
+                            self.handle_faulty(out, q, FaultySource::Gossip);
                             if self.lifecycle == Lifecycle::Stopped {
                                 return;
                             }
@@ -1847,23 +1784,23 @@ impl Member {
             }
             Msg::FaultyReport { suspect } => {
                 if self.is_mgr() {
-                    self.handle_faulty(suspect, FaultySource::Gossip);
+                    self.handle_faulty(out, suspect, FaultySource::Gossip);
                 }
             }
-            Msg::JoinRequest { joiner } => self.on_join_request(joiner),
-            Msg::Invite { op, ver } => self.on_invite(from, op, ver),
-            Msg::UpdateOk { ver } => self.on_update_ok(from, ver),
-            Msg::Commit(body) => self.on_commit(from, body),
-            Msg::Interrogate => self.on_interrogate(from),
-            Msg::InterrogateOk(body) => self.on_interrogate_ok(from, body),
-            Msg::Propose(body) => self.on_propose(from, &body),
-            Msg::ProposeOk { ver } => self.on_propose_ok(from, ver),
-            Msg::ReconfCommit(body) => self.on_reconf_commit(from, &body),
-            Msg::Welcome(body) => self.on_welcome(from, body),
+            Msg::JoinRequest { joiner } => self.on_join_request(out, joiner),
+            Msg::Invite { op, ver } => self.on_invite(out, from, op, ver),
+            Msg::UpdateOk { ver } => self.on_update_ok(out, from, ver),
+            Msg::Commit(body) => self.on_commit(out, from, body),
+            Msg::Interrogate => self.on_interrogate(out, from),
+            Msg::InterrogateOk(body) => self.on_interrogate_ok(out, from, body),
+            Msg::Propose(body) => self.on_propose(out, from, &body),
+            Msg::ProposeOk { ver } => self.on_propose_ok(out, from, ver),
+            Msg::ReconfCommit(body) => self.on_reconf_commit(out, from, &body),
+            Msg::Welcome(body) => self.on_welcome(out, from, body),
             Msg::Subscribe => {
                 if self.lifecycle == Lifecycle::Active {
                     self.subscribers.insert(from);
-                    self.send(from, self.view_update());
+                    out.send(from, self.view_update());
                 }
             }
             Msg::ViewUpdate(_) => {} // members ignore stray updates
@@ -1873,18 +1810,15 @@ impl Member {
 
 impl Node<Msg> for Member {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        self.start(ctx.id(), ctx.now());
-        self.drain_into(ctx, std::convert::identity);
+        self.start(ctx, ctx.id(), ctx.now());
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcessId, msg: Msg) {
-        self.receive(from, msg, ctx.now());
-        self.drain_into(ctx, std::convert::identity);
+        self.receive(ctx, from, msg, ctx.now());
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
-        self.fire(tag, ctx.now());
-        self.drain_into(ctx, std::convert::identity);
+        self.fire(ctx, tag, ctx.now());
     }
 }
 
@@ -1892,6 +1826,10 @@ impl Node<Msg> for Member {
 mod tests {
     use super::*;
     use crate::config::{ConfigBuilder, JoinConfig, ObserveConfig};
+    use gmp_sim::Effect;
+
+    /// A hand-driven member's sink.
+    type Sink = Vec<Effect<Msg>>;
 
     /// A joiner started as p2 with p0 as its contact.
     fn joiner() -> Member {
@@ -1901,8 +1839,7 @@ mod tests {
     fn joiner_with(cfg: ConfigBuilder) -> Member {
         let cfg = cfg.joining(JoinConfig::new(1, vec![ProcessId(0)])).build();
         let mut m = Member::joiner(cfg);
-        m.start(ProcessId(2), 0);
-        m.take_outbox();
+        m.start(&mut Sink::new(), ProcessId(2), 0);
         m
     }
 
@@ -1927,10 +1864,11 @@ mod tests {
     #[test]
     fn welcome_repeating_a_member_is_ignored() {
         let mut m = joiner();
-        m.receive(ProcessId(0), welcome(&[0, 2, 0], 3), 5);
+        let mut out = Sink::new();
+        m.receive(&mut out, ProcessId(0), welcome(&[0, 2, 0], 3), 5);
         assert_eq!(m.lifecycle(), Lifecycle::Joining);
         assert!(m.view().is_empty());
-        assert!(m.take_outbox().is_empty());
+        assert!(out.is_empty());
         assert!(m.take_events().is_empty());
     }
 
@@ -1940,8 +1878,8 @@ mod tests {
             .observing(ObserveConfig::new(1, vec![ProcessId(0)]))
             .build();
         let mut m = Member::observer(cfg);
-        m.start(ProcessId(5), 0);
-        m.take_outbox();
+        m.start(&mut Sink::new(), ProcessId(5), 0);
+        let mut out = Sink::new();
         let update = |members: Vec<ProcessId>| {
             Msg::ViewUpdate(Shared::from(ViewUpdateBody {
                 members,
@@ -1949,10 +1887,20 @@ mod tests {
                 mgr: ProcessId(1),
             }))
         };
-        m.receive(ProcessId(0), update(vec![ProcessId(1), ProcessId(1)]), 5);
+        m.receive(
+            &mut out,
+            ProcessId(0),
+            update(vec![ProcessId(1), ProcessId(1)]),
+            5,
+        );
         assert!(m.observed_view().is_none());
-        assert!(m.take_outbox().is_empty());
-        m.receive(ProcessId(0), update(vec![ProcessId(1), ProcessId(3)]), 6);
+        assert!(out.is_empty());
+        m.receive(
+            &mut out,
+            ProcessId(0),
+            update(vec![ProcessId(1), ProcessId(3)]),
+            6,
+        );
         let (view, ver, _) = m.observed_view().expect("a well-formed update is taken");
         assert_eq!(
             (view.as_slice(), ver),
@@ -1965,9 +1913,14 @@ mod tests {
     #[test]
     fn rounds_at_the_last_version_do_not_overflow() {
         let mut m = joiner();
-        m.receive(ProcessId(0), welcome(&[0, 1, 2], Ver::MAX), 5);
+        m.receive(
+            &mut Sink::new(),
+            ProcessId(0),
+            welcome(&[0, 1, 2], Ver::MAX),
+            5,
+        );
         assert_eq!((m.lifecycle(), m.ver()), (Lifecycle::Active, Ver::MAX));
-        m.take_outbox();
+        let mut out = Sink::new();
         let invite = Op::add(ProcessId(4));
         for ver in [Ver::MAX, Ver::MAX - 7] {
             let commit = Msg::Commit(Shared::from(CommitBody {
@@ -1977,13 +1930,13 @@ mod tests {
                 faulty: Vec::new(),
                 recovered: Vec::new(),
             }));
-            m.receive(ProcessId(0), commit, 6);
+            m.receive(&mut out, ProcessId(0), commit, 6);
         }
         let rl = vec![Op::add(ProcessId(3))];
         let reconf = Msg::ReconfCommit(reconf(rl, Ver::MAX, vec![invite]));
-        m.receive(ProcessId(0), reconf, 7);
+        m.receive(&mut out, ProcessId(0), reconf, 7);
         assert_eq!((m.lifecycle(), m.ver()), (Lifecycle::Active, Ver::MAX));
-        assert!(!m.take_outbox().iter().any(|e| matches!(
+        assert!(!out.iter().any(|e| matches!(
             e,
             Effect::Send {
                 msg: Msg::UpdateOk { .. },
@@ -1997,12 +1950,12 @@ mod tests {
     /// view and `Mgr`, and emits nothing.
     fn assert_empty_rl_ignored(msg: Msg) {
         let mut m = joiner();
-        m.receive(ProcessId(0), welcome(&[0, 1, 2], 3), 5);
-        m.take_outbox();
+        m.receive(&mut Sink::new(), ProcessId(0), welcome(&[0, 1, 2], 3), 5);
         m.take_events();
-        m.receive(ProcessId(1), msg, 6);
+        let mut out = Sink::new();
+        m.receive(&mut out, ProcessId(1), msg, 6);
         assert_eq!((m.ver(), m.mgr(), m.view().len()), (3, ProcessId(0), 3));
-        assert!(m.take_outbox().is_empty());
+        assert!(out.is_empty());
         assert!(m.take_events().is_empty());
     }
 
@@ -2031,21 +1984,25 @@ mod tests {
     /// interrogates the rest; p3 answers from `ahead` with `seq`, p4 from
     /// `ver`. Returns the messages p2 sent after the answers.
     fn interrogate_at(m: &mut Member, ver: Ver, ahead: Ver, seq: Vec<Op>) -> Vec<Msg> {
-        m.receive(ProcessId(0), welcome(&[0, 1, 2, 3, 4], ver), 5);
+        let mut out = Sink::new();
+        m.receive(&mut out, ProcessId(0), welcome(&[0, 1, 2, 3, 4], ver), 5);
         m.inject_suspicion(ProcessId(0));
         m.inject_suspicion(ProcessId(1));
-        m.fire(TICK, 6);
-        assert!(sent(m).iter().any(|msg| matches!(msg, Msg::Interrogate)));
+        m.fire(&mut out, TICK, 6);
+        assert!(sent(&mut out)
+            .iter()
+            .any(|msg| matches!(msg, Msg::Interrogate)));
         for (p, ver, seq) in [(3, ahead, seq), (4, ver, Vec::new())] {
             let next = Vec::new();
             let resp = Shared::from(InterrogateOkBody { ver, seq, next });
-            m.receive(ProcessId(p), Msg::InterrogateOk(resp), 7);
+            m.receive(&mut out, ProcessId(p), Msg::InterrogateOk(resp), 7);
         }
-        sent(m)
+        sent(&mut out)
     }
 
-    fn sent(m: &mut Member) -> Vec<Msg> {
-        let out = m.take_outbox().into_iter();
+    /// The messages sent into `out` since it was last read, which empties it.
+    fn sent(out: &mut Sink) -> Vec<Msg> {
+        let out = out.drain(..);
         out.filter_map(|e| match e {
             Effect::Send { msg, .. } => Some(msg),
             _ => None,
@@ -2081,10 +2038,11 @@ mod tests {
             let mut m = joiner_with(Config::builder().compression(compression));
             let out = interrogate_at(&mut m, Ver::MAX - 1, Ver::MAX - 1, Vec::new());
             assert!(matches!(&out[0], Msg::Propose(body) if body.ver == Ver::MAX));
+            let mut sink = Sink::new();
             for p in [3, 4] {
-                m.receive(ProcessId(p), Msg::ProposeOk { ver: Ver::MAX }, 8);
+                m.receive(&mut sink, ProcessId(p), Msg::ProposeOk { ver: Ver::MAX }, 8);
             }
-            let out = sent(&mut m);
+            let out = sent(&mut sink);
             assert_eq!((m.ver(), m.mgr()), (Ver::MAX, ProcessId(2)));
             assert!(matches!(&out[0], Msg::ReconfCommit(body) if body.ver == Ver::MAX));
             assert!(!out.iter().any(|msg| matches!(msg, Msg::Invite { .. })));
@@ -2092,8 +2050,8 @@ mod tests {
             let report = Msg::FaultyReport {
                 suspect: ProcessId(4),
             };
-            m.receive(ProcessId(3), report, 9);
-            assert!(sent(&mut m).is_empty());
+            m.receive(&mut sink, ProcessId(3), report, 9);
+            assert!(sent(&mut sink).is_empty());
         }
     }
 }

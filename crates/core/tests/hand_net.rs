@@ -1,8 +1,9 @@
 //! `Member`s stepped by hand, with no simulator: every send is delivered
 //! at once in send order, and timers fire from a list sorted by due time.
-//! The member's entry points and outbox are the whole interface.
+//! The member's entry points and a `Vec` sink are the whole interface.
 
-use gmp_core::{Config, Effect, Lifecycle, Member, Msg};
+use gmp_core::{Config, Lifecycle, Member, Msg};
+use gmp_sim::Effect;
 use gmp_types::{ProcessId, View};
 use std::collections::VecDeque;
 
@@ -28,16 +29,18 @@ impl HandNet {
             now: 0,
         };
         for i in 0..n {
-            net.step(i, |m, now| m.start(ProcessId(i as u32), now));
+            net.step(i, |m, out, now| m.start(out, ProcessId(i as u32), now));
         }
         net
     }
 
-    /// Runs one entry point of member `i`, then routes what it queued.
-    fn step(&mut self, i: usize, call: impl FnOnce(&mut Member, u64)) {
-        call(&mut self.members[i], self.now);
+    /// Runs one entry point of member `i` into a `Vec` sink, then routes
+    /// what it emitted.
+    fn step(&mut self, i: usize, call: impl FnOnce(&mut Member, &mut Vec<Effect<Msg>>, u64)) {
+        let mut out = Vec::new();
+        call(&mut self.members[i], &mut out, self.now);
         let from = ProcessId(i as u32);
-        for effect in self.members[i].take_outbox() {
+        for effect in out {
             match effect {
                 Effect::Send { to, msg } => self.wire.push_back((from, to, msg)),
                 Effect::Timer { delay, tag } => {
@@ -59,7 +62,7 @@ impl HandNet {
         loop {
             while let Some((from, to, msg)) = self.wire.pop_front() {
                 if self.up[to.index()] {
-                    self.step(to.index(), |m, now| m.receive(from, msg, now));
+                    self.step(to.index(), |m, out, now| m.receive(out, from, msg, now));
                 }
             }
             if self.timers.first().is_none_or(|t| t.0 > until) {
@@ -68,7 +71,7 @@ impl HandNet {
             let (due, i, tag) = self.timers.remove(0);
             self.now = due;
             if self.up[i] {
-                self.step(i, |m, now| m.fire(tag, now));
+                self.step(i, |m, out, now| m.fire(out, tag, now));
             }
         }
         self.now = until;

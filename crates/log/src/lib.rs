@@ -16,8 +16,10 @@
 //! (`AcceptBatch`/`AcceptOkRange`/`DecideBatch`), a single command being a
 //! range of one — the new-leader recovery round, and joiner state
 //! transfer (snapshot + tail once compaction has passed the joiner's
-//! prefix) — see [`ReplicatedLog`]. Everything is sans-IO and runs inside
-//! [`gmp_sim`]'s deterministic engine. Batch size, client pipeline
+//! prefix) — see [`ReplicatedLog`]. Everything is sans-IO: the log and the
+//! [`Client`] emit through a [`gmp_sim::Out`] sink, which inside
+//! [`gmp_sim`]'s deterministic engine is the handler's context and
+//! outside it a `Vec` of [`gmp_sim::Effect`]s. Batch size, client pipeline
 //! window and the compaction budget are [`LogConfig`] knobs;
 //! `LogConfig::default()` is the batched trim and
 //! [`LogConfig::unbatched`](cluster::LogConfig::unbatched) is the batch-1,

@@ -197,16 +197,28 @@ impl Message for LogMsg {
 #[derive(Clone, Debug)]
 pub enum AppMsg {
     /// A membership-protocol message, delivered to the replica's
-    /// [`Member`] (whose sends come back wrapped by [`Member::drain_into`]).
+    /// [`Member`] (whose sends are wrapped here by `From<Msg>` as the
+    /// replica's context takes them).
     ///
     /// [`Member`]: gmp_core::Member
-    /// [`Member::drain_into`]: gmp_core::Member::drain_into
     Gmp(Msg),
     /// A replicated-log message, delivered to the [`ReplicatedLog`]
     /// (replicas) or the [`Client`](crate::Client).
     ///
     /// [`ReplicatedLog`]: crate::ReplicatedLog
     Log(LogMsg),
+}
+
+impl From<Msg> for AppMsg {
+    fn from(m: Msg) -> Self {
+        AppMsg::Gmp(m)
+    }
+}
+
+impl From<LogMsg> for AppMsg {
+    fn from(m: LogMsg) -> Self {
+        AppMsg::Log(m)
+    }
 }
 
 impl Message for AppMsg {

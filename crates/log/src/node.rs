@@ -1,19 +1,19 @@
 //! The composite simulator node: a [`Member`] and a [`ReplicatedLog`] in
 //! one process, or a [`Client`] outside the group.
 //!
-//! Both layers are plain state machines. Membership messages and timers
+//! All three layers are plain state machines that emit through the
+//! handler's [`Ctx`], which is an `Out<Msg>` and an `Out<LogMsg>` at once:
+//! `AppMsg` converts from both, so each layer's sends are wrapped in their
+//! envelope as the context applies them. Membership messages and timers
 //! go to the [`Member`]'s entry points unchanged; after *every* member
-//! step the replica replays the member's effects into the context (its
-//! sends wrapped in [`AppMsg::Gmp`] by [`Member::drain_into`]), then feeds
-//! the drained [`MemberEvent`](gmp_core::MemberEvent)s to the log and
-//! flushes the log's outbox after them. Timer tags route by value: the
-//! membership layer owns tags 1–3, the client loop uses its own, and
-//! [`LOG_FLUSH`] is the log's batch-coalescing flush — the log never sets
-//! it itself, it raises a request the node converts into a 1-tick timer
-//! here.
+//! step the replica feeds the drained
+//! [`MemberEvent`](gmp_core::MemberEvent)s to the log, so the log's
+//! effects follow the member's. Timer tags route by value: the membership
+//! layer owns tags 1–3, the client loop uses its own, and [`LOG_FLUSH`] is
+//! the log's batch-coalescing flush.
 
 use crate::client::Client;
-use crate::msg::{AppMsg, LogMsg};
+use crate::msg::AppMsg;
 use crate::replica::{ReplicatedLog, LOG_FLUSH};
 use gmp_core::Member;
 use gmp_sim::{Ctx, Node};
@@ -33,33 +33,12 @@ impl Replica {
         Replica { member, log }
     }
 
-    /// After a member step: its effects onto the wire, then its events
-    /// into the log and the log's outbox after them. Member handlers only
-    /// ever *push* events, and the log only ever *consumes* them, so one
-    /// pass settles everything.
+    /// After a member step: its events into the log, in order. Member
+    /// handlers only ever *push* events, and the log only ever *consumes*
+    /// them, so one pass settles everything.
     fn pump(&mut self, ctx: &mut Ctx<'_, AppMsg>) {
-        self.member.drain_into(ctx, AppMsg::Gmp);
-        let now = ctx.now();
         for ev in self.member.take_events() {
-            self.log.on_member_event(ev, now);
-        }
-        self.drain_log(ctx);
-    }
-
-    fn on_log_message(&mut self, ctx: &mut Ctx<'_, AppMsg>, from: ProcessId, msg: LogMsg) {
-        self.log.on_message(from, msg, ctx.now());
-        self.drain_log(ctx);
-    }
-
-    /// Sends the log's outbox and arms the batch flush when asked: the
-    /// 1-tick timer is what coalesces every same-tick admission into one
-    /// `AcceptBatch`.
-    fn drain_log(&mut self, ctx: &mut Ctx<'_, AppMsg>) {
-        for (to, m) in self.log.drain_outbox() {
-            ctx.send(to, AppMsg::Log(m));
-        }
-        if self.log.take_flush_request() {
-            ctx.set_timer(1, LOG_FLUSH);
+            self.log.step_event(ctx, ev, ctx.now());
         }
     }
 }
@@ -109,21 +88,21 @@ impl Node<AppMsg> for LogProc {
         match self {
             LogProc::Replica(r) => {
                 r.log.bind(ctx.id());
-                r.member.start(ctx.id(), ctx.now());
+                r.member.start(ctx, ctx.id(), ctx.now());
                 r.pump(ctx);
             }
-            LogProc::Client(c) => c.on_start(ctx),
+            LogProc::Client(c) => c.start(ctx, ctx.id()),
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, AppMsg>, from: ProcessId, msg: AppMsg) {
         match (self, msg) {
             (LogProc::Replica(r), AppMsg::Gmp(m)) => {
-                r.member.receive(from, m, ctx.now());
+                r.member.receive(ctx, from, m, ctx.now());
                 r.pump(ctx);
             }
-            (LogProc::Replica(r), AppMsg::Log(m)) => r.on_log_message(ctx, from, m),
-            (LogProc::Client(c), AppMsg::Log(m)) => c.on_message(ctx, from, m),
+            (LogProc::Replica(r), AppMsg::Log(m)) => r.log.step_message(ctx, from, m, ctx.now()),
+            (LogProc::Client(c), AppMsg::Log(m)) => c.receive(ctx, from, m, ctx.now()),
             (LogProc::Client(_), AppMsg::Gmp(_)) => {} // stray; clients speak log only
         }
     }
@@ -132,15 +111,12 @@ impl Node<AppMsg> for LogProc {
         match self {
             // The flush tick is the log's; every other replica timer
             // belongs to the membership layer.
-            LogProc::Replica(r) if tag == LOG_FLUSH => {
-                r.log.on_flush(ctx.now());
-                r.drain_log(ctx);
-            }
+            LogProc::Replica(r) if tag == LOG_FLUSH => r.log.step_flush(ctx, ctx.now()),
             LogProc::Replica(r) => {
-                r.member.fire(tag, ctx.now());
+                r.member.fire(ctx, tag, ctx.now());
                 r.pump(ctx);
             }
-            LogProc::Client(c) => c.on_timer(ctx, tag),
+            LogProc::Client(c) => c.fire(ctx, tag, ctx.now()),
         }
     }
 }

@@ -35,7 +35,7 @@
 //! it the moment it reaches quorum; the recovery round collects reports
 //! in a third. The two command-keyed dedup tables (`by_cmd`, the leader's
 //! `admitted`) are hash tables: they are only probed, never iterated on a
-//! path that reaches the outbox.
+//! path that emits a message.
 //!
 //! # Batching and pipelining
 //!
@@ -44,8 +44,8 @@
 //! one `AcceptOkRange`, and decisions ship as `DecideBatch` runs. A batch
 //! of one is the per-command case, not a separate protocol. The one
 //! size-dependent policy is *when* to propose: with `batch_max > 1` the
-//! leader coalesces every command that arrives within a tick (the hosting
-//! node arms a 1-tick [`LOG_FLUSH`] timer on the first admission), with
+//! leader coalesces every command that arrives within a tick (it arms a
+//! 1-tick [`LOG_FLUSH`] timer on the first admission), with
 //! `batch_max == 1` there is nothing to coalesce and it proposes in the
 //! call that admitted the command. Message cost per command drops from
 //! `3(n-1) + 2` to `3(n-1)/B + 2` for batch size `B`, and a batch's
@@ -83,17 +83,20 @@
 //! dead leader may have lost its reply with the crash, and the re-reply
 //! is what unsticks that client without waiting for its retry sweep.
 //!
-//! The state machine is sans-IO like [`Member`](gmp_core::Member):
-//! handlers mutate state and push outbound messages into an outbox the
-//! hosting [`Replica`](crate::Replica) node drains into the simulator.
-//! Batching needs one timer; the log never sets it itself — it raises a
-//! flush *request* ([`take_flush_request`](ReplicatedLog::take_flush_request))
-//! the hosting node converts into a [`LOG_FLUSH`] timer.
+//! The state machine is sans-IO like [`Member`](gmp_core::Member): its
+//! entry points ([`step_event`](ReplicatedLog::step_event),
+//! [`step_message`](ReplicatedLog::step_message),
+//! [`step_flush`](ReplicatedLog::step_flush)) mutate state and emit every
+//! message, and the one [`LOG_FLUSH`] timer batching needs, through a
+//! `&mut impl Out<LogMsg>` sink — in the simulator the hosting
+//! [`Replica`](crate::Replica) node's context, by hand a
+//! `Vec<Effect<LogMsg>>`. The flush timer is always the last effect of
+//! the call that arms it, so it keeps its place behind that call's sends.
 
 use crate::msg::{LogCmd, LogMsg, RecoverOkBody, Snapshot, SyncOkBody};
 use crate::window::SlotWindow;
 use gmp_core::MemberEvent;
-use gmp_sim::{IntMap, IntSet, Shared};
+use gmp_sim::{Effect, IntMap, IntSet, Out, Shared};
 use gmp_types::{ProcessId, Ver};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -102,7 +105,7 @@ type Time = u64;
 
 /// Timer tag of the leader's batch-coalescing flush. The membership layer
 /// owns tags 1–3 and the client loop tag 64; the hosting node routes this
-/// one back into [`ReplicatedLog::on_flush`].
+/// one back into [`ReplicatedLog::step_flush`].
 pub const LOG_FLUSH: u64 = 65;
 
 /// Leader-only state.
@@ -200,7 +203,7 @@ pub struct ReplicatedLog {
     by_cmd: IntMap<LogCmd, u64>,
     /// Per-client dedup high-water mark: `client → (last committed seq,
     /// its slot)`. Complete because per-client seqs commit in order.
-    /// Ordered: the failover re-reply walks it into the outbox.
+    /// Ordered: the failover re-reply walks it onto the wire.
     client_hwm: BTreeMap<ProcessId, (u64, u64)>,
     /// Processes the membership layer currently suspects.
     suspected: BTreeSet<ProcessId>,
@@ -214,10 +217,7 @@ pub struct ReplicatedLog {
     /// Applied suffix length that triggers compaction (`usize::MAX`
     /// disables it; compaction runs when `logical_len - floor > 2·keep`).
     compact_keep: usize,
-    /// A flush timer is wanted (set on first batched admission, drained
-    /// by the hosting node via `take_flush_request`).
-    flush_asked: bool,
-    /// A flush timer is armed and not yet fired — don't ask for another.
+    /// A flush timer is armed and not yet fired — don't arm another.
     flush_armed: bool,
     /// Shape of the last `SyncOk` received: `(carried a snapshot, tail
     /// length)`. Test/bench observability for the O(tail) gate.
@@ -227,8 +227,10 @@ pub struct ReplicatedLog {
     /// Slots an ack just brought to quorum, ascending; scratch between
     /// `count_acks` and the decide that consumes it.
     decided: Vec<(u64, LogCmd)>,
-    /// Outbound messages, drained by the hosting node.
-    outbox: Vec<(ProcessId, LogMsg)>,
+    /// The sink of the three-argument entry-point shims, read back by
+    /// [`take_outbox`](Self::take_outbox) and
+    /// [`take_flush_request`](Self::take_flush_request).
+    shim: Vec<Effect<LogMsg>>,
 }
 
 impl ReplicatedLog {
@@ -259,12 +261,11 @@ impl ReplicatedLog {
             max_inflight,
             batch_max,
             compact_keep,
-            flush_asked: false,
             flush_armed: false,
             last_sync: None,
             active: false,
             decided: Vec::new(),
-            outbox: Vec::new(),
+            shim: Vec::new(),
         }
     }
 
@@ -348,34 +349,66 @@ impl ReplicatedLog {
         self.committed.iter().filter(|c| !c.is_noop()).count()
     }
 
-    /// Drains the outbound messages queued by the last handler call.
+    // ------------------------------------------------------------------
+    // Entry-point shims, kept for `benchmark/src/micro.rs`; a change to
+    // `benchmark/` ports it to the sink-taking entry points and deletes
+    // these.
+    // ------------------------------------------------------------------
+
+    /// [`step_event`](Self::step_event) into the shim sink.
+    #[doc(hidden)]
+    pub fn on_member_event(&mut self, ev: MemberEvent, now: Time) {
+        let mut out = std::mem::take(&mut self.shim);
+        self.step_event(&mut out, ev, now);
+        self.shim = out;
+    }
+
+    /// [`step_message`](Self::step_message) into the shim sink.
+    #[doc(hidden)]
+    pub fn on_message(&mut self, from: ProcessId, msg: LogMsg, now: Time) {
+        let mut out = std::mem::take(&mut self.shim);
+        self.step_message(&mut out, from, msg, now);
+        self.shim = out;
+    }
+
+    /// [`step_flush`](Self::step_flush) into the shim sink.
+    #[doc(hidden)]
+    pub fn on_flush(&mut self, now: Time) {
+        let mut out = std::mem::take(&mut self.shim);
+        self.step_flush(&mut out, now);
+        self.shim = out;
+    }
+
+    /// Drains the messages the shims emitted, in emission order.
+    #[doc(hidden)]
     pub fn take_outbox(&mut self) -> Vec<(ProcessId, LogMsg)> {
-        self.drain_outbox().collect()
-    }
-
-    /// [`take_outbox`](Self::take_outbox) without the `Vec`: the hosting
-    /// node sends straight out of the outbox, which keeps its capacity.
-    pub(crate) fn drain_outbox(&mut self) -> std::vec::Drain<'_, (ProcessId, LogMsg)> {
-        self.outbox.drain(..)
-    }
-
-    /// True once per wanted flush: the hosting node calls this after every
-    /// handler and arms a 1-tick [`LOG_FLUSH`] timer when it returns true.
-    pub fn take_flush_request(&mut self) -> bool {
-        if self.flush_asked {
-            self.flush_asked = false;
-            self.flush_armed = true;
-            true
-        } else {
-            false
+        let mut sends = Vec::new();
+        for effect in std::mem::take(&mut self.shim) {
+            match effect {
+                Effect::Send { to, msg } => sends.push((to, msg)),
+                timer => self.shim.push(timer),
+            }
         }
+        sends
     }
+
+    /// True once per [`LOG_FLUSH`] timer the shims armed.
+    #[doc(hidden)]
+    pub fn take_flush_request(&mut self) -> bool {
+        let before = self.shim.len();
+        self.shim.retain(|e| !matches!(e, Effect::Timer { .. }));
+        self.shim.len() < before
+    }
+
+    // ------------------------------------------------------------------
+    // Flush timer
+    // ------------------------------------------------------------------
 
     /// The [`LOG_FLUSH`] timer fired: propose everything coalesced since
     /// it was armed (up to `batch_max` per `AcceptBatch`).
-    pub fn on_flush(&mut self, now: Time) {
+    pub fn step_flush(&mut self, out: &mut impl Out<LogMsg>, now: Time) {
         self.flush_armed = false;
-        self.propose_queued(now);
+        self.propose_queued(out, now);
     }
 
     // ------------------------------------------------------------------
@@ -384,7 +417,7 @@ impl ReplicatedLog {
 
     /// Feeds one membership transition. The hosting node calls this with
     /// everything `Member::take_events` drained, in order.
-    pub fn on_member_event(&mut self, ev: MemberEvent, now: Time) {
+    pub fn step_event(&mut self, out: &mut impl Out<LogMsg>, ev: MemberEvent, now: Time) {
         match ev {
             MemberEvent::ViewInstalled { ver, members, mgr }
             | MemberEvent::Welcomed { ver, members, mgr } => {
@@ -396,7 +429,7 @@ impl ReplicatedLog {
                 self.leader = Some(mgr);
                 self.suspected.retain(|p| self.view.contains(p));
                 if mgr == self.me {
-                    self.become_leader(ver, now);
+                    self.become_leader(out, ver, now);
                 } else {
                     // Demotion (or follower continuation): any in-flight
                     // proposals are the new leader's problem now — its
@@ -407,12 +440,12 @@ impl ReplicatedLog {
                         // committed prefix we missed. Decides from now on
                         // reach us directly (we are in the view the leader
                         // broadcasts to); `SyncOk` fills everything before.
-                        self.outbox.push((
+                        out.send(
                             mgr,
                             LogMsg::Sync {
                                 from: self.logical_len(),
                             },
-                        ));
+                        );
                     }
                 }
             }
@@ -427,7 +460,7 @@ impl ReplicatedLog {
                         rec.pending.remove(&peer);
                     }
                 }
-                self.finish_recovery_if_ready(now);
+                self.finish_recovery_if_ready(out, now);
             }
             MemberEvent::PeerExcluded { .. } => {
                 // The matching ViewInstalled (next event) carries the new
@@ -436,7 +469,6 @@ impl ReplicatedLog {
             MemberEvent::Quit { .. } => {
                 self.active = false;
                 self.lead = None;
-                self.flush_asked = false;
                 self.flush_armed = false;
             }
             // `MemberEvent` is non_exhaustive: future kinds don't concern
@@ -449,7 +481,7 @@ impl ReplicatedLog {
     /// view install that leaves us `Mgr`: the recovery round is idempotent
     /// and re-proposing at the newest ballot is exactly what un-wedges
     /// slots whose quorum died mid-accept.
-    fn become_leader(&mut self, ballot: Ver, now: Time) {
+    fn become_leader(&mut self, out: &mut impl Out<LogMsg>, ballot: Ver, now: Time) {
         let mut queue = match self.lead.take() {
             // Keep admitted-but-unserved client work across re-elections.
             Some(prev) => prev.queue,
@@ -477,16 +509,17 @@ impl ReplicatedLog {
             }),
         });
         let from = self.logical_len();
-        self.broadcast(|| LogMsg::Recover { ballot, from });
+        self.broadcast(out, || LogMsg::Recover { ballot, from });
         // A solitary (or fully-suspicious) leader recovers from its own
         // accepted set alone.
-        self.finish_recovery_if_ready(now);
+        self.finish_recovery_if_ready(out, now);
     }
 
-    /// Queues `msg()` for every other view member, in view order.
-    fn broadcast(&mut self, msg: impl Fn() -> LogMsg) {
-        let others = self.view.iter().filter(|&&p| p != self.me);
-        self.outbox.extend(others.map(|&p| (p, msg())));
+    /// Sends `msg()` to every other view member, in view order.
+    fn broadcast(&self, out: &mut impl Out<LogMsg>, msg: impl Fn() -> LogMsg) {
+        for &p in self.view.iter().filter(|&&p| p != self.me) {
+            out.send(p, msg());
+        }
     }
 
     // ------------------------------------------------------------------
@@ -494,12 +527,18 @@ impl ReplicatedLog {
     // ------------------------------------------------------------------
 
     /// Handles one incoming log message.
-    pub fn on_message(&mut self, from: ProcessId, msg: LogMsg, now: Time) {
+    pub fn step_message(
+        &mut self,
+        out: &mut impl Out<LogMsg>,
+        from: ProcessId,
+        msg: LogMsg,
+        now: Time,
+    ) {
         if !self.active {
             return;
         }
         match msg {
-            LogMsg::Request { cmd } => self.on_request(from, cmd, now),
+            LogMsg::Request { cmd } => self.on_request(out, from, cmd, now),
             LogMsg::AcceptBatch {
                 ballot,
                 first_slot,
@@ -516,14 +555,14 @@ impl ReplicatedLog {
                     }
                     if kept {
                         let count = cmds.len() as u64;
-                        self.outbox.push((
+                        out.send(
                             from,
                             LogMsg::AcceptOkRange {
                                 ballot,
                                 first_slot,
                                 count,
                             },
-                        ));
+                        );
                     }
                 }
             }
@@ -534,7 +573,7 @@ impl ReplicatedLog {
             } => {
                 self.count_acks(from, ballot, first_slot, count);
                 if !self.decided.is_empty() {
-                    self.decide_slots(ballot, now);
+                    self.decide_slots(out, ballot, now);
                 }
             }
             LogMsg::DecideBatch {
@@ -553,7 +592,7 @@ impl ReplicatedLog {
             LogMsg::Recover {
                 ballot,
                 from: floor,
-            } => self.on_recover(from, ballot, floor),
+            } => self.on_recover(out, from, ballot, floor),
             LogMsg::RecoverOk(body) => {
                 let RecoverOkBody {
                     ballot,
@@ -574,7 +613,7 @@ impl ReplicatedLog {
                     rec.adopt(slot, b, cmd);
                 }
                 rec.pending.remove(&from);
-                self.finish_recovery_if_ready(now);
+                self.finish_recovery_if_ready(out, now);
             }
             LogMsg::Sync { from: req } => {
                 // Below the floor the prefix is gone: ship the snapshot
@@ -590,7 +629,7 @@ impl ReplicatedLog {
                     snapshot,
                     entries,
                 };
-                self.outbox.push((from, LogMsg::SyncOk(Shared::from(body))));
+                out.send(from, LogMsg::SyncOk(Shared::from(body)));
             }
             LogMsg::SyncOk(body) => {
                 let SyncOkBody {
@@ -629,7 +668,7 @@ impl ReplicatedLog {
     /// prefix (committed implies accepted), the window above it. Below
     /// `base` nothing survives as entries; the snapshot goes instead and
     /// the entries start at its floor.
-    fn on_recover(&mut self, from: ProcessId, ballot: Ver, req: u64) {
+    fn on_recover(&mut self, out: &mut impl Out<LogMsg>, from: ProcessId, ballot: Ver, req: u64) {
         if ballot < self.promised {
             return;
         }
@@ -649,18 +688,23 @@ impl ReplicatedLog {
             snapshot,
             entries,
         };
-        self.outbox
-            .push((from, LogMsg::RecoverOk(Shared::from(body))));
+        out.send(from, LogMsg::RecoverOk(Shared::from(body)));
     }
 
-    fn on_request(&mut self, client: ProcessId, cmd: LogCmd, now: Time) {
+    fn on_request(
+        &mut self,
+        out: &mut impl Out<LogMsg>,
+        client: ProcessId,
+        cmd: LogCmd,
+        now: Time,
+    ) {
         if self.lead.is_none() {
             // Not the leader: point the client at our belief (silence
             // would also work — clients retry — but the hint is what makes
             // failover latency a round trip instead of a timeout).
             if let Some(l) = self.leader {
                 if l != self.me {
-                    self.outbox.push((client, LogMsg::Redirect { leader: l }));
+                    out.send(client, LogMsg::Redirect { leader: l });
                 }
             }
             return;
@@ -669,8 +713,7 @@ impl ReplicatedLog {
             // Committed duplicate (client re-sent across a failover the
             // first reply did not survive): answer from the log above the
             // floor, or from the client's high-water mark below it.
-            self.outbox
-                .push((client, LogMsg::Reply { seq: cmd.seq, slot }));
+            out.send(client, LogMsg::Reply { seq: cmd.seq, slot });
             return;
         }
         let lead = self.lead.as_mut().expect("leader checked above");
@@ -679,12 +722,13 @@ impl ReplicatedLog {
         }
         lead.queue.push_back(cmd);
         if self.batch_max > 1 {
-            // Coalesce everything arriving this tick into one batch: the
-            // hosting node arms a 1-tick flush on our request.
-            self.ask_flush();
+            // Coalesce everything arriving this tick into one batch under a
+            // 1-tick flush. This is the call's last effect, so the timer's
+            // `seq` follows every send of the call.
+            self.ask_flush(out);
         } else {
             // A batch of one has nothing to wait for.
-            self.propose_queued(now);
+            self.propose_queued(out, now);
         }
     }
 
@@ -702,10 +746,11 @@ impl ReplicatedLog {
         }
     }
 
-    /// Asks the hosting node for a flush timer, once per armed window.
-    fn ask_flush(&mut self) {
+    /// Arms the flush timer, once per armed window.
+    fn ask_flush(&mut self, out: &mut impl Out<LogMsg>) {
         if !self.flush_armed {
-            self.flush_asked = true;
+            self.flush_armed = true;
+            out.set_timer(1, LOG_FLUSH);
         }
     }
 
@@ -741,7 +786,7 @@ impl ReplicatedLog {
     /// Commits the `decided` slots: learn them all, ship one `DecideBatch`
     /// per contiguous run per peer (one allocation per run), answer the
     /// clients, and refill the pipeline straight from the queue.
-    fn decide_slots(&mut self, ballot: Ver, now: Time) {
+    fn decide_slots(&mut self, out: &mut impl Out<LogMsg>, ballot: Ver, now: Time) {
         let mut decided = std::mem::take(&mut self.decided);
         for &(slot, cmd) in &decided {
             self.learn(slot, ballot, cmd);
@@ -750,7 +795,7 @@ impl ReplicatedLog {
             let first_slot = run[0].0;
             let cmds: Vec<LogCmd> = run.iter().map(|&(_, cmd)| cmd).collect();
             let cmds: Shared<[LogCmd]> = cmds.into();
-            self.broadcast(|| LogMsg::DecideBatch {
+            self.broadcast(out, || LogMsg::DecideBatch {
                 ballot,
                 first_slot,
                 cmds: cmds.clone(),
@@ -758,15 +803,14 @@ impl ReplicatedLog {
         }
         for &(slot, cmd) in &decided {
             if !cmd.is_noop() {
-                self.outbox
-                    .push((cmd.client, LogMsg::Reply { seq: cmd.seq, slot }));
+                out.send(cmd.client, LogMsg::Reply { seq: cmd.seq, slot });
             }
         }
         // Hand the scratch back before anything below can decide again.
         decided.clear();
         self.decided = decided;
         self.apply_contiguous(now);
-        self.propose_queued(now);
+        self.propose_queued(out, now);
     }
 
     /// Records an accepted entry. Below the applied prefix the slot is
@@ -896,7 +940,7 @@ impl ReplicatedLog {
     /// adopt the highest-ballot entry per slot, fill gaps with no-ops,
     /// re-propose everything above the committed prefix, re-send each
     /// client's high-water reply, then serve the queue.
-    fn finish_recovery_if_ready(&mut self, now: Time) {
+    fn finish_recovery_if_ready(&mut self, out: &mut impl Out<LogMsg>, now: Time) {
         let floor_slot = self.logical_len();
         let Some(lead) = &mut self.lead else { return };
         let Some(mut rec) = lead.recovery.take_if(|r| r.pending.is_empty()) else {
@@ -925,7 +969,7 @@ impl ReplicatedLog {
             lead.next_slot = lead.next_slot.max(top + 1);
             for (i, cmds) in plan.chunks(self.batch_max).enumerate() {
                 let first = floor_slot + (i * self.batch_max) as u64;
-                self.propose_batch(first, ballot, cmds.to_vec().into(), now);
+                self.propose_batch(out, first, ballot, cmds.to_vec().into(), now);
             }
         }
         // Failover re-reply: a command decided under the dead leader may
@@ -933,14 +977,14 @@ impl ReplicatedLog {
         // (its high-water mark) unsticks any such client immediately;
         // completed clients ignore it by seq.
         for (&client, &(seq, slot)) in &self.client_hwm {
-            self.outbox.push((client, LogMsg::Reply { seq, slot }));
+            out.send(client, LogMsg::Reply { seq, slot });
         }
-        self.propose_queued(now);
+        self.propose_queued(out, now);
     }
 
     /// Moves queued client commands into the in-flight window in batches
     /// of up to `batch_max`, as window room allows.
-    fn propose_queued(&mut self, now: Time) {
+    fn propose_queued(&mut self, out: &mut impl Out<LogMsg>, now: Time) {
         loop {
             let Some(lead) = &mut self.lead else { return };
             if lead.recovery.is_some() || lead.in_flight.len() >= self.max_inflight {
@@ -955,14 +999,21 @@ impl ReplicatedLog {
             lead.next_slot += take as u64;
             let ballot = lead.ballot;
             let cmds: Vec<LogCmd> = lead.queue.drain(..take).collect();
-            self.propose_batch(first, ballot, cmds.into(), now);
+            self.propose_batch(out, first, ballot, cmds.into(), now);
         }
     }
 
     /// Proposes `cmds` into the contiguous range starting at `first_slot`:
     /// self-accept each, one `AcceptBatch` per peer, and — in the
     /// single-member view — decide the whole range on the spot.
-    fn propose_batch(&mut self, first_slot: u64, ballot: Ver, cmds: Shared<[LogCmd]>, now: Time) {
+    fn propose_batch(
+        &mut self,
+        out: &mut impl Out<LogMsg>,
+        first_slot: u64,
+        ballot: Ver,
+        cmds: Shared<[LogCmd]>,
+        now: Time,
+    ) {
         self.promised = self.promised.max(ballot);
         for (slot, &cmd) in (first_slot..).zip(cmds.iter()) {
             self.accept(slot, ballot, cmd);
@@ -976,13 +1027,13 @@ impl ReplicatedLog {
                 lead.in_flight.insert(slot, cmd);
             }
         }
-        self.broadcast(|| LogMsg::AcceptBatch {
+        self.broadcast(out, || LogMsg::AcceptBatch {
             ballot,
             first_slot,
             cmds: cmds.clone(),
         });
         if solitary {
-            self.decide_slots(ballot, now);
+            self.decide_slots(out, ballot, now);
         }
     }
 }
@@ -991,12 +1042,27 @@ impl ReplicatedLog {
 mod tests {
     use super::*;
 
+    /// A hand-driven log's sink.
+    type Sink = Vec<Effect<LogMsg>>;
+
+    /// The `(recipient, message)` of every send in `out` since it was last
+    /// read, which empties it.
+    fn sends(out: &mut Sink) -> Vec<(ProcessId, LogMsg)> {
+        out.drain(..)
+            .filter_map(|e| match e {
+                Effect::Send { to, msg } => Some((to, msg)),
+                _ => None,
+            })
+            .collect()
+    }
+
     fn view3() -> Vec<ProcessId> {
         vec![ProcessId(0), ProcessId(1), ProcessId(2)]
     }
 
-    fn installed(log: &mut ReplicatedLog, ver: Ver, mgr: u32) {
-        log.on_member_event(
+    fn installed(log: &mut ReplicatedLog, out: &mut Sink, ver: Ver, mgr: u32) {
+        log.step_event(
+            out,
             MemberEvent::ViewInstalled {
                 ver,
                 members: view3(),
@@ -1021,16 +1087,16 @@ mod tests {
         }))
     }
 
-    fn recover_ok_empty(log: &mut ReplicatedLog, from: u32, ballot: Ver, at: Time) {
-        log.on_message(ProcessId(from), recover_ok(ballot, vec![]), at);
+    fn recover_ok_empty(log: &mut ReplicatedLog, out: &mut Sink, from: u32, ballot: Ver, at: Time) {
+        log.step_message(out, ProcessId(from), recover_ok(ballot, vec![]), at);
     }
 
     /// p1 following p0 in a 3-member view, at ballot 0.
     fn follower() -> ReplicatedLog {
+        let mut sink = Sink::new();
         let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         log.bind(ProcessId(1));
-        installed(&mut log, 0, 0);
-        log.take_outbox();
+        installed(&mut log, &mut sink, 0, 0);
         log
     }
 
@@ -1081,27 +1147,33 @@ mod tests {
 
     #[test]
     fn leader_recovers_then_serves() {
+        let mut sink = Sink::new();
         let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         log.bind(ProcessId(0));
-        installed(&mut log, 0, 0);
+        installed(&mut log, &mut sink, 0, 0);
         // Recovery round goes out to both peers…
-        let out = log.take_outbox();
+        let out = sends(&mut sink);
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0].1, LogMsg::Recover { ballot: 0, from: 0 }));
         // …and no client work is served until it answers.
-        log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 1);
-        assert!(log.take_outbox().is_empty());
+        log.step_message(
+            &mut sink,
+            ProcessId(9),
+            LogMsg::Request { cmd: cmd(9, 0) },
+            1,
+        );
+        assert!(sends(&mut sink).is_empty());
         for p in [1, 2] {
-            recover_ok_empty(&mut log, p, 0, 2);
+            recover_ok_empty(&mut log, &mut sink, p, 0, 2);
         }
-        let out = log.take_outbox();
+        let out = sends(&mut sink);
         // A batch of one for slot 0 to both peers.
         assert_eq!(out.len(), 2);
         assert_eq!(single_accepts(&out), vec![(0, cmd(9, 0)); 2]);
         assert!(matches!(out[0].1, LogMsg::AcceptBatch { ballot: 0, .. }));
         // One ack + self = 2 of 3: decided, replied, applied.
-        log.on_message(ProcessId(1), ack_one(0, 0), 3);
-        let out = log.take_outbox();
+        log.step_message(&mut sink, ProcessId(1), ack_one(0, 0), 3);
+        let out = sends(&mut sink);
         assert!(out
             .iter()
             .any(|(to, m)| *to == ProcessId(9) && matches!(m, LogMsg::Reply { seq: 0, slot: 0 })));
@@ -1111,16 +1183,17 @@ mod tests {
 
     #[test]
     fn acceptor_rejects_stale_ballots() {
+        let mut sink = Sink::new();
         let mut log = follower();
         // A view install at ver 2 raises the promise…
-        installed(&mut log, 2, 0);
-        log.take_outbox();
+        installed(&mut log, &mut sink, 2, 0);
+        sink.clear();
         // …so a ballot-1 accept is ignored.
-        log.on_message(ProcessId(0), accept_one(1, 0, cmd(9, 0)), 5);
-        assert!(log.take_outbox().is_empty());
-        log.on_message(ProcessId(0), accept_one(2, 0, cmd(9, 0)), 6);
+        log.step_message(&mut sink, ProcessId(0), accept_one(1, 0, cmd(9, 0)), 5);
+        assert!(sends(&mut sink).is_empty());
+        log.step_message(&mut sink, ProcessId(0), accept_one(2, 0, cmd(9, 0)), 6);
         assert!(matches!(
-            log.take_outbox().as_slice(),
+            sends(&mut sink).as_slice(),
             [(
                 ProcessId(0),
                 LogMsg::AcceptOkRange {
@@ -1134,16 +1207,18 @@ mod tests {
 
     #[test]
     fn recovery_adopts_highest_ballot_and_fills_gaps() {
+        let mut sink = Sink::new();
         let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         log.bind(ProcessId(1));
         // Follower first: accept slot 1 (not 0) at ballot 0 from the old
         // leader, then take over at ver 1.
-        installed(&mut log, 0, 0);
-        log.take_outbox();
-        log.on_message(ProcessId(0), accept_one(0, 1, cmd(9, 1)), 5);
-        log.take_outbox();
+        installed(&mut log, &mut sink, 0, 0);
+        sink.clear();
+        log.step_message(&mut sink, ProcessId(0), accept_one(0, 1, cmd(9, 1)), 5);
+        sink.clear();
         let members = vec![ProcessId(1), ProcessId(2)];
-        log.on_member_event(
+        log.step_event(
+            &mut sink,
             MemberEvent::ViewInstalled {
                 ver: 1,
                 members,
@@ -1151,15 +1226,20 @@ mod tests {
             },
             10,
         );
-        log.take_outbox();
+        sink.clear();
         // The peer reports a higher-ballot value for slot 1 — adopted.
-        log.on_message(ProcessId(2), recover_ok(1, vec![(1, 1, cmd(8, 4))]), 11);
-        let accepts = single_accepts(&log.take_outbox());
+        log.step_message(
+            &mut sink,
+            ProcessId(2),
+            recover_ok(1, vec![(1, 1, cmd(8, 4))]),
+            11,
+        );
+        let accepts = single_accepts(&sends(&mut sink));
         // Slot 0 was a hole → no-op; slot 1 re-proposed with the adopted value.
         assert_eq!(accepts, vec![(0, LogCmd::NOOP), (1, cmd(8, 4))]);
         // The 2-member view decides with the peer's ok.
-        log.on_message(ProcessId(2), ack_one(1, 0), 12);
-        log.on_message(ProcessId(2), ack_one(1, 1), 12);
+        log.step_message(&mut sink, ProcessId(2), ack_one(1, 0), 12);
+        log.step_message(&mut sink, ProcessId(2), ack_one(1, 1), 12);
         assert_eq!(log.committed(), &[LogCmd::NOOP, cmd(8, 4)]);
         assert_eq!(log.committed_ops(), 1);
         assert_eq!(log.ballots(), &[1, 1]);
@@ -1167,21 +1247,32 @@ mod tests {
 
     #[test]
     fn duplicate_requests_answer_from_the_log() {
+        let mut sink = Sink::new();
         let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         log.bind(ProcessId(0));
-        installed(&mut log, 0, 0);
-        log.take_outbox();
+        installed(&mut log, &mut sink, 0, 0);
+        sink.clear();
         for p in [1, 2] {
-            recover_ok_empty(&mut log, p, 0, 1);
+            recover_ok_empty(&mut log, &mut sink, p, 0, 1);
         }
-        log.take_outbox();
-        log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 2);
-        log.take_outbox();
-        log.on_message(ProcessId(1), ack_one(0, 0), 3);
-        log.take_outbox();
+        sink.clear();
+        log.step_message(
+            &mut sink,
+            ProcessId(9),
+            LogMsg::Request { cmd: cmd(9, 0) },
+            2,
+        );
+        sink.clear();
+        log.step_message(&mut sink, ProcessId(1), ack_one(0, 0), 3);
+        sink.clear();
         // Same command again: replied immediately, not re-proposed.
-        log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 4);
-        let out = log.take_outbox();
+        log.step_message(
+            &mut sink,
+            ProcessId(9),
+            LogMsg::Request { cmd: cmd(9, 0) },
+            4,
+        );
+        let out = sends(&mut sink);
         assert!(matches!(
             out.as_slice(),
             [(ProcessId(9), LogMsg::Reply { seq: 0, slot: 0 })]
@@ -1191,10 +1282,16 @@ mod tests {
 
     #[test]
     fn followers_redirect_clients() {
+        let mut sink = Sink::new();
         let mut log = follower();
-        log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 1);
+        log.step_message(
+            &mut sink,
+            ProcessId(9),
+            LogMsg::Request { cmd: cmd(9, 0) },
+            1,
+        );
         assert!(matches!(
-            log.take_outbox().as_slice(),
+            sends(&mut sink).as_slice(),
             [(
                 ProcessId(9),
                 LogMsg::Redirect {
@@ -1206,10 +1303,11 @@ mod tests {
 
     #[test]
     fn out_of_order_decides_apply_contiguously() {
+        let mut sink = Sink::new();
         let mut log = follower();
-        log.on_message(ProcessId(0), decide_one(0, 1, cmd(9, 1)), 5);
+        log.step_message(&mut sink, ProcessId(0), decide_one(0, 1, cmd(9, 1)), 5);
         assert!(log.committed().is_empty());
-        log.on_message(ProcessId(0), decide_one(0, 0, cmd(9, 0)), 6);
+        log.step_message(&mut sink, ProcessId(0), decide_one(0, 0, cmd(9, 0)), 6);
         assert_eq!(log.committed(), &[cmd(9, 0), cmd(9, 1)]);
         assert_eq!(log.applied_at(), &[6, 6]);
     }
@@ -1220,14 +1318,7 @@ mod tests {
 
     #[test]
     fn requests_coalesce_into_one_accept_batch() {
-        let mut log = ReplicatedLog::with_tuning(8, 4, usize::MAX);
-        log.bind(ProcessId(0));
-        installed(&mut log, 0, 0);
-        log.take_outbox();
-        for p in [1, 2] {
-            recover_ok_empty(&mut log, p, 0, 1);
-        }
-        log.take_outbox();
+        let mut log = batched_leader(3, 4);
         // Three requests within one tick admit silently and ask one flush.
         for s in 0..3 {
             log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, s) }, 5);
@@ -1267,8 +1358,41 @@ mod tests {
         assert_eq!(log.committed(), &[cmd(9, 0), cmd(9, 1), cmd(9, 2)]);
     }
 
+    /// Two same-tick requests at a batching leader arm one flush timer,
+    /// and it is the last effect of the call that armed it, so its `seq`
+    /// follows every send of that call. Once it fires, the next request
+    /// arms the next one.
+    #[test]
+    fn one_flush_timer_ends_the_call_that_arms_it() {
+        let mut log = batched_leader(3, 4);
+        let request = |log: &mut ReplicatedLog, seq: u64, now: Time| {
+            let mut sink = Sink::new();
+            let cmd = cmd(9, seq);
+            log.step_message(&mut sink, ProcessId(9), LogMsg::Request { cmd }, now);
+            sink
+        };
+        let is_flush = |e: &Effect<LogMsg>| {
+            matches!(
+                e,
+                Effect::Timer {
+                    delay: 1,
+                    tag: LOG_FLUSH
+                }
+            )
+        };
+        let calls = [request(&mut log, 0, 5), request(&mut log, 1, 5)];
+        let flushes = calls
+            .each_ref()
+            .map(|c| c.iter().filter(|e| is_flush(e)).count());
+        assert_eq!(flushes, [1, 0], "one flush per armed window: {calls:?}");
+        assert!(calls[0].last().is_some_and(is_flush), "{:?}", calls[0]);
+        log.step_flush(&mut Sink::new(), 6);
+        assert!(request(&mut log, 2, 7).last().is_some_and(is_flush));
+    }
+
     #[test]
     fn decide_batches_apply_like_single_decides() {
+        let mut sink = Sink::new();
         let cmds: Vec<LogCmd> = (0..3).map(|s| cmd(9, s)).collect();
         let mut whole = follower();
         let (ballot, first_slot) = (0, 0);
@@ -1277,14 +1401,19 @@ mod tests {
             first_slot,
             cmds: cmds.clone().into(),
         };
-        whole.on_message(ProcessId(0), batch, 6);
+        whole.step_message(&mut sink, ProcessId(0), batch, 6);
         // The same range as three batches of one, slot 0 last.
         let mut singles = follower();
         for slot in [2, 1] {
-            singles.on_message(ProcessId(0), decide_one(0, slot, cmds[slot as usize]), 5);
+            singles.step_message(
+                &mut sink,
+                ProcessId(0),
+                decide_one(0, slot, cmds[slot as usize]),
+                5,
+            );
         }
         assert!(singles.committed().is_empty(), "slot 0 still missing");
-        singles.on_message(ProcessId(0), decide_one(0, 0, cmds[0]), 6);
+        singles.step_message(&mut sink, ProcessId(0), decide_one(0, 0, cmds[0]), 6);
         assert_eq!(whole.committed(), &cmds[..]);
         assert_eq!(singles.committed(), whole.committed());
         assert_eq!(singles.ballots(), whole.ballots());
@@ -1324,6 +1453,7 @@ mod tests {
 
     #[test]
     fn an_accept_batch_past_the_last_slot_is_ignored() {
+        let mut sink = Sink::new();
         let mut log = follower();
         let (first_slot, cmds) = past_the_last_slot();
         let ballot = 0;
@@ -1333,13 +1463,14 @@ mod tests {
             first_slot,
             cmds,
         };
-        log.on_message(ProcessId(0), msg, 5);
-        assert!(log.take_outbox().is_empty(), "no ack");
+        log.step_message(&mut sink, ProcessId(0), msg, 5);
+        assert!(sends(&mut sink).is_empty(), "no ack");
         assert_eq!(log.hot_sizes().0, 0, "no entry");
     }
 
     #[test]
     fn a_decide_batch_past_the_last_slot_is_ignored() {
+        let mut sink = Sink::new();
         let mut log = follower();
         let (first_slot, cmds) = past_the_last_slot();
         let ballot = 0;
@@ -1349,13 +1480,14 @@ mod tests {
             first_slot,
             cmds,
         };
-        log.on_message(ProcessId(0), msg, 5);
+        log.step_message(&mut sink, ProcessId(0), msg, 5);
         assert_eq!(log.hot_sizes().0, 0, "no entry");
         assert!(log.committed().is_empty());
     }
 
     #[test]
     fn a_sync_ok_past_the_last_slot_is_ignored() {
+        let mut sink = Sink::new();
         let mut log = follower();
         let (from, cmds) = past_the_last_slot();
         let entries = cmds.into_iter().map(|c| (0, c)).collect();
@@ -1364,7 +1496,7 @@ mod tests {
             snapshot: None,
             entries,
         }));
-        log.on_message(ProcessId(0), msg, 5);
+        log.step_message(&mut sink, ProcessId(0), msg, 5);
         assert_eq!(log.hot_sizes().0, 0, "no entry");
         assert_eq!(log.last_sync(), None);
     }
@@ -1376,9 +1508,11 @@ mod tests {
     /// A solitary leader (quorum 1) that has committed `ops` commands
     /// from client 9, compacting down to `keep`.
     fn solitary_compacted(ops: u64, keep: usize) -> ReplicatedLog {
+        let mut sink = Sink::new();
         let mut log = ReplicatedLog::with_tuning(8, 1, keep);
         log.bind(ProcessId(0));
-        log.on_member_event(
+        log.step_event(
+            &mut sink,
             MemberEvent::ViewInstalled {
                 ver: 0,
                 members: vec![ProcessId(0)],
@@ -1386,16 +1520,22 @@ mod tests {
             },
             0,
         );
-        log.take_outbox();
+        sink.clear();
         for s in 0..ops {
-            log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, s) }, s);
-            log.take_outbox();
+            log.step_message(
+                &mut sink,
+                ProcessId(9),
+                LogMsg::Request { cmd: cmd(9, s) },
+                s,
+            );
+            sink.clear();
         }
         log
     }
 
     #[test]
     fn compaction_prunes_hot_state_and_dedups_from_the_mark() {
+        let mut sink = Sink::new();
         let log = solitary_compacted(20, 4);
         assert_eq!(log.committed_ops(), 20);
         // Floor advances by `keep` each time the suffix exceeds 2·keep:
@@ -1409,22 +1549,33 @@ mod tests {
         // A duplicate far below the floor still answers — from the mark
         // (slot is best-effort; clients match replies by seq).
         let mut log = log;
-        log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 3) }, 30);
+        log.step_message(
+            &mut sink,
+            ProcessId(9),
+            LogMsg::Request { cmd: cmd(9, 3) },
+            30,
+        );
         assert!(matches!(
-            log.take_outbox().as_slice(),
+            sends(&mut sink).as_slice(),
             [(ProcessId(9), LogMsg::Reply { seq: 3, slot: 19 })]
         ));
         // …while a fresh command is admitted normally.
-        log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 20) }, 31);
-        log.take_outbox();
+        log.step_message(
+            &mut sink,
+            ProcessId(9),
+            LogMsg::Request { cmd: cmd(9, 20) },
+            31,
+        );
+        sink.clear();
         assert_eq!(log.committed_ops(), 21);
     }
 
     #[test]
     fn sync_below_the_floor_ships_a_snapshot_plus_tail() {
+        let mut sink = Sink::new();
         let mut log = solitary_compacted(20, 4);
-        log.on_message(ProcessId(5), LogMsg::Sync { from: 0 }, 40);
-        let out = log.take_outbox();
+        log.step_message(&mut sink, ProcessId(5), LogMsg::Sync { from: 0 }, 40);
+        let out = sends(&mut sink);
         assert_eq!(out.len(), 1);
         let LogMsg::SyncOk(body) = &out[0].1 else {
             panic!("expected a SyncOk, got {:?}", out[0].1);
@@ -1444,7 +1595,8 @@ mod tests {
         // A fresh replica boots from it: vectors restart at the floor.
         let mut joiner = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         joiner.bind(ProcessId(5));
-        joiner.on_member_event(
+        joiner.step_event(
+            &mut sink,
             MemberEvent::ViewInstalled {
                 ver: 1,
                 members: vec![ProcessId(0), ProcessId(5)],
@@ -1452,8 +1604,8 @@ mod tests {
             },
             41,
         );
-        joiner.take_outbox();
-        joiner.on_message(ProcessId(0), out[0].1.clone(), 42);
+        sink.clear();
+        joiner.step_message(&mut sink, ProcessId(0), out[0].1.clone(), 42);
         assert_eq!(joiner.base(), 15);
         assert_eq!(joiner.logical_len(), 20);
         assert_eq!(joiner.committed().len(), 5);
@@ -1465,10 +1617,12 @@ mod tests {
 
     #[test]
     fn recover_between_base_and_floor_reports_committed_entries() {
+        let mut sink = Sink::new();
         let mut log = solitary_compacted(20, 4);
         // A new leader probing from slot 10 (< floor 15, ≥ base 0) gets
         // the committed range [10, 15) plus everything accepted above.
-        log.on_message(
+        log.step_message(
+            &mut sink,
             ProcessId(1),
             LogMsg::Recover {
                 ballot: 7,
@@ -1476,7 +1630,7 @@ mod tests {
             },
             50,
         );
-        let out = log.take_outbox();
+        let out = sends(&mut sink);
         let LogMsg::RecoverOk(body) = &out[0].1 else {
             panic!("expected a RecoverOk, got {:?}", out[0].1);
         };
@@ -1510,7 +1664,7 @@ mod tests {
             0,
         );
         for p in 1..n {
-            recover_ok_empty(&mut log, p, 0, 1);
+            log.on_message(ProcessId(p), recover_ok(0, vec![]), 1);
         }
         log.take_outbox();
         log
@@ -1612,13 +1766,15 @@ mod tests {
 
     #[test]
     fn recover_below_the_applied_prefix_answers_from_vectors_then_window() {
+        let mut sink = Sink::new();
         // p1 follows p0: slots 0..4 applied, 4 and 6 accepted, 7 decided
         // but parked behind the holes.
         let mut p1 = follower();
         let leader = ProcessId(0);
         let (ballot, first_slot) = (0, 0);
         let cmds = (0..4).map(|s| cmd(9, s)).collect::<Vec<_>>().into();
-        p1.on_message(
+        p1.step_message(
+            &mut sink,
             leader,
             LogMsg::DecideBatch {
                 ballot,
@@ -1628,18 +1784,19 @@ mod tests {
             5,
         );
         for slot in [4, 6] {
-            p1.on_message(leader, accept_one(ballot, slot, cmd(9, slot)), 5);
+            p1.step_message(&mut sink, leader, accept_one(ballot, slot, cmd(9, slot)), 5);
         }
         let cmd7 = cmd(9, 7);
-        p1.on_message(leader, decide_one(ballot, 7, cmd7), 5);
+        p1.step_message(&mut sink, leader, decide_one(ballot, 7, cmd7), 5);
         assert_eq!((p1.logical_len(), p1.hot_sizes().0), (4, 3));
-        p1.take_outbox();
+        sink.clear();
         // p2 applied only 0..2 before taking over at ballot 1.
         let mut p2 = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         p2.bind(ProcessId(2));
-        installed(&mut p2, 0, 0);
+        installed(&mut p2, &mut sink, 0, 0);
         let cmds = vec![cmd(9, 0), cmd(9, 1)].into();
-        p2.on_message(
+        p2.step_message(
+            &mut sink,
             leader,
             LogMsg::DecideBatch {
                 ballot,
@@ -1648,8 +1805,9 @@ mod tests {
             },
             5,
         );
-        p2.take_outbox();
-        p2.on_member_event(
+        sink.clear();
+        p2.step_event(
+            &mut sink,
             MemberEvent::ViewInstalled {
                 ver: 1,
                 members: vec![ProcessId(1), ProcessId(2)],
@@ -1657,13 +1815,13 @@ mod tests {
             },
             10,
         );
-        let probe = p2.take_outbox();
+        let probe = sends(&mut sink);
         assert!(matches!(
             probe.as_slice(),
             [(ProcessId(1), LogMsg::Recover { ballot: 1, from: 2 })]
         ));
-        p1.on_message(ProcessId(2), probe[0].1.clone(), 11);
-        let answer = p1.take_outbox();
+        p1.step_message(&mut sink, ProcessId(2), probe[0].1.clone(), 11);
+        let answer = sends(&mut sink);
         let [(ProcessId(2), LogMsg::RecoverOk(body))] = answer.as_slice() else {
             panic!("expected one RecoverOk to p2, got {answer:?}");
         };
@@ -1680,8 +1838,8 @@ mod tests {
         // The new leader's plan: everything above its own prefix, whether
         // the responder reported it from the vectors or the window, with
         // the hole at 5 filled by a no-op.
-        p2.on_message(ProcessId(1), answer[0].1.clone(), 12);
-        let accepts = single_accepts(&p2.take_outbox());
+        p2.step_message(&mut sink, ProcessId(1), answer[0].1.clone(), 12);
+        let accepts = single_accepts(&sends(&mut sink));
         let plan = [
             cmd(9, 2),
             cmd(9, 3),
@@ -1699,11 +1857,13 @@ mod tests {
 
     #[test]
     fn a_new_leader_re_replies_for_committed_commands() {
+        let mut sink = Sink::new();
         let mut log = follower();
         // Slot 0 committed under the old leader; its Reply died with it.
-        log.on_message(ProcessId(0), decide_one(0, 0, cmd(9, 0)), 5);
-        log.take_outbox();
-        log.on_member_event(
+        log.step_message(&mut sink, ProcessId(0), decide_one(0, 0, cmd(9, 0)), 5);
+        sink.clear();
+        log.step_event(
+            &mut sink,
             MemberEvent::ViewInstalled {
                 ver: 1,
                 members: vec![ProcessId(1), ProcessId(2)],
@@ -1711,9 +1871,9 @@ mod tests {
             },
             10,
         );
-        log.take_outbox();
-        recover_ok_empty(&mut log, 2, 1, 11);
-        let out = log.take_outbox();
+        sink.clear();
+        recover_ok_empty(&mut log, &mut sink, 2, 1, 11);
+        let out = sends(&mut sink);
         assert!(
             out.iter().any(
                 |(to, m)| *to == ProcessId(9) && matches!(m, LogMsg::Reply { seq: 0, slot: 0 })
@@ -1724,10 +1884,12 @@ mod tests {
 
     #[test]
     fn recovered_commands_are_not_proposed_twice() {
+        let mut sink = Sink::new();
         let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         log.bind(ProcessId(1));
         let members = vec![ProcessId(1), ProcessId(2)];
-        log.on_member_event(
+        log.step_event(
+            &mut sink,
             MemberEvent::ViewInstalled {
                 ver: 1,
                 members,
@@ -1735,13 +1897,23 @@ mod tests {
             },
             0,
         );
-        log.take_outbox();
+        sink.clear();
         // The client retries to the new leader while it is still probing…
-        log.on_message(ProcessId(9), LogMsg::Request { cmd: cmd(9, 0) }, 1);
-        assert!(log.take_outbox().is_empty(), "queued behind recovery");
+        log.step_message(
+            &mut sink,
+            ProcessId(9),
+            LogMsg::Request { cmd: cmd(9, 0) },
+            1,
+        );
+        assert!(sends(&mut sink).is_empty(), "queued behind recovery");
         // …and the same command comes back as a recovered entry.
-        log.on_message(ProcessId(2), recover_ok(1, vec![(0, 0, cmd(9, 0))]), 2);
-        let accepts = single_accepts(&log.take_outbox());
+        log.step_message(
+            &mut sink,
+            ProcessId(2),
+            recover_ok(1, vec![(0, 0, cmd(9, 0))]),
+            2,
+        );
+        let accepts = single_accepts(&sends(&mut sink));
         assert_eq!(accepts, vec![(0, cmd(9, 0))], "the queued twin is dropped");
     }
 }

@@ -42,7 +42,6 @@ pub struct Builder {
     delay_min: Time,
     delay_max: Time,
     seed: u64,
-    fifo: bool,
 }
 
 impl Default for Builder {
@@ -51,13 +50,13 @@ impl Default for Builder {
             delay_min: 1,
             delay_max: 10,
             seed: 0,
-            fifo: true,
         }
     }
 }
 
 impl Builder {
-    /// A builder with default delays (1..=10 ticks), seed 0, FIFO links.
+    /// A builder with default delays (1..=10 ticks) and seed 0. Links are
+    /// always FIFO, as the model requires (§2.1).
     pub fn new() -> Self {
         Builder::default()
     }
@@ -76,13 +75,6 @@ impl Builder {
         self
     }
 
-    /// Whether per-link FIFO delivery order is enforced (the model requires
-    /// it; disable only to exercise the `gmp-link` FIFO construction).
-    pub fn fifo(mut self, fifo: bool) -> Self {
-        self.fifo = fifo;
-        self
-    }
-
     /// Builds an empty simulator; add nodes with [`Sim::add_node`].
     pub fn build<M: Message, N: Node<M>>(self) -> Sim<M, N> {
         Sim {
@@ -90,7 +82,7 @@ impl Builder {
             core: Core {
                 queue: EventQueue::new(),
                 held: HashMap::new(),
-                net: NetState::new(self.delay_min, self.delay_max, self.fifo),
+                net: NetState::new(self.delay_min, self.delay_max),
                 rng: SmallRng::seed_from_u64(self.seed),
                 time: 0,
                 seq: 0,

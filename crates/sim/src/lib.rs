@@ -15,11 +15,14 @@
 //! each effect where the handler emits it: a [`Ctx::send`] is stamped,
 //! recorded, counted and queued before it returns, and once the process
 //! quits or a scheduled crash cuts it off mid-broadcast, the handler's
-//! further effects are discarded. Every send, receive, timer, crash,
-//! quit and semantic [`Note`](gmp_types::Note) is recorded in a [`Trace`]
-//! with its Lamport stamp, so runs can be checked against the GMP
-//! specification afterwards (`gmp-props`) and message complexity can be
-//! measured (`gmp-bench`). Recording an event is O(1) at every `n`: vector
+//! further effects are discarded. A sans-IO state machine emits through
+//! the [`Out`] sink trait instead, which a [`Ctx`] implements, and so does
+//! a `Vec<`[`Effect`]`>` for drivers outside the simulator.
+//!
+//! Every send, receive, timer, crash, quit and semantic
+//! [`Note`](gmp_types::Note) is recorded in a [`Trace`] with its Lamport
+//! stamp, so runs can be checked against the GMP specification afterwards
+//! (`gmp-props`) and message complexity can be measured (`gmp-bench`). Recording an event is O(1) at every `n`: vector
 //! clocks are a function of the recorded `Send`/`Recv` edges, so the engine
 //! never carries them — [`Trace::to_event_log`] rebuilds them for the
 //! caller that needs happens-before. Fan-out payloads are cheap too:
@@ -100,7 +103,7 @@ pub use batch::{run_seeds, run_seeds_parallel, summarize_runs, BatchConfig, RunS
 pub use engine::{Builder, NodeStatus, Sim};
 pub use hash::{IntHasher, IntMap, IntSet};
 pub use net::BlockMode;
-pub use node::{Ctx, Message, Node};
+pub use node::{Ctx, Effect, Message, Node, Out};
 pub use shared::Shared;
 pub use stats::{Stats, Summary};
 pub use trace::{Trace, TraceEvent, TraceKind};

@@ -1,7 +1,7 @@
 //! Network model: seeded delays, FIFO scheduling, link control, partitions.
 //!
-//! Channels are *reliable and FIFO* by default (§2.1). Experiments may
-//! block links (messages held until released, modelling arbitrarily long
+//! Channels are always FIFO and *reliable* by default (§2.1). Experiments
+//! may block links (messages held until released, modelling arbitrarily long
 //! delay) or sever them (messages dropped — used only by baseline
 //! counter-example scenarios), and may partition the process set.
 
@@ -31,7 +31,6 @@ pub enum BlockMode {
 pub(crate) struct NetState {
     delay_min: Time,
     delay_max: Time,
-    fifo: bool,
     /// Per-directed-link blocks.
     blocked: IntMap<(u32, u32), BlockMode>,
     /// Partition id per process; `None` means fully connected.
@@ -43,7 +42,7 @@ pub(crate) struct NetState {
 }
 
 impl NetState {
-    pub(crate) fn new(delay_min: Time, delay_max: Time, fifo: bool) -> Self {
+    pub(crate) fn new(delay_min: Time, delay_max: Time) -> Self {
         assert!(
             delay_min <= delay_max,
             "delay_min must not exceed delay_max"
@@ -52,7 +51,6 @@ impl NetState {
         NetState {
             delay_min,
             delay_max,
-            fifo,
             blocked: IntMap::default(),
             partition: None,
             delay_override: IntMap::default(),
@@ -79,7 +77,7 @@ impl NetState {
     }
 
     /// Samples a delivery time for a message sent `from -> to` at `now`,
-    /// maintaining per-link FIFO order when enabled.
+    /// maintaining per-link FIFO order.
     pub(crate) fn schedule(
         &mut self,
         rng: &mut SmallRng,
@@ -97,13 +95,11 @@ impl NetState {
         // events at one time pop in `seq` order, so FIFO holds at
         // `Time::MAX` too.
         let mut at = now.saturating_add(delay);
-        if self.fifo {
-            let last = self.last_sched.entry((from.0, to.0)).or_insert(0);
-            if at <= *last {
-                at = last.saturating_add(1);
-            }
-            *last = at;
+        let last = self.last_sched.entry((from.0, to.0)).or_insert(0);
+        if at <= *last {
+            at = last.saturating_add(1);
         }
+        *last = at;
         at
     }
 
@@ -163,7 +159,7 @@ mod tests {
 
     #[test]
     fn fifo_scheduling_is_monotone_per_link() {
-        let mut net = NetState::new(1, 50, true);
+        let mut net = NetState::new(1, 50);
         let mut rng = SmallRng::seed_from_u64(7);
         let mut last = 0;
         for now in 0..100 {
@@ -175,7 +171,7 @@ mod tests {
 
     #[test]
     fn independent_links_are_not_ordered() {
-        let mut net = NetState::new(5, 5, true);
+        let mut net = NetState::new(5, 5);
         let mut rng = SmallRng::seed_from_u64(7);
         let a = net.schedule(&mut rng, 0, ProcessId(0), ProcessId(1));
         let b = net.schedule(&mut rng, 0, ProcessId(0), ProcessId(2));
@@ -185,7 +181,7 @@ mod tests {
 
     #[test]
     fn blocks_and_partitions() {
-        let mut net = NetState::new(1, 2, true);
+        let mut net = NetState::new(1, 2);
         assert_eq!(net.fate(ProcessId(0), ProcessId(1)), None);
         net.block(ProcessId(0), ProcessId(1), BlockMode::Drop);
         assert_eq!(net.fate(ProcessId(0), ProcessId(1)), Some(BlockMode::Drop));
@@ -204,7 +200,7 @@ mod tests {
     /// than wrap around, and a FIFO link keeps them there.
     #[test]
     fn deliveries_past_the_end_of_time_saturate() {
-        let mut net = NetState::new(1, 2, true);
+        let mut net = NetState::new(1, 2);
         let mut rng = SmallRng::seed_from_u64(1);
         let (a, b) = (ProcessId(0), ProcessId(1));
         net.set_delay_override(a, b, Some((u64::MAX, u64::MAX)));
@@ -215,12 +211,13 @@ mod tests {
 
     #[test]
     fn delay_override_is_used() {
-        let mut net = NetState::new(1, 2, false);
+        let mut net = NetState::new(1, 2);
         let mut rng = SmallRng::seed_from_u64(1);
         net.set_delay_override(ProcessId(0), ProcessId(1), Some((100, 100)));
         assert_eq!(net.schedule(&mut rng, 10, ProcessId(0), ProcessId(1)), 110);
         net.set_delay_override(ProcessId(0), ProcessId(1), None);
-        let at = net.schedule(&mut rng, 10, ProcessId(0), ProcessId(1));
-        assert!((11..=12).contains(&at));
+        // Past the FIFO clamp of the overridden delivery at 110.
+        let at = net.schedule(&mut rng, 200, ProcessId(0), ProcessId(1));
+        assert!((201..=202).contains(&at));
     }
 }

@@ -1,4 +1,5 @@
-//! The [`Node`] protocol trait and the effect context [`Ctx`] handed to it.
+//! The [`Node`] protocol trait, the effect context [`Ctx`] handed to it,
+//! and the sink trait [`Out`] that sans-IO state machines emit through.
 
 use crate::engine::{Core, Proc};
 use crate::trace::TraceKind;
@@ -74,11 +75,10 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// `n − 1` recipients as O(1) reference bumps instead of deep copies.
     /// The same wrapping keeps `M` small, and every send and delivery
     /// moves `M` through the engine's event record. (`gmp-core`'s `Member`
-    /// does not call this: it broadcasts into its own outbox, each
-    /// recipient's copy sharing one body — a `Commit`'s, a
-    /// `ReconfCommit`'s, a heartbeat digest's snapshot — and its host
-    /// replays the outbox here as single [`send`](Ctx::send)s, so a crash
-    /// cuts them the same way.)
+    /// does not call this: it is written against [`Out`], so it broadcasts
+    /// as single [`Out::send`]s, each recipient's copy sharing one body — a
+    /// `Commit`'s, a `ReconfCommit`'s, a heartbeat digest's snapshot — and
+    /// a crash cuts them the same way.)
     pub fn broadcast<I>(&mut self, to: I, msg: M)
     where
         I: IntoIterator<Item = ProcessId>,
@@ -108,6 +108,68 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// discarded.
     pub fn quit(&mut self) {
         self.core.stop(self.pid, self.proc, TraceKind::Quit);
+    }
+}
+
+/// Where a sans-IO state machine emits its effects.
+///
+/// A handler written against `&mut impl Out<M>` runs unchanged inside the
+/// simulator, where a [`Ctx`] applies each effect as it is emitted, and
+/// outside it, where a `Vec<Effect<M>>` records them for a hand-wired
+/// driver or a test to route.
+pub trait Out<M> {
+    /// Sends `msg` to `to`.
+    fn send(&mut self, to: ProcessId, msg: M);
+    /// Arms a one-shot timer that hands `tag` back after `delay` ticks.
+    fn set_timer(&mut self, delay: Time, tag: u64);
+    /// Records a trace annotation for the GMP property checkers.
+    fn note(&mut self, note: Note);
+    /// Executes `quit`: every later effect of the process is void.
+    fn quit(&mut self);
+}
+
+/// One effect emitted through an [`Out`], as a `Vec` sink records it.
+#[derive(Clone, Debug)]
+pub enum Effect<M> {
+    /// Send `msg` to `to`.
+    Send { to: ProcessId, msg: M },
+    /// Hand `tag` back once `delay` ticks have passed.
+    Timer { delay: Time, tag: u64 },
+    /// A trace annotation for the GMP property checkers.
+    Note(Note),
+    /// The process executed `quit`: every later effect is void.
+    Quit,
+}
+
+/// A context accepts every message its envelope `M` can be made from, so
+/// a layer hosted inside a composite node emits its own message type.
+impl<M: Message, T: Into<M>> Out<T> for Ctx<'_, M> {
+    fn send(&mut self, to: ProcessId, msg: T) {
+        Ctx::send(self, to, msg.into());
+    }
+    fn set_timer(&mut self, delay: Time, tag: u64) {
+        Ctx::set_timer(self, delay, tag);
+    }
+    fn note(&mut self, note: Note) {
+        Ctx::note(self, note);
+    }
+    fn quit(&mut self) {
+        Ctx::quit(self);
+    }
+}
+
+impl<M> Out<M> for Vec<Effect<M>> {
+    fn send(&mut self, to: ProcessId, msg: M) {
+        self.push(Effect::Send { to, msg });
+    }
+    fn set_timer(&mut self, delay: Time, tag: u64) {
+        self.push(Effect::Timer { delay, tag });
+    }
+    fn note(&mut self, note: Note) {
+        self.push(Effect::Note(note));
+    }
+    fn quit(&mut self) {
+        self.push(Effect::Quit);
     }
 }
 

@@ -181,8 +181,8 @@ fn sparse_topology_replays_byte_identical() {
 
 /// Log-bearing replay: the `gmp-log` workload stacks a second protocol
 /// (multipaxos phase 2) and a client population on top of membership in
-/// the same simulator — member outboxes replayed by `Member::drain_into`,
-/// wrapped messages, two timer namespaces. A run must stay a pure function
+/// the same simulator — member and log emitting into one context, wrapped
+/// messages, two timer namespaces. A run must stay a pure function
 /// of `(topology, seed, fault schedule)` with all of that in play. The CI
 /// determinism job double-runs this scenario alongside the
 /// membership-only ones.
