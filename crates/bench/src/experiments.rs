@@ -459,7 +459,7 @@ pub fn f1_two_phase_timeline(seed: u64) -> String {
     sim.trace().render(|e| match &e.kind {
         TraceKind::Send { tag, .. } => is_protocol_tag(tag),
         TraceKind::Crash => true,
-        TraceKind::Note(Note::ViewInstalled { .. }) => true,
+        TraceKind::Note(note) => matches!(**note, Note::ViewInstalled { .. }),
         _ => false,
     })
 }
@@ -475,8 +475,10 @@ pub fn f3_mid_commit_crash(seed: u64) -> (String, bool) {
     let timeline = sim.trace().render(|e| match &e.kind {
         TraceKind::Send { tag, .. } => *tag == "commit" || *tag == "reconf-commit",
         TraceKind::Crash | TraceKind::Quit => true,
-        TraceKind::Note(Note::ViewInstalled { .. }) => true,
-        TraceKind::Note(Note::ReconfStarted { .. }) => true,
+        TraceKind::Note(note) => matches!(
+            **note,
+            Note::ViewInstalled { .. } | Note::ReconfStarted { .. }
+        ),
         _ => false,
     });
     (timeline, check_safety(sim.trace()).is_ok())
@@ -863,8 +865,8 @@ fn e13_outcome(sim: &Sim<Msg, Member>, victim: ProcessId) -> (bool, MembershipOu
 /// carrying version 1, minus the crash time.
 fn e13_latency(sim: &Sim<Msg, Member>) -> f64 {
     let mut last = 0u64;
-    for e in &sim.trace().events {
-        if let TraceKind::Note(Note::ViewInstalled { ver: 1, .. }) = &e.kind {
+    for (e, note) in sim.trace().notes() {
+        if let Note::ViewInstalled { ver: 1, .. } = note {
             last = last.max(e.time);
         }
     }
@@ -1068,12 +1070,9 @@ fn e14_outcome(sim: &Sim<AppMsg, LogProc>, sc: &LogScenario) -> LogOutcome {
 fn e14_failover(sim: &Sim<AppMsg, LogProc>, crash_at: u64) -> Option<u64> {
     let excl_ver = sim
         .trace()
-        .events
-        .iter()
-        .filter_map(|e| match &e.kind {
-            TraceKind::Note(Note::ViewInstalled { ver, members, .. })
-                if !members.contains(&ProcessId(0)) =>
-            {
+        .notes()
+        .filter_map(|(_, note)| match note {
+            Note::ViewInstalled { ver, members, .. } if !members.contains(&ProcessId(0)) => {
                 Some(*ver)
             }
             _ => None,

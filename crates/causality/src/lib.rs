@@ -3,9 +3,9 @@
 //!
 //! The GMP specification (§2) is stated over *consistent cuts* of a system
 //! run — prefixes of the run closed under Lamport's happens-before relation.
-//! This crate provides the clock machinery — the Lamport clock the simulator
-//! stamps every event with, the vector clocks `Trace::to_event_log` rebuilds
-//! from a recorded run — and the cut machinery the property checkers use to
+//! This crate provides the clock machinery — the Lamport and vector clocks
+//! that `Trace::lamports` and `Trace::to_event_log` rebuild a recorded run's
+//! stamps with — and the cut machinery the property checkers use to
 //! evaluate cut-indexed propositions such as `IsSysView(x)`.
 //!
 //! Two clock representations are provided:

@@ -146,14 +146,17 @@ fn handle_addressed_leases_equal_the_id_addressed_detector() {
                 let expired = oracle.tick(e.time);
                 oracle_suspicions.extend(expired.into_iter().map(|q| (e.time, q)));
             }
-            TraceKind::Note(Note::Faulty { suspect, .. }) => {
-                // Idempotent for observation-sourced suspicions (tick
-                // already recorded them); required for any other source.
-                oracle.suspect(*suspect);
-            }
-            TraceKind::Note(Note::OpApplied { op, .. }) => match op.kind {
-                OpKind::Remove => oracle.forget(op.target),
-                OpKind::Add => oracle.track(op.target, e.time),
+            TraceKind::Note(note) => match **note {
+                Note::Faulty { suspect, .. } => {
+                    // Idempotent for observation-sourced suspicions (tick
+                    // already recorded them); required for any other source.
+                    oracle.suspect(suspect);
+                }
+                Note::OpApplied { op, .. } => match op.kind {
+                    OpKind::Remove => oracle.forget(op.target),
+                    OpKind::Add => oracle.track(op.target, e.time),
+                },
+                _ => {}
             },
             _ => {}
         }

@@ -254,7 +254,7 @@ mod tests {
 
     /// The simulator moves every message into its event record on send and
     /// out on delivery; at 128 B and above each move is a `memcpy` call on
-    /// baseline x86-64. A 40-byte `AppMsg` keeps the record at 80 B. A new
+    /// baseline x86-64. A 40-byte `AppMsg` keeps the record at 72 B. A new
     /// variant that carries a vector puts it behind `Shared`.
     #[cfg(target_pointer_width = "64")]
     #[test]

@@ -105,7 +105,7 @@ pub fn analyze(trace: &Trace) -> RunAnalysis {
             TraceKind::Quit => {
                 a.quit.insert(ev.pid);
             }
-            TraceKind::Note(note) => match note {
+            TraceKind::Note(note) => match &**note {
                 Note::ViewInstalled { ver, members, mgr } => {
                     a.views.entry(ev.pid).or_default().push(ViewRecord {
                         ver: *ver,
@@ -147,8 +147,7 @@ mod tests {
         TraceEvent {
             time: 0,
             pid: ProcessId(pid),
-            lamport: 1,
-            kind: TraceKind::Note(note),
+            kind: TraceKind::Note(Box::new(note)),
         }
     }
 
@@ -191,7 +190,6 @@ mod tests {
         t.events.push(TraceEvent {
             time: 5,
             pid: ProcessId(1),
-            lamport: 1,
             kind: TraceKind::Crash,
         });
 

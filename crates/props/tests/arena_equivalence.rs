@@ -145,12 +145,7 @@ proptest! {
             sim.trace()
                 .events
                 .iter()
-                .map(|e| {
-                    format!(
-                        "t={} pid={} lamport={} kind={:?}",
-                        e.time, e.pid, e.lamport, e.kind
-                    )
-                })
+                .map(|e| format!("t={} pid={} kind={:?}", e.time, e.pid, e.kind))
                 .collect::<Vec<_>>()
         };
         let a = run();

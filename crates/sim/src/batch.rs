@@ -6,10 +6,11 @@
 //! replaying the same scenario under every seed in a range — each run is
 //! independently deterministic (see `tests/determinism.rs`) — and returns
 //! one [`RunStats`] per seed, which [`summarize_runs`] condenses into
-//! percentile [`Summary`] statistics. Recording an event is O(1) (vector
-//! stamps are rebuilt on demand by [`Trace::to_event_log`](crate::Trace::to_event_log),
-//! never stored), which keeps this affordable at `n` up to 128 and dozens
-//! of seeds per call.
+//! percentile [`Summary`] statistics. Recording an event is O(1) (causal
+//! stamps are rebuilt on demand by [`Trace::lamports`](crate::Trace::lamports)
+//! and [`Trace::to_event_log`](crate::Trace::to_event_log), never stored),
+//! which keeps this affordable at `n` up to 128 and dozens of seeds per
+//! call.
 //!
 //! Because runs are independent, the sweep parallelizes perfectly:
 //! [`run_seeds_parallel`] executes the same sweep on a scoped worker pool

@@ -1,5 +1,7 @@
-//! The discrete-event engine: deterministic scheduling, fault injection,
-//! Lamport stamping.
+//! The discrete-event engine: deterministic scheduling, fault injection
+//! and trace recording. It records each event as it happens and stamps
+//! none: message ids, receive tags and Lamport stamps are derived from the
+//! trace afterwards (`Trace::lamports`).
 
 use crate::net::{BlockMode, NetState};
 use crate::node::{Ctx, Message, Node};
@@ -7,7 +9,6 @@ use crate::queue::EventQueue;
 use crate::stats::Stats;
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::Time;
-use gmp_causality::LamportClock;
 use gmp_types::{Note, ProcessId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -106,19 +107,17 @@ struct Slot<N> {
 /// their [`Ctx`]) next to the node itself.
 pub(crate) struct Proc {
     status: NodeStatus,
-    lamport: LamportClock,
 }
 
-/// A message on the wire. It keeps nothing the message can tell by
-/// itself: the tag comes from [`Message::tag`] at delivery, so the
-/// record stays small enough to move inline (DESIGN.md, "The event
-/// record").
+/// A message on the wire. It keeps nothing the message or the trace can
+/// tell by itself: the tag comes from [`Message::tag`] at delivery and the
+/// send's Lamport stamp from the trace, so the record stays small enough
+/// to move inline (DESIGN.md, "The event record").
 pub(crate) struct InFlight<M> {
     from: ProcessId,
     to: ProcessId,
     msg: M,
     msg_id: u64,
-    send_lamport: u64,
 }
 
 /// What a queued event does. The event queue only reads the `(time, seq)`
@@ -221,7 +220,6 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
             node,
             proc: Proc {
                 status: NodeStatus::Up,
-                lamport: LamportClock::new(),
             },
         });
         pid
@@ -274,6 +272,11 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
 
     /// Schedules a crash (`quit_p`) at the given time. Like every `*_at`
     /// method, a time that is already past means "now".
+    ///
+    /// # Panics
+    ///
+    /// Panics when the crash is applied if `pid` is not a process of the
+    /// run (nodes may still be added after this call).
     pub fn crash_at(&mut self, pid: ProcessId, at: Time) {
         self.core.enqueue(at, QKind::Crash { pid });
     }
@@ -283,6 +286,11 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
     /// crashes it *immediately after the matching send* — i.e. possibly in
     /// the middle of a broadcast, as in Figure 3. An `at` already past
     /// means "now".
+    ///
+    /// # Panics
+    ///
+    /// Panics when the fault is applied if `pid` is not a process of the
+    /// run (nodes may still be added after this call).
     pub fn crash_after_sends_at(
         &mut self,
         pid: ProcessId,
@@ -402,6 +410,7 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
             QKind::Deliver(inf) => self.deliver(inf),
             QKind::Timer { pid, tag } => self.invoke(pid, Trigger::Timer { tag }),
             QKind::Crash { pid } => {
+                self.core.assert_in_run(pid);
                 let proc = &mut self.slots[pid.index()].proc;
                 self.core.stop(pid, proc, TraceKind::Crash);
             }
@@ -441,20 +450,16 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         if !proc.status.is_up() {
             return;
         }
-        // Stamp and record the triggering event, then run the handler.
-        let (lamport, kind) = match &trigger {
-            Trigger::Start => (proc.lamport.tick(), TraceKind::Start),
-            Trigger::Recv(inf) => (
-                proc.lamport.merge(inf.send_lamport),
-                TraceKind::Recv {
-                    from: inf.from,
-                    msg_id: inf.msg_id,
-                    tag: inf.msg.tag(),
-                },
-            ),
-            Trigger::Timer { tag } => (proc.lamport.tick(), TraceKind::Timer { tag: *tag }),
+        // Record the triggering event, then run the handler.
+        let kind = match &trigger {
+            Trigger::Start => TraceKind::Start,
+            Trigger::Recv(inf) => TraceKind::Recv {
+                from: inf.from,
+                msg_id: inf.msg_id,
+            },
+            Trigger::Timer { tag } => TraceKind::Timer { tag: *tag },
         };
-        self.core.record(pid, lamport, kind);
+        self.core.record(pid, kind);
         // The handler runs on the node where it sits, and each effect takes
         // hold where the handler emits it: the node, its `Proc` and the
         // core are disjoint borrows.
@@ -488,17 +493,27 @@ impl<M: Message> Core<M> {
         });
     }
 
-    fn record(&mut self, pid: ProcessId, lamport: u64, kind: TraceKind) {
+    fn record(&mut self, pid: ProcessId, kind: TraceKind) {
         self.trace.events.push(TraceEvent {
             time: self.time,
             pid,
-            lamport,
             kind,
         });
     }
 
-    /// Stamps, records and counts `pid`'s send, then queues, holds or
-    /// drops the message by the link's fate.
+    /// Panics unless `pid` is a process of the run: a fault scheduled for
+    /// any other pid is a bug in the experiment.
+    fn assert_in_run(&self, pid: ProcessId) {
+        assert!(
+            pid.index() < self.n,
+            "fault scheduled for unknown process {pid} (the run has {} processes)",
+            self.n
+        );
+    }
+
+    /// Records and counts `pid`'s send, then queues, holds or drops the
+    /// message by the link's fate. The `Send` carries no id: the k-th send
+    /// of the run is message k, which is the `msg_id` its `Recv` records.
     pub(crate) fn send(&mut self, pid: ProcessId, proc: &mut Proc, to: ProcessId, msg: M) {
         if !proc.status.is_up() {
             return;
@@ -506,16 +521,13 @@ impl<M: Message> Core<M> {
         assert!(to.index() < self.n, "send to unknown process {to}");
         let tag = msg.tag();
         self.msg_counter += 1;
-        let msg_id = self.msg_counter;
-        let lamport = proc.lamport.tick();
-        self.record(pid, lamport, TraceKind::Send { to, msg_id, tag });
+        self.record(pid, TraceKind::Send { to, tag });
         self.stats.record_send(tag);
         let inf = InFlight {
             from: pid,
             to,
             msg,
-            msg_id,
-            send_lamport: lamport,
+            msg_id: self.msg_counter,
         };
         match self.net.fate(pid, to) {
             Some(BlockMode::Hold) => {
@@ -554,7 +566,7 @@ impl<M: Message> Core<M> {
 
     pub(crate) fn note(&mut self, pid: ProcessId, proc: &Proc, note: Note) {
         if proc.status.is_up() {
-            self.record(pid, proc.lamport.value(), TraceKind::Note(note));
+            self.record(pid, TraceKind::Note(Box::new(note)));
         }
     }
 
@@ -566,7 +578,7 @@ impl<M: Message> Core<M> {
                 TraceKind::Crash => NodeStatus::Crashed,
                 _ => NodeStatus::Quit,
             };
-            self.record(pid, proc.lamport.tick(), kind);
+            self.record(pid, kind);
         }
     }
 
@@ -588,6 +600,7 @@ impl<M: Message> Core<M> {
                 tag,
                 remaining,
             } => {
+                self.assert_in_run(pid);
                 if remaining == 0 {
                     self.enqueue(self.time, QKind::Crash { pid });
                 } else {
@@ -752,7 +765,7 @@ mod tests {
     }
 
     /// Runs `script` on process 0 of `n` and returns p0's history as
-    /// `(lamport, kind)` pairs.
+    /// `(lamport, kind)` pairs, the stamps rebuilt from the trace.
     fn p0_history(
         n: u32,
         script: fn(&mut Ctx<'_, TMsg>),
@@ -764,11 +777,13 @@ mod tests {
         }
         setup(&mut sim);
         sim.run_until(1_000);
-        let trace = &sim.trace().events;
+        let trace = sim.trace();
         trace
+            .events
             .iter()
-            .filter(|e| e.pid == ProcessId(0))
-            .map(|e| (e.lamport, e.kind.clone()))
+            .zip(trace.lamports())
+            .filter(|(e, _)| e.pid == ProcessId(0))
+            .map(|(e, lamport)| (lamport, e.kind.clone()))
             .collect()
     }
 
@@ -792,14 +807,13 @@ mod tests {
         );
         let send = TraceKind::Send {
             to: ProcessId(1),
-            msg_id: 1,
             tag: "ping",
         };
         assert_eq!(
             history,
             vec![
                 (1, TraceKind::Start),
-                (1, TraceKind::Note(Note::Custom("before".into()))),
+                (1, TraceKind::Note(Box::new(Note::Custom("before".into())))),
                 (2, send),
                 (3, TraceKind::Quit),
             ]
@@ -976,11 +990,12 @@ mod tests {
 
     /// The queued record is moved on every push and every pop. At 128 B
     /// and above LLVM emits each such move as a `memcpy` call on baseline
-    /// x86-64; with the tag left to [`Message::tag`], a 40-byte message
-    /// (`gmp-log`'s `AppMsg`) queues in at most 88 B.
+    /// x86-64; with the tag left to [`Message::tag`] and the send's Lamport
+    /// stamp to the trace, a 40-byte message (`gmp-log`'s `AppMsg`) queues
+    /// in at most 80 B.
     #[cfg(target_pointer_width = "64")]
     #[test]
-    fn a_40_byte_message_queues_in_at_most_88_bytes() {
+    fn a_40_byte_message_queues_in_at_most_80_bytes() {
         use std::mem::size_of;
         #[derive(Clone, Debug)]
         struct Forty(#[allow(dead_code)] [u64; 5]);
@@ -991,7 +1006,28 @@ mod tests {
         }
         assert_eq!(size_of::<Forty>(), 40);
         let queued = size_of::<Queued<Forty>>();
-        assert!(queued <= 88, "Queued<Forty> is {queued} B");
+        assert!(queued <= 80, "Queued<Forty> is {queued} B");
+    }
+
+    /// A 24-byte message enum (`gmp-core`'s `Msg`) queues in at most 56 B.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_24_byte_message_queues_in_at_most_56_bytes() {
+        use std::mem::size_of;
+        #[allow(dead_code)]
+        #[derive(Clone, Debug)]
+        enum TwentyFour {
+            Wide(u64, u64),
+            Narrow(u32),
+        }
+        impl Message for TwentyFour {
+            fn tag(&self) -> &'static str {
+                "twenty-four"
+            }
+        }
+        assert_eq!(size_of::<TwentyFour>(), 24);
+        let queued = size_of::<Queued<TwentyFour>>();
+        assert!(queued <= 56, "Queued<TwentyFour> is {queued} B");
     }
 
     /// A fault scheduled for a moment already past takes effect now: the
@@ -1039,20 +1075,20 @@ mod tests {
     fn vector_clocks_capture_message_causality() {
         let mut sim = build(2, 8);
         sim.run_until(1_000);
-        let log = sim.trace().to_event_log();
-        // Find the ping send at p0 and its reception at p1.
-        let send_idx = sim
-            .trace()
+        let trace = sim.trace();
+        let log = trace.to_event_log();
+        // Find the ping send at p0 (message 1) and its reception at p1.
+        let send_idx = trace
             .events
             .iter()
             .position(|e| matches!(e.kind, TraceKind::Send { tag: "ping", .. }))
             .expect("ping sent");
-        let recv_idx = sim
-            .trace()
+        let recv_idx = trace
             .events
             .iter()
-            .position(|e| matches!(e.kind, TraceKind::Recv { tag: "ping", .. }))
+            .position(|e| matches!(e.kind, TraceKind::Recv { msg_id: 1, .. }))
             .expect("ping received");
+        assert_eq!(trace.message_tag(1), "ping");
         assert!(log.happens_before(send_idx, recv_idx));
         assert!(!log.happens_before(recv_idx, send_idx));
     }
@@ -1209,6 +1245,38 @@ mod release_tests {
         sim.partition_at(&[&[ProcessId(0)], &[ProcessId(1)]], 0);
         sim.add_node(Burst { got: Vec::new() });
         sim.run_until(10);
+    }
+
+    /// A crash scheduled for a pid outside the run is rejected by name
+    /// when it is applied, like a partition that misses a node.
+    #[test]
+    #[should_panic(expected = "fault scheduled for unknown process p5")]
+    fn a_crash_for_an_unknown_process_is_rejected() {
+        let mut sim = two_nodes(9);
+        sim.crash_at(ProcessId(5), 3);
+        sim.run_until(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault scheduled for unknown process p2")]
+    fn a_send_crash_for_an_unknown_process_is_rejected() {
+        let mut sim = two_nodes(10);
+        sim.crash_after_sends_at(ProcessId(2), 3, None, 1);
+        sim.run_until(10);
+    }
+
+    /// Both are checked when applied, so a node added after scheduling
+    /// is a valid target.
+    #[test]
+    fn a_crash_may_target_a_node_added_later() {
+        let mut sim = two_nodes(11);
+        sim.crash_at(ProcessId(2), 3);
+        sim.crash_after_sends_at(ProcessId(3), 0, None, 0);
+        sim.add_node(Burst { got: Vec::new() });
+        sim.add_node(Burst { got: Vec::new() });
+        sim.run_until(10);
+        assert_eq!(sim.status(ProcessId(2)), NodeStatus::Crashed);
+        assert_eq!(sim.status(ProcessId(3)), NodeStatus::Crashed);
     }
 
     #[test]

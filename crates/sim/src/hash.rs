@@ -1,10 +1,10 @@
 //! A multiplicative hasher for the engine's integer-keyed tables.
 //!
-//! `NetState`'s per-link maps (`(u32, u32)` keys) and the trace's
-//! in-flight stamp map (`u64` message ids) are probed once or more per
-//! event, and every key is generated by the engine itself — process ids
-//! and message counters — so SipHash's resistance to crafted collisions
-//! buys nothing there. None of
+//! `NetState`'s per-link maps (`(u32, u32)` keys) are probed once or more
+//! per event, and `gmp-log`'s command tables once or more per command.
+//! Every key is generated by the program itself — process ids and
+//! request counters — so SipHash's resistance to crafted collisions buys
+//! nothing there. None of
 //! these tables is ever iterated on a path that reaches the run RNG or the
 //! trace, so their iteration order is free to change.
 
@@ -65,17 +65,17 @@ mod tests {
         h.finish()
     }
 
-    /// The keys the engine actually uses — every directed link of a
-    /// 128-clique, and a run of consecutive message ids — spread over the
+    /// The keys the program actually uses — every directed link of a
+    /// 128-clique, and a run of consecutive counter values — spread over the
     /// low bits a 32 Ki-bucket table indexes by without piling up.
     #[test]
     fn engine_shaped_keys_spread_over_the_low_bits() {
         const BUCKETS: usize = 1 << 15;
         let links = (0..128u32).flat_map(|f| (0..128u32).map(move |t| hash_of((f, t))));
-        let msg_ids = (1..=16_384u64).map(hash_of);
+        let counters = (1..=16_384u64).map(hash_of);
         for (what, hashes) in [
             ("links", links.collect::<Vec<_>>()),
-            ("message ids", msg_ids.collect()),
+            ("counter values", counters.collect()),
         ] {
             let mut load = vec![0u32; BUCKETS];
             for h in &hashes {

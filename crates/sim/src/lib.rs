@@ -12,20 +12,22 @@
 //!
 //! Protocols are [`Node`] state machines. A handler acts only through its
 //! [`Ctx`], which borrows the engine for the handler's duration and applies
-//! each effect where the handler emits it: a [`Ctx::send`] is stamped,
-//! recorded, counted and queued before it returns, and once the process
+//! each effect where the handler emits it: a [`Ctx::send`] is recorded,
+//! counted and queued before it returns, and once the process
 //! quits or a scheduled crash cuts it off mid-broadcast, the handler's
 //! further effects are discarded. A sans-IO state machine emits through
 //! the [`Out`] sink trait instead, which a [`Ctx`] implements, and so does
 //! a `Vec<`[`Effect`]`>` for drivers outside the simulator.
 //!
 //! Every send, receive, timer, crash, quit and semantic
-//! [`Note`](gmp_types::Note) is recorded in a [`Trace`] with its Lamport
-//! stamp, so runs can be checked against the GMP specification afterwards
-//! (`gmp-props`) and message complexity can be measured (`gmp-bench`). Recording an event is O(1) at every `n`: vector
-//! clocks are a function of the recorded `Send`/`Recv` edges, so the engine
-//! never carries them — [`Trace::to_event_log`] rebuilds them for the
-//! caller that needs happens-before. Fan-out payloads are cheap too:
+//! [`Note`](gmp_types::Note) is recorded in a [`Trace`], so runs can be
+//! checked against the GMP specification afterwards (`gmp-props`) and
+//! message complexity can be measured (`gmp-bench`). Recording an event
+//! is one 40-byte push at every `n`: message ids, receive tags, Lamport
+//! stamps and vector clocks are functions of the recorded `Send`/`Recv`
+//! edges, so the engine never carries them — [`Trace::lamports`] and
+//! [`Trace::to_event_log`] rebuild the stamps for the caller that needs
+//! them. Fan-out payloads are cheap too:
 //! wrapping a payload in
 //! [`Shared`] makes every per-recipient message clone — whether via
 //! [`Ctx::broadcast`] or a per-target [`Ctx::send`] loop — an O(1)

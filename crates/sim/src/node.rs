@@ -34,15 +34,15 @@ pub trait Node<M: Message> {
 ///
 /// All interaction with the outside world — sending, timers, quitting,
 /// trace annotations — goes through this context, and the simulator
-/// applies each effect as the handler emits it: a send is stamped,
-/// recorded, counted and queued before `send` returns. Once the process
+/// applies each effect as the handler emits it: a send is recorded,
+/// counted and queued before `send` returns. Once the process
 /// has quit, or a scheduled crash has cut it off mid-broadcast, every
 /// further effect of the handler is discarded.
 pub struct Ctx<'a, M> {
     pub(crate) pid: ProcessId,
     /// The engine core, lent for the duration of one handler.
     pub(crate) core: &'a mut Core<M>,
-    /// This process's status and Lamport clock.
+    /// This process's status: every effect checks it first.
     pub(crate) proc: &'a mut Proc,
 }
 

@@ -1,10 +1,11 @@
-//! Recorded runs: every event of every process history, with its Lamport
-//! stamp. Vector stamps are a function of the recorded `Send`/`Recv` edges
-//! and are rebuilt on demand by [`Trace::to_event_log`].
+//! Recorded runs: every event of every process history, and nothing the
+//! run can rebuild. Message ids, receive tags, Lamport stamps
+//! ([`Trace::lamports`]) and vector stamps ([`Trace::to_event_log`]) are
+//! functions of the recorded `Send`/`Recv` edges, so a [`TraceEvent`] is
+//! 40 B and the engine never stamps.
 
-use crate::hash::IntMap;
 use crate::Time;
-use gmp_causality::{CowClock, EventLog, LoggedEvent, Stamp};
+use gmp_causality::{CowClock, EventLog, LamportClock, LoggedEvent, Stamp};
 use gmp_types::{Note, ProcessId};
 use std::cell::RefCell;
 
@@ -29,23 +30,21 @@ thread_local! {
 pub enum TraceKind {
     /// The unique initial event `start_p` (§2.1).
     Start,
-    /// A message send `send(p, to, m)`.
+    /// A message send `send(p, to, m)`. Its message id is implicit: the
+    /// k-th `Send` of a trace carries id k.
     Send {
         /// Receiver.
         to: ProcessId,
-        /// Unique id matching the corresponding `Recv`, if delivered.
-        msg_id: u64,
         /// Message kind tag.
         tag: &'static str,
     },
-    /// A message reception `recv(from, p, m)`.
+    /// A message reception `recv(from, p, m)`. Its tag is its `Send`'s
+    /// ([`Trace::message_tag`]).
     Recv {
         /// Sender.
         from: ProcessId,
-        /// Unique id matching the corresponding `Send`.
+        /// Id of the corresponding `Send`.
         msg_id: u64,
-        /// Message kind tag.
-        tag: &'static str,
     },
     /// A local timer fired.
     Timer {
@@ -57,8 +56,9 @@ pub enum TraceKind {
     Crash,
     /// The process executed `quit` itself (excluded, or lost a majority).
     Quit,
-    /// A semantic protocol annotation.
-    Note(Note),
+    /// A semantic protocol annotation, boxed so the rare large note does
+    /// not widen every record.
+    Note(Box<Note>),
 }
 
 /// One recorded event.
@@ -68,8 +68,6 @@ pub struct TraceEvent {
     pub time: Time,
     /// The process that executed the event.
     pub pid: ProcessId,
-    /// Lamport timestamp, recorded by the engine.
-    pub lamport: u64,
     /// The event itself.
     pub kind: TraceKind,
 }
@@ -104,6 +102,23 @@ impl Drop for Trace {
     }
 }
 
+/// The entry of message `msg_id` in a table with one entry per `Send`, in
+/// trace order (message ids are 1-based send ranks).
+///
+/// # Panics
+///
+/// Panics if no earlier `Send` carried `msg_id`.
+fn send_entry<T>(table: &mut [T], msg_id: u64) -> &mut T {
+    msg_id
+        .checked_sub(1)
+        .and_then(|i| table.get_mut(usize::try_from(i).ok()?))
+        .unwrap_or_else(|| malformed(msg_id))
+}
+
+fn malformed(msg_id: u64) -> ! {
+    panic!("malformed trace: recv of msg_id {msg_id} has no earlier send")
+}
+
 impl Trace {
     pub(crate) fn new(n: usize) -> Self {
         Trace {
@@ -115,7 +130,7 @@ impl Trace {
     /// Iterator over all semantic notes, with their event metadata.
     pub fn notes(&self) -> impl Iterator<Item = (&TraceEvent, &Note)> {
         self.events.iter().filter_map(|e| match &e.kind {
-            TraceKind::Note(n) => Some((e, n)),
+            TraceKind::Note(n) => Some((e, &**n)),
             _ => None,
         })
     }
@@ -123,6 +138,60 @@ impl Trace {
     /// Iterator over the events of one process, in history order.
     pub fn history(&self, pid: ProcessId) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.pid == pid)
+    }
+
+    /// The tag of message `msg_id`: the one its `Send` recorded. A scan of
+    /// the trace; [`Trace::render`] derives every receive tag in one pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace has fewer than `msg_id` sends.
+    pub fn message_tag(&self, msg_id: u64) -> &'static str {
+        let mut sends = self.events.iter().filter_map(|e| match e.kind {
+            TraceKind::Send { tag, .. } => Some(tag),
+            _ => None,
+        });
+        msg_id
+            .checked_sub(1)
+            .and_then(|i| sends.nth(usize::try_from(i).ok()?))
+            .unwrap_or_else(|| panic!("no send carried msg_id {msg_id}"))
+    }
+
+    /// The Lamport stamp of every event, indexed like [`Trace::events`].
+    /// One pass in simulation order with one [`LamportClock`] per process,
+    /// O(1) per event: `Start`, `Send`, `Timer`, `Crash` and `Quit` tick
+    /// it, a `Recv` merges the stamp of its `Send` (`max(own, send) + 1`),
+    /// and a `Note` shares the process's current value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `Recv` names a `msg_id` that no earlier, still
+    /// unreceived `Send` carried: such a trace is malformed.
+    pub fn lamports(&self) -> Vec<u64> {
+        let mut clocks = vec![LamportClock::new(); self.n];
+        // One entry per send; 0 once received (every send ticks, so a
+        // live entry is at least 1).
+        let mut sends: Vec<u64> = Vec::new();
+        self.events
+            .iter()
+            .map(|ev| {
+                let clock = &mut clocks[ev.pid.index()];
+                let stamp = match ev.kind {
+                    TraceKind::Note(_) => clock.value(),
+                    TraceKind::Recv { msg_id, .. } => {
+                        match std::mem::take(send_entry(&mut sends, msg_id)) {
+                            0 => malformed(msg_id),
+                            sent => clock.merge(sent),
+                        }
+                    }
+                    _ => clock.tick(),
+                };
+                if let TraceKind::Send { .. } = ev.kind {
+                    sends.push(stamp);
+                }
+                stamp
+            })
+            .collect()
     }
 
     /// Converts the run into an [`EventLog`] for happens-before and
@@ -143,26 +212,26 @@ impl Trace {
     pub fn to_event_log(&self) -> EventLog {
         let mut log = EventLog::new(self.n);
         let mut clocks = vec![CowClock::new(self.n); self.n];
-        // `msg_id`s are the engine's own counter: no crafted collisions.
-        let mut in_flight: IntMap<u64, Stamp> = IntMap::default();
+        // One entry per send, taken when the message is received: a
+        // message is received at most once.
+        let mut sends: Vec<Option<Stamp>> = Vec::new();
         for ev in &self.events {
             let p = ev.pid.index();
             let clock = &mut clocks[p];
-            match &ev.kind {
+            match ev.kind {
                 TraceKind::Note(_) => {}
                 TraceKind::Recv { msg_id, .. } => {
-                    // A message is received at most once: forget its stamp.
-                    let sent = in_flight.remove(msg_id).unwrap_or_else(|| {
-                        panic!("malformed trace: recv of msg_id {msg_id} has no earlier send")
-                    });
+                    let sent = send_entry(&mut sends, msg_id)
+                        .take()
+                        .unwrap_or_else(|| malformed(msg_id));
                     clock.observe(&sent);
                     clock.tick(p);
                 }
                 _ => clock.tick(p),
             }
             let vc = clock.stamp();
-            if let TraceKind::Send { msg_id, .. } = ev.kind {
-                in_flight.insert(msg_id, vc.clone());
+            if let TraceKind::Send { .. } = ev.kind {
+                sends.push(Some(vc.clone()));
             }
             log.push(LoggedEvent { pid: ev.pid, vc });
         }
@@ -176,13 +245,22 @@ impl Trace {
         F: FnMut(&TraceEvent) -> bool,
     {
         let mut out = String::new();
-        for ev in self.events.iter().filter(|e| select(e)) {
+        // Every send's tag, so a receive can name it.
+        let mut tags: Vec<&'static str> = Vec::new();
+        for ev in &self.events {
+            if let TraceKind::Send { tag, .. } = ev.kind {
+                tags.push(tag);
+            }
+            if !select(ev) {
+                continue;
+            }
             let line = match &ev.kind {
                 TraceKind::Start => format!("t={:<6} {}  start", ev.time, ev.pid),
-                TraceKind::Send { to, tag, .. } => {
+                TraceKind::Send { to, tag } => {
                     format!("t={:<6} {}  send {} -> {}", ev.time, ev.pid, tag, to)
                 }
-                TraceKind::Recv { from, tag, .. } => {
+                TraceKind::Recv { from, msg_id } => {
+                    let tag = send_entry(&mut tags, *msg_id);
                     format!("t={:<6} {}  recv {} <- {}", ev.time, ev.pid, tag, from)
                 }
                 TraceKind::Timer { tag } => format!("t={:<6} {}  timer {}", ev.time, ev.pid, tag),
@@ -205,15 +283,13 @@ mod tests {
         TraceEvent {
             time: 0,
             pid: ProcessId(pid),
-            lamport: 1,
             kind,
         }
     }
 
-    fn send(to: u32, msg_id: u64) -> TraceKind {
+    fn send(to: u32) -> TraceKind {
         TraceKind::Send {
             to: ProcessId(to),
-            msg_id,
             tag: "x",
         }
     }
@@ -222,8 +298,20 @@ mod tests {
         TraceKind::Recv {
             from: ProcessId(from),
             msg_id,
-            tag: "x",
         }
+    }
+
+    fn note(text: &str) -> TraceKind {
+        TraceKind::Note(Box::new(Note::Custom(text.into())))
+    }
+
+    /// The record is written once per event and is the largest per-event
+    /// byte stream of a run: it keeps only what the run cannot rebuild.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_trace_event_is_at_most_40_bytes() {
+        let size = std::mem::size_of::<TraceEvent>();
+        assert!(size <= 40, "TraceEvent is {size} B");
     }
 
     #[test]
@@ -267,21 +355,37 @@ mod tests {
     fn notes_filtering() {
         let mut t = Trace::new(2);
         t.events.push(ev(0, TraceKind::Start));
-        t.events
-            .push(ev(0, TraceKind::Note(Note::Custom("x".into()))));
+        t.events.push(ev(0, note("x")));
         t.events.push(ev(1, TraceKind::Start));
         assert_eq!(t.notes().count(), 1);
         assert_eq!(t.history(ProcessId(0)).count(), 2);
     }
 
+    /// A receive is rendered with the tag of its send, which only the
+    /// send records.
     #[test]
     fn render_selected() {
-        let mut t = Trace::new(1);
+        let mut t = Trace::new(2);
         t.events.push(ev(0, TraceKind::Start));
-        t.events.push(ev(0, send(1, 1)));
-        let s = t.render(|e| matches!(e.kind, TraceKind::Send { .. }));
-        assert!(s.contains("send x -> p1"));
-        assert!(!s.contains("start"));
+        t.events.push(ev(0, send(1)));
+        t.events.push(ev(
+            0,
+            TraceKind::Send {
+                to: ProcessId(1),
+                tag: "ping",
+            },
+        ));
+        t.events.push(ev(1, recv(0, 2)));
+        t.events.push(ev(1, recv(0, 1)));
+        let s = t.render(|e| !matches!(e.kind, TraceKind::Start));
+        assert_eq!(
+            s,
+            "t=0      p0  send x -> p1\n\
+             t=0      p0  send ping -> p1\n\
+             t=0      p1  recv ping <- p0\n\
+             t=0      p1  recv x <- p0\n"
+        );
+        assert_eq!((t.message_tag(1), t.message_tag(2)), ("x", "ping"));
     }
 
     #[test]
@@ -299,25 +403,28 @@ mod tests {
     #[test]
     fn rebuilt_stamps_match_hand_computed_vectors_and_notes_share_storage() {
         let mut t = Trace::new(3);
-        let expected: Vec<(TraceEvent, [u64; 3])> = vec![
-            (ev(0, TraceKind::Start), [1, 0, 0]),
-            (ev(1, TraceKind::Start), [0, 1, 0]),
-            (ev(2, TraceKind::Start), [0, 0, 1]),
-            (ev(0, send(1, 1)), [2, 0, 0]),
-            (ev(0, TraceKind::Note(Note::Custom("n".into()))), [2, 0, 0]),
-            (ev(2, TraceKind::Timer { tag: 7 }), [0, 0, 2]),
-            (ev(1, recv(0, 1)), [2, 2, 0]),
-            (ev(1, send(2, 2)), [2, 3, 0]),
-            (ev(0, send(2, 3)), [3, 0, 0]),
-            (ev(2, recv(1, 2)), [2, 3, 3]),
-            (ev(2, TraceKind::Crash), [2, 3, 4]),
+        let expected: Vec<(TraceEvent, u64, [u64; 3])> = vec![
+            (ev(0, TraceKind::Start), 1, [1, 0, 0]),
+            (ev(1, TraceKind::Start), 1, [0, 1, 0]),
+            (ev(2, TraceKind::Start), 1, [0, 0, 1]),
+            (ev(0, send(1)), 2, [2, 0, 0]),
+            (ev(0, note("n")), 2, [2, 0, 0]),
+            (ev(2, TraceKind::Timer { tag: 7 }), 2, [0, 0, 2]),
+            (ev(1, recv(0, 1)), 3, [2, 2, 0]),
+            (ev(1, send(2)), 4, [2, 3, 0]),
+            (ev(0, send(2)), 3, [3, 0, 0]),
+            (ev(2, recv(1, 2)), 5, [2, 3, 3]),
+            (ev(2, TraceKind::Crash), 6, [2, 3, 4]),
         ];
-        t.events.extend(expected.iter().map(|(e, _)| e.clone()));
+        t.events.extend(expected.iter().map(|(e, _, _)| e.clone()));
         let log = t.to_event_log();
+        let lamports = t.lamports();
         assert_eq!(log.len(), expected.len());
-        for (i, (e, want)) in expected.iter().enumerate() {
+        assert_eq!(lamports.len(), expected.len());
+        for (i, (e, lamport, vc)) in expected.iter().enumerate() {
             assert_eq!(log.event(i).pid, e.pid, "event {i}");
-            assert_eq!(log.event(i).vc.as_slice(), want, "event {i}: {:?}", e.kind);
+            assert_eq!(log.event(i).vc.as_slice(), vc, "event {i}: {:?}", e.kind);
+            assert_eq!(lamports[i], *lamport, "event {i}: {:?}", e.kind);
         }
         // send(1) → recv(1) → send(2) → recv(2); the unreceived send(3) is
         // concurrent with everything off p0.
@@ -329,12 +436,50 @@ mod tests {
         assert!(!stamp(8).shares_storage_with(stamp(3)));
     }
 
+    fn recv_without_send() -> Trace {
+        let mut t = Trace::new(2);
+        t.events.push(ev(0, send(1)));
+        t.events.push(ev(1, recv(0, 9)));
+        t
+    }
+
+    fn received_twice() -> Trace {
+        let mut t = Trace::new(2);
+        t.events.push(ev(0, send(1)));
+        t.events.push(ev(1, recv(0, 1)));
+        t.events.push(ev(1, recv(0, 1)));
+        t
+    }
+
     #[test]
     #[should_panic(expected = "recv of msg_id 9 has no earlier send")]
     fn a_recv_without_a_send_is_a_malformed_trace() {
-        let mut t = Trace::new(2);
-        t.events.push(ev(0, send(1, 1)));
-        t.events.push(ev(1, recv(0, 9)));
-        t.to_event_log();
+        recv_without_send().to_event_log();
+    }
+
+    #[test]
+    #[should_panic(expected = "recv of msg_id 9 has no earlier send")]
+    fn lamports_reject_a_recv_without_a_send() {
+        recv_without_send().lamports();
+    }
+
+    #[test]
+    #[should_panic(expected = "recv of msg_id 1 has no earlier send")]
+    fn a_message_received_twice_is_a_malformed_trace() {
+        received_twice().to_event_log();
+    }
+
+    #[test]
+    #[should_panic(expected = "recv of msg_id 1 has no earlier send")]
+    fn lamports_reject_a_message_received_twice() {
+        received_twice().lamports();
+    }
+
+    #[test]
+    #[should_panic(expected = "recv of msg_id 0 has no earlier send")]
+    fn message_ids_start_at_one() {
+        let mut t = recv_without_send();
+        t.events[1] = ev(1, recv(0, 0));
+        t.lamports();
     }
 }

@@ -13,7 +13,6 @@
 //! "server X went down" events, in the same order.
 
 use gmp::protocol::cluster;
-use gmp::sim::TraceKind;
 use gmp::types::{Note, OpKind, ProcessId};
 
 fn main() {
@@ -31,8 +30,8 @@ fn main() {
     // transitions — no extra agreement needed.
     let mut feeds: std::collections::BTreeMap<ProcessId, Vec<(u64, ProcessId)>> =
         Default::default();
-    for ev in &sim.trace().events {
-        if let TraceKind::Note(Note::OpApplied { op, ver }) = &ev.kind {
+    for (ev, note) in sim.trace().notes() {
+        if let Note::OpApplied { op, ver } = note {
             if op.kind == OpKind::Remove {
                 feeds.entry(ev.pid).or_default().push((*ver, op.target));
             }

@@ -11,7 +11,6 @@
 
 use gmp::props::check_all;
 use gmp::protocol::cluster;
-use gmp::sim::TraceKind;
 use gmp::types::{Note, ProcessId};
 
 fn main() {
@@ -25,8 +24,8 @@ fn main() {
     sim.run_until(10_000);
 
     println!("view transitions observed by each process:");
-    for ev in &sim.trace().events {
-        if let TraceKind::Note(Note::ViewInstalled { ver, members, mgr }) = &ev.kind {
+    for (ev, note) in sim.trace().notes() {
+        if let Note::ViewInstalled { ver, members, mgr } = note {
             let members: Vec<String> = members.iter().map(|m| m.to_string()).collect();
             println!(
                 "  t={:<5} {}  installed v{} (mgr {}): {{{}}}",

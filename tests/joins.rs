@@ -226,7 +226,7 @@ fn view_version_grows_monotonically_per_process() {
 ///   `Active`, so the first post-welcome beat delivers it.
 #[test]
 fn joiner_welcomed_mid_suspicion_learns_the_faulty_set_by_digest() {
-    use gmp::sim::{BlockMode, TraceKind};
+    use gmp::sim::{BlockMode, TraceEvent, TraceKind};
     use gmp::types::{FaultySource, Note};
 
     let cfg = Config::default();
@@ -263,26 +263,30 @@ fn joiner_welcomed_mid_suspicion_learns_the_faulty_set_by_digest() {
             .iter()
             .filter(|e| e.pid == joiner)
             .collect();
+        fn note(e: &TraceEvent) -> Option<&Note> {
+            match &e.kind {
+                TraceKind::Note(note) => Some(note),
+                _ => None,
+            }
+        }
         let welcome = evs
             .iter()
-            .find_map(|e| match &e.kind {
-                TraceKind::Note(Note::ViewInstalled { .. }) => Some(e.time),
-                _ => None,
-            })
-            .expect("joiner installs a view");
+            .find(|e| matches!(note(e), Some(Note::ViewInstalled { .. })))
+            .expect("joiner installs a view")
+            .time;
         let first = evs
             .iter()
-            .position(|e| matches!(&e.kind, TraceKind::Note(Note::Faulty { .. })))
+            .position(|e| matches!(note(e), Some(Note::Faulty { .. })))
             .unwrap_or_else(|| {
                 panic!("seed {seed}: joiner never learned the faulty set — digest gap")
             });
-        let TraceKind::Note(Note::Faulty { suspect, source }) = &evs[first].kind else {
+        let Some(Note::Faulty { suspect, source }) = note(evs[first]) else {
             unreachable!()
         };
         assert_eq!(*suspect, ProcessId(4), "seed {seed}");
         assert_eq!(*source, FaultySource::Gossip, "seed {seed}");
-        let carrier_tag = evs[..first].iter().rev().find_map(|e| match &e.kind {
-            TraceKind::Recv { tag, .. } => Some(*tag),
+        let carrier_tag = evs[..first].iter().rev().find_map(|e| match e.kind {
+            TraceKind::Recv { msg_id, .. } => Some(sim.trace().message_tag(msg_id)),
             _ => None,
         });
         assert_eq!(

@@ -20,7 +20,7 @@ mod common;
 
 use common::{fingerprint, fnv1a};
 use gmp::protocol::{cluster_with, Config, Flat, Sparse};
-use gmp::sim::{TraceEvent, TraceKind};
+use gmp::sim::Trace;
 use gmp::types::{Note, ProcessId};
 use proptest::prelude::*;
 
@@ -58,10 +58,10 @@ fn explicit_flat_topology_reproduces_the_pre_refactor_goldens() {
 }
 
 /// First time each process noted `Faulty{suspect}`, from the trace.
-fn first_faulty_notes(events: &[TraceEvent], suspect: ProcessId) -> Vec<(ProcessId, u64)> {
+fn first_faulty_notes(trace: &Trace, suspect: ProcessId) -> Vec<(ProcessId, u64)> {
     let mut firsts: Vec<(ProcessId, u64)> = Vec::new();
-    for e in events {
-        if let TraceKind::Note(Note::Faulty { suspect: s, .. }) = &e.kind {
+    for (e, note) in trace.notes() {
+        if let Note::Faulty { suspect: s, .. } = note {
             if *s == suspect && !firsts.iter().any(|&(p, _)| p == e.pid) {
                 firsts.push((e.pid, e.time));
             }
@@ -113,7 +113,7 @@ proptest! {
         let rounds = (hops + 10) as u64;
         sim.run_until(500 + rounds * heartbeat + 1_000);
 
-        let firsts = first_faulty_notes(&sim.trace().events, mgr);
+        let firsts = first_faulty_notes(sim.trace(), mgr);
         let t0 = firsts
             .iter()
             .find(|&&(p, _)| p == injector)
