@@ -30,7 +30,7 @@ use crate::msg::{
 use gmp_detect::{HeartbeatDetector, Isolation};
 use gmp_sim::{Ctx, Node, Out, Shared};
 use gmp_types::note::{FaultySource, QuitReason};
-use gmp_types::{Arena, NextEntry, Note, Op, OpKind, PeerRef, ProcessId, Ver, View};
+use gmp_types::{Arena, NextEntry, Note, Op, OpKind, ProcessId, Ver, View};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Timer tag: heartbeat + failure-detector tick.
@@ -163,14 +163,6 @@ struct HbGossip {
     /// slots (so it dies structurally with the slot when a view change
     /// tombstones the peer).
     peers: Arena<HbPeer>,
-    /// `pid.index() → current detector handle`, maintained at
-    /// [`Member::track_peer`]/[`Member::forget_peer`] time. The per-message
-    /// hot path ([`HeartbeatDetector::heard_from_ref`] plus the digest
-    /// `confirmed` mark) then runs on generation-checked array accesses
-    /// with no id→slot resolve per beat. Kept exactly in sync with the
-    /// detector's roster: a tombstoned slot's handle is dropped here the
-    /// moment `forget` retires it.
-    refs: Vec<Option<PeerRef>>,
     /// Snapshot materializations, for the E9 fan-out experiment.
     builds: u64,
 }
@@ -488,14 +480,11 @@ impl Member {
             }
             return;
         }
-        // Ref-addressed life sign: the handle cached at track time replaces
-        // the id→slot resolve on every received message. The
-        // generation-checked lease read subsumes the id path's guards — a
-        // suspected peer's lease was cleared, a forgotten peer's handle was
-        // dropped with its slot, and a stranger has no handle at all.
-        if let Some(r) = self.peer_ref(from) {
-            self.fd.heard_from_ref(r, self.now);
-        }
+        // Life sign: one indexed load in the detector's roster, then the
+        // generation-checked lease read, which covers every guard — a
+        // suspected peer's lease was cleared, a forgotten peer's slot went
+        // with it, and a stranger has no handle at all.
+        self.fd.heard_from(from, self.now);
         // Any message except the sender's own `JoinRequest` is evidence the
         // sender reached `Active` (joiners emit join requests while still
         // `Joining`; everything else is sent by active members — observers'
@@ -575,43 +564,8 @@ impl Member {
     /// on a discarding `Joining` receiver). No-op for strangers (observers,
     /// not-yet-admitted joiners) — they have no roster slot.
     fn confirm_peer(&mut self, p: ProcessId) {
-        if let Some(r) = self.peer_ref(p) {
+        if let Some(r) = self.fd.resolve(p) {
             self.hb.peers.entry(r).confirmed = true;
-        }
-    }
-
-    /// Starts monitoring `p` and caches its detector handle alongside the
-    /// digest roster, so every later life sign from `p` is ref-addressed.
-    /// Mirrors the detector exactly: a refused track (already-suspected
-    /// pid) caches `None`, just as `resolve` would return.
-    fn track_peer(&mut self, p: ProcessId, lease: u64) {
-        self.fd.track(p, lease);
-        let r = self.fd.resolve(p);
-        if self.hb.refs.len() <= p.index() {
-            self.hb.refs.resize(p.index() + 1, None);
-        }
-        self.hb.refs[p.index()] = r;
-    }
-
-    /// Stops monitoring `p`, dropping the cached handle with the roster
-    /// slot (the retired handle would fail the generation check anyway —
-    /// clearing it keeps the cache an exact mirror of the roster).
-    fn forget_peer(&mut self, p: ProcessId) {
-        self.fd.forget(p);
-        if let Some(slot) = self.hb.refs.get_mut(p.index()) {
-            *slot = None;
-        }
-    }
-
-    /// Stops monitoring `p` because the *topology* shifted, not because it
-    /// left the group: the detector slot is retired without banning the id
-    /// (a later view may make `p` a neighbor again — see
-    /// [`HeartbeatDetector::release`]), and the cached handle is dropped
-    /// with it.
-    fn release_peer(&mut self, p: ProcessId) {
-        self.fd.release(p);
-        if let Some(slot) = self.hb.refs.get_mut(p.index()) {
-            *slot = None;
         }
     }
 
@@ -638,30 +592,19 @@ impl Member {
         let old = std::mem::replace(&mut self.topo_monitored, monitored);
         for p in old {
             if !keep.contains(&p) && self.view.contains(p) {
-                self.release_peer(p);
+                self.fd.release(p);
             }
             // Ex-monitors no longer in the view were already retired by
-            // `forget_peer` in the removal path; releasing them again
+            // `fd.forget` in the removal path; releasing them again
             // would be a harmless no-op, skipped for clarity.
         }
-        for i in 0..self.topo_monitored.len() {
-            let p = self.topo_monitored[i];
-            self.track_peer(p, lease);
+        // One exact allocation per install: ascending inserts would
+        // otherwise double the id index to twice the largest monitored id.
+        let end = self.topo_monitored.iter().map(|p| p.index() + 1).max();
+        self.fd.reserve_ids(end.unwrap_or(0));
+        for &p in &self.topo_monitored {
+            self.fd.track(p, lease);
         }
-    }
-
-    /// The cached detector handle for `p` — the ref-addressed equivalent
-    /// of `fd.resolve(p)`, without the per-call roster lookup. The debug
-    /// assertion pins the cache-mirrors-roster invariant on every touch.
-    #[inline]
-    fn peer_ref(&self, p: ProcessId) -> Option<PeerRef> {
-        let cached = self.hb.refs.get(p.index()).copied().flatten();
-        debug_assert_eq!(
-            cached,
-            self.fd.resolve(p),
-            "cached detector handle for {p} diverged from the roster"
-        );
-        cached
     }
 
     /// A `Commit` of `op` installing `ver`, with `next` as its contingent
@@ -753,7 +696,7 @@ impl Member {
                 self.mark_faulty_quiet(out, op.target, FaultySource::Gossip);
                 self.view.remove(op.target);
                 self.faulty.remove(&op.target);
-                self.forget_peer(op.target);
+                self.fd.forget(op.target);
             }
             OpKind::Add => {
                 if op.target == self.me || !self.view.push_junior(op.target) {
@@ -772,7 +715,7 @@ impl Member {
         self.ver += 1;
         // Installing a view needs no explicit pruning of the per-peer
         // bookkeeping: `last_report` and the digest-delivery state live in
-        // arenas addressed by the detector's roster, and `forget_peer` above
+        // arenas addressed by the detector's roster, and `fd.forget` above
         // tombstoned the slots of everyone the new view excludes — their
         // entries are already unreadable (and a recycled slot's generation
         // check keeps them invisible to later joiners). The state stays
@@ -927,7 +870,7 @@ impl Member {
                     out.send(self.mgr, Msg::FaultyReport { suspect: q });
                     // `q` is in view, so its roster slot is live (suspicion
                     // keeps the slot; only removal retires it).
-                    if let Some(r) = self.peer_ref(q) {
+                    if let Some(r) = self.fd.resolve(q) {
                         self.last_report.set(r, self.now);
                     }
                 }
@@ -1499,7 +1442,7 @@ impl Member {
         let suspects = self.faulty.iter().copied();
         for q in suspects.filter(|&q| self.view.contains(q) && q != self.mgr) {
             out.send(self.mgr, Msg::FaultyReport { suspect: q });
-            if let Some(r) = self.peer_ref(q) {
+            if let Some(r) = self.fd.resolve(q) {
                 self.last_report.set(r, self.now);
             }
         }
@@ -1583,9 +1526,7 @@ impl Member {
             if self.lifecycle != Lifecycle::Active {
                 break;
             }
-            if let Some(r) = self.peer_ref(sender) {
-                self.fd.heard_from_ref(r, self.now);
-            }
+            self.fd.heard_from(sender, self.now);
             self.confirm_peer(sender);
             self.dispatch(out, sender, msg);
         }
@@ -1731,7 +1672,7 @@ impl Member {
             if self.faulty.contains(&p) {
                 continue;
             }
-            let digest = match (&snapshot, self.peer_ref(p)) {
+            let digest = match (&snapshot, self.fd.resolve(p)) {
                 (Some(set), Some(r)) => {
                     let peer = self.hb.peers.entry(r);
                     if peer.sent == Some(epoch) {
@@ -1752,7 +1693,7 @@ impl Member {
         // and lost observers.
         if !self.is_mgr() && self.mgr != self.me && !self.faulty.contains(&self.mgr) {
             for &q in &self.faulty {
-                let r = self.peer_ref(q);
+                let r = self.fd.resolve(q);
                 let last = r.and_then(|r| self.last_report.get(r));
                 let due = last.is_none_or(|&t| now.saturating_sub(t) >= self.cfg.suspect_after);
                 if self.view.contains(q) && due {
@@ -1826,6 +1767,7 @@ impl Node<Msg> for Member {
 mod tests {
     use super::*;
     use crate::config::{ConfigBuilder, JoinConfig, ObserveConfig};
+    use crate::topology::Sparse;
     use gmp_sim::Effect;
 
     /// A hand-driven member's sink.
@@ -1859,6 +1801,23 @@ mod tests {
             invis,
             faulty: Vec::new(),
         })
+    }
+
+    #[test]
+    fn a_sparse_member_indexes_only_up_to_its_largest_neighbour() {
+        let view: View = (0..1024).map(ProcessId).collect();
+        for (me, ring) in [(0, [1, 2, 1022, 1023]), (700, [698, 699, 701, 702])] {
+            let cfg = Config::builder().topology(Sparse::new(4)).build();
+            let mut m = Member::new(cfg, view.clone());
+            m.start(&mut Sink::new(), ProcessId(me), 0);
+            let enrolled: Vec<u32> = m.fd.enrolled().map(|(p, _)| p.0).collect();
+            assert_eq!(enrolled, ring, "p{me} enrolls its four ring neighbours");
+            let span = m.fd.id_span();
+            assert!(
+                span <= ring[3] as usize + 1,
+                "p{me}'s id index spans {span}"
+            );
+        }
     }
 
     #[test]

@@ -72,14 +72,15 @@ pub use reference::MapDetector;
 /// to address its own per-peer arenas (digest epochs, report throttles), so
 /// all hot per-peer state of one member lives in a handful of parallel
 /// arrays. Slots of excluded peers are tombstoned and recycled for later
-/// joiners under a bumped generation. The detector itself keeps no handle
-/// across calls any more (a lease is removed together with its roster
-/// slot, so every lease the scan meets belongs to the slot's live
-/// occupant); what the generations still guard is the handles the *owner*
-/// keeps: a [`heard_from_ref`](HeartbeatDetector::heard_from_ref) through a
-/// handle resolved before its slot was recycled fails the generation check
-/// and can never renew the new occupant's lease (see `gmp_types::arena`
-/// for the aliasing contract).
+/// joiners under a bumped generation. Neither the detector nor the owner
+/// keeps a handle across calls (a lease is removed together with its
+/// roster slot, so every lease the scan meets belongs to the slot's live
+/// occupant); what the generations still guard is the owner's arenas,
+/// which nothing clears when a slot is retired, and any handle used after
+/// its slot was recycled: a
+/// [`heard_from_ref`](HeartbeatDetector::heard_from_ref) through it fails
+/// the generation check and can never renew the new occupant's lease (see
+/// `gmp_types::arena` for the aliasing contract).
 ///
 /// # Invariant: process instances never return
 ///
@@ -148,6 +149,19 @@ impl HeartbeatDetector {
     #[inline]
     pub fn resolve(&self, p: ProcessId) -> Option<PeerRef> {
         self.roster.resolve(p)
+    }
+
+    /// Sizes the roster's id index to cover ids below `end` in one exact
+    /// allocation (see [`PeerRoster::reserve_ids`]): the owner calls this
+    /// before tracking a batch of peers whose largest id + 1 is `end`.
+    pub fn reserve_ids(&mut self, end: usize) {
+        self.roster.reserve_ids(end);
+    }
+
+    /// How many ids the roster's index has room for (see
+    /// [`PeerRoster::id_span`]).
+    pub fn id_span(&self) -> usize {
+        self.roster.id_span()
     }
 
     /// Iterator over every enrolled peer — tracked *and* suspected-but-not

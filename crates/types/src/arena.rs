@@ -107,16 +107,19 @@ struct RosterSlot {
 /// tombstones slots of removed peers, and recycles tombstones (bumping the
 /// generation) for later insertions.
 ///
-/// Lookup by id is a direct array index (`by_pid[pid]`), not a search;
-/// iteration yields live peers in ascending-`ProcessId` order so callers
-/// that expose sorted views (detector `tracked()`, GMP-5 report sets) stay
-/// byte-identical to their former `BTreeMap`-backed selves.
+/// Lookup by id is one indexed load (`by_pid[pid]` holds the whole
+/// handle), not a search; iteration yields live peers in
+/// ascending-`ProcessId` order so callers that expose sorted views
+/// (detector `tracked()`, GMP-5 report sets) stay byte-identical to their
+/// former `BTreeMap`-backed selves.
 #[derive(Clone, Debug, Default)]
 pub struct PeerRoster {
-    /// `pid.index() → slot`, grown on demand. Dense in practice: ids are
-    /// small (initial members plus joiners), never `u32::MAX` (the
-    /// pre-start sentinel).
-    by_pid: Vec<Option<PeerIdx>>,
+    /// `pid.index() → handle` of every live peer, grown on demand or sized
+    /// up front by [`reserve_ids`](Self::reserve_ids). Ids are small
+    /// (initial members plus joiners), never `u32::MAX` (the pre-start
+    /// sentinel). Each entry's generation is a copy of its slot's, kept
+    /// equal by `insert` and `remove` and checked by `debug_assert`.
+    by_pid: Vec<Option<PeerRef>>,
     slots: Vec<RosterSlot>,
     free: Vec<PeerIdx>,
 }
@@ -177,11 +180,30 @@ impl PeerRoster {
         if self.by_pid.len() <= pid.index() {
             self.by_pid.resize(pid.index() + 1, None);
         }
-        self.by_pid[pid.index()] = Some(idx);
-        PeerRef {
+        let r = PeerRef {
             idx,
             gen: self.slots[idx.index()].gen,
+        };
+        self.by_pid[pid.index()] = Some(r);
+        r
+    }
+
+    /// Sizes the id index to cover ids below `end` in one exact
+    /// allocation, so the inserts that follow never grow it. An owner that
+    /// knows its largest id up front (a member at each view install) calls
+    /// this once instead of letting ascending inserts double the index to
+    /// twice the largest id. No-op when the index already covers `end`.
+    pub fn reserve_ids(&mut self, end: usize) {
+        if let Some(more) = end.checked_sub(self.by_pid.len()) {
+            self.by_pid.reserve_exact(more);
+            self.by_pid.resize(end, None);
         }
+    }
+
+    /// How many ids the index has room for: the memory it holds, in
+    /// entries.
+    pub fn id_span(&self) -> usize {
+        self.by_pid.capacity()
     }
 
     /// Tombstones `pid`'s slot for recycling. Returns the retired handle,
@@ -197,10 +219,9 @@ impl PeerRoster {
     /// The current handle for `pid`, or `None` if it is not live.
     #[inline]
     pub fn resolve(&self, pid: ProcessId) -> Option<PeerRef> {
-        let idx = (*self.by_pid.get(pid.index())?)?;
-        let slot = &self.slots[idx.index()];
-        debug_assert!(slot.live && slot.pid == pid);
-        Some(PeerRef { idx, gen: slot.gen })
+        let r = self.by_pid.get(pid.index()).copied().flatten();
+        debug_assert!(r.is_none_or(|r| self.pid_of(r) == Some(pid)));
+        r
     }
 
     /// True when `pid` is live.
@@ -220,17 +241,20 @@ impl PeerRoster {
     /// the `u32::MAX` boundary without four billion recycles.
     #[cfg(test)]
     fn force_gen(&mut self, pid: ProcessId, gen: Gen) {
-        let idx = self.by_pid[pid.index()].expect("force_gen targets a live peer");
-        self.slots[idx.index()].gen = gen;
+        let r = self.by_pid[pid.index()]
+            .as_mut()
+            .expect("force_gen targets a live peer");
+        r.gen = gen;
+        self.slots[r.idx.index()].gen = gen;
     }
 
     /// Live peers in ascending-`ProcessId` order.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, PeerRef)> + '_ {
-        self.by_pid.iter().enumerate().filter_map(|(pid, idx)| {
-            let idx = (*idx)?;
-            let slot = &self.slots[idx.index()];
-            debug_assert!(slot.live && slot.pid.index() == pid);
-            Some((slot.pid, PeerRef { idx, gen: slot.gen }))
+        self.by_pid.iter().enumerate().filter_map(|(pid, r)| {
+            let pid = ProcessId(pid as u32);
+            let r = (*r)?;
+            debug_assert_eq!(self.pid_of(r), Some(pid));
+            Some((pid, r))
         })
     }
 }
@@ -378,6 +402,28 @@ mod tests {
         assert!(roster.contains(ProcessId(3)));
         assert_eq!(roster.pid_of(r), Some(ProcessId(3)));
         assert_eq!(roster.len(), 1);
+    }
+
+    #[test]
+    fn reserved_index_keeps_its_size_and_holds_current_handles() {
+        let mut roster = PeerRoster::new();
+        roster.reserve_ids(1024);
+        for pid in [1u32, 2, 1022, 1023] {
+            roster.insert(ProcessId(pid));
+        }
+        assert_eq!(roster.by_pid.len(), 1024, "no insert grew the index");
+        assert_eq!(roster.id_span(), 1024, "one exact allocation");
+        roster.reserve_ids(8);
+        assert_eq!(roster.id_span(), 1024, "a smaller reserve is a no-op");
+
+        // A recycled slot's new handle is what the index hands out.
+        let old = roster.remove(ProcessId(1022)).expect("live");
+        let new = roster.insert(ProcessId(5));
+        assert_eq!(new.idx(), old.idx(), "slot is recycled");
+        assert_ne!(new.gen(), old.gen(), "under a bumped generation");
+        assert_eq!(roster.resolve(ProcessId(5)), Some(new));
+        assert_eq!(roster.resolve(ProcessId(1022)), None);
+        assert_eq!(roster.id_span(), 1024);
     }
 
     #[test]

@@ -33,8 +33,14 @@ impl View {
 
     /// [`View::new`] for untrusted input: `None` if `members` repeats a
     /// process.
+    ///
+    /// O(n log n): sorts a copy and looks for equal neighbours. Nothing is
+    /// indexed by id, so a list naming a huge id costs no more than any
+    /// other list of its length.
     pub fn try_new(members: Vec<ProcessId>) -> Option<Self> {
-        let unique = (0..members.len()).all(|i| !members[..i].contains(&members[i]));
+        let mut sorted = members.clone();
+        sorted.sort_unstable();
+        let unique = sorted.windows(2).all(|w| w[0] != w[1]);
         unique.then_some(View { members })
     }
 
@@ -173,6 +179,7 @@ impl<'a> IntoIterator for &'a View {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn v(ids: &[u32]) -> View {
         View::new(ids.iter().map(|&i| ProcessId(i)).collect())
@@ -251,6 +258,47 @@ mod tests {
     #[should_panic(expected = "duplicate member")]
     fn duplicate_members_rejected() {
         let _ = v(&[0, 1, 0]);
+    }
+
+    /// The reference verdict: an O(n²) scan of each prefix for a repeat.
+    fn repeats_quadratic(members: &[ProcessId]) -> bool {
+        (0..members.len()).any(|i| members[..i].contains(&members[i]))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Sorting a copy gives the quadratic scan's verdict, on lists
+        /// that may repeat by chance (ids drawn from a small range) and on
+        /// lists with a repeat planted at a random pair of positions.
+        #[test]
+        fn try_new_agrees_with_the_quadratic_scan(
+            ids in proptest::collection::vec(0u32..48, 0..40),
+            plant in proptest::bool::ANY,
+            from in 0usize..40,
+            to in 0usize..40,
+        ) {
+            let mut members: Vec<ProcessId> = ids.into_iter().map(ProcessId).collect();
+            let n = members.len();
+            if plant && n >= 2 && from % n != to % n {
+                members[to % n] = members[from % n];
+                prop_assert!(repeats_quadratic(&members));
+            }
+            let want = !repeats_quadratic(&members);
+            let got = View::try_new(members.clone());
+            prop_assert_eq!(got.is_some(), want);
+            if let Some(view) = got {
+                prop_assert_eq!(view.as_slice(), &members[..], "order is kept");
+            }
+        }
+    }
+
+    #[test]
+    fn try_new_handles_the_largest_ids() {
+        let top = ProcessId(u32::MAX - 1);
+        let view = View::try_new(vec![top, ProcessId(0)]).expect("no repeat");
+        assert_eq!(view.as_slice(), &[top, ProcessId(0)]);
+        assert!(View::try_new(vec![top, ProcessId(3), top]).is_none());
     }
 
     #[test]
