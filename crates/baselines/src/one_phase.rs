@@ -100,7 +100,7 @@ impl OnePhaseMember {
             .unwrap_or(self.me);
         ctx.note(Note::ViewInstalled {
             ver: self.ver,
-            members: self.view.to_vec(),
+            members: self.view.shared(),
             mgr,
         });
     }
@@ -141,7 +141,7 @@ impl Node<OneMsg> for OnePhaseMember {
         }
         ctx.note(Note::ViewInstalled {
             ver: 0,
-            members: self.view.to_vec(),
+            members: self.view.shared(),
             mgr: self.view.most_senior().expect("non-empty view"),
         });
         ctx.set_timer(self.heartbeat_every, TICK);

@@ -151,7 +151,7 @@ impl SymmetricMember {
             });
             ctx.note(Note::ViewInstalled {
                 ver: self.ver,
-                members: self.view.to_vec(),
+                members: self.view.shared(),
                 mgr: self.view.most_senior().unwrap_or(self.me),
             });
             self.votes.remove(&target);
@@ -176,7 +176,7 @@ impl Node<SymMsg> for SymmetricMember {
         }
         ctx.note(Note::ViewInstalled {
             ver: 0,
-            members: self.view.to_vec(),
+            members: self.view.shared(),
             mgr: self.view.most_senior().expect("non-empty view"),
         });
         ctx.set_timer(self.heartbeat_every, TICK);

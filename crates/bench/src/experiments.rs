@@ -503,10 +503,10 @@ pub fn f4_unique_view(seed: u64) -> (usize, usize, bool) {
         .filter(|(_, n)| matches!(n, Note::ReconfStarted { .. }))
         .count();
     let a = analyze(sim.trace());
-    let mut memberships: Vec<Vec<ProcessId>> = a
+    let mut memberships: Vec<&[ProcessId]> = a
         .memberships_of_ver(1)
         .into_iter()
-        .map(|v| v.members.clone())
+        .map(|v| &*v.members)
         .collect();
     memberships.sort();
     memberships.dedup();

@@ -64,6 +64,8 @@ impl ClusterBuilder {
     pub fn build(self) -> Sim<Msg, Member> {
         let initial: View = (0..self.n as u32).map(ProcessId).collect();
         let mut sim = self.sim_builder.build();
+        // `View` clones share one list: every initial member scans the same
+        // n ids until its first install.
         for _ in 0..self.n {
             sim.add_node(Member::new(self.cfg.clone(), initial.clone()));
         }

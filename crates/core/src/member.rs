@@ -432,7 +432,7 @@ impl Member {
         });
         out.note(Note::ViewInstalled {
             ver: 0,
-            members: self.view.to_vec(),
+            members: self.view.shared(),
             mgr: self.mgr,
         });
         if self.mgr == self.me {
@@ -723,7 +723,7 @@ impl Member {
         out.note(Note::OpApplied { op, ver: self.ver });
         out.note(Note::ViewInstalled {
             ver: self.ver,
-            members: self.view.to_vec(),
+            members: self.view.shared(),
             mgr: self.mgr,
         });
         if let Some(peer) = excluded {
@@ -1187,8 +1187,10 @@ impl Member {
             next: self.next.clone(),
         };
         out.send(r, Msg::InterrogateOk(Shared::from(resp)));
-        // Infer HiFaulty(r): every member senior to r (§4.5).
-        for s in self.view.seniors_of(r).to_vec() {
+        // Infer HiFaulty(r): every member senior to r (§4.5). The loop
+        // walks a snapshot because `handle_faulty` borrows `self` mutably.
+        let view = self.view.clone();
+        for &s in view.seniors_of(r) {
             self.handle_faulty(out, s, FaultySource::HiFaultyInference);
             if self.lifecycle == Lifecycle::Stopped {
                 return;
@@ -1485,8 +1487,9 @@ impl Member {
             seq,
             mgr,
         } = Shared::unwrap_or_clone(body);
-        // A member list that repeats a process is no view: ignore it whole.
-        let Some(view) = View::try_new(members) else {
+        // A member list that repeats a process, or leaves out this joiner,
+        // is no view to join: ignore it whole and keep asking.
+        let Some(view) = View::try_new(members).filter(|view| view.contains(self.me)) else {
             return;
         };
         self.view = view;
@@ -1513,7 +1516,7 @@ impl Member {
         });
         out.note(Note::ViewInstalled {
             ver: self.ver,
-            members: self.view.to_vec(),
+            members: self.view.shared(),
             mgr: self.mgr,
         });
         out.set_timer(self.cfg.heartbeat_every, TICK);
@@ -1552,7 +1555,7 @@ impl Member {
         if obs.seen_any && v <= obs.ver {
             return; // stale or duplicate snapshot
         }
-        let members = view.to_vec();
+        let members = view.shared();
         obs.view = view;
         obs.ver = v;
         obs.mgr = mgr;
@@ -1769,6 +1772,7 @@ mod tests {
     use crate::config::{ConfigBuilder, JoinConfig, ObserveConfig};
     use crate::topology::Sparse;
     use gmp_sim::Effect;
+    use std::sync::Arc;
 
     /// A hand-driven member's sink.
     type Sink = Vec<Effect<Msg>>;
@@ -1829,6 +1833,65 @@ mod tests {
         assert!(m.view().is_empty());
         assert!(out.is_empty());
         assert!(m.take_events().is_empty());
+    }
+
+    #[test]
+    fn welcome_omitting_the_joiner_is_ignored() {
+        let mut m = joiner();
+        let mut out = Sink::new();
+        m.receive(&mut out, ProcessId(0), welcome(&[0, 1], 3), 5);
+        assert_eq!(m.lifecycle(), Lifecycle::Joining);
+        assert!(m.view().is_empty());
+        assert!(out.is_empty());
+        assert!(m.take_events().is_empty());
+        // The join timer still fires and asks again.
+        m.fire(&mut out, JOIN, 6);
+        assert!(sent(&mut out)
+            .iter()
+            .any(|msg| matches!(msg, Msg::JoinRequest { joiner } if *joiner == ProcessId(2))));
+    }
+
+    /// The member lists of `ViewInstalled` notes in `out`, in order.
+    fn installed_lists(out: &Sink) -> Vec<Arc<[ProcessId]>> {
+        out.iter()
+            .filter_map(|e| match e {
+                Effect::Note(Note::ViewInstalled { members, .. }) => Some(members.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A view note records the member's own list rather than a copy, the
+    /// initial members of one group share one list, and a recorded list
+    /// never changes when the member installs the next view.
+    #[test]
+    fn view_notes_share_the_list_and_keep_it() {
+        let initial: View = (0..4).map(ProcessId).collect();
+        let mut p0 = Member::new(Config::default(), initial.clone());
+        let mut p1 = Member::new(Config::default(), initial.clone());
+        p0.start(&mut Sink::new(), ProcessId(0), 0);
+        let mut out = Sink::new();
+        p1.start(&mut out, ProcessId(1), 0);
+        let v0 = installed_lists(&out).pop().expect("start installs v0");
+        assert!(Arc::ptr_eq(&v0, &p1.view().shared()));
+        assert!(Arc::ptr_eq(&p0.view().shared(), &p1.view().shared()));
+
+        let commit = Msg::Commit(Shared::from(CommitBody {
+            op: Op::remove(ProcessId(3)),
+            ver: 1,
+            next: None,
+            faulty: Vec::new(),
+            recovered: Vec::new(),
+        }));
+        let mut out = Sink::new();
+        p1.receive(&mut out, ProcessId(0), commit, 5);
+        assert_eq!(p1.ver(), 1);
+        let v1 = installed_lists(&out).pop().expect("the commit installs v1");
+        assert!(Arc::ptr_eq(&v1, &p1.view().shared()));
+        let ids = |list: &[ProcessId]| list.iter().map(|p| p.0).collect::<Vec<_>>();
+        assert_eq!(ids(&v1), [0, 1, 2]);
+        assert_eq!(ids(&v0), [0, 1, 2, 3], "the v0 note still lists p3");
+        assert_eq!(ids(p0.view().as_slice()), [0, 1, 2, 3]);
     }
 
     #[test]

@@ -3,14 +3,15 @@
 use gmp_sim::{Trace, TraceKind};
 use gmp_types::{Note, Op, ProcessId, Ver};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// One installed local view.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ViewRecord {
     /// The version installed.
     pub ver: Ver,
-    /// Seniority-ordered membership.
-    pub members: Vec<ProcessId>,
+    /// Seniority-ordered membership: the note's list, shared.
+    pub members: Arc<[ProcessId]>,
     /// The coordinator from the installer's perspective.
     pub mgr: ProcessId,
     /// Global index of the `ViewInstalled` event in the trace.
@@ -161,7 +162,7 @@ mod tests {
             0,
             Note::ViewInstalled {
                 ver: 0,
-                members: vec![ProcessId(0), ProcessId(1)],
+                members: vec![ProcessId(0), ProcessId(1)].into(),
                 mgr: ProcessId(0),
             },
         ));
@@ -183,7 +184,7 @@ mod tests {
             0,
             Note::ViewInstalled {
                 ver: 1,
-                members: vec![ProcessId(0)],
+                members: vec![ProcessId(0)].into(),
                 mgr: ProcessId(0),
             },
         ));

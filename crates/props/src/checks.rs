@@ -150,14 +150,14 @@ impl Report {
 /// GMP-0: every process that installs version 0 installs the same view
 /// (`Proc = Sys(c₀, Proc)`).
 pub fn check_gmp0(a: &RunAnalysis) -> Vec<Violation> {
-    let mut first: Option<&Vec<ProcessId>> = None;
+    let mut first: Option<&[ProcessId]> = None;
     let mut out = Vec::new();
     for (pid, views) in &a.views {
         if let Some(v0) = views.iter().find(|v| v.ver == 0) {
             match first {
                 None => first = Some(&v0.members),
                 Some(expected) => {
-                    if &v0.members != expected {
+                    if *v0.members != *expected {
                         out.push(Violation::Gmp0 { pid: *pid });
                     }
                 }
@@ -206,8 +206,8 @@ pub fn check_gmp2(a: &RunAnalysis) -> Vec<Violation> {
             if w[0].members != w[1].members {
                 out.push(Violation::Gmp2 {
                     ver: x,
-                    a: w[0].members.clone(),
-                    b: w[1].members.clone(),
+                    a: w[0].members.to_vec(),
+                    b: w[1].members.to_vec(),
                 });
                 break;
             }
@@ -240,7 +240,7 @@ pub fn check_gmp4(a: &RunAnalysis) -> Vec<Violation> {
     let mut out = Vec::new();
     for (pid, views) in &a.views {
         let mut removed: BTreeSet<ProcessId> = BTreeSet::new();
-        let mut prev: Option<&Vec<ProcessId>> = None;
+        let mut prev: Option<&[ProcessId]> = None;
         for v in views {
             if let Some(prev_members) = prev {
                 for m in prev_members {
@@ -249,7 +249,7 @@ pub fn check_gmp4(a: &RunAnalysis) -> Vec<Violation> {
                     }
                 }
             }
-            for m in &v.members {
+            for m in v.members.iter() {
                 if removed.contains(m) {
                     out.push(Violation::Gmp4 {
                         pid: *pid,
@@ -309,8 +309,8 @@ pub fn check_convergence(a: &RunAnalysis) -> Vec<Violation> {
             out.push(Violation::Diverged {
                 a: *pa,
                 b: *pb,
-                view_a: va.members.clone(),
-                view_b: vb.members.clone(),
+                view_a: va.members.to_vec(),
+                view_b: vb.members.to_vec(),
             });
         }
     }
@@ -513,7 +513,7 @@ mod tests {
         let mut a = base();
         a.views.get_mut(&ProcessId(1)).unwrap().push(ViewRecord {
             ver: 2,
-            members: vec![ProcessId(1)],
+            members: vec![ProcessId(1)].into(),
             mgr: ProcessId(1),
             event: 7,
         });

@@ -7,6 +7,7 @@
 
 use crate::{Op, ProcessId, Ver};
 use std::fmt;
+use std::sync::Arc;
 
 /// A semantic event in a process history, recorded into the simulation trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,8 +39,9 @@ pub enum Note {
     ViewInstalled {
         /// The version of the installed view.
         ver: Ver,
-        /// Seniority-ordered membership of the view.
-        members: Vec<ProcessId>,
+        /// Seniority-ordered membership of the view: the installer's own
+        /// list ([`View::shared`](crate::View::shared)), not a copy.
+        members: Arc<[ProcessId]>,
         /// Whom this process considers coordinator in this view.
         mgr: ProcessId,
     },
@@ -79,7 +81,7 @@ pub enum Note {
         /// The version observed.
         ver: Ver,
         /// Seniority-ordered membership observed.
-        members: Vec<ProcessId>,
+        members: Arc<[ProcessId]>,
         /// The coordinator according to the notifying member.
         mgr: ProcessId,
     },
@@ -129,14 +131,8 @@ impl fmt::Display for Note {
             Note::Operating { id } => write!(f, "operating({id})"),
             Note::OpApplied { op, ver } => write!(f, "applied {op} -> v{ver}"),
             Note::ViewInstalled { ver, members, mgr } => {
-                write!(f, "installed v{ver} mgr={mgr} members=[")?;
-                for (i, m) in members.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{m}")?;
-                }
-                write!(f, "]")
+                write!(f, "installed v{ver} mgr={mgr} members=")?;
+                fmt_members(f, members)
             }
             Note::BecameMgr { ver } => write!(f, "became Mgr at v{ver}"),
             Note::ReconfStarted { from_ver } => {
@@ -146,18 +142,24 @@ impl fmt::Display for Note {
             Note::Isolated { from } => write!(f, "isolated message from {from}"),
             Note::JoinRequested { joiner } => write!(f, "join requested by {joiner}"),
             Note::ObservedView { ver, members, mgr } => {
-                write!(f, "observed v{ver} mgr={mgr} members=[")?;
-                for (i, m) in members.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{m}")?;
-                }
-                write!(f, "]")
+                write!(f, "observed v{ver} mgr={mgr} members=")?;
+                fmt_members(f, members)
             }
             Note::Custom(s) => write!(f, "{s}"),
         }
     }
+}
+
+/// A member list as `[p0,p1]`: the rendering shared by the two view notes.
+fn fmt_members(f: &mut fmt::Formatter<'_>, members: &[ProcessId]) -> fmt::Result {
+    write!(f, "[")?;
+    for (i, m) in members.iter().enumerate() {
+        if i > 0 {
+            write!(f, ",")?;
+        }
+        write!(f, "{m}")?;
+    }
+    write!(f, "]")
 }
 
 #[cfg(test)]
@@ -178,7 +180,7 @@ mod tests {
             },
             Note::ViewInstalled {
                 ver: 1,
-                members: vec![ProcessId(0)],
+                members: vec![ProcessId(0)].into(),
                 mgr: ProcessId(0),
             },
             Note::BecameMgr { ver: 2 },
@@ -198,5 +200,21 @@ mod tests {
         for n in &notes {
             assert!(!n.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn view_notes_render_their_member_lists() {
+        let installed = Note::ViewInstalled {
+            ver: 1,
+            members: vec![ProcessId(0), ProcessId(2)].into(),
+            mgr: ProcessId(0),
+        };
+        assert_eq!(installed.to_string(), "installed v1 mgr=p0 members=[p0,p2]");
+        let observed = Note::ObservedView {
+            ver: 3,
+            members: Vec::new().into(),
+            mgr: ProcessId(1),
+        };
+        assert_eq!(observed.to_string(), "observed v3 mgr=p1 members=[]");
     }
 }

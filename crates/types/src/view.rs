@@ -2,6 +2,8 @@
 
 use crate::{majority_of, Op, OpKind, ProcessId};
 use std::fmt;
+use std::iter;
+use std::sync::Arc;
 
 /// A local membership view `Memb(p)`, ordered by *seniority*.
 ///
@@ -12,11 +14,16 @@ use std::fmt;
 /// processes by one", which is automatic here because rank is derived from
 /// position. Joins append at the junior end.
 ///
+/// A view is an immutable snapshot: cloning it shares the member list
+/// (a reference-count bump), and [`View::remove`] / [`View::push_junior`]
+/// build the next list rather than edit one that a clone, a trace note or
+/// another member may still hold. [`View::shared`] hands the list out.
+///
 /// Two views are equal iff they contain the same members in the same
 /// seniority order.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub struct View {
-    members: Vec<ProcessId>,
+    members: Arc<[ProcessId]>,
 }
 
 impl View {
@@ -41,14 +48,14 @@ impl View {
         let mut sorted = members.clone();
         sorted.sort_unstable();
         let unique = sorted.windows(2).all(|w| w[0] != w[1]);
-        unique.then_some(View { members })
+        unique.then(|| View {
+            members: members.into(),
+        })
     }
 
     /// The empty view (used by processes that have not yet joined).
     pub fn empty() -> Self {
-        View {
-            members: Vec::new(),
-        }
+        View::default()
     }
 
     /// Number of members.
@@ -112,30 +119,40 @@ impl View {
         &self.members
     }
 
+    /// The member list itself, most senior first, shared rather than
+    /// copied: a record of this view that outlives later installs.
+    pub fn shared(&self) -> Arc<[ProcessId]> {
+        Arc::clone(&self.members)
+    }
+
     /// Owned copy of the member list in seniority order.
     pub fn to_vec(&self) -> Vec<ProcessId> {
-        self.members.clone()
+        self.members.to_vec()
     }
 
     /// Removes a member, preserving the relative seniority of the rest.
     /// Returns whether `p` was present.
+    ///
+    /// The shorter list is a new allocation, filled in one pass; every
+    /// clone of the old view keeps reading the old list.
     pub fn remove(&mut self, p: ProcessId) -> bool {
-        match self.index_of(p) {
-            Some(i) => {
-                self.members.remove(i);
-                true
-            }
-            None => false,
-        }
+        let Some(i) = self.index_of(p) else {
+            return false;
+        };
+        let (seniors, rest) = self.members.split_at(i);
+        self.members = seniors.iter().chain(&rest[1..]).copied().collect();
+        true
     }
 
     /// Adds a member at the junior end (rank 1). Returns `false` (and leaves
     /// the view unchanged) if `p` is already a member.
+    ///
+    /// Like [`View::remove`], builds the longer list anew.
     pub fn push_junior(&mut self, p: ProcessId) -> bool {
         if self.contains(p) {
             return false;
         }
-        self.members.push(p);
+        self.members = self.members.iter().copied().chain(iter::once(p)).collect();
         true
     }
 
@@ -289,6 +306,66 @@ mod tests {
             prop_assert_eq!(got.is_some(), want);
             if let Some(view) = got {
                 prop_assert_eq!(view.as_slice(), &members[..], "order is kept");
+            }
+        }
+    }
+
+    /// Applies step `kind` (`remove`, `push_junior`, `apply` of a removal,
+    /// `apply` of an add) for `p` to the view and to the `Vec` model, and
+    /// returns both verdicts.
+    fn step(view: &mut View, model: &mut Vec<ProcessId>, kind: u8, p: ProcessId) -> (bool, bool) {
+        let at = model.iter().position(|&m| m == p);
+        let removes = matches!(kind, 0 | 2);
+        let want = match (removes, at) {
+            (true, Some(i)) => {
+                model.remove(i);
+                true
+            }
+            (false, None) => {
+                model.push(p);
+                true
+            }
+            _ => false,
+        };
+        let got = match kind {
+            0 => view.remove(p),
+            1 => view.push_junior(p),
+            2 => view.apply(Op::remove(p)),
+            _ => view.apply(Op::add(p)),
+        };
+        (got, want)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Every query agrees with a plain `Vec` after every step, and no
+        /// step changes what an earlier clone reads.
+        #[test]
+        fn view_agrees_with_a_vec_model(
+            initial in proptest::collection::btree_set(0u32..12, 0..8),
+            steps in proptest::collection::vec((0u8..4, 0u32..12), 0..40),
+        ) {
+            let mut model: Vec<ProcessId> = initial.into_iter().map(ProcessId).collect();
+            let mut view = View::new(model.clone());
+            let mut taken: Vec<(View, Vec<ProcessId>)> = Vec::new();
+            for (kind, id) in steps {
+                taken.push((view.clone(), model.clone()));
+                let (got, want) = step(&mut view, &mut model, kind, ProcessId(id));
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(view.as_slice(), &model[..]);
+                prop_assert_eq!(view.len(), model.len());
+                for q in (0..12).map(ProcessId) {
+                    let at = model.iter().position(|&m| m == q);
+                    prop_assert_eq!(view.contains(q), at.is_some());
+                    prop_assert_eq!(view.index_of(q), at);
+                    prop_assert_eq!(view.rank(q), at.map(|i| model.len() - i));
+                    let seniors = at.map_or(&[][..], |i| &model[..i]);
+                    prop_assert_eq!(view.seniors_of(q), seniors);
+                }
+                for (old, read) in &taken {
+                    prop_assert_eq!(old.as_slice(), &read[..], "an earlier clone moved");
+                }
             }
         }
     }
