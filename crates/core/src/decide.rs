@@ -157,8 +157,9 @@ fn get_next(queue: &[Op], rl: &[Op]) -> Vec<Op> {
 /// to `Ver::MAX` itself is still decided, with a contingent plan that
 /// the new `Mgr` cannot number either. Also `None` when the responses
 /// would make `RL_r` empty (an ahead respondent whose `seq` is no longer,
-/// or a detectable proposal of no operations): receivers ignore such a
-/// proposal, so no round could complete.
+/// a lagging one whose `seq` is no shorter, or a detectable proposal of
+/// no operations) or longer than `v` (more operations than versions up
+/// to it): receivers ignore such a proposal, so no round could complete.
 pub fn determine(
     me: &PhaseOneResp,
     others: &[PhaseOneResp],
@@ -179,7 +180,7 @@ pub fn determine(
 
     // L: respondents one version ahead; S: one version behind (§5).
     let l_rep = all.iter().find(|r| r.ver > me.ver);
-    let s_rep = all.iter().find(|r| r.ver < me.ver);
+    let s_rep = all.iter().any(|r| r.ver < me.ver);
     // The proposal must cover the gap from the *slowest* respondent: with
     // two successive partial commits, L (at ver(r)+1) and S (at ver(r)−1)
     // can coexist (Prop. 5.1 allows the ±1 band), and a proposal starting
@@ -196,21 +197,13 @@ pub fn determine(
     let decision = if let Some(l) = l_rep {
         // Incomplete installation of version ver(L): catch everyone up.
         let v = l.ver;
-        debug_assert!(
-            l.seq.len() >= me.seq.len(),
-            "seqs must be prefix-compatible"
-        );
         let rl: Vec<Op> = l.seq[min_len..].to_vec();
         let invis = plan_after(v, &rl);
         Decision { v, rl, invis }
-    } else if let Some(s) = s_rep {
+    } else if s_rep {
         // Incomplete installation of version ver(r): re-propose the suffix
         // the laggards are missing.
         let v = me.ver;
-        debug_assert!(
-            me.seq.len() >= s.seq.len(),
-            "seqs must be prefix-compatible"
-        );
         let rl: Vec<Op> = me.seq[min_len..].to_vec();
         let invis = plan_after(v, &rl);
         Decision { v, rl, invis }
@@ -223,7 +216,7 @@ pub fn determine(
         let invis = get_next(queue, &rl);
         Decision { v, rl, invis }
     };
-    Some(decision).filter(|d| !d.rl.is_empty())
+    Some(decision).filter(|d| !d.rl.is_empty() && d.rl.len() as u64 <= d.v)
 }
 
 #[cfg(test)]
@@ -441,6 +434,37 @@ mod tests {
     #[should_panic(expected = "at least one proposal")]
     fn get_stable_requires_proposals() {
         let _ = get_stable(&[], &view(&[0]));
+    }
+
+    /// Responses are wire input: one whose `seq` does not grow with its
+    /// version breaks Theorem 5.1's prefix order, and decides nothing
+    /// rather than panic.
+    #[test]
+    fn respondents_out_of_prefix_order_decide_nothing() {
+        let view = View::new((0..4).map(pid).collect());
+        let ops = vec![Op::remove(pid(0)), Op::remove(pid(3))];
+        let me = resp(1, 2, ops.clone(), vec![]);
+        let ahead_but_shorter = resp(2, 3, ops[..1].to_vec(), vec![]);
+        assert_eq!(
+            determine(&me, &[ahead_but_shorter], &view, pid(0), &[]),
+            None
+        );
+        let behind_but_longer = resp(2, 1, [&ops[..], &ops[..]].concat(), vec![]);
+        assert_eq!(
+            determine(&me, &[behind_but_longer], &view, pid(0), &[]),
+            None
+        );
+    }
+
+    /// A decision never installs more operations than there are versions
+    /// up to its own: receivers would ignore it.
+    #[test]
+    fn a_decision_longer_than_its_version_is_dropped() {
+        let view = View::new((0..4).map(pid).collect());
+        let ops = vec![Op::remove(pid(0)), Op::remove(pid(3))];
+        let me = resp(1, 0, vec![], vec![]);
+        let ahead = resp(2, 1, ops, vec![]);
+        assert_eq!(determine(&me, &[ahead], &view, pid(0), &[]), None);
     }
 }
 

@@ -17,7 +17,17 @@
 //!   continuous stream of removals and additions is processed without
 //!   blocking;
 //! * the failure-detection rules of §2.2: timeout observation (F1), gossip
-//!   (F2) and the isolation rule (S1).
+//!   (F2) and the isolation rule (S1);
+//! * the **observers** of §8's hierarchical service, which follow the
+//!   agreed views without being members.
+//!
+//! The state machine lives in [`member`], one file per paper section:
+//! update rounds, reconfiguration, joins, heartbeats and observers (see
+//! its module docs). [`decide`] holds Fig. 6's decision procedures,
+//! [`msg`] the wire messages, [`topology`] the monitoring graph,
+//! [`config`] the knobs (checked again when a member is built), [`event`]
+//! the consumer event queue and [`mod@cluster`] the simulated-cluster
+//! builder.
 //!
 //! A [`Member`] does no I/O: [`Member::start`], [`Member::receive`] and
 //! [`Member::fire`] take the current time and emit their effects (sends,

@@ -1,0 +1,237 @@
+//! The two-phase update algorithm with condensed rounds (§3, Figs. 8–9):
+//! `Mgr` invites, awaits the `OK`s and commits; an outer process accepts
+//! invitations, applies commits and replays the future-view messages it
+//! held back.
+
+use super::{Member, Phase, Role, Step};
+use crate::msg::{CommitBody, Msg};
+use gmp_sim::{Out, Shared};
+use gmp_types::note::{FaultySource, QuitReason};
+use gmp_types::{NextEntry, Note, Op, OpKind, ProcessId, Ver};
+
+impl Member {
+    // ------------------------------------------------------------------
+    // Coordinator (Fig. 8)
+    // ------------------------------------------------------------------
+
+    /// A `Commit` of `op` installing `ver`, with `next` as its contingent
+    /// invitation: one body, shared by every recipient of the broadcast.
+    fn commit(&self, op: Op, ver: Ver, next: Option<Op>) -> Msg {
+        Msg::Commit(Shared::from(CommitBody {
+            op,
+            ver,
+            next,
+            faulty: self.faulty_vec(),
+            recovered: self.recovered.iter().copied().collect(),
+        }))
+    }
+
+    pub(super) fn op_valid(&self, op: Op) -> bool {
+        match op.kind {
+            OpKind::Remove => self.view.contains(op.target) && op.target != self.me,
+            OpKind::Add => !self.view.contains(op.target),
+        }
+    }
+
+    /// Picks the next operation for the coordinator: inherited contingent
+    /// plan first, then queued joiners, then queued removals.
+    fn mgr_pick_next(&mut self) -> Option<Op> {
+        while let Some(&op) = self.forced.front() {
+            self.forced.pop_front();
+            if self.op_valid(op) {
+                return Some(op);
+            }
+        }
+        if let Some(&j) = self.recovered.iter().find(|j| !self.view.contains(**j)) {
+            return Some(Op::add(j));
+        }
+        if let Some(&f) = self.faulty.iter().find(|f| self.view.contains(**f)) {
+            return Some(Op::remove(f));
+        }
+        None
+    }
+
+    /// Invites the group to the next operation, if there is one and a
+    /// version to number it: `Ver::MAX` has no successor, so no round
+    /// starts there.
+    pub(super) fn mgr_start_update(&mut self, out: &mut impl Out<Msg>) -> Step {
+        let Some(ver) = self.ver.checked_add(1) else {
+            return Ok(());
+        };
+        let Some(op) = self.mgr_pick_next() else {
+            return Ok(());
+        };
+        self.broadcast(out, Msg::Invite { op, ver });
+        self.begin_round(out, Phase::Update { op, ver })
+    }
+
+    /// Every awaited member has answered or been suspected: commit `op`,
+    /// installing `ver`, and go on to the next operation.
+    pub(super) fn mgr_commit(&mut self, out: &mut impl Out<Msg>, op: Op, ver: Ver) -> Step {
+        self.apply_op(out, op)?;
+        debug_assert_eq!(self.ver, ver);
+        if op.kind == OpKind::Add {
+            out.send(op.target, self.welcome(self.me));
+        }
+        if !self.cfg.compression {
+            self.broadcast(out, self.commit(op, ver, None));
+            return self.mgr_start_update(out); // fresh invitation for the next op
+        }
+        // Condensed round: the commit doubles as the invitation for the
+        // next op, if there is a version to number it.
+        let next = if ver < Ver::MAX {
+            self.mgr_pick_next()
+        } else {
+            None
+        };
+        self.broadcast(out, self.commit(op, ver, next));
+        match next {
+            Some(op) => self.begin_round(out, Phase::Update { op, ver: ver + 1 }),
+            None => Ok(()),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Outer process (Fig. 9)
+    // ------------------------------------------------------------------
+
+    pub(super) fn on_invite(
+        &mut self,
+        out: &mut impl Out<Msg>,
+        from: ProcessId,
+        op: Op,
+        v: Ver,
+    ) -> Step {
+        if from != self.mgr || !matches!(self.role, Role::Outer) || v <= self.ver {
+            return Ok(()); // not our Mgr's, or a stale duplicate
+        }
+        if v - self.ver > 1 {
+            self.buffered.push((from, Msg::Invite { op, ver: v }));
+            return Ok(());
+        }
+        self.accept_invite(out, op, self.mgr)
+    }
+
+    /// Fig. 9's answer to an invitation for `op` from `coord`, or to the
+    /// contingent op a commit carries in its place: act on the belief it
+    /// states, expect `op` at the next version and acknowledge. `Ver::MAX`
+    /// has no next version, so there the invitation is dropped.
+    pub(super) fn accept_invite(
+        &mut self,
+        out: &mut impl Out<Msg>,
+        op: Op,
+        coord: ProcessId,
+    ) -> Step {
+        if op.removes(self.me) {
+            return self.do_quit(out, QuitReason::Excluded);
+        }
+        match op.kind {
+            OpKind::Remove => self.handle_faulty(out, op.target, FaultySource::Gossip)?,
+            OpKind::Add => out.note(Note::Operating { id: op.target }),
+        }
+        let Some(v) = self.ver.checked_add(1) else {
+            return Ok(());
+        };
+        self.next = vec![NextEntry::concrete(vec![op], coord, v)];
+        out.send(coord, Msg::UpdateOk { ver: v });
+        Ok(())
+    }
+
+    pub(super) fn on_commit(
+        &mut self,
+        out: &mut impl Out<Msg>,
+        from: ProcessId,
+        body: Shared<CommitBody>,
+    ) -> Step {
+        if from != self.mgr || !matches!(self.role, Role::Outer) {
+            return Ok(());
+        }
+        let CommitBody {
+            op,
+            ver: v,
+            next: nxt,
+            faulty: ref f,
+            recovered: ref r,
+        } = *body;
+        if v < self.ver {
+            return Ok(()); // stale
+        }
+        if v - self.ver > 1 {
+            self.buffered.push((from, Msg::Commit(body)));
+            return Ok(());
+        }
+        if f.contains(&self.me) || nxt.is_some_and(|n| n.removes(self.me)) {
+            return self.do_quit(out, QuitReason::Excluded);
+        }
+        if v == self.ver {
+            // Already installed (e.g. a joiner bootstrapped by `Welcome` at
+            // this very version): only the contingent part matters.
+            return self.process_contingent(out, nxt, f, r);
+        }
+        // v == self.ver + 1: apply.
+        for &q in f {
+            if q != op.target {
+                self.handle_faulty(out, q, FaultySource::Gossip)?;
+            }
+        }
+        if !matches!(self.role, Role::Outer) {
+            return Ok(()); // those suspicions made this member an initiator
+        }
+        for &j in r {
+            out.note(Note::Operating { id: j });
+        }
+        self.apply_op(out, op)?;
+        self.process_contingent(out, nxt, &[], &[])?;
+        self.drain_buffer(out)
+    }
+
+    /// Handles the `Contingent(next-op(next-id) : F : R)` part of a commit:
+    /// under compression it doubles as the next invitation (§3.1).
+    fn process_contingent(
+        &mut self,
+        out: &mut impl Out<Msg>,
+        nxt: Option<Op>,
+        f: &[ProcessId],
+        r: &[ProcessId],
+    ) -> Step {
+        for &q in f {
+            self.handle_faulty(out, q, FaultySource::Gossip)?;
+        }
+        for &j in r {
+            out.note(Note::Operating { id: j });
+        }
+        match nxt {
+            Some(n) => self.accept_invite(out, n, self.mgr),
+            None => {
+                self.next.clear();
+                Ok(())
+            }
+        }
+    }
+
+    /// Replays buffered future-view messages that have become current.
+    pub(super) fn drain_buffer(&mut self, out: &mut impl Out<Msg>) -> Step {
+        loop {
+            let cur = self.ver;
+            // Discard obsolete entries.
+            let update_ver = |m: &Msg| match m {
+                Msg::Invite { ver, .. } => Some(*ver),
+                Msg::Commit(c) => Some(c.ver),
+                _ => None,
+            };
+            self.buffered
+                .retain(|(_, m)| update_ver(m).is_none_or(|ver| ver > cur));
+            let pos = self.buffered.iter().position(|(_, m)| {
+                update_ver(m).is_some_and(|ver| cur.checked_add(1) == Some(ver))
+            });
+            let Some(pos) = pos else { return Ok(()) };
+            let (from, msg) = self.buffered.remove(pos);
+            self.dispatch(out, from, msg)?;
+            if self.ver == cur {
+                // Nothing advanced (the buffered message was an invite):
+                // wait for more traffic.
+                return Ok(());
+            }
+        }
+    }
+}

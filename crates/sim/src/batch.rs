@@ -67,32 +67,18 @@ use crate::Time;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 
-/// How far each run of a seed sweep executes, and on how many threads.
+/// How far each run of a seed sweep executes. The thread count is
+/// [`run_seeds_parallel`]'s own argument.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Simulated-time horizon passed to [`Sim::run_until`] for every seed.
     pub horizon: Time,
-    /// Worker threads for [`run_seeds_parallel`]. `None` (the default)
-    /// means [`pool::available_jobs`] — every core the platform reports.
-    /// [`run_seeds`] is always sequential and ignores this knob.
-    pub jobs: Option<NonZeroUsize>,
 }
 
 impl BatchConfig {
-    /// A sweep whose runs all execute to the given horizon, with the
-    /// default (auto-detected) parallelism.
+    /// A sweep whose runs all execute to the given horizon.
     pub fn new(horizon: Time) -> Self {
-        BatchConfig {
-            horizon,
-            jobs: None,
-        }
-    }
-
-    /// Sets the worker-thread count for [`run_seeds_parallel`]. `0`
-    /// restores the default (auto-detect).
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = NonZeroUsize::new(jobs);
-        self
+        BatchConfig { horizon }
     }
 }
 
@@ -175,11 +161,10 @@ where
 /// determinism suite and a property test pin `run_seeds_parallel(…) ==
 /// run_seeds(…)` across ranges, horizons, and job counts.
 ///
-/// `jobs` resolves in order: the explicit argument, then
-/// [`BatchConfig::jobs`], then [`pool::available_jobs`]. Unlike
-/// [`run_seeds`], `build` must be callable from worker threads (`Fn +
-/// Sync`) and the simulator's message and node types must be [`Send`] —
-/// see the crate docs' `Send` audit.
+/// `jobs` of `None` means [`pool::available_jobs`], every core the
+/// platform reports. Unlike [`run_seeds`], `build` must be callable from
+/// worker threads (`Fn + Sync`) and the simulator's message and node
+/// types must be [`Send`] — see the crate docs' `Send` audit.
 ///
 /// # Seed-range contract
 ///
@@ -201,7 +186,7 @@ where
         seeds.start,
         seeds.end
     );
-    let jobs = jobs.or(config.jobs).unwrap_or_else(pool::available_jobs);
+    let jobs = jobs.unwrap_or_else(pool::available_jobs);
     let count = seeds.end.saturating_sub(seeds.start) as usize;
     pool::run_indexed(jobs, count, |i| {
         let seed = seeds.start + i as u64;
@@ -357,17 +342,6 @@ mod tests {
         let sequential = run_seeds(0..3, config, |s| ring(4, s));
         let parallel = run_seeds_parallel(0..3, config, NonZeroUsize::new(16), |s| ring(4, s));
         assert_eq!(parallel, sequential);
-    }
-
-    #[test]
-    fn config_jobs_knob_is_honored() {
-        // jobs through the config, not the argument: same output.
-        let sequential = run_seeds(0..12, BatchConfig::new(500), |s| ring(4, s));
-        let via_config =
-            run_seeds_parallel(0..12, BatchConfig::new(500).jobs(4), None, |s| ring(4, s));
-        assert_eq!(via_config, sequential);
-        // jobs(0) restores auto-detection.
-        assert_eq!(BatchConfig::new(500).jobs(4).jobs(0).jobs, None);
     }
 
     #[test]

@@ -35,7 +35,9 @@
 //! module ([`run_seeds`]) replays one scenario across a whole seed range
 //! and aggregates percentile statistics ([`Summary`]) for schedule-space
 //! exploration; [`run_seeds_parallel`] executes the same sweep on a
-//! scoped-thread worker [`pool`] with seed-ordered, byte-identical output.
+//! scoped-thread worker [`pool`] with seed-ordered, byte-identical output,
+//! on as many threads as its `jobs` argument names (every core when
+//! `None`).
 //!
 //! # Threading and the `Send` audit
 //!
