@@ -13,9 +13,7 @@ use gmp_core::{
     cluster_with, is_protocol_tag, ClusterBuilder, Config, Flat, JoinConfig, Member, Msg, Sparse,
     Topology,
 };
-use gmp_log::{
-    logs_agree, prefix_identical, AppMsg, LogClusterBuilder, LogCmd, LogConfig, LogProc,
-};
+use gmp_log::{logs_agree, AppMsg, LogClusterBuilder, LogCmd, LogConfig, LogProc};
 use gmp_props::{analyze, check_all, check_safety, knowledge_ladder, render_ladder};
 use gmp_sim::{
     pool, run_seeds_parallel, summarize_runs, BatchConfig, Builder, Sim, Stats, Summary, TraceKind,
@@ -1135,7 +1133,7 @@ pub fn e14_replicated_log_with(
             let mut seq = e14_build(&sc, s, &lc);
             seq.run_until(sc.horizon);
             let (logs, lats) = e14_outcome(&seq, &sc);
-            prefix_ok &= prefix_identical(logs.iter().map(|(_, l)| l.as_slice()));
+            prefix_ok &= logs_agree(logs.iter().map(|(_, l)| (0, l.as_slice())));
             committed += seq.node(ProcessId(1)).log().committed_ops() as f64;
             for l in &lats {
                 latencies.extend_from_slice(l);
@@ -1276,7 +1274,7 @@ pub fn e15_log_batching(
             let mut seq = e14_build(&sc, s, &lc);
             seq.run_until(sc.horizon);
             let (logs, lats) = e14_outcome(&seq, &sc);
-            prefix_ok &= prefix_identical(logs.iter().map(|(_, l)| l.as_slice()));
+            prefix_ok &= logs_agree(logs.iter().map(|(_, l)| (0, l.as_slice())));
             committed += seq.node(ProcessId(1)).log().committed_ops() as f64;
             msgs += seq.stats().sends_matching(|t| t.starts_with("log-")) as f64;
             for l in &lats {

@@ -174,11 +174,6 @@ impl LogClusterBuilder {
         self
     }
 
-    /// The pid the next [`joiner`](Self::joiner) call would get.
-    pub fn next_joiner_pid(&self) -> ProcessId {
-        ProcessId((self.n + self.joiners.len()) as u32)
-    }
-
     /// Builds the simulator with replicas, joiners and clients registered.
     pub fn build(self) -> Sim<AppMsg, LogProc> {
         let initial: View = (0..self.n as u32).map(ProcessId).collect();
@@ -225,19 +220,13 @@ pub fn log_cluster(n: usize, clients: usize, seed: u64) -> Sim<AppMsg, LogProc> 
     LogClusterBuilder::new(n, clients).seed(seed).build()
 }
 
-/// True when every log in `logs` is a prefix of the longest one — the
-/// safety property E14 gates on: survivors may lag, never diverge.
-pub fn prefix_identical<'a>(logs: impl IntoIterator<Item = &'a [LogCmd]>) -> bool {
-    let mut logs: Vec<&[LogCmd]> = logs.into_iter().collect();
-    logs.sort_by_key(|l| l.len());
-    logs.windows(2).all(|w| w[1].starts_with(w[0]))
-}
-
-/// Base-aware variant of [`prefix_identical`] for clusters where some
-/// replica booted from a snapshot: each log comes as `(base, suffix)`
-/// with `suffix[i]` the command of slot `base + i`. Agreement means every
-/// pair matches on the slot range both actually hold — lagging and
-/// snapshot-trimmed histories are fine, divergence is not.
+/// True when the logs never diverge — the safety property E14 gates on.
+/// Each log comes as `(base, suffix)` with `suffix[i]` the command of slot
+/// `base + i` (`base` is 0 except on replicas that booted from a
+/// snapshot). Agreement means every pair matches on the slot range both
+/// actually hold — lagging and snapshot-trimmed histories are fine,
+/// divergence is not. For logs that all start at slot 0 this is "each is
+/// a prefix of the longest".
 pub fn logs_agree<'a>(logs: impl IntoIterator<Item = (u64, &'a [LogCmd])>) -> bool {
     let logs: Vec<(u64, &[LogCmd])> = logs.into_iter().collect();
     for (i, &(base_a, a)) in logs.iter().enumerate() {
@@ -269,22 +258,16 @@ mod tests {
     }
 
     #[test]
-    fn prefix_check_accepts_lagging_survivors() {
+    fn base_aware_agreement_compares_overlaps_only() {
+        // Logs that all start at slot 0 agree when each is a prefix of the
+        // longest: survivors may lag…
         let a = [cmd(9, 0), cmd(9, 1), cmd(8, 0)];
         let b = [cmd(9, 0), cmd(9, 1)];
         let c: [LogCmd; 0] = [];
-        assert!(prefix_identical([&a[..], &b[..], &c[..]]));
-    }
-
-    #[test]
-    fn prefix_check_rejects_divergence() {
-        let a = [cmd(9, 0), cmd(9, 1)];
-        let b = [cmd(9, 0), cmd(8, 0)];
-        assert!(!prefix_identical([&a[..], &b[..]]));
-    }
-
-    #[test]
-    fn base_aware_agreement_compares_overlaps_only() {
+        assert!(logs_agree([(0, &a[..]), (0, &b[..]), (0, &c[..])]));
+        // …but never diverge.
+        let d = [cmd(9, 0), cmd(8, 0)];
+        assert!(!logs_agree([(0, &b[..]), (0, &d[..])]));
         let full = [cmd(9, 0), cmd(9, 1), cmd(8, 0), cmd(8, 1)];
         let tail = [cmd(8, 0), cmd(8, 1)];
         // A snapshot-booted replica holding slots [2, 4) agrees…

@@ -16,7 +16,10 @@
 //! (`AcceptBatch`/`AcceptOkRange`/`DecideBatch`), a single command being a
 //! range of one — the new-leader recovery round, and joiner state
 //! transfer (snapshot + tail once compaction has passed the joiner's
-//! prefix) — see [`ReplicatedLog`]. Everything is sans-IO: the log and the
+//! prefix) — see [`ReplicatedLog`]. Its Paxos roles (leader, acceptor,
+//! learner, and compaction with catch-up) each live in one file of
+//! [`replica`], and debug builds check its invariants after every entry
+//! point. Everything is sans-IO: the log and the
 //! [`Client`] emit through a [`gmp_sim::Out`] sink, which inside
 //! [`gmp_sim`]'s deterministic engine is the handler's context and
 //! outside it a `Vec` of [`gmp_sim::Effect`]s. Batch size, client pipeline
@@ -29,7 +32,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use gmp_log::{log_cluster, prefix_identical};
+//! use gmp_log::{log_cluster, logs_agree};
 //! use gmp_types::ProcessId;
 //!
 //! // Five replicas, three clients; crash the leader mid-run.
@@ -44,7 +47,7 @@
 //!     .filter(|&p| p != ProcessId(0) && ProcessId(5) > p)
 //!     .map(|p| sim.node(p).log().committed())
 //!     .collect();
-//! assert!(prefix_identical(logs.iter().copied()));
+//! assert!(logs_agree(logs.iter().map(|&l| (0, l))));
 //! assert!(sim.node(ProcessId(1)).log().committed_ops() > 0);
 //! ```
 
@@ -56,7 +59,7 @@ pub mod replica;
 mod window;
 
 pub use client::Client;
-pub use cluster::{log_cluster, logs_agree, prefix_identical, LogClusterBuilder, LogConfig};
+pub use cluster::{log_cluster, logs_agree, LogClusterBuilder, LogConfig};
 pub use msg::{AppMsg, LogCmd, LogMsg, RecoverOkBody, Snapshot, SyncOkBody};
 pub use node::{LogProc, Replica};
 pub use replica::{ReplicatedLog, LOG_FLUSH};

@@ -1,0 +1,94 @@
+//! Compaction and catch-up: the floor below which the applied log is
+//! summarized by per-client high-water marks, the [`Snapshot`] that
+//! carries that summary, and the `Sync` answer that ships it plus the
+//! applied tail to a joiner.
+
+use super::*;
+
+impl ReplicatedLog {
+    /// Advances the compaction floor once the applied suffix above it
+    /// exceeds twice the keep budget, pruning `by_cmd` below the new
+    /// floor. The 2× hysteresis makes the amortized cost O(1) per applied
+    /// slot.
+    pub(super) fn maybe_compact(&mut self) {
+        if self.compact_keep == usize::MAX {
+            return;
+        }
+        let len = self.logical_len();
+        if len - self.floor <= 2 * self.compact_keep as u64 {
+            return;
+        }
+        let new_floor = len - self.compact_keep as u64;
+        self.by_cmd.retain(|_, s| *s >= new_floor);
+        self.floor = new_floor;
+    }
+
+    /// Raises `client`'s dedup high-water mark to `(seq, slot)` unless it
+    /// already stands higher. ≥, not >: a snapshot may have pre-adopted
+    /// this very mark.
+    pub(super) fn raise_mark(&mut self, client: ProcessId, seq: u64, slot: u64) {
+        let mark = self.client_hwm.entry(client).or_insert((seq, slot));
+        if seq >= mark.0 {
+            *mark = (seq, slot);
+        }
+    }
+
+    /// The compacted summary of everything below the floor: the floor plus
+    /// every client's dedup high-water mark.
+    fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            floor: self.floor,
+            clients: self
+                .client_hwm
+                .iter()
+                .map(|(&c, &(seq, slot))| (c, seq, slot))
+                .collect(),
+        }
+    }
+
+    /// Installs a received snapshot: adopt any newer client marks, and if
+    /// the snapshot's floor is ahead of our applied prefix, restart the
+    /// applied vectors at it (the pruned prefix is summarized, not lost —
+    /// that is the floor invariant).
+    pub(super) fn install_snapshot(&mut self, snap: Snapshot) {
+        for (client, seq, slot) in snap.clients {
+            self.raise_mark(client, seq, slot);
+        }
+        if snap.floor > self.logical_len() {
+            self.committed.clear();
+            self.ballots.clear();
+            self.applied_at.clear();
+            self.base = snap.floor;
+            self.slots.truncate_below(snap.floor);
+            self.by_cmd.retain(|_, s| *s >= snap.floor);
+        }
+        self.floor = self.floor.max(snap.floor);
+    }
+
+    /// The catch-up answer from slot `req`: the applied entries from
+    /// `req` on, or — when `req` lies below `cut` — the snapshot that
+    /// stands in for the prefix and the entries from the floor on.
+    pub(super) fn catch_up(&self, req: u64, cut: u64) -> SyncOkBody {
+        let (snapshot, from) = if req < cut {
+            (Some(self.snapshot()), self.floor)
+        } else {
+            (None, req)
+        };
+        let lo = (from - self.base).min(self.committed.len() as u64) as usize;
+        let applied = self.ballots[lo..].iter().zip(&self.committed[lo..]);
+        let entries = applied.map(|(&b, &cmd)| (b, cmd)).collect();
+        SyncOkBody {
+            from,
+            snapshot,
+            entries,
+        }
+    }
+
+    /// Answers a joiner's `Sync`: below the floor the prefix is gone, so
+    /// the snapshot that summarizes it goes with the retained tail —
+    /// O(tail).
+    pub(super) fn on_sync(&self, out: &mut impl Out<LogMsg>, from: ProcessId, req: u64) {
+        let body = self.catch_up(req, self.floor);
+        out.send(from, LogMsg::SyncOk(Shared::from(body)));
+    }
+}

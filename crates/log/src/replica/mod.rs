@@ -6,7 +6,7 @@
 //! | multipaxos concept | provided by GMP |
 //! |---|---|
 //! | configuration / epoch | the installed view |
-//! | ballot number | the view version `ver` (monotone, agreed) |
+//! | ballot number | the view version (monotone, agreed) |
 //! | leader | the view's coordinator `Mgr` |
 //! | quorum | the view majority (`⌊n/2⌋ + 1`) |
 //! | leader election / phase 1 trigger | [`MemberEvent::ViewInstalled`] |
@@ -18,6 +18,27 @@
 //! Because proposals go out in ascending slot order over FIFO links,
 //! decisions also arrive in order and the applied prefix never holds holes
 //! for long.
+//!
+//! # One struct, one file per Paxos role
+//!
+//! [`ReplicatedLog`] is one struct with one `impl` block per role, named
+//! as in *Paxos Made Moderately Complex*. The roles are not split into
+//! structs of their own: every one of them reads the view, the ballot and
+//! the slot window, so each wrapper's callers would still need to know
+//! everything they know now.
+//!
+//! | file | role | handlers |
+//! |---|---|---|
+//! | `mod.rs` | — | the struct, accessors, `step_event`/`step_message`/`step_flush`, `store`, `check_invariants` |
+//! | `leader.rs` | leader (proposer) | `become_leader`, `on_request`, `on_recover_ok`, `stop_awaiting`, `finish_recovery_if_ready`, `propose_queued`, `propose_batch`, `count_acks`, `decide_slots` |
+//! | `acceptor.rs` | acceptor | `on_accept`, `accept`, `on_recover` |
+//! | `learner.rs` | replica (learner) | `on_decide`, `on_sync_ok`, `learn_and_apply`, `learn`, `apply_contiguous` |
+//! | `compact.rs` | compaction and catch-up | `maybe_compact`, `raise_mark`, `snapshot`, `install_snapshot`, `catch_up`, `on_sync` |
+//!
+//! Debug builds check the log's invariants after every entry point
+//! (`base ≤ floor ≤ logical_len`, the applied vectors in step, the window
+//! above the applied prefix, a leader that is active and believes itself
+//! leader); release builds compile the check out.
 //!
 //! # Where per-slot state lives
 //!
@@ -58,30 +79,31 @@
 //! Replicas maintain a **compaction floor**, `base ≤ floor ≤
 //! logical_len`: every slot below it is committed and summarized by a
 //! [`Snapshot`] — the floor itself plus one `(last seq, slot)` dedup
-//! high-water mark per client. The mark is a complete dedup summary
-//! because links are FIFO and the leader proposes in admission order, so
-//! each client's sequence numbers commit in monotone order: `seq ≤ mark`
-//! ⇔ committed. Once `logical_len - floor > 2·compact_keep`, the floor
-//! advances to `logical_len - compact_keep` and `by_cmd` — the one
-//! per-slot table that outlives application — is pruned below it; the
+//! high-water mark per client. The mark is a complete dedup
+//! summary because links are FIFO and the leader proposes in admission
+//! order, so each client's sequence numbers commit in monotone order:
+//! `seq ≤ mark` ⇔ committed. Once `logical_len - floor > 2·compact_keep`,
+//! the floor advances to `logical_len - compact_keep` and `by_cmd` — the
+//! one per-slot table that outlives application — is pruned below it; the
 //! window needs no pruning, it ends where the applied prefix begins.
 //! Joiner `Sync` below the floor answers with snapshot + tail (O(tail),
 //! not O(log)); a snapshot-booted replica starts its applied vectors at
 //! `base = snapshot.floor` instead of 0.
 //!
 //! On every view install where this process is `Mgr` it (re)runs the
-//! **recovery round** — multipaxos phase 1 at ballot = the new `ver`: ask
-//! every view member for accepted entries above the committed prefix,
-//! adopt the highest-ballot value per slot, fill true gaps with no-ops,
-//! and re-propose the lot before serving new client traffic. That is what
-//! makes leader failover safe: anything the dead leader may have committed
-//! survives in the accepted sets of a majority, and the new view (minus
-//! the excluded members) still intersects it whenever the group itself
-//! stayed a majority — the same bound the membership layer already lives
-//! under (Fig. 8's `μ_Mgr`). On completing recovery the new leader also
-//! re-sends each client's high-water `Reply`: a command decided under the
-//! dead leader may have lost its reply with the crash, and the re-reply
-//! is what unsticks that client without waiting for its retry sweep.
+//! **recovery round** — multipaxos phase 1 at ballot = the new view
+//! version: ask every view member for accepted entries above the
+//! committed prefix, adopt the highest-ballot value per slot, fill true
+//! gaps with no-ops, and re-propose the lot before serving new client
+//! traffic. That is what makes leader failover safe: anything the dead
+//! leader may have committed survives in the accepted sets of a majority,
+//! and the new view (minus the excluded members) still intersects it
+//! whenever the group itself stayed a majority — the same bound the
+//! membership layer already lives under (Fig. 8's `μ_Mgr`). On completing
+//! recovery the new leader also re-sends each client's high-water
+//! `Reply`: a command decided under the dead leader may have lost its
+//! reply with the crash, and the re-reply is what unsticks that client
+//! without waiting for its retry sweep.
 //!
 //! The state machine is sans-IO like [`Member`](gmp_core::Member): its
 //! entry points ([`step_event`](ReplicatedLog::step_event),
@@ -93,62 +115,23 @@
 //! `Vec<Effect<LogMsg>>`. The flush timer is always the last effect of
 //! the call that arms it, so it keeps its place behind that call's sends.
 
-use crate::msg::{LogCmd, LogMsg, RecoverOkBody, Snapshot, SyncOkBody};
-use crate::window::SlotWindow;
-use gmp_core::MemberEvent;
-use gmp_sim::{Effect, IntMap, IntSet, Out, Shared};
-use gmp_types::{ProcessId, Ver};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+mod acceptor;
+mod compact;
+mod leader;
+mod learner;
 
-/// Simulated-time alias (mirrors `gmp_sim::Time`).
-type Time = u64;
+use crate::msg::{LogCmd, LogMsg, RecoverOkBody, Snapshot, SyncOkBody};
+use crate::window::{SlotWindow, MAX_SPAN};
+use gmp_core::MemberEvent;
+use gmp_sim::{Effect, IntMap, IntSet, Out, Shared, Time};
+use gmp_types::{ProcessId, Ver};
+use leader::LeaderState;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Timer tag of the leader's batch-coalescing flush. The membership layer
 /// owns tags 1–3 and the client loop tag 64; the hosting node routes this
 /// one back into [`ReplicatedLog::step_flush`].
 pub const LOG_FLUSH: u64 = 65;
-
-/// Leader-only state.
-#[derive(Clone, Debug)]
-struct LeaderState {
-    /// Our ballot: the version of the view that made us `Mgr`.
-    ballot: Ver,
-    /// Next unproposed slot.
-    next_slot: u64,
-    /// Client commands admitted but not yet proposed (recovery in
-    /// progress, batch flush pending, or the in-flight window is full).
-    queue: VecDeque<LogCmd>,
-    /// Leader-side dedup: mirror of `queue` ∪ `in_flight`. Entries leave
-    /// when their command is learned; committed dedup is `by_cmd` and the
-    /// per-client high-water marks, so this set stays window-sized.
-    admitted: IntSet<LogCmd>,
-    /// Proposed, awaiting a quorum of acks: the command per slot, whose
-    /// mark `r` is the ack of view rank `r` (the leader counts itself
-    /// implicitly). A slot leaves on reaching quorum, so `len()` is the
-    /// undecided count the window-room test wants.
-    in_flight: SlotWindow<LogCmd>,
-    /// The recovery round, while it runs. `None` once steady-state.
-    recovery: Option<Recovery>,
-}
-
-/// Recovery-round bookkeeping (phase 1 at the new ballot).
-#[derive(Clone, Debug)]
-struct Recovery {
-    /// View members whose `RecoverOk` is still awaited.
-    pending: BTreeSet<ProcessId>,
-    /// Highest-ballot accepted entry reported per slot.
-    found: SlotWindow<(Ver, LogCmd)>,
-}
-
-impl Recovery {
-    /// Keeps the report for `slot` unless one at `ballot` or above is held.
-    fn adopt(&mut self, slot: u64, ballot: Ver, cmd: LogCmd) {
-        let held = self.found.get(slot);
-        if held.is_none_or(|&(have, _)| have < ballot) {
-            self.found.insert(slot, (ballot, cmd));
-        }
-    }
-}
 
 /// What a replica holds for one slot above its applied prefix.
 #[derive(Clone, Copy, Debug)]
@@ -174,9 +157,8 @@ pub struct ReplicatedLog {
     me: ProcessId,
     /// Members of the current view (the acceptor set), seniority order.
     view: Vec<ProcessId>,
-    /// Version of the current view.
-    ver: Ver,
-    /// Current leader belief: the view's `Mgr`.
+    /// Current leader belief: the view's `Mgr`. A follower's redirect
+    /// names it.
     leader: Option<ProcessId>,
     /// Highest ballot promised: max of every installed version and every
     /// ballot accepted from. Accepts below it are stale and ignored.
@@ -224,9 +206,9 @@ pub struct ReplicatedLog {
     last_sync: Option<(bool, u64)>,
     /// True between activation (initial view / welcome) and quit.
     active: bool,
-    /// Slots an ack just brought to quorum, ascending; scratch between
-    /// `count_acks` and the decide that consumes it.
-    decided: Vec<(u64, LogCmd)>,
+    /// Time of the input being handled: each entry point sets it, and
+    /// applying a slot stamps it into `applied_at`.
+    now: Time,
     /// The sink of the three-argument entry-point shims, read back by
     /// [`take_outbox`](Self::take_outbox) and
     /// [`take_flush_request`](Self::take_flush_request).
@@ -245,7 +227,6 @@ impl ReplicatedLog {
         ReplicatedLog {
             me: ProcessId(u32::MAX),
             view: Vec::new(),
-            ver: 0,
             leader: None,
             promised: 0,
             slots: SlotWindow::new(0),
@@ -264,7 +245,7 @@ impl ReplicatedLog {
             flush_armed: false,
             last_sync: None,
             active: false,
-            decided: Vec::new(),
+            now: 0,
             shim: Vec::new(),
         }
     }
@@ -338,11 +319,6 @@ impl ReplicatedLog {
         self.lead.is_some()
     }
 
-    /// The current leader belief (the view's `Mgr`), once a view is known.
-    pub fn leader(&self) -> Option<ProcessId> {
-        self.leader
-    }
-
     /// Applied client operations, no-op fillers excluded (not counting
     /// anything below [`base`](Self::base) on snapshot-booted replicas).
     pub fn committed_ops(&self) -> usize {
@@ -401,35 +377,34 @@ impl ReplicatedLog {
     }
 
     // ------------------------------------------------------------------
-    // Flush timer
+    // Entry points
     // ------------------------------------------------------------------
 
     /// The [`LOG_FLUSH`] timer fired: propose everything coalesced since
     /// it was armed (up to `batch_max` per `AcceptBatch`).
     pub fn step_flush(&mut self, out: &mut impl Out<LogMsg>, now: Time) {
+        self.now = now;
         self.flush_armed = false;
-        self.propose_queued(out, now);
+        self.propose_queued(out);
+        #[cfg(debug_assertions)]
+        self.check_invariants();
     }
-
-    // ------------------------------------------------------------------
-    // Membership events
-    // ------------------------------------------------------------------
 
     /// Feeds one membership transition. The hosting node calls this with
     /// everything `Member::take_events` drained, in order.
     pub fn step_event(&mut self, out: &mut impl Out<LogMsg>, ev: MemberEvent, now: Time) {
+        self.now = now;
         match ev {
             MemberEvent::ViewInstalled { ver, members, mgr }
             | MemberEvent::Welcomed { ver, members, mgr } => {
                 let welcomed = !self.active;
                 self.active = true;
                 self.view = members;
-                self.ver = ver;
                 self.promised = self.promised.max(ver);
                 self.leader = Some(mgr);
                 self.suspected.retain(|p| self.view.contains(p));
                 if mgr == self.me {
-                    self.become_leader(out, ver, now);
+                    self.become_leader(out, ver);
                 } else {
                     // Demotion (or follower continuation): any in-flight
                     // proposals are the new leader's problem now — its
@@ -440,91 +415,31 @@ impl ReplicatedLog {
                         // committed prefix we missed. Decides from now on
                         // reach us directly (we are in the view the leader
                         // broadcasts to); `SyncOk` fills everything before.
-                        out.send(
-                            mgr,
-                            LogMsg::Sync {
-                                from: self.logical_len(),
-                            },
-                        );
+                        let from = self.logical_len();
+                        out.send(mgr, LogMsg::Sync { from });
                     }
                 }
             }
             MemberEvent::PeerSuspected { peer, .. } => {
+                // A suspect will never answer. (In-flight accepts keep
+                // counting toward the *view* majority — the next view
+                // install re-proposes them if the quorum died.)
                 self.suspected.insert(peer);
-                // A suspect will never answer: stop awaiting its recovery
-                // response. (In-flight accepts keep counting toward the
-                // *view* majority — the next view install re-proposes them
-                // if the quorum died.)
-                if let Some(lead) = &mut self.lead {
-                    if let Some(rec) = &mut lead.recovery {
-                        rec.pending.remove(&peer);
-                    }
-                }
-                self.finish_recovery_if_ready(out, now);
-            }
-            MemberEvent::PeerExcluded { .. } => {
-                // The matching ViewInstalled (next event) carries the new
-                // view; nothing to do on the exclusion itself.
+                self.stop_awaiting(out, peer);
             }
             MemberEvent::Quit { .. } => {
+                // An armed flush stays armed: nothing cancels its timer.
                 self.active = false;
                 self.lead = None;
-                self.flush_armed = false;
             }
-            // `MemberEvent` is non_exhaustive: future kinds don't concern
-            // the log until someone teaches it otherwise.
+            // The matching ViewInstalled follows a `PeerExcluded` with the
+            // new view; `MemberEvent` is non_exhaustive, and future kinds
+            // don't concern the log until someone teaches it otherwise.
             _ => {}
         }
+        #[cfg(debug_assertions)]
+        self.check_invariants();
     }
-
-    /// Starts (or restarts) leading at `ballot`. Re-entered on *every*
-    /// view install that leaves us `Mgr`: the recovery round is idempotent
-    /// and re-proposing at the newest ballot is exactly what un-wedges
-    /// slots whose quorum died mid-accept.
-    fn become_leader(&mut self, out: &mut impl Out<LogMsg>, ballot: Ver, now: Time) {
-        let mut queue = match self.lead.take() {
-            // Keep admitted-but-unserved client work across re-elections.
-            Some(prev) => prev.queue,
-            None => VecDeque::new(),
-        };
-        // …minus anything a leader in between already committed (the
-        // client resubmitted it there while we were a follower).
-        queue.retain(|c| self.committed_slot_of(c).is_none());
-        let admitted = queue.iter().copied().collect();
-        let pending: BTreeSet<ProcessId> = self
-            .view
-            .iter()
-            .filter(|&&p| p != self.me && !self.suspected.contains(&p))
-            .copied()
-            .collect();
-        self.lead = Some(LeaderState {
-            ballot,
-            next_slot: self.logical_len(),
-            queue,
-            admitted,
-            in_flight: SlotWindow::new(self.view.len()),
-            recovery: Some(Recovery {
-                pending,
-                found: SlotWindow::new(0),
-            }),
-        });
-        let from = self.logical_len();
-        self.broadcast(out, || LogMsg::Recover { ballot, from });
-        // A solitary (or fully-suspicious) leader recovers from its own
-        // accepted set alone.
-        self.finish_recovery_if_ready(out, now);
-    }
-
-    /// Sends `msg()` to every other view member, in view order.
-    fn broadcast(&self, out: &mut impl Out<LogMsg>, msg: impl Fn() -> LogMsg) {
-        for &p in self.view.iter().filter(|&&p| p != self.me) {
-            out.send(p, msg());
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Log messages
-    // ------------------------------------------------------------------
 
     /// Handles one incoming log message.
     pub fn step_message(
@@ -534,513 +449,69 @@ impl ReplicatedLog {
         msg: LogMsg,
         now: Time,
     ) {
-        if !self.active {
-            return;
-        }
-        match msg {
-            LogMsg::Request { cmd } => self.on_request(out, from, cmd, now),
-            LogMsg::AcceptBatch {
-                ballot,
-                first_slot,
-                cmds,
-            } => {
-                let Some(slots) = slot_range(first_slot, cmds.len()) else {
-                    return;
-                };
-                if ballot >= self.promised {
-                    self.promised = ballot;
-                    let mut kept = true;
-                    for (slot, &cmd) in slots.zip(cmds.iter()) {
-                        kept &= self.accept(slot, ballot, cmd);
-                    }
-                    if kept {
-                        let count = cmds.len() as u64;
-                        out.send(
-                            from,
-                            LogMsg::AcceptOkRange {
-                                ballot,
-                                first_slot,
-                                count,
-                            },
-                        );
-                    }
-                }
-            }
-            LogMsg::AcceptOkRange {
-                ballot,
-                first_slot,
-                count,
-            } => {
-                self.count_acks(from, ballot, first_slot, count);
-                if !self.decided.is_empty() {
-                    self.decide_slots(out, ballot, now);
-                }
-            }
-            LogMsg::DecideBatch {
-                ballot,
-                first_slot,
-                cmds,
-            } => {
-                let Some(slots) = slot_range(first_slot, cmds.len()) else {
-                    return;
-                };
-                for (slot, &cmd) in slots.zip(cmds.iter()) {
-                    self.learn(slot, ballot, cmd);
-                }
-                self.apply_contiguous(now);
-            }
-            LogMsg::Recover {
-                ballot,
-                from: floor,
-            } => self.on_recover(out, from, ballot, floor),
-            LogMsg::RecoverOk(body) => {
-                let RecoverOkBody {
+        self.now = now;
+        if self.active {
+            match msg {
+                LogMsg::Request { cmd } => self.on_request(out, from, cmd),
+                LogMsg::AcceptBatch {
                     ballot,
-                    snapshot,
-                    entries,
-                } = Shared::unwrap_or_clone(body);
-                if let Some(snap) = snapshot {
-                    self.install_snapshot(snap);
-                }
-                let Some(lead) = &mut self.lead else { return };
-                if lead.ballot != ballot {
-                    return; // stale round
-                }
-                let Some(rec) = &mut lead.recovery else {
-                    return;
-                };
-                for (slot, b, cmd) in entries {
-                    rec.adopt(slot, b, cmd);
-                }
-                rec.pending.remove(&from);
-                self.finish_recovery_if_ready(out, now);
-            }
-            LogMsg::Sync { from: req } => {
-                // Below the floor the prefix is gone: ship the snapshot
-                // that summarizes it plus the retained tail — O(tail).
-                let (snapshot, start) = if req < self.floor {
-                    (Some(self.snapshot()), self.floor)
-                } else {
-                    (None, req)
-                };
-                let entries = self.applied_from(start).map(|(_, b, c)| (b, c)).collect();
-                let body = SyncOkBody {
-                    from: start,
-                    snapshot,
-                    entries,
-                };
-                out.send(from, LogMsg::SyncOk(Shared::from(body)));
-            }
-            LogMsg::SyncOk(body) => {
-                let SyncOkBody {
-                    from: start,
-                    snapshot,
-                    entries,
-                } = Shared::unwrap_or_clone(body);
-                let Some(slots) = slot_range(start, entries.len()) else {
-                    return;
-                };
-                self.last_sync = Some((snapshot.is_some(), entries.len() as u64));
-                if let Some(snap) = snapshot {
-                    self.install_snapshot(snap);
-                }
-                for (slot, (b, cmd)) in slots.zip(entries) {
-                    self.learn(slot, b, cmd);
-                }
-                self.apply_contiguous(now);
-            }
-            // Client-side messages; replicas ignore strays.
-            LogMsg::Redirect { .. } | LogMsg::Reply { .. } => {}
-        }
-    }
-
-    /// The applied entries at slot ≥ `start`, as `(slot, deciding ballot,
-    /// cmd)`. `start` must not lie below `base`.
-    fn applied_from(&self, start: u64) -> impl Iterator<Item = (u64, Ver, LogCmd)> + '_ {
-        debug_assert!(start >= self.base, "start under the applied base");
-        let lo = (start - self.base).min(self.committed.len() as u64) as usize;
-        (lo..self.committed.len())
-            .map(|i| (self.base + i as u64, self.ballots[i], self.committed[i]))
-    }
-
-    /// Answers a `Recover` probe: promise the ballot and report everything
-    /// accepted at slot ≥ `req` — the applied vectors up to the applied
-    /// prefix (committed implies accepted), the window above it. Below
-    /// `base` nothing survives as entries; the snapshot goes instead and
-    /// the entries start at its floor.
-    fn on_recover(&mut self, out: &mut impl Out<LogMsg>, from: ProcessId, ballot: Ver, req: u64) {
-        if ballot < self.promised {
-            return;
-        }
-        self.promised = ballot;
-        let (snapshot, start) = if req < self.base {
-            (Some(self.snapshot()), self.floor)
-        } else {
-            (None, req)
-        };
-        let above = self.slots.range_from(start);
-        let entries = self
-            .applied_from(start)
-            .chain(above.map(|(slot, e)| (slot, e.ballot, e.cmd)))
-            .collect();
-        let body = RecoverOkBody {
-            ballot,
-            snapshot,
-            entries,
-        };
-        out.send(from, LogMsg::RecoverOk(Shared::from(body)));
-    }
-
-    fn on_request(
-        &mut self,
-        out: &mut impl Out<LogMsg>,
-        client: ProcessId,
-        cmd: LogCmd,
-        now: Time,
-    ) {
-        if self.lead.is_none() {
-            // Not the leader: point the client at our belief (silence
-            // would also work — clients retry — but the hint is what makes
-            // failover latency a round trip instead of a timeout).
-            if let Some(l) = self.leader {
-                if l != self.me {
-                    out.send(client, LogMsg::Redirect { leader: l });
-                }
-            }
-            return;
-        }
-        if let Some(slot) = self.committed_slot_of(&cmd) {
-            // Committed duplicate (client re-sent across a failover the
-            // first reply did not survive): answer from the log above the
-            // floor, or from the client's high-water mark below it.
-            out.send(client, LogMsg::Reply { seq: cmd.seq, slot });
-            return;
-        }
-        let lead = self.lead.as_mut().expect("leader checked above");
-        if !lead.admitted.insert(cmd) {
-            return; // queued or in flight; the decide will answer
-        }
-        lead.queue.push_back(cmd);
-        if self.batch_max > 1 {
-            // Coalesce everything arriving this tick into one batch under a
-            // 1-tick flush. This is the call's last effect, so the timer's
-            // `seq` follows every send of the call.
-            self.ask_flush(out);
-        } else {
-            // A batch of one has nothing to wait for.
-            self.propose_queued(out, now);
-        }
-    }
-
-    /// The committed slot of `cmd`, if it committed: exact from `by_cmd`
-    /// above the floor, else inferred from the client's high-water mark
-    /// (`seq ≤ mark` ⇔ committed; the mark's slot stands in for the
-    /// pruned exact slot — clients match replies by `seq` alone).
-    fn committed_slot_of(&self, cmd: &LogCmd) -> Option<u64> {
-        if let Some(&slot) = self.by_cmd.get(cmd) {
-            return Some(slot);
-        }
-        match self.client_hwm.get(&cmd.client) {
-            Some(&(seq, slot)) if seq >= cmd.seq => Some(slot),
-            _ => None,
-        }
-    }
-
-    /// Arms the flush timer, once per armed window.
-    fn ask_flush(&mut self, out: &mut impl Out<LogMsg>) {
-        if !self.flush_armed {
-            self.flush_armed = true;
-            out.set_timer(1, LOG_FLUSH);
-        }
-    }
-
-    /// Counts `from`'s ack for `[first_slot, first_slot + count)` at
-    /// `ballot` and moves every slot it brings to quorum from the
-    /// in-flight window to `decided`. The range is off the wire: only its
-    /// overlap with the window is walked, and only a member of the
-    /// current view is counted (once — its rank is its bit).
-    fn count_acks(&mut self, from: ProcessId, ballot: Ver, first_slot: u64, count: u64) {
-        let quorum = self.quorum();
-        let Some(lead) = self.lead.as_mut().filter(|l| l.ballot == ballot) else {
-            return;
-        };
-        let me = self.me;
-        let Some(rank) = self.view.iter().position(|&p| p == from && p != me) else {
-            return;
-        };
-        let span = lead.in_flight.span();
-        let end = first_slot.saturating_add(count).min(span.end);
-        for slot in first_slot.max(span.start)..end {
-            // +1: the leader accepted its own proposal at propose time.
-            if lead
-                .in_flight
-                .mark(slot, rank)
-                .is_some_and(|n| n + 1 >= quorum)
-            {
-                let cmd = lead.in_flight.remove(slot).expect("a marked slot");
-                self.decided.push((slot, cmd));
+                    first_slot,
+                    cmds,
+                } => self.on_accept(out, from, ballot, first_slot, &cmds),
+                LogMsg::AcceptOkRange {
+                    ballot,
+                    first_slot,
+                    count,
+                } => self.count_acks(out, from, ballot, first_slot, count),
+                LogMsg::DecideBatch {
+                    ballot,
+                    first_slot,
+                    cmds,
+                } => self.on_decide(ballot, first_slot, &cmds),
+                LogMsg::Recover { ballot, from: req } => self.on_recover(out, from, ballot, req),
+                LogMsg::RecoverOk(body) => self.on_recover_ok(out, from, body),
+                LogMsg::Sync { from: req } => self.on_sync(out, from, req),
+                LogMsg::SyncOk(body) => self.on_sync_ok(body),
+                // Client-side messages; replicas ignore strays.
+                LogMsg::Redirect { .. } | LogMsg::Reply { .. } => {}
             }
         }
+        #[cfg(debug_assertions)]
+        self.check_invariants();
     }
 
-    /// Commits the `decided` slots: learn them all, ship one `DecideBatch`
-    /// per contiguous run per peer (one allocation per run), answer the
-    /// clients, and refill the pipeline straight from the queue.
-    fn decide_slots(&mut self, out: &mut impl Out<LogMsg>, ballot: Ver, now: Time) {
-        let mut decided = std::mem::take(&mut self.decided);
-        for &(slot, cmd) in &decided {
-            self.learn(slot, ballot, cmd);
-        }
-        for run in decided.chunk_by(|a, b| a.0 + 1 == b.0) {
-            let first_slot = run[0].0;
-            let cmds: Vec<LogCmd> = run.iter().map(|&(_, cmd)| cmd).collect();
-            let cmds: Shared<[LogCmd]> = cmds.into();
-            self.broadcast(out, || LogMsg::DecideBatch {
-                ballot,
-                first_slot,
-                cmds: cmds.clone(),
-            });
-        }
-        for &(slot, cmd) in &decided {
-            if !cmd.is_noop() {
-                out.send(cmd.client, LogMsg::Reply { seq: cmd.seq, slot });
-            }
-        }
-        // Hand the scratch back before anything below can decide again.
-        decided.clear();
-        self.decided = decided;
-        self.apply_contiguous(now);
-        self.propose_queued(out, now);
-    }
-
-    /// Records an accepted entry. Below the applied prefix the slot is
-    /// already final here, and so is a parked decision: both are left
-    /// alone and still acked (decided ⊇ accepted). False — do not ack —
-    /// only when the window refuses a slot absurdly far from the rest.
-    fn accept(&mut self, slot: u64, ballot: Ver, cmd: LogCmd) -> bool {
-        if slot < self.logical_len() || self.slots.get(slot).is_some_and(|e| e.decided) {
-            return true;
-        }
-        let decided = false;
-        self.slots.insert(
-            slot,
-            Entry {
-                ballot,
-                cmd,
-                decided,
-            },
-        )
-    }
-
-    /// Records a decided entry (idempotent; decides imply accepts so the
-    /// entry also feeds later recoveries).
-    fn learn(&mut self, slot: u64, ballot: Ver, cmd: LogCmd) {
-        if slot < self.logical_len() {
-            return; // already applied
-        }
-        if let Some(lead) = &mut self.lead {
-            lead.admitted.remove(&cmd);
-        }
-        let decided = true;
-        self.slots.insert(
-            slot,
-            Entry {
-                ballot,
-                cmd,
-                decided,
-            },
-        );
-    }
-
-    /// Applies every parked decision contiguous with the applied prefix —
-    /// popping the window's front — then compacts if the hot state
-    /// outgrew its bound.
-    fn apply_contiguous(&mut self, now: Time) {
-        while let Some(&Entry {
+    /// Writes `slot`'s window entry, replacing what was there. False only
+    /// when the window refuses a slot absurdly far from the rest.
+    fn store(&mut self, slot: u64, ballot: Ver, cmd: LogCmd, decided: bool) -> bool {
+        let entry = Entry {
             ballot,
             cmd,
-            decided: true,
-        }) = self.slots.get(self.logical_len())
-        {
-            let slot = self.logical_len();
-            self.slots.remove(slot);
-            self.committed.push(cmd);
-            self.ballots.push(ballot);
-            self.applied_at.push(now);
-            if !cmd.is_noop() {
-                self.by_cmd.insert(cmd, slot);
-                let mark = self.client_hwm.entry(cmd.client).or_insert((cmd.seq, slot));
-                // ≥, not >: a snapshot may have pre-adopted this very mark.
-                if cmd.seq >= mark.0 {
-                    *mark = (cmd.seq, slot);
-                }
-            }
-        }
-        self.maybe_compact();
-    }
-
-    /// Advances the compaction floor once the applied suffix above it
-    /// exceeds twice the keep budget, pruning `by_cmd` below the new
-    /// floor. The 2× hysteresis makes the amortized cost O(1) per applied
-    /// slot.
-    fn maybe_compact(&mut self) {
-        if self.compact_keep == usize::MAX {
-            return;
-        }
-        let len = self.logical_len();
-        if len - self.floor <= 2 * self.compact_keep as u64 {
-            return;
-        }
-        let new_floor = len - self.compact_keep as u64;
-        self.by_cmd.retain(|_, s| *s >= new_floor);
-        self.floor = new_floor;
-    }
-
-    /// The compacted summary of everything below the floor: the floor plus
-    /// every client's dedup high-water mark.
-    fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            floor: self.floor,
-            clients: self
-                .client_hwm
-                .iter()
-                .map(|(&c, &(seq, slot))| (c, seq, slot))
-                .collect(),
-        }
-    }
-
-    /// Installs a received snapshot: adopt any newer client marks, and if
-    /// the snapshot's floor is ahead of our applied prefix, restart the
-    /// applied vectors at it (the pruned prefix is summarized, not lost —
-    /// that is the floor invariant).
-    fn install_snapshot(&mut self, snap: Snapshot) {
-        for (client, seq, slot) in snap.clients {
-            let mark = self.client_hwm.entry(client).or_insert((seq, slot));
-            if seq >= mark.0 {
-                *mark = (seq, slot);
-            }
-        }
-        if snap.floor > self.logical_len() {
-            self.committed.clear();
-            self.ballots.clear();
-            self.applied_at.clear();
-            self.base = snap.floor;
-            self.slots.truncate_below(snap.floor);
-            self.by_cmd.retain(|_, s| *s >= snap.floor);
-        }
-        self.floor = self.floor.max(snap.floor);
-    }
-
-    /// The view majority, acceptor quorum of every ballot.
-    fn quorum(&self) -> usize {
-        self.view.len() / 2 + 1
-    }
-
-    /// Completes the recovery round once every awaited response is in:
-    /// adopt the highest-ballot entry per slot, fill gaps with no-ops,
-    /// re-propose everything above the committed prefix, re-send each
-    /// client's high-water reply, then serve the queue.
-    fn finish_recovery_if_ready(&mut self, out: &mut impl Out<LogMsg>, now: Time) {
-        let floor_slot = self.logical_len();
-        let Some(lead) = &mut self.lead else { return };
-        let Some(mut rec) = lead.recovery.take_if(|r| r.pending.is_empty()) else {
-            return;
+            decided,
         };
-        let ballot = lead.ballot;
-        // Decides kept arriving from the old leader while we probed:
-        // never propose below (or into) the applied prefix.
-        lead.next_slot = lead.next_slot.max(floor_slot);
-        // Our own accepted set is a recovery response like any other.
-        for (slot, e) in self.slots.range_from(floor_slot) {
-            rec.adopt(slot, e.ballot, e.cmd);
-        }
-        let chosen = rec.found;
-        if let Some((top, _)) = chosen.range_from(floor_slot).last() {
-            let plan: Vec<LogCmd> = (floor_slot..=top)
-                .map(|s| chosen.get(s).map_or(LogCmd::NOOP, |&(_, c)| c))
-                .collect();
-            // A recovered command may *also* sit in our queue (its client
-            // retried to us while we probed). Re-proposing it once under
-            // its recovered slot is the exactly-once path; drop the
-            // queued twin.
-            lead.queue.retain(|c| !plan.contains(c));
-            lead.admitted
-                .extend(plan.iter().filter(|c| !c.is_noop()).copied());
-            lead.next_slot = lead.next_slot.max(top + 1);
-            for (i, cmds) in plan.chunks(self.batch_max).enumerate() {
-                let first = floor_slot + (i * self.batch_max) as u64;
-                self.propose_batch(out, first, ballot, cmds.to_vec().into(), now);
-            }
-        }
-        // Failover re-reply: a command decided under the dead leader may
-        // have lost its reply with the crash. One reply per known client
-        // (its high-water mark) unsticks any such client immediately;
-        // completed clients ignore it by seq.
-        for (&client, &(seq, slot)) in &self.client_hwm {
-            out.send(client, LogMsg::Reply { seq, slot });
-        }
-        self.propose_queued(out, now);
+        self.slots.insert(slot, entry)
     }
 
-    /// Moves queued client commands into the in-flight window in batches
-    /// of up to `batch_max`, as window room allows.
-    fn propose_queued(&mut self, out: &mut impl Out<LogMsg>, now: Time) {
-        loop {
-            let Some(lead) = &mut self.lead else { return };
-            if lead.recovery.is_some() || lead.in_flight.len() >= self.max_inflight {
-                return;
-            }
-            if lead.queue.is_empty() {
-                return;
-            }
-            let room = self.max_inflight - lead.in_flight.len();
-            let take = room.min(self.batch_max).min(lead.queue.len());
-            let first = lead.next_slot;
-            lead.next_slot += take as u64;
-            let ballot = lead.ballot;
-            let cmds: Vec<LogCmd> = lead.queue.drain(..take).collect();
-            self.propose_batch(out, first, ballot, cmds.into(), now);
-        }
-    }
-
-    /// Proposes `cmds` into the contiguous range starting at `first_slot`:
-    /// self-accept each, one `AcceptBatch` per peer, and — in the
-    /// single-member view — decide the whole range on the spot.
-    fn propose_batch(
-        &mut self,
-        out: &mut impl Out<LogMsg>,
-        first_slot: u64,
-        ballot: Ver,
-        cmds: Shared<[LogCmd]>,
-        now: Time,
-    ) {
-        self.promised = self.promised.max(ballot);
-        for (slot, &cmd) in (first_slot..).zip(cmds.iter()) {
-            self.accept(slot, ballot, cmd);
-        }
-        let solitary = self.quorum() == 1;
-        let Some(lead) = &mut self.lead else { return };
-        for (slot, &cmd) in (first_slot..).zip(cmds.iter()) {
-            if solitary {
-                self.decided.push((slot, cmd));
-            } else {
-                lead.in_flight.insert(slot, cmd);
-            }
-        }
-        self.broadcast(out, || LogMsg::AcceptBatch {
-            ballot,
-            first_slot,
-            cmds: cmds.clone(),
-        });
-        if solitary {
-            self.decide_slots(out, ballot, now);
-        }
+    /// Panics unless the state is one some sequence of inputs can reach.
+    /// Each check holds on every well-typed input, arbitrary wire
+    /// messages and membership events included (`tests/log_fuzz.rs`
+    /// feeds them). A leader's in-flight count is not bounded here: a
+    /// recovery plan is proposed whole, past `max_inflight`. Nor are its
+    /// ack marks: `count_acks` derives the one mark it sets from the
+    /// sender's view rank, and never for itself, in one expression.
+    #[cfg(debug_assertions)]
+    fn check_invariants(&self) {
+        let (len, n) = (self.logical_len(), self.committed.len());
+        assert!(self.base <= self.floor && self.floor <= len);
+        assert!(self.ballots.len() == n && self.applied_at.len() == n);
+        assert!(self.slots.len() == 0 || self.slots.span().start >= len);
+        assert!(self.lead.is_none() || (self.active && self.leader == Some(self.me)));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmp_types::QuitReason;
 
     /// A hand-driven log's sink.
     type Sink = Vec<Effect<LogMsg>>;
@@ -1915,5 +1386,142 @@ mod tests {
         );
         let accepts = single_accepts(&sends(&mut sink));
         assert_eq!(accepts, vec![(0, cmd(9, 0))], "the queued twin is dropped");
+    }
+
+    /// p1 leads {p1, p2} at ballot 1 and is still recovering when client
+    /// 9's retry of `X` is queued and then the old leader's decision of
+    /// `X` at slot 0 arrives. Once p2's empty report finishes the round,
+    /// `X` must not be proposed again: it would commit a second time.
+    #[test]
+    fn a_late_decide_does_not_commit_a_queued_command_twice() {
+        let mut sink = Sink::new();
+        let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
+        log.bind(ProcessId(1));
+        let members = vec![ProcessId(1), ProcessId(2)];
+        let (ver, mgr) = (1, ProcessId(1));
+        log.step_event(
+            &mut sink,
+            MemberEvent::ViewInstalled { ver, members, mgr },
+            0,
+        );
+        let x = cmd(9, 0);
+        log.step_message(&mut sink, ProcessId(9), LogMsg::Request { cmd: x }, 1);
+        log.step_message(&mut sink, ProcessId(0), decide_one(0, 0, x), 2);
+        assert_eq!(log.committed(), &[x]);
+        sink.clear();
+        recover_ok_empty(&mut log, &mut sink, 2, 1, 3);
+        assert_eq!(single_accepts(&sends(&mut sink)), vec![]);
+        log.step_message(&mut sink, ProcessId(2), ack_one(1, 1), 4);
+        assert_eq!(log.committed(), &[x], "committed once");
+    }
+
+    /// A recovery report names a slot far above the new leader's log: the
+    /// plan runs from the log's end to the highest reported slot, so a
+    /// slot `MAX_SPAN` or more above the round's start is dropped rather
+    /// than sized into the plan.
+    #[test]
+    fn a_far_recovery_report_does_not_size_the_plan() {
+        for far in [u64::MAX - 1, MAX_SPAN] {
+            let mut sink = Sink::new();
+            let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
+            log.bind(ProcessId(0));
+            installed(&mut log, &mut sink, 0, 0);
+            log.step_message(
+                &mut sink,
+                ProcessId(1),
+                recover_ok(0, vec![(far, 0, cmd(9, 0))]),
+                1,
+            );
+            sink.clear();
+            recover_ok_empty(&mut log, &mut sink, 2, 0, 2);
+            assert_eq!(single_accepts(&sends(&mut sink)), vec![], "slot {far}");
+            log.step_message(
+                &mut sink,
+                ProcessId(8),
+                LogMsg::Request { cmd: cmd(8, 0) },
+                3,
+            );
+            assert_eq!(single_accepts(&sends(&mut sink)), vec![(0, cmd(8, 0)); 2]);
+        }
+    }
+
+    /// A snapshot off the wire can put a leader's log at the end of the
+    /// slot space. It proposes into the last slot there is, `u64::MAX - 1`,
+    /// and after that proposes nothing rather than count past `u64::MAX`.
+    #[test]
+    fn a_leader_at_the_end_of_the_slot_space_stops_proposing() {
+        let mut sink = Sink::new();
+        let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
+        log.bind(ProcessId(0));
+        let members = vec![ProcessId(0), ProcessId(1)];
+        let (ver, mgr) = (0, ProcessId(0));
+        log.step_event(
+            &mut sink,
+            MemberEvent::ViewInstalled { ver, members, mgr },
+            0,
+        );
+        let floor = u64::MAX - 1;
+        let snapshot = Some(Snapshot {
+            floor,
+            clients: vec![],
+        });
+        let entries = vec![];
+        let body = RecoverOkBody {
+            ballot: 0,
+            snapshot,
+            entries,
+        };
+        log.step_message(
+            &mut sink,
+            ProcessId(1),
+            LogMsg::RecoverOk(Shared::from(body)),
+            1,
+        );
+        assert_eq!(log.logical_len(), floor);
+        sink.clear();
+        for seq in 0..2 {
+            let cmd = cmd(9, seq);
+            log.step_message(&mut sink, ProcessId(9), LogMsg::Request { cmd }, 2);
+        }
+        assert_eq!(single_accepts(&sends(&mut sink)), vec![(floor, cmd(9, 0))]);
+    }
+
+    /// `Quit` cancels no timer, so a flush armed before it is still armed
+    /// after: a log that is activated again does not arm a second one
+    /// before the first fires.
+    #[test]
+    fn a_quit_leaves_an_armed_flush_armed() {
+        let mut log = batched_leader(3, 4);
+        let mut sink = Sink::new();
+        let request = |seq| LogMsg::Request { cmd: cmd(9, seq) };
+        log.step_message(&mut sink, ProcessId(9), request(0), 5);
+        let reason = QuitReason::Excluded;
+        log.step_event(&mut sink, MemberEvent::Quit { reason }, 5);
+        installed(&mut log, &mut sink, 1, 0);
+        for p in [1, 2] {
+            recover_ok_empty(&mut log, &mut sink, p, 1, 5);
+        }
+        log.step_message(&mut sink, ProcessId(9), request(1), 5);
+        let timers = sink.iter().filter(|e| matches!(e, Effect::Timer { .. }));
+        assert_eq!(timers.count(), 1, "one flush armed at a time: {sink:?}");
+        log.step_flush(&mut sink, 6);
+        sink.clear();
+        log.step_message(&mut sink, ProcessId(9), request(2), 7);
+        assert!(matches!(
+            sink.last(),
+            Some(Effect::Timer { tag: LOG_FLUSH, .. })
+        ));
+    }
+
+    /// The invariants hold by construction; a floor planted above the
+    /// applied prefix is caught.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "self.floor <= len")]
+    fn a_floor_above_the_applied_prefix_breaks_the_invariants() {
+        let mut log = solitary_compacted(20, 4);
+        log.check_invariants();
+        log.floor = log.logical_len() + 1;
+        log.check_invariants();
     }
 }

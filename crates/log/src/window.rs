@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 /// Most cells a window spans. Real runs stay within a few thousand (the
 /// in-flight window, or a joiner's tail); a slot number off the wire must
 /// not be able to demand more memory than this.
-const MAX_SPAN: u64 = 1 << 22;
+pub(crate) const MAX_SPAN: u64 = 1 << 22;
 
 #[derive(Clone, Debug)]
 pub(crate) struct SlotWindow<T> {
@@ -65,7 +65,7 @@ impl<T> SlotWindow<T> {
     /// Occupied slots at or above `from`, ascending.
     pub(crate) fn range_from(&self, from: u64) -> impl Iterator<Item = (u64, &T)> {
         let skip = from.saturating_sub(self.start).min(self.cells.len() as u64) as usize;
-        (self.start + skip as u64..)
+        (self.start + skip as u64..self.span().end)
             .zip(self.cells.range(skip..))
             .filter_map(|(slot, cell)| Some((slot, cell.as_ref()?)))
     }
@@ -133,33 +133,25 @@ impl<T> SlotWindow<T> {
 
     /// Drops every slot below `slot`.
     pub(crate) fn truncate_below(&mut self, slot: u64) {
-        while self.start < slot && !self.cells.is_empty() {
-            if let Some(Some(_)) = self.cells.pop_front() {
-                self.live -= 1;
-            }
-            self.drop_front_marks();
-            self.start += 1;
-        }
+        let below = slot.saturating_sub(self.start).min(self.cells.len() as u64);
+        self.drop_front(below as usize);
         self.tighten();
     }
 
-    fn drop_front_marks(&mut self) {
-        for _ in 0..self.words {
-            self.marks.pop_front();
-        }
+    /// Drops the first `n` cells and their marks.
+    fn drop_front(&mut self, n: usize) {
+        self.live -= self.cells.drain(..n).flatten().count();
+        self.marks.drain(..n * self.words);
+        self.start += n as u64;
     }
 
     /// Restores "empty, or occupied at both ends".
     fn tighten(&mut self) {
-        while let Some(None) = self.cells.front() {
-            self.cells.pop_front();
-            self.drop_front_marks();
-            self.start += 1;
-        }
+        self.drop_front(self.cells.iter().take_while(|c| c.is_none()).count());
         while let Some(None) = self.cells.back() {
             self.cells.pop_back();
-            self.marks.truncate(self.cells.len() * self.words);
         }
+        self.marks.truncate(self.cells.len() * self.words);
     }
 }
 
@@ -243,6 +235,17 @@ mod tests {
         assert_eq!((w.span(), w.len()), (MAX_SPAN..MAX_SPAN + 1, 1));
         assert!(w.insert(1, 'b'), "exactly MAX_SPAN cells is allowed");
         assert!(!SlotWindow::new(0).insert(u64::MAX, 'c'));
+    }
+
+    /// The last slot a window holds is `u64::MAX - 1`: walking it must
+    /// not count past the end of the slot space.
+    #[test]
+    fn a_range_walk_ends_at_the_last_slot_number() {
+        let mut w = SlotWindow::new(0);
+        assert!(w.insert(u64::MAX - 1, 'a'));
+        assert!(w.insert(u64::MAX - 3, 'b'));
+        let walked: Vec<(u64, char)> = w.range_from(0).map(|(s, &c)| (s, c)).collect();
+        assert_eq!(walked, vec![(u64::MAX - 3, 'b'), (u64::MAX - 1, 'a')]);
     }
 
     #[test]

@@ -86,7 +86,7 @@ fn main() {
         .map(|&p| sim.node(p).log().committed())
         .collect();
     assert!(
-        prefix_identical(logs.iter().copied()),
+        logs_agree(logs.iter().map(|&l| (0, l))),
         "survivor logs diverged"
     );
 

@@ -65,8 +65,7 @@ pub mod prelude {
     };
     pub use gmp_core::{Flat, Sparse, Topology};
     pub use gmp_log::{
-        log_cluster, logs_agree, prefix_identical, Client, LogClusterBuilder, LogConfig,
-        ReplicatedLog,
+        log_cluster, logs_agree, Client, LogClusterBuilder, LogConfig, ReplicatedLog,
     };
     pub use gmp_sim::{Builder, Sim};
     pub use gmp_types::{ProcessId, Ver, View};

@@ -32,7 +32,7 @@ fn leader_crash_fails_over_and_preserves_the_log() {
         let logs = survivor_logs(&sim);
         assert_eq!(logs.len(), 4, "seed {seed}: a survivor went missing");
         assert!(
-            prefix_identical(logs.iter().map(|l| l.as_slice())),
+            logs_agree(logs.iter().map(|l| (0, l.as_slice()))),
             "seed {seed}: survivor logs diverged"
         );
 
@@ -102,7 +102,7 @@ fn joiner_catches_up_through_state_transfer() {
     let logs = survivor_logs(&sim);
     assert_eq!(logs.len(), 5, "joiner's log not among the survivors'");
     assert!(
-        prefix_identical(logs.iter().map(|l| l.as_slice())),
+        logs_agree(logs.iter().map(|l| (0, l.as_slice()))),
         "joiner's log left the prefix chain"
     );
     assert!(
@@ -126,7 +126,7 @@ fn churn_with_leader_crash_and_joiner_stays_safe() {
 
         let logs = survivor_logs(&sim);
         assert!(
-            prefix_identical(logs.iter().map(|l| l.as_slice())),
+            logs_agree(logs.iter().map(|l| (0, l.as_slice()))),
             "seed {seed}: logs diverged under churn"
         );
         let s = sim.node(ProcessId(1));
@@ -166,7 +166,7 @@ fn new_leader_re_replies_for_recovered_slots() {
     assert!(s.log().committed_ops() >= 1, "the command never committed");
     let logs = survivor_logs(&sim);
     assert!(
-        prefix_identical(logs.iter().map(|l| l.as_slice())),
+        logs_agree(logs.iter().map(|l| (0, l.as_slice()))),
         "survivor logs diverged"
     );
     // The client cannot retry (huge retry_after); its ack must have come
