@@ -257,17 +257,26 @@ mod tests {
         }
     }
 
+    // Logs that all start at slot 0 agree when each is a prefix of the
+    // longest: survivors may lag…
     #[test]
-    fn base_aware_agreement_compares_overlaps_only() {
-        // Logs that all start at slot 0 agree when each is a prefix of the
-        // longest: survivors may lag…
+    fn prefix_check_accepts_lagging_survivors() {
         let a = [cmd(9, 0), cmd(9, 1), cmd(8, 0)];
         let b = [cmd(9, 0), cmd(9, 1)];
         let c: [LogCmd; 0] = [];
         assert!(logs_agree([(0, &a[..]), (0, &b[..]), (0, &c[..])]));
-        // …but never diverge.
-        let d = [cmd(9, 0), cmd(8, 0)];
-        assert!(!logs_agree([(0, &b[..]), (0, &d[..])]));
+    }
+
+    // …but never diverge.
+    #[test]
+    fn prefix_check_rejects_divergence() {
+        let a = [cmd(9, 0), cmd(9, 1)];
+        let b = [cmd(9, 0), cmd(8, 0)];
+        assert!(!logs_agree([(0, &a[..]), (0, &b[..])]));
+    }
+
+    #[test]
+    fn base_aware_agreement_compares_overlaps_only() {
         let full = [cmd(9, 0), cmd(9, 1), cmd(8, 0), cmd(8, 1)];
         let tail = [cmd(8, 0), cmd(8, 1)];
         // A snapshot-booted replica holding slots [2, 4) agrees…
