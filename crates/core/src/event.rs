@@ -25,6 +25,11 @@
 //! * **Drained, not broadcast.** `take_events` hands the queue over and
 //!   empties it; an undrained queue grows only with membership activity
 //!   (view changes and suspicions), never with steady-state traffic.
+//! * **Copied on drain.** Until it is drained, a `ViewInstalled` or
+//!   `Welcomed` holds the installed view's shared snapshot, not a copy of
+//!   its members: every member that installs one view shares one list.
+//!   `take_events` fills in each `members` vector, so only a host that
+//!   drains pays for the copy.
 //!
 //! # Relation to trace [`Note`](gmp_types::Note)s
 //!
@@ -33,7 +38,7 @@
 //! (`ViewInstalled` exists as both) but serve different masters: notes are
 //! diagnostic and may grow richer, events are the stable API surface.
 
-use gmp_types::{FaultySource, ProcessId, QuitReason, Ver};
+use gmp_types::{FaultySource, ProcessId, QuitReason, Ver, View};
 
 /// A membership transition observed by the local process, for consumers
 /// layered on top of the group (drained via
@@ -92,4 +97,41 @@ pub enum MemberEvent {
         /// Why the process quit.
         reason: QuitReason,
     },
+}
+
+/// A queued event as the member holds it until
+/// [`Member::take_events`](crate::Member::take_events) drains it: a view
+/// event keeps the view's shared snapshot and copies its members then.
+pub(crate) enum Pending {
+    /// Any event that carries no member list.
+    Event(MemberEvent),
+    /// `ViewInstalled`, or `Welcomed` when `welcomed` is set.
+    View {
+        ver: Ver,
+        view: View,
+        mgr: ProcessId,
+        welcomed: bool,
+    },
+}
+
+impl Pending {
+    /// The event a consumer drains.
+    pub(crate) fn into_event(self) -> MemberEvent {
+        match self {
+            Pending::Event(event) => event,
+            Pending::View {
+                ver,
+                view,
+                mgr,
+                welcomed,
+            } => {
+                let members = view.to_vec();
+                if welcomed {
+                    MemberEvent::Welcomed { ver, members, mgr }
+                } else {
+                    MemberEvent::ViewInstalled { ver, members, mgr }
+                }
+            }
+        }
+    }
 }

@@ -51,7 +51,7 @@ mod update;
 
 use crate::config::Config;
 use crate::decide::PhaseOneResp;
-use crate::event::MemberEvent;
+use crate::event::{MemberEvent, Pending};
 use crate::msg::{InterrogateOkBody, Msg};
 use gmp_detect::{HeartbeatDetector, Isolation};
 use gmp_sim::{Ctx, Node, Out, Shared};
@@ -170,8 +170,9 @@ pub struct Member {
     obs: Option<ObsState>,
     /// Undrained consumer events ([`Member::take_events`]). Pushing here is
     /// protocol-invisible — no sends, notes or randomness — so the queue
-    /// never perturbs the byte-identical golden runs.
-    events: Vec<MemberEvent>,
+    /// never perturbs the byte-identical golden runs. View events hold the
+    /// shared snapshot until the drain copies it.
+    events: Vec<Pending>,
     /// The time of the input being handled, as the entry point was given.
     now: u64,
 }
@@ -325,7 +326,11 @@ impl Member {
     /// instead of polling accessors. See [`crate::event`] for the queue's
     /// contract (protocol-invisible, deterministic, ordered, drained).
     pub fn take_events(&mut self) -> Vec<MemberEvent> {
-        std::mem::take(&mut self.events)
+        // A host that drains after every call mostly finds nothing.
+        if self.events.is_empty() {
+            return Vec::new();
+        }
+        self.events.drain(..).map(Pending::into_event).collect()
     }
 
     /// Queues a spurious suspicion, applied at the next detector tick.
@@ -612,9 +617,9 @@ impl Member {
         self.last_report.clear();
         self.hb = HbGossip::default();
         self.topo_monitored.clear();
-        self.events.push(MemberEvent::Quit {
+        self.events.push(Pending::Event(MemberEvent::Quit {
             reason: reason.clone(),
-        });
+        }));
         out.note(Note::Quit { reason });
         out.quit();
         Err(Stopped)
@@ -674,7 +679,8 @@ impl Member {
         out.note(Note::OpApplied { op, ver: self.ver });
         if op.kind == OpKind::Remove {
             let (peer, ver) = (op.target, self.ver);
-            self.events.push(MemberEvent::PeerExcluded { peer, ver });
+            let excluded = MemberEvent::PeerExcluded { peer, ver };
+            self.events.push(Pending::Event(excluded));
         }
         self.announce_view(out, false);
         self.notify_subscribers(out);
@@ -684,13 +690,14 @@ impl Member {
     /// Records the view just installed: the trace note the GMP checks
     /// read, and the consumer's event (`Welcomed` for a joiner's first).
     fn announce_view(&mut self, out: &mut impl Out<Msg>, welcomed: bool) {
-        let (ver, members, mgr) = (self.ver, self.view.to_vec(), self.mgr);
-        self.events.push(if welcomed {
-            MemberEvent::Welcomed { ver, members, mgr }
-        } else {
-            MemberEvent::ViewInstalled { ver, members, mgr }
+        let (ver, view, mgr) = (self.ver, self.view.clone(), self.mgr);
+        let members = view.shared();
+        self.events.push(Pending::View {
+            ver,
+            view,
+            mgr,
+            welcomed,
         });
-        let members = self.view.shared();
         out.note(Note::ViewInstalled { ver, members, mgr });
     }
 
@@ -702,8 +709,8 @@ impl Member {
             return false;
         }
         self.fd.suspect(q);
-        self.events
-            .push(MemberEvent::PeerSuspected { peer: q, source });
+        let suspected = MemberEvent::PeerSuspected { peer: q, source };
+        self.events.push(Pending::Event(suspected));
         out.note(Note::Faulty { suspect: q, source });
         true
     }
@@ -911,7 +918,9 @@ mod tests {
         let initial: View = (0..4).map(ProcessId).collect();
         let mut p0 = Member::new(Config::default(), initial.clone());
         let mut p1 = Member::new(Config::default(), initial.clone());
+        let mut p2 = Member::new(Config::default(), initial.clone());
         p0.start(&mut Sink::new(), ProcessId(0), 0);
+        p2.start(&mut Sink::new(), ProcessId(2), 0);
         let mut out = Sink::new();
         p1.start(&mut out, ProcessId(1), 0);
         let v0 = installed_lists(&out).pop().expect("start installs v0");
@@ -926,7 +935,7 @@ mod tests {
             recovered: Vec::new(),
         }));
         let mut out = Sink::new();
-        p1.receive(&mut out, ProcessId(0), commit, 5);
+        p1.receive(&mut out, ProcessId(0), commit.clone(), 5);
         assert_eq!(p1.ver(), 1);
         let v1 = installed_lists(&out).pop().expect("the commit installs v1");
         assert!(Arc::ptr_eq(&v1, &p1.view().shared()));
@@ -934,6 +943,18 @@ mod tests {
         assert_eq!(ids(&v1), [0, 1, 2]);
         assert_eq!(ids(&v0), [0, 1, 2, 3], "the v0 note still lists p3");
         assert_eq!(ids(p0.view().as_slice()), [0, 1, 2, 3]);
+
+        // The same commit at p2 installs the list p1 built, and draining
+        // p1's events copies it.
+        p2.receive(&mut Sink::new(), ProcessId(0), commit, 6);
+        assert_eq!(p2.ver(), 1);
+        assert!(Arc::ptr_eq(&p2.view().shared(), &v1));
+        let installed = p1.take_events().into_iter().filter_map(|e| match e {
+            MemberEvent::ViewInstalled { ver, members, .. } => Some((ver, ids(&members))),
+            _ => None,
+        });
+        let installed: Vec<_> = installed.collect();
+        assert_eq!(installed, [(0, vec![0, 1, 2, 3]), (1, vec![0, 1, 2])]);
     }
 
     #[test]

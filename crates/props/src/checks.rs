@@ -236,18 +236,25 @@ pub fn check_gmp3(a: &RunAnalysis) -> Vec<Violation> {
 
 /// GMP-4: `q ∉ Memb(p) ⇒ □(q ∉ Memb(p))` — once a process disappears from
 /// `p`'s local view it never returns.
+///
+/// Each view's members are probed against a sorted copy of the next
+/// view's, so a history of `k` views of `n` members costs
+/// O(k · n log n), not O(k · n²).
 pub fn check_gmp4(a: &RunAnalysis) -> Vec<Violation> {
     let mut out = Vec::new();
+    let mut sorted: Vec<ProcessId> = Vec::new();
     for (pid, views) in &a.views {
         let mut removed: BTreeSet<ProcessId> = BTreeSet::new();
         let mut prev: Option<&[ProcessId]> = None;
         for v in views {
             if let Some(prev_members) = prev {
-                for m in prev_members {
-                    if !v.members.contains(m) {
-                        removed.insert(*m);
-                    }
-                }
+                sorted.clear();
+                sorted.extend_from_slice(&v.members);
+                sorted.sort_unstable();
+                let gone = prev_members
+                    .iter()
+                    .filter(|m| sorted.binary_search(m).is_err());
+                removed.extend(gone);
             }
             for m in v.members.iter() {
                 if removed.contains(m) {
@@ -350,6 +357,7 @@ mod tests {
     use super::*;
     use crate::analysis::{FaultyRecord, OpRecord, ViewRecord};
     use gmp_types::Op;
+    use proptest::prelude::*;
 
     fn views(pid: u32, specs: &[(Ver, &[u32])]) -> (ProcessId, Vec<ViewRecord>) {
         (
@@ -474,6 +482,102 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// The reference GMP-4 verdict: every member of each view probed
+    /// against the next view's list by a linear scan.
+    fn check_gmp4_quadratic(a: &RunAnalysis) -> Vec<Violation> {
+        let mut out = Vec::new();
+        for (pid, views) in &a.views {
+            let mut removed: BTreeSet<ProcessId> = BTreeSet::new();
+            let mut prev: Option<&[ProcessId]> = None;
+            for v in views {
+                if let Some(prev_members) = prev {
+                    for m in prev_members {
+                        if !v.members.contains(m) {
+                            removed.insert(*m);
+                        }
+                    }
+                }
+                for m in v.members.iter() {
+                    if removed.contains(m) {
+                        out.push(Violation::Gmp4 {
+                            pid: *pid,
+                            returned: *m,
+                            ver: v.ver,
+                        });
+                    }
+                }
+                prev = Some(&v.members);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The sorted probe gives the quadratic scan's violations, in the
+        /// same order, on histories of removals and adds with returns
+        /// planted (a removed member put back) and steps that change
+        /// nothing.
+        #[test]
+        fn gmp4_agrees_with_the_quadratic_scan(
+            histories in proptest::collection::vec(
+                (
+                    proptest::collection::btree_set(0u32..12, 1..10),
+                    proptest::collection::vec(
+                        (0u32..12, 0u8..4),
+                        0..16,
+                    ),
+                ),
+                1..4,
+            ),
+        ) {
+            let mut a = RunAnalysis::default();
+            let mut planted = false;
+            for (pid, (initial, steps)) in (0u32..).zip(histories) {
+                let mut members: Vec<ProcessId> = initial.into_iter().map(ProcessId).collect();
+                let mut gone: Vec<ProcessId> = Vec::new();
+                let record = |ver, members: &[ProcessId]| ViewRecord {
+                    ver,
+                    members: members.into(),
+                    mgr: ProcessId(0),
+                    event: 0,
+                };
+                let mut records = vec![record(0, &members)];
+                for (ver, (id, kind)) in (1..).zip(steps) {
+                    let p = ProcessId(id);
+                    match kind {
+                        // Remove `p`, if present.
+                        0 | 1 => {
+                            if let Some(i) = members.iter().position(|&m| m == p) {
+                                gone.push(members.remove(i));
+                            }
+                        }
+                        // Add `p` at the junior end, if absent.
+                        2 => {
+                            if !members.contains(&p) {
+                                members.push(p);
+                            }
+                        }
+                        // Plant a return: put a removed member back.
+                        _ => {
+                            let back = gone.get(id as usize % gone.len().max(1));
+                            if let Some(&back) = back.filter(|b| !members.contains(b)) {
+                                members.push(back);
+                                planted = true;
+                            }
+                        }
+                    }
+                    records.push(record(ver, &members));
+                }
+                a.views.insert(ProcessId(pid), records);
+            }
+            let want = check_gmp4_quadratic(&a);
+            prop_assert!(!planted || !want.is_empty(), "a planted return went unseen");
+            prop_assert_eq!(check_gmp4(&a), want);
+        }
     }
 
     #[test]

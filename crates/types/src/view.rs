@@ -2,8 +2,9 @@
 
 use crate::{majority_of, Op, OpKind, ProcessId};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::iter;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 /// A local membership view `Memb(p)`, ordered by *seniority*.
 ///
@@ -19,11 +20,41 @@ use std::sync::Arc;
 /// build the next list rather than edit one that a clone, a trace note or
 /// another member may still hold. [`View::shared`] hands the list out.
 ///
+/// Holders that apply the same operation to the same snapshot share the
+/// result, which is a function of the two alone; GMP-2 (one membership
+/// per version) is why a whole group's members do. A snapshot's id index
+/// is built once, on its first lookup, for every holder.
+///
 /// Two views are equal iff they contain the same members in the same
 /// seniority order.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Default)]
 pub struct View {
+    snap: Arc<Snapshot>,
+}
+
+/// The state every holder of one view shares.
+///
+/// `next` memoizes the first `remove`/`push_junior` applied to this
+/// snapshot: every later holder that applies the same operation gets the
+/// same successor instead of building an equal list of its own. The link
+/// is [`Weak`], so a stale view (a crashed member's) keeps no later view
+/// alive, and dropping a long history frees one snapshot at a time with
+/// no recursion. A different operation, or a successor every holder has
+/// dropped, builds a fresh list.
+#[derive(Default)]
+struct Snapshot {
     members: Arc<[ProcessId]>,
+    /// `(id, position)` for every member, sorted by id: one entry per
+    /// member, never sized by the ids themselves.
+    index: OnceLock<Box<[(ProcessId, u32)]>>,
+    next: OnceLock<(Op, Weak<Snapshot>)>,
+}
+
+/// The id index of `members`: `(id, position)` pairs sorted by id.
+fn build_index(members: &[ProcessId]) -> Box<[(ProcessId, u32)]> {
+    let mut index: Vec<(ProcessId, u32)> = (0u32..).zip(members).map(|(i, &m)| (m, i)).collect();
+    index.sort_unstable();
+    index.into()
 }
 
 impl View {
@@ -41,15 +72,22 @@ impl View {
     /// [`View::new`] for untrusted input: `None` if `members` repeats a
     /// process.
     ///
-    /// O(n log n): sorts a copy and looks for equal neighbours. Nothing is
-    /// indexed by id, so a list naming a huge id costs no more than any
+    /// O(n log n): builds the id index and looks for equal neighbours in
+    /// it; a list without repeats keeps the index for its lookups. Nothing
+    /// is indexed by id, so a list naming a huge id costs no more than any
     /// other list of its length.
     pub fn try_new(members: Vec<ProcessId>) -> Option<Self> {
-        let mut sorted = members.clone();
-        sorted.sort_unstable();
-        let unique = sorted.windows(2).all(|w| w[0] != w[1]);
-        unique.then(|| View {
+        let index = build_index(&members);
+        if index.windows(2).any(|w| w[0].0 == w[1].0) {
+            return None;
+        }
+        let snap = Snapshot {
             members: members.into(),
+            index: OnceLock::from(index),
+            next: OnceLock::new(),
+        };
+        Some(View {
+            snap: Arc::new(snap),
         })
     }
 
@@ -60,29 +98,37 @@ impl View {
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.snap.members.len()
     }
 
     /// True when no process is a member.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.snap.members.is_empty()
     }
 
-    /// Membership test.
+    /// Membership test: a binary search of the id index.
     pub fn contains(&self, p: ProcessId) -> bool {
-        self.members.contains(&p)
+        self.index_of(p).is_some()
     }
 
     /// Seniority position: 0 is the most senior member.
+    ///
+    /// O(log n) once the snapshot's id index exists; the first lookup on
+    /// a snapshot, by any of its holders, builds it.
     pub fn index_of(&self, p: ProcessId) -> Option<usize> {
-        self.members.iter().position(|&m| m == p)
+        let index = self
+            .snap
+            .index
+            .get_or_init(|| build_index(&self.snap.members));
+        let at = index.binary_search_by_key(&p, |&(m, _)| m).ok()?;
+        Some(index[at].1 as usize)
     }
 
     /// The paper's rank: `rank(p) = n − index(p)`, so the most senior member
     /// has rank `n` and the most junior rank 1 (§4.2). `None` if `p` is not
     /// a member ("the rank of an excluded process is undefined").
     pub fn rank(&self, p: ProcessId) -> Option<usize> {
-        self.index_of(p).map(|i| self.members.len() - i)
+        self.index_of(p).map(|i| self.len() - i)
     }
 
     /// Members strictly senior to `p` (higher-ranked), most senior first.
@@ -94,65 +140,77 @@ impl View {
     /// HiFaulty(p)").
     pub fn seniors_of(&self, p: ProcessId) -> &[ProcessId] {
         match self.index_of(p) {
-            Some(i) => &self.members[..i],
+            Some(i) => &self.snap.members[..i],
             None => &[],
         }
     }
 
     /// The most senior member (the initial `Mgr`), if any.
     pub fn most_senior(&self) -> Option<ProcessId> {
-        self.members.first().copied()
+        self.snap.members.first().copied()
     }
 
     /// Majority cardinality `μ = ⌊n/2⌋ + 1` for this view (§4.3).
     pub fn majority(&self) -> usize {
-        majority_of(self.members.len())
+        majority_of(self.len())
     }
 
     /// Iterator over members in seniority order.
     pub fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.members.iter().copied()
+        self.snap.members.iter().copied()
     }
 
     /// The members as a slice, most senior first.
     pub fn as_slice(&self) -> &[ProcessId] {
-        &self.members
+        &self.snap.members
     }
 
     /// The member list itself, most senior first, shared rather than
     /// copied: a record of this view that outlives later installs.
     pub fn shared(&self) -> Arc<[ProcessId]> {
-        Arc::clone(&self.members)
+        Arc::clone(&self.snap.members)
     }
 
     /// Owned copy of the member list in seniority order.
     pub fn to_vec(&self) -> Vec<ProcessId> {
-        self.members.to_vec()
+        self.snap.members.to_vec()
     }
 
     /// Removes a member, preserving the relative seniority of the rest.
     /// Returns whether `p` was present.
     ///
-    /// The shorter list is a new allocation, filled in one pass; every
-    /// clone of the old view keeps reading the old list.
+    /// The first holder of this snapshot to remove `p` builds the shorter
+    /// list in one pass; later holders share it. Every clone of the old
+    /// view keeps reading the old list.
     pub fn remove(&mut self, p: ProcessId) -> bool {
+        let op = Op::remove(p);
+        if self.follow(op) {
+            return true;
+        }
         let Some(i) = self.index_of(p) else {
             return false;
         };
-        let (seniors, rest) = self.members.split_at(i);
-        self.members = seniors.iter().chain(&rest[1..]).copied().collect();
+        let (seniors, rest) = self.snap.members.split_at(i);
+        let members = seniors.iter().chain(&rest[1..]).copied().collect();
+        self.advance(op, members);
         true
     }
 
     /// Adds a member at the junior end (rank 1). Returns `false` (and leaves
     /// the view unchanged) if `p` is already a member.
     ///
-    /// Like [`View::remove`], builds the longer list anew.
+    /// Like [`View::remove`], shares the successor of an earlier holder
+    /// that added `p`, or builds the longer list anew.
     pub fn push_junior(&mut self, p: ProcessId) -> bool {
+        let op = Op::add(p);
+        if self.follow(op) {
+            return true;
+        }
         if self.contains(p) {
             return false;
         }
-        self.members = self.members.iter().copied().chain(iter::once(p)).collect();
+        let members = self.snap.members.iter().copied().chain(iter::once(p));
+        self.advance(op, members.collect());
         true
     }
 
@@ -163,12 +221,60 @@ impl View {
             OpKind::Add => self.push_junior(op.target),
         }
     }
+
+    /// Moves to the successor an earlier holder built by applying `op` to
+    /// this snapshot, if it recorded one and someone still holds it.
+    fn follow(&mut self, op: Op) -> bool {
+        let next = self.snap.next.get().filter(|(done, _)| *done == op);
+        match next.and_then(|(_, next)| next.upgrade()) {
+            Some(next) => {
+                self.snap = next;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Moves to a new snapshot of `members`, the result of `op`, and offers
+    /// it as this snapshot's successor (the first offer wins).
+    fn advance(&mut self, op: Op, members: Arc<[ProcessId]>) {
+        let next = Arc::new(Snapshot {
+            members,
+            ..Snapshot::default()
+        });
+        // A slot that already holds another op, or a successor every
+        // holder has dropped, stays as it is.
+        let _ = self.snap.next.set((op, Arc::downgrade(&next)));
+        self.snap = next;
+    }
+}
+
+impl PartialEq for View {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.snap, &other.snap) || self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for View {}
+
+impl Hash for View {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for View {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("View")
+            .field("members", &self.as_slice())
+            .finish()
+    }
 }
 
 impl fmt::Display for View {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, m) in self.members.iter().enumerate() {
+        for (i, m) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -189,7 +295,7 @@ impl<'a> IntoIterator for &'a View {
     type IntoIter = std::iter::Copied<std::slice::Iter<'a, ProcessId>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.members.iter().copied()
+        self.as_slice().iter().copied()
     }
 }
 
@@ -336,38 +442,126 @@ mod tests {
         (got, want)
     }
 
+    /// Checks every query of `view` against the `Vec` model.
+    fn agrees(view: &View, model: &[ProcessId]) {
+        prop_assert_eq!(view.as_slice(), model);
+        prop_assert_eq!(view.len(), model.len());
+        for q in (0..12).map(ProcessId) {
+            let at = model.iter().position(|&m| m == q);
+            prop_assert_eq!(view.contains(q), at.is_some());
+            prop_assert_eq!(view.index_of(q), at);
+            prop_assert_eq!(view.rank(q), at.map(|i| model.len() - i));
+            let seniors = at.map_or(&[][..], |i| &model[..i]);
+            prop_assert_eq!(view.seniors_of(q), seniors);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-        /// Every query agrees with a plain `Vec` after every step, and no
-        /// step changes what an earlier clone reads.
+        /// Two clones of one start view take the same step or different
+        /// ones, either going first. After every step each agrees with its
+        /// own `Vec` model on every query, the two share a list exactly
+        /// when their histories of changes are equal, and no earlier clone
+        /// reads a changed list.
         #[test]
         fn view_agrees_with_a_vec_model(
             initial in proptest::collection::btree_set(0u32..12, 0..8),
-            steps in proptest::collection::vec((0u8..4, 0u32..12), 0..40),
+            steps in proptest::collection::vec(
+                (0u8..4, 0u32..12, 0u8..4, 0u32..12, proptest::bool::ANY),
+                0..40,
+            ),
         ) {
-            let mut model: Vec<ProcessId> = initial.into_iter().map(ProcessId).collect();
-            let mut view = View::new(model.clone());
+            let start: Vec<ProcessId> = initial.into_iter().map(ProcessId).collect();
+            let view = View::new(start.clone());
+            let mut sides = [(view.clone(), start.clone()), (view, start)];
+            let mut histories: [Vec<(u8, ProcessId)>; 2] = [Vec::new(), Vec::new()];
             let mut taken: Vec<(View, Vec<ProcessId>)> = Vec::new();
-            for (kind, id) in steps {
-                taken.push((view.clone(), model.clone()));
-                let (got, want) = step(&mut view, &mut model, kind, ProcessId(id));
-                prop_assert_eq!(got, want);
-                prop_assert_eq!(view.as_slice(), &model[..]);
-                prop_assert_eq!(view.len(), model.len());
-                for q in (0..12).map(ProcessId) {
-                    let at = model.iter().position(|&m| m == q);
-                    prop_assert_eq!(view.contains(q), at.is_some());
-                    prop_assert_eq!(view.index_of(q), at);
-                    prop_assert_eq!(view.rank(q), at.map(|i| model.len() - i));
-                    let seniors = at.map_or(&[][..], |i| &model[..i]);
-                    prop_assert_eq!(view.seniors_of(q), seniors);
+            for (kind, id, other_kind, other_id, b_first) in steps {
+                // One step in four, the second clone takes its own.
+                let diverge = other_kind == 0;
+                let moves = [(kind, id), if diverge { (other_kind, other_id) } else { (kind, id) }];
+                let order = if b_first { [1, 0] } else { [0, 1] };
+                for side in order {
+                    let (view, model) = &mut sides[side];
+                    taken.push((view.clone(), model.clone()));
+                    let (kind, id) = moves[side];
+                    let (got, want) = step(view, model, kind, ProcessId(id));
+                    prop_assert_eq!(got, want);
+                    if got {
+                        // `apply` of a removal is a removal, of an add an add.
+                        histories[side].push((kind % 2, ProcessId(id)));
+                    }
                 }
+                for (view, model) in &sides {
+                    agrees(view, model);
+                }
+                let shared = Arc::ptr_eq(&sides[0].0.shared(), &sides[1].0.shared());
+                prop_assert_eq!(shared, histories[0] == histories[1]);
                 for (old, read) in &taken {
                     prop_assert_eq!(old.as_slice(), &read[..], "an earlier clone moved");
                 }
             }
         }
+    }
+
+    #[test]
+    fn successor_is_held_weakly() {
+        let start = v(&[0, 1, 2, 3]);
+        let mut first = start.clone();
+        assert!(first.remove(ProcessId(1)));
+        // While one holder keeps the successor, the same op shares it.
+        let mut second = start.clone();
+        assert!(second.remove(ProcessId(1)));
+        assert!(Arc::ptr_eq(&first.shared(), &second.shared()));
+        // Once every holder is gone, the start view keeps nothing alive,
+        // and the same op rebuilds an equal list.
+        let list = Arc::downgrade(&first.shared());
+        drop((first, second));
+        assert!(
+            list.upgrade().is_none(),
+            "the slot kept its successor alive"
+        );
+        let mut again = start.clone();
+        assert!(again.remove(ProcessId(1)));
+        assert_eq!(
+            again.as_slice(),
+            &[ProcessId(0), ProcessId(2), ProcessId(3)]
+        );
+        // A different op on the same snapshot never takes the memo.
+        let mut other = start;
+        assert!(!other.push_junior(ProcessId(1)));
+        assert!(other.remove(ProcessId(2)));
+        assert_eq!(
+            other.as_slice(),
+            &[ProcessId(0), ProcessId(1), ProcessId(3)]
+        );
+    }
+
+    #[test]
+    fn lookups_handle_the_largest_ids() {
+        let ids = [u32::MAX, 0, u32::MAX - 1, 7, u32::MAX - 2];
+        let mut view = View::new(ids.iter().map(|&i| ProcessId(i)).collect());
+        for (i, &id) in ids.iter().enumerate() {
+            assert!(view.contains(ProcessId(id)));
+            assert_eq!(view.index_of(ProcessId(id)), Some(i));
+        }
+        for absent in [u32::MAX - 3, 1, 6, 8] {
+            assert!(!view.contains(ProcessId(absent)));
+            assert_eq!(view.index_of(ProcessId(absent)), None);
+        }
+        assert!(view.remove(ProcessId(u32::MAX)));
+        assert!(!view.contains(ProcessId(u32::MAX)));
+        assert_eq!(view.index_of(ProcessId(u32::MAX - 2)), Some(3));
+        assert!(view.push_junior(ProcessId(u32::MAX)));
+        assert_eq!(view.index_of(ProcessId(u32::MAX)), Some(4));
+        assert_eq!(view.rank(ProcessId(u32::MAX)), Some(1));
+    }
+
+    #[test]
+    fn view_is_send_and_sync() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<View>();
     }
 
     #[test]
@@ -468,5 +662,7 @@ mod tests {
         assert_eq!(collected, vec![ProcessId(2), ProcessId(0)]);
         let rebuilt: View = view.iter().collect();
         assert_eq!(rebuilt, view);
+        let shown = "View { members: [ProcessId(2), ProcessId(0)] }";
+        assert_eq!(format!("{view:?}"), shown);
     }
 }

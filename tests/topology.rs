@@ -15,6 +15,10 @@
 //!    coordinator is never reported point-to-point, because reports go
 //!    *to* the coordinator) and bounds how long the ring takes to carry
 //!    it to every survivor, for arbitrary `(seed, n, k)`.
+//!
+//! A third test guards a cost rather than a behaviour: members that
+//! install the same view share one snapshot of it. No fingerprint moves
+//! if that sharing is lost, so only that test notices.
 
 mod common;
 
@@ -23,6 +27,7 @@ use gmp::protocol::{cluster_with, Config, Flat, Sparse};
 use gmp::sim::Trace;
 use gmp::types::{Note, ProcessId};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The crash-only golden scenario of `tests/determinism.rs`, with the
 /// clique topology configured *explicitly* instead of by default.
@@ -147,4 +152,34 @@ proptest! {
             );
         }
     }
+}
+
+/// GMP-2 gives every member one membership per version, so the group
+/// shares one snapshot of it: after a crash is excluded from a sparse
+/// ring, every survivor reads the same list allocation, and the crashed
+/// member still reads the view it died with.
+#[test]
+fn survivors_share_one_view_snapshot() {
+    let n = 64;
+    let dead = ProcessId(17);
+    let mut sim = cluster_with(n, 3, Config::builder().topology(Sparse::new(4)).build());
+    sim.crash_at(dead, 300);
+    sim.run_until(5_000);
+    let survivors: Vec<ProcessId> = (0..n as u32)
+        .map(ProcessId)
+        .filter(|&p| p != dead)
+        .collect();
+    let list = sim.node(survivors[0]).view().shared();
+    assert_eq!(list.len(), n - 1);
+    assert!(!list.contains(&dead), "the crash was never excluded");
+    for &p in &survivors {
+        let own = sim.node(p).view().shared();
+        assert!(
+            Arc::ptr_eq(&list, &own),
+            "{p} built its own copy of the view"
+        );
+    }
+    let stale = sim.node(dead).view();
+    assert_eq!(stale.len(), n);
+    assert!(stale.contains(dead), "the crashed member's view moved");
 }
