@@ -6,7 +6,7 @@ use super::{Lifecycle, Member, Step, TICK};
 use crate::msg::{HeartbeatDigest, Msg};
 use gmp_sim::{Out, Shared};
 use gmp_types::note::FaultySource;
-use gmp_types::{Arena, ProcessId};
+use gmp_types::ProcessId;
 use std::collections::BTreeSet;
 
 /// Sender-side heartbeat-gossip state: the faulty set travels as one
@@ -20,17 +20,15 @@ pub(super) struct HbGossip {
     /// Shared snapshot for `epoch`; `None` while the set is empty (an empty
     /// snapshot and an empty beat are indistinguishable to the receiver).
     snapshot: Option<Shared<[ProcessId]>>,
-    /// Per-peer digest-delivery state, addressed by the detector's roster
-    /// slots (so it dies structurally with the slot when a view change
-    /// tombstones the peer).
-    peers: Arena<HbPeer>,
     /// Snapshot materializations, for the E9 fan-out experiment.
     pub(super) builds: u64,
 }
 
-/// Digest-delivery bookkeeping for one heartbeat target.
+/// Digest-delivery bookkeeping for one heartbeat target, kept in the
+/// detector's slot for the peer: enrolment starts it afresh, and it goes
+/// with the slot when a view change releases or forgets the peer.
 #[derive(Clone, Copy, Debug, Default)]
-struct HbPeer {
+pub(super) struct HbPeer {
     /// Last epoch whose snapshot this peer is *known* to have received (the
     /// carrying beat was sent while the peer was confirmed `Active`).
     sent: Option<u64>,
@@ -47,10 +45,10 @@ impl Member {
     /// digest-carrying beat to `p` may mark its epoch delivered at send
     /// time (lifecycle is monotone past `Active`, so no later beat can land
     /// on a discarding `Joining` receiver). No-op for strangers (observers,
-    /// not-yet-admitted joiners) — they have no roster slot.
+    /// not-yet-admitted joiners) — they have no detector slot.
     pub(super) fn confirm_peer(&mut self, p: ProcessId) {
-        if let Some(r) = self.fd.resolve(p) {
-            self.hb.peers.entry(r).confirmed = true;
+        if let Some(peer) = self.fd.peer_mut(p) {
+            peer.confirmed = true;
         }
     }
 
@@ -154,9 +152,8 @@ impl Member {
             if self.faulty.contains(&p) {
                 continue;
             }
-            let digest = match (&snapshot, self.fd.resolve(p)) {
-                (Some(set), Some(r)) => {
-                    let peer = self.hb.peers.entry(r);
+            let digest = match (&snapshot, self.fd.peer_mut(p)) {
+                (Some(set), Some(peer)) => {
                     if peer.sent == Some(epoch) {
                         HeartbeatDigest::empty()
                     } else {
@@ -175,14 +172,11 @@ impl Member {
         // and lost observers.
         if !self.is_mgr() && self.mgr != self.me && !self.faulty.contains(&self.mgr) {
             for &q in &self.faulty {
-                let r = self.fd.resolve(q);
-                let last = r.and_then(|r| self.last_report.get(r));
+                let last = self.last_report.get(&q);
                 let due = last.is_none_or(|&t| now.saturating_sub(t) >= self.cfg.suspect_after);
                 if self.view.contains(q) && due {
                     out.send(self.mgr, Msg::FaultyReport { suspect: q });
-                    if let Some(r) = r {
-                        self.last_report.set(r, now);
-                    }
+                    self.last_report.insert(q, now);
                 }
             }
         }

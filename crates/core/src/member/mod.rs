@@ -56,10 +56,10 @@ use crate::msg::{InterrogateOkBody, Msg};
 use gmp_detect::{HeartbeatDetector, Isolation};
 use gmp_sim::{Ctx, Node, Out, Shared};
 use gmp_types::note::{FaultySource, QuitReason};
-use gmp_types::{Arena, NextEntry, Note, Op, OpKind, ProcessId, Ver, View};
-use heartbeat::HbGossip;
+use gmp_types::{NextEntry, Note, Op, OpKind, ProcessId, Ver, View};
+use heartbeat::{HbGossip, HbPeer};
 use observer::ObsState;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Timer tag: heartbeat + failure-detector tick.
 const TICK: u64 = 1;
@@ -146,23 +146,27 @@ pub struct Member {
     /// executed first once this member is coordinator.
     forced: VecDeque<Op>,
     iso: Isolation,
-    fd: HeartbeatDetector,
+    /// The failure detector, whose slot for each monitored peer also holds
+    /// that peer's digest-delivery state: the member's one id-indexed peer
+    /// table.
+    fd: HeartbeatDetector<HbPeer>,
     role: Role,
     /// Future-view update messages, waiting for their view (§3).
     buffered: Vec<(ProcessId, Msg)>,
     /// Suspicions queued by tests/experiments, applied at the next tick.
     injected: Vec<ProcessId>,
-    /// Last time each suspect was reported to `Mgr` (for re-reports),
-    /// addressed by the detector's roster slots: a dense array access per
-    /// touch, structurally pruned when a view change tombstones the slot.
-    last_report: Arena<u64>,
+    /// Last time each suspect was reported to `Mgr` (for re-reports).
+    /// Keyed by id, not by detector slot: on a sparse topology a suspect
+    /// learned by gossip is one this member does not monitor. An entry
+    /// goes when its suspect leaves the view.
+    last_report: BTreeMap<ProcessId, u64>,
     /// Sender-side state of the delta-encoded heartbeat digests (F2).
     hb: HbGossip,
     /// The monitoring set computed from `cfg.topology` at the last view
     /// install, in view order: heartbeat targets, digest carriers and
     /// detector enrollment all draw from this cache instead of
     /// re-enumerating the view. `install_topology` keeps it (and the
-    /// detector roster) in sync with the view.
+    /// detector's enrolment) in sync with the view.
     topo_monitored: Vec<ProcessId>,
     /// Observers subscribed to this member's view stream (§8).
     subscribers: BTreeSet<ProcessId>,
@@ -256,11 +260,11 @@ impl Member {
             recovered: VecDeque::new(),
             forced: VecDeque::new(),
             iso: Isolation::new(),
-            fd: HeartbeatDetector::new(suspect_after),
+            fd: HeartbeatDetector::with_peer_state(suspect_after),
             role: Role::Outer,
             buffered: Vec::new(),
             injected: Vec::new(),
-            last_report: Arena::new(),
+            last_report: BTreeMap::new(),
             hb: HbGossip::default(),
             topo_monitored: Vec::new(),
             subscribers: BTreeSet::new(),
@@ -344,19 +348,14 @@ impl Member {
     }
 
     /// Suspects currently held in the GMP-5 re-report throttle, in
-    /// ascending id order. Entries live in an arena addressed by the
-    /// detector's roster slots, so a view install prunes them structurally:
-    /// tombstoning a slot (or recycling it for a joiner) makes the old
-    /// entry unreadable — the state stays bounded by the view size across
-    /// arbitrarily long reconfiguration-heavy runs.
+    /// ascending id order. A suspect's entry is removed when the operation
+    /// that excludes it is applied, so the state stays bounded by the view
+    /// size across arbitrarily long reconfiguration-heavy runs.
     ///
     /// Test/experiment instrumentation (enable the `testing` feature).
     #[cfg(any(feature = "testing", test))]
     pub fn reported_suspects(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.fd
-            .enrolled()
-            .filter(|&(_, r)| self.last_report.get(r).is_some())
-            .map(|(q, _)| q)
+        self.last_report.keys().copied()
     }
 
     /// How many heartbeat-gossip payloads this member has materialized: one
@@ -447,18 +446,17 @@ impl Member {
                 Ok(())
             }
             _ => {
-                // Life sign: one indexed load in the detector's roster,
-                // then the generation-checked lease read, which covers
-                // every guard — a suspected peer's lease was cleared, a
-                // forgotten peer's slot went with it, and a stranger has
-                // no handle at all.
+                // Life sign: one indexed load in the detector's id index,
+                // then the lease read, which covers every guard — a
+                // suspected peer's lease was cleared, a forgotten peer's
+                // slot went with it, and a stranger has no slot at all.
                 self.fd.heard_from(from, self.now);
                 // Any message except the sender's own `JoinRequest` is
                 // evidence the sender reached `Active` (joiners emit join
                 // requests while still `Joining`; everything else is sent
                 // by active members — observers' `Subscribe`s come from
-                // processes without a roster slot, so confirming them is a
-                // structural no-op). A *forwarded* join request
+                // processes without a detector slot, so confirming them is
+                // a structural no-op). A *forwarded* join request
                 // (`joiner != from`) does confirm the forwarder.
                 if !matches!(&msg, Msg::JoinRequest { joiner } if *joiner == from) {
                     self.confirm_peer(from);
@@ -611,7 +609,7 @@ impl Member {
     fn do_quit(&mut self, out: &mut impl Out<Msg>, reason: QuitReason) -> Step {
         self.lifecycle = Lifecycle::Stopped;
         // A stopped member neither reports nor heartbeats ever again; free
-        // the per-peer arenas rather than letting them outlive the
+        // the per-peer bookkeeping rather than letting it outlive the
         // membership. The event queue survives: the host gets to observe
         // the terminal transition.
         self.last_report.clear();
@@ -650,6 +648,7 @@ impl Member {
                 self.mark_faulty_quiet(out, op.target, FaultySource::Gossip);
                 self.view.remove(op.target);
                 self.faulty.remove(&op.target);
+                self.last_report.remove(&op.target);
                 self.fd.forget(op.target);
             }
             OpKind::Add => {
@@ -669,13 +668,12 @@ impl Member {
         self.install_topology(self.now);
         self.seq.push(op);
         self.ver += 1;
-        // Installing a view needs no explicit pruning of the per-peer
-        // bookkeeping: `last_report` and the digest-delivery state live in
-        // arenas addressed by the detector's roster, and `fd.forget` above
-        // tombstoned the slots of everyone the new view excludes — their
-        // entries are already unreadable (and a recycled slot's generation
-        // check keeps them invisible to later joiners). The state stays
-        // bounded by the view size across arbitrarily long runs.
+        // The per-peer bookkeeping needs no further pruning: the removal
+        // above dropped the excluded member's `last_report` entry, and its
+        // digest-delivery state went with the detector slot that
+        // `fd.forget` and `install_topology`'s releases freed. A slot's
+        // next occupant starts from the default state, so the bookkeeping
+        // stays bounded by the view size across arbitrarily long runs.
         out.note(Note::OpApplied { op, ver: self.ver });
         if op.kind == OpKind::Remove {
             let (peer, ver) = (op.target, self.ver);
@@ -761,11 +759,7 @@ impl Member {
                     && !self.faulty.contains(&self.mgr)
                 {
                     out.send(self.mgr, Msg::FaultyReport { suspect: q });
-                    // `q` is in view, so its roster slot is live (suspicion
-                    // keeps the slot; only removal retires it).
-                    if let Some(r) = self.fd.resolve(q) {
-                        self.last_report.set(r, self.now);
-                    }
+                    self.last_report.insert(q, self.now);
                 }
                 self.maybe_initiate(out)
             }
@@ -774,8 +768,9 @@ impl Member {
 
     /// What every step keeps, checked after each entry point in debug
     /// builds: the awaited round asks only other members and never twice,
-    /// and the faulty set stays within the view. The monitoring set is
-    /// checked where it changes, at each view install.
+    /// and the faulty set and the report throttle stay within the view.
+    /// The monitoring set is checked where it changes, at each view
+    /// install.
     #[cfg(debug_assertions)]
     fn check_invariants(&self) {
         let within_view = |set: &BTreeSet<ProcessId>| {
@@ -785,6 +780,11 @@ impl Member {
             within_view(&self.faulty),
             "faulty {:?} outside the view",
             self.faulty
+        );
+        assert!(
+            self.last_report.keys().all(|&q| self.view.contains(q)),
+            "report throttle {:?} outside the view",
+            self.last_report
         );
         if let Role::Await(Round { pending, oks, .. }) = &self.role {
             assert!(
@@ -818,7 +818,7 @@ impl Node<Msg> for Member {
 mod tests {
     use super::*;
     use crate::config::{ConfigBuilder, JoinConfig, ObserveConfig};
-    use crate::msg::{CommitBody, ReconfBody, ViewUpdateBody, WelcomeBody};
+    use crate::msg::{CommitBody, HeartbeatDigest, ReconfBody, ViewUpdateBody, WelcomeBody};
     use crate::topology::Sparse;
     use gmp_sim::Effect;
     use std::sync::Arc;
@@ -863,7 +863,7 @@ mod tests {
             let cfg = Config::builder().topology(Sparse::new(4)).build();
             let mut m = Member::new(cfg, view.clone());
             m.start(&mut Sink::new(), ProcessId(me), 0);
-            let enrolled: Vec<u32> = m.fd.enrolled().map(|(p, _)| p.0).collect();
+            let enrolled: Vec<u32> = m.fd.enrolled().map(|p| p.0).collect();
             assert_eq!(enrolled, ring, "p{me} enrolls its four ring neighbours");
             let span = m.fd.id_span();
             assert!(
@@ -871,6 +871,31 @@ mod tests {
                 "p{me}'s id index spans {span}"
             );
         }
+    }
+
+    /// A suspect learned by gossip that this member does not monitor is
+    /// re-reported to `Mgr` once per `suspect_after`, like a monitored
+    /// one, not on every tick.
+    #[test]
+    fn a_gossiped_suspect_outside_the_ring_is_reported_once_per_timeout() {
+        let view: View = (0..16).map(ProcessId).collect();
+        let cfg = Config::builder().topology(Sparse::new(4)).build();
+        let (p5, p7, p9) = (ProcessId(5), ProcessId(7), ProcessId(9));
+        let mut m = Member::new(cfg, view);
+        let mut out = Sink::new();
+        m.start(&mut out, p5, 0);
+        assert!(m.fd.peer(p9).is_none(), "p5 does not monitor p9");
+        let digest = HeartbeatDigest::snapshot(Shared::from(vec![p9]));
+        m.receive(&mut out, p7, Msg::Heartbeat { digest }, 1);
+        assert_eq!(m.faulty_set().collect::<Vec<_>>(), [p9]);
+        for k in 1..=10 {
+            m.fire(&mut out, TICK, 40 * k);
+        }
+        let reports = out.iter().filter(|e| {
+            matches!(e, Effect::Send { to, msg: Msg::FaultyReport { suspect } }
+                if *to == ProcessId(0) && *suspect == p9)
+        });
+        assert!(reports.count() <= 2, "p9 re-reported on every tick");
     }
 
     #[test]

@@ -278,9 +278,7 @@ impl Member {
         let suspects = self.faulty.iter().copied();
         for q in suspects.filter(|&q| self.view.contains(q) && q != self.mgr) {
             out.send(self.mgr, Msg::FaultyReport { suspect: q });
-            if let Some(r) = self.fd.resolve(q) {
-                self.last_report.set(r, self.now);
-            }
+            self.last_report.insert(q, self.now);
         }
     }
 }

@@ -38,7 +38,7 @@
 //!   at every view install on every member, and determinism of whole runs
 //!   rests on it.
 //! * Peers must be returned in *view (seniority) order*: the order decides
-//!   detector-arena slot assignment and heartbeat send order, both of
+//!   detector slot assignment and heartbeat send order, both of
 //!   which are pinned byte-identical for [`Flat`] by the golden tests.
 
 use gmp_types::{ProcessId, View};

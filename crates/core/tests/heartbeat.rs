@@ -1,6 +1,6 @@
 //! Heartbeat-tick regression tests: suspicion ordering within a tick, the
 //! boundedness of the per-suspect bookkeeping maps, and the equivalence of
-//! the handle-addressed lease path with a plain id-addressed detector.
+//! the member's detector with a bare one that keeps no owner state.
 
 use gmp_core::{cluster, cluster_with, Config};
 use gmp_detect::HeartbeatDetector;
@@ -71,8 +71,9 @@ fn no_heartbeat_to_a_peer_suspected_at_the_same_instant() {
 /// Regression for the unbounded GMP-5 re-report throttle: `last_report`
 /// entries used to survive the suspect's exclusion (only the direct-commit
 /// path pruned them), so reconfiguration-heavy runs grew the map without
-/// bound. It is now pruned on every view install: across a run that
-/// installs several views, the map only ever holds in-view suspects.
+/// bound. An entry now goes when its suspect's exclusion is applied:
+/// across a run that installs several views, the map only ever holds
+/// in-view suspects.
 #[test]
 fn report_throttle_only_holds_in_view_suspects() {
     let mut sim = cluster(6, 31);
@@ -105,15 +106,13 @@ fn report_throttle_only_holds_in_view_suspects() {
     assert_eq!(sim.node(ProcessId(0)).ver(), 3, "three exclusions commit");
 }
 
-/// The member now drives its failure detector through cached
-/// generation-stamped handles (`heard_from_ref` on a `PeerRef` resolved
-/// once at `track` time) instead of re-resolving the process id on every
-/// life sign. This test pins the claim that the handle path is *only* a
-/// representation change: it replays one member's exact trace schedule —
-/// start, receptions, tick timers, suspicions, exclusions — through a
-/// plain id-addressed [`HeartbeatDetector`] oracle and demands the oracle
-/// produce the identical observation-sourced suspicions at the identical
-/// instants.
+/// The member's detector also holds the member's own per-peer state in
+/// each peer's slot. This test pins the claim that sharing the slot table
+/// changes nothing about detection: it replays one member's exact trace
+/// schedule — start, receptions, tick timers, suspicions, exclusions —
+/// through a bare [`HeartbeatDetector`] oracle that keeps no owner state
+/// and demands the oracle produce the identical observation-sourced
+/// suspicions at the identical instants.
 #[test]
 fn handle_addressed_leases_equal_the_id_addressed_detector() {
     // Gossip off: every survivor must *observe* each crash via its own
@@ -126,9 +125,9 @@ fn handle_addressed_leases_equal_the_id_addressed_detector() {
     sim.crash_at(ProcessId(3), 1_600);
     sim.run_until(12_000);
 
-    // The id-addressed oracle, driven by the observer's schedule. The
-    // member's own detector runs the same algorithm through cached
-    // `PeerRef` handles; `heard_from`'s suspects/roster guards subsume the
+    // The bare oracle, driven by the observer's schedule. The member's own
+    // detector runs the same algorithm with digest-delivery state in its
+    // slots; `heard_from`'s suspect and enrolment guards subsume the
     // member-side isolation check, so a raw replay of every `Recv` is
     // faithful.
     const TICK: u64 = 1; // Member's heartbeat timer tag.
@@ -188,7 +187,7 @@ fn handle_addressed_leases_equal_the_id_addressed_detector() {
     );
     assert_eq!(
         oracle_suspicions, member_suspicions,
-        "handle-addressed lease path diverged from the id-addressed oracle"
+        "the member's detector diverged from the bare oracle"
     );
     // And both exclusions committed, so the replay covered `forget` too.
     assert_eq!(sim.node(observer).ver(), 2, "both exclusions commit");

@@ -20,20 +20,35 @@
 //! (F2) is a protocol concern and lives in `gmp-core`, which piggybacks
 //! faulty sets on protocol messages.
 //!
-//! The detector's per-peer hot state (one lease per peer) lives in the
-//! index-addressed arenas of [`gmp_types::arena`], and a life sign is one
-//! store into it; expiry is a scan of that arena, skipped while a cached
-//! lower bound says nothing can be due. The retired map-and-heap
-//! implementation survives as [`reference::MapDetector`] — a different
-//! algorithm, hence an independent behavioral oracle for the equivalence
-//! proptests in `gmp-props`.
+//! The detector keeps one slot per enrolled peer: its id, its lease and
+//! whatever per-peer state the owner chooses to keep beside it. A life
+//! sign is one store into the peer's slot; expiry is a scan of the slots,
+//! skipped while a cached lower bound says nothing can be due. The
+//! retired map-and-heap implementation survives as
+//! [`reference::MapDetector`] — a different algorithm, hence an
+//! independent behavioral oracle for the equivalence proptests in
+//! `gmp-props`.
 
-use gmp_types::{Arena, PeerRef, PeerRoster, ProcessId};
+use gmp_types::ProcessId;
 use std::collections::BTreeSet;
 
 pub mod reference;
 
 pub use reference::MapDetector;
+
+/// `by_pid` entry of an id with no slot.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One enrolled peer.
+#[derive(Clone, Debug)]
+struct Slot<T> {
+    pid: ProcessId,
+    /// Lease start (last life sign); `None` once the peer is suspected,
+    /// and in a free slot.
+    lease: Option<u64>,
+    /// The owner's per-peer state, `T::default()` at enrolment.
+    state: T,
+}
 
 /// Timeout-based failure observer (source F1).
 ///
@@ -56,31 +71,27 @@ pub use reference::MapDetector;
 /// operation that can introduce an earlier deadline — lowers it with
 /// `min`, removals leave it (a bound that is too low costs one scan, never
 /// a missed expiry), and each scan recomputes it exactly. The scan walks
-/// the lease arena in *slot* order, Θ(peers ever enrolled here), not the
-/// roster's id order, which is Θ(largest id) — a degree-4 member of a
-/// 1024-ring would pay for a thousand empty entries per scan. The rare
-/// expired ids are sorted afterwards, so suspicions come out in ascending
-/// id order at exactly the instants a deadline heap would produce.
+/// the slots, Θ(peers ever enrolled here), not the id index, which is
+/// Θ(largest id) — a degree-4 member of a 1024-ring would pay for a
+/// thousand empty entries per scan. The rare expired ids are sorted
+/// afterwards, so suspicions come out in ascending id order at exactly
+/// the instants a deadline heap would produce.
 ///
-/// # Arena-backed hot state
+/// # One slot table per owner
 ///
-/// Leases are not kept in a `ProcessId`-keyed map but in a dense
-/// [`Arena`] addressed by the slots of a [`PeerRoster`] the detector owns:
-/// every lease touch is an array access, not a tree walk. The roster is the
-/// authoritative `ProcessId → PeerIdx` remap for the owning member — the
-/// protocol layer shares it (via [`resolve`](HeartbeatDetector::resolve))
-/// to address its own per-peer arenas (digest epochs, report throttles), so
-/// all hot per-peer state of one member lives in a handful of parallel
-/// arrays. Slots of excluded peers are tombstoned and recycled for later
-/// joiners under a bumped generation. Neither the detector nor the owner
-/// keeps a handle across calls (a lease is removed together with its
-/// roster slot, so every lease the scan meets belongs to the slot's live
-/// occupant); what the generations still guard is the owner's arenas,
-/// which nothing clears when a slot is retired, and any handle used after
-/// its slot was recycled: a
-/// [`heard_from_ref`](HeartbeatDetector::heard_from_ref) through it fails
-/// the generation check and can never renew the new occupant's lease (see
-/// `gmp_types::arena` for the aliasing contract).
+/// Each enrolled peer has one slot: its id, its lease and a `T` the owner
+/// chooses (`()` by default). A member keeps its per-peer digest-delivery
+/// state there and reaches it with [`peer`](HeartbeatDetector::peer) and
+/// [`peer_mut`](HeartbeatDetector::peer_mut), so a member has one
+/// id-indexed peer table, not one per kind of state. Enrolment writes
+/// `T::default()` into the slot; [`suspect`](HeartbeatDetector::suspect)
+/// clears only the lease, so the owner's state outlives a suspicion;
+/// [`release`](HeartbeatDetector::release) and
+/// [`forget`](HeartbeatDetector::forget) free the slot for the next
+/// enrolment. No handle leaves the detector — every access goes through
+/// the id index, which never points at a freed slot — so a recycled slot
+/// needs no generation: its new occupant starts from `T::default()` and a
+/// fresh lease, and nothing can still address the old one.
 ///
 /// # Invariant: process instances never return
 ///
@@ -91,15 +102,19 @@ pub use reference::MapDetector;
 /// same id is a model violation that debug builds reject with a
 /// `debug_assert` rather than silently restarting monitoring.
 #[derive(Clone, Debug)]
-pub struct HeartbeatDetector {
+pub struct HeartbeatDetector<T = ()> {
     suspect_after: u64,
-    /// The `ProcessId → PeerIdx` remap; owns the dense index space that
-    /// `last_heard` (and the owning member's arenas) are addressed by.
-    roster: PeerRoster,
-    /// Current lease start (last life sign) per live peer.
-    last_heard: Arena<u64>,
-    /// Suspects stay id-keyed: suspicions can outlive roster membership
-    /// (a gossiped suspect may never have been tracked here) and S1 makes
+    /// Enrolled peers and free slots, in enrolment order.
+    slots: Vec<Slot<T>>,
+    /// Indices of free slots, reused last-freed first.
+    free: Vec<u32>,
+    /// `pid.index() → slot` of every enrolled peer ([`NO_SLOT`]
+    /// otherwise), grown on demand or sized up front by
+    /// [`reserve_ids`](Self::reserve_ids). Ids are small (initial members
+    /// plus joiners), never `u32::MAX` (the pre-start sentinel).
+    by_pid: Vec<u32>,
+    /// Suspects stay id-keyed: suspicions can outlive enrolment (a
+    /// gossiped suspect may never have been tracked here) and S1 makes
     /// them permanent.
     suspects: BTreeSet<ProcessId>,
     /// Lower bound on the earliest lease deadline (`u64::MAX`: no lease
@@ -114,17 +129,30 @@ pub struct HeartbeatDetector {
 
 impl HeartbeatDetector {
     /// A detector that suspects a tracked peer after `suspect_after` ticks
-    /// of silence.
+    /// of silence, keeping no state of its owner's.
     ///
     /// # Panics
     ///
     /// Panics if `suspect_after` is zero.
     pub fn new(suspect_after: u64) -> Self {
+        Self::with_peer_state(suspect_after)
+    }
+}
+
+impl<T: Default> HeartbeatDetector<T> {
+    /// A detector that suspects a tracked peer after `suspect_after` ticks
+    /// of silence and keeps a `T` beside each enrolled peer's lease.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `suspect_after` is zero.
+    pub fn with_peer_state(suspect_after: u64) -> Self {
         assert!(suspect_after > 0, "suspect_after must be positive");
         HeartbeatDetector {
             suspect_after,
-            roster: PeerRoster::new(),
-            last_heard: Arena::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            by_pid: Vec::new(),
             suspects: BTreeSet::new(),
             next_due: u64::MAX,
             #[cfg(debug_assertions)]
@@ -137,43 +165,64 @@ impl HeartbeatDetector {
         self.suspect_after
     }
 
-    /// The current arena handle for `p`, or `None` if `p` is not enrolled.
-    ///
-    /// This is the shared `ProcessId → PeerIdx` remap: the owning member
-    /// resolves once per touch and addresses its own per-peer arenas
-    /// (digest epochs, GMP-5 report throttles) with the returned handle, so
-    /// every arena keyed off this detector agrees on slot assignment and
-    /// generation. Suspected peers stay resolvable until
-    /// [`forget`](HeartbeatDetector::forget) retires them with the view
-    /// change.
+    /// `p`'s slot, if `p` is enrolled.
     #[inline]
-    pub fn resolve(&self, p: ProcessId) -> Option<PeerRef> {
-        self.roster.resolve(p)
+    fn slot_of(&self, p: ProcessId) -> Option<usize> {
+        let i = *self.by_pid.get(p.index())?;
+        if i == NO_SLOT {
+            return None;
+        }
+        debug_assert_eq!(self.slots[i as usize].pid, p, "id index out of step");
+        Some(i as usize)
     }
 
-    /// Sizes the roster's id index to cover ids below `end` in one exact
-    /// allocation (see [`PeerRoster::reserve_ids`]): the owner calls this
-    /// before tracking a batch of peers whose largest id + 1 is `end`.
+    /// The owner's state for `p`, or `None` if `p` is not enrolled.
+    /// Suspected peers stay enrolled until
+    /// [`forget`](HeartbeatDetector::forget) or
+    /// [`release`](HeartbeatDetector::release) frees their slot.
+    #[inline]
+    pub fn peer(&self, p: ProcessId) -> Option<&T> {
+        self.slot_of(p).map(|i| &self.slots[i].state)
+    }
+
+    /// Mutable access to the owner's state for `p` (see
+    /// [`peer`](HeartbeatDetector::peer)).
+    #[inline]
+    pub fn peer_mut(&mut self, p: ProcessId) -> Option<&mut T> {
+        self.slot_of(p).map(|i| &mut self.slots[i].state)
+    }
+
+    /// Sizes the id index to cover ids below `end` in one exact
+    /// allocation, so the enrolments that follow never grow it: the owner
+    /// calls this before tracking a batch of peers whose largest id + 1 is
+    /// `end`, instead of letting ascending enrolments double the index to
+    /// twice the largest id. No-op when the index already covers `end`.
     pub fn reserve_ids(&mut self, end: usize) {
-        self.roster.reserve_ids(end);
+        if let Some(more) = end.checked_sub(self.by_pid.len()) {
+            self.by_pid.reserve_exact(more);
+            self.by_pid.resize(end, NO_SLOT);
+        }
     }
 
-    /// How many ids the roster's index has room for (see
-    /// [`PeerRoster::id_span`]).
+    /// How many ids the index has room for: the memory it holds, in
+    /// entries.
     pub fn id_span(&self) -> usize {
-        self.roster.id_span()
+        self.by_pid.capacity()
     }
 
-    /// Iterator over every enrolled peer — tracked *and* suspected-but-not
-    /// -yet-forgotten — in ascending id order, with its arena handle. This
-    /// is how the owning member walks its own per-peer arenas without
-    /// keeping a parallel id index.
-    pub fn enrolled(&self) -> impl Iterator<Item = (ProcessId, PeerRef)> + '_ {
-        self.roster.iter()
+    /// Every enrolled peer — tracked *and* suspected-but-not-yet-forgotten
+    /// — in ascending id order.
+    pub fn enrolled(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        self.by_pid
+            .iter()
+            .enumerate()
+            .filter(|&(_, &i)| i != NO_SLOT)
+            .map(|(p, _)| ProcessId(p as u32))
     }
 
     /// Starts monitoring `p`, treating `now` as the last life sign (a grace
-    /// period equal to the full timeout).
+    /// period equal to the full timeout). A peer that was not enrolled gets
+    /// a slot holding `T::default()`.
     ///
     /// # Panics
     ///
@@ -189,24 +238,49 @@ impl HeartbeatDetector {
         if self.suspects.contains(&p) {
             return;
         }
-        let r = self.roster.insert(p);
-        if self.last_heard.get(r).is_none() {
-            self.last_heard.set(r, now);
+        let i = self.slot_of(p).unwrap_or_else(|| self.enrol(p));
+        let lease = &mut self.slots[i].lease;
+        if lease.is_none() {
+            *lease = Some(now);
             // The one way an earlier deadline than the bound can appear.
             self.next_due = self.next_due.min(now.saturating_add(self.suspect_after));
         }
+    }
+
+    /// Gives `p` a slot — a free one if there is one — holding no lease
+    /// and `T::default()`.
+    fn enrol(&mut self, p: ProcessId) -> usize {
+        debug_assert_ne!(p.0, u32::MAX, "the pre-start sentinel has no slot");
+        let slot = Slot {
+            pid: p,
+            lease: None,
+            state: T::default(),
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = slot;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        if self.by_pid.len() <= p.index() {
+            self.by_pid.resize(p.index() + 1, NO_SLOT);
+        }
+        self.by_pid[p.index()] = i;
+        i as usize
     }
 
     /// Stops monitoring `p` (e.g. it was removed from the view). Its
     /// suspicion status is dropped as well. The id is *retired*: process
     /// instances never return in the model, so tracking it again is
     /// rejected (in debug builds) rather than silently restarting
-    /// monitoring with a fresh lease. The roster slot is tombstoned for
-    /// recycling and its lease goes with it.
+    /// monitoring with a fresh lease. The slot is freed for the next
+    /// enrolment and its lease goes with it.
     pub fn forget(&mut self, p: ProcessId) {
-        if let Some(r) = self.roster.remove(p) {
-            self.last_heard.remove(r);
-        }
+        self.release(p);
         self.suspects.remove(&p);
         #[cfg(debug_assertions)]
         self.forgotten.insert(p);
@@ -216,17 +290,19 @@ impl HeartbeatDetector {
     /// counterpart of [`forget`](HeartbeatDetector::forget). A view change
     /// can move a still-live member out of this owner's monitoring set (a
     /// sparse ring re-knits around every install) and a later change can
-    /// move it back in, so the id must stay trackable: the slot is
-    /// tombstoned like `forget`'s, but the id is not added to the
-    /// `forgotten` set and a later [`track`](HeartbeatDetector::track)
-    /// legally re-enrolls it under a fresh slot and lease. Suspicion state
-    /// is *kept* — S1 beliefs are permanent and independent of who is
+    /// move it back in, so the id must stay trackable: the slot is freed
+    /// like `forget`'s, but the id is not added to the `forgotten` set and
+    /// a later [`track`](HeartbeatDetector::track) legally re-enrolls it
+    /// under a fresh slot, lease and owner state. Suspicion state is
+    /// *kept* — S1 beliefs are permanent and independent of who is
     /// currently monitoring whom. No-op for ids that were never enrolled
     /// (releasing an already-`forget`ten peer during the same view install
     /// must be harmless).
     pub fn release(&mut self, p: ProcessId) {
-        if let Some(r) = self.roster.remove(p) {
-            self.last_heard.remove(r);
+        if let Some(i) = self.slot_of(p) {
+            self.slots[i].lease = None;
+            self.by_pid[p.index()] = NO_SLOT;
+            self.free.push(i as u32);
         }
     }
 
@@ -237,38 +313,29 @@ impl HeartbeatDetector {
     /// [`track`](HeartbeatDetector::track) — a message from a stranger
     /// (e.g. a joiner whose admission has not committed here yet) must not
     /// silently enroll it for suspicion.
+    #[inline]
     pub fn heard_from(&mut self, p: ProcessId, now: u64) {
         // A suspect holds no lease (`suspect` cleared it, `track` refuses
-        // suspects), so the lease read below is the suspicion check too.
-        if let Some(r) = self.roster.resolve(p) {
-            self.heard_from_ref(r, now);
-        }
-    }
-
-    /// Ref-addressed fast path of [`heard_from`](Self::heard_from): records
-    /// a life sign for the peer behind `r` without the id→slot resolve.
-    ///
-    /// The generation-checked lease read is every guard there is: a
-    /// suspected peer's lease was cleared by
-    /// [`suspect`](Self::suspect), a forgotten peer's slot is tombstoned
-    /// (or recycled under a bumped generation), and an untracked handle
-    /// never had a lease — all of them read `None` here and are ignored.
-    pub fn heard_from_ref(&mut self, r: PeerRef, now: u64) {
-        if let Some(t) = self.last_heard.get_mut(r) {
-            // Stale information (`now <= *t`) must not shorten the lease;
-            // a lease that only moves forward keeps `next_due` a bound.
-            *t = (*t).max(now);
+        // suspects) and a stranger has no slot, so the lease read below is
+        // every check there is.
+        if let Some(i) = self.slot_of(p) {
+            if let Some(t) = &mut self.slots[i].lease {
+                // Stale information (`now <= *t`) must not shorten the
+                // lease; a lease that only moves forward keeps `next_due`
+                // a bound.
+                *t = (*t).max(now);
+            }
         }
     }
 
     /// Marks `p` suspected regardless of timing (gossip, inference, or test
     /// injection). Returns `true` if this is a new suspicion.
     pub fn suspect(&mut self, p: ProcessId) -> bool {
-        if let Some(r) = self.roster.resolve(p) {
-            // Clear the lease so the scan passes over `p`; the slot
-            // itself stays enrolled until `forget` retires it, so the
-            // owner can keep addressing its per-peer arenas for `p`.
-            self.last_heard.remove(r);
+        if let Some(i) = self.slot_of(p) {
+            // Clear the lease so the scan passes over `p`; the slot itself
+            // stays enrolled until `forget` or `release` frees it, so the
+            // owner's state for `p` survives the suspicion.
+            self.slots[i].lease = None;
         }
         self.suspects.insert(p)
     }
@@ -284,28 +351,25 @@ impl HeartbeatDetector {
     ///
     /// Cost: one comparison while `now` is below the cached bound on the
     /// earliest deadline — every call between two heartbeat rounds — and
-    /// otherwise one pass over the lease arena in slot order, which
-    /// expires what is due and recomputes the bound. A lease whose
-    /// deadline would overflow `u64` never expires.
+    /// otherwise one pass over the slots, which expires what is due and
+    /// recomputes the bound. A lease whose deadline would overflow `u64`
+    /// never expires.
     pub fn tick(&mut self, now: u64) -> Vec<ProcessId> {
         if now < self.next_due {
             return Vec::new();
         }
         let mut expired = Vec::new();
         let mut next_due = u64::MAX;
-        let (suspect_after, roster) = (self.suspect_after, &self.roster);
-        self.last_heard.retain(|r, &t| {
+        for slot in &mut self.slots {
+            let Some(t) = slot.lease else { continue };
             // `now - t`, not `t + suspect_after`: exact at any magnitude.
-            if now.saturating_sub(t) < suspect_after {
-                next_due = next_due.min(t.saturating_add(suspect_after));
-                return true;
+            if now.saturating_sub(t) < self.suspect_after {
+                next_due = next_due.min(t.saturating_add(self.suspect_after));
+            } else {
+                slot.lease = None;
+                expired.push(slot.pid);
             }
-            let p = roster
-                .pid_of(r)
-                .expect("a live lease implies a live roster slot");
-            expired.push(p);
-            false
-        });
+        }
         self.next_due = next_due;
         // Slot order is enrolment order; suspicions are reported (and
         // deterministic replay depends on them being) in ascending id order.
@@ -322,10 +386,10 @@ impl HeartbeatDetector {
     /// Iterator over currently tracked (unsuspected) peers, in ascending
     /// id order — the order the former `BTreeMap` iteration produced.
     pub fn tracked(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.roster
-            .iter()
-            .filter(|&(_, r)| self.last_heard.get(r).is_some())
-            .map(|(p, _)| p)
+        self.enrolled().filter(|&p| {
+            self.slot_of(p)
+                .is_some_and(|i| self.slots[i].lease.is_some())
+        })
     }
 
     /// Iterator over all current suspects.
@@ -341,8 +405,8 @@ impl HeartbeatDetector {
 /// the view, and forever (process instances are never reused).
 ///
 /// The filter is consulted for every received message, so it is a bitmap
-/// indexed by `ProcessId` (ids are small and dense — the assumption
-/// [`PeerRoster`] already makes).
+/// indexed by `ProcessId` (ids are small and dense — the assumption the
+/// detector's id index already makes).
 #[derive(Clone, Debug, Default)]
 pub struct Isolation {
     /// Bit `q.index()` is set iff `q` is isolated; grown on demand.
@@ -414,24 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn ref_addressed_life_signs_match_the_id_path() {
-        let mut d = HeartbeatDetector::new(100);
-        d.track(P1, 0);
-        d.track(P2, 0);
-        let r1 = d.resolve(P1).unwrap();
-        d.heard_from_ref(r1, 60);
-        assert_eq!(d.tick(100), vec![P2]);
-        assert_eq!(d.tick(160), vec![P1]);
-        // A retired handle is ignored: P1's lease is gone (suspected), and
-        // a recycled slot fails the generation check.
-        d.heard_from_ref(r1, 200);
-        assert!(d.is_suspect(P1));
-        d.forget(P1);
-        d.heard_from_ref(r1, 300);
-        assert!(d.tick(1_000).is_empty());
-    }
-
-    #[test]
     fn life_signs_do_not_move_backwards() {
         let mut d = HeartbeatDetector::new(100);
         d.track(P1, 50);
@@ -461,15 +507,15 @@ mod tests {
 
     #[test]
     fn suspects_stay_resolvable_until_forgotten() {
-        // The owning member keeps per-peer report state for suspects that
-        // are still in its view; the roster slot must outlive the lease.
-        let mut d = HeartbeatDetector::new(10);
+        // The owning member keeps per-peer state for suspects that are
+        // still in its view; the slot must outlive the lease.
+        let mut d = HeartbeatDetector::<u32>::with_peer_state(10);
         d.track(P1, 0);
-        let r = d.resolve(P1).expect("tracked peers resolve");
+        *d.peer_mut(P1).expect("tracked peers are enrolled") = 7;
         d.suspect(P1);
-        assert_eq!(d.resolve(P1), Some(r), "suspicion keeps the slot");
+        assert_eq!(d.peer(P1), Some(&7), "suspicion keeps the slot");
         d.forget(P1);
-        assert_eq!(d.resolve(P1), None, "forget retires the slot");
+        assert_eq!(d.peer(P1), None, "forget frees the slot");
     }
 
     #[test]
@@ -546,7 +592,7 @@ mod tests {
         d.heard_from(P2, 80);
         d.release(P1); // a re-knit moves P1 out, deadline 100 still cached
         assert!(d.tick(100).is_empty(), "a released lease cannot expire");
-        d.track(P1, 120); // and back in: slot 0 under gen 1, deadline 220
+        d.track(P1, 120); // and back in: a fresh slot 0, deadline 220
         d.forget(P2); // exclusion frees slot 1 ...
         d.track(p9, 50); // ... for a joiner whose lease predates the scan
         assert!(d.tick(149).is_empty());
@@ -589,24 +635,24 @@ mod tests {
 
     #[test]
     fn forgotten_entry_cannot_resurface_after_slot_reuse() {
-        // When the arena recycles a forgotten peer's slot for a newcomer
-        // with the *same deadline value*, whatever the forgotten peer left
-        // behind (its lease under the old generation, its share of the
-        // cached bound) must neither suspect the retired id nor the
-        // slot's new occupant ahead of its own lease.
+        // When the detector recycles a forgotten peer's slot for a
+        // newcomer with the *same deadline value*, whatever the forgotten
+        // peer left behind (its share of the cached bound) must neither
+        // suspect the retired id nor the slot's new occupant ahead of its
+        // own lease.
         let mut d = HeartbeatDetector::new(100);
         let p9 = ProcessId(9);
-        d.track(P1, 0); // lease at slot0 gen0, deadline 100
-        d.forget(P1); // tombstones slot 0, the lease goes with it
-        d.track(p9, 0); // recycles slot 0 (gen1), same deadline 100
+        d.track(P1, 0); // lease at slot 0, deadline 100
+        d.forget(P1); // frees slot 0, the lease goes with it
+        d.track(p9, 0); // recycles slot 0, same deadline 100
 
-        let r1 = d.resolve(p9).expect("newcomer resolves");
+        assert!(d.peer(p9).is_some(), "the newcomer is enrolled");
         // One scan at t=100 meets one lease, the newcomer's, and suspects
         // it exactly once, at its own expiry.
         assert!(d.tick(99).is_empty());
         assert_eq!(d.tick(100), vec![p9], "only the live lease fires");
         assert!(!d.is_suspect(P1), "the retired id never resurfaces");
-        assert_eq!(d.resolve(p9), Some(r1), "suspicion keeps the slot");
+        assert!(d.peer(p9).is_some(), "suspicion keeps the slot");
         assert!(d.tick(10_000).is_empty(), "nothing fires twice");
     }
 
@@ -621,7 +667,7 @@ mod tests {
         d.forget(P1);
         d.track(p9, 0);
         d.heard_from(p9, 50); // live deadline moves to 150
-        assert!(d.tick(100).is_empty(), "stale gen-0 and gen-1 entries die");
+        assert!(d.tick(100).is_empty(), "the old deadline fires nothing");
         assert_eq!(d.tick(150), vec![p9]);
     }
 
@@ -633,10 +679,10 @@ mod tests {
         let mut d = HeartbeatDetector::new(100);
         d.track(P1, 0);
         d.release(P1);
-        assert_eq!(d.resolve(P1), None, "released slot is retired");
+        assert_eq!(d.peer(P1), None, "released slot is freed");
         assert!(d.tick(10_000).is_empty(), "no lease left to expire");
         d.track(P1, 500); // legal: the id was not retired
-        assert!(d.resolve(P1).is_some());
+        assert!(d.peer(P1).is_some());
         assert_eq!(d.tick(600), vec![P1], "fresh lease, fresh timeout");
     }
 
@@ -647,10 +693,10 @@ mod tests {
         d.suspect(P1);
         d.release(P1);
         assert!(d.is_suspect(P1), "S1 beliefs survive topology shifts");
-        assert_eq!(d.resolve(P1), None);
+        assert_eq!(d.peer(P1), None);
         // Re-tracking a suspect stays a no-op, as on the flat path.
         d.track(P1, 200);
-        assert_eq!(d.resolve(P1), None);
+        assert_eq!(d.peer(P1), None);
         assert!(d.tick(10_000).is_empty());
     }
 
@@ -678,13 +724,42 @@ mod tests {
         // Release leaves a too-low bound behind, like forget; a recycled
         // slot must not inherit the released peer's deadline through it.
         let mut d = HeartbeatDetector::new(100);
-        d.track(P1, 0); // bound 100 (slot0 gen0)
+        d.track(P1, 0); // bound 100 (slot 0)
         d.release(P1);
-        d.track(P2, 0); // recycles slot 0 under gen1, deadline 100
+        d.track(P2, 0); // recycles slot 0, deadline 100
         d.heard_from(P2, 50);
         assert!(d.tick(100).is_empty(), "the scan finds only P2's lease");
         assert_eq!(d.tick(150), vec![P2]);
         assert!(!d.is_suspect(P1));
+    }
+
+    #[test]
+    fn a_recycled_slot_starts_from_the_default_state() {
+        // The owner's state lives in the slot. Nothing outside the detector
+        // can address a freed slot, so recycling it only has to reset it.
+        let mut d = HeartbeatDetector::<u32>::with_peer_state(100);
+        let p9 = ProcessId(9);
+        d.track(P1, 0);
+        d.track(P2, 0);
+        *d.peer_mut(P1).unwrap() = 11;
+        *d.peer_mut(P2).unwrap() = 22;
+        d.forget(P1);
+        assert_eq!(d.peer_mut(P1), None, "a freed slot is unreachable");
+        d.track(p9, 0); // recycles P1's slot
+        assert_eq!(d.peer(p9), Some(&0), "a newcomer never inherits");
+
+        // A suspicion clears the lease and keeps the owner's state.
+        d.suspect(P2);
+        assert_eq!(d.peer(P2), Some(&22));
+
+        // A topology shift frees the slot; coming back starts afresh.
+        *d.peer_mut(p9).unwrap() = 99;
+        d.release(p9);
+        assert_eq!(d.peer(p9), None);
+        d.track(p9, 50);
+        assert_eq!(d.peer(p9), Some(&0), "release then track resets it");
+        assert_eq!(d.enrolled().collect::<Vec<_>>(), [P2, p9]);
+        assert_eq!(d.tracked().collect::<Vec<_>>(), [p9]);
     }
 
     #[test]

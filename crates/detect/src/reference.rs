@@ -1,13 +1,13 @@
 //! The retired `BTreeMap`-backed detector, kept as a behavioral oracle.
 //!
-//! [`MapDetector`] is the exact pre-arena implementation of
-//! [`HeartbeatDetector`](crate::HeartbeatDetector): per-peer leases in a
-//! `BTreeMap<ProcessId, u64>` and heap entries keyed by `ProcessId`, with
-//! the same lazy-deletion discipline. It exists for the **equivalence
+//! [`MapDetector`] is the exact map-and-heap implementation that
+//! [`HeartbeatDetector`](crate::HeartbeatDetector) replaced: per-peer
+//! leases in a `BTreeMap<ProcessId, u64>` and heap entries keyed by
+//! `ProcessId`, with the same lazy-deletion discipline. It exists for the **equivalence
 //! proptests** in `gmp-props`, which drive identical schedules of track /
 //! heard_from / suspect / forget / tick through both implementations and
 //! assert identical suspicions, identical expiry instants and identical
-//! tracked sets — the arena migration is pinned behaviorally, not just by
+//! tracked sets — the lease scan is pinned behaviorally, not just by
 //! golden fingerprints.
 //!
 //! It is deliberately frozen: bugfixes that change *behavior* must land in
@@ -17,7 +17,7 @@ use gmp_types::ProcessId;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
-/// The pre-arena, map-backed timeout observer. Same observable behavior as
+/// The retired, map-backed timeout observer. Same observable behavior as
 /// [`HeartbeatDetector`](crate::HeartbeatDetector); see the
 /// [module docs](self) for why it is kept.
 #[derive(Clone, Debug)]

@@ -5,20 +5,20 @@
 //! (1-bit) sequence number on each message and an acknowledgement protocol;
 //! the latter involves adding view numbers to messages".
 //!
-//! This crate builds those constructions over an *unreliable* raw channel
-//! model (loss, reordering, duplication):
+//! This crate builds the former over an *unreliable* raw channel model
+//! (loss, reordering, duplication):
 //!
 //! * [`alternating_bit`] — the 1-bit sequence-number + acknowledgement
 //!   protocol the paper references (stop-and-wait);
-//! * [`go_back_n`] — a windowed generalization for throughput;
-//! * [`view_buffer`] — the "no messages from future views" delay rule.
+//! * [`go_back_n`] — a windowed generalization for throughput.
+//!
+//! The latter, the "no messages from future views" delay rule, is the
+//! member's own update buffer in `gmp-core`.
 
 pub mod alternating_bit;
 pub mod go_back_n;
 pub mod raw;
-pub mod view_buffer;
 
 pub use alternating_bit::{AbReceiver, AbSender};
 pub use go_back_n::{GbnReceiver, GbnSender};
 pub use raw::RawChannel;
-pub use view_buffer::ViewBuffer;

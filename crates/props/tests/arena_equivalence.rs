@@ -1,18 +1,21 @@
-//! Property-based pinning of the arena migration.
+//! Property-based pinning of the detector's slot table.
 //!
-//! The index-addressed arenas (PR 5) replaced `BTreeMap`-keyed hot state
-//! in the detector and the member's digest bookkeeping. The golden trace
-//! fingerprints prove specific runs unchanged; these properties prove the
-//! *detector* unchanged under arbitrary schedules by driving the frozen
-//! pre-arena oracle ([`MapDetector`]: id-keyed map, deadline heap, lazy
-//! deletion) and the arena-backed [`HeartbeatDetector`] (lease scan behind
-//! a cached lower bound) — two different algorithms — through identical
-//! op sequences, and prove the full member stack replay-deterministic
-//! under random fault schedules.
+//! The detector keeps its leases, and the owner's per-peer state, in a
+//! recycled slot table where `BTreeMap`-keyed state used to be. The golden
+//! trace fingerprints prove specific runs unchanged; these properties
+//! prove the *detector* unchanged under arbitrary schedules by driving the
+//! frozen oracle ([`MapDetector`]: id-keyed map, deadline heap, lazy
+//! deletion) and the slot-table [`HeartbeatDetector`] (lease scan behind a
+//! cached lower bound) — two different algorithms — through identical op
+//! sequences. An id-keyed map models the owner state the slots hold, so a
+//! recycled slot that leaked its previous occupant's state would show.
+//! The full member stack is proved replay-deterministic under random
+//! fault schedules.
 
 use gmp_detect::{HeartbeatDetector, MapDetector};
 use gmp_types::ProcessId;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One step of a detector schedule, decoded from `(op, pid, dt)`.
 #[derive(Clone, Copy, Debug)]
@@ -21,11 +24,13 @@ enum Op {
     HeardFrom(ProcessId),
     Suspect(ProcessId),
     Forget(ProcessId),
+    /// The owner updates its state for the peer, if it is enrolled.
+    Touch(ProcessId),
     Tick,
 }
 
-/// `op` 0–3 are the four mutators, anything above is a `Tick`: drawn from
-/// `0..5` every op is equally likely, from `0..14` ticks are 10× as
+/// `op` 0–4 are the five mutators, anything above is a `Tick`: drawn from
+/// `0..6` every op is equally likely, from `0..15` ticks are 10× as
 /// frequent as life signs.
 fn decode(op: u8, pid: u8) -> Op {
     let p = ProcessId(u32::from(pid));
@@ -34,28 +39,35 @@ fn decode(op: u8, pid: u8) -> Op {
         1 => Op::HeardFrom(p),
         2 => Op::Suspect(p),
         3 => Op::Forget(p),
+        4 => Op::Touch(p),
         _ => Op::Tick,
     }
 }
 
 /// Drives one schedule through both detectors, comparing every `tick`'s
-/// suspicions, every suspect bit after every step, and the final tracked
-/// and suspect sets.
+/// suspicions, every suspect bit and every peer's owner state after every
+/// step, and the final tracked and suspect sets.
 fn check_against_the_oracle(steps: Vec<(u8, u8, u64)>, suspect_after: u64) {
     let mut oracle = MapDetector::new(suspect_after);
-    let mut arena = HeartbeatDetector::new(suspect_after);
+    let mut arena = HeartbeatDetector::<u32>::with_peer_state(suspect_after);
+    // The owner state of every enrolled peer: zero at enrolment, kept
+    // through a suspicion, dropped by `forget`.
+    let mut owner: BTreeMap<ProcessId, u32> = BTreeMap::new();
     let mut now = 0u64;
     // `forget` retires a peer for good at the protocol layer (a member
     // never re-tracks an excluded process under the same id), so the
     // schedule generator never re-Tracks a forgotten id either — the
-    // oracle would resurrect it while the arena's tombstone semantics
-    // deliberately do not promise anything for that case.
-    let mut forgotten = std::collections::BTreeSet::new();
+    // oracle would resurrect it while the slot table deliberately does
+    // not promise anything for that case.
+    let mut forgotten = BTreeSet::new();
     for (op, pid, dt) in steps {
         now += dt;
         match decode(op, pid) {
             Op::Track(p) => {
                 if !forgotten.contains(&p) {
+                    if !oracle.is_suspect(p) {
+                        owner.entry(p).or_insert(0);
+                    }
                     oracle.track(p, now);
                     arena.track(p, now);
                 }
@@ -69,8 +81,17 @@ fn check_against_the_oracle(steps: Vec<(u8, u8, u64)>, suspect_after: u64) {
             }
             Op::Forget(p) => {
                 forgotten.insert(p);
+                owner.remove(&p);
                 oracle.forget(p);
                 arena.forget(p);
+            }
+            Op::Touch(p) => {
+                if let Some(v) = arena.peer_mut(p) {
+                    *v += 1;
+                }
+                if let Some(v) = owner.get_mut(&p) {
+                    *v += 1;
+                }
             }
             Op::Tick => {
                 assert_eq!(oracle.tick(now), arena.tick(now), "tick at {}", now);
@@ -85,7 +106,12 @@ fn check_against_the_oracle(steps: Vec<(u8, u8, u64)>, suspect_after: u64) {
                 q,
                 now
             );
+            assert_eq!(arena.peer(q), owner.get(&q), "{q}'s state at {now}");
         }
+        assert!(
+            arena.enrolled().eq(owner.keys().copied()),
+            "enrolled at {now}"
+        );
     }
     // Final drain: every outstanding lease expires together.
     now += suspect_after + 1;
@@ -104,10 +130,10 @@ proptest! {
     /// Identical schedules of track / heard_from / suspect / forget / tick
     /// produce identical suspicions (same peers, same tick), identical
     /// tracked sets and identical suspect sets in the map-backed oracle
-    /// and the arena-backed detector.
+    /// and the slot-table detector, whose owner state matches the model.
     #[test]
     fn arena_detector_matches_the_map_oracle(
-        steps in proptest::collection::vec((0u8..5, 0u8..8, 0u64..60), 1..120),
+        steps in proptest::collection::vec((0u8..6, 0u8..8, 0u64..60), 1..120),
         suspect_after in 1u64..300,
     ) {
         check_against_the_oracle(steps, suspect_after);
@@ -118,13 +144,13 @@ proptest! {
     /// bound, with tracks, suspicions and exclusions moving leases under it.
     #[test]
     fn arena_detector_matches_the_map_oracle_when_ticks_dominate(
-        steps in proptest::collection::vec((0u8..14, 0u8..8, 0u64..60), 1..240),
+        steps in proptest::collection::vec((0u8..15, 0u8..8, 0u64..60), 1..240),
         suspect_after in 1u64..300,
     ) {
         check_against_the_oracle(steps, suspect_after);
     }
 
-    /// The full protocol stack on the arena engine stays a pure function
+    /// The full protocol stack stays a pure function
     /// of `(n, seed, fault schedule)`: two runs of a randomly drawn
     /// crash-and-join scenario produce byte-identical stamped traces.
     #[test]

@@ -196,9 +196,8 @@ pub(crate) struct Core<M> {
     msg_counter: u64,
     /// Number of processes, fixed when the run starts.
     n: usize,
-    /// Pending mid-broadcast crash per process, indexed by pid (the slot
-    /// table is dense, so this follows the same index-addressed scheme as
-    /// the protocol's peer arenas).
+    /// Pending mid-broadcast crash per process, indexed by pid (the pid
+    /// space is dense).
     crash_after: Vec<Option<SendCrash>>,
     trace: Trace,
     stats: Stats,

@@ -20,11 +20,9 @@
 
 #![deny(missing_docs)]
 
-pub mod arena;
 pub mod note;
 pub mod view;
 
-pub use arena::{Arena, Gen, PeerIdx, PeerRef, PeerRoster, PeerSlot};
 pub use note::{FaultySource, Note, QuitReason};
 pub use view::View;
 

@@ -6,7 +6,6 @@
 use gmp::link::alternating_bit::{self, AbAck, AbFrame};
 use gmp::link::go_back_n::{self, GbnAck, GbnFrame};
 use gmp::link::raw::{RawChannel, RawConfig};
-use gmp::link::ViewBuffer;
 use proptest::prelude::*;
 
 proptest! {
@@ -79,27 +78,5 @@ proptest! {
             }
             prop_assert_eq!(ack.next, next_expected);
         }
-    }
-
-    /// The view buffer releases every message exactly once, in view order.
-    #[test]
-    fn view_buffer_releases_exactly_once(
-        tags in proptest::collection::vec(0u64..8, 1..40),
-    ) {
-        let mut buf: ViewBuffer<(u64, usize)> = ViewBuffer::new(0);
-        let mut immediate = Vec::new();
-        for (i, &v) in tags.iter().enumerate() {
-            if let Some(m) = buf.offer(v, (v, i)) {
-                immediate.push(m);
-            }
-        }
-        let released = buf.install(8);
-        let total = immediate.len() + released.len();
-        prop_assert_eq!(total, tags.len(), "every message appears exactly once");
-        // Released messages come in view-tag order.
-        for w in released.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-        }
-        prop_assert_eq!(buf.pending(), 0);
     }
 }
