@@ -734,6 +734,32 @@ mod tests {
     }
 
     #[test]
+    fn a_freed_slot_is_unreachable_through_its_old_id() {
+        // Every read goes through the id index, so a retired id never
+        // aliases the next occupant of its slot.
+        let mut d = HeartbeatDetector::<u32>::with_peer_state(100);
+        let p9 = ProcessId(9);
+        d.track(P1, 0);
+        *d.peer_mut(P1).unwrap() = 10;
+        assert_eq!(d.peer(P1), Some(&10));
+
+        d.forget(P1);
+        d.track(p9, 0); // recycles P1's slot
+        assert_eq!(d.peer(p9), Some(&0), "a newcomer sees no leftovers");
+        *d.peer_mut(p9).unwrap() = 20;
+        assert_eq!(d.peer(p9), Some(&20));
+        assert_eq!(d.peer(P1), None, "a retired id never aliases");
+
+        // A released slot is just as unreachable, and its next occupant
+        // is not visible through the released id.
+        d.release(p9);
+        d.track(P2, 0); // recycles the slot again
+        *d.peer_mut(P2).unwrap() = 30;
+        assert_eq!(d.peer(p9), None, "a released id never aliases");
+        assert_eq!(d.peer(P2), Some(&30));
+    }
+
+    #[test]
     fn a_recycled_slot_starts_from_the_default_state() {
         // The owner's state lives in the slot. Nothing outside the detector
         // can address a freed slot, so recycling it only has to reset it.
