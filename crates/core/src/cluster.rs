@@ -36,7 +36,7 @@ impl ClusterBuilder {
         }
     }
 
-    /// Replaces the simulator builder (seed, delays, FIFO).
+    /// Replaces the simulator builder (seed, delays).
     pub fn sim(mut self, builder: Builder) -> Self {
         self.sim_builder = builder;
         self

@@ -4,7 +4,7 @@
 
 use super::{Lifecycle, Member, Step, TICK};
 use crate::msg::{HeartbeatDigest, Msg};
-use gmp_sim::{Out, Shared};
+use gmp_sim::Out;
 use gmp_types::note::FaultySource;
 use gmp_types::ProcessId;
 use std::collections::BTreeSet;
@@ -13,45 +13,14 @@ use std::collections::BTreeSet;
 /// `Arc`-shared snapshot per *change*, not one `Vec` per target per tick.
 #[derive(Clone, Debug, Default)]
 pub(super) struct HbGossip {
-    /// Bumped whenever the faulty set differs from the previous tick's.
-    epoch: u64,
-    /// The faulty set as of `epoch` (ascending id order, like `faulty_vec`).
-    last: Vec<ProcessId>,
-    /// Shared snapshot for `epoch`; `None` while the set is empty (an empty
-    /// snapshot and an empty beat are indistinguishable to the receiver).
-    snapshot: Option<Shared<[ProcessId]>>,
+    /// What every beat carries: the faulty set as of its last change
+    /// (ascending id order, like `faulty_vec`), empty while the set is.
+    digest: HeartbeatDigest,
     /// Snapshot materializations, for the E9 fan-out experiment.
     pub(super) builds: u64,
 }
 
-/// Digest-delivery bookkeeping for one heartbeat target, kept in the
-/// detector's slot for the peer: enrolment starts it afresh, and it goes
-/// with the slot when a view change releases or forgets the peer.
-#[derive(Clone, Copy, Debug, Default)]
-pub(super) struct HbPeer {
-    /// Last epoch whose snapshot this peer is *known* to have received (the
-    /// carrying beat was sent while the peer was confirmed `Active`).
-    sent: Option<u64>,
-    /// Whether we hold evidence the peer reached `Active`: any message it
-    /// sent other than its own `JoinRequest` (joiners send those while
-    /// still `Joining`, discarding everything but `Welcome` in return).
-    /// Until then, a carrying beat might land on a `Joining` receiver and
-    /// be discarded, so the snapshot is re-carried instead of marked sent.
-    confirmed: bool,
-}
-
 impl Member {
-    /// Records evidence that `p` has reached `Active`: from now on a
-    /// digest-carrying beat to `p` may mark its epoch delivered at send
-    /// time (lifecycle is monotone past `Active`, so no later beat can land
-    /// on a discarding `Joining` receiver). No-op for strangers (observers,
-    /// not-yet-admitted joiners) — they have no detector slot.
-    pub(super) fn confirm_peer(&mut self, p: ProcessId) {
-        if let Some(peer) = self.fd.peer_mut(p) {
-            peer.confirmed = true;
-        }
-    }
-
     /// Recomputes the monitoring set from the configured topology against
     /// the current view, diffing it against the previous set: ex-monitors
     /// are released (not forgotten — they are still group members),
@@ -111,61 +80,32 @@ impl Member {
 
         // Heartbeat fan-out. The faulty set is materialized at most once per
         // tick (and only when it changed), wrapped in an `Arc`-shared
-        // snapshot, and fanned out by reference: per-recipient payload cost
-        // is an O(1) clone of the digest, not a fresh `Vec`. The full set
-        // travels only on the first beat to a peer after a change — every
-        // later beat on that (reliable FIFO) link is a pure life sign, so
-        // the gossip states receivers reach are exactly those of flooding.
-        // NB: `sent` marks the epoch at *send* time, which is only sound on
-        // the model's reliable channels (§2.1) *and* only for a receiver
-        // that will actually process the beat. A `Joining` receiver
-        // discards everything but `Welcome`, so a carrying beat that
-        // overlaps the join window would be eaten and never retransmitted —
-        // the joiner would miss this member's faulty set until it next
-        // changed. The epoch is therefore marked sent only once the peer is
-        // `confirmed` Active (we received some message from it other than
-        // its own `JoinRequest`; lifecycle is monotone past `Active`, so
-        // later beats can never land on a `Joining` receiver again). Until
-        // then the snapshot is re-carried on every beat — an O(1) `Arc`
-        // clone, no extra messages and no extra materializations. Lossy
-        // `BlockMode::Drop` links would break the marking the same way,
-        // and stay reserved for the baseline counterexample protocols.
-        if self.cfg.gossip && !self.faulty.iter().copied().eq(self.hb.last.iter().copied()) {
-            self.hb.epoch += 1;
-            self.hb.last = self.faulty_vec(); // once per tick, not per target
-            self.hb.snapshot = if self.hb.last.is_empty() {
-                None
+        // snapshot, and every beat carries it by reference: per-recipient
+        // payload cost is an O(1) clone of the digest, not a fresh `Vec`.
+        // Re-carrying an unchanged set is a no-op at a receiver that
+        // already processed it (S1 isolation is permanent, so `suspect`
+        // refuses every id it names), and a receiver that missed it — a
+        // `Joining` peer, a newly enrolled one, one behind a lossy link —
+        // gets it on its next beat.
+        if self.cfg.gossip && !self.faulty.iter().eq(self.hb.digest.faulty()) {
+            self.hb.digest = if self.faulty.is_empty() {
+                HeartbeatDigest::empty()
             } else {
                 self.hb.builds += 1;
-                Some(Shared::from(self.hb.last.clone()))
+                HeartbeatDigest::snapshot(self.faulty_vec().into())
             };
         }
         // Heartbeats (and their digests) go to the *monitoring set*, not
         // the whole view — under the default Flat topology these coincide.
         // Suspicion relay on sparse graphs falls out of this line plus the
-        // epoch bump above: learning `Faulty{q}` (by timeout or digest)
+        // rebuild above: learning `Faulty{q}` (by timeout or digest)
         // changes `self.faulty`, which re-publishes the snapshot to
         // exactly these monitors on this very tick.
-        let snapshot = self.hb.snapshot.clone();
-        let epoch = self.hb.epoch;
         for &p in &self.topo_monitored {
-            if self.faulty.contains(&p) {
-                continue;
+            if !self.faulty.contains(&p) {
+                let digest = self.hb.digest.clone();
+                out.send(p, Msg::Heartbeat { digest });
             }
-            let digest = match (&snapshot, self.fd.peer_mut(p)) {
-                (Some(set), Some(peer)) => {
-                    if peer.sent == Some(epoch) {
-                        HeartbeatDigest::empty()
-                    } else {
-                        if peer.confirmed {
-                            peer.sent = Some(epoch);
-                        }
-                        HeartbeatDigest::snapshot(set.clone())
-                    }
-                }
-                _ => HeartbeatDigest::empty(),
-            };
-            out.send(p, Msg::Heartbeat { digest });
         }
 
         // Periodic re-reports keep GMP-5 live across coordinator changes

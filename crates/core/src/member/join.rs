@@ -26,7 +26,7 @@ impl Member {
         msg: Msg,
     ) -> Step {
         match msg {
-            Msg::Welcome(body) => return self.on_welcome(out, from, body),
+            Msg::Welcome(body) => return self.on_welcome(out, body),
             // Coordinator rounds addressed to this process as an
             // already-added member can overtake its Welcome (the add
             // commits first, and the Welcome may need a retried join
@@ -79,12 +79,7 @@ impl Member {
         Ok(())
     }
 
-    fn on_welcome(
-        &mut self,
-        out: &mut impl Out<Msg>,
-        from: ProcessId,
-        body: Shared<WelcomeBody>,
-    ) -> Step {
+    fn on_welcome(&mut self, out: &mut impl Out<Msg>, body: Shared<WelcomeBody>) -> Step {
         let WelcomeBody {
             members,
             ver: v,
@@ -109,10 +104,6 @@ impl Member {
         // the joiner may suspect anyone it has never heard from.
         let grace = self.now + 2 * self.cfg.suspect_after;
         self.install_topology(grace);
-        // The welcomer demonstrably executes the protocol; other view
-        // members may themselves still be joining, so they stay
-        // unconfirmed until their first message arrives here.
-        self.confirm_peer(from);
         self.announce_view(out, true);
         out.set_timer(self.cfg.heartbeat_every, TICK);
         // Replay coordinator rounds that overtook this Welcome (see
@@ -121,7 +112,6 @@ impl Member {
         // guards.
         for (sender, msg) in std::mem::take(&mut self.buffered) {
             self.fd.heard_from(sender, self.now);
-            self.confirm_peer(sender);
             self.dispatch(out, sender, msg)?;
         }
         Ok(())

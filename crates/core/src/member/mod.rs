@@ -57,7 +57,7 @@ use gmp_detect::{HeartbeatDetector, Isolation};
 use gmp_sim::{Ctx, Node, Out, Shared};
 use gmp_types::note::{FaultySource, QuitReason};
 use gmp_types::{NextEntry, Note, Op, OpKind, ProcessId, Ver, View};
-use heartbeat::{HbGossip, HbPeer};
+use heartbeat::HbGossip;
 use observer::ObsState;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -146,10 +146,8 @@ pub struct Member {
     /// executed first once this member is coordinator.
     forced: VecDeque<Op>,
     iso: Isolation,
-    /// The failure detector, whose slot for each monitored peer also holds
-    /// that peer's digest-delivery state: the member's one id-indexed peer
-    /// table.
-    fd: HeartbeatDetector<HbPeer>,
+    /// The failure detector: one lease per monitored peer.
+    fd: HeartbeatDetector,
     role: Role,
     /// Future-view update messages, waiting for their view (§3).
     buffered: Vec<(ProcessId, Msg)>,
@@ -160,7 +158,7 @@ pub struct Member {
     /// learned by gossip is one this member does not monitor. An entry
     /// goes when its suspect leaves the view.
     last_report: BTreeMap<ProcessId, u64>,
-    /// Sender-side state of the delta-encoded heartbeat digests (F2).
+    /// Sender-side state of the heartbeat digests (F2).
     hb: HbGossip,
     /// The monitoring set computed from `cfg.topology` at the last view
     /// install, in view order: heartbeat targets, digest carriers and
@@ -260,7 +258,7 @@ impl Member {
             recovered: VecDeque::new(),
             forced: VecDeque::new(),
             iso: Isolation::new(),
-            fd: HeartbeatDetector::with_peer_state(suspect_after),
+            fd: HeartbeatDetector::new(suspect_after),
             role: Role::Outer,
             buffered: Vec::new(),
             injected: Vec::new(),
@@ -409,12 +407,6 @@ impl Member {
             self.me
         );
         self.install_topology(self.now);
-        // GMP-0: the initial membership is commonly known and every initial
-        // member starts `Active`, so digests to monitored peers may be
-        // delta-encoded from the first beat.
-        for p in self.topo_monitored.clone() {
-            self.confirm_peer(p);
-        }
         self.announce_view(out, false);
         if self.mgr == self.me {
             self.role = Role::MgrIdle;
@@ -451,16 +443,6 @@ impl Member {
                 // suspected peer's lease was cleared, a forgotten peer's
                 // slot went with it, and a stranger has no slot at all.
                 self.fd.heard_from(from, self.now);
-                // Any message except the sender's own `JoinRequest` is
-                // evidence the sender reached `Active` (joiners emit join
-                // requests while still `Joining`; everything else is sent
-                // by active members — observers' `Subscribe`s come from
-                // processes without a detector slot, so confirming them is
-                // a structural no-op). A *forwarded* join request
-                // (`joiner != from`) does confirm the forwarder.
-                if !matches!(&msg, Msg::JoinRequest { joiner } if *joiner == from) {
-                    self.confirm_peer(from);
-                }
                 self.dispatch(out, from, msg)
             }
         };
@@ -496,7 +478,7 @@ impl Member {
     fn dispatch(&mut self, out: &mut impl Out<Msg>, from: ProcessId, msg: Msg) -> Step {
         match msg {
             Msg::Heartbeat { digest } if self.cfg.gossip => {
-                for q in digest.faulty() {
+                for &q in digest.faulty() {
                     self.handle_faulty(out, q, FaultySource::Gossip)?;
                 }
                 Ok(())
@@ -670,10 +652,9 @@ impl Member {
         self.ver += 1;
         // The per-peer bookkeeping needs no further pruning: the removal
         // above dropped the excluded member's `last_report` entry, and its
-        // digest-delivery state went with the detector slot that
-        // `fd.forget` and `install_topology`'s releases freed. A slot's
-        // next occupant starts from the default state, so the bookkeeping
-        // stays bounded by the view size across arbitrarily long runs.
+        // lease went with the detector slot that `fd.forget` and
+        // `install_topology`'s releases freed, so the bookkeeping stays
+        // bounded by the view size across arbitrarily long runs.
         out.note(Note::OpApplied { op, ver: self.ver });
         if op.kind == OpKind::Remove {
             let (peer, ver) = (op.target, self.ver);
@@ -884,7 +865,7 @@ mod tests {
         let mut m = Member::new(cfg, view);
         let mut out = Sink::new();
         m.start(&mut out, p5, 0);
-        assert!(m.fd.peer(p9).is_none(), "p5 does not monitor p9");
+        assert!(!m.fd.enrolled().any(|p| p == p9), "p5 does not monitor p9");
         let digest = HeartbeatDigest::snapshot(Shared::from(vec![p9]));
         m.receive(&mut out, p7, Msg::Heartbeat { digest }, 1);
         assert_eq!(m.faulty_set().collect::<Vec<_>>(), [p9]);

@@ -3,27 +3,25 @@
 use gmp_sim::{Message, Shared};
 use gmp_types::{NextEntry, Op, ProcessId, Ver};
 
-/// The gossip payload (F2) piggybacked on a heartbeat, delta-encoded.
+/// The gossip payload (F2) piggybacked on a heartbeat: the sender's whole
+/// faulty set.
 ///
-/// The paper treats the faulty set as a single gossip source; re-flooding
-/// it on every beat to every peer is pure overhead (§2.2 costs protocols in
-/// *messages*, and the message count is unchanged either way). A digest
-/// therefore carries the sender's full faulty set only on the first beat to
-/// a peer after the set changed — as an [`Shared`]-backed snapshot built
-/// once per change, not once per target — and is an empty pure life sign
-/// otherwise. Links are reliable FIFO (§2.1), so every peer observes the
-/// carrying beat before any later empty one and the gossip states reached
-/// are exactly those of full-set flooding.
-#[derive(Clone, Debug)]
+/// Every beat carries the set, as a [`Shared`]-backed snapshot built once
+/// per change of the set, so each beat's payload is a reference-count
+/// bump, not a copy. A receiver that already processed the set finds every
+/// id in it isolated (S1 is permanent), so a repeat does nothing there; a
+/// receiver that missed it, because it was still joining or the beat was
+/// lost, learns it from the next beat. The digest is empty while the set
+/// is.
+#[derive(Clone, Debug, Default)]
 pub struct HeartbeatDigest {
     /// `Some(set)`: the sender's complete faulty set as of this beat.
-    /// `None`: unchanged since the last set this peer was sent (or empty).
+    /// `None`: the sender's faulty set is empty.
     faulty: Option<Shared<[ProcessId]>>,
 }
 
 impl HeartbeatDigest {
-    /// A pure life sign: the receiver's view of the sender's faulty set is
-    /// already current (or the set is empty).
+    /// A pure life sign: the sender's faulty set is empty.
     pub fn empty() -> Self {
         HeartbeatDigest { faulty: None }
     }
@@ -39,9 +37,10 @@ impl HeartbeatDigest {
         self.faulty.is_some()
     }
 
-    /// The carried faulty set; empty for a pure life sign.
-    pub fn faulty(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.faulty.iter().flat_map(|s| s.iter().copied())
+    /// The carried faulty set, in ascending id order; empty for a pure
+    /// life sign. Every clone of a digest returns the one shared slice.
+    pub fn faulty(&self) -> &[ProcessId] {
+        self.faulty.as_deref().unwrap_or_default()
     }
 }
 
@@ -128,8 +127,8 @@ pub struct ViewUpdateBody {
 /// (DESIGN.md, "The event record").
 #[derive(Clone, Debug)]
 pub enum Msg {
-    /// Periodic life sign; carries delta-encoded faulty-set gossip when F2
-    /// is enabled.
+    /// Periodic life sign; carries the sender's faulty set as gossip when
+    /// F2 is enabled.
     Heartbeat {
         /// The piggybacked gossip digest.
         digest: HeartbeatDigest,
@@ -253,10 +252,7 @@ mod tests {
         let d = HeartbeatDigest::snapshot(set.clone());
         let fanned = d.clone(); // what broadcast does per recipient
         assert!(d.carries_set() && fanned.carries_set());
-        assert_eq!(
-            fanned.faulty().collect::<Vec<_>>(),
-            vec![ProcessId(3), ProcessId(7)]
-        );
+        assert_eq!(fanned.faulty(), [ProcessId(3), ProcessId(7)]);
         assert!(
             Shared::ptr_eq(&set, d.faulty.as_ref().unwrap()),
             "digest wraps, never copies, the snapshot"
@@ -264,7 +260,7 @@ mod tests {
 
         let beat = HeartbeatDigest::empty();
         assert!(!beat.carries_set());
-        assert_eq!(beat.faulty().count(), 0);
+        assert!(beat.faulty().is_empty());
     }
 
     /// Every send moves a `Msg` into the engine's event record and every

@@ -29,8 +29,8 @@
 //! * `monitors(me, view)` must be **symmetric** (`q ∈ monitors(p) ⇔
 //!   p ∈ monitors(q)`): heartbeats are sent to exactly the monitoring set,
 //!   so an asymmetric graph would beat peers that never enrolled the
-//!   sender — their detector (correctly) ignores strangers and every
-//!   digest would be re-carried forever.
+//!   sender — their detector (correctly) ignores strangers, so those
+//!   beats would renew no lease.
 //! * The graph over any view's *surviving* members should be connected,
 //!   or relayed suspicions cannot reach everyone.
 //! * `me ∉ monitors(me, view)`; every returned peer is a view member.

@@ -1,9 +1,11 @@
 //! A broadcast builds its body once: every recipient's copy of a `Commit`
-//! or a `ReconfCommit` points at the one allocation. Members are stepped
-//! by hand through `receive` into a `Vec` sink, with no simulator.
+//! or a `ReconfCommit` points at the one allocation, and so does every
+//! heartbeat's faulty set until the set changes. Members are stepped by
+//! hand through `receive` and `fire` into a `Vec` sink, with no simulator.
 
-use gmp_core::{Config, HeartbeatDigest, InterrogateOkBody, Member, Msg};
+use gmp_core::{Config, HeartbeatDigest, InterrogateOkBody, Member, MemberEvent, Msg};
 use gmp_sim::{Effect, Shared};
+use gmp_types::note::FaultySource;
 use gmp_types::{ProcessId, View};
 
 const N: u32 = 5;
@@ -108,4 +110,57 @@ fn a_reconfiguration_shares_one_body_per_phase() {
     assert_eq!(commits.len(), 3, "p2..p4: p0 is excluded");
     assert_one_body(&commits);
     assert_eq!((r.ver(), r.mgr()), (1, ProcessId(1)));
+}
+
+/// Every beat to every monitored, unsuspected peer carries the current
+/// faulty set, one allocation per change of the set; a receiver that
+/// already processed the set takes a repeat as a pure life sign.
+#[test]
+fn every_beat_re_carries_one_snapshot_and_a_repeat_is_a_no_op() {
+    const TICK: u64 = 1; // Member's heartbeat timer tag.
+    let mut m = started(1);
+    let mut sink = Vec::new();
+    let mut beats = |m: &mut Member, now: u64| {
+        m.fire(&mut sink, TICK, now);
+        let out = sends(&mut sink).into_iter();
+        let beats = out.filter_map(|(to, msg)| match msg {
+            Msg::Heartbeat { digest } => Some((to, digest)),
+            _ => None,
+        });
+        beats.collect::<Vec<_>>()
+    };
+    m.inject_suspicion(ProcessId(4));
+    let first = beats(&mut m, 40);
+    let second = beats(&mut m, 80);
+    let set = first[0].1.faulty();
+    assert_eq!(set, [ProcessId(4)]);
+    for (to, digest) in first.iter().chain(&second) {
+        assert!([0, 2, 3].contains(&to.0), "p4 is suspected, {to} is not");
+        assert!(std::ptr::eq(set, digest.faulty()), "{to} got another copy");
+    }
+    assert_eq!((first.len(), second.len()), (3, 3));
+    assert_eq!(m.heartbeat_payload_builds(), 1, "one build per change");
+    m.inject_suspicion(ProcessId(3));
+    let third = beats(&mut m, 120);
+    assert_eq!(third[0].1.faulty(), [ProcessId(3), ProcessId(4)]);
+    assert_eq!(m.heartbeat_payload_builds(), 2, "one build per change");
+
+    // The first carrying beat makes p2 suspect p4; the same beat again
+    // finds p4 isolated and does nothing at all.
+    let mut r = started(2);
+    let _ = r.take_events();
+    let beat = first.into_iter().find(|(to, _)| to.0 == 2).unwrap().1;
+    let beat = || Msg::Heartbeat {
+        digest: beat.clone(),
+    };
+    r.receive(&mut sink, ProcessId(1), beat(), 45);
+    let suspected = MemberEvent::PeerSuspected {
+        peer: ProcessId(4),
+        source: FaultySource::Gossip,
+    };
+    assert_eq!(r.take_events(), [suspected]);
+    sink.clear();
+    r.receive(&mut sink, ProcessId(1), beat(), 85);
+    assert!(sink.is_empty(), "a repeat emits nothing: {sink:?}");
+    assert!(r.take_events().is_empty(), "and no event");
 }

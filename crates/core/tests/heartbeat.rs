@@ -1,9 +1,11 @@
 //! Heartbeat-tick regression tests: suspicion ordering within a tick, the
-//! boundedness of the per-suspect bookkeeping maps, and the equivalence of
-//! the member's detector with a bare one that keeps no owner state.
+//! boundedness of the per-suspect bookkeeping maps, the repair of a lost
+//! gossip beat, and the equivalence of the member's detector with a bare
+//! one replayed from its trace.
 
 use gmp_core::{cluster, cluster_with, Config};
 use gmp_detect::HeartbeatDetector;
+use gmp_sim::net::BlockMode;
 use gmp_sim::TraceKind;
 use gmp_types::note::FaultySource;
 use gmp_types::{Note, OpKind, ProcessId};
@@ -106,11 +108,11 @@ fn report_throttle_only_holds_in_view_suspects() {
     assert_eq!(sim.node(ProcessId(0)).ver(), 3, "three exclusions commit");
 }
 
-/// The member's detector also holds the member's own per-peer state in
-/// each peer's slot. This test pins the claim that sharing the slot table
-/// changes nothing about detection: it replays one member's exact trace
-/// schedule — start, receptions, tick timers, suspicions, exclusions —
-/// through a bare [`HeartbeatDetector`] oracle that keeps no owner state
+/// The member drives its detector only through `track`, `heard_from`,
+/// `suspect`, `release`, `forget` and `tick`. This test pins the claim
+/// that nothing else about the member moves detection: it replays one
+/// member's exact trace schedule — start, receptions, tick timers,
+/// suspicions, exclusions — through a bare [`HeartbeatDetector`] oracle
 /// and demands the oracle produce the identical observation-sourced
 /// suspicions at the identical instants.
 #[test]
@@ -126,10 +128,9 @@ fn handle_addressed_leases_equal_the_id_addressed_detector() {
     sim.run_until(12_000);
 
     // The bare oracle, driven by the observer's schedule. The member's own
-    // detector runs the same algorithm with digest-delivery state in its
-    // slots; `heard_from`'s suspect and enrolment guards subsume the
-    // member-side isolation check, so a raw replay of every `Recv` is
-    // faithful.
+    // detector runs the same algorithm; `heard_from`'s suspect and
+    // enrolment guards subsume the member-side isolation check, so a raw
+    // replay of every `Recv` is faithful.
     const TICK: u64 = 1; // Member's heartbeat timer tag.
     let mut oracle = HeartbeatDetector::new(cfg.suspect_after);
     let mut oracle_suspicions: Vec<(u64, ProcessId)> = Vec::new();
@@ -191,4 +192,60 @@ fn handle_addressed_leases_equal_the_id_addressed_detector() {
     );
     // And both exclusions committed, so the replay covered `forget` too.
     assert_eq!(sim.node(observer).ver(), 2, "both exclusions commit");
+}
+
+/// Every beat carries the sender's faulty set, so a carrying beat lost on
+/// a `Drop` link is repaired by the next one. In a group of four, the
+/// carrier p1 suspects p3 at its tick at 240; its links to the `Mgr` are
+/// held, so no exclusion can tell anyone, and its beats to p2 are dropped
+/// from 200 to 300, so the first carrying beats never arrive. p2 must
+/// still learn of p3 by gossip within two beats after the link comes
+/// back. (While the faulty set was delta-encoded, the carrier marked the
+/// set delivered when it sent the lost beat, and p2 never learned.) The
+/// run stops before anyone's lease for p1 can run out.
+#[test]
+fn a_gossip_beat_lost_on_a_drop_link_is_repaired_by_the_next_beat() {
+    let (mgr, carrier, p, victim) = (ProcessId(0), ProcessId(1), ProcessId(2), ProcessId(3));
+    let cfg = Config::default();
+    let (lost_from, lost_until) = (200, 300);
+    for seed in 0..20u64 {
+        let mut sim = cluster(4, seed);
+        sim.block_link_at(carrier, mgr, BlockMode::Hold, lost_from);
+        sim.block_link_at(carrier, p, BlockMode::Drop, lost_from);
+        sim.unblock_link_at(carrier, p, lost_until);
+        sim.run_until(lost_from + 5);
+        sim.node_mut(carrier).inject_suspicion(victim);
+        sim.run_until(lost_until + 2 * cfg.heartbeat_every + 10);
+
+        let faulty_at = |who: ProcessId, source: FaultySource| {
+            sim.trace().notes().find_map(|(e, n)| match n {
+                Note::Faulty { suspect, source: s }
+                    if e.pid == who && *suspect == victim && *s == source =>
+                {
+                    Some(e.time)
+                }
+                _ => None,
+            })
+        };
+        let injected = faulty_at(carrier, FaultySource::Injected);
+        assert!(
+            injected.is_some_and(|t| t < lost_until - cfg.heartbeat_every),
+            "seed {seed}: the carrier must suspect p3 while its beats are dropped"
+        );
+        let learned = faulty_at(p, FaultySource::Gossip)
+            .unwrap_or_else(|| panic!("seed {seed}: the lost gossip beat was never repaired"));
+        assert!(
+            learned > lost_until,
+            "seed {seed}: p2 learned at {learned}, through the dropped link"
+        );
+        let first_elsewhere = sim.trace().notes().find_map(|(e, n)| match n {
+            Note::Faulty { .. } if e.pid != carrier => Some((e.pid, e.time)),
+            _ => None,
+        });
+        assert_eq!(
+            first_elsewhere,
+            Some((p, learned)),
+            "seed {seed}: only the carrier's digest may spread the suspicion"
+        );
+    }
 }

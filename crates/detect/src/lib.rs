@@ -20,10 +20,9 @@
 //! (F2) is a protocol concern and lives in `gmp-core`, which piggybacks
 //! faulty sets on protocol messages.
 //!
-//! The detector keeps one slot per enrolled peer: its id, its lease and
-//! whatever per-peer state the owner chooses to keep beside it. A life
-//! sign is one store into the peer's slot; expiry is a scan of the slots,
-//! skipped while a cached lower bound says nothing can be due. The
+//! The detector keeps one slot per enrolled peer: its id and its lease.
+//! A life sign is one store into the peer's slot; expiry is a scan of the
+//! slots, skipped while a cached lower bound says nothing can be due. The
 //! retired map-and-heap implementation survives as
 //! [`reference::MapDetector`] — a different algorithm, hence an
 //! independent behavioral oracle for the equivalence proptests in
@@ -41,13 +40,11 @@ const NO_SLOT: u32 = u32::MAX;
 
 /// One enrolled peer.
 #[derive(Clone, Debug)]
-struct Slot<T> {
+struct Slot {
     pid: ProcessId,
     /// Lease start (last life sign); `None` once the peer is suspected,
     /// and in a free slot.
     lease: Option<u64>,
-    /// The owner's per-peer state, `T::default()` at enrolment.
-    state: T,
 }
 
 /// Timeout-based failure observer (source F1).
@@ -77,21 +74,17 @@ struct Slot<T> {
 /// afterwards, so suspicions come out in ascending id order at exactly
 /// the instants a deadline heap would produce.
 ///
-/// # One slot table per owner
+/// # A slot table behind an id index
 ///
-/// Each enrolled peer has one slot: its id, its lease and a `T` the owner
-/// chooses (`()` by default). A member keeps its per-peer digest-delivery
-/// state there and reaches it with [`peer`](HeartbeatDetector::peer) and
-/// [`peer_mut`](HeartbeatDetector::peer_mut), so a member has one
-/// id-indexed peer table, not one per kind of state. Enrolment writes
-/// `T::default()` into the slot; [`suspect`](HeartbeatDetector::suspect)
-/// clears only the lease, so the owner's state outlives a suspicion;
+/// Each enrolled peer has one slot: its id and its lease.
+/// [`suspect`](HeartbeatDetector::suspect) clears only the lease, so a
+/// suspect stays [`enrolled`](HeartbeatDetector::enrolled);
 /// [`release`](HeartbeatDetector::release) and
 /// [`forget`](HeartbeatDetector::forget) free the slot for the next
 /// enrolment. No handle leaves the detector — every access goes through
 /// the id index, which never points at a freed slot — so a recycled slot
-/// needs no generation: its new occupant starts from `T::default()` and a
-/// fresh lease, and nothing can still address the old one.
+/// needs no generation: its new occupant starts from a fresh lease, and
+/// nothing can still address the old one.
 ///
 /// # Invariant: process instances never return
 ///
@@ -102,10 +95,10 @@ struct Slot<T> {
 /// same id is a model violation that debug builds reject with a
 /// `debug_assert` rather than silently restarting monitoring.
 #[derive(Clone, Debug)]
-pub struct HeartbeatDetector<T = ()> {
+pub struct HeartbeatDetector {
     suspect_after: u64,
     /// Enrolled peers and free slots, in enrolment order.
-    slots: Vec<Slot<T>>,
+    slots: Vec<Slot>,
     /// Indices of free slots, reused last-freed first.
     free: Vec<u32>,
     /// `pid.index() → slot` of every enrolled peer ([`NO_SLOT`]
@@ -129,24 +122,12 @@ pub struct HeartbeatDetector<T = ()> {
 
 impl HeartbeatDetector {
     /// A detector that suspects a tracked peer after `suspect_after` ticks
-    /// of silence, keeping no state of its owner's.
+    /// of silence.
     ///
     /// # Panics
     ///
     /// Panics if `suspect_after` is zero.
     pub fn new(suspect_after: u64) -> Self {
-        Self::with_peer_state(suspect_after)
-    }
-}
-
-impl<T: Default> HeartbeatDetector<T> {
-    /// A detector that suspects a tracked peer after `suspect_after` ticks
-    /// of silence and keeps a `T` beside each enrolled peer's lease.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `suspect_after` is zero.
-    pub fn with_peer_state(suspect_after: u64) -> Self {
         assert!(suspect_after > 0, "suspect_after must be positive");
         HeartbeatDetector {
             suspect_after,
@@ -176,22 +157,6 @@ impl<T: Default> HeartbeatDetector<T> {
         Some(i as usize)
     }
 
-    /// The owner's state for `p`, or `None` if `p` is not enrolled.
-    /// Suspected peers stay enrolled until
-    /// [`forget`](HeartbeatDetector::forget) or
-    /// [`release`](HeartbeatDetector::release) frees their slot.
-    #[inline]
-    pub fn peer(&self, p: ProcessId) -> Option<&T> {
-        self.slot_of(p).map(|i| &self.slots[i].state)
-    }
-
-    /// Mutable access to the owner's state for `p` (see
-    /// [`peer`](HeartbeatDetector::peer)).
-    #[inline]
-    pub fn peer_mut(&mut self, p: ProcessId) -> Option<&mut T> {
-        self.slot_of(p).map(|i| &mut self.slots[i].state)
-    }
-
     /// Sizes the id index to cover ids below `end` in one exact
     /// allocation, so the enrolments that follow never grow it: the owner
     /// calls this before tracking a batch of peers whose largest id + 1 is
@@ -211,7 +176,7 @@ impl<T: Default> HeartbeatDetector<T> {
     }
 
     /// Every enrolled peer — tracked *and* suspected-but-not-yet-forgotten
-    /// — in ascending id order.
+    /// or released — in ascending id order.
     pub fn enrolled(&self) -> impl Iterator<Item = ProcessId> + '_ {
         self.by_pid
             .iter()
@@ -222,7 +187,7 @@ impl<T: Default> HeartbeatDetector<T> {
 
     /// Starts monitoring `p`, treating `now` as the last life sign (a grace
     /// period equal to the full timeout). A peer that was not enrolled gets
-    /// a slot holding `T::default()`.
+    /// a slot.
     ///
     /// # Panics
     ///
@@ -247,14 +212,12 @@ impl<T: Default> HeartbeatDetector<T> {
         }
     }
 
-    /// Gives `p` a slot — a free one if there is one — holding no lease
-    /// and `T::default()`.
+    /// Gives `p` a slot — a free one if there is one — holding no lease.
     fn enrol(&mut self, p: ProcessId) -> usize {
         debug_assert_ne!(p.0, u32::MAX, "the pre-start sentinel has no slot");
         let slot = Slot {
             pid: p,
             lease: None,
-            state: T::default(),
         };
         let i = match self.free.pop() {
             Some(i) => {
@@ -293,7 +256,7 @@ impl<T: Default> HeartbeatDetector<T> {
     /// move it back in, so the id must stay trackable: the slot is freed
     /// like `forget`'s, but the id is not added to the `forgotten` set and
     /// a later [`track`](HeartbeatDetector::track) legally re-enrolls it
-    /// under a fresh slot, lease and owner state. Suspicion state is
+    /// under a fresh slot and lease. Suspicion state is
     /// *kept* — S1 beliefs are permanent and independent of who is
     /// currently monitoring whom. No-op for ids that were never enrolled
     /// (releasing an already-`forget`ten peer during the same view install
@@ -333,8 +296,7 @@ impl<T: Default> HeartbeatDetector<T> {
     pub fn suspect(&mut self, p: ProcessId) -> bool {
         if let Some(i) = self.slot_of(p) {
             // Clear the lease so the scan passes over `p`; the slot itself
-            // stays enrolled until `forget` or `release` frees it, so the
-            // owner's state for `p` survives the suspicion.
+            // stays enrolled until `forget` or `release` frees it.
             self.slots[i].lease = None;
         }
         self.suspects.insert(p)
@@ -507,15 +469,19 @@ mod tests {
 
     #[test]
     fn suspects_stay_resolvable_until_forgotten() {
-        // The owning member keeps per-peer state for suspects that are
-        // still in its view; the slot must outlive the lease.
-        let mut d = HeartbeatDetector::<u32>::with_peer_state(10);
+        // A suspect still in the owner's view keeps its slot; only the
+        // lease goes.
+        let mut d = HeartbeatDetector::new(10);
         d.track(P1, 0);
-        *d.peer_mut(P1).expect("tracked peers are enrolled") = 7;
         d.suspect(P1);
-        assert_eq!(d.peer(P1), Some(&7), "suspicion keeps the slot");
+        assert_eq!(
+            d.enrolled().collect::<Vec<_>>(),
+            [P1],
+            "suspicion keeps the slot"
+        );
+        assert!(d.tracked().next().is_none(), "but clears the lease");
         d.forget(P1);
-        assert_eq!(d.peer(P1), None, "forget frees the slot");
+        assert!(d.enrolled().next().is_none(), "forget frees the slot");
     }
 
     #[test]
@@ -595,6 +561,7 @@ mod tests {
         d.track(P1, 120); // and back in: a fresh slot 0, deadline 220
         d.forget(P2); // exclusion frees slot 1 ...
         d.track(p9, 50); // ... for a joiner whose lease predates the scan
+        d.heard_from(P2, 140); // a late beat of the retired id
         assert!(d.tick(149).is_empty());
         assert_eq!(d.tick(150), vec![p9], "below the scanned bound of 180");
         assert!(d.tick(219).is_empty());
@@ -646,13 +613,21 @@ mod tests {
         d.forget(P1); // frees slot 0, the lease goes with it
         d.track(p9, 0); // recycles slot 0, same deadline 100
 
-        assert!(d.peer(p9).is_some(), "the newcomer is enrolled");
+        assert_eq!(
+            d.enrolled().collect::<Vec<_>>(),
+            [p9],
+            "the newcomer is enrolled"
+        );
         // One scan at t=100 meets one lease, the newcomer's, and suspects
         // it exactly once, at its own expiry.
         assert!(d.tick(99).is_empty());
         assert_eq!(d.tick(100), vec![p9], "only the live lease fires");
         assert!(!d.is_suspect(P1), "the retired id never resurfaces");
-        assert!(d.peer(p9).is_some(), "suspicion keeps the slot");
+        assert_eq!(
+            d.enrolled().collect::<Vec<_>>(),
+            [p9],
+            "suspicion keeps the slot"
+        );
         assert!(d.tick(10_000).is_empty(), "nothing fires twice");
     }
 
@@ -679,10 +654,10 @@ mod tests {
         let mut d = HeartbeatDetector::new(100);
         d.track(P1, 0);
         d.release(P1);
-        assert_eq!(d.peer(P1), None, "released slot is freed");
+        assert!(d.enrolled().next().is_none(), "released slot is freed");
         assert!(d.tick(10_000).is_empty(), "no lease left to expire");
         d.track(P1, 500); // legal: the id was not retired
-        assert!(d.peer(P1).is_some());
+        assert_eq!(d.tracked().collect::<Vec<_>>(), [P1]);
         assert_eq!(d.tick(600), vec![P1], "fresh lease, fresh timeout");
     }
 
@@ -693,10 +668,10 @@ mod tests {
         d.suspect(P1);
         d.release(P1);
         assert!(d.is_suspect(P1), "S1 beliefs survive topology shifts");
-        assert_eq!(d.peer(P1), None);
+        assert!(d.enrolled().next().is_none());
         // Re-tracking a suspect stays a no-op, as on the flat path.
         d.track(P1, 200);
-        assert_eq!(d.peer(P1), None);
+        assert!(d.enrolled().next().is_none());
         assert!(d.tick(10_000).is_empty());
     }
 
@@ -735,57 +710,58 @@ mod tests {
 
     #[test]
     fn a_freed_slot_is_unreachable_through_its_old_id() {
-        // Every read goes through the id index, so a retired id never
-        // aliases the next occupant of its slot.
-        let mut d = HeartbeatDetector::<u32>::with_peer_state(100);
+        // Every access goes through the id index, so a life sign for a
+        // retired or released id never renews the next occupant of its
+        // slot: the newcomer expires at its own deadline.
+        let mut d = HeartbeatDetector::new(100);
         let p9 = ProcessId(9);
         d.track(P1, 0);
-        *d.peer_mut(P1).unwrap() = 10;
-        assert_eq!(d.peer(P1), Some(&10));
-
         d.forget(P1);
         d.track(p9, 0); // recycles P1's slot
-        assert_eq!(d.peer(p9), Some(&0), "a newcomer sees no leftovers");
-        *d.peer_mut(p9).unwrap() = 20;
-        assert_eq!(d.peer(p9), Some(&20));
-        assert_eq!(d.peer(P1), None, "a retired id never aliases");
+        d.heard_from(P1, 90);
+        assert_eq!(d.enrolled().collect::<Vec<_>>(), [p9]);
+        assert_eq!(d.tick(100), vec![p9], "a retired id never aliases");
 
-        // A released slot is just as unreachable, and its next occupant
-        // is not visible through the released id.
-        d.release(p9);
-        d.track(P2, 0); // recycles the slot again
-        *d.peer_mut(P2).unwrap() = 30;
-        assert_eq!(d.peer(p9), None, "a released id never aliases");
-        assert_eq!(d.peer(P2), Some(&30));
+        // A released slot is just as unreachable through the released id.
+        d.track(P2, 100);
+        d.release(P2);
+        d.track(ProcessId(3), 100); // recycles P2's slot
+        d.heard_from(P2, 190);
+        assert_eq!(d.enrolled().collect::<Vec<_>>(), [ProcessId(3), p9]);
+        assert_eq!(
+            d.tick(200),
+            vec![ProcessId(3)],
+            "a released id never aliases"
+        );
     }
 
     #[test]
-    fn a_recycled_slot_starts_from_the_default_state() {
-        // The owner's state lives in the slot. Nothing outside the detector
-        // can address a freed slot, so recycling it only has to reset it.
-        let mut d = HeartbeatDetector::<u32>::with_peer_state(100);
+    fn a_recycled_slot_starts_from_a_fresh_lease() {
+        // Nothing outside the detector can address a freed slot, so
+        // recycling it only has to give the newcomer its own lease.
+        let mut d = HeartbeatDetector::new(100);
         let p9 = ProcessId(9);
         d.track(P1, 0);
-        d.track(P2, 0);
-        *d.peer_mut(P1).unwrap() = 11;
-        *d.peer_mut(P2).unwrap() = 22;
+        d.track(P2, 10);
+        d.heard_from(P1, 60);
         d.forget(P1);
-        assert_eq!(d.peer_mut(P1), None, "a freed slot is unreachable");
-        d.track(p9, 0); // recycles P1's slot
-        assert_eq!(d.peer(p9), Some(&0), "a newcomer never inherits");
+        d.track(p9, 10); // recycles P1's slot, lease 10 rather than 60
+        assert!(d.tick(109).is_empty());
+        assert_eq!(d.tick(110), vec![P2, p9], "a newcomer never inherits");
 
-        // A suspicion clears the lease and keeps the owner's state.
-        d.suspect(P2);
-        assert_eq!(d.peer(P2), Some(&22));
+        // A suspicion clears the lease and keeps the slot.
+        assert_eq!(d.enrolled().collect::<Vec<_>>(), [P2, p9]);
+        assert!(d.tracked().next().is_none());
 
         // A topology shift frees the slot; coming back starts afresh.
-        *d.peer_mut(p9).unwrap() = 99;
-        d.release(p9);
-        assert_eq!(d.peer(p9), None);
-        d.track(p9, 50);
-        assert_eq!(d.peer(p9), Some(&0), "release then track resets it");
+        let p5 = ProcessId(5);
+        d.track(p5, 100);
+        d.heard_from(p5, 180);
+        d.release(p5);
         assert_eq!(d.enrolled().collect::<Vec<_>>(), [P2, p9]);
-        assert_eq!(d.tracked().collect::<Vec<_>>(), [p9]);
+        d.track(p5, 150);
+        assert_eq!(d.tracked().collect::<Vec<_>>(), [p5]);
+        assert_eq!(d.tick(250), vec![p5], "release then track resets the lease");
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl LogClusterBuilder {
         self
     }
 
-    /// Replaces the simulator builder wholesale (delays, FIFO mode, …).
+    /// Replaces the simulator builder wholesale (seed, delays).
     pub fn sim(mut self, builder: Builder) -> Self {
         self.sim = builder;
         self

@@ -1,21 +1,22 @@
 //! Property-based pinning of the detector's slot table.
 //!
-//! The detector keeps its leases, and the owner's per-peer state, in a
-//! recycled slot table where `BTreeMap`-keyed state used to be. The golden
-//! trace fingerprints prove specific runs unchanged; these properties
-//! prove the *detector* unchanged under arbitrary schedules by driving the
+//! The detector keeps its leases in a recycled slot table where
+//! `BTreeMap`-keyed state used to be. The golden trace fingerprints prove
+//! specific runs unchanged; these properties prove the *detector*
+//! unchanged under arbitrary schedules by driving the
 //! frozen oracle ([`MapDetector`]: id-keyed map, deadline heap, lazy
 //! deletion) and the slot-table [`HeartbeatDetector`] (lease scan behind a
 //! cached lower bound) — two different algorithms — through identical op
-//! sequences. An id-keyed map models the owner state the slots hold, so a
-//! recycled slot that leaked its previous occupant's state would show.
+//! sequences. An id-keyed set models which peers hold a slot, so a
+//! recycled slot still reachable through its previous occupant's id would
+//! show.
 //! The full member stack is proved replay-deterministic under random
 //! fault schedules.
 
 use gmp_detect::{HeartbeatDetector, MapDetector};
 use gmp_types::ProcessId;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// One step of a detector schedule, decoded from `(op, pid, dt)`.
 #[derive(Clone, Copy, Debug)]
@@ -24,13 +25,11 @@ enum Op {
     HeardFrom(ProcessId),
     Suspect(ProcessId),
     Forget(ProcessId),
-    /// The owner updates its state for the peer, if it is enrolled.
-    Touch(ProcessId),
     Tick,
 }
 
-/// `op` 0–4 are the five mutators, anything above is a `Tick`: drawn from
-/// `0..6` every op is equally likely, from `0..15` ticks are 10× as
+/// `op` 0–3 are the four mutators, anything above is a `Tick`: drawn from
+/// `0..5` every op is equally likely, from `0..14` ticks are 10× as
 /// frequent as life signs.
 fn decode(op: u8, pid: u8) -> Op {
     let p = ProcessId(u32::from(pid));
@@ -39,20 +38,19 @@ fn decode(op: u8, pid: u8) -> Op {
         1 => Op::HeardFrom(p),
         2 => Op::Suspect(p),
         3 => Op::Forget(p),
-        4 => Op::Touch(p),
         _ => Op::Tick,
     }
 }
 
 /// Drives one schedule through both detectors, comparing every `tick`'s
-/// suspicions, every suspect bit and every peer's owner state after every
-/// step, and the final tracked and suspect sets.
+/// suspicions, every suspect bit and the enrolled set after every step,
+/// and the final tracked and suspect sets.
 fn check_against_the_oracle(steps: Vec<(u8, u8, u64)>, suspect_after: u64) {
     let mut oracle = MapDetector::new(suspect_after);
-    let mut arena = HeartbeatDetector::<u32>::with_peer_state(suspect_after);
-    // The owner state of every enrolled peer: zero at enrolment, kept
-    // through a suspicion, dropped by `forget`.
-    let mut owner: BTreeMap<ProcessId, u32> = BTreeMap::new();
+    let mut arena = HeartbeatDetector::new(suspect_after);
+    // The peers holding a slot: enrolled by tracking an unsuspected id,
+    // kept through a suspicion, dropped by `forget`.
+    let mut enrolled = BTreeSet::new();
     let mut now = 0u64;
     // `forget` retires a peer for good at the protocol layer (a member
     // never re-tracks an excluded process under the same id), so the
@@ -66,7 +64,7 @@ fn check_against_the_oracle(steps: Vec<(u8, u8, u64)>, suspect_after: u64) {
             Op::Track(p) => {
                 if !forgotten.contains(&p) {
                     if !oracle.is_suspect(p) {
-                        owner.entry(p).or_insert(0);
+                        enrolled.insert(p);
                     }
                     oracle.track(p, now);
                     arena.track(p, now);
@@ -81,17 +79,9 @@ fn check_against_the_oracle(steps: Vec<(u8, u8, u64)>, suspect_after: u64) {
             }
             Op::Forget(p) => {
                 forgotten.insert(p);
-                owner.remove(&p);
+                enrolled.remove(&p);
                 oracle.forget(p);
                 arena.forget(p);
-            }
-            Op::Touch(p) => {
-                if let Some(v) = arena.peer_mut(p) {
-                    *v += 1;
-                }
-                if let Some(v) = owner.get_mut(&p) {
-                    *v += 1;
-                }
             }
             Op::Tick => {
                 assert_eq!(oracle.tick(now), arena.tick(now), "tick at {}", now);
@@ -106,10 +96,9 @@ fn check_against_the_oracle(steps: Vec<(u8, u8, u64)>, suspect_after: u64) {
                 q,
                 now
             );
-            assert_eq!(arena.peer(q), owner.get(&q), "{q}'s state at {now}");
         }
         assert!(
-            arena.enrolled().eq(owner.keys().copied()),
+            arena.enrolled().eq(enrolled.iter().copied()),
             "enrolled at {now}"
         );
     }
@@ -130,10 +119,10 @@ proptest! {
     /// Identical schedules of track / heard_from / suspect / forget / tick
     /// produce identical suspicions (same peers, same tick), identical
     /// tracked sets and identical suspect sets in the map-backed oracle
-    /// and the slot-table detector, whose owner state matches the model.
+    /// and the slot-table detector, whose enrolled set matches the model.
     #[test]
     fn arena_detector_matches_the_map_oracle(
-        steps in proptest::collection::vec((0u8..6, 0u8..8, 0u64..60), 1..120),
+        steps in proptest::collection::vec((0u8..5, 0u8..8, 0u64..60), 1..120),
         suspect_after in 1u64..300,
     ) {
         check_against_the_oracle(steps, suspect_after);
@@ -144,7 +133,7 @@ proptest! {
     /// bound, with tracks, suspicions and exclusions moving leases under it.
     #[test]
     fn arena_detector_matches_the_map_oracle_when_ticks_dominate(
-        steps in proptest::collection::vec((0u8..15, 0u8..8, 0u64..60), 1..240),
+        steps in proptest::collection::vec((0u8..14, 0u8..8, 0u64..60), 1..240),
         suspect_after in 1u64..300,
     ) {
         check_against_the_oracle(steps, suspect_after);

@@ -882,7 +882,8 @@ mod tests {
 
     #[test]
     fn fifo_order_is_respected() {
-        // With FIFO on, pings sent in a burst over one link arrive in order.
+        // Links are always FIFO: pings sent in a burst over one link
+        // arrive in order.
         #[derive(Clone, Debug)]
         struct Seq(u32);
         impl Message for Seq {

@@ -63,7 +63,9 @@ fn different_seeds_diverge() {
 /// change how payloads are represented and leases are scanned, never a
 /// protocol-visible event. (They have since also outlived the heap: the
 /// detector is a lease scan behind a cached lower bound again, and
-/// `Stats` and the trace buffer changed representation under them.)
+/// `Stats` and the trace buffer changed representation under them. They
+/// outlived the delta encoding too: every beat now re-carries the shared
+/// snapshot, which a receiver that already holds the set ignores.)
 #[test]
 fn traces_are_byte_identical_to_the_per_peer_clone_path() {
     // (n, seed, events, FNV-1a of the fingerprint) — from the post-bugfix,
@@ -296,12 +298,14 @@ fn log_joiner_double_failover_matches_the_btree_golden() {
 
 /// A join-bearing companion to the goldens above. The crash-only goldens
 /// cannot exercise the `Joining` receiver path, so this scenario — one
-/// §7 join racing one exclusion — pins the digest re-carry decision
-/// (snapshots are marked delivered only to peers confirmed `Active`) and
-/// the joining-side buffering of coordinator rounds. Recorded on the
-/// engine that closed the joining-receiver digest gap (PR 5); the three
-/// crash-only goldens above were re-verified byte-identical on the same
-/// engine, proving the fix touches only runs with joiners in flight.
+/// §7 join racing one exclusion — pins what a joiner learns from digests
+/// around its welcome and the joining-side buffering of coordinator
+/// rounds. Recorded on the engine that closed the joining-receiver digest
+/// gap by re-carrying the snapshot to peers not yet known to be `Active`;
+/// the three crash-only goldens above were re-verified byte-identical on
+/// the same engine, proving the fix touches only runs with joiners in
+/// flight. Both stayed byte-identical when every beat began to re-carry
+/// the snapshot to every peer.
 #[test]
 fn join_bearing_traces_match_the_digest_gap_fix_goldens() {
     use gmp::protocol::{ClusterBuilder, Config, JoinConfig};

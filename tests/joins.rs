@@ -197,17 +197,16 @@ fn view_version_grows_monotonically_per_process() {
     }
 }
 
-/// Regression for the joining-receiver digest gap (the headline bugfix of
-/// the arena PR).
+/// Regression for the joining-receiver digest gap.
 ///
-/// Heartbeat digests are delta-encoded: a carrier marks the faulty-set
-/// snapshot as delivered to a peer the moment the carrying beat is *sent*.
-/// A peer that is still `Joining` silently discards heartbeats, so a beat
-/// sent during its pre-welcome window was marked delivered yet never
-/// arrived — and since the marker is per-epoch, nothing ever re-carried
-/// the snapshot. The joiner stayed ignorant of the faulty set until some
-/// *later* epoch change (or coordinator traffic) happened to mention it,
-/// which in a quiescent group is never.
+/// Heartbeat digests were once delta-encoded: a carrier marked the
+/// faulty-set snapshot as delivered to a peer the moment the carrying beat
+/// was *sent*. A peer that is still `Joining` silently discards
+/// heartbeats, so a beat sent during its pre-welcome window was marked
+/// delivered yet never arrived, and nothing re-carried the snapshot. The
+/// joiner stayed ignorant of the faulty set until some *later* change (or
+/// coordinator traffic) happened to mention it, which in a quiescent group
+/// is never. Every beat now carries the snapshot, so the gap cannot occur.
 ///
 /// The scenario pins the gap without any crash so no exclusion traffic can
 /// leak the verdict to the joiner through another channel:
@@ -220,10 +219,10 @@ fn view_version_grows_monotonically_per_process() {
 ///   suspicion never resolves into an exclusion — digests are the *only*
 ///   channel that can tell the joiner;
 /// * the carrying beats at ticks 560..640 all land on the `Joining`
-///   joiner and are discarded. Before the fix, those sends marked the
-///   epoch delivered and the joiner never learned of p4 at all. With the
-///   fix, carriers re-carry the snapshot until the peer is confirmed
-///   `Active`, so the first post-welcome beat delivers it.
+///   joiner and are discarded. With the delta encoding, those sends
+///   marked the set delivered and the joiner never learned of p4 at all.
+///   Now carriers re-carry the snapshot on every beat, so the first
+///   post-welcome beat delivers it.
 #[test]
 fn joiner_welcomed_mid_suspicion_learns_the_faulty_set_by_digest() {
     use gmp::sim::{BlockMode, TraceEvent, TraceKind};
