@@ -21,16 +21,8 @@
 //!   schedules.
 //!
 //! For E13 `--seeds` is the seeds sampled per (topology, n) cell
-//! (default 4). For E14 it is the schedules sampled per workload scenario
-//! (default 4).
-//!
-//! E14 and E15 additionally take the workload axes:
-//!
-//! * `--clients N` — closed-loop clients per scenario (default 4).
-//! * `--batch N` — leader batch size. For E14 it switches the workload
-//!   off the unbatched baseline; for E15 it shrinks the swept ladder to
-//!   `{baseline, (batch, window)}`.
-//! * `--window N` — client pipeline window, same semantics as `--batch`.
+//! (default 4). For E14 and E15 it is the schedules sampled per workload
+//! scenario or ladder cell (default 4).
 
 use gmp_bench::*;
 use gmp_props::{analyze, check_safety};
@@ -47,7 +39,7 @@ const IDS: [&str; 21] = [
 fn usage_error(problem: &str) -> ! {
     eprintln!("tables: {problem}");
     eprintln!("valid ids: {}", IDS.join(" "));
-    eprintln!("valid flags: --jobs N, --seeds N, --clients N, --batch N, --window N");
+    eprintln!("valid flags: --jobs N, --seeds N");
     std::process::exit(2);
 }
 
@@ -56,25 +48,20 @@ fn main() {
     let mut args: Vec<String> = Vec::new();
     let mut jobs: Option<NonZeroUsize> = None;
     let mut seeds_flag: Option<u64> = None;
-    let mut clients_flag: Option<usize> = None;
-    let mut batch_flag: Option<usize> = None;
-    let mut window_flag: Option<usize> = None;
     let mut it = raw.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--jobs" | "--seeds" | "--clients" | "--batch" | "--window" => {
+            "--jobs" | "--seeds" => {
                 let raw = it
                     .next()
                     .unwrap_or_else(|| usage_error(&format!("{a} needs a value")));
                 let v: u64 = raw.parse().ok().filter(|&v| v >= 1).unwrap_or_else(|| {
                     usage_error(&format!("{a} needs a numeric value >= 1, got {raw:?}"))
                 });
-                match a.as_str() {
-                    "--jobs" => jobs = NonZeroUsize::new(v as usize),
-                    "--clients" => clients_flag = Some(v as usize),
-                    "--batch" => batch_flag = Some(v as usize),
-                    "--window" => window_flag = Some(v as usize),
-                    _ => seeds_flag = Some(v),
+                if a == "--jobs" {
+                    jobs = NonZeroUsize::new(v as usize);
+                } else {
+                    seeds_flag = Some(v);
                 }
             }
             id if IDS.contains(&id) => args.push(a),
@@ -422,7 +409,7 @@ fn main() {
             "{:<8} {:<6} {:<9} {:<12} {:<20} {:<22} prefix",
             "sched", "seeds", "ops/run", "ops/ktick", "latency p50/p99", "failover p50/max"
         );
-        let rows = e14_replicated_log_with(seeds, clients_flag, batch_flag, window_flag);
+        let rows = e14_replicated_log(seeds);
         for r in &rows {
             let failover = if r.failover.count == 0 {
                 "-".to_string()
@@ -458,8 +445,7 @@ fn main() {
     }
 
     if want("e15") {
-        // --seeds is the schedules sampled per ladder cell (default 4);
-        // --batch/--window shrink the ladder to baseline + that one cell.
+        // --seeds is the schedules sampled per ladder cell (default 4).
         let seeds = seeds_flag.unwrap_or(4);
         println!("== E15: batching & pipelining ladder — amortized messages per command ==");
         println!(
@@ -479,7 +465,7 @@ fn main() {
             "latency p50/p99",
             "speedup"
         );
-        let rows = e15_log_batching(seeds, clients_flag, batch_flag, window_flag);
+        let rows = e15_log_batching(seeds);
         for r in &rows {
             println!(
                 "{:<7} {:<8} {:<6} {:<9.0} {:<12.1} {:<9.2} {:<18} {:<9.2} {}",
@@ -508,35 +494,30 @@ fn main() {
             rows.iter().all(|r| r.committed > 0.0),
             "a ladder cell committed nothing"
         );
-        // …plus the tentpole's perf gates. Pipelined cells must beat the
-        // closed-loop baseline ≥ 2× on committed throughput, and a cell
-        // that both batches and pipelines must show the amortization in
-        // msgs/op. (Explicit --batch/--window can deselect such cells;
-        // the gates then have nothing to bind and CI's default ladder
-        // still enforces them.)
-        let pipelined: Vec<_> = rows.iter().filter(|r| r.window > 1).collect();
-        if let Some(best) = pipelined
+        // …plus the perf gates. Pipelined cells must beat the closed-loop
+        // baseline ≥ 2× on committed throughput, and a cell that both
+        // batches and pipelines must show the amortization in msgs/op.
+        let best = rows
             .iter()
+            .filter(|r| r.window > 1)
             .map(|r| r.speedup)
             .max_by(|a, b| a.total_cmp(b))
-        {
-            assert!(
-                best >= 2.0,
-                "pipelining gate: best cell reached only {best:.2}x the unbatched baseline"
-            );
-        }
-        if let Some(least) = rows
+            .expect("the ladder has pipelined cells");
+        assert!(
+            best >= 2.0,
+            "pipelining gate: best cell reached only {best:.2}x the unbatched baseline"
+        );
+        let least = rows
             .iter()
             .filter(|r| r.batch > 1 && r.window > 1)
             .map(|r| r.msgs_per_op)
             .min_by(|a, b| a.total_cmp(b))
-        {
-            assert!(
-                least < 0.8 * rows[0].msgs_per_op,
-                "batching gate: {least:.2} msgs/op does not amortize the baseline's {:.2}",
-                rows[0].msgs_per_op
-            );
-        }
+            .expect("the ladder has batched and pipelined cells");
+        assert!(
+            least < 0.8 * rows[0].msgs_per_op,
+            "batching gate: {least:.2} msgs/op does not amortize the baseline's {:.2}",
+            rows[0].msgs_per_op
+        );
 
         // The joiner-sync arm: with compaction forced low, a late joiner
         // must catch up from snapshot + tail, not by replaying the log.

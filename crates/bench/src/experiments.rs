@@ -15,9 +15,7 @@ use gmp_core::{
 };
 use gmp_log::{logs_agree, AppMsg, LogClusterBuilder, LogCmd, LogConfig, LogProc};
 use gmp_props::{analyze, check_all, check_safety, knowledge_ladder, render_ladder};
-use gmp_sim::{
-    pool, run_seeds_parallel, summarize_runs, BatchConfig, Builder, Sim, Stats, Summary, TraceKind,
-};
+use gmp_sim::{pool, Builder, Sim, Stats, Summary, TraceKind};
 use gmp_types::{Note, ProcessId, View};
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -661,7 +659,7 @@ pub struct SweepRow {
 /// timing is coarsened (`timing(100, 400)`) so heartbeat traffic stays
 /// tractable at `n = 128`; protocol-message counts are unaffected.
 ///
-/// Runs execute on the [`run_seeds_parallel`] worker pool — `jobs = None`
+/// Each seed is one [`pool::run_indexed`] task — `jobs = None`
 /// auto-detects the core count (`tables … --jobs N` overrides it). The
 /// rows are identical for every `jobs` value; only wall-clock time moves.
 ///
@@ -673,28 +671,30 @@ pub struct SweepRow {
 /// assert_eq!(rows[0].protocol.max, rows[0].formula);
 /// ```
 pub fn e8_seed_sweep(ns: &[usize], seeds: Range<u64>, jobs: Option<NonZeroUsize>) -> Vec<SweepRow> {
+    let jobs = jobs.unwrap_or_else(pool::available_jobs);
+    let count = seeds.end.saturating_sub(seeds.start) as usize;
     ns.iter()
         .map(|&n| {
-            let runs = run_seeds_parallel(seeds.clone(), BatchConfig::new(2_000), jobs, |seed| {
-                exclusion_sweep_run(n, seed)
+            // The per-seed scenario: one exclusion under coarsened
+            // detector timing, delays resampled by the seed.
+            let runs: Vec<(u64, u64)> = pool::run_indexed(jobs, count, |i| {
+                let cfg = Config::builder().timing(100, 400).build();
+                let mut sim = cluster_with(n, seeds.start + i as u64, cfg);
+                sim.crash_at(ProcessId(n as u32 - 1), 300);
+                sim.run_until(2_000);
+                let events = sim.trace().events.len() as u64;
+                (protocol_messages(sim.stats()), events)
             });
+            let (protocol, events): (Vec<u64>, Vec<u64>) = runs.into_iter().unzip();
             SweepRow {
                 n,
-                seeds: runs.len(),
+                seeds: count,
                 formula: (3 * n - 5) as u64,
-                protocol: summarize_runs(&runs, |r| r.stats.sends_matching(is_protocol_tag)),
-                events: summarize_runs(&runs, |r| r.events as u64),
+                protocol: Summary::of(&protocol),
+                events: Summary::of(&events),
             }
         })
         .collect()
-}
-
-/// The per-seed scenario E8 sweeps: one exclusion under coarsened
-/// detector timing, delays resampled by the seed.
-fn exclusion_sweep_run(n: usize, seed: u64) -> Sim<Msg, Member> {
-    let mut sim = cluster_with(n, seed, Config::builder().timing(100, 400).build());
-    sim.crash_at(ProcessId(n as u32 - 1), 300);
-    sim
 }
 
 // ---------------------------------------------------------------------
@@ -1099,32 +1099,12 @@ fn e14_failover(sim: &Sim<AppMsg, LogProc>, crash_at: u64) -> Option<u64> {
 /// assert!(rows.iter().all(|r| r.committed > 0.0));
 /// ```
 pub fn e14_replicated_log(seeds: u64) -> Vec<LogRow> {
-    e14_replicated_log_with(seeds, None, None, None)
-}
-
-/// [`e14_replicated_log`] with the CLI's axis overrides: `clients`
-/// replaces each scenario's client count, and `batch`/`window` switch the
-/// log from the default unbatched baseline trim to the batched one
-/// (`tables e14 --clients N --batch B --window W`).
-pub fn e14_replicated_log_with(
-    seeds: u64,
-    clients: Option<usize>,
-    batch: Option<usize>,
-    window: Option<usize>,
-) -> Vec<LogRow> {
     let seeds = seeds.max(1);
-    // The default E14 arm is the PR-9 baseline: batches of one (PR 9's
-    // per-slot traffic), strict closed loop, no compaction. The batching
-    // ladder is E15's.
-    let lc = LogConfig::default()
-        .unbatched()
-        .batch(batch.unwrap_or(1))
-        .window(window.unwrap_or(1));
+    // E14 runs the unbatched baseline: batches of one, strict closed
+    // loop, no compaction. The batching ladder is E15's.
+    let lc = LogConfig::default().unbatched();
     let mut rows = Vec::new();
-    for mut sc in e14_scenarios() {
-        if let Some(c) = clients {
-            sc.clients = c;
-        }
+    for sc in e14_scenarios() {
         let mut committed = 0f64;
         let mut latencies: Vec<u64> = Vec::new();
         let mut failovers: Vec<u64> = Vec::new();
@@ -1211,50 +1191,36 @@ pub struct SyncRow {
     pub agree: bool,
 }
 
-/// The ladder's steady schedule: no failures, so every committed-ops
-/// delta between cells is the batching/pipelining, not failover noise.
-fn e15_scenario(clients: usize) -> LogScenario {
-    LogScenario {
-        name: "steady",
-        replicas: 5,
-        clients,
-        crash_at: None,
-        join_at: None,
-        horizon: 15_000,
-    }
-}
-
-/// Drives the steady replicated-log schedule across a ladder of
-/// `(batch, window)` cells — the unbatched PR-9 baseline first, then
-/// batching and client pipelining switched on separately and together —
-/// measuring committed throughput and log-layer wire messages per
-/// operation. Every cell runs under the same hard gate as E14
+/// Drives the steady replicated-log schedule (5 replicas, 4 clients, no
+/// failures, so every committed-ops delta between cells is the
+/// batching/pipelining, not failover noise) across the `(batch, window)`
+/// ladder `(1,1) (8,1) (1,4) (8,4) (16,8)` — the unbatched baseline
+/// first, then batching and client pipelining switched on separately and
+/// together — measuring committed throughput and log-layer wire messages
+/// per operation. Every cell runs under the same hard gate as E14
 /// (prefix-identical logs).
-/// `batch`/`window` overrides shrink the ladder to baseline + that one
-/// cell; `clients` rescales the offered load.
 ///
 /// ```
 /// use gmp_bench::e15_log_batching;
 ///
-/// let rows = e15_log_batching(1, None, Some(8), Some(4));
-/// assert_eq!(rows.len(), 2);
+/// let rows = e15_log_batching(1);
+/// let cells: Vec<_> = rows.iter().map(|r| (r.batch, r.window)).collect();
+/// assert_eq!(cells, [(1, 1), (8, 1), (1, 4), (8, 4), (16, 8)]);
 /// assert!(rows.iter().all(|r| r.prefix_ok));
-/// assert!(rows[1].throughput > rows[0].throughput);
+/// assert!(rows[3].throughput > rows[0].throughput);
 /// ```
-pub fn e15_log_batching(
-    seeds: u64,
-    clients: Option<usize>,
-    batch: Option<usize>,
-    window: Option<usize>,
-) -> Vec<BatchRow> {
+pub fn e15_log_batching(seeds: u64) -> Vec<BatchRow> {
     let seeds = seeds.max(1);
-    let sc = e15_scenario(clients.unwrap_or(4));
-    let cells: Vec<(usize, usize)> = match (batch, window) {
-        (None, None) => vec![(1, 1), (8, 1), (1, 4), (8, 4), (16, 8)],
-        (b, w) => vec![(1, 1), (b.unwrap_or(8), w.unwrap_or(4))],
+    let sc = LogScenario {
+        name: "steady",
+        replicas: 5,
+        clients: 4,
+        crash_at: None,
+        join_at: None,
+        horizon: 15_000,
     };
     let mut rows = Vec::new();
-    for (b, w) in cells {
+    for (b, w) in [(1, 1), (8, 1), (1, 4), (8, 4), (16, 8)] {
         let lc = if (b, w) == (1, 1) {
             LogConfig::default().unbatched()
         } else {
@@ -1525,8 +1491,8 @@ mod tests {
 
     /// The protocol-level half of the `Send` audit: a full cluster
     /// simulator (protocol messages carrying `Shared` digest payloads,
-    /// members owning a heartbeat detector) crosses thread boundaries,
-    /// which is what lets E8 sweep real exclusions on the pool.
+    /// members owning a heartbeat detector) can cross thread boundaries,
+    /// so a run may be built on one thread and driven on another.
     #[test]
     fn cluster_sim_is_send() {
         fn assert_send<T: Send>() {}
@@ -1547,6 +1513,21 @@ mod tests {
             );
             assert_eq!(s.events, p.events, "n={}: events summary drifted", s.n);
         }
+    }
+
+    /// `--jobs` cannot change a table: the E8 and E9 rows print the same
+    /// at one worker and at three.
+    #[test]
+    fn sweep_rows_do_not_depend_on_the_job_count() {
+        let rows = |jobs| {
+            let jobs = NonZeroUsize::new(jobs);
+            format!(
+                "{:?} {:?}",
+                e8_seed_sweep(&[8, 16], 0..6, jobs),
+                e9_heartbeat_fanout(&[8, 16], 0, jobs)
+            )
+        };
+        assert_eq!(rows(1), rows(3));
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //! package.
 //!
 //! Experiments come in two shapes: single-run workloads pinned to one seed
-//! (E1–E7, the tables and figures), and the *seed sweep* (E8), which
-//! drives the [`gmp_sim::run_seeds_parallel`] batch runner across a whole
-//! seed range — on the scoped worker pool, `--jobs` threads at a time —
-//! and reports percentile statistics. Schedule-space exploration in one
-//! call, at multicore speed, with output pinned identical to the
-//! sequential runner's.
+//! (E1–E7, the tables and figures), and the *seed sweep* (E8), which runs
+//! one task per seed of a whole range on [`gmp_sim::pool::run_indexed`] —
+//! `--jobs` threads at a time — and reports percentile statistics
+//! ([`gmp_sim::Summary`]). Schedule-space exploration in one call, at
+//! multicore speed, with output identical at every job count.
 //!
 //! # Example
 //!

@@ -1,12 +1,13 @@
-//! Causality substrate: Lamport clocks, vector clocks, happens-before, and
-//! consistent cuts.
+//! Causality substrate: vector clocks and happens-before over a recorded
+//! run.
 //!
-//! The GMP specification (§2) is stated over *consistent cuts* of a system
-//! run — prefixes of the run closed under Lamport's happens-before relation.
-//! This crate provides the clock machinery — the Lamport and vector clocks
-//! that `Trace::lamports` and `Trace::to_event_log` rebuild a recorded run's
-//! stamps with — and the cut machinery the property checkers use to
-//! evaluate cut-indexed propositions such as `IsSysView(x)`.
+//! The one causal question any check asks is the Appendix's: does some
+//! installation of version `w` lie in the causal past of an install
+//! (Equation 4 and the knowledge ladder, in `gmp-props`). This crate
+//! provides the vector clocks `Trace::to_event_log` rebuilds a recorded
+//! run's stamps with, and the [`EventLog`] that answers that question with
+//! [`EventLog::in_causal_past`]. The GMP property checkers read each
+//! process's recorded history directly and use no cuts.
 //!
 //! Two clock representations are provided:
 //!
@@ -35,51 +36,19 @@
 //! c.tick(0);
 //! let s1 = c.stamp();
 //! let s2 = c.stamp();        // no copy: same shared vector as s1
-//! assert_eq!(s1, s2);
+//! assert!(s1.shares_storage_with(&s2));
 //! c.tick(0);                 // copies once, because s1/s2 are alive
-//! assert!(s1.happened_before(c.clock()));
+//! assert!(s1.happened_before(&c.stamp()));
 //! ```
 
 #![deny(missing_docs)]
 
-pub mod cut;
+mod event_log;
 
-pub use cut::{Cut, EventIndex, EventLog, LoggedEvent};
+pub use event_log::{EventLog, LoggedEvent};
 
-use std::cmp::Ordering;
-use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
-
-/// A Lamport scalar clock (Lamport 1978, cited as \[12\] in the paper).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct LamportClock(pub u64);
-
-impl LamportClock {
-    /// A fresh clock at 0.
-    pub fn new() -> Self {
-        LamportClock(0)
-    }
-
-    /// Advances the clock for a local or send event and returns the new
-    /// timestamp.
-    pub fn tick(&mut self) -> u64 {
-        self.0 += 1;
-        self.0
-    }
-
-    /// Merges a received timestamp (`max(local, remote)`) and then ticks.
-    /// Returns the new timestamp.
-    pub fn merge(&mut self, remote: u64) -> u64 {
-        self.0 = self.0.max(remote);
-        self.tick()
-    }
-
-    /// The current value.
-    pub fn value(&self) -> u64 {
-        self.0
-    }
-}
 
 /// A fixed-dimension vector clock.
 ///
@@ -99,26 +68,12 @@ impl VectorClock {
         }
     }
 
-    /// Dimension of the clock.
-    pub fn dim(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Component for process index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.dim()`.
-    pub fn get(&self, i: usize) -> u64 {
-        self.entries[i]
-    }
-
     /// Advances the local component `i` by one (a local/send event at
     /// process `i`).
     ///
     /// # Panics
     ///
-    /// Panics if `i >= self.dim()`.
+    /// Panics if `i` is not below the clock's dimension.
     pub fn tick(&mut self, i: usize) {
         self.entries[i] += 1;
     }
@@ -130,15 +85,19 @@ impl VectorClock {
     ///
     /// Panics if dimensions differ.
     pub fn observe(&mut self, other: &VectorClock) {
-        assert_eq!(self.dim(), other.dim(), "vector clock dimension mismatch");
+        self.check_dim(other);
         for (a, b) in self.entries.iter_mut().zip(&other.entries) {
             *a = (*a).max(*b);
         }
     }
 
     /// `self ≤ other` pointwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions differ.
     pub fn le(&self, other: &VectorClock) -> bool {
-        assert_eq!(self.dim(), other.dim(), "vector clock dimension mismatch");
+        self.check_dim(other);
         self.entries.iter().zip(&other.entries).all(|(a, b)| a <= b)
     }
 
@@ -147,51 +106,27 @@ impl VectorClock {
         self.le(other) && self != other
     }
 
-    /// True when neither clock happened before the other (concurrent
-    /// events).
-    pub fn concurrent_with(&self, other: &VectorClock) -> bool {
-        !self.le(other) && !other.le(self)
-    }
-
-    /// Partial-order comparison: `Some(Less)` iff `self → other`,
-    /// `Some(Greater)` iff `other → self`, `Some(Equal)` iff identical, and
-    /// `None` for concurrent clocks.
-    pub fn partial_cmp_causal(&self, other: &VectorClock) -> Option<Ordering> {
-        match (self.le(other), other.le(self)) {
-            (true, true) => Some(Ordering::Equal),
-            (true, false) => Some(Ordering::Less),
-            (false, true) => Some(Ordering::Greater),
-            (false, false) => None,
-        }
-    }
-
     /// The components as a slice.
     pub fn as_slice(&self) -> &[u64] {
         &self.entries
     }
-}
 
-impl fmt::Display for VectorClock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "<")?;
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{e}")?;
-        }
-        write!(f, ">")
+    fn check_dim(&self, other: &VectorClock) {
+        assert_eq!(
+            self.entries.len(),
+            other.entries.len(),
+            "vector clock dimension mismatch"
+        );
     }
 }
 
 /// An immutable, cheaply cloneable vector timestamp.
 ///
 /// A `Stamp` is an `Arc`-shared snapshot of a [`CowClock`] at some event.
-/// Cloning a stamp (and thus recording it on a trace event, attaching it to
-/// an in-flight message, or copying it into an event log) is O(1) and never
-/// copies the underlying vector. Stamps dereference to [`VectorClock`], so
-/// all comparison queries (`happened_before`, `concurrent_with`, …) apply
-/// directly.
+/// Cloning a stamp (and thus recording it in an event log) is O(1) and
+/// never copies the underlying vector. Stamps dereference to
+/// [`VectorClock`], so its comparison queries (`le`, `happened_before`)
+/// apply directly.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Stamp(Arc<VectorClock>);
 
@@ -213,18 +148,6 @@ impl Deref for Stamp {
 
     fn deref(&self) -> &VectorClock {
         &self.0
-    }
-}
-
-impl From<VectorClock> for Stamp {
-    fn from(vc: VectorClock) -> Self {
-        Stamp(Arc::new(vc))
-    }
-}
-
-impl fmt::Display for Stamp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
     }
 }
 
@@ -250,22 +173,12 @@ impl CowClock {
         }
     }
 
-    /// Dimension of the clock.
-    pub fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    /// The current clock value.
-    pub fn clock(&self) -> &VectorClock {
-        &self.inner
-    }
-
     /// Advances the local component `i` by one, copying the vector first iff
     /// an outstanding [`Stamp`] still shares it.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= self.dim()`.
+    /// Panics if `i` is not below the clock's dimension.
     pub fn tick(&mut self, i: usize) {
         Arc::make_mut(&mut self.inner).tick(i);
     }
@@ -288,26 +201,11 @@ impl CowClock {
     pub fn stamp(&self) -> Stamp {
         Stamp(Arc::clone(&self.inner))
     }
-
-    /// True when at least one outstanding [`Stamp`] (or clone) still shares
-    /// this clock's storage, i.e. the next advance will copy.
-    pub fn is_shared(&self) -> bool {
-        Arc::strong_count(&self.inner) > 1
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lamport_basics() {
-        let mut c = LamportClock::new();
-        assert_eq!(c.tick(), 1);
-        assert_eq!(c.merge(10), 11);
-        assert_eq!(c.merge(3), 12);
-        assert_eq!(c.value(), 12);
-    }
 
     #[test]
     fn vector_clock_message_chain() {
@@ -319,19 +217,11 @@ mod tests {
         b.tick(1); // receive at p1
         c.tick(2); // concurrent event at p2
         assert!(a.happened_before(&b));
-        assert!(c.concurrent_with(&a));
-        assert!(c.concurrent_with(&b));
-        assert_eq!(a.partial_cmp_causal(&b), Some(Ordering::Less));
-        assert_eq!(b.partial_cmp_causal(&a), Some(Ordering::Greater));
-        assert_eq!(a.partial_cmp_causal(&c), None);
-        assert_eq!(a.partial_cmp_causal(&a.clone()), Some(Ordering::Equal));
-    }
-
-    #[test]
-    fn display_forms() {
-        let mut a = VectorClock::new(2);
-        a.tick(1);
-        assert_eq!(a.to_string(), "<0,1>");
+        assert!(!b.happened_before(&a));
+        assert!(!a.happened_before(&a.clone()), "happens-before is strict");
+        for (x, y) in [(&c, &a), (&c, &b)] {
+            assert!(!x.le(y) && !y.le(x), "c is concurrent with a and b");
+        }
     }
 
     #[test]
@@ -349,12 +239,11 @@ mod tests {
         let s1 = c.stamp();
         let s2 = c.stamp();
         assert!(s1.shares_storage_with(&s2), "repeated stamps must not copy");
-        assert!(c.is_shared());
         c.tick(0); // must copy: s1/s2 are alive
         let s3 = c.stamp();
         assert!(!s3.shares_storage_with(&s1));
-        assert_eq!(s1.get(0), 1);
-        assert_eq!(s3.get(0), 2);
+        assert_eq!(s1.as_slice(), &[1, 0, 0]);
+        assert_eq!(s3.as_slice(), &[2, 0, 0]);
         assert!(s1.happened_before(&s3));
     }
 
@@ -362,10 +251,11 @@ mod tests {
     fn unshared_cow_clock_mutates_in_place() {
         let mut c = CowClock::new(2);
         c.tick(1);
+        let before = Arc::as_ptr(&c.inner);
         drop(c.stamp());
-        assert!(!c.is_shared());
         c.tick(1); // no outstanding stamp: in-place, no copy
-        assert_eq!(c.clock().get(1), 2);
+        assert_eq!(Arc::as_ptr(&c.inner), before);
+        assert_eq!(c.stamp().as_slice(), &[0, 2]);
     }
 
     #[test]
@@ -382,7 +272,7 @@ mod tests {
         ahead.tick(1);
         c.observe(&ahead); // not dominated: copies away from s
         assert!(!s.shares_storage_with(&c.stamp()));
-        assert_eq!(c.clock().as_slice(), &[2, 1]);
+        assert_eq!(c.stamp().as_slice(), &[2, 1]);
     }
 
     #[test]
@@ -395,8 +285,7 @@ mod tests {
         let sb = b.stamp();
         assert_eq!(sa, sb, "equal values from distinct allocations");
         assert!(!sa.shares_storage_with(&sb));
-        assert_eq!(sa.to_string(), "<1,0>");
-        let owned: Stamp = VectorClock::new(2).into();
-        assert!(owned.happened_before(&sa));
+        assert_eq!(sa.clock().as_slice(), &[1, 0]);
+        assert!(CowClock::new(2).stamp().happened_before(&sa));
     }
 }

@@ -686,6 +686,15 @@ mod tests {
         sim
     }
 
+    /// The engine-level `Send` audit, checked at compile time: a simulator
+    /// whose message and node types are `Send` is itself `Send`, so a run
+    /// can be built on one thread and driven on another.
+    #[test]
+    fn sim_is_send_when_message_and_node_are() {
+        fn assert_send<T: Send>(_: &T) {}
+        assert_send(&build(3, 0));
+    }
+
     #[test]
     fn ping_pong_roundtrip() {
         let mut sim = build(4, 1);

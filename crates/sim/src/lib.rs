@@ -31,30 +31,27 @@
 //! wrapping a payload in
 //! [`Shared`] makes every per-recipient message clone — whether via
 //! [`Ctx::broadcast`] or a per-target [`Ctx::send`] loop — an O(1)
-//! reference bump on one allocation instead of a deep copy. The [`batch`]
-//! module ([`run_seeds`]) replays one scenario across a whole seed range
-//! and aggregates percentile statistics ([`Summary`]) for schedule-space
-//! exploration; [`run_seeds_parallel`] executes the same sweep on a
-//! scoped-thread worker [`pool`] with seed-ordered, byte-identical output,
-//! on as many threads as its `jobs` argument names (every core when
-//! `None`).
+//! reference bump on one allocation instead of a deep copy. A seed sweep
+//! replays one scenario across a seed range on the scoped-thread worker
+//! [`pool`] ([`pool::run_indexed`], one task per seed, results in seed
+//! order) and condenses each per-run metric with [`Summary::of`].
 //!
 //! # Threading and the `Send` audit
 //!
 //! A run is one deterministic sequential event loop; the engine's only
-//! parallelism is *between* runs. The worker pool gives each thread its
-//! own `Sim`, built from its own seed ([`run_seeds_parallel`]), and
-//! returns the results in seed order — byte-identical to the sequential
-//! [`run_seeds`] at every job count. That is sound because
-//! `Sim<M, N>: Send` whenever `M: Send` and `N: Send`: every engine
+//! parallelism is *between* runs. A sweep task builds its `Sim` from its
+//! own seed on the worker thread that runs it, and [`pool::run_indexed`]
+//! returns the results in index order — byte-identical to a sequential
+//! map at every job count. A `Sim` may also be built on one thread and
+//! run on another: `Sim<M, N>: Send` whenever `M: Send` and `N: Send`,
+//! because every engine
 //! internal is owned data (`SmallRng` is a plain xoshiro256++ state; the
 //! event queue is a slab `Vec`, a boxed bucket array of indices into it
 //! and a heap of far-event keys; link state is hash maps of plain values) or
 //! an atomically reference-counted payload ([`Shared`] wraps
 //! [`std::sync::Arc`]). No *value* in the stack holds an `Rc`, a
 //! thread-local or interior mutability, so the auto trait holds —
-//! pinned by a compile-time assertion in `batch.rs`'s tests and relied on
-//! by [`run_seeds_parallel`]'s `M: Send, N: Send` bounds. (The one
+//! pinned by a compile-time assertion in `engine.rs`'s tests. (The one
 //! thread-local in the crate is not part of any value: a dropped
 //! [`Trace`] parks its cleared event buffer in a per-thread spare slot
 //! that the next `Trace` built on *that* thread takes over — capacity
@@ -91,7 +88,6 @@
 //! assert_eq!(sim.stats().sends("ping"), 1);
 //! ```
 
-pub mod batch;
 pub mod net;
 pub mod node;
 pub mod pool;
@@ -103,7 +99,6 @@ mod engine;
 mod hash;
 mod queue;
 
-pub use batch::{run_seeds, run_seeds_parallel, summarize_runs, BatchConfig, RunStats};
 pub use engine::{Builder, NodeStatus, Sim};
 pub use hash::{IntHasher, IntMap, IntSet};
 pub use net::BlockMode;

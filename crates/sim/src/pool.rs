@@ -1,11 +1,11 @@
 //! A dependency-free scoped-thread worker pool for embarrassingly
 //! parallel, *order-preserving* fan-out.
 //!
-//! The batch runner's seed sweeps ([`run_seeds_parallel`]) are the
-//! motivating workload: every run is a pure function of its seed, so runs
-//! can execute on any thread in any order — but the *result vector* must
-//! come back seed-ordered and byte-identical to the sequential path, or
-//! the determinism contract (`tests/determinism.rs`) breaks. [`run_indexed`]
+//! Seed sweeps (`gmp-bench`'s E8 and E9) are the motivating workload:
+//! every run is a pure function of its seed, so runs can execute on any
+//! thread in any order — but the *result vector* must come back
+//! seed-ordered and byte-identical to the sequential path, or the
+//! determinism contract (`tests/determinism.rs`) breaks. [`run_indexed`]
 //! provides exactly that shape: tasks are claimed work-stealing style off a
 //! shared atomic cursor (so a slow task never stalls the queue behind it),
 //! each worker tags its results with their index, and the caller reassembles
@@ -14,8 +14,6 @@
 //! Threads are plain [`std::thread::scope`] workers — no channels, no
 //! external crates, no shared mutable state beyond one `AtomicUsize` — so
 //! the pool is as deterministic as the tasks it runs.
-//!
-//! [`run_seeds_parallel`]: crate::run_seeds_parallel
 //!
 //! # Example
 //!

@@ -117,8 +117,8 @@ impl Stats {
     }
 }
 
-/// Order statistics of one metric over a batch of runs (see
-/// [`run_seeds`](crate::run_seeds)).
+/// Order statistics of one metric over many runs, such as one value per
+/// seed of a sweep.
 ///
 /// Percentiles use the nearest-rank definition: `p`-th percentile = the
 /// smallest value such that at least `p`% of samples are ≤ it. An empty

@@ -5,7 +5,7 @@
 //! 40 B and the engine never stamps.
 
 use crate::Time;
-use gmp_causality::{CowClock, EventLog, LamportClock, LoggedEvent, Stamp};
+use gmp_causality::{CowClock, EventLog, LoggedEvent, Stamp};
 use gmp_types::{Note, ProcessId};
 use std::cell::RefCell;
 
@@ -158,7 +158,7 @@ impl Trace {
     }
 
     /// The Lamport stamp of every event, indexed like [`Trace::events`].
-    /// One pass in simulation order with one [`LamportClock`] per process,
+    /// One pass in simulation order with one `u64` clock per process,
     /// O(1) per event: `Start`, `Send`, `Timer`, `Crash` and `Quit` tick
     /// it, a `Recv` merges the stamp of its `Send` (`max(own, send) + 1`),
     /// and a `Note` shares the process's current value.
@@ -168,7 +168,7 @@ impl Trace {
     /// Panics if a `Recv` names a `msg_id` that no earlier, still
     /// unreceived `Send` carried: such a trace is malformed.
     pub fn lamports(&self) -> Vec<u64> {
-        let mut clocks = vec![LamportClock::new(); self.n];
+        let mut clocks = vec![0u64; self.n];
         // One entry per send; 0 once received (every send ticks, so a
         // live entry is at least 1).
         let mut sends: Vec<u64> = Vec::new();
@@ -176,27 +176,27 @@ impl Trace {
             .iter()
             .map(|ev| {
                 let clock = &mut clocks[ev.pid.index()];
-                let stamp = match ev.kind {
-                    TraceKind::Note(_) => clock.value(),
+                *clock = match ev.kind {
+                    TraceKind::Note(_) => *clock,
                     TraceKind::Recv { msg_id, .. } => {
                         match std::mem::take(send_entry(&mut sends, msg_id)) {
                             0 => malformed(msg_id),
-                            sent => clock.merge(sent),
+                            sent => (*clock).max(sent) + 1,
                         }
                     }
-                    _ => clock.tick(),
+                    _ => *clock + 1,
                 };
                 if let TraceKind::Send { .. } = ev.kind {
-                    sends.push(stamp);
+                    sends.push(*clock);
                 }
-                stamp
+                *clock
             })
             .collect()
     }
 
-    /// Converts the run into an [`EventLog`] for happens-before and
-    /// consistent-cut queries. Event indices in the log coincide with
-    /// indices into [`Trace::events`].
+    /// Converts the run into an [`EventLog`] for happens-before queries.
+    /// Event indices in the log coincide with indices into
+    /// [`Trace::events`].
     ///
     /// The vector stamps are rebuilt here, in one pass in simulation order:
     /// every event ticks its process's clock, except a `Note`, which shares
@@ -396,6 +396,7 @@ mod tests {
         let log = t.to_event_log();
         assert_eq!(log.len(), 2);
         assert_eq!(log.processes(), 2);
+        assert!(Trace::new(2).to_event_log().is_empty());
     }
 
     /// A hand-computed run: p0 → p1 → p2 relay, a note at p0, a timer at

@@ -10,7 +10,8 @@
 //!   system model (§2.1);
 //! * [`link`] — reliable FIFO links built from scratch (alternating-bit,
 //!   go-back-N), per §3's channel requirements;
-//! * [`causality`] — Lamport/vector clocks and consistent cuts (§2.1);
+//! * [`causality`] — vector clocks and happens-before over a recorded run
+//!   (§2.1);
 //! * [`detect`] — failure-detection substrate: observation (F1), isolation
 //!   (S1);
 //! * [`protocol`] — the paper's contribution: `Mgr`-coordinated two-phase

@@ -10,7 +10,7 @@ mod common;
 
 use common::{fingerprint, fnv1a};
 use gmp::protocol::cluster;
-use gmp::sim::{run_seeds, run_seeds_parallel, BatchConfig, Sim};
+use gmp::sim::{pool, Sim};
 use gmp::types::ProcessId;
 use std::num::NonZeroUsize;
 
@@ -106,32 +106,29 @@ fn a_recycled_trace_buffer_replays_the_cold_goldens() {
 
 /// The thread pool must be invisible in sweep output: for the golden
 /// cluster scenario (the same `(n, seed, fault schedule)` family the
-/// fingerprints above pin), `run_seeds_parallel` at every job count
-/// returns the exact `RunStats` vector of the sequential runner —
-/// including per-tag message counters, trace lengths and survivors.
+/// fingerprints above pin), a sweep on `pool::run_indexed` at every job
+/// count returns, per seed, exactly what a plain sequential map does —
+/// per-tag message counters, trace length, survivors and end time.
 /// Worker threads race for *seeds*, never for a run's events (and each
 /// recycles only its own thread's trace buffer).
 #[test]
 fn parallel_sweep_is_byte_identical_to_sequential() {
-    let build = |seed: u64| {
-        let mut sim = cluster(6, seed);
+    let run = |seed: usize| {
+        let mut sim = cluster(6, seed as u64);
         sim.crash_at(ProcessId(5), 400);
         sim.crash_at(ProcessId(1), 900);
-        sim
+        sim.run_until(6_000);
+        let events = sim.trace().events.len();
+        (sim.stats().clone(), events, sim.living().len(), sim.now())
     };
-    let config = BatchConfig::new(6_000);
-    let sequential = run_seeds(0..10, config, build);
-    assert_eq!(sequential.len(), 10);
-    for jobs in [1usize, 2, 4, 8] {
-        let parallel = run_seeds_parallel(0..10, config, NonZeroUsize::new(jobs), build);
+    let sequential: Vec<_> = (0..10).map(run).collect();
+    for jobs in [1, 2, 4, 8] {
+        let parallel = pool::run_indexed(NonZeroUsize::new(jobs).unwrap(), 10, run);
         assert_eq!(
             parallel, sequential,
-            "jobs={jobs}: parallel sweep diverged from the sequential runner"
+            "jobs={jobs}: parallel sweep diverged from the sequential map"
         );
     }
-    // And the parallel path replays identically against itself.
-    let again = run_seeds_parallel(0..10, config, NonZeroUsize::new(4), build);
-    assert_eq!(again, sequential, "parallel sweep is not replayable");
 }
 
 #[test]
