@@ -109,7 +109,7 @@ impl OnePhaseMember {
         if q == self.me || !self.iso.isolate(q) {
             return;
         }
-        self.fd.suspect(q);
+        self.fd.release(q);
         ctx.note(Note::Faulty {
             suspect: q,
             source: FaultySource::Observation,
@@ -193,7 +193,7 @@ impl OnePhaseMember {
     /// is the one clause this protocol *does* satisfy).
     fn handle_faulty_belief_only(&mut self, ctx: &mut Ctx<'_, OneMsg>, q: ProcessId) {
         if q != self.me && self.iso.isolate(q) {
-            self.fd.suspect(q);
+            self.fd.release(q);
             ctx.note(Note::Faulty {
                 suspect: q,
                 source: FaultySource::Gossip,

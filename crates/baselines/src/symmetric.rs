@@ -104,7 +104,7 @@ impl SymmetricMember {
         if q == self.me || !self.iso.isolate(q) {
             return;
         }
-        self.fd.suspect(q);
+        self.fd.release(q);
         ctx.note(Note::Faulty { suspect: q, source });
         if !self.view.contains(q) {
             return;

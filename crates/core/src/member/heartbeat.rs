@@ -26,7 +26,9 @@ impl Member {
     /// are released (not forgotten — they are still group members),
     /// new monitors are tracked with `lease` as their presumed last life
     /// sign. Called on every view install (initial start, welcome, and
-    /// each applied operation).
+    /// each applied operation). A monitor this member believes faulty
+    /// stays in the set — heartbeats skip it — but is never tracked: S1 is
+    /// recorded in `iso` alone, and the detector holds only leases.
     ///
     /// Emits no trace events and draws no randomness; `track` is a no-op
     /// for already-enrolled peers and `release` for never-enrolled ones —
@@ -57,7 +59,9 @@ impl Member {
         let end = self.topo_monitored.iter().map(|p| p.index() + 1).max();
         self.fd.reserve_ids(end.unwrap_or(0));
         for &p in &self.topo_monitored {
-            self.fd.track(p, lease);
+            if !self.iso.is_isolated(p) {
+                self.fd.track(p, lease);
+            }
         }
     }
 

@@ -4,8 +4,9 @@
 
 use super::{Lifecycle, Member, Role, Step, JOIN, TICK};
 use crate::msg::{Msg, WelcomeBody};
-use gmp_sim::{Out, Shared};
+use gmp_sim::Out;
 use gmp_types::{Note, ProcessId, View};
+use std::sync::Arc;
 
 impl Member {
     /// Asks every contact to be let in, and asks again after
@@ -47,7 +48,7 @@ impl Member {
 
     /// State transfer of the current view, naming `mgr` as coordinator.
     pub(super) fn welcome(&self, mgr: ProcessId) -> Msg {
-        Msg::Welcome(Shared::from(WelcomeBody {
+        Msg::Welcome(Arc::from(WelcomeBody {
             members: self.view.to_vec(),
             ver: self.ver,
             seq: self.seq.clone(),
@@ -79,13 +80,13 @@ impl Member {
         Ok(())
     }
 
-    fn on_welcome(&mut self, out: &mut impl Out<Msg>, body: Shared<WelcomeBody>) -> Step {
+    fn on_welcome(&mut self, out: &mut impl Out<Msg>, body: Arc<WelcomeBody>) -> Step {
         let WelcomeBody {
             members,
             ver: v,
             seq,
             mgr,
-        } = Shared::unwrap_or_clone(body);
+        } = Arc::unwrap_or_clone(body);
         // A member list that repeats a process, or leaves out this joiner,
         // is no view to join: ignore it whole and keep asking.
         let Some(view) = View::try_new(members).filter(|view| view.contains(self.me)) else {

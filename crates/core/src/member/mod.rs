@@ -54,12 +54,13 @@ use crate::decide::PhaseOneResp;
 use crate::event::{MemberEvent, Pending};
 use crate::msg::{InterrogateOkBody, Msg};
 use gmp_detect::{HeartbeatDetector, Isolation};
-use gmp_sim::{Ctx, Node, Out, Shared};
+use gmp_sim::{Ctx, Node, Out};
 use gmp_types::note::{FaultySource, QuitReason};
 use gmp_types::{NextEntry, Note, Op, OpKind, ProcessId, Ver, View};
 use heartbeat::HbGossip;
 use observer::ObsState;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// Timer tag: heartbeat + failure-detector tick.
 const TICK: u64 = 1;
@@ -439,9 +440,8 @@ impl Member {
             }
             _ => {
                 // Life sign: one indexed load in the detector's id index,
-                // then the lease read, which covers every guard — a
-                // suspected peer's lease was cleared, a forgotten peer's
-                // slot went with it, and a stranger has no slot at all.
+                // which covers every guard — a suspected or forgotten
+                // peer's slot was freed, and a stranger never had one.
                 self.fd.heard_from(from, self.now);
                 self.dispatch(out, from, msg)
             }
@@ -546,7 +546,7 @@ impl Member {
         }
         round.oks.insert(from);
         if let (Phase::Interrogate { resp }, Msg::InterrogateOk(body)) = (&mut round.phase, msg) {
-            let InterrogateOkBody { ver, seq, next } = Shared::unwrap_or_clone(body);
+            let InterrogateOkBody { ver, seq, next } = Arc::unwrap_or_clone(body);
             resp.push(PhaseOneResp {
                 from,
                 ver,
@@ -681,13 +681,13 @@ impl Member {
     }
 
     /// The start of `faulty_p(q)` (§2.2) on both paths below: isolates `q`
-    /// (S1) and records the suspicion. False when `q` is this member or
-    /// already believed faulty.
+    /// (S1), frees its lease and records the suspicion. False when `q` is
+    /// this member or already believed faulty.
     fn suspect(&mut self, out: &mut impl Out<Msg>, q: ProcessId, source: FaultySource) -> bool {
         if q == self.me || !self.iso.isolate(q) {
             return false;
         }
-        self.fd.suspect(q);
+        self.fd.release(q);
         let suspected = MemberEvent::PeerSuspected { peer: q, source };
         self.events.push(Pending::Event(suspected));
         out.note(Note::Faulty { suspect: q, source });
@@ -802,7 +802,6 @@ mod tests {
     use crate::msg::{CommitBody, HeartbeatDigest, ReconfBody, ViewUpdateBody, WelcomeBody};
     use crate::topology::Sparse;
     use gmp_sim::Effect;
-    use std::sync::Arc;
 
     /// A hand-driven member's sink.
     type Sink = Vec<Effect<Msg>>;
@@ -820,7 +819,7 @@ mod tests {
     }
 
     fn welcome(members: &[u32], ver: Ver) -> Msg {
-        Msg::Welcome(Shared::from(WelcomeBody {
+        Msg::Welcome(Arc::from(WelcomeBody {
             members: members.iter().copied().map(ProcessId).collect(),
             ver,
             seq: Vec::new(),
@@ -828,8 +827,8 @@ mod tests {
         }))
     }
 
-    fn reconf(rl: Vec<Op>, ver: Ver, invis: Vec<Op>) -> Shared<ReconfBody> {
-        Shared::from(ReconfBody {
+    fn reconf(rl: Vec<Op>, ver: Ver, invis: Vec<Op>) -> Arc<ReconfBody> {
+        Arc::from(ReconfBody {
             rl,
             ver,
             invis,
@@ -854,6 +853,38 @@ mod tests {
         }
     }
 
+    /// S1 lives in `iso` alone: a peer this member suspects while it is
+    /// still in the view is never tracked again, not even when the next
+    /// view install re-tracks every monitor.
+    #[test]
+    fn a_suspect_still_in_the_view_stays_unmonitored_across_a_view_install() {
+        let view: View = (0..4).map(ProcessId).collect();
+        let (p0, p2, p3) = (ProcessId(0), ProcessId(2), ProcessId(3));
+        let mut m = Member::new(Config::default(), view);
+        let mut out = Sink::new();
+        m.start(&mut out, ProcessId(1), 0);
+        let digest = HeartbeatDigest::snapshot(Arc::from(vec![p3]));
+        m.receive(&mut out, p0, Msg::Heartbeat { digest }, 1);
+        assert_eq!(m.faulty_set().collect::<Vec<_>>(), [p3]);
+        let enrolled: Vec<_> = m.fd.enrolled().collect();
+        assert_eq!(enrolled, [p0, p2], "the suspicion frees p3's slot");
+        let commit = Msg::Commit(Arc::from(CommitBody {
+            op: Op::remove(p2),
+            ver: 1,
+            next: None,
+            faulty: Vec::new(),
+            recovered: Vec::new(),
+        }));
+        m.receive(&mut out, p0, commit, 2);
+        assert_eq!(m.ver(), 1);
+        assert!(m.view().contains(p3), "p3 is still a member");
+        assert_eq!(
+            m.fd.enrolled().collect::<Vec<_>>(),
+            [p0],
+            "the install must not re-track the suspect p3"
+        );
+    }
+
     /// A suspect learned by gossip that this member does not monitor is
     /// re-reported to `Mgr` once per `suspect_after`, like a monitored
     /// one, not on every tick.
@@ -866,7 +897,7 @@ mod tests {
         let mut out = Sink::new();
         m.start(&mut out, p5, 0);
         assert!(!m.fd.enrolled().any(|p| p == p9), "p5 does not monitor p9");
-        let digest = HeartbeatDigest::snapshot(Shared::from(vec![p9]));
+        let digest = HeartbeatDigest::snapshot(Arc::from(vec![p9]));
         m.receive(&mut out, p7, Msg::Heartbeat { digest }, 1);
         assert_eq!(m.faulty_set().collect::<Vec<_>>(), [p9]);
         for k in 1..=10 {
@@ -933,7 +964,7 @@ mod tests {
         assert!(Arc::ptr_eq(&v0, &p1.view().shared()));
         assert!(Arc::ptr_eq(&p0.view().shared(), &p1.view().shared()));
 
-        let commit = Msg::Commit(Shared::from(CommitBody {
+        let commit = Msg::Commit(Arc::from(CommitBody {
             op: Op::remove(ProcessId(3)),
             ver: 1,
             next: None,
@@ -972,7 +1003,7 @@ mod tests {
         m.start(&mut Sink::new(), ProcessId(5), 0);
         let mut out = Sink::new();
         let update = |members: Vec<ProcessId>| {
-            Msg::ViewUpdate(Shared::from(ViewUpdateBody {
+            Msg::ViewUpdate(Arc::from(ViewUpdateBody {
                 members,
                 ver: 2,
                 mgr: ProcessId(1),
@@ -1014,7 +1045,7 @@ mod tests {
         let mut out = Sink::new();
         let invite = Op::add(ProcessId(4));
         for ver in [Ver::MAX, Ver::MAX - 7] {
-            let commit = Msg::Commit(Shared::from(CommitBody {
+            let commit = Msg::Commit(Arc::from(CommitBody {
                 op: Op::add(ProcessId(3)),
                 ver,
                 next: Some(invite),
@@ -1062,7 +1093,7 @@ mod tests {
     }
 
     /// Five adds said to install v4 would start below version 0.
-    fn rl_longer_than_its_version() -> Shared<ReconfBody> {
+    fn rl_longer_than_its_version() -> Arc<ReconfBody> {
         reconf(
             (5..10).map(|p| Op::add(ProcessId(p))).collect(),
             4,
@@ -1105,7 +1136,7 @@ mod tests {
             .any(|msg| matches!(msg, Msg::Interrogate)));
         for (p, ver, seq) in [(3, ahead, seq), (4, ver, Vec::new())] {
             let next = Vec::new();
-            let resp = Shared::from(InterrogateOkBody { ver, seq, next });
+            let resp = Arc::from(InterrogateOkBody { ver, seq, next });
             m.receive(&mut out, ProcessId(p), Msg::InterrogateOk(resp), 7);
         }
         sent(&mut out)
@@ -1176,7 +1207,7 @@ mod tests {
             faulty,
             recovered,
         };
-        Msg::Commit(Shared::from(body))
+        Msg::Commit(Arc::from(body))
     }
 
     /// An initial member p1 of p0..p3, started.
@@ -1210,7 +1241,7 @@ mod tests {
     fn an_update_whose_suspicions_start_a_reconfiguration_installs_nothing() {
         let (p0, p3) = (ProcessId(0), ProcessId(3));
         let rl = vec![Op::remove(p3)];
-        let reconf_commit = Msg::ReconfCommit(Shared::from(ReconfBody {
+        let reconf_commit = Msg::ReconfCommit(Arc::from(ReconfBody {
             rl,
             ver: 1,
             invis: Vec::new(),

@@ -5,8 +5,9 @@
 
 use super::{Member, OBSERVE};
 use crate::msg::{Msg, ViewUpdateBody};
-use gmp_sim::{Out, Shared};
+use gmp_sim::Out;
 use gmp_types::{Note, ProcessId, Ver, View};
+use std::sync::Arc;
 
 /// Observer-side bookkeeping.
 #[derive(Clone, Debug)]
@@ -52,7 +53,7 @@ impl ObsState {
 impl Member {
     /// The current view, as streamed to observers.
     fn view_update(&self) -> Msg {
-        Msg::ViewUpdate(Shared::from(ViewUpdateBody {
+        Msg::ViewUpdate(Arc::from(ViewUpdateBody {
             members: self.view.to_vec(),
             ver: self.ver,
             mgr: self.mgr,
@@ -77,12 +78,12 @@ impl Member {
     }
 
     /// Handles a view notification at an observer.
-    pub(super) fn on_view_update(&mut self, out: &mut impl Out<Msg>, body: Shared<ViewUpdateBody>) {
+    pub(super) fn on_view_update(&mut self, out: &mut impl Out<Msg>, body: Arc<ViewUpdateBody>) {
         let ViewUpdateBody {
             members,
             ver: v,
             mgr,
-        } = Shared::unwrap_or_clone(body);
+        } = Arc::unwrap_or_clone(body);
         // A member list that repeats a process is no view: ignore it whole.
         let (Some(obs), Some(view)) = (self.obs.as_mut(), View::try_new(members)) else {
             return;

@@ -6,9 +6,10 @@
 use super::{Member, Phase, Role, Step};
 use crate::decide::{determine, PhaseOneResp};
 use crate::msg::{InterrogateOkBody, Msg, ReconfBody};
-use gmp_sim::{Out, Shared};
+use gmp_sim::Out;
 use gmp_types::note::{FaultySource, QuitReason};
 use gmp_types::{NextEntry, Note, Op, OpKind, ProcessId, Ver};
+use std::sync::Arc;
 
 /// Whether a wire proposal installs versions `v − |rl| + 1 ..= v`: at
 /// least one, and none below version 1.
@@ -63,7 +64,7 @@ impl Member {
             seq: self.seq.clone(),
             next: self.next.clone(),
         };
-        out.send(r, Msg::InterrogateOk(Shared::from(resp)));
+        out.send(r, Msg::InterrogateOk(Arc::from(resp)));
         // Infer HiFaulty(r): every member senior to r (§4.5). The loop
         // walks a snapshot because `handle_faulty` borrows `self` mutably.
         let view = self.view.clone();
@@ -112,7 +113,7 @@ impl Member {
         }
         self.broadcast(
             out,
-            Msg::Propose(Shared::from(ReconfBody {
+            Msg::Propose(Arc::from(ReconfBody {
                 rl: decision.rl.clone(),
                 ver: decision.v,
                 invis: decision.invis.clone(),
@@ -185,7 +186,7 @@ impl Member {
             invis,
             faulty,
         };
-        self.broadcast(out, Msg::ReconfCommit(Shared::from(commit)));
+        self.broadcast(out, Msg::ReconfCommit(Arc::from(commit)));
         self.next.clear();
         // Begin the Mgr role on the contingent plan.
         self.role = Role::MgrIdle;

@@ -5,9 +5,10 @@
 
 use super::{Member, Phase, Role, Step};
 use crate::msg::{CommitBody, Msg};
-use gmp_sim::{Out, Shared};
+use gmp_sim::Out;
 use gmp_types::note::{FaultySource, QuitReason};
 use gmp_types::{NextEntry, Note, Op, OpKind, ProcessId, Ver};
+use std::sync::Arc;
 
 impl Member {
     // ------------------------------------------------------------------
@@ -17,7 +18,7 @@ impl Member {
     /// A `Commit` of `op` installing `ver`, with `next` as its contingent
     /// invitation: one body, shared by every recipient of the broadcast.
     fn commit(&self, op: Op, ver: Ver, next: Option<Op>) -> Msg {
-        Msg::Commit(Shared::from(CommitBody {
+        Msg::Commit(Arc::from(CommitBody {
             op,
             ver,
             next,
@@ -141,7 +142,7 @@ impl Member {
         &mut self,
         out: &mut impl Out<Msg>,
         from: ProcessId,
-        body: Shared<CommitBody>,
+        body: Arc<CommitBody>,
     ) -> Step {
         if from != self.mgr || !matches!(self.role, Role::Outer) {
             return Ok(());

@@ -1,12 +1,13 @@
 //! Protocol messages of the full algorithm (§3, §4.5, §7.1).
 
-use gmp_sim::{Message, Shared};
+use gmp_sim::Message;
 use gmp_types::{NextEntry, Op, ProcessId, Ver};
+use std::sync::Arc;
 
 /// The gossip payload (F2) piggybacked on a heartbeat: the sender's whole
 /// faulty set.
 ///
-/// Every beat carries the set, as a [`Shared`]-backed snapshot built once
+/// Every beat carries the set, as an [`Arc`]-shared snapshot built once
 /// per change of the set, so each beat's payload is a reference-count
 /// bump, not a copy. A receiver that already processed the set finds every
 /// id in it isolated (S1 is permanent), so a repeat does nothing there; a
@@ -17,7 +18,7 @@ use gmp_types::{NextEntry, Op, ProcessId, Ver};
 pub struct HeartbeatDigest {
     /// `Some(set)`: the sender's complete faulty set as of this beat.
     /// `None`: the sender's faulty set is empty.
-    faulty: Option<Shared<[ProcessId]>>,
+    faulty: Option<Arc<[ProcessId]>>,
 }
 
 impl HeartbeatDigest {
@@ -28,13 +29,8 @@ impl HeartbeatDigest {
 
     /// A beat carrying the sender's full faulty set. The snapshot is shared:
     /// cloning this digest per broadcast recipient copies nothing.
-    pub fn snapshot(set: Shared<[ProcessId]>) -> Self {
+    pub fn snapshot(set: Arc<[ProcessId]>) -> Self {
         HeartbeatDigest { faulty: Some(set) }
-    }
-
-    /// True when this beat carries a faulty-set snapshot.
-    pub fn carries_set(&self) -> bool {
-        self.faulty.is_some()
     }
 
     /// The carried faulty set, in ascending id order; empty for a pure
@@ -120,8 +116,8 @@ pub struct ViewUpdateBody {
 /// Version fields always name the view version the message is *about* (the
 /// version an invite proposes to install, the version a commit installs).
 ///
-/// Every variant that carries a vector keeps it in a body behind
-/// [`Shared`]: a broadcast builds the body once and each recipient's copy
+/// Every variant that carries a vector keeps it in a body behind an
+/// [`Arc`]: a broadcast builds the body once and each recipient's copy
 /// is a reference-count bump, and the message itself stays small enough
 /// for the simulator to move it inline on every send and delivery
 /// (DESIGN.md, "The event record").
@@ -160,29 +156,29 @@ pub enum Msg {
         ver: Ver,
     },
     /// Phase II of the update algorithm.
-    Commit(Shared<CommitBody>),
+    Commit(Arc<CommitBody>),
     /// Phase I of reconfiguration: the initiator's interrogation (§4.5).
     Interrogate,
     /// An outer process's Phase I response.
-    InterrogateOk(Shared<InterrogateOkBody>),
+    InterrogateOk(Arc<InterrogateOkBody>),
     /// Phase II of reconfiguration.
-    Propose(Shared<ReconfBody>),
+    Propose(Arc<ReconfBody>),
     /// An outer process's Phase II `OK`.
     ProposeOk {
         /// The proposed version being acknowledged.
         ver: Ver,
     },
     /// Phase III of reconfiguration.
-    ReconfCommit(Shared<ReconfBody>),
+    ReconfCommit(Arc<ReconfBody>),
     /// State transfer to a newly added member (implementation addition; see
     /// `DESIGN.md` substitutions).
-    Welcome(Shared<WelcomeBody>),
+    Welcome(Arc<WelcomeBody>),
     /// An external *observer* asks a member to stream view changes to it —
     /// the hierarchical management service sketched in §8 ("by not
     /// requiring processes to be members of their own local views").
     Subscribe,
     /// A view notification pushed to subscribed observers.
-    ViewUpdate(Shared<ViewUpdateBody>),
+    ViewUpdate(Arc<ViewUpdateBody>),
 }
 
 impl Message for Msg {
@@ -248,18 +244,20 @@ mod tests {
 
     #[test]
     fn digest_clones_share_the_snapshot() {
-        let set: Shared<[ProcessId]> = vec![ProcessId(3), ProcessId(7)].into();
+        let set: Arc<[ProcessId]> = vec![ProcessId(3), ProcessId(7)].into();
         let d = HeartbeatDigest::snapshot(set.clone());
         let fanned = d.clone(); // what broadcast does per recipient
-        assert!(d.carries_set() && fanned.carries_set());
         assert_eq!(fanned.faulty(), [ProcessId(3), ProcessId(7)]);
         assert!(
-            Shared::ptr_eq(&set, d.faulty.as_ref().unwrap()),
+            Arc::ptr_eq(&set, d.faulty.as_ref().unwrap()),
             "digest wraps, never copies, the snapshot"
+        );
+        assert!(
+            std::ptr::eq(d.faulty(), fanned.faulty()),
+            "every clone returns the one shared slice"
         );
 
         let beat = HeartbeatDigest::empty();
-        assert!(!beat.carries_set());
         assert!(beat.faulty().is_empty());
     }
 
@@ -267,7 +265,7 @@ mod tests {
     /// delivery moves it out. At 128 B and above LLVM emits each such move
     /// as a `memcpy` call on baseline x86-64; a 24-byte message keeps the
     /// whole record under that limit. A new variant that carries a vector
-    /// puts it in a body behind `Shared`, like `Commit`'s.
+    /// puts it in a body behind an `Arc`, like `Commit`'s.
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn msg_stays_small_enough_to_move_inline() {

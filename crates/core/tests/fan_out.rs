@@ -4,9 +4,10 @@
 //! hand through `receive` and `fire` into a `Vec` sink, with no simulator.
 
 use gmp_core::{Config, HeartbeatDigest, InterrogateOkBody, Member, MemberEvent, Msg};
-use gmp_sim::{Effect, Shared};
+use gmp_sim::Effect;
 use gmp_types::note::FaultySource;
 use gmp_types::{ProcessId, View};
+use std::sync::Arc;
 
 const N: u32 = 5;
 
@@ -31,10 +32,10 @@ fn sends(out: &mut Vec<Effect<Msg>>) -> Vec<(ProcessId, Msg)> {
 
 /// Asserts that `bodies` (one per recipient, at least two) all share the
 /// first one's allocation.
-fn assert_one_body<T>(bodies: &[&Shared<T>]) {
+fn assert_one_body<T>(bodies: &[&Arc<T>]) {
     assert!(bodies.len() >= 2, "a broadcast has several recipients");
     for b in bodies {
-        assert!(Shared::ptr_eq(bodies[0], b), "a recipient got its own copy");
+        assert!(Arc::ptr_eq(bodies[0], b), "a recipient got its own copy");
     }
 }
 

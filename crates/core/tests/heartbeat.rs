@@ -109,7 +109,7 @@ fn report_throttle_only_holds_in_view_suspects() {
 }
 
 /// The member drives its detector only through `track`, `heard_from`,
-/// `suspect`, `release`, `forget` and `tick`. This test pins the claim
+/// `release`, `forget` and `tick`. This test pins the claim
 /// that nothing else about the member moves detection: it replays one
 /// member's exact trace schedule — start, receptions, tick timers,
 /// suspicions, exclusions — through a bare [`HeartbeatDetector`] oracle
@@ -128,9 +128,9 @@ fn handle_addressed_leases_equal_the_id_addressed_detector() {
     sim.run_until(12_000);
 
     // The bare oracle, driven by the observer's schedule. The member's own
-    // detector runs the same algorithm; `heard_from`'s suspect and
-    // enrolment guards subsume the member-side isolation check, so a raw
-    // replay of every `Recv` is faithful.
+    // detector runs the same algorithm; `heard_from`'s enrolment guard
+    // subsumes the member-side isolation check (a suspect's slot is
+    // freed), so a raw replay of every `Recv` is faithful.
     const TICK: u64 = 1; // Member's heartbeat timer tag.
     let mut oracle = HeartbeatDetector::new(cfg.suspect_after);
     let mut oracle_suspicions: Vec<(u64, ProcessId)> = Vec::new();
@@ -148,9 +148,9 @@ fn handle_addressed_leases_equal_the_id_addressed_detector() {
             }
             TraceKind::Note(note) => match **note {
                 Note::Faulty { suspect, .. } => {
-                    // Idempotent for observation-sourced suspicions (tick
-                    // already recorded them); required for any other source.
-                    oracle.suspect(suspect);
+                    // A no-op for observation-sourced suspicions (tick
+                    // already freed the slot); required for any other source.
+                    oracle.release(suspect);
                 }
                 Note::OpApplied { op, .. } => match op.kind {
                     OpKind::Remove => oracle.forget(op.target),

@@ -2,8 +2,9 @@
 //! log traffic and membership traffic share one simulated network.
 
 use gmp_core::Msg;
-use gmp_sim::{Message, Shared};
+use gmp_sim::Message;
 use gmp_types::{ProcessId, Ver};
+use std::sync::Arc;
 
 /// A client command. The log stores command *identities*; `(client, seq)`
 /// is unique because each client numbers its own requests. Slot fillers
@@ -90,7 +91,7 @@ pub struct SyncOkBody {
 /// view install.
 ///
 /// As in [`gmp_core::Msg`], a variant that carries a vector keeps it behind
-/// [`Shared`], so a log message stays small enough for the simulator to
+/// an [`Arc`], so a log message stays small enough for the simulator to
 /// move inline.
 #[derive(Clone, Debug)]
 pub enum LogMsg {
@@ -121,7 +122,7 @@ pub enum LogMsg {
         first_slot: u64,
         /// The proposed commands, in slot order — one allocation shared by
         /// the copies sent to every acceptor.
-        cmds: Shared<[LogCmd]>,
+        cmds: Arc<[LogCmd]>,
     },
     /// Acceptor → leader: the whole range `[first_slot, first_slot +
     /// count)` is accepted. One message acks a whole `AcceptBatch`.
@@ -142,7 +143,7 @@ pub enum LogMsg {
         first_slot: u64,
         /// The decided commands, in slot order (shared like an
         /// `AcceptBatch`'s).
-        cmds: Shared<[LogCmd]>,
+        cmds: Arc<[LogCmd]>,
     },
     /// New leader → view members: report every accepted entry at slot ≥
     /// `from` (the leader's committed length), so in-flight proposals of
@@ -158,7 +159,7 @@ pub enum LogMsg {
     /// floor (it booted from a snapshot and holds nothing below its base),
     /// it attaches its current snapshot so the requester can catch up
     /// first.
-    RecoverOk(Shared<RecoverOkBody>),
+    RecoverOk(Arc<RecoverOkBody>),
     /// Freshly welcomed member → leader: send me the committed prefix from
     /// `from` (state transfer for joiners).
     Sync {
@@ -170,7 +171,7 @@ pub enum LogMsg {
     /// responder's compaction floor has passed `from`, the prefix below
     /// the floor ships as a [`Snapshot`] and `entries` is only the tail
     /// above it — O(tail), not O(log).
-    SyncOk(Shared<SyncOkBody>),
+    SyncOk(Arc<SyncOkBody>),
 }
 
 impl Message for LogMsg {
@@ -255,7 +256,7 @@ mod tests {
     /// The simulator moves every message into its event record on send and
     /// out on delivery; at 128 B and above each move is a `memcpy` call on
     /// baseline x86-64. A 40-byte `AppMsg` keeps the record at 72 B. A new
-    /// variant that carries a vector puts it behind `Shared`.
+    /// variant that carries a vector puts it behind an `Arc`.
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn log_messages_stay_small_enough_to_move_inline() {

@@ -76,6 +76,6 @@ impl ReplicatedLog {
             snapshot: sync.snapshot,
             entries,
         };
-        out.send(from, LogMsg::RecoverOk(Shared::from(body)));
+        out.send(from, LogMsg::RecoverOk(Arc::from(body)));
     }
 }

@@ -89,6 +89,6 @@ impl ReplicatedLog {
     /// O(tail).
     pub(super) fn on_sync(&self, out: &mut impl Out<LogMsg>, from: ProcessId, req: u64) {
         let body = self.catch_up(req, self.floor);
-        out.send(from, LogMsg::SyncOk(Shared::from(body)));
+        out.send(from, LogMsg::SyncOk(Arc::from(body)));
     }
 }

@@ -159,9 +159,9 @@ impl ReplicatedLog {
         &mut self,
         out: &mut impl Out<LogMsg>,
         from: ProcessId,
-        body: Shared<RecoverOkBody>,
+        body: Arc<RecoverOkBody>,
     ) {
-        let body = Shared::unwrap_or_clone(body);
+        let body = Arc::unwrap_or_clone(body);
         if let Some(snap) = body.snapshot {
             self.install_snapshot(snap);
         }
@@ -258,12 +258,7 @@ impl ReplicatedLog {
     /// Proposes `cmds` at our ballot into the contiguous range starting at
     /// `first_slot`: self-accept each, one `AcceptBatch` per peer, and — in
     /// the single-member view — decide the whole range on the spot.
-    fn propose_batch(
-        &mut self,
-        out: &mut impl Out<LogMsg>,
-        first_slot: u64,
-        cmds: Shared<[LogCmd]>,
-    ) {
+    fn propose_batch(&mut self, out: &mut impl Out<LogMsg>, first_slot: u64, cmds: Arc<[LogCmd]>) {
         let ballot = self.lead.as_ref().expect("only a leader proposes").ballot;
         self.promised = self.promised.max(ballot);
         let slots = (first_slot..first_slot + cmds.len() as u64).zip(cmds.iter().copied());
@@ -337,7 +332,7 @@ impl ReplicatedLog {
         for run in decided.chunk_by(|a, b| a.0 + 1 == b.0) {
             let first_slot = run[0].0;
             let cmds: Vec<LogCmd> = run.iter().map(|&(_, cmd)| cmd).collect();
-            let cmds: Shared<[LogCmd]> = cmds.into();
+            let cmds: Arc<[LogCmd]> = cmds.into();
             self.broadcast(out, || LogMsg::DecideBatch {
                 ballot,
                 first_slot,

@@ -14,8 +14,8 @@ impl ReplicatedLog {
 
     /// Takes a catch-up answer: installs its snapshot, if any, then learns
     /// and applies its entries.
-    pub(super) fn on_sync_ok(&mut self, body: Shared<SyncOkBody>) {
-        let body = Shared::unwrap_or_clone(body);
+    pub(super) fn on_sync_ok(&mut self, body: Arc<SyncOkBody>) {
+        let body = Arc::unwrap_or_clone(body);
         let Some(slots) = slot_range(body.from, body.entries.len()) else {
             return;
         };

@@ -123,10 +123,11 @@ mod learner;
 use crate::msg::{LogCmd, LogMsg, RecoverOkBody, Snapshot, SyncOkBody};
 use crate::window::{SlotWindow, MAX_SPAN};
 use gmp_core::MemberEvent;
-use gmp_sim::{Effect, IntMap, IntSet, Out, Shared, Time};
+use gmp_sim::{Effect, IntMap, IntSet, Out, Time};
 use gmp_types::{ProcessId, Ver};
 use leader::LeaderState;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// Timer tag of the leader's batch-coalescing flush. The membership layer
 /// owns tags 1–3 and the client loop tag 64; the hosting node routes this
@@ -551,7 +552,7 @@ mod tests {
     }
 
     fn recover_ok(ballot: Ver, entries: Vec<(u64, Ver, LogCmd)>) -> LogMsg {
-        LogMsg::RecoverOk(Shared::from(RecoverOkBody {
+        LogMsg::RecoverOk(Arc::from(RecoverOkBody {
             ballot,
             snapshot: None,
             entries,
@@ -962,7 +963,7 @@ mod tests {
         let mut log = follower();
         let (from, cmds) = past_the_last_slot();
         let entries = cmds.into_iter().map(|c| (0, c)).collect();
-        let msg = LogMsg::SyncOk(Shared::from(SyncOkBody {
+        let msg = LogMsg::SyncOk(Arc::from(SyncOkBody {
             from,
             snapshot: None,
             entries,
@@ -1207,7 +1208,7 @@ mod tests {
         else {
             panic!("expected one AcceptBatch per peer, got {out:?}");
         };
-        assert!(Shared::ptr_eq(a, b));
+        assert!(Arc::ptr_eq(a, b));
         ack_range(&mut log, 1, 0, 3);
         let out = log.take_outbox();
         let [(_, LogMsg::DecideBatch { cmds: a, .. }), (_, LogMsg::DecideBatch { cmds: b, .. }), ..] =
@@ -1215,7 +1216,7 @@ mod tests {
         else {
             panic!("expected one DecideBatch per peer first, got {out:?}");
         };
-        assert!(Shared::ptr_eq(a, b));
+        assert!(Arc::ptr_eq(a, b));
         assert_eq!(&a[..], &[cmd(9, 0), cmd(9, 1), cmd(9, 2)]);
     }
 
@@ -1474,7 +1475,7 @@ mod tests {
         log.step_message(
             &mut sink,
             ProcessId(1),
-            LogMsg::RecoverOk(Shared::from(body)),
+            LogMsg::RecoverOk(Arc::from(body)),
             1,
         );
         assert_eq!(log.logical_len(), floor);

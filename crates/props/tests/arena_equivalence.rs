@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 enum Op {
     Track(ProcessId),
     HeardFrom(ProcessId),
-    Suspect(ProcessId),
+    Release(ProcessId),
     Forget(ProcessId),
     Tick,
 }
@@ -36,36 +36,33 @@ fn decode(op: u8, pid: u8) -> Op {
     match op {
         0 => Op::Track(p),
         1 => Op::HeardFrom(p),
-        2 => Op::Suspect(p),
+        2 => Op::Release(p),
         3 => Op::Forget(p),
         _ => Op::Tick,
     }
 }
 
 /// Drives one schedule through both detectors, comparing every `tick`'s
-/// suspicions, every suspect bit and the enrolled set after every step,
-/// and the final tracked and suspect sets.
+/// expiries, and both enrolled sets against the model after every step.
 fn check_against_the_oracle(steps: Vec<(u8, u8, u64)>, suspect_after: u64) {
     let mut oracle = MapDetector::new(suspect_after);
     let mut arena = HeartbeatDetector::new(suspect_after);
-    // The peers holding a slot: enrolled by tracking an unsuspected id,
-    // kept through a suspicion, dropped by `forget`.
+    // The peers holding a slot: enrolled by tracking, dropped by
+    // `release`, `forget` and expiry.
     let mut enrolled = BTreeSet::new();
     let mut now = 0u64;
     // `forget` retires a peer for good at the protocol layer (a member
     // never re-tracks an excluded process under the same id), so the
     // schedule generator never re-Tracks a forgotten id either — the
-    // oracle would resurrect it while the slot table deliberately does
-    // not promise anything for that case.
+    // slot table rejects that in debug builds. A released or expired id
+    // may be tracked again, with a fresh lease.
     let mut forgotten = BTreeSet::new();
     for (op, pid, dt) in steps {
         now += dt;
         match decode(op, pid) {
             Op::Track(p) => {
                 if !forgotten.contains(&p) {
-                    if !oracle.is_suspect(p) {
-                        enrolled.insert(p);
-                    }
+                    enrolled.insert(p);
                     oracle.track(p, now);
                     arena.track(p, now);
                 }
@@ -74,52 +71,49 @@ fn check_against_the_oracle(steps: Vec<(u8, u8, u64)>, suspect_after: u64) {
                 oracle.heard_from(p, now);
                 arena.heard_from(p, now);
             }
-            Op::Suspect(p) => {
-                assert_eq!(oracle.suspect(p), arena.suspect(p));
+            Op::Release(p) => {
+                enrolled.remove(&p);
+                oracle.release(p);
+                arena.release(p);
             }
             Op::Forget(p) => {
                 forgotten.insert(p);
                 enrolled.remove(&p);
-                oracle.forget(p);
+                oracle.release(p);
                 arena.forget(p);
             }
             Op::Tick => {
-                assert_eq!(oracle.tick(now), arena.tick(now), "tick at {}", now);
+                let expired = arena.tick(now);
+                assert_eq!(oracle.tick(now), expired, "tick at {}", now);
+                for p in &expired {
+                    assert!(enrolled.remove(p), "{p} expired unenrolled");
+                }
             }
-        }
-        for q in 0u32..8 {
-            let q = ProcessId(q);
-            assert_eq!(
-                oracle.is_suspect(q),
-                arena.is_suspect(q),
-                "{} at {}",
-                q,
-                now
-            );
         }
         assert!(
             arena.enrolled().eq(enrolled.iter().copied()),
             "enrolled at {now}"
         );
+        assert!(
+            oracle.enrolled().eq(enrolled.iter().copied()),
+            "oracle enrolled at {now}"
+        );
     }
     // Final drain: every outstanding lease expires together.
     now += suspect_after + 1;
-    assert_eq!(oracle.tick(now), arena.tick(now));
-    let tracked_o: Vec<_> = oracle.tracked().collect();
-    let tracked_a: Vec<_> = arena.tracked().collect();
-    assert_eq!(tracked_o, tracked_a);
-    let suspects_o: Vec<_> = oracle.suspects().collect();
-    let suspects_a: Vec<_> = arena.suspects().collect();
-    assert_eq!(suspects_o, suspects_a);
+    let expired = arena.tick(now);
+    assert_eq!(oracle.tick(now), expired);
+    assert!(expired.iter().eq(enrolled.iter()), "the drain expires all");
+    assert!(arena.enrolled().next().is_none() && oracle.enrolled().next().is_none());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// Identical schedules of track / heard_from / suspect / forget / tick
-    /// produce identical suspicions (same peers, same tick), identical
-    /// tracked sets and identical suspect sets in the map-backed oracle
-    /// and the slot-table detector, whose enrolled set matches the model.
+    /// Identical schedules of track / heard_from / release / forget / tick
+    /// produce identical expiries (same peers, same tick) in the
+    /// map-backed oracle and the slot-table detector, and both enrolled
+    /// sets match the model.
     #[test]
     fn arena_detector_matches_the_map_oracle(
         steps in proptest::collection::vec((0u8..5, 0u8..8, 0u64..60), 1..120),
@@ -130,7 +124,7 @@ proptest! {
 
     /// The same comparison on the schedule shape the scan's early return
     /// serves: ten ticks per life sign, most of them below the cached
-    /// bound, with tracks, suspicions and exclusions moving leases under it.
+    /// bound, with tracks, releases and exclusions moving leases under it.
     #[test]
     fn arena_detector_matches_the_map_oracle_when_ticks_dominate(
         steps in proptest::collection::vec((0u8..14, 0u8..8, 0u64..60), 1..240),

@@ -28,10 +28,10 @@
 //! edges, so the engine never carries them — [`Trace::lamports`] and
 //! [`Trace::to_event_log`] rebuild the stamps for the caller that needs
 //! them. Fan-out payloads are cheap too:
-//! wrapping a payload in
-//! [`Shared`] makes every per-recipient message clone — whether via
-//! [`Ctx::broadcast`] or a per-target [`Ctx::send`] loop — an O(1)
-//! reference bump on one allocation instead of a deep copy. A seed sweep
+//! wrapping a payload in a [`std::sync::Arc`] makes every per-recipient
+//! message clone — whether via [`Ctx::broadcast`] or a per-target
+//! [`Ctx::send`] loop — an O(1) reference bump on one allocation instead
+//! of a deep copy. A seed sweep
 //! replays one scenario across a seed range on the scoped-thread worker
 //! [`pool`] ([`pool::run_indexed`], one task per seed, results in seed
 //! order) and condenses each per-run metric with [`Summary::of`].
@@ -48,8 +48,7 @@
 //! internal is owned data (`SmallRng` is a plain xoshiro256++ state; the
 //! event queue is a slab `Vec`, a boxed bucket array of indices into it
 //! and a heap of far-event keys; link state is hash maps of plain values) or
-//! an atomically reference-counted payload ([`Shared`] wraps
-//! [`std::sync::Arc`]). No *value* in the stack holds an `Rc`, a
+//! an atomically reference-counted payload (a [`std::sync::Arc`]). No *value* in the stack holds an `Rc`, a
 //! thread-local or interior mutability, so the auto trait holds —
 //! pinned by a compile-time assertion in `engine.rs`'s tests. (The one
 //! thread-local in the crate is not part of any value: a dropped
@@ -91,7 +90,6 @@
 pub mod net;
 pub mod node;
 pub mod pool;
-pub mod shared;
 pub mod stats;
 pub mod trace;
 
@@ -103,7 +101,6 @@ pub use engine::{Builder, NodeStatus, Sim};
 pub use hash::{IntHasher, IntMap, IntSet};
 pub use net::BlockMode;
 pub use node::{Ctx, Effect, Message, Node, Out};
-pub use shared::Shared;
 pub use stats::{Stats, Summary};
 pub use trace::{Trace, TraceEvent, TraceKind};
 

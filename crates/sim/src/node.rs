@@ -70,8 +70,8 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// can cut it short after any prefix of the sends.
     ///
     /// The message is cloned once per recipient. For payload-free messages
-    /// that clone is trivially cheap; for bulk payloads, wrap them in
-    /// [`Shared`](crate::Shared) so one constructed payload fans out to
+    /// that clone is trivially cheap; for bulk payloads, wrap them in an
+    /// [`Arc`](std::sync::Arc) so one constructed payload fans out to
     /// `n − 1` recipients as O(1) reference bumps instead of deep copies.
     /// The same wrapping keeps `M` small, and every send and delivery
     /// moves `M` through the engine's event record. (`gmp-core`'s `Member`

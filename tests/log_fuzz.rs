@@ -21,10 +21,11 @@ use gmp::log::{
     Client, LogCmd, LogMsg, RecoverOkBody, ReplicatedLog, Snapshot, SyncOkBody, LOG_FLUSH,
 };
 use gmp::protocol::MemberEvent;
-use gmp::sim::{Effect, Shared};
+use gmp::sim::Effect;
 use gmp::types::{FaultySource, ProcessId, QuitReason};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The fuzzed log's id.
 const ME: ProcessId = ProcessId(2);
@@ -96,13 +97,13 @@ fn message() -> impl Strategy<Value = LogMsg> {
                     cmds: cmds.into(),
                 },
                 6 => LogMsg::Recover { ballot, from: slot },
-                7 => LogMsg::RecoverOk(Shared::from(RecoverOkBody {
+                7 => LogMsg::RecoverOk(Arc::from(RecoverOkBody {
                     ballot,
                     snapshot,
                     entries: report,
                 })),
                 8 => LogMsg::Sync { from: slot },
-                _ => LogMsg::SyncOk(Shared::from(SyncOkBody {
+                _ => LogMsg::SyncOk(Arc::from(SyncOkBody {
                     from: slot,
                     snapshot,
                     entries: report.into_iter().map(|(_, b, c)| (b, c)).collect(),

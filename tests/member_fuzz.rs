@@ -15,10 +15,11 @@ use gmp::protocol::{
     CommitBody, Config, HeartbeatDigest, InterrogateOkBody, JoinConfig, Lifecycle, Member,
     MemberEvent, Msg, ObserveConfig, ReconfBody, Sparse, ViewUpdateBody, WelcomeBody,
 };
-use gmp::sim::{Effect, Shared};
+use gmp::sim::Effect;
 use gmp::types::{NextEntry, Op, OpKind, ProcessId, Ver};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The fuzzed member's id.
 const ME: ProcessId = ProcessId(2);
@@ -49,7 +50,7 @@ fn input() -> impl Strategy<Value = (u64, Input)> {
     (0u8..16, id(), id(), ver(), lists, 0u64..120).prop_map(
         |(kind, from, a, v, (rl, invis, ids), dt)| {
             let reconf = || {
-                Shared::from(ReconfBody {
+                Arc::from(ReconfBody {
                     rl: rl.clone(),
                     ver: v,
                     invis: invis.clone(),
@@ -70,7 +71,7 @@ fn input() -> impl Strategy<Value = (u64, Input)> {
                     ver: v,
                 },
                 4 => Msg::UpdateOk { ver: v },
-                5 => Msg::Commit(Shared::from(CommitBody {
+                5 => Msg::Commit(Arc::from(CommitBody {
                     op: rl.first().copied().unwrap_or(Op::add(a)),
                     ver: v,
                     next: invis.first().copied(),
@@ -78,7 +79,7 @@ fn input() -> impl Strategy<Value = (u64, Input)> {
                     recovered: vec![a],
                 })),
                 6 => Msg::Interrogate,
-                7 => Msg::InterrogateOk(Shared::from(InterrogateOkBody {
+                7 => Msg::InterrogateOk(Arc::from(InterrogateOkBody {
                     ver: v,
                     next: invis
                         .iter()
@@ -97,7 +98,7 @@ fn input() -> impl Strategy<Value = (u64, Input)> {
                     if a.0 % 2 == 0 {
                         members.push(ME);
                     }
-                    Msg::Welcome(Shared::from(WelcomeBody {
+                    Msg::Welcome(Arc::from(WelcomeBody {
                         members,
                         ver: v,
                         seq: rl,
@@ -105,7 +106,7 @@ fn input() -> impl Strategy<Value = (u64, Input)> {
                     }))
                 }
                 12 => Msg::Subscribe,
-                13 => Msg::ViewUpdate(Shared::from(ViewUpdateBody {
+                13 => Msg::ViewUpdate(Arc::from(ViewUpdateBody {
                     members: ids,
                     ver: v,
                     mgr: a,
