@@ -1,12 +1,14 @@
-//! A multiplicative hasher for the engine's integer-keyed tables.
+//! A multiplicative hasher for the program's integer-keyed tables.
 //!
-//! `NetState`'s per-link maps (`(u32, u32)` keys) are probed once or more
-//! per event, and `gmp-log`'s command tables once or more per command.
-//! Every key is generated by the program itself — process ids and
-//! request counters — so SipHash's resistance to crafted collisions buys
-//! nothing there. None of
-//! these tables is ever iterated on a path that reaches the run RNG or the
-//! trace, so their iteration order is free to change.
+//! `gmp-log`'s command tables are probed once or more per command, and
+//! `NetState`'s link blocks and delay overrides (`(u32, u32)` keys) once
+//! per send; those two stay empty unless an experiment sets a link. (The
+//! engine's per-send FIFO clamp is not hashed: it lives in per-sender
+//! rows, see `net.rs`.) Every key is generated by the program itself —
+//! process ids and request counters — so SipHash's resistance to crafted
+//! collisions buys nothing there. None of these tables is ever iterated on
+//! a path that reaches the run RNG or the trace, so their iteration order
+//! is free to change.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -65,9 +67,10 @@ mod tests {
         h.finish()
     }
 
-    /// The keys the program actually uses — every directed link of a
-    /// 128-clique, and a run of consecutive counter values — spread over the
-    /// low bits a 32 Ki-bucket table indexes by without piling up.
+    /// The keys the program actually uses — directed links, here every
+    /// link of a 128-clique, as an experiment that blocks or slows links
+    /// keys them, and a run of consecutive counter values — spread over
+    /// the low bits a 32 Ki-bucket table indexes by without piling up.
     #[test]
     fn engine_shaped_keys_spread_over_the_low_bits() {
         const BUCKETS: usize = 1 << 15;

@@ -23,10 +23,60 @@ pub enum BlockMode {
     Drop,
 }
 
+/// One sender's FIFO bookkeeping: the last scheduled delivery time per
+/// receiver it has sent to, sorted by receiver, and the index of its
+/// previous send.
+///
+/// A member's broadcasts and heartbeat fan-outs go out in view order,
+/// which is ascending receiver order when processes join in pid order, so
+/// the next lookup is almost always at `cursor + 1` (the next receiver of
+/// the fan-out) or at `cursor` (a second message to the same peer); only
+/// the first send of a fan-out and sends out of order binary-search. A
+/// row holds exactly the links its sender has used, so memory stays
+/// O(links used) at any n.
+#[derive(Debug, Default)]
+struct LinkRow {
+    links: Vec<(u32, Time)>,
+    cursor: usize,
+}
+
+impl LinkRow {
+    /// The last delivery time scheduled on the link to `to`, 0 if none yet.
+    fn last_mut(&mut self, to: u32) -> &mut Time {
+        let at = |i: usize| self.links.get(i).is_some_and(|l| l.0 == to);
+        let i = if at(self.cursor + 1) {
+            self.cursor + 1
+        } else if at(self.cursor) {
+            self.cursor
+        } else {
+            self.seek(to)
+        };
+        self.cursor = i;
+        &mut self.links[i].1
+    }
+
+    /// The index of `to`'s pair, inserted in sorted position if new. Out
+    /// of line, so the send path it is inlined into keeps only the two
+    /// cursor compares.
+    #[inline(never)]
+    fn seek(&mut self, to: u32) -> usize {
+        match self.links.binary_search_by_key(&to, |l| l.0) {
+            Ok(i) => i,
+            Err(i) => {
+                self.links.insert(i, (to, 0));
+                debug_assert!(self.links.windows(2).all(|w| w[0].0 < w[1].0));
+                i
+            }
+        }
+    }
+}
+
 /// Link-level state: delays, blocks, partitions, FIFO bookkeeping.
 ///
-/// The per-link tables are only ever probed by key — nothing iterates
-/// them — so their hasher is free to be the cheap integer one.
+/// `blocked` and `delay_override` are only ever probed by key — nothing
+/// iterates them — so their hasher is free to be the cheap integer one.
+/// Both are empty unless an experiment sets a link, and a probe of an
+/// empty table returns at once.
 #[derive(Debug)]
 pub(crate) struct NetState {
     delay_min: Time,
@@ -37,8 +87,9 @@ pub(crate) struct NetState {
     partition: Option<Vec<usize>>,
     /// Per-directed-link delay overrides.
     delay_override: IntMap<(u32, u32), (Time, Time)>,
-    /// Last scheduled delivery time per directed link (FIFO enforcement).
-    last_sched: IntMap<(u32, u32), Time>,
+    /// Last scheduled delivery time per directed link (FIFO enforcement),
+    /// one row per sender pid, grown on a sender's first send.
+    last_sched: Vec<LinkRow>,
 }
 
 impl NetState {
@@ -54,7 +105,7 @@ impl NetState {
             blocked: IntMap::default(),
             partition: None,
             delay_override: IntMap::default(),
-            last_sched: IntMap::default(),
+            last_sched: Vec::new(),
         }
     }
 
@@ -95,7 +146,11 @@ impl NetState {
         // events at one time pop in `seq` order, so FIFO holds at
         // `Time::MAX` too.
         let mut at = now.saturating_add(delay);
-        let last = self.last_sched.entry((from.0, to.0)).or_insert(0);
+        let f = from.index();
+        if f >= self.last_sched.len() {
+            self.last_sched.resize_with(f + 1, LinkRow::default);
+        }
+        let last = self.last_sched[f].last_mut(to.0);
         if at <= *last {
             at = last.saturating_add(1);
         }
@@ -155,7 +210,147 @@ impl NetState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
+
+    /// The per-link hash map the sender rows replaced, with the same
+    /// delay sampling and FIFO clamp.
+    struct Reference {
+        delay_override: IntMap<(u32, u32), (Time, Time)>,
+        last_sched: IntMap<(u32, u32), Time>,
+    }
+
+    impl Reference {
+        fn schedule(&mut self, rng: &mut SmallRng, now: Time, from: u32, to: u32) -> Time {
+            let (lo, hi) = self
+                .delay_override
+                .get(&(from, to))
+                .copied()
+                .unwrap_or(DELAY);
+            let delay = if lo == hi { lo } else { rng.gen_range(lo..=hi) };
+            let mut at = now.saturating_add(delay);
+            let last = self.last_sched.entry((from, to)).or_insert(0);
+            if at <= *last {
+                at = last.saturating_add(1);
+            }
+            *last = at;
+            at
+        }
+    }
+
+    /// Processes in the oracle's runs: few enough that links repeat.
+    const N: u32 = 12;
+    /// The default delay range of the oracle's runs.
+    const DELAY: (Time, Time) = (1, 10);
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Any sequence of ascending fan-outs (some skipping receivers),
+        /// repeat sends to one peer, descending fan-outs, single sends in
+        /// random order, delay overrides set and cleared, and deliveries
+        /// pushed to the end of time returns exactly the delivery times the
+        /// hash map returned.
+        #[test]
+        fn schedules_exactly_like_the_link_map(
+            ops in proptest::collection::vec((0u8..9, 0..N, 0..N, 0u64..1_000), 1..200),
+        ) {
+            let mut net = NetState::new(DELAY.0, DELAY.1);
+            let mut reference = Reference {
+                delay_override: IntMap::default(),
+                last_sched: IntMap::default(),
+            };
+            let (mut rng, mut ref_rng) = (SmallRng::seed_from_u64(3), SmallRng::seed_from_u64(3));
+            let mut now: Time = 0;
+            for (op, a, b, x) in ops {
+                let sends: Vec<u32> = match op {
+                    // Ascending fan-out, every peer or every peer but a few.
+                    0 => (0..N).filter(|&r| r != a).collect(),
+                    1 => (0..N).filter(|&r| r != a && (u64::from(r) + x) % 3 != 0).collect(),
+                    // Repeat sends to one peer.
+                    2 => vec![b; 1 + (x % 4) as usize],
+                    // Descending fan-out.
+                    3 => (0..N).rev().filter(|&r| r != a).collect(),
+                    // One send, in no particular order.
+                    4 => vec![b],
+                    5 => {
+                        let lo = 1 + x % 50;
+                        let range = (lo, lo + x % 3);
+                        net.set_delay_override(ProcessId(a), ProcessId(b), Some(range));
+                        reference.delay_override.insert((a, b), range);
+                        vec![b]
+                    }
+                    6 => {
+                        net.set_delay_override(ProcessId(a), ProcessId(b), None);
+                        reference.delay_override.remove(&(a, b));
+                        vec![b]
+                    }
+                    // A link whose deliveries saturate at the end of time.
+                    7 => {
+                        let range = (Time::MAX, Time::MAX);
+                        net.set_delay_override(ProcessId(a), ProcessId(b), Some(range));
+                        reference.delay_override.insert((a, b), range);
+                        vec![b, b]
+                    }
+                    // The clock itself near the end of time.
+                    _ => {
+                        now = now.max(Time::MAX - x);
+                        (0..N).filter(|&r| r != a).collect()
+                    }
+                };
+                for to in sends {
+                    let got = net.schedule(&mut rng, now, ProcessId(a), ProcessId(to));
+                    prop_assert_eq!(got, reference.schedule(&mut ref_rng, now, a, to));
+                }
+                now = now.saturating_add(x % 5);
+            }
+        }
+    }
+
+    /// `sparse1024`'s send shape — a degree-4 ring at n = 1024, every node
+    /// reporting to p0 and one p0 broadcast to all — leaves each sender's
+    /// row holding exactly the receivers it sent to: a row grows to n only
+    /// for a sender that did send to everyone. (A dense n × n table would
+    /// hold 1 Mi entries here.)
+    #[test]
+    fn rows_hold_only_the_links_used() {
+        const NODES: u32 = 1024;
+        let mut net = NetState::new(1, 10);
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut used = BTreeSet::new();
+        let mut send = |net: &mut NetState, from: u32, to: u32| {
+            net.schedule(&mut rng, 0, ProcessId(from), ProcessId(to));
+            used.insert((from, to));
+        };
+        for round in 0..3 {
+            for p in 0..NODES {
+                let mut ring = [1, 2, NODES - 1, NODES - 2].map(|d| (p + d) % NODES);
+                ring.sort_unstable();
+                for to in ring {
+                    send(&mut net, p, to);
+                }
+                if p != 0 && round == 1 {
+                    send(&mut net, p, 0);
+                }
+            }
+        }
+        for to in 1..NODES {
+            send(&mut net, 0, to);
+        }
+        let held: BTreeSet<(u32, u32)> = (0u32..)
+            .zip(&net.last_sched)
+            .flat_map(|(from, row)| row.links.iter().map(move |l| (from, l.0)))
+            .collect();
+        assert_eq!(held, used);
+        assert_eq!(
+            net.last_sched.iter().map(|r| r.links.len()).sum::<usize>(),
+            used.len()
+        );
+        assert_eq!(net.last_sched[0].links.len(), NODES as usize - 1);
+        let widest = net.last_sched[1..].iter().map(|r| r.links.len()).max();
+        assert_eq!(widest, Some(5));
+    }
 
     #[test]
     fn fifo_scheduling_is_monotone_per_link() {
