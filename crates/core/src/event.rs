@@ -1,56 +1,43 @@
-//! The consumer-facing event queue: what a layer built *on top of*
+//! The consumer-facing membership events: what a layer built *on top of*
 //! membership needs to hear from it.
 //!
 //! A [`Member`](crate::Member) exposes accessors (`view()`, `faulty_set()`,
 //! …) for inspection, but a consumer embedded in the same process — a
 //! replicated log, a lock service, a router — must learn about membership
-//! *transitions*, not poll state. Every protocol-visible transition
-//! therefore also pushes a [`MemberEvent`] onto an internal queue that the
-//! host drains with [`Member::take_events`](crate::Member::take_events)
-//! after each handler call.
+//! *transitions*, not poll state. The member records each transition once,
+//! as a trace [`Note`] emitted through its sink; [`MemberEvent::of`] reads
+//! the three a consumer reacts to off that note stream. A host that wants
+//! events steps the member through a sink that forwards every effect and
+//! keeps `MemberEvent::of` of each note (`gmp-log`'s `Replica` does this).
 //!
 //! # Contract
 //!
-//! * **Protocol-invisible.** Recording an event is a plain vector push: no
-//!   sends, no timers, no trace notes, no randomness. Runs are byte-
-//!   identical whether or not anyone drains the queue (the golden
-//!   fingerprints in `tests/determinism.rs` pin this).
-//! * **Deterministic.** For a fixed `(n, seed, fault schedule)` the event
-//!   stream of every process is a pure function of the run — two replays
-//!   of the same schedule drain identical streams (`tests/member_events.rs`
-//!   proptests this).
+//! * **One record.** An event is a view of a note, never a second record:
+//!   the note stream is the process's history (§2.1), and the events are
+//!   the part of it a consumer reads.
+//! * **Deterministic.** For a fixed `(n, seed, fault schedule)` the note
+//!   stream of every process, and so its event stream, is a pure function
+//!   of the run (`tests/member_events.rs` proptests this).
 //! * **Ordered.** Events appear in the order the transitions happened at
 //!   this process. A `ViewInstalled` for version `v` precedes any event
 //!   whose precondition is version `v`.
-//! * **Drained, not broadcast.** `take_events` hands the queue over and
-//!   empties it; an undrained queue grows only with membership activity
-//!   (view changes and suspicions), never with steady-state traffic.
-//! * **Copied on drain.** Until it is drained, a `ViewInstalled` or
-//!   `Welcomed` holds the installed view's shared snapshot, not a copy of
-//!   its members: every member that installs one view shares one list.
-//!   `take_events` fills in each `members` vector, so only a host that
-//!   drains pays for the copy.
 //!
-//! # Relation to trace [`Note`](gmp_types::Note)s
-//!
-//! Notes go to the *global* trace for offline property checking; events go
-//! to the *local* consumer for online reaction. They overlap deliberately
-//! (`ViewInstalled` exists as both) but serve different masters: notes are
-//! diagnostic and may grow richer, events are the stable API surface.
+//! A joiner's first `ViewInstalled` is its welcome, and an exclusion is
+//! the `ViewInstalled` without the excluded peer: the consumer that needs
+//! either tells it from its own state.
 
-use gmp_types::{FaultySource, ProcessId, QuitReason, Ver, View};
+use gmp_types::{FaultySource, Note, ProcessId, QuitReason, Ver};
 
 /// A membership transition observed by the local process, for consumers
-/// layered on top of the group (drained via
-/// [`Member::take_events`](crate::Member::take_events)).
+/// layered on top of the group: the note kinds [`MemberEvent::of`] maps.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MemberEvent {
-    /// A view was installed: the initial view at start (`ver == 0`), or an
-    /// agreed membership operation committed locally. `mgr` is the
-    /// coordinator of the installed view — consumers using the group for
-    /// leader election (e.g. `gmp-log`) treat it as the leader and `ver`
-    /// as the leader's ballot.
+    /// A view was installed: the initial view at start (`ver == 0`), a
+    /// joiner's welcome, or an agreed membership operation committed
+    /// locally. `mgr` is the coordinator of the installed view — consumers
+    /// using the group for leader election (e.g. `gmp-log`) treat it as
+    /// the leader and `ver` as the leader's ballot.
     ViewInstalled {
         /// Version of the installed view (`ver(p)`).
         ver: Ver,
@@ -69,27 +56,6 @@ pub enum MemberEvent {
         /// What produced the belief.
         source: FaultySource,
     },
-    /// An exclusion committed: `peer` left the membership at version `ver`.
-    /// Always preceded by `PeerSuspected { peer, .. }` (GMP-1) and
-    /// immediately followed by the matching `ViewInstalled`.
-    PeerExcluded {
-        /// The excluded process.
-        peer: ProcessId,
-        /// Version of the view that no longer contains `peer`.
-        ver: Ver,
-    },
-    /// This process, having started as a joiner (§7), was welcomed into
-    /// the group and is now `Active` in the carried view. Takes the place
-    /// of the first `ViewInstalled` at a joiner.
-    Welcomed {
-        /// Version of the first view this process belongs to.
-        ver: Ver,
-        /// Members of that view, in seniority order (including this
-        /// process).
-        members: Vec<ProcessId>,
-        /// Coordinator of that view.
-        mgr: ProcessId,
-    },
     /// This process left the group for good (`quit_p`, §2.1): excluded by
     /// the others, or resigned after losing the `Mgr` majority. Terminal —
     /// no further events follow.
@@ -99,39 +65,25 @@ pub enum MemberEvent {
     },
 }
 
-/// A queued event as the member holds it until
-/// [`Member::take_events`](crate::Member::take_events) drains it: a view
-/// event keeps the view's shared snapshot and copies its members then.
-pub(crate) enum Pending {
-    /// Any event that carries no member list.
-    Event(MemberEvent),
-    /// `ViewInstalled`, or `Welcomed` when `welcomed` is set.
-    View {
-        ver: Ver,
-        view: View,
-        mgr: ProcessId,
-        welcomed: bool,
-    },
-}
-
-impl Pending {
-    /// The event a consumer drains.
-    pub(crate) fn into_event(self) -> MemberEvent {
-        match self {
-            Pending::Event(event) => event,
-            Pending::View {
-                ver,
-                view,
-                mgr,
-                welcomed,
-            } => {
-                let members = view.to_vec();
-                if welcomed {
-                    MemberEvent::Welcomed { ver, members, mgr }
-                } else {
-                    MemberEvent::ViewInstalled { ver, members, mgr }
-                }
-            }
-        }
+impl MemberEvent {
+    /// The event `note` records, if it is one a consumer reads:
+    /// `ViewInstalled` (its members copied out of the shared list),
+    /// `Faulty` as `PeerSuspected`, and `Quit`. Every other note is `None`.
+    pub fn of(note: &Note) -> Option<MemberEvent> {
+        Some(match note {
+            Note::ViewInstalled { ver, members, mgr } => MemberEvent::ViewInstalled {
+                ver: *ver,
+                members: members.to_vec(),
+                mgr: *mgr,
+            },
+            Note::Faulty { suspect, source } => MemberEvent::PeerSuspected {
+                peer: *suspect,
+                source: *source,
+            },
+            Note::Quit { reason } => MemberEvent::Quit {
+                reason: reason.clone(),
+            },
+            _ => return None,
+        })
     }
 }

@@ -26,8 +26,8 @@
 //! its module docs). [`decide`] holds Fig. 6's decision procedures,
 //! [`msg`] the wire messages, [`topology`] the monitoring graph,
 //! [`config`] the knobs (checked again when a member is built), [`event`]
-//! the consumer event queue and [`mod@cluster`] the simulated-cluster
-//! builder.
+//! the consumer events read off the member's notes and [`mod@cluster`]
+//! the simulated-cluster builder.
 //!
 //! A [`Member`] does no I/O: [`Member::start`], [`Member::receive`] and
 //! [`Member::fire`] take the current time and emit their effects (sends,

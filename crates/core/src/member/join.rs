@@ -105,7 +105,7 @@ impl Member {
         // the joiner may suspect anyone it has never heard from.
         let grace = self.now + 2 * self.cfg.suspect_after;
         self.install_topology(grace);
-        self.announce_view(out, true);
+        self.announce_view(out);
         out.set_timer(self.cfg.heartbeat_every, TICK);
         // Replay coordinator rounds that overtook this Welcome (see
         // `receive_joining`). `dispatch` re-buffers anything still ahead

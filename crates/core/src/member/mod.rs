@@ -51,7 +51,6 @@ mod update;
 
 use crate::config::Config;
 use crate::decide::PhaseOneResp;
-use crate::event::{MemberEvent, Pending};
 use crate::msg::{InterrogateOkBody, Msg};
 use gmp_detect::{HeartbeatDetector, Isolation};
 use gmp_sim::{Ctx, Node, Out};
@@ -171,11 +170,6 @@ pub struct Member {
     subscribers: BTreeSet<ProcessId>,
     /// Observer-side state, when this process is an observer.
     obs: Option<ObsState>,
-    /// Undrained consumer events ([`Member::take_events`]). Pushing here is
-    /// protocol-invisible — no sends, notes or randomness — so the queue
-    /// never perturbs the byte-identical golden runs. View events hold the
-    /// shared snapshot until the drain copies it.
-    events: Vec<Pending>,
     /// The time of the input being handled, as the entry point was given.
     now: u64,
 }
@@ -268,7 +262,6 @@ impl Member {
             topo_monitored: Vec::new(),
             subscribers: BTreeSet::new(),
             obs,
-            events: Vec::new(),
             now: 0,
         }
     }
@@ -319,21 +312,6 @@ impl Member {
     /// Processes currently believed faulty and still in the view.
     pub fn faulty_set(&self) -> impl Iterator<Item = ProcessId> + '_ {
         self.faulty.iter().copied()
-    }
-
-    /// Drains the queued [`MemberEvent`]s, in occurrence order.
-    ///
-    /// This is the push-flavored consumer API: a layer built on top of the
-    /// group (`gmp-log`'s replicated log, most prominently) calls this
-    /// after every handler invocation and reacts to membership transitions
-    /// instead of polling accessors. See [`crate::event`] for the queue's
-    /// contract (protocol-invisible, deterministic, ordered, drained).
-    pub fn take_events(&mut self) -> Vec<MemberEvent> {
-        // A host that drains after every call mostly finds nothing.
-        if self.events.is_empty() {
-            return Vec::new();
-        }
-        self.events.drain(..).map(Pending::into_event).collect()
     }
 
     /// Queues a spurious suspicion, applied at the next detector tick.
@@ -408,7 +386,7 @@ impl Member {
             self.me
         );
         self.install_topology(self.now);
-        self.announce_view(out, false);
+        self.announce_view(out);
         if self.mgr == self.me {
             self.role = Role::MgrIdle;
             out.note(Note::BecameMgr { ver: 0 });
@@ -592,14 +570,10 @@ impl Member {
         self.lifecycle = Lifecycle::Stopped;
         // A stopped member neither reports nor heartbeats ever again; free
         // the per-peer bookkeeping rather than letting it outlive the
-        // membership. The event queue survives: the host gets to observe
-        // the terminal transition.
+        // membership.
         self.last_report.clear();
         self.hb = HbGossip::default();
         self.topo_monitored.clear();
-        self.events.push(Pending::Event(MemberEvent::Quit {
-            reason: reason.clone(),
-        }));
         out.note(Note::Quit { reason });
         out.quit();
         Err(Stopped)
@@ -656,27 +630,15 @@ impl Member {
         // `install_topology`'s releases freed, so the bookkeeping stays
         // bounded by the view size across arbitrarily long runs.
         out.note(Note::OpApplied { op, ver: self.ver });
-        if op.kind == OpKind::Remove {
-            let (peer, ver) = (op.target, self.ver);
-            let excluded = MemberEvent::PeerExcluded { peer, ver };
-            self.events.push(Pending::Event(excluded));
-        }
-        self.announce_view(out, false);
+        self.announce_view(out);
         self.notify_subscribers(out);
         Ok(())
     }
 
-    /// Records the view just installed: the trace note the GMP checks
-    /// read, and the consumer's event (`Welcomed` for a joiner's first).
-    fn announce_view(&mut self, out: &mut impl Out<Msg>, welcomed: bool) {
-        let (ver, view, mgr) = (self.ver, self.view.clone(), self.mgr);
-        let members = view.shared();
-        self.events.push(Pending::View {
-            ver,
-            view,
-            mgr,
-            welcomed,
-        });
+    /// Records the view just installed: the trace note the GMP checks and
+    /// the consumers' `ViewInstalled` read.
+    fn announce_view(&self, out: &mut impl Out<Msg>) {
+        let (ver, members, mgr) = (self.ver, self.view.shared(), self.mgr);
         out.note(Note::ViewInstalled { ver, members, mgr });
     }
 
@@ -688,8 +650,6 @@ impl Member {
             return false;
         }
         self.fd.release(q);
-        let suspected = MemberEvent::PeerSuspected { peer: q, source };
-        self.events.push(Pending::Event(suspected));
         out.note(Note::Faulty { suspect: q, source });
         true
     }
@@ -799,6 +759,7 @@ impl Node<Msg> for Member {
 mod tests {
     use super::*;
     use crate::config::{ConfigBuilder, JoinConfig, ObserveConfig};
+    use crate::event::MemberEvent;
     use crate::msg::{CommitBody, HeartbeatDigest, ReconfBody, ViewUpdateBody, WelcomeBody};
     use crate::topology::Sparse;
     use gmp_sim::Effect;
@@ -918,7 +879,6 @@ mod tests {
         assert_eq!(m.lifecycle(), Lifecycle::Joining);
         assert!(m.view().is_empty());
         assert!(out.is_empty());
-        assert!(m.take_events().is_empty());
     }
 
     #[test]
@@ -929,7 +889,6 @@ mod tests {
         assert_eq!(m.lifecycle(), Lifecycle::Joining);
         assert!(m.view().is_empty());
         assert!(out.is_empty());
-        assert!(m.take_events().is_empty());
         // The join timer still fires and asks again.
         m.fire(&mut out, JOIN, 6);
         assert!(sent(&mut out)
@@ -958,9 +917,9 @@ mod tests {
         let mut p2 = Member::new(Config::default(), initial.clone());
         p0.start(&mut Sink::new(), ProcessId(0), 0);
         p2.start(&mut Sink::new(), ProcessId(2), 0);
-        let mut out = Sink::new();
-        p1.start(&mut out, ProcessId(1), 0);
-        let v0 = installed_lists(&out).pop().expect("start installs v0");
+        let mut started = Sink::new();
+        p1.start(&mut started, ProcessId(1), 0);
+        let v0 = installed_lists(&started).pop().expect("start installs v0");
         assert!(Arc::ptr_eq(&v0, &p1.view().shared()));
         assert!(Arc::ptr_eq(&p0.view().shared(), &p1.view().shared()));
 
@@ -981,12 +940,16 @@ mod tests {
         assert_eq!(ids(&v0), [0, 1, 2, 3], "the v0 note still lists p3");
         assert_eq!(ids(p0.view().as_slice()), [0, 1, 2, 3]);
 
-        // The same commit at p2 installs the list p1 built, and draining
-        // p1's events copies it.
+        // The same commit at p2 installs the list p1 built, and reading
+        // p1's events off its notes copies it.
         p2.receive(&mut Sink::new(), ProcessId(0), commit, 6);
         assert_eq!(p2.ver(), 1);
         assert!(Arc::ptr_eq(&p2.view().shared(), &v1));
-        let installed = p1.take_events().into_iter().filter_map(|e| match e {
+        let events = started.iter().chain(&out).filter_map(|e| match e {
+            Effect::Note(note) => MemberEvent::of(note),
+            _ => None,
+        });
+        let installed = events.filter_map(|e| match e {
             MemberEvent::ViewInstalled { ver, members, .. } => Some((ver, ids(&members))),
             _ => None,
         });
@@ -1074,12 +1037,10 @@ mod tests {
     fn assert_reconf_ignored(msg: Msg) {
         let mut m = joiner();
         m.receive(&mut Sink::new(), ProcessId(0), welcome(&[0, 1, 2], 3), 5);
-        m.take_events();
         let mut out = Sink::new();
         m.receive(&mut out, ProcessId(1), msg, 6);
         assert_eq!((m.ver(), m.mgr(), m.view().len()), (3, ProcessId(0), 3));
         assert!(out.is_empty());
-        assert!(m.take_events().is_empty());
     }
 
     #[test]

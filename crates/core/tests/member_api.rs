@@ -1,8 +1,8 @@
 //! Public inspection API of `Member`: the surface a downstream user builds
 //! failure-detection services on.
 
-use gmp_core::{cluster, Config, Lifecycle, Member};
-use gmp_types::{Op, ProcessId, View};
+use gmp_core::{cluster, Config, Lifecycle, Member, MemberEvent};
+use gmp_types::{FaultySource, Note, Op, ProcessId, QuitReason, View};
 
 #[test]
 fn initial_member_state() {
@@ -78,5 +78,67 @@ fn faulty_set_drains_as_exclusions_commit() {
             0,
             "{p} still holds a pending suspicion"
         );
+    }
+}
+
+/// `MemberEvent::of` reads each of the three consumer notes with its
+/// fields, and no other note.
+#[test]
+fn each_consumer_note_maps_with_its_fields_and_no_other_does() {
+    let (p0, p1, p3) = (ProcessId(0), ProcessId(1), ProcessId(3));
+    let mapped = [
+        (
+            Note::ViewInstalled {
+                ver: 2,
+                members: vec![p0, p3].into(),
+                mgr: p0,
+            },
+            MemberEvent::ViewInstalled {
+                ver: 2,
+                members: vec![p0, p3],
+                mgr: p0,
+            },
+        ),
+        (
+            Note::Faulty {
+                suspect: p1,
+                source: FaultySource::HiFaultyInference,
+            },
+            MemberEvent::PeerSuspected {
+                peer: p1,
+                source: FaultySource::HiFaultyInference,
+            },
+        ),
+        (
+            Note::Quit {
+                reason: QuitReason::NoMajority { got: 1, needed: 2 },
+            },
+            MemberEvent::Quit {
+                reason: QuitReason::NoMajority { got: 1, needed: 2 },
+            },
+        ),
+    ];
+    for (note, event) in mapped {
+        assert_eq!(MemberEvent::of(&note), Some(event), "{note}");
+    }
+    let unmapped = [
+        Note::Operating { id: p1 },
+        Note::OpApplied {
+            op: Op::remove(p1),
+            ver: 1,
+        },
+        Note::BecameMgr { ver: 1 },
+        Note::ReconfStarted { from_ver: 1 },
+        Note::Isolated { from: p1 },
+        Note::JoinRequested { joiner: p3 },
+        Note::ObservedView {
+            ver: 1,
+            members: vec![p0].into(),
+            mgr: p0,
+        },
+        Note::Custom("x".into()),
+    ];
+    for note in unmapped {
+        assert_eq!(MemberEvent::of(&note), None, "{note}");
     }
 }

@@ -298,7 +298,7 @@ mod tests {
         let mut c = ticked();
         let mut out = Sink::new();
         for now in [12, 20] {
-            let reply = LogMsg::Reply { seq: 1, slot: 0 };
+            let reply = LogMsg::Reply { seq: 1 };
             c.receive(&mut out, ProcessId(0), reply, now);
         }
         assert_eq!(c.latencies(), [7]);

@@ -38,20 +38,20 @@ impl LogCmd {
 ///
 /// The floor invariant: every slot `< floor` is committed (decided and
 /// applied) at the snapshot's producer, and `clients` holds the dedup
-/// high-water mark — the last committed `(seq, slot)` — of every client
-/// with a command anywhere in `[0, floor)` *or* in the producer's applied
-/// suffix (carrying the suffix marks too costs nothing and lets receivers
-/// adopt the map wholesale). Client sequence numbers commit in order per
-/// client (FIFO links, see the module docs of [`crate::replica`]), so one
-/// `(seq, slot)` pair per client is a complete dedup summary.
+/// high-water mark — the last committed `seq` — of every client with a
+/// command anywhere in `[0, floor)` *or* in the producer's applied suffix
+/// (carrying the suffix marks too costs nothing and lets receivers adopt
+/// the map wholesale). Client sequence numbers commit in order per client
+/// (FIFO links, see the module docs of [`crate::replica`]), so one `seq`
+/// per client is a complete dedup summary.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     /// First slot *not* covered: everything below is committed and
     /// summarized here.
     pub floor: u64,
-    /// Per-client dedup high-water marks `(client, last seq, its slot)`,
-    /// sorted by client id.
-    pub clients: Vec<(ProcessId, u64, u64)>,
+    /// Per-client dedup high-water marks `(client, last seq)`, sorted by
+    /// client id.
+    pub clients: Vec<(ProcessId, u64)>,
 }
 
 /// Body of [`LogMsg::RecoverOk`]: an acceptor's report to a new leader.
@@ -105,12 +105,10 @@ pub enum LogMsg {
         /// The replica's current leader belief (its view's `Mgr`).
         leader: ProcessId,
     },
-    /// Leader → client: the command with this `seq` committed into `slot`.
+    /// Leader → client: the command with this `seq` committed.
     Reply {
         /// Echo of the client's request counter.
         seq: u64,
-        /// The log position the command occupies.
-        slot: u64,
     },
     /// Leader → acceptors: accept `cmds` into the contiguous slot range
     /// starting at `first_slot`, at `ballot`. A batch of one is how a

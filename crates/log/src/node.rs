@@ -5,26 +5,51 @@
 //! handler's [`Ctx`], which is an `Out<Msg>` and an `Out<LogMsg>` at once:
 //! `AppMsg` converts from both, so each layer's sends are wrapped in their
 //! envelope as the context applies them. Membership messages and timers
-//! go to the [`Member`]'s entry points unchanged; after *every* member
-//! step the replica feeds the drained
-//! [`MemberEvent`](gmp_core::MemberEvent)s to the log, so the log's
-//! effects follow the member's. Timer tags route by value: the membership
-//! layer owns tags 1–3, the client loop uses its own, and [`LOG_FLUSH`] is
-//! the log's batch-coalescing flush.
+//! go to the [`Member`]'s entry points through a small sink, `Tap`, that
+//! forwards every effect to the context and keeps the [`MemberEvent`] of
+//! each note. After *every* member step the replica feeds those events to
+//! the log, so the log's effects follow the member's. Timer tags route by
+//! value: the membership layer owns tags 1–3, the client loop uses its
+//! own, and [`LOG_FLUSH`] is the log's batch-coalescing flush.
 
 use crate::client::Client;
 use crate::msg::AppMsg;
 use crate::replica::{ReplicatedLog, LOG_FLUSH};
-use gmp_core::Member;
-use gmp_sim::{Ctx, Node};
-use gmp_types::ProcessId;
+use gmp_core::{Member, MemberEvent, Msg};
+use gmp_sim::{Ctx, Node, Out, Time};
+use gmp_types::{Note, ProcessId};
 
 /// A group member with a replicated log riding on its views.
 pub struct Replica {
     /// The membership layer.
     pub member: Member,
-    /// The log layer, subscribed to the member's events.
+    /// The log layer, fed the events of the member's notes.
     pub log: ReplicatedLog,
+}
+
+/// The sink a replica steps its member through: every effect goes on to
+/// the context, and the events the log reads are kept from the notes —
+/// also once the context discards effects, after a quit or a crash cut
+/// the step short, so the log still hears of the transition.
+struct Tap<'t, 'c> {
+    ctx: &'t mut Ctx<'c, AppMsg>,
+    events: Vec<MemberEvent>,
+}
+
+impl Out<Msg> for Tap<'_, '_> {
+    fn send(&mut self, to: ProcessId, msg: Msg) {
+        self.ctx.send(to, msg.into());
+    }
+    fn set_timer(&mut self, delay: Time, tag: u64) {
+        self.ctx.set_timer(delay, tag);
+    }
+    fn note(&mut self, note: Note) {
+        self.events.extend(MemberEvent::of(&note));
+        self.ctx.note(note);
+    }
+    fn quit(&mut self) {
+        self.ctx.quit();
+    }
 }
 
 impl Replica {
@@ -33,11 +58,16 @@ impl Replica {
         Replica { member, log }
     }
 
-    /// After a member step: its events into the log, in order. Member
-    /// handlers only ever *push* events, and the log only ever *consumes*
-    /// them, so one pass settles everything.
-    fn pump(&mut self, ctx: &mut Ctx<'_, AppMsg>) {
-        for ev in self.member.take_events() {
+    /// One member step through a `Tap`, then the events of its notes
+    /// into the log, in order. The log never steps the member, so one
+    /// pass settles everything.
+    fn step(&mut self, ctx: &mut Ctx<'_, AppMsg>, call: impl FnOnce(&mut Member, &mut Tap)) {
+        let mut tap = Tap {
+            ctx,
+            events: Vec::new(),
+        };
+        call(&mut self.member, &mut tap);
+        for ev in tap.events {
             self.log.step_event(ctx, ev, ctx.now());
         }
     }
@@ -88,8 +118,8 @@ impl Node<AppMsg> for LogProc {
         match self {
             LogProc::Replica(r) => {
                 r.log.bind(ctx.id());
-                r.member.start(ctx, ctx.id(), ctx.now());
-                r.pump(ctx);
+                let (me, now) = (ctx.id(), ctx.now());
+                r.step(ctx, |m, tap| m.start(tap, me, now));
             }
             LogProc::Client(c) => c.start(ctx, ctx.id()),
         }
@@ -98,8 +128,8 @@ impl Node<AppMsg> for LogProc {
     fn on_message(&mut self, ctx: &mut Ctx<'_, AppMsg>, from: ProcessId, msg: AppMsg) {
         match (self, msg) {
             (LogProc::Replica(r), AppMsg::Gmp(m)) => {
-                r.member.receive(ctx, from, m, ctx.now());
-                r.pump(ctx);
+                let now = ctx.now();
+                r.step(ctx, |member, tap| member.receive(tap, from, m, now));
             }
             (LogProc::Replica(r), AppMsg::Log(m)) => r.log.step_message(ctx, from, m, ctx.now()),
             (LogProc::Client(c), AppMsg::Log(m)) => c.receive(ctx, from, m, ctx.now()),
@@ -113,8 +143,8 @@ impl Node<AppMsg> for LogProc {
             // belongs to the membership layer.
             LogProc::Replica(r) if tag == LOG_FLUSH => r.log.step_flush(ctx, ctx.now()),
             LogProc::Replica(r) => {
-                r.member.fire(ctx, tag, ctx.now());
-                r.pump(ctx);
+                let now = ctx.now();
+                r.step(ctx, |m, tap| m.fire(tap, tag, now));
             }
             LogProc::Client(c) => c.fire(ctx, tag, ctx.now()),
         }

@@ -7,9 +7,8 @@ use super::*;
 
 impl ReplicatedLog {
     /// Advances the compaction floor once the applied suffix above it
-    /// exceeds twice the keep budget, pruning `by_cmd` below the new
-    /// floor. The 2× hysteresis makes the amortized cost O(1) per applied
-    /// slot.
+    /// exceeds twice the keep budget. The 2× hysteresis keeps the floor
+    /// from moving on every applied slot.
     pub(super) fn maybe_compact(&mut self) {
         if self.compact_keep == usize::MAX {
             return;
@@ -18,19 +17,14 @@ impl ReplicatedLog {
         if len - self.floor <= 2 * self.compact_keep as u64 {
             return;
         }
-        let new_floor = len - self.compact_keep as u64;
-        self.by_cmd.retain(|_, s| *s >= new_floor);
-        self.floor = new_floor;
+        self.floor = len - self.compact_keep as u64;
     }
 
-    /// Raises `client`'s dedup high-water mark to `(seq, slot)` unless it
-    /// already stands higher. ≥, not >: a snapshot may have pre-adopted
-    /// this very mark.
-    pub(super) fn raise_mark(&mut self, client: ProcessId, seq: u64, slot: u64) {
-        let mark = self.client_hwm.entry(client).or_insert((seq, slot));
-        if seq >= mark.0 {
-            *mark = (seq, slot);
-        }
+    /// Raises `client`'s dedup high-water mark to `seq` unless it already
+    /// stands higher: a snapshot may have pre-adopted a later mark.
+    pub(super) fn raise_mark(&mut self, client: ProcessId, seq: u64) {
+        let mark = self.client_hwm.entry(client).or_insert(seq);
+        *mark = (*mark).max(seq);
     }
 
     /// The compacted summary of everything below the floor: the floor plus
@@ -38,11 +32,7 @@ impl ReplicatedLog {
     fn snapshot(&self) -> Snapshot {
         Snapshot {
             floor: self.floor,
-            clients: self
-                .client_hwm
-                .iter()
-                .map(|(&c, &(seq, slot))| (c, seq, slot))
-                .collect(),
+            clients: self.client_hwm.iter().map(|(&c, &seq)| (c, seq)).collect(),
         }
     }
 
@@ -51,8 +41,8 @@ impl ReplicatedLog {
     /// applied vectors at it (the pruned prefix is summarized, not lost —
     /// that is the floor invariant).
     pub(super) fn install_snapshot(&mut self, snap: Snapshot) {
-        for (client, seq, slot) in snap.clients {
-            self.raise_mark(client, seq, slot);
+        for (client, seq) in snap.clients {
+            self.raise_mark(client, seq);
         }
         if snap.floor > self.logical_len() {
             self.committed.clear();
@@ -60,7 +50,6 @@ impl ReplicatedLog {
             self.applied_at.clear();
             self.base = snap.floor;
             self.slots.truncate_below(snap.floor);
-            self.by_cmd.retain(|_, s| *s >= snap.floor);
         }
         self.floor = self.floor.max(snap.floor);
     }

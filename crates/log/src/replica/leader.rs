@@ -17,8 +17,8 @@ pub(super) struct LeaderState {
     queue: VecDeque<LogCmd>,
     /// Leader-side dedup: mirror of `queue` ∪ `in_flight`, a hash set so a
     /// request is one probe. Entries leave when their command is learned;
-    /// committed dedup is `by_cmd` and the per-client high-water marks, so
-    /// this set stays window-sized.
+    /// committed dedup is the per-client high-water marks, so this set
+    /// stays window-sized.
     pub(super) admitted: IntSet<LogCmd>,
     /// Proposed, awaiting a quorum of acks: the command per slot, whose
     /// mark `r` is the ack of view rank `r` (the leader counts itself
@@ -115,11 +115,11 @@ impl ReplicatedLog {
             }
             return;
         }
-        if let Some(slot) = self.committed_slot_of(&cmd) {
+        if self.is_committed(&cmd) {
             // Committed duplicate (client re-sent across a failover the
-            // first reply did not survive): answer from the log above the
-            // floor, or from the client's high-water mark below it.
-            out.send(client, LogMsg::Reply { seq: cmd.seq, slot });
+            // first reply did not survive): answer from the client's
+            // high-water mark.
+            out.send(client, LogMsg::Reply { seq: cmd.seq });
             return;
         }
         let lead = self.lead.as_mut().expect("leader checked above");
@@ -139,18 +139,12 @@ impl ReplicatedLog {
         }
     }
 
-    /// The committed slot of `cmd`, if it committed: exact from `by_cmd`
-    /// above the floor, else inferred from the client's high-water mark
-    /// (`seq ≤ mark` ⇔ committed; the mark's slot stands in for the
-    /// pruned exact slot — clients match replies by `seq` alone).
-    pub(super) fn committed_slot_of(&self, cmd: &LogCmd) -> Option<u64> {
-        if let Some(&slot) = self.by_cmd.get(cmd) {
-            return Some(slot);
-        }
-        match self.client_hwm.get(&cmd.client) {
-            Some(&(seq, slot)) if seq >= cmd.seq => Some(slot),
-            _ => None,
-        }
+    /// True once `cmd` committed here: `seq ≤ mark` ⇔ committed, because
+    /// each client's commands commit in `seq` order.
+    pub(super) fn is_committed(&self, cmd: &LogCmd) -> bool {
+        self.client_hwm
+            .get(&cmd.client)
+            .is_some_and(|&seq| seq >= cmd.seq)
     }
 
     /// Collects one acceptor's phase-1 report for the running round: its
@@ -213,7 +207,7 @@ impl ReplicatedLog {
         // retried to us while we probed), or one a decide from an older
         // ballot committed meanwhile. Either way proposing the queued twin
         // would commit it a second time.
-        queue.retain(|c| !plan.contains(c) && self.committed_slot_of(c).is_none());
+        queue.retain(|c| !plan.contains(c) && !self.is_committed(c));
         let lead = self.lead.as_mut().expect("leading");
         let proposed = plan.iter().filter(|c| !c.is_noop());
         lead.admitted = queue.iter().chain(proposed).copied().collect();
@@ -229,8 +223,8 @@ impl ReplicatedLog {
         // have lost its reply with the crash. One reply per known client
         // (its high-water mark) unsticks any such client immediately;
         // completed clients ignore it by seq.
-        for (&client, &(seq, slot)) in &self.client_hwm {
-            out.send(client, LogMsg::Reply { seq, slot });
+        for (&client, &seq) in &self.client_hwm {
+            out.send(client, LogMsg::Reply { seq });
         }
         self.propose_queued(out);
     }
@@ -339,9 +333,9 @@ impl ReplicatedLog {
                 cmds: cmds.clone(),
             });
         }
-        for &(slot, cmd) in &decided {
+        for &(_, cmd) in &decided {
             if !cmd.is_noop() {
-                out.send(cmd.client, LogMsg::Reply { seq: cmd.seq, slot });
+                out.send(cmd.client, LogMsg::Reply { seq: cmd.seq });
             }
         }
         self.propose_queued(out);

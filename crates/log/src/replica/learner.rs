@@ -64,14 +64,12 @@ impl ReplicatedLog {
             decided: true,
         }) = self.slots.get(self.logical_len())
         {
-            let slot = self.logical_len();
-            self.slots.remove(slot);
+            self.slots.remove(self.logical_len());
             self.committed.push(cmd);
             self.ballots.push(ballot);
             self.applied_at.push(self.now);
             if !cmd.is_noop() {
-                self.by_cmd.insert(cmd, slot);
-                self.raise_mark(cmd.client, cmd.seq, slot);
+                self.raise_mark(cmd.client, cmd.seq);
             }
         }
         self.maybe_compact();

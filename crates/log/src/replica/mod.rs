@@ -54,9 +54,10 @@
 //! ballot). The leader's in-flight proposals are a second window whose
 //! slots carry their ack set as a bitmask over view ranks, a slot leaving
 //! it the moment it reaches quorum; the recovery round collects reports
-//! in a third. The two command-keyed dedup tables (`by_cmd`, the leader's
-//! `admitted`) are hash tables: they are only probed, never iterated on a
-//! path that emits a message.
+//! in a third. The one command-keyed table, the leader's `admitted` set,
+//! is a hash set: it is only probed, never iterated on a path that emits
+//! a message. Committed commands are deduplicated by the per-client
+//! high-water marks alone (see Compaction).
 //!
 //! # Batching and pipelining
 //!
@@ -78,14 +79,14 @@
 //!
 //! Replicas maintain a **compaction floor**, `base ≤ floor ≤
 //! logical_len`: every slot below it is committed and summarized by a
-//! [`Snapshot`] — the floor itself plus one `(last seq, slot)` dedup
-//! high-water mark per client. The mark is a complete dedup
-//! summary because links are FIFO and the leader proposes in admission
-//! order, so each client's sequence numbers commit in monotone order:
-//! `seq ≤ mark` ⇔ committed. Once `logical_len - floor > 2·compact_keep`,
-//! the floor advances to `logical_len - compact_keep` and `by_cmd` — the
-//! one per-slot table that outlives application — is pruned below it; the
-//! window needs no pruning, it ends where the applied prefix begins.
+//! [`Snapshot`] — the floor itself plus one `last seq` dedup high-water
+//! mark per client. The mark is a complete dedup summary because links
+//! are FIFO and the leader proposes in admission order, so each client's
+//! sequence numbers commit in monotone order: `seq ≤ mark` ⇔ committed,
+//! above the floor and below it alike. Once `logical_len - floor >
+//! 2·compact_keep`, the floor advances to `logical_len - compact_keep`;
+//! nothing is pruned, since the window ends where the applied prefix
+//! begins and the marks are one per client.
 //! Joiner `Sync` below the floor answers with snapshot + tail (O(tail),
 //! not O(log)); a snapshot-booted replica starts its applied vectors at
 //! `base = snapshot.floor` instead of 0.
@@ -123,7 +124,7 @@ mod learner;
 use crate::msg::{LogCmd, LogMsg, RecoverOkBody, Snapshot, SyncOkBody};
 use crate::window::{SlotWindow, MAX_SPAN};
 use gmp_core::MemberEvent;
-use gmp_sim::{Effect, IntMap, IntSet, Out, Time};
+use gmp_sim::{Effect, IntSet, Out, Time};
 use gmp_types::{ProcessId, Ver};
 use leader::LeaderState;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -152,7 +153,8 @@ fn slot_range(first: u64, len: usize) -> Option<std::ops::Range<u64>> {
 
 /// The per-process replicated-log state machine. Embed one next to a
 /// [`Member`](gmp_core::Member) (the [`Replica`](crate::Replica) node does
-/// this) and feed it the member's drained events plus incoming [`LogMsg`]s.
+/// this) and feed it the events of the member's notes plus incoming
+/// [`LogMsg`]s.
 #[derive(Clone, Debug)]
 pub struct ReplicatedLog {
     me: ProcessId,
@@ -181,13 +183,10 @@ pub struct ReplicatedLog {
     /// Compaction floor: every slot below is committed and summarized by
     /// the per-client high-water marks. `base ≤ floor ≤ logical_len`.
     floor: u64,
-    /// Slot of each applied client command at slot ≥ `floor` (exact
-    /// duplicate replies above the floor; the marks answer below it).
-    by_cmd: IntMap<LogCmd, u64>,
-    /// Per-client dedup high-water mark: `client → (last committed seq,
-    /// its slot)`. Complete because per-client seqs commit in order.
-    /// Ordered: the failover re-reply walks it onto the wire.
-    client_hwm: BTreeMap<ProcessId, (u64, u64)>,
+    /// Per-client dedup high-water mark: `client → last committed seq`.
+    /// Complete because per-client seqs commit in order. Ordered: the
+    /// failover re-reply walks it onto the wire.
+    client_hwm: BTreeMap<ProcessId, u64>,
     /// Processes the membership layer currently suspects.
     suspected: BTreeSet<ProcessId>,
     /// Leader-only state, while this process is `Mgr`.
@@ -236,7 +235,6 @@ impl ReplicatedLog {
             ballots: Vec::new(),
             applied_at: Vec::new(),
             floor: 0,
-            by_cmd: IntMap::default(),
             client_hwm: BTreeMap::new(),
             suspected: BTreeSet::new(),
             lead: None,
@@ -298,13 +296,14 @@ impl ReplicatedLog {
     }
 
     /// Sizes of the prunable hot state, for memory-bound assertions:
-    /// `(accepted, parked, by_cmd, client marks)` — window entries, the
-    /// decided ones among them, exact dedup entries, per-client marks.
+    /// `(accepted, parked, admitted, client marks)` — window entries, the
+    /// decided ones among them, the leader's admitted-command set (0 on a
+    /// follower), per-client marks.
     pub fn hot_sizes(&self) -> (usize, usize, usize, usize) {
         (
             self.slots.len(),
             self.slots.range_from(0).filter(|(_, e)| e.decided).count(),
-            self.by_cmd.len(),
+            self.lead.as_ref().map_or(0, |lead| lead.admitted.len()),
             self.client_hwm.len(),
         )
     }
@@ -392,12 +391,11 @@ impl ReplicatedLog {
     }
 
     /// Feeds one membership transition. The hosting node calls this with
-    /// everything `Member::take_events` drained, in order.
+    /// the events of each member step's notes, in order.
     pub fn step_event(&mut self, out: &mut impl Out<LogMsg>, ev: MemberEvent, now: Time) {
         self.now = now;
         match ev {
-            MemberEvent::ViewInstalled { ver, members, mgr }
-            | MemberEvent::Welcomed { ver, members, mgr } => {
+            MemberEvent::ViewInstalled { ver, members, mgr } => {
                 let welcomed = !self.active;
                 self.active = true;
                 self.view = members;
@@ -433,9 +431,8 @@ impl ReplicatedLog {
                 self.active = false;
                 self.lead = None;
             }
-            // The matching ViewInstalled follows a `PeerExcluded` with the
-            // new view; `MemberEvent` is non_exhaustive, and future kinds
-            // don't concern the log until someone teaches it otherwise.
+            // `MemberEvent` is non_exhaustive, and future kinds don't
+            // concern the log until someone teaches it otherwise.
             _ => {}
         }
         #[cfg(debug_assertions)]
@@ -648,7 +645,7 @@ mod tests {
         let out = sends(&mut sink);
         assert!(out
             .iter()
-            .any(|(to, m)| *to == ProcessId(9) && matches!(m, LogMsg::Reply { seq: 0, slot: 0 })));
+            .any(|(to, m)| *to == ProcessId(9) && matches!(m, LogMsg::Reply { seq: 0 })));
         assert_eq!(log.committed(), &[cmd(9, 0)]);
         assert_eq!(log.committed_ops(), 1);
     }
@@ -747,7 +744,7 @@ mod tests {
         let out = sends(&mut sink);
         assert!(matches!(
             out.as_slice(),
-            [(ProcessId(9), LogMsg::Reply { seq: 0, slot: 0 })]
+            [(ProcessId(9), LogMsg::Reply { seq: 0 })]
         ));
         assert_eq!(log.committed().len(), 1);
     }
@@ -1013,24 +1010,28 @@ mod tests {
         // Floor advances by `keep` each time the suffix exceeds 2·keep:
         // trigger at len 9 → 5, 14 → 10, 19 → 15.
         assert_eq!(log.floor(), 15);
-        let (acc, parked, by_cmd, hwm) = log.hot_sizes();
+        let (acc, parked, admitted, hwm) = log.hot_sizes();
         assert_eq!(acc, 0, "the window holds nothing applied");
         assert_eq!(parked, 0);
-        assert_eq!(by_cmd, 5, "only slots ≥ floor keep exact entries");
+        assert_eq!(admitted, 0, "every admitted command was learned");
         assert_eq!(hwm, 1, "one mark per client");
-        // A duplicate far below the floor still answers — from the mark
-        // (slot is best-effort; clients match replies by seq).
+        // A duplicate far below the floor, and one above it, answer from
+        // the mark and are not proposed again.
         let mut log = log;
-        log.step_message(
-            &mut sink,
-            ProcessId(9),
-            LogMsg::Request { cmd: cmd(9, 3) },
-            30,
-        );
-        assert!(matches!(
-            sends(&mut sink).as_slice(),
-            [(ProcessId(9), LogMsg::Reply { seq: 3, slot: 19 })]
-        ));
+        for seq in [3, 17] {
+            log.step_message(
+                &mut sink,
+                ProcessId(9),
+                LogMsg::Request { cmd: cmd(9, seq) },
+                30,
+            );
+            let out = sends(&mut sink);
+            assert!(
+                matches!(out.as_slice(), [(ProcessId(9), LogMsg::Reply { seq: s })] if *s == seq),
+                "{out:?}"
+            );
+        }
+        assert_eq!(log.committed_ops(), 20);
         // …while a fresh command is admitted normally.
         log.step_message(
             &mut sink,
@@ -1062,7 +1063,7 @@ mod tests {
         };
         assert_eq!(*from, 15);
         assert_eq!(snap.floor, 15);
-        assert_eq!(snap.clients, vec![(ProcessId(9), 19, 19)]);
+        assert_eq!(snap.clients, vec![(ProcessId(9), 19)]);
         assert_eq!(entries.len(), 5, "O(tail), not O(log)");
         // A fresh replica boots from it: vectors restart at the floor.
         let mut joiner = ReplicatedLog::with_tuning(8, 1, usize::MAX);
@@ -1083,8 +1084,8 @@ mod tests {
         assert_eq!(joiner.committed().len(), 5);
         assert_eq!(joiner.last_sync(), Some((true, 5)));
         // The adopted marks dedup below its base.
-        assert_eq!(joiner.committed_slot_of(&cmd(9, 2)), Some(19));
-        assert_eq!(joiner.committed_slot_of(&cmd(9, 20)), None);
+        assert!(joiner.is_committed(&cmd(9, 2)));
+        assert!(!joiner.is_committed(&cmd(9, 20)));
     }
 
     #[test]
@@ -1347,9 +1348,8 @@ mod tests {
         recover_ok_empty(&mut log, &mut sink, 2, 1, 11);
         let out = sends(&mut sink);
         assert!(
-            out.iter().any(
-                |(to, m)| *to == ProcessId(9) && matches!(m, LogMsg::Reply { seq: 0, slot: 0 })
-            ),
+            out.iter()
+                .any(|(to, m)| *to == ProcessId(9) && matches!(m, LogMsg::Reply { seq: 0 })),
             "recovery completion re-replies the client's high-water mark"
         );
     }

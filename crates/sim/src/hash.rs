@@ -1,6 +1,6 @@
 //! A multiplicative hasher for the program's integer-keyed tables.
 //!
-//! `gmp-log`'s command tables are probed once or more per command, and
+//! `gmp-log`'s admitted-command set is probed once or more per command, and
 //! `NetState`'s link blocks and delay overrides (`(u32, u32)` keys) once
 //! per send; those two stay empty unless an experiment sets a link. (The
 //! engine's per-send FIFO clamp is not hashed: it lives in per-sender
@@ -53,7 +53,7 @@ impl Hasher for IntHasher {
 /// A `HashMap` over [`IntHasher`]. Its iteration order is arbitrary: keep
 /// it away from anything a run's output depends on.
 pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
-/// A `HashSet` over [`IntHasher`]; same caveat as [`IntMap`].
+/// A `HashSet` over [`IntHasher`]; same caveat as `IntMap`.
 pub type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
 #[cfg(test)]

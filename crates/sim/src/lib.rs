@@ -98,7 +98,7 @@ mod hash;
 mod queue;
 
 pub use engine::{Builder, NodeStatus, Sim};
-pub use hash::{IntHasher, IntMap, IntSet};
+pub use hash::{IntHasher, IntSet};
 pub use net::BlockMode;
 pub use node::{Ctx, Effect, Message, Node, Out};
 pub use stats::{Stats, Summary};

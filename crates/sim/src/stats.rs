@@ -57,13 +57,15 @@ impl Eq for TagCounts {}
 /// messages itself, and heartbeats / reports / state transfer are excluded
 /// by tag filtering (see `EXPERIMENTS.md` for the counting convention).
 ///
-/// Equality compares every counter, so two runs with equal `Stats` sent,
-/// delivered, dropped and held exactly the same per-tag message counts —
-/// the comparison the parallel-vs-sequential determinism tests rest on.
+/// Deliveries are not counted here: each one is a `Recv` in the trace.
+///
+/// Equality compares every counter, so two runs with equal `Stats` sent
+/// exactly the same per-tag message counts and dropped and held the same
+/// numbers — the comparison the parallel-vs-sequential determinism tests
+/// rest on.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Stats {
     sends: TagCounts,
-    delivered: TagCounts,
     /// Messages addressed to a crashed or quit process.
     pub dropped_dead_receiver: u64,
     /// Messages dropped by a severed link.
@@ -78,19 +80,9 @@ impl Stats {
         self.sends.bump(tag);
     }
 
-    #[inline]
-    pub(crate) fn record_delivery(&mut self, tag: &'static str) {
-        self.delivered.bump(tag);
-    }
-
     /// Number of messages sent with the given tag.
     pub fn sends(&self, tag: &str) -> u64 {
         self.sends.get(tag)
-    }
-
-    /// Number of messages delivered with the given tag.
-    pub fn delivered(&self, tag: &str) -> u64 {
-        self.delivered.get(tag)
     }
 
     /// Total messages sent across all tags.
@@ -186,11 +178,9 @@ mod tests {
         s.record_send("a");
         s.record_send("a");
         s.record_send("b");
-        s.record_delivery("a");
         assert_eq!(s.sends("a"), 2);
         assert_eq!(s.sends("b"), 1);
         assert_eq!(s.sends("c"), 0);
-        assert_eq!(s.delivered("a"), 1);
         assert_eq!(s.sends_total(), 3);
         assert_eq!(s.sends_matching(|t| t == "a"), 2);
         let pairs: Vec<_> = s.send_counts().collect();
@@ -202,11 +192,9 @@ mod tests {
         let (mut a, mut b) = (Stats::default(), Stats::default());
         for tag in ["x", "y", "y"] {
             a.record_send(tag);
-            a.record_delivery(tag);
         }
         for tag in ["y", "x", "y"] {
             b.record_send(tag);
-            b.record_delivery(tag);
         }
         assert_eq!(a, b, "same per-tag counts");
         b.record_send("x");
@@ -214,8 +202,8 @@ mod tests {
         a.record_send("z");
         assert_ne!(a, b, "equal totals, different tags");
         let mut c = a.clone();
-        c.record_delivery("x");
-        assert_ne!(a, c, "delivered counts compare too");
+        c.held += 1;
+        assert_ne!(a, c, "the drop and hold counters compare too");
     }
 
     #[test]

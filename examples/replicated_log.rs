@@ -45,17 +45,17 @@ fn main() {
     for &p in &survivors {
         let node = sim.node(p);
         let (m, l) = (node.member(), node.log());
-        let (accepted, _, by_cmd, _) = l.hot_sizes();
+        let (accepted, _, admitted, _) = l.hot_sizes();
         println!(
             "  {} -> view v{} ({} members), {} committed ops, floor {} \
-             ({} accepted / {} dedup entries hot){}",
+             ({} accepted / {} admitted hot){}",
             p,
             m.ver(),
             m.view().len(),
             l.committed_ops(),
             l.floor(),
             accepted,
-            by_cmd,
+            admitted,
             if l.is_leader() { "  [leader]" } else { "" }
         );
     }

@@ -54,24 +54,33 @@ proptest! {
     // failures replay from proptest-regressions/.
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Across the whole (seed, n, batch, window) knob space: replica
-    /// logs stay prefix-identical, every client's committed commands are
-    /// a gapless in-order prefix of its issue stream (exactly-once, no
-    /// reordering), and no client acks more than committed.
+    /// Across the whole (seed, n, batch, window, compaction, leader
+    /// crash) knob space: replica logs stay prefix-identical, every
+    /// client's committed commands are a gapless in-order prefix of its
+    /// issue stream (exactly-once, no reordering), and no client acks more
+    /// than committed. A small compaction budget puts the floor close
+    /// behind the applied length, so the duplicates a failover's retries
+    /// send land both above and below it.
     #[test]
     fn batched_log_safe_across_knob_space(
         seed in 0u64..500,
         n in 3usize..=5,
         batch in 1usize..=16,
         window in 1usize..=8,
+        keep in 0usize..3,
+        crash in proptest::bool::ANY,
     ) {
         let clients = 2usize;
         let horizon = 6_000u64;
         let lc = LogConfig::default()
             .batch(batch)
             .window(window)
-            .max_inflight(batch.max(8));
+            .max_inflight(batch.max(8))
+            .compact_keep([8, 64, usize::MAX][keep]);
         let mut seq = build(n, clients, seed, lc, None);
+        if crash {
+            seq.crash_at(ProcessId(0), horizon / 2);
+        }
         seq.run_until(horizon);
 
         let logs = replica_logs(&seq);
@@ -135,10 +144,9 @@ fn pipelining_multiplies_committed_throughput() {
 fn hot_state_stays_bounded_on_long_runs() {
     // With compaction on, the per-slot state (the window above the
     // applied prefix, reported as its entries and the decided ones among
-    // them, and `by_cmd`) and the per-client marks must stay flat no
-    // matter how long the run: everything below the floor is summarized,
-    // and the floor chases the applied length. Without pruning, by_cmd
-    // alone would hold one entry per committed command (thousands here).
+    // them), the leader's admitted commands and the per-client marks must
+    // stay flat no matter how long the run: everything below the floor is
+    // summarized, and the floor chases the applied length.
     let keep = 64usize;
     let clients = 2usize;
     let lc = LogConfig::default().batch(8).window(4).compact_keep(keep);
@@ -152,11 +160,11 @@ fn hot_state_stays_bounded_on_long_runs() {
             "{pid:?}: run too short to exercise compaction"
         );
         assert!(log.floor() > 0, "{pid:?}: floor never advanced");
-        let (accepted, parked, by_cmd, hwm) = log.hot_sizes();
+        let (accepted, parked, admitted, hwm) = log.hot_sizes();
         let bound = 2 * keep + 64;
         assert!(accepted <= bound, "{pid:?}: accepted grew to {accepted}");
         assert!(parked <= bound, "{pid:?}: parked grew to {parked}");
-        assert!(by_cmd <= bound, "{pid:?}: by_cmd grew to {by_cmd}");
+        assert!(admitted <= bound, "{pid:?}: admitted grew to {admitted}");
         assert_eq!(hwm, clients, "{pid:?}: per-client marks leaked");
     }
 }

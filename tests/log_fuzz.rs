@@ -50,7 +50,7 @@ fn cmd() -> impl Strategy<Value = LogCmd> {
 }
 
 fn snapshot() -> impl Strategy<Value = Option<Snapshot>> {
-    let clients = vec((id(), edge(), edge()), 0..3);
+    let clients = vec((id(), edge()), 0..3);
     (proptest::bool::ANY, edge(), clients)
         .prop_map(|(some, floor, clients)| some.then_some(Snapshot { floor, clients }))
 }
@@ -80,7 +80,7 @@ fn message() -> impl Strategy<Value = LogMsg> {
                     cmd: cmds.first().copied().unwrap_or(LogCmd::NOOP),
                 },
                 1 => LogMsg::Redirect { leader },
-                2 => LogMsg::Reply { seq: n, slot },
+                2 => LogMsg::Reply { seq: n },
                 3 => LogMsg::AcceptBatch {
                     ballot,
                     first_slot: slot,
@@ -113,7 +113,7 @@ fn message() -> impl Strategy<Value = LogMsg> {
 }
 
 fn event() -> impl Strategy<Value = MemberEvent> {
-    (0u8..6, edge(), vec(id(), 0..5), id()).prop_map(|(kind, ver, mut members, peer)| {
+    (0u8..4, edge(), vec(id(), 0..5), id()).prop_map(|(kind, ver, mut members, peer)| {
         // Half the views are given the log's own id; the rest hold it
         // only if it was drawn.
         if peer.0 % 2 == 0 {
@@ -130,16 +130,10 @@ fn event() -> impl Strategy<Value = MemberEvent> {
                 members,
                 mgr: ME,
             },
-            2 => MemberEvent::Welcomed {
-                ver,
-                members,
-                mgr: peer,
-            },
-            3 => MemberEvent::PeerSuspected {
+            2 => MemberEvent::PeerSuspected {
                 peer,
                 source: FaultySource::Observation,
             },
-            4 => MemberEvent::PeerExcluded { peer, ver },
             _ => MemberEvent::Quit {
                 reason: QuitReason::Excluded,
             },
@@ -159,7 +153,7 @@ fn input() -> impl Strategy<Value = (u64, Input)> {
 }
 
 /// A log bound to `ME` in a view of `p0..p{n-1}`: a follower of p0, the
-/// leader, or a joiner that p0 just welcomed.
+/// leader, or a joiner that p0 just welcomed (its first view is v1).
 fn started(start: u8, n: u32, tuning: (usize, usize, usize)) -> ReplicatedLog {
     let (max_inflight, batch, keep) = tuning;
     let mut log = ReplicatedLog::with_tuning(max_inflight, batch, keep);
@@ -176,7 +170,7 @@ fn started(start: u8, n: u32, tuning: (usize, usize, usize)) -> ReplicatedLog {
             members,
             mgr: ME,
         },
-        _ => MemberEvent::Welcomed {
+        _ => MemberEvent::ViewInstalled {
             ver: 1,
             members,
             mgr: ProcessId(0),

@@ -1,21 +1,40 @@
-//! The [`MemberEvent`] queue contract (`crates/core/src/event.rs`):
-//! every event kind is exercised against a golden scenario family —
-//! crash-only, join-bearing, sparse-topology, partition — and the event
-//! stream of every process is pinned identical between two replays of
-//! the same proptest-sampled schedule.
+//! The membership events a consumer reads (`crates/core/src/event.rs`),
+//! stated over the notes in each process's trace history: every event
+//! kind is exercised against a golden scenario family — crash-only,
+//! join-bearing, sparse-topology, partition — and the event stream that
+//! [`MemberEvent::of`] reads off every process's notes is pinned identical
+//! between two replays of the same proptest-sampled schedule.
 
 use gmp::prelude::*;
 use gmp::protocol::{Msg, Sparse};
-use gmp::sim::Sim;
-use gmp::types::{FaultySource, QuitReason};
+use gmp::sim::{Sim, TraceKind};
+use gmp::types::{FaultySource, Note, OpKind, QuitReason};
 use proptest::prelude::*;
 
-/// Drains every process's queue after a finished run, keyed by pid.
-fn drain_all(sim: &mut Sim<Msg, Member>) -> Vec<(ProcessId, Vec<MemberEvent>)> {
-    let pids: Vec<ProcessId> = (0..sim.trace().n as u32).map(ProcessId).collect();
-    pids.into_iter()
-        .map(|p| (p, sim.node_mut(p).take_events()))
+/// The notes in `p`'s history, in order.
+fn notes(sim: &Sim<Msg, Member>, p: ProcessId) -> Vec<&Note> {
+    let history = sim.trace().history(p);
+    history
+        .filter_map(|e| match &e.kind {
+            TraceKind::Note(note) => Some(&**note),
+            _ => None,
+        })
         .collect()
+}
+
+/// Every process's events, read off its notes, keyed by pid.
+fn events_of_all(sim: &Sim<Msg, Member>) -> Vec<(ProcessId, Vec<MemberEvent>)> {
+    let pids = (0..sim.trace().n as u32).map(ProcessId);
+    pids.map(|p| {
+        let events = notes(sim, p).into_iter().filter_map(MemberEvent::of);
+        (p, events.collect())
+    })
+    .collect()
+}
+
+/// True for the note that applies the removal of `victim`.
+fn removes(note: &Note, victim: ProcessId) -> bool {
+    matches!(note, Note::OpApplied { op, .. } if op.kind == OpKind::Remove && op.target == victim)
 }
 
 #[test]
@@ -25,44 +44,41 @@ fn crash_scenario_emits_the_full_exclusion_arc() {
     sim.run_until(10_000);
 
     for p in sim.living() {
-        let events = sim.node_mut(p).take_events();
+        let notes = notes(&sim, p);
 
         // The initial view is announced first, before anything else.
         assert!(
             matches!(
-                &events[0],
-                MemberEvent::ViewInstalled { ver: 0, members, mgr }
+                notes[0],
+                Note::ViewInstalled { ver: 0, members, mgr }
                     if members.len() == 5 && *mgr == ProcessId(0)
             ),
-            "{p}: first event is not the initial install: {:?}",
-            events[0]
+            "{p}: first note is not the initial install: {}",
+            notes[0]
         );
 
         // Suspicion precedes the exclusion (GMP-1), and the exclusion is
         // immediately followed by its matching install without the victim.
-        let suspected = events.iter().position(
-            |e| matches!(e, MemberEvent::PeerSuspected { peer, .. } if *peer == ProcessId(4)),
-        );
-        let excluded = events.iter().position(
-            |e| matches!(e, MemberEvent::PeerExcluded { peer, ver: 1 } if *peer == ProcessId(4)),
-        );
+        let suspected = notes
+            .iter()
+            .position(|n| matches!(n, Note::Faulty { suspect, .. } if *suspect == ProcessId(4)));
+        let excluded = notes
+            .iter()
+            .position(|n| removes(n, ProcessId(4)) && matches!(n, Note::OpApplied { ver: 1, .. }));
         let (suspected, excluded) = (
-            suspected.unwrap_or_else(|| panic!("{p}: no PeerSuspected for p4")),
-            excluded.unwrap_or_else(|| panic!("{p}: no PeerExcluded for p4")),
+            suspected.unwrap_or_else(|| panic!("{p}: no Faulty note for p4")),
+            excluded.unwrap_or_else(|| panic!("{p}: no removal of p4 at v1")),
         );
         assert!(suspected < excluded, "{p}: exclusion before suspicion");
         assert!(
             matches!(
-                &events[excluded + 1],
-                MemberEvent::ViewInstalled { ver: 1, members, .. }
+                notes[excluded + 1],
+                Note::ViewInstalled { ver: 1, members, .. }
                     if !members.contains(&ProcessId(4))
             ),
             "{p}: exclusion not followed by its install: {:?}",
-            events.get(excluded + 1)
+            notes.get(excluded + 1)
         );
-
-        // The queue drains: a second take is empty.
-        assert!(sim.node_mut(p).take_events().is_empty());
     }
 }
 
@@ -74,41 +90,41 @@ fn join_scenario_welcomes_the_joiner_and_installs_everywhere_else() {
         .build();
     sim.run_until(10_000);
 
-    // The joiner's first event is `Welcomed`, taking the place of the
-    // initial install, and it carries the joiner itself.
+    // The joiner's first note is the install of its welcome, which takes
+    // the place of the initial install and carries the joiner itself.
     let joiner = ProcessId(5);
-    let events = sim.node_mut(joiner).take_events();
+    let notes = notes(&sim, joiner);
     assert!(
         matches!(
-            &events[0],
-            MemberEvent::Welcomed { ver, members, .. }
+            notes[0],
+            Note::ViewInstalled { ver, members, .. }
                 if *ver >= 1 && members.contains(&joiner)
         ),
-        "joiner's first event is not Welcomed: {:?}",
-        events.first()
+        "joiner's first note is not its welcome: {:?}",
+        notes.first()
     );
     assert!(
-        !events
+        !notes
             .iter()
-            .any(|e| matches!(e, MemberEvent::ViewInstalled { ver: 0, .. })),
+            .any(|n| matches!(n, Note::ViewInstalled { ver: 0, .. })),
         "a joiner never sees the founding view"
     );
 
     // Every original member announces the join as a plain install (an
     // addition excludes no one).
     for p in (0..5).map(ProcessId) {
-        let events = sim.node_mut(p).take_events();
+        let notes = self::notes(&sim, p);
         assert!(
-            events.iter().any(|e| matches!(
-                e,
-                MemberEvent::ViewInstalled { members, .. } if members.contains(&joiner)
+            notes.iter().any(|n| matches!(
+                n,
+                Note::ViewInstalled { members, .. } if members.contains(&joiner)
             )),
             "{p}: no install carrying the joiner"
         );
         assert!(
-            !events
+            !notes
                 .iter()
-                .any(|e| matches!(e, MemberEvent::PeerExcluded { .. })),
+                .any(|n| matches!(n, Note::OpApplied { op, .. } if op.kind == OpKind::Remove)),
             "{p}: a pure join excluded someone"
         );
     }
@@ -117,7 +133,7 @@ fn join_scenario_welcomes_the_joiner_and_installs_everywhere_else() {
 #[test]
 fn sparse_topology_delivers_suspicion_by_relay() {
     // A 4-regular ring of 12: the victim's non-neighbours cannot observe
-    // the timeout themselves (F1) — their suspicion events must carry the
+    // the timeout themselves (F1) — their suspicion notes must carry the
     // gossip source (F2), relayed hop by hop across the graph.
     let mut sim = cluster_with(12, 77, Config::builder().topology(Sparse::new(4)).build());
     let victim = ProcessId(11);
@@ -127,9 +143,9 @@ fn sparse_topology_delivers_suspicion_by_relay() {
     let mut observed = 0usize;
     let mut gossiped = 0usize;
     for p in sim.living() {
-        let events = sim.node_mut(p).take_events();
-        let source = events.iter().find_map(|e| match e {
-            MemberEvent::PeerSuspected { peer, source } if *peer == victim => Some(*source),
+        let notes = notes(&sim, p);
+        let source = notes.iter().find_map(|n| match n {
+            Note::Faulty { suspect, source } if *suspect == victim => Some(*source),
             _ => None,
         });
         match source.unwrap_or_else(|| panic!("{p}: never suspected the victim")) {
@@ -138,10 +154,7 @@ fn sparse_topology_delivers_suspicion_by_relay() {
             other => panic!("{p}: unexpected suspicion source {other:?}"),
         }
         assert!(
-            events.iter().any(|e| matches!(
-                e,
-                MemberEvent::PeerExcluded { peer, .. } if *peer == victim
-            )),
+            notes.iter().any(|n| removes(n, victim)),
             "{p}: relay never turned into an exclusion"
         );
     }
@@ -155,7 +168,7 @@ fn partitioned_initiators_quit_without_a_majority() {
     // {p0, p1} split from the majority: p0 (the Mgr) keeps initiating and
     // quits when it cannot assemble a majority (§4.3); p1 then suspects
     // the silent p0, initiates itself, and runs out of majority too. Quit
-    // is terminal — it is each queue's last event.
+    // is terminal — it is each history's last note.
     let mut sim = cluster(7, 5);
     let minority = [ProcessId(0), ProcessId(1)];
     let majority: Vec<ProcessId> = (2..7).map(ProcessId).collect();
@@ -163,27 +176,23 @@ fn partitioned_initiators_quit_without_a_majority() {
     sim.run_until(25_000);
 
     for &p in &minority {
-        let events = sim.node_mut(p).take_events();
-        match events.last() {
-            Some(MemberEvent::Quit {
+        match notes(&sim, p).last() {
+            Some(Note::Quit {
                 reason: QuitReason::NoMajority { got, needed },
             }) => {
                 assert!(got < needed, "{p}: quit with a majority in hand");
             }
-            other => panic!("{p}: last event is not a NoMajority Quit: {other:?}"),
+            other => panic!("{p}: last note is not a NoMajority Quit: {other:?}"),
         }
     }
 
-    // The majority excluded both and heard about it as events.
+    // The majority excluded both and recorded it.
     for &p in &majority {
-        let events = sim.node_mut(p).take_events();
+        let notes = notes(&sim, p);
         for victim in minority {
             assert!(
-                events.iter().any(|e| matches!(
-                    e,
-                    MemberEvent::PeerExcluded { peer, .. } if *peer == victim
-                )),
-                "{p}: no exclusion event for {victim}"
+                notes.iter().any(|n| removes(n, victim)),
+                "{p}: no exclusion of {victim}"
             );
         }
     }
@@ -192,33 +201,33 @@ fn partitioned_initiators_quit_without_a_majority() {
 #[test]
 fn slandered_member_quits_excluded_and_the_injection_is_sourced() {
     // A spurious suspicion planted through the `testing` hook: the
-    // injector's event carries `FaultySource::Injected`, the group
+    // injector's note carries `FaultySource::Injected`, the group
     // excludes the (perfectly alive) suspect under GMP-5, and the suspect
-    // — learning of its own exclusion — emits a terminal `Excluded` quit.
+    // — learning of its own exclusion — records a terminal `Excluded` quit.
     let mut sim = cluster(5, 13);
     sim.run_until(500);
     sim.node_mut(ProcessId(1)).inject_suspicion(ProcessId(4));
     sim.run_until(12_000);
 
-    let injector = sim.node_mut(ProcessId(1)).take_events();
+    let injector = notes(&sim, ProcessId(1));
     assert!(
-        injector.iter().any(|e| matches!(
-            e,
-            MemberEvent::PeerSuspected { peer, source: FaultySource::Injected }
-                if *peer == ProcessId(4)
+        injector.iter().any(|n| matches!(
+            n,
+            Note::Faulty { suspect, source: FaultySource::Injected }
+                if *suspect == ProcessId(4)
         )),
         "injector's suspicion does not carry the Injected source"
     );
 
-    let suspect = sim.node_mut(ProcessId(4)).take_events();
+    let suspect = notes(&sim, ProcessId(4));
     assert!(
         matches!(
             suspect.last(),
-            Some(MemberEvent::Quit {
+            Some(Note::Quit {
                 reason: QuitReason::Excluded
             })
         ),
-        "slandered member's last event is not an Excluded quit: {:?}",
+        "slandered member's last note is not an Excluded quit: {:?}",
         suspect.last()
     );
 }
@@ -242,13 +251,13 @@ proptest! {
         };
         let mut first = build();
         first.run_until(12_000);
-        let reference = drain_all(&mut first);
+        let reference = events_of_all(&first);
         prop_assert!(
             reference.iter().any(|(_, evs)| !evs.is_empty()),
             "run produced no events at all"
         );
         let mut again = build();
         again.run_until(12_000);
-        prop_assert_eq!(drain_all(&mut again), reference, "event stream diverged on replay");
+        prop_assert_eq!(events_of_all(&again), reference, "event stream diverged on replay");
     }
 }

@@ -9,14 +9,15 @@
 //!   invariant check at the end of every entry point (a round awaits only
 //!   other members, and the faulty and monitoring sets stay in the view);
 //! - nothing follows `Effect::Quit` in the sink;
-//! - no `MemberEvent` follows `MemberEvent::Quit`.
+//! - the one `Note::Quit` is the effect just before it, so no note that
+//!   `MemberEvent::of` maps follows the quit event.
 
 use gmp::protocol::{
-    CommitBody, Config, HeartbeatDigest, InterrogateOkBody, JoinConfig, Lifecycle, Member,
-    MemberEvent, Msg, ObserveConfig, ReconfBody, Sparse, ViewUpdateBody, WelcomeBody,
+    CommitBody, Config, HeartbeatDigest, InterrogateOkBody, JoinConfig, Lifecycle, Member, Msg,
+    ObserveConfig, ReconfBody, Sparse, ViewUpdateBody, WelcomeBody,
 };
 use gmp::sim::Effect;
-use gmp::types::{NextEntry, Op, OpKind, ProcessId, Ver};
+use gmp::types::{NextEntry, Note, Op, OpKind, ProcessId, Ver};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -159,26 +160,24 @@ proptest! {
     ) {
         let mut m = started(lifecycle, n, shift % n, knobs);
         let mut out: Vec<Effect<Msg>> = Vec::new();
-        let (mut now, mut quit) = (0, false);
+        let mut now = 0;
         for (dt, input) in inputs {
             now += dt;
             match input {
                 Input::Msg(from, msg) => m.receive(&mut out, from, msg, now),
                 Input::Timer(tag) => m.fire(&mut out, tag, now),
             }
-            let events = m.take_events();
-            prop_assert!(!quit || events.is_empty(), "events after Quit: {events:?}");
-            if let Some(i) = events.iter().position(|e| matches!(e, MemberEvent::Quit { .. })) {
-                prop_assert_eq!(i + 1, events.len(), "events after Quit: {:?}", events);
-                quit = true;
-            }
         }
         let quits: Vec<usize> = (0..out.len()).filter(|&i| matches!(out[i], Effect::Quit)).collect();
+        let noted: Vec<usize> = (0..out.len())
+            .filter(|&i| matches!(out[i], Effect::Note(Note::Quit { .. })))
+            .collect();
         match quits[..] {
-            [] => prop_assert!(!quit && m.lifecycle() != Lifecycle::Stopped),
+            [] => prop_assert!(noted.is_empty() && m.lifecycle() != Lifecycle::Stopped),
             [q] => {
                 prop_assert_eq!(q + 1, out.len(), "effects after Quit: {:?}", &out[q..]);
-                prop_assert!(quit && m.lifecycle() == Lifecycle::Stopped);
+                prop_assert!(q >= 1 && noted == [q - 1], "quit notes at {:?}", noted);
+                prop_assert!(m.lifecycle() == Lifecycle::Stopped);
             }
             _ => prop_assert!(false, "{} quits", quits.len()),
         }

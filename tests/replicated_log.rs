@@ -177,3 +177,18 @@ fn new_leader_re_replies_for_recovered_slots() {
         "the lost reply was never re-sent by the new leader"
     );
 }
+
+/// The leader cut off into a minority quits (§4.3), and its log hears of
+/// the quit: it neither leads nor serves once the member is gone.
+#[test]
+fn a_leader_that_quits_stops_leading() {
+    let mut sim = log_cluster(5, 2, 11);
+    let minority = [ProcessId(0), ProcessId(1)];
+    let majority = [2, 3, 4, 5, 6].map(ProcessId);
+    sim.partition_at(&[&minority, &majority], 2_000);
+    sim.run_until(12_000);
+    let old = sim.node(ProcessId(0));
+    assert_eq!(old.member().lifecycle(), Lifecycle::Stopped);
+    assert!(!old.log().is_leader(), "the quit leader still leads");
+    assert!(sim.node(ProcessId(2)).log().is_leader(), "p2 took over");
+}
