@@ -6,9 +6,12 @@
 //! replicated log, a lock service, a router — must learn about membership
 //! *transitions*, not poll state. The member records each transition once,
 //! as a trace [`Note`] emitted through its sink; [`MemberEvent::of`] reads
-//! the three a consumer reacts to off that note stream. A host that wants
-//! events steps the member through a sink that forwards every effect and
-//! keeps `MemberEvent::of` of each note (`gmp-log`'s `Replica` does this).
+//! the two a consumer reacts to off that note stream: the agreed views and
+//! the local quit. A raw suspicion (`Note::Faulty`) is not one of them: it
+//! is a single process's belief, and a consumer waits for the view that
+//! agrees on it. A host that wants events steps the member through a sink
+//! that forwards every effect and keeps `MemberEvent::of` of each note
+//! (`gmp-log`'s `Replica` does this).
 //!
 //! # Contract
 //!
@@ -26,12 +29,13 @@
 //! the `ViewInstalled` without the excluded peer: the consumer that needs
 //! either tells it from its own state.
 
-use gmp_types::{FaultySource, Note, ProcessId, QuitReason, Ver};
+use gmp_types::{Note, ProcessId, QuitReason, Ver};
 
 /// A membership transition observed by the local process, for consumers
 /// layered on top of the group: the note kinds [`MemberEvent::of`] maps.
+/// The enum is exhaustive on purpose: a new kind fails to compile in
+/// every consumer until that consumer decides what it means.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum MemberEvent {
     /// A view was installed: the initial view at start (`ver == 0`), a
     /// joiner's welcome, or an agreed membership operation committed
@@ -46,16 +50,6 @@ pub enum MemberEvent {
         /// Coordinator (`Mgr`) of the installed view.
         mgr: ProcessId,
     },
-    /// This process began believing `peer` faulty (`faulty_p(q)`, §2.2) —
-    /// by its own timeout (F1), by gossip (F2), by the `HiFaulty`
-    /// inference, or injected by a test. The exclusion has *not* committed
-    /// yet; a `ViewInstalled` without `peer` follows once it does.
-    PeerSuspected {
-        /// The newly suspected process.
-        peer: ProcessId,
-        /// What produced the belief.
-        source: FaultySource,
-    },
     /// This process left the group for good (`quit_p`, §2.1): excluded by
     /// the others, or resigned after losing the `Mgr` majority. Terminal —
     /// no further events follow.
@@ -67,18 +61,14 @@ pub enum MemberEvent {
 
 impl MemberEvent {
     /// The event `note` records, if it is one a consumer reads:
-    /// `ViewInstalled` (its members copied out of the shared list),
-    /// `Faulty` as `PeerSuspected`, and `Quit`. Every other note is `None`.
+    /// `ViewInstalled` (its members copied out of the shared list) and
+    /// `Quit`. Every other note, `Faulty` included, is `None`.
     pub fn of(note: &Note) -> Option<MemberEvent> {
         Some(match note {
             Note::ViewInstalled { ver, members, mgr } => MemberEvent::ViewInstalled {
                 ver: *ver,
                 members: members.to_vec(),
                 mgr: *mgr,
-            },
-            Note::Faulty { suspect, source } => MemberEvent::PeerSuspected {
-                peer: *suspect,
-                source: *source,
             },
             Note::Quit { reason } => MemberEvent::Quit {
                 reason: reason.clone(),

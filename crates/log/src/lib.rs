@@ -10,7 +10,11 @@
 //!   can only be `Mgr`s of different versions, and the higher version's
 //!   promise wins);
 //! * **reconfiguration** — view installs *are* the configuration changes;
-//!   [`MemberEvent`](gmp_core::MemberEvent)s deliver them to the log.
+//!   [`MemberEvent`](gmp_core::MemberEvent)s deliver them to the log;
+//! * **failure detection** — the log reads only the group's agreed output.
+//!   A raw suspicion never reaches it: a new leader's recovery waits for
+//!   every member of the view it leads, and the view that excludes a
+//!   crashed member starts a new round without it.
 //!
 //! What remains is the steady-state phase 2 — one per-range path
 //! (`AcceptBatch`/`AcceptOkRange`/`DecideBatch`), a single command being a

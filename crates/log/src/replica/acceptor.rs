@@ -37,15 +37,21 @@ impl ReplicatedLog {
         }
     }
 
-    /// Records an accepted entry. Below the applied prefix the slot is
-    /// already final here, and so is a parked decision: both are left
-    /// alone and still acked (decided ⊇ accepted). False — do not ack —
-    /// only when the window refuses a slot absurdly far from the rest.
+    /// Records an accepted entry; false means do not ack. A slot this
+    /// replica knows decided (applied, or decided and parked) is final: it
+    /// is left alone and acked only when `cmd` is the decided command, so
+    /// an ack never vouches for a value that contradicts a decision. Below
+    /// `base` the decided command is gone (a snapshot summarizes it), so
+    /// such a slot is acked unchecked. False also when the window refuses
+    /// a slot absurdly far from the rest.
     pub(super) fn accept(&mut self, slot: u64, ballot: Ver, cmd: LogCmd) -> bool {
-        if slot < self.logical_len() || self.slots.get(slot).is_some_and(|e| e.decided) {
+        if slot < self.base {
             return true;
         }
-        self.store(slot, ballot, cmd, false)
+        match self.decided(slot) {
+            Some(decided) => decided == cmd,
+            None => self.store(slot, ballot, cmd, false),
+        }
     }
 
     /// Answers a `Recover` probe: promise the ballot and report everything

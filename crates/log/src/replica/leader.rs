@@ -58,15 +58,17 @@ impl ReplicatedLog {
     /// Starts (or restarts) leading at `ballot`. Re-entered on *every*
     /// view install that leaves us `Mgr`: the recovery round is idempotent
     /// and re-proposing at the newest ballot is exactly what un-wedges
-    /// slots whose quorum died mid-accept.
+    /// slots whose quorum died mid-accept. The round awaits a `RecoverOk`
+    /// from every other member of the view: one that crashed holds it
+    /// until the view that excludes it installs and re-enters here.
     pub(super) fn become_leader(&mut self, out: &mut impl Out<LogMsg>, ballot: Ver) {
         // Keep admitted-but-unserved client work across re-elections.
         let queue = self.lead.take().map(|prev| prev.queue).unwrap_or_default();
         let admitted = queue.iter().copied().collect();
-        let pending: BTreeSet<ProcessId> = self
+        let pending = self
             .view
             .iter()
-            .filter(|&&p| p != self.me && !self.suspected.contains(&p))
+            .filter(|&&p| p != self.me)
             .copied()
             .collect();
         let from = self.logical_len();
@@ -83,8 +85,7 @@ impl ReplicatedLog {
             }),
         });
         self.broadcast(out, || LogMsg::Recover { ballot, from });
-        // A solitary (or fully-suspicious) leader recovers from its own
-        // accepted set alone.
+        // A solitary leader recovers from its own accepted set alone.
         self.finish_recovery_if_ready(out);
     }
 
@@ -166,16 +167,7 @@ impl ReplicatedLog {
         for (slot, b, cmd) in body.entries {
             rec.adopt(slot, b, cmd);
         }
-        self.stop_awaiting(out, from);
-    }
-
-    /// Stops awaiting `peer`'s recovery report — it answered, or it is
-    /// suspected and never will — and finishes the round if that was the
-    /// last one.
-    pub(super) fn stop_awaiting(&mut self, out: &mut impl Out<LogMsg>, peer: ProcessId) {
-        if let Some(rec) = self.lead.as_mut().and_then(|l| l.recovery.as_mut()) {
-            rec.pending.remove(&peer);
-        }
+        rec.pending.remove(&from);
         self.finish_recovery_if_ready(out);
     }
 

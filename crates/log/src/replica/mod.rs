@@ -10,7 +10,6 @@
 //! | leader | the view's coordinator `Mgr` |
 //! | quorum | the view majority (`⌊n/2⌋ + 1`) |
 //! | leader election / phase 1 trigger | [`MemberEvent::ViewInstalled`] |
-//! | failure notice | [`MemberEvent::PeerSuspected`] |
 //!
 //! The steady state is phase-2-only: the leader assigns slots in order and
 //! broadcasts accepts; a view-majority of acks (the leader counts itself)
@@ -30,7 +29,7 @@
 //! | file | role | handlers |
 //! |---|---|---|
 //! | `mod.rs` | — | the struct, accessors, `step_event`/`step_message`/`step_flush`, `store`, `check_invariants` |
-//! | `leader.rs` | leader (proposer) | `become_leader`, `on_request`, `on_recover_ok`, `stop_awaiting`, `finish_recovery_if_ready`, `propose_queued`, `propose_batch`, `count_acks`, `decide_slots` |
+//! | `leader.rs` | leader (proposer) | `become_leader`, `on_request`, `on_recover_ok`, `finish_recovery_if_ready`, `propose_queued`, `propose_batch`, `count_acks`, `decide_slots` |
 //! | `acceptor.rs` | acceptor | `on_accept`, `accept`, `on_recover` |
 //! | `learner.rs` | replica (learner) | `on_decide`, `on_sync_ok`, `learn_and_apply`, `learn`, `apply_contiguous` |
 //! | `compact.rs` | compaction and catch-up | `maybe_compact`, `raise_mark`, `snapshot`, `install_snapshot`, `catch_up`, `on_sync` |
@@ -47,9 +46,9 @@
 //! `ballots`, `applied_at` — covering `[base, logical_len)`, and
 //! everything above is one `SlotWindow` of `(ballot, cmd, decided)`
 //! entries: an accept writes an entry, a decision marks it (a decided
-//! entry is final — later accepts leave it alone), and applying pops the
-//! window's front onto the vectors. The window therefore never holds an
-//! applied slot; `Recover` and `Sync` answer for those from the vectors
+//! entry is final — later accepts leave it alone, and are acked only when
+//! they carry the decided command), and applying pops the window's front
+//! onto the vectors. The window therefore never holds an applied slot; `Recover` and `Sync` answer for those from the vectors
 //! (decided ⊇ accepted, so the deciding ballot is a valid accepted
 //! ballot). The leader's in-flight proposals are a second window whose
 //! slots carry their ack set as a bitmask over view ranks, a slot leaving
@@ -93,18 +92,34 @@
 //!
 //! On every view install where this process is `Mgr` it (re)runs the
 //! **recovery round** — multipaxos phase 1 at ballot = the new view
-//! version: ask every view member for accepted entries above the
-//! committed prefix, adopt the highest-ballot value per slot, fill true
-//! gaps with no-ops, and re-propose the lot before serving new client
-//! traffic. That is what makes leader failover safe: anything the dead
-//! leader may have committed survives in the accepted sets of a majority,
-//! and the new view (minus the excluded members) still intersects it
-//! whenever the group itself stayed a majority — the same bound the
-//! membership layer already lives under (Fig. 8's `μ_Mgr`). On completing
-//! recovery the new leader also re-sends each client's high-water
-//! `Reply`: a command decided under the dead leader may have lost its
-//! reply with the crash, and the re-reply is what unsticks that client
-//! without waiting for its retry sweep.
+//! version: ask every other view member for its accepted entries above
+//! the committed prefix, wait until *each* of them has answered, adopt the
+//! highest-ballot value per slot, fill true gaps with no-ops, and
+//! re-propose the lot before serving new client traffic. The log reads
+//! only the group's agreed output, the installed views; a raw suspicion
+//! never reaches it.
+//!
+//! *Safety* rests on recovery hearing a whole agreed view, so at least a
+//! majority of it. Anything the dead leader may have committed survives
+//! in the accepted sets of a majority of its view, and the new view
+//! (minus the excluded members) still intersects that majority whenever
+//! the group itself stayed a majority — the same bound the membership
+//! layer already lives under (Fig. 8's `μ_Mgr`). So the round reads every
+//! decided value and re-proposes it; and an acceptor that knows a slot
+//! decided acks a proposal for it only when it carries the decided
+//! command, so no ack ever vouches for a contradiction.
+//!
+//! *Liveness* rests on GMP-5: a suspicion ends with the suspect or its
+//! observer out of the view. A member that crashes during the round never
+//! answers, and the round holds until a view without it installs; that
+//! install re-enters the round at the new ballot over the smaller view
+//! (or hands the lead on, if the leader was the one excluded). Neither
+//! argument depends on when anyone suspects anyone.
+//!
+//! On completing recovery the new leader also re-sends each client's
+//! high-water `Reply`: a command decided under the dead leader may have
+//! lost its reply with the crash, and the re-reply is what unsticks that
+//! client without waiting for its retry sweep.
 //!
 //! The state machine is sans-IO like [`Member`](gmp_core::Member): its
 //! entry points ([`step_event`](ReplicatedLog::step_event),
@@ -187,8 +202,6 @@ pub struct ReplicatedLog {
     /// Complete because per-client seqs commit in order. Ordered: the
     /// failover re-reply walks it onto the wire.
     client_hwm: BTreeMap<ProcessId, u64>,
-    /// Processes the membership layer currently suspects.
-    suspected: BTreeSet<ProcessId>,
     /// Leader-only state, while this process is `Mgr`.
     lead: Option<LeaderState>,
     /// Max in-flight slots before client commands wait in the queue.
@@ -236,7 +249,6 @@ impl ReplicatedLog {
             applied_at: Vec::new(),
             floor: 0,
             client_hwm: BTreeMap::new(),
-            suspected: BTreeSet::new(),
             lead: None,
             max_inflight,
             batch_max,
@@ -293,6 +305,17 @@ impl ReplicatedLog {
     /// One past the last applied slot (`base + committed().len()`).
     pub fn logical_len(&self) -> u64 {
         self.base + self.committed.len() as u64
+    }
+
+    /// The command this replica knows was decided at `slot`: applied, or
+    /// decided and parked above the applied prefix. `None` when the slot is
+    /// undecided here or lies below [`base`](Self::base).
+    pub fn decided(&self, slot: u64) -> Option<LogCmd> {
+        if slot < self.logical_len() {
+            let i = slot.checked_sub(self.base)?;
+            return Some(self.committed[i as usize]);
+        }
+        self.slots.get(slot).filter(|e| e.decided).map(|e| e.cmd)
     }
 
     /// Sizes of the prunable hot state, for memory-bound assertions:
@@ -401,7 +424,6 @@ impl ReplicatedLog {
                 self.view = members;
                 self.promised = self.promised.max(ver);
                 self.leader = Some(mgr);
-                self.suspected.retain(|p| self.view.contains(p));
                 if mgr == self.me {
                     self.become_leader(out, ver);
                 } else {
@@ -419,21 +441,11 @@ impl ReplicatedLog {
                     }
                 }
             }
-            MemberEvent::PeerSuspected { peer, .. } => {
-                // A suspect will never answer. (In-flight accepts keep
-                // counting toward the *view* majority — the next view
-                // install re-proposes them if the quorum died.)
-                self.suspected.insert(peer);
-                self.stop_awaiting(out, peer);
-            }
             MemberEvent::Quit { .. } => {
                 // An armed flush stays armed: nothing cancels its timer.
                 self.active = false;
                 self.lead = None;
             }
-            // `MemberEvent` is non_exhaustive, and future kinds don't
-            // concern the log until someone teaches it otherwise.
-            _ => {}
         }
         #[cfg(debug_assertions)]
         self.check_invariants();
@@ -525,20 +537,16 @@ mod tests {
             .collect()
     }
 
-    fn view3() -> Vec<ProcessId> {
-        vec![ProcessId(0), ProcessId(1), ProcessId(2)]
+    /// View `ver` of `members`, led by `mgr`.
+    fn view(ver: Ver, members: impl IntoIterator<Item = u32>, mgr: u32) -> MemberEvent {
+        let members = members.into_iter().map(ProcessId).collect();
+        let mgr = ProcessId(mgr);
+        MemberEvent::ViewInstalled { ver, members, mgr }
     }
 
+    /// Installs view `ver` of p0..p2, led by `mgr`, at time 0.
     fn installed(log: &mut ReplicatedLog, out: &mut Sink, ver: Ver, mgr: u32) {
-        log.step_event(
-            out,
-            MemberEvent::ViewInstalled {
-                ver,
-                members: view3(),
-                mgr: ProcessId(mgr),
-            },
-            0,
-        );
+        log.step_event(out, view(ver, [0, 1, 2], mgr), 0);
     }
 
     fn cmd(client: u32, seq: u64) -> LogCmd {
@@ -674,6 +682,31 @@ mod tests {
         ));
     }
 
+    /// A decided slot is final at its acceptor: a proposal for it is acked
+    /// only when it carries the decided command, whether the slot is
+    /// applied (0) or decided and parked behind a hole (2).
+    #[test]
+    fn an_acceptor_acks_a_decided_slot_only_for_its_command() {
+        let mut sink = Sink::new();
+        let mut log = follower();
+        let (old, new) = (ProcessId(0), ProcessId(2));
+        for slot in [0, 2] {
+            log.step_message(&mut sink, old, decide_one(0, slot, cmd(9, slot)), 5);
+        }
+        for slot in [0, 2] {
+            let (decided, other) = (cmd(9, slot), cmd(8, slot));
+            log.step_message(&mut sink, new, accept_one(1, slot, other), 6);
+            assert!(sends(&mut sink).is_empty(), "slot {slot}: acked {other:?}");
+            log.step_message(&mut sink, new, accept_one(1, slot, decided), 7);
+            let out = sends(&mut sink);
+            let [(to, LogMsg::AcceptOkRange { first_slot, .. })] = out[..] else {
+                panic!("slot {slot}: expected one ack, got {out:?}");
+            };
+            assert_eq!((to, first_slot), (new, slot));
+            assert_eq!(log.decided(slot), Some(decided));
+        }
+    }
+
     #[test]
     fn recovery_adopts_highest_ballot_and_fills_gaps() {
         let mut sink = Sink::new();
@@ -685,16 +718,7 @@ mod tests {
         sink.clear();
         log.step_message(&mut sink, ProcessId(0), accept_one(0, 1, cmd(9, 1)), 5);
         sink.clear();
-        let members = vec![ProcessId(1), ProcessId(2)];
-        log.step_event(
-            &mut sink,
-            MemberEvent::ViewInstalled {
-                ver: 1,
-                members,
-                mgr: ProcessId(1),
-            },
-            10,
-        );
+        log.step_event(&mut sink, view(1, [1, 2], 1), 10);
         sink.clear();
         // The peer reports a higher-ballot value for slot 1 — adopted.
         log.step_message(
@@ -980,15 +1004,7 @@ mod tests {
         let mut sink = Sink::new();
         let mut log = ReplicatedLog::with_tuning(8, 1, keep);
         log.bind(ProcessId(0));
-        log.step_event(
-            &mut sink,
-            MemberEvent::ViewInstalled {
-                ver: 0,
-                members: vec![ProcessId(0)],
-                mgr: ProcessId(0),
-            },
-            0,
-        );
+        log.step_event(&mut sink, view(0, [0], 0), 0);
         sink.clear();
         for s in 0..ops {
             log.step_message(
@@ -1068,15 +1084,7 @@ mod tests {
         // A fresh replica boots from it: vectors restart at the floor.
         let mut joiner = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         joiner.bind(ProcessId(5));
-        joiner.step_event(
-            &mut sink,
-            MemberEvent::ViewInstalled {
-                ver: 1,
-                members: vec![ProcessId(0), ProcessId(5)],
-                mgr: ProcessId(0),
-            },
-            41,
-        );
+        joiner.step_event(&mut sink, view(1, [0, 5], 0), 41);
         sink.clear();
         joiner.step_message(&mut sink, ProcessId(0), out[0].1.clone(), 42);
         assert_eq!(joiner.base(), 15);
@@ -1128,14 +1136,7 @@ mod tests {
     fn batched_leader(n: u32, batch_max: usize) -> ReplicatedLog {
         let mut log = ReplicatedLog::with_tuning(8, batch_max, usize::MAX);
         log.bind(ProcessId(0));
-        log.on_member_event(
-            MemberEvent::ViewInstalled {
-                ver: 0,
-                members: (0..n).map(ProcessId).collect(),
-                mgr: ProcessId(0),
-            },
-            0,
-        );
+        log.on_member_event(view(0, 0..n, 0), 0);
         for p in 1..n {
             log.on_message(ProcessId(p), recover_ok(0, vec![]), 1);
         }
@@ -1279,15 +1280,7 @@ mod tests {
             5,
         );
         sink.clear();
-        p2.step_event(
-            &mut sink,
-            MemberEvent::ViewInstalled {
-                ver: 1,
-                members: vec![ProcessId(1), ProcessId(2)],
-                mgr: ProcessId(2),
-            },
-            10,
-        );
+        p2.step_event(&mut sink, view(1, [1, 2], 2), 10);
         let probe = sends(&mut sink);
         assert!(matches!(
             probe.as_slice(),
@@ -1328,6 +1321,59 @@ mod tests {
     // Failover fixes
     // ------------------------------------------------------------------
 
+    /// Five replicas. p0 decides `c9` at slot 0 with p2's and p3's acks,
+    /// and only those two learn the decision. Then v1 = {p1..p4} installs,
+    /// and p1 leads it while client 8's `c8` waits in its queue. p4's empty
+    /// report alone, a minority of v1, must not let p1 propose (`c8` would
+    /// take slot 0); once every v1 member has answered, p1 adopts `c9`.
+    #[test]
+    fn recovery_hears_every_view_member_before_proposing() {
+        let (c9, c8) = (cmd(9, 0), cmd(8, 0));
+        let mut sink = Sink::new();
+        let mut logs: Vec<ReplicatedLog> = (0..5)
+            .map(|p| {
+                let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
+                log.bind(ProcessId(p));
+                log.step_event(&mut sink, view(0, 0..5, 0), 0);
+                log
+            })
+            .collect();
+        for p in 1..5 {
+            recover_ok_empty(&mut logs[0], &mut sink, p, 0, 1);
+        }
+        logs[0].step_message(&mut sink, ProcessId(9), LogMsg::Request { cmd: c9 }, 2);
+        sink.clear();
+        for p in [2, 3] {
+            logs[p].step_message(&mut sink, ProcessId(0), accept_one(0, 0, c9), 3);
+            let [(_, ack)] = &sends(&mut sink)[..] else {
+                panic!("one ack")
+            };
+            logs[0].step_message(&mut sink, ProcessId(p as u32), ack.clone(), 4);
+        }
+        assert_eq!(logs[0].committed(), &[c9]);
+        sink.clear();
+        for p in [2, 3] {
+            logs[p].step_message(&mut sink, ProcessId(0), decide_one(0, 0, c9), 5);
+        }
+        for log in &mut logs[1..] {
+            log.step_event(&mut sink, view(1, 1..5, 1), 10);
+        }
+        logs[1].step_message(&mut sink, ProcessId(8), LogMsg::Request { cmd: c8 }, 11);
+        let probe = sends(&mut sink)[0].1.clone();
+        for p in [4, 2, 3] {
+            logs[p].step_message(&mut sink, ProcessId(1), probe.clone(), 12);
+            let [(_, report)] = &sends(&mut sink)[..] else {
+                panic!("one report")
+            };
+            logs[1].step_message(&mut sink, ProcessId(p as u32), report.clone(), 13);
+            if p == 4 {
+                assert_eq!(single_accepts(&sends(&mut sink)), vec![], "p4 alone");
+            }
+        }
+        let accepts = single_accepts(&sends(&mut sink));
+        assert_eq!(accepts, [[(0, c9); 3], [(1, c8); 3]].concat());
+    }
+
     #[test]
     fn a_new_leader_re_replies_for_committed_commands() {
         let mut sink = Sink::new();
@@ -1335,15 +1381,7 @@ mod tests {
         // Slot 0 committed under the old leader; its Reply died with it.
         log.step_message(&mut sink, ProcessId(0), decide_one(0, 0, cmd(9, 0)), 5);
         sink.clear();
-        log.step_event(
-            &mut sink,
-            MemberEvent::ViewInstalled {
-                ver: 1,
-                members: vec![ProcessId(1), ProcessId(2)],
-                mgr: ProcessId(1),
-            },
-            10,
-        );
+        log.step_event(&mut sink, view(1, [1, 2], 1), 10);
         sink.clear();
         recover_ok_empty(&mut log, &mut sink, 2, 1, 11);
         let out = sends(&mut sink);
@@ -1359,16 +1397,7 @@ mod tests {
         let mut sink = Sink::new();
         let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         log.bind(ProcessId(1));
-        let members = vec![ProcessId(1), ProcessId(2)];
-        log.step_event(
-            &mut sink,
-            MemberEvent::ViewInstalled {
-                ver: 1,
-                members,
-                mgr: ProcessId(1),
-            },
-            0,
-        );
+        log.step_event(&mut sink, view(1, [1, 2], 1), 0);
         sink.clear();
         // The client retries to the new leader while it is still probing…
         log.step_message(
@@ -1398,13 +1427,7 @@ mod tests {
         let mut sink = Sink::new();
         let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         log.bind(ProcessId(1));
-        let members = vec![ProcessId(1), ProcessId(2)];
-        let (ver, mgr) = (1, ProcessId(1));
-        log.step_event(
-            &mut sink,
-            MemberEvent::ViewInstalled { ver, members, mgr },
-            0,
-        );
+        log.step_event(&mut sink, view(1, [1, 2], 1), 0);
         let x = cmd(9, 0);
         log.step_message(&mut sink, ProcessId(9), LogMsg::Request { cmd: x }, 1);
         log.step_message(&mut sink, ProcessId(0), decide_one(0, 0, x), 2);
@@ -1454,13 +1477,7 @@ mod tests {
         let mut sink = Sink::new();
         let mut log = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         log.bind(ProcessId(0));
-        let members = vec![ProcessId(0), ProcessId(1)];
-        let (ver, mgr) = (0, ProcessId(0));
-        log.step_event(
-            &mut sink,
-            MemberEvent::ViewInstalled { ver, members, mgr },
-            0,
-        );
+        log.step_event(&mut sink, view(0, [0, 1], 0), 0);
         let floor = u64::MAX - 1;
         let snapshot = Some(Snapshot {
             floor,

@@ -13,7 +13,9 @@
 //!   invariant check at the end of every entry point;
 //! - every timer a call arms is `LOG_FLUSH`, and it is the call's last
 //!   effect;
-//! - at most one flush is armed between two `step_flush`es.
+//! - at most one flush is armed between two `step_flush`es;
+//! - no `AcceptOkRange` covers a slot whose applied or decided command
+//!   differs from the proposal's: an ack never contradicts a decision.
 //!
 //! The client must not panic either.
 
@@ -22,7 +24,7 @@ use gmp::log::{
 };
 use gmp::protocol::MemberEvent;
 use gmp::sim::Effect;
-use gmp::types::{FaultySource, ProcessId, QuitReason};
+use gmp::types::{ProcessId, QuitReason};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -113,7 +115,7 @@ fn message() -> impl Strategy<Value = LogMsg> {
 }
 
 fn event() -> impl Strategy<Value = MemberEvent> {
-    (0u8..4, edge(), vec(id(), 0..5), id()).prop_map(|(kind, ver, mut members, peer)| {
+    (0u8..3, edge(), vec(id(), 0..5), id()).prop_map(|(kind, ver, mut members, peer)| {
         // Half the views are given the log's own id; the rest hold it
         // only if it was drawn.
         if peer.0 % 2 == 0 {
@@ -129,10 +131,6 @@ fn event() -> impl Strategy<Value = MemberEvent> {
                 ver,
                 members,
                 mgr: ME,
-            },
-            2 => MemberEvent::PeerSuspected {
-                peer,
-                source: FaultySource::Observation,
             },
             _ => MemberEvent::Quit {
                 reason: QuitReason::Excluded,
@@ -197,6 +195,15 @@ proptest! {
             let (mut now, mut armed) = (0, 0);
             for (dt, input) in inputs.iter().cloned() {
                 now += dt;
+                let contradicts = match &input {
+                    Input::Msg(_, LogMsg::AcceptBatch { first_slot, cmds, .. }) => {
+                        cmds.iter().zip(0..).any(|(&cmd, i)| {
+                            let decided = first_slot.checked_add(i).and_then(|s| log.decided(s));
+                            decided.is_some_and(|d| d != cmd)
+                        })
+                    }
+                    _ => false,
+                };
                 let mut out: Vec<Effect<LogMsg>> = Vec::new();
                 match input {
                     Input::Msg(from, msg) => log.step_message(&mut out, from, msg, now),
@@ -213,6 +220,10 @@ proptest! {
                     let last = i + 1 == out.len();
                     prop_assert!(flush && last, "start {start}, not a last flush: {out:?}");
                 }
+                let acked = out.iter().any(|e| {
+                    matches!(e, Effect::Send { msg: LogMsg::AcceptOkRange { .. }, .. })
+                });
+                prop_assert!(!(contradicts && acked), "start {start}, acked over a decision: {out:?}");
                 armed += timers.len();
                 prop_assert!(armed <= 1, "start {start}: {armed} flushes armed at once");
             }

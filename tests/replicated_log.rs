@@ -192,3 +192,44 @@ fn a_leader_that_quits_stops_leading() {
     assert!(!old.log().is_leader(), "the quit leader still leads");
     assert!(sim.node(ProcessId(2)).log().is_leader(), "p2 took over");
 }
+
+/// A second replica crashes during the new leader's recovery round: p0
+/// (the leader) at 2 000, then p2 at 2 215, while p1's round at ballot 1
+/// still awaits p2's report. The round waits for every member of the view
+/// it leads, so it holds until the view that excludes p2 installs and p1
+/// recovers again at that ballot. The survivors agree, commit at the
+/// final ballot, and every client's acks keep growing past the failover.
+#[test]
+fn a_crash_during_recovery_holds_the_round_until_the_next_view() {
+    for seed in 0..4 {
+        let mut sim = log_cluster(5, 3, seed);
+        sim.crash_at(ProcessId(0), 2_000);
+        sim.crash_at(ProcessId(2), 2_215);
+        sim.run_until(2_000);
+        let clients = [5, 6, 7].map(ProcessId);
+        let before = clients.map(|c| sim.node(c).client().acked());
+        sim.run_until(20_000);
+
+        let logs = survivor_logs(&sim);
+        assert_eq!(logs.len(), 3, "seed {seed}: a survivor went missing");
+        assert!(
+            logs_agree(logs.iter().map(|l| (0, l.as_slice()))),
+            "seed {seed}: survivor logs diverged"
+        );
+        let s = sim.node(ProcessId(1));
+        let ballots = s.log().ballots();
+        // Nothing commits at ballot 1: p1's round there never hears p2.
+        assert!(
+            !ballots.contains(&1),
+            "seed {seed}: p1 recovered without p2"
+        );
+        assert!(
+            ballots.contains(&s.member().ver()),
+            "seed {seed}: nothing committed at the final ballot"
+        );
+        for (c, before) in clients.into_iter().zip(before) {
+            let after = sim.node(c).client().acked();
+            assert!(after > before, "seed {seed}: {c} stalled at {before} acks");
+        }
+    }
+}
