@@ -441,6 +441,16 @@ fn main() {
             rows.iter().all(|r| r.committed > 0.0),
             "a scenario committed nothing"
         );
+        // Clients follow the replica that answers them, so a failover
+        // waits on the group and the log's recovery, never on a client's
+        // retry timer.
+        let retry_after = e14_log_config().retry_after;
+        assert!(
+            rows.iter()
+                .filter(|r| r.scenario != "steady")
+                .all(|r| r.failover.count > 0 && r.failover.p50 < retry_after),
+            "a failover waited on the clients' retry timer ({retry_after} ticks)"
+        );
         println!();
     }
 

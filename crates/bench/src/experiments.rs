@@ -1084,6 +1084,13 @@ fn e14_failover(sim: &Sim<AppMsg, LogProc>, crash_at: u64) -> Option<u64> {
         .map(|(_, &t)| t.saturating_sub(crash_at))
 }
 
+/// The log configuration every E14 run uses: the unbatched baseline
+/// (batches of one, strict closed loop, no compaction). The batching
+/// ladder is E15's.
+pub fn e14_log_config() -> LogConfig {
+    LogConfig::default().unbatched()
+}
+
 /// Drives the replicated-log workload of `crates/log` through the three
 /// schedules of `e14_scenarios`, measuring committed throughput, commit
 /// latency and failover latency, and pinning one hard gate per seed:
@@ -1100,9 +1107,7 @@ fn e14_failover(sim: &Sim<AppMsg, LogProc>, crash_at: u64) -> Option<u64> {
 /// ```
 pub fn e14_replicated_log(seeds: u64) -> Vec<LogRow> {
     let seeds = seeds.max(1);
-    // E14 runs the unbatched baseline: batches of one, strict closed
-    // loop, no compaction. The batching ladder is E15's.
-    let lc = LogConfig::default().unbatched();
+    let lc = e14_log_config();
     let mut rows = Vec::new();
     for sc in e14_scenarios() {
         let mut committed = 0f64;

@@ -3,12 +3,15 @@
 //! Each client keeps a bounded *pipeline window* of requests in flight
 //! (`window = 1` is the strict one-at-a-time loop of the unbatched
 //! preset). Every `request_every` ticks it tops the window back up with
-//! fresh commands; an unacknowledged command is re-sent after
-//! `retry_after` ticks — periodically to the *whole* replica set, which is
-//! how a client whose leader died (together with the `Redirect` hints of
-//! live followers) rediscovers the new one. The time from issue to `Reply`
-//! is recorded per operation; operations that straddle a leader crash are
-//! exactly the ones whose latency shows the failover.
+//! fresh commands, sent to its leader belief; an unacknowledged command is
+//! re-sent after `retry_after` ticks to *every* replica. Only a leader
+//! sends `Reply`, so the client follows whoever answers it: a `Reply` from
+//! another process makes that process the leader belief and re-sends the
+//! whole window to it. A new leader re-replies to every client with a
+//! committed command when its recovery round ends, so the group's agreed
+//! view, not the retry timer, moves the client to it. The time from issue
+//! to `Reply` is recorded per operation; operations that straddle a
+//! leader crash are exactly the ones whose latency shows the failover.
 
 use crate::msg::{LogCmd, LogMsg};
 use gmp_sim::Out;
@@ -25,16 +28,16 @@ pub(crate) const CLIENT_TICK: u64 = 64;
 struct Pending {
     issued_at: u64,
     last_sent: u64,
-    tries: u32,
 }
 
 /// A closed-loop client of the replicated log.
 #[derive(Clone, Debug)]
 pub struct Client {
     me: ProcessId,
-    /// The initial replica set: fallback contacts for leader rediscovery.
+    /// The initial replica set: every retry goes to each of them.
     replicas: Vec<ProcessId>,
-    /// Current leader belief (initially the senior replica).
+    /// Current leader belief: the senior replica at first, then the sender
+    /// of the latest `Reply`.
     leader: ProcessId,
     /// Issue interval of the closed loop.
     request_every: u64,
@@ -51,8 +54,8 @@ pub struct Client {
     /// Commit latency (issue → reply) of every acknowledged operation, in
     /// acknowledgement order.
     latencies: Vec<u64>,
-    /// Redirects followed.
-    redirects: u64,
+    /// Leader switches: `Reply`s from a process other than the belief.
+    switches: u64,
     /// Resends after timeout.
     retries: u64,
 }
@@ -86,7 +89,7 @@ impl Client {
             next_seq: 0,
             pending: BTreeMap::new(),
             latencies: Vec::new(),
-            redirects: 0,
+            switches: 0,
             retries: 0,
         }
     }
@@ -101,9 +104,10 @@ impl Client {
         &self.latencies
     }
 
-    /// Redirects followed while hunting the leader.
+    /// Leader switches: how often a `Reply` came from a process other than
+    /// the leader belief.
     pub fn redirects(&self) -> u64 {
-        self.redirects
+        self.switches
     }
 
     /// Timed-out resends.
@@ -119,25 +123,19 @@ impl Client {
     }
 
     /// Handles `msg` from `from`, delivered at time `now`.
-    pub fn receive(&mut self, out: &mut impl Out<LogMsg>, _from: ProcessId, msg: LogMsg, now: u64) {
-        match msg {
-            LogMsg::Reply { seq, .. } => {
-                if let Some(p) = self.pending.remove(&seq) {
-                    self.latencies.push(now - p.issued_at);
-                }
+    pub fn receive(&mut self, out: &mut impl Out<LogMsg>, from: ProcessId, msg: LogMsg, now: u64) {
+        let LogMsg::Reply { seq } = msg else { return };
+        if let Some(p) = self.pending.remove(&seq) {
+            self.latencies.push(now - p.issued_at);
+        }
+        if from != self.leader {
+            // Only a leader replies: follow it right away, whole window.
+            self.leader = from;
+            self.switches += 1;
+            for (&seq, p) in self.pending.iter_mut() {
+                p.last_sent = now;
+                out.send(from, request(self.me, seq));
             }
-            // The guard keeps a transiently confused pair of followers
-            // from bouncing the same request at network speed.
-            LogMsg::Redirect { leader } if leader != self.leader => {
-                self.leader = leader;
-                self.redirects += 1;
-                // Chase the hint right away, whole window.
-                for (&seq, p) in self.pending.iter_mut() {
-                    p.last_sent = now;
-                    out.send(leader, request(self.me, seq));
-                }
-            }
-            _ => {}
         }
     }
 
@@ -153,18 +151,11 @@ impl Client {
                 continue;
             }
             p.last_sent = now;
-            p.tries += 1;
             self.retries += 1;
-            let msg = request(self.me, seq);
-            if p.tries.is_multiple_of(2) {
-                // Every other retry sweeps the whole replica set: live
-                // followers answer with redirects even when our leader
-                // belief is a corpse.
-                for &r in &self.replicas {
-                    out.send(r, msg.clone());
-                }
-            } else {
-                out.send(self.leader, msg);
+            // Followers ignore requests, so asking every replica reaches
+            // whichever of them leads, even when our belief is a corpse.
+            for &r in &self.replicas {
+                out.send(r, request(self.me, seq));
             }
         }
         // …then top the pipeline window back up with fresh commands.
@@ -176,7 +167,6 @@ impl Client {
                 Pending {
                     issued_at: now,
                     last_sent: now,
-                    tries: 0,
                 },
             );
             out.send(self.leader, request(self.me, seq));
@@ -268,29 +258,61 @@ mod tests {
     }
 
     #[test]
-    fn a_redirect_to_a_new_leader_re_sends_the_whole_window() {
+    fn a_reply_from_another_process_makes_it_the_leader_and_re_sends_the_window() {
         let mut c = ticked();
         let mut out = Sink::new();
-        let redirect = |leader| LogMsg::Redirect { leader };
-        c.receive(&mut out, ProcessId(1), redirect(ProcessId(0)), 6);
+        let p = ProcessId;
+        c.receive(&mut out, p(0), LogMsg::Reply { seq: 0 }, 6);
         assert!(out.is_empty(), "already the leader belief: {out:?}");
-        c.receive(&mut out, ProcessId(1), redirect(ProcessId(2)), 7);
-        let p2 = ProcessId(2);
-        assert_eq!(requests(&out), [(p2, 0), (p2, 1), (p2, 2)]);
-        assert_eq!(c.redirects(), 1);
+        // A new leader's re-reply names it even for a command acked before.
+        c.receive(&mut out, p(2), LogMsg::Reply { seq: 0 }, 7);
+        assert_eq!(requests(&out), [(p(2), 1), (p(2), 2)]);
+        out.clear();
+        // A joiner that became leader is followed too: it is no initial
+        // replica.
+        c.receive(&mut out, p(7), LogMsg::Reply { seq: 1 }, 8);
+        assert_eq!(requests(&out), [(p(7), 2)]);
+        assert_eq!(c.redirects(), 2);
+        assert_eq!(c.latencies(), [1, 3]);
+        assert_eq!(tick(&mut c, 15), [(p(7), 3), (p(7), 4)], "fresh commands");
+    }
+
+    /// `(replica, seq)` for every replica, for each of `seqs`.
+    fn to_every_replica(seqs: std::ops::Range<u64>) -> Vec<(ProcessId, u64)> {
+        seqs.flat_map(|s| (0..3).map(move |r| (ProcessId(r), s)))
+            .collect()
     }
 
     #[test]
-    fn odd_retries_go_to_the_leader_and_even_ones_to_every_replica() {
+    fn every_retry_goes_to_every_replica() {
         let mut c = ticked();
         assert_eq!(tick(&mut c, 54), [], "not stale before retry_after");
-        let p = ProcessId;
-        assert_eq!(tick(&mut c, 55), [(p(0), 0), (p(0), 1), (p(0), 2)]);
-        let sweep: Vec<_> = (0..3)
-            .flat_map(|s| (0..3).map(move |r| (p(r), s)))
-            .collect();
-        assert_eq!(tick(&mut c, 105), sweep);
+        assert_eq!(tick(&mut c, 55), to_every_replica(0..3));
+        assert_eq!(tick(&mut c, 104), []);
+        assert_eq!(tick(&mut c, 105), to_every_replica(0..3));
         assert_eq!(c.retries(), 6);
+    }
+
+    /// A late reply from a dead leader can switch the client back to it,
+    /// which costs at most one `retry_after`: the next retry reaches the
+    /// live leader too, and its reply switches the client again.
+    #[test]
+    fn a_stale_reply_switches_back_but_the_next_retry_reaches_every_replica() {
+        let mut c = ticked();
+        let mut out = Sink::new();
+        let p = ProcessId;
+        c.receive(&mut out, p(1), LogMsg::Reply { seq: 0 }, 20);
+        assert_eq!(requests(&out), [(p(1), 1), (p(1), 2)]);
+        out.clear();
+        c.receive(&mut out, p(0), LogMsg::Reply { seq: 1 }, 21);
+        assert_eq!(requests(&out), [(p(0), 2)], "back to the old leader");
+        let mut retried = to_every_replica(2..3);
+        retried.extend([(p(0), 3), (p(0), 4)]);
+        assert_eq!(tick(&mut c, 71), retried);
+        out.clear();
+        c.receive(&mut out, p(1), LogMsg::Reply { seq: 2 }, 72);
+        assert_eq!(requests(&out), [(p(1), 3), (p(1), 4)]);
+        assert_eq!(c.redirects(), 3);
     }
 
     #[test]

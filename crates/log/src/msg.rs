@@ -100,11 +100,6 @@ pub enum LogMsg {
         /// The command to append.
         cmd: LogCmd,
     },
-    /// Replica → client: this replica is not the leader; try `leader`.
-    Redirect {
-        /// The replica's current leader belief (its view's `Mgr`).
-        leader: ProcessId,
-    },
     /// Leader → client: the command with this `seq` committed.
     Reply {
         /// Echo of the client's request counter.
@@ -176,7 +171,6 @@ impl Message for LogMsg {
     fn tag(&self) -> &'static str {
         match self {
             LogMsg::Request { .. } => "log-request",
-            LogMsg::Redirect { .. } => "log-redirect",
             LogMsg::Reply { .. } => "log-reply",
             LogMsg::AcceptBatch { .. } => "log-accept-batch",
             LogMsg::AcceptOkRange { .. } => "log-accept-ok-range",

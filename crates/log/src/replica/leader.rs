@@ -108,12 +108,8 @@ impl ReplicatedLog {
         cmd: LogCmd,
     ) {
         if self.lead.is_none() {
-            // Not the leader: point the client at our belief (silence
-            // would also work — clients retry — but the hint is what makes
-            // failover latency a round trip instead of a timeout).
-            if let Some(l) = self.leader.filter(|&l| l != self.me) {
-                out.send(client, LogMsg::Redirect { leader: l });
-            }
+            // Only a leader answers: a client follows whoever does, and its
+            // retries reach every replica, the leader among them.
             return;
         }
         if self.is_committed(&cmd) {

@@ -117,9 +117,12 @@
 //! argument depends on when anyone suspects anyone.
 //!
 //! On completing recovery the new leader also re-sends each client's
-//! high-water `Reply`: a command decided under the dead leader may have
-//! lost its reply with the crash, and the re-reply is what unsticks that
-//! client without waiting for its retry sweep.
+//! high-water `Reply`. A command decided under the dead leader may have
+//! lost its reply with the crash, and the re-reply acknowledges it. It
+//! also announces the new leader: only a leader replies, and a client
+//! follows whoever replies to it, so every client with a committed
+//! command moves to the new leader without waiting for its retry timer.
+//! A follower ignores client requests.
 //!
 //! The state machine is sans-IO like [`Member`](gmp_core::Member): its
 //! entry points ([`step_event`](ReplicatedLog::step_event),
@@ -175,9 +178,6 @@ pub struct ReplicatedLog {
     me: ProcessId,
     /// Members of the current view (the acceptor set), seniority order.
     view: Vec<ProcessId>,
-    /// Current leader belief: the view's `Mgr`. A follower's redirect
-    /// names it.
-    leader: Option<ProcessId>,
     /// Highest ballot promised: max of every installed version and every
     /// ballot accepted from. Accepts below it are stale and ignored.
     promised: Ver,
@@ -240,7 +240,6 @@ impl ReplicatedLog {
         ReplicatedLog {
             me: ProcessId(u32::MAX),
             view: Vec::new(),
-            leader: None,
             promised: 0,
             slots: SlotWindow::new(0),
             base: 0,
@@ -423,7 +422,6 @@ impl ReplicatedLog {
                 self.active = true;
                 self.view = members;
                 self.promised = self.promised.max(ver);
-                self.leader = Some(mgr);
                 if mgr == self.me {
                     self.become_leader(out, ver);
                 } else {
@@ -483,7 +481,7 @@ impl ReplicatedLog {
                 LogMsg::Sync { from: req } => self.on_sync(out, from, req),
                 LogMsg::SyncOk(body) => self.on_sync_ok(body),
                 // Client-side messages; replicas ignore strays.
-                LogMsg::Redirect { .. } | LogMsg::Reply { .. } => {}
+                LogMsg::Reply { .. } => {}
             }
         }
         #[cfg(debug_assertions)]
@@ -514,7 +512,7 @@ impl ReplicatedLog {
         assert!(self.base <= self.floor && self.floor <= len);
         assert!(self.ballots.len() == n && self.applied_at.len() == n);
         assert!(self.slots.len() == 0 || self.slots.span().start >= len);
-        assert!(self.lead.is_none() || (self.active && self.leader == Some(self.me)));
+        assert!(self.lead.is_none() || self.active);
     }
 }
 
@@ -774,7 +772,7 @@ mod tests {
     }
 
     #[test]
-    fn followers_redirect_clients() {
+    fn followers_ignore_client_requests() {
         let mut sink = Sink::new();
         let mut log = follower();
         log.step_message(
@@ -783,15 +781,7 @@ mod tests {
             LogMsg::Request { cmd: cmd(9, 0) },
             1,
         );
-        assert!(matches!(
-            sends(&mut sink).as_slice(),
-            [(
-                ProcessId(9),
-                LogMsg::Redirect {
-                    leader: ProcessId(0)
-                }
-            )]
-        ));
+        assert!(sink.is_empty(), "a follower answered: {sink:?}");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! view versions are the ballots, and a view install is a
 //! reconfiguration. Three closed-loop clients push commands while the
 //! leader is crashed mid-run: the group excludes it, the new `Mgr` runs a
-//! recovery round over the surviving acceptors, and the clients — after a
-//! burst of retries and redirects — resume against the new leader. The
+//! recovery round over the surviving acceptors, and the clients follow
+//! the new leader as soon as its post-recovery reply reaches them. The
 //! survivors' logs must agree: each is a prefix of the longest.
 //!
 //! The default `LogConfig` is the batched trim: the leader coalesces
@@ -67,7 +67,7 @@ fn main() {
         let max = c.latencies().iter().copied().max().unwrap_or(0);
         slowest = slowest.max(max);
         println!(
-            "  client {} -> {} acked, {} retries, {} redirects, worst latency {} ticks",
+            "  client {} -> {} acked, {} retries, {} leader switches, worst latency {} ticks",
             k,
             c.acked(),
             c.retries(),

@@ -186,10 +186,8 @@ fn sparse_topology_replays_byte_identical() {
 /// determinism job double-runs this scenario alongside the
 /// membership-only ones.
 ///
-/// The golden was recorded on PR 9's per-slot `Accept`/`AcceptOk`/`Decide`
-/// path. That path is gone: at batch size 1 the log sends batches of one
-/// at the same instants, so the trace must match the golden once the three
-/// batch tags are read as the per-slot names they replaced.
+/// Recorded, like the two log goldens below, on the client that follows
+/// whichever replica replies to it.
 #[test]
 fn log_workload_replays_byte_identical() {
     use gmp::log::{LogClusterBuilder, LogConfig};
@@ -203,18 +201,12 @@ fn log_workload_replays_byte_identical() {
         sim.crash_at(ProcessId(0), 2_000);
         sim
     };
-    let per_slot_tags = |line: String| {
-        line.replace("\"log-accept-batch\"", "\"log-accept\"")
-            .replace("\"log-accept-ok-range\"", "\"log-accept-ok\"")
-            .replace("\"log-decide-batch\"", "\"log-decide\"")
-    };
-    assert_golden_as(
+    assert_golden(
         "unbatched log",
         build,
         15_000,
-        32_050,
-        0xa560_e09a_e480_921c,
-        per_slot_tags,
+        32_460,
+        0xdb5c_1bde_f8c9_91fe,
     );
 }
 
@@ -243,7 +235,7 @@ fn batched_log_workload_replays_byte_identical() {
         probe.node(ProcessId(1)).log().floor() > 0,
         "the run never compacted"
     );
-    assert_golden("batched log", build, 15_000, 66_703, 0xd408_7c80_57e4_9b24);
+    assert_golden("batched log", build, 15_000, 67_455, 0x5230_22ce_5c40_eb79);
 }
 
 /// The log's hard schedule, pinned across commits: a joiner admitted via
@@ -251,8 +243,7 @@ fn batched_log_workload_replays_byte_identical() {
 /// successor p1 at 6 000, under a saturated pipeline (`window(8)` every 5
 /// ticks) with partial batches and a compaction budget small enough that
 /// every floor advance, snapshot `Sync` and `Recover` below a floor
-/// happens several times. Recorded on the B-tree `replica.rs` (the parent
-/// of the slot-window PR).
+/// happens several times.
 #[test]
 fn log_joiner_double_failover_matches_the_btree_golden() {
     use gmp::log::{LogClusterBuilder, LogConfig};
@@ -288,8 +279,8 @@ fn log_joiner_double_failover_matches_the_btree_golden() {
         "log joiner + double failover",
         build,
         12_000,
-        118_158,
-        0xc311_2d36_7e3c_3069,
+        104_947,
+        0xdd6e_bbf4_9c7c_86a5,
     );
 }
 
@@ -335,25 +326,9 @@ fn assert_golden<M, N>(
     M: gmp::sim::Message,
     N: gmp::sim::Node<M>,
 {
-    assert_golden_as(name, build, until, events, hash, |line| line);
-}
-
-/// [`assert_golden`] with every fingerprint line passed through `map`
-/// before hashing.
-fn assert_golden_as<M, N>(
-    name: &str,
-    build: impl Fn() -> Sim<M, N>,
-    until: u64,
-    events: usize,
-    hash: u64,
-    map: impl Fn(String) -> String,
-) where
-    M: gmp::sim::Message,
-    N: gmp::sim::Node<M>,
-{
     let mut sim = build();
     sim.run_until(until);
-    let fp: Vec<String> = fingerprint(sim.trace()).into_iter().map(map).collect();
+    let fp = fingerprint(sim.trace());
     assert_eq!(
         (fp.len(), fnv1a(&fp)),
         (events, hash),

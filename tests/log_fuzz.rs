@@ -17,7 +17,9 @@
 //! - no `AcceptOkRange` covers a slot whose applied or decided command
 //!   differs from the proposal's: an ack never contradicts a decision.
 //!
-//! The client must not panic either.
+//! The client must not panic either, and it follows whoever answers it:
+//! after a `Reply`, each request it sends goes to that reply's sender
+//! alone or to every replica.
 
 use gmp::log::{
     Client, LogCmd, LogMsg, RecoverOkBody, ReplicatedLog, Snapshot, SyncOkBody, LOG_FLUSH,
@@ -27,6 +29,7 @@ use gmp::sim::Effect;
 use gmp::types::{ProcessId, QuitReason};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The fuzzed log's id.
@@ -68,50 +71,41 @@ enum Input {
 fn message() -> impl Strategy<Value = LogMsg> {
     let cmds = vec(cmd(), 0..4);
     let report = vec((edge(), edge(), cmd()), 0..3);
-    (
-        0u8..10,
-        (edge(), edge(), edge()),
-        id(),
-        cmds,
-        snapshot(),
-        report,
-    )
-        .prop_map(
-            |(kind, (ballot, slot, n), leader, cmds, snapshot, report)| match kind {
-                0 => LogMsg::Request {
-                    cmd: cmds.first().copied().unwrap_or(LogCmd::NOOP),
-                },
-                1 => LogMsg::Redirect { leader },
-                2 => LogMsg::Reply { seq: n },
-                3 => LogMsg::AcceptBatch {
-                    ballot,
-                    first_slot: slot,
-                    cmds: cmds.into(),
-                },
-                4 => LogMsg::AcceptOkRange {
-                    ballot,
-                    first_slot: slot,
-                    count: n,
-                },
-                5 => LogMsg::DecideBatch {
-                    ballot,
-                    first_slot: slot,
-                    cmds: cmds.into(),
-                },
-                6 => LogMsg::Recover { ballot, from: slot },
-                7 => LogMsg::RecoverOk(Arc::from(RecoverOkBody {
-                    ballot,
-                    snapshot,
-                    entries: report,
-                })),
-                8 => LogMsg::Sync { from: slot },
-                _ => LogMsg::SyncOk(Arc::from(SyncOkBody {
-                    from: slot,
-                    snapshot,
-                    entries: report.into_iter().map(|(_, b, c)| (b, c)).collect(),
-                })),
+    (0u8..9, (edge(), edge(), edge()), cmds, snapshot(), report).prop_map(
+        |(kind, (ballot, slot, n), cmds, snapshot, report)| match kind {
+            0 => LogMsg::Request {
+                cmd: cmds.first().copied().unwrap_or(LogCmd::NOOP),
             },
-        )
+            1 => LogMsg::Reply { seq: n },
+            2 => LogMsg::AcceptBatch {
+                ballot,
+                first_slot: slot,
+                cmds: cmds.into(),
+            },
+            3 => LogMsg::AcceptOkRange {
+                ballot,
+                first_slot: slot,
+                count: n,
+            },
+            4 => LogMsg::DecideBatch {
+                ballot,
+                first_slot: slot,
+                cmds: cmds.into(),
+            },
+            5 => LogMsg::Recover { ballot, from: slot },
+            6 => LogMsg::RecoverOk(Arc::from(RecoverOkBody {
+                ballot,
+                snapshot,
+                entries: report,
+            })),
+            7 => LogMsg::Sync { from: slot },
+            _ => LogMsg::SyncOk(Arc::from(SyncOkBody {
+                from: slot,
+                snapshot,
+                entries: report.into_iter().map(|(_, b, c)| (b, c)).collect(),
+            })),
+        },
+    )
 }
 
 fn event() -> impl Strategy<Value = MemberEvent> {
@@ -236,16 +230,33 @@ proptest! {
         window in 1usize..4,
         inputs in vec((proptest::bool::ANY, id(), message(), 0u64..80), 1..200),
     ) {
-        let mut client = Client::new((0..n).map(ProcessId).collect(), 1, 10, 30, window);
+        let replicas: BTreeSet<ProcessId> = (0..n).map(ProcessId).collect();
+        let mut client = Client::new(replicas.iter().copied().collect(), 1, 10, 30, window);
         client.start(&mut Vec::new(), ME);
-        let mut now = 0;
+        let (mut now, mut answered) = (0, None);
         for (tick, from, msg, dt) in inputs {
             now += dt;
             let mut out: Vec<Effect<LogMsg>> = Vec::new();
             if tick {
                 client.fire(&mut out, u64::from(from.0) + 62, now);
             } else {
+                if matches!(msg, LogMsg::Reply { .. }) {
+                    answered = Some(from);
+                }
                 client.receive(&mut out, from, msg, now);
+            }
+            let Some(leader) = answered else { continue };
+            let mut sent: BTreeMap<u64, BTreeSet<ProcessId>> = BTreeMap::new();
+            for e in &out {
+                if let Effect::Send { to, msg: LogMsg::Request { cmd } } = e {
+                    sent.entry(cmd.seq).or_default().insert(*to);
+                }
+            }
+            for (seq, to) in sent {
+                prop_assert!(
+                    to == BTreeSet::from([leader]) || to == replicas,
+                    "seq {seq} went to {to:?} after {leader}'s reply: {out:?}"
+                );
             }
         }
     }

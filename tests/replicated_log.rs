@@ -56,9 +56,32 @@ fn leader_crash_fails_over_and_preserves_the_log() {
     }
 }
 
+/// The clients follow the new leader's post-recovery re-reply: none of
+/// them waits for its retry timer, so no operation straddling the crash
+/// takes as long as `retry_after`.
+#[test]
+fn clients_follow_the_new_leader_without_retrying() {
+    let retry_after = LogConfig::default().retry_after;
+    for seed in 0..4 {
+        let mut sim = log_cluster(5, 3, seed);
+        sim.crash_at(ProcessId(0), 2_000);
+        sim.run_until(20_000);
+        for c in [5, 6, 7].map(ProcessId) {
+            let client = sim.node(c).client();
+            let worst = client.latencies().iter().copied().max().unwrap_or(0);
+            assert_eq!(client.retries(), 0, "seed {seed}: {c} retried");
+            assert!(
+                worst < retry_after,
+                "seed {seed}: {c} waited {worst} ticks for a reply"
+            );
+            assert_eq!(client.redirects(), 1, "seed {seed}: {c} switched leaders");
+        }
+    }
+}
+
 #[test]
 fn commits_are_exactly_once_under_retries() {
-    // Retries and redirects during failover re-send the same command many
+    // Retries and leader switches during failover re-send the same command many
     // times; the log must commit each client command at most once.
     let mut sim = log_cluster(5, 4, 11);
     sim.crash_at(ProcessId(0), 2_000);
