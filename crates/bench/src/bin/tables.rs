@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p gmp-bench --bin tables              # everything
 //! cargo run --release -p gmp-bench --bin tables -- e1 t1     # a subset
-//! cargo run --release -p gmp-bench --bin tables -- e8 --jobs 4
+//! cargo run --release -p gmp-bench --bin tables -- e8 --seeds 16
 //! ```
 //!
 //! Experiment ids follow `EXPERIMENTS.md`: t1, f1, f3, f4, f11, c71,
@@ -11,11 +11,8 @@
 //! id, an unknown flag, a flag without a valid value — is rejected with
 //! the valid ids on stderr and exit code 2. Every table is simulated, so
 //! stdout is a pure function of the code and the flags: CI diffs
-//! `tables --jobs 2 --seeds 16` against `tests/golden/tables.txt`. Flags:
+//! `tables --seeds 16` against `tests/golden/tables.txt`. One flag:
 //!
-//! * `--jobs N` — worker threads for the sweep experiments (E8/E9).
-//!   Default: every core the platform reports. Output is identical at
-//!   every value.
 //! * `--seeds N` — seeds per sweep (default 48 for E8). Output *values*
 //!   are per-seed deterministic; fewer seeds just samples fewer
 //!   schedules.
@@ -26,7 +23,6 @@
 
 use gmp_bench::*;
 use gmp_props::{analyze, check_safety};
-use std::num::NonZeroUsize;
 
 /// Every section id, in print order.
 const IDS: [&str; 21] = [
@@ -39,30 +35,25 @@ const IDS: [&str; 21] = [
 fn usage_error(problem: &str) -> ! {
     eprintln!("tables: {problem}");
     eprintln!("valid ids: {}", IDS.join(" "));
-    eprintln!("valid flags: --jobs N, --seeds N");
+    eprintln!("valid flags: --seeds N");
     std::process::exit(2);
 }
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut args: Vec<String> = Vec::new();
-    let mut jobs: Option<NonZeroUsize> = None;
     let mut seeds_flag: Option<u64> = None;
     let mut it = raw.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--jobs" | "--seeds" => {
+            "--seeds" => {
                 let raw = it
                     .next()
                     .unwrap_or_else(|| usage_error(&format!("{a} needs a value")));
                 let v: u64 = raw.parse().ok().filter(|&v| v >= 1).unwrap_or_else(|| {
                     usage_error(&format!("{a} needs a numeric value >= 1, got {raw:?}"))
                 });
-                if a == "--jobs" {
-                    jobs = NonZeroUsize::new(v as usize);
-                } else {
-                    seeds_flag = Some(v);
-                }
+                seeds_flag = Some(v);
             }
             id if IDS.contains(&id) => args.push(a),
             _ => usage_error(&format!("unknown section id or flag {a:?}")),
@@ -297,13 +288,13 @@ fn main() {
         let seeds = seeds_flag.unwrap_or(48);
         println!("== E8: multi-seed schedule sweep — exclusion cost percentiles ==");
         println!(
-            "(one exclusion, {seeds} seeds per n; delays resampled per seed; parallel runner)\n"
+            "(one exclusion, {seeds} seeds per n; delays resampled per seed; one run per seed)\n"
         );
         println!(
             "{:<6} {:<7} {:<8} {:<22} {:<24} events p50",
             "n", "seeds", "3n-5", "protocol p50/p90/p99", "protocol min..max"
         );
-        for r in e8_seed_sweep(&[8, 16, 32, 64, 128], 0..seeds, jobs) {
+        for r in e8_seed_sweep(&[8, 16, 32, 64, 128], 0..seeds) {
             println!(
                 "{:<6} {:<7} {:<8} {:<22} {:<24} {}",
                 r.n,
@@ -332,7 +323,7 @@ fn main() {
             "{:<6} {:<10} {:<12} {:<16} {:<16} legacy clones (Θ(n²)/interval)",
             "n", "intervals", "heartbeats", "msgs/interval", "payload builds"
         );
-        for r in e9_heartbeat_fanout(&[8, 16, 32, 64, 128], seed, jobs) {
+        for r in e9_heartbeat_fanout(&[8, 16, 32, 64, 128], seed) {
             println!(
                 "{:<6} {:<10} {:<12} {:<16.1} {:<16} {}",
                 r.n,

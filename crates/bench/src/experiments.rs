@@ -15,9 +15,8 @@ use gmp_core::{
 };
 use gmp_log::{logs_agree, AppMsg, LogClusterBuilder, LogCmd, LogConfig, LogProc};
 use gmp_props::{analyze, check_all, check_safety, knowledge_ladder, render_ladder};
-use gmp_sim::{pool, Builder, Sim, Stats, Summary, TraceKind};
+use gmp_sim::{Builder, Sim, Stats, Summary, TraceKind};
 use gmp_types::{Note, ProcessId, View};
-use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -659,36 +658,34 @@ pub struct SweepRow {
 /// timing is coarsened (`timing(100, 400)`) so heartbeat traffic stays
 /// tractable at `n = 128`; protocol-message counts are unaffected.
 ///
-/// Each seed is one [`pool::run_indexed`] task — `jobs = None`
-/// auto-detects the core count (`tables … --jobs N` overrides it). The
-/// rows are identical for every `jobs` value; only wall-clock time moves.
+/// Each seed is one run, in seed order.
 ///
 /// ```
 /// use gmp_bench::e8_seed_sweep;
 ///
-/// let rows = e8_seed_sweep(&[8], 0..4, None);
+/// let rows = e8_seed_sweep(&[8], 0..4);
 /// assert_eq!(rows[0].seeds, 4);
 /// assert_eq!(rows[0].protocol.max, rows[0].formula);
 /// ```
-pub fn e8_seed_sweep(ns: &[usize], seeds: Range<u64>, jobs: Option<NonZeroUsize>) -> Vec<SweepRow> {
-    let jobs = jobs.unwrap_or_else(pool::available_jobs);
-    let count = seeds.end.saturating_sub(seeds.start) as usize;
+pub fn e8_seed_sweep(ns: &[usize], seeds: Range<u64>) -> Vec<SweepRow> {
     ns.iter()
         .map(|&n| {
             // The per-seed scenario: one exclusion under coarsened
             // detector timing, delays resampled by the seed.
-            let runs: Vec<(u64, u64)> = pool::run_indexed(jobs, count, |i| {
-                let cfg = Config::builder().timing(100, 400).build();
-                let mut sim = cluster_with(n, seeds.start + i as u64, cfg);
-                sim.crash_at(ProcessId(n as u32 - 1), 300);
-                sim.run_until(2_000);
-                let events = sim.trace().events.len() as u64;
-                (protocol_messages(sim.stats()), events)
-            });
-            let (protocol, events): (Vec<u64>, Vec<u64>) = runs.into_iter().unzip();
+            let (protocol, events): (Vec<u64>, Vec<u64>) = seeds
+                .clone()
+                .map(|seed| {
+                    let cfg = Config::builder().timing(100, 400).build();
+                    let mut sim = cluster_with(n, seed, cfg);
+                    sim.crash_at(ProcessId(n as u32 - 1), 300);
+                    sim.run_until(2_000);
+                    let events = sim.trace().events.len() as u64;
+                    (protocol_messages(sim.stats()), events)
+                })
+                .unzip();
             SweepRow {
                 n,
-                seeds: count,
+                seeds: protocol.len(),
                 formula: (3 * n - 5) as u64,
                 protocol: Summary::of(&protocol),
                 events: Summary::of(&events),
@@ -733,45 +730,42 @@ pub struct FanoutRow {
 /// message (`legacy_builds`, Θ(n²) per interval) to one per faulty-set
 /// change (`payload_builds`, ≤ a small multiple of n for the whole run).
 ///
-/// E9 is one run per group size, so it parallelizes over the `ns` axis
-/// instead of a seed range: each row executes as an independent
-/// [`pool::run_indexed`] task (`jobs = None` auto-detects; rows come back
-/// in `ns` order regardless).
+/// E9 is one run per group size, rows in `ns` order.
 ///
 /// ```
 /// use gmp_bench::e9_heartbeat_fanout;
 ///
-/// let rows = e9_heartbeat_fanout(&[8], 0, None);
+/// let rows = e9_heartbeat_fanout(&[8], 0);
 /// let r = &rows[0];
 /// assert!(r.payload_builds <= 2 * 8, "at most a couple builds per member");
 /// assert!(r.legacy_builds as f64 > 0.5 * r.msgs_per_interval * r.intervals as f64);
 /// ```
-pub fn e9_heartbeat_fanout(ns: &[usize], seed: u64, jobs: Option<NonZeroUsize>) -> Vec<FanoutRow> {
-    let jobs = jobs.unwrap_or_else(pool::available_jobs);
-    pool::run_indexed(jobs, ns.len(), |i| {
-        let n = ns[i];
-        let horizon = 4_000;
-        let cfg = Config::builder().timing(100, 400).build();
-        let intervals = horizon / cfg.heartbeat_every;
-        let mut sim = cluster_with(n, seed + n as u64, cfg);
-        sim.crash_at(ProcessId(n as u32 - 1), 300);
-        sim.run_until(horizon);
-        let heartbeats = sim.stats().sends("heartbeat");
-        let payload_builds: u64 = (0..n as u32)
-            .map(|p| sim.node(ProcessId(p)).heartbeat_payload_builds())
-            .sum();
-        // The retired encoding cloned the faulty `Vec` into every
-        // heartbeat and materialized it once per member per tick.
-        let legacy_builds = heartbeats + intervals * n as u64;
-        FanoutRow {
-            n,
-            intervals,
-            heartbeats,
-            msgs_per_interval: heartbeats as f64 / intervals as f64,
-            payload_builds,
-            legacy_builds,
-        }
-    })
+pub fn e9_heartbeat_fanout(ns: &[usize], seed: u64) -> Vec<FanoutRow> {
+    ns.iter()
+        .map(|&n| {
+            let horizon = 4_000;
+            let cfg = Config::builder().timing(100, 400).build();
+            let intervals = horizon / cfg.heartbeat_every;
+            let mut sim = cluster_with(n, seed + n as u64, cfg);
+            sim.crash_at(ProcessId(n as u32 - 1), 300);
+            sim.run_until(horizon);
+            let heartbeats = sim.stats().sends("heartbeat");
+            let payload_builds: u64 = (0..n as u32)
+                .map(|p| sim.node(ProcessId(p)).heartbeat_payload_builds())
+                .sum();
+            // The retired encoding cloned the faulty `Vec` into every
+            // heartbeat and materialized it once per member per tick.
+            let legacy_builds = heartbeats + intervals * n as u64;
+            FanoutRow {
+                n,
+                intervals,
+                heartbeats,
+                msgs_per_interval: heartbeats as f64 / intervals as f64,
+                payload_builds,
+                legacy_builds,
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1446,7 +1440,7 @@ mod tests {
 
     #[test]
     fn e8_sweep_is_schedule_independent_on_protocol_messages() {
-        let rows = e8_seed_sweep(&[8, 16], 0..8, None);
+        let rows = e8_seed_sweep(&[8, 16], 0..8);
         for row in rows {
             assert_eq!(row.seeds, 8);
             assert_eq!(row.protocol.count, 8);
@@ -1465,7 +1459,7 @@ mod tests {
 
     #[test]
     fn e9_payload_constructions_collapse_from_quadratic_to_linear() {
-        for row in e9_heartbeat_fanout(&[8, 16, 32], 900, None) {
+        for row in e9_heartbeat_fanout(&[8, 16, 32], 900) {
             let n = row.n as u64;
             // Messages stay all-to-all: the digest encoding must not change
             // the protocol-visible fan-out (≥ (n-1)(n-2) once the victim is
@@ -1502,21 +1496,6 @@ mod tests {
     fn cluster_sim_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<Sim<Msg, Member>>();
-    }
-
-    /// `--jobs` cannot change a table: the E8 and E9 rows print the same
-    /// at one worker and at three.
-    #[test]
-    fn sweep_rows_do_not_depend_on_the_job_count() {
-        let rows = |jobs| {
-            let jobs = NonZeroUsize::new(jobs);
-            format!(
-                "{:?} {:?}",
-                e8_seed_sweep(&[8, 16], 0..6, jobs),
-                e9_heartbeat_fanout(&[8, 16], 0, jobs)
-            )
-        };
-        assert_eq!(rows(1), rows(3));
     }
 
     #[test]

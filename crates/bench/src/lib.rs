@@ -12,10 +12,9 @@
 //!
 //! Experiments come in two shapes: single-run workloads pinned to one seed
 //! (E1–E7, the tables and figures), and the *seed sweep* (E8), which runs
-//! one task per seed of a whole range on [`gmp_sim::pool::run_indexed`] —
-//! `--jobs` threads at a time — and reports percentile statistics
-//! ([`gmp_sim::Summary`]). Schedule-space exploration in one call, at
-//! multicore speed, with output identical at every job count.
+//! the scenario once per seed of a whole range and reports percentile
+//! statistics ([`gmp_sim::Summary`]): schedule-space exploration in one
+//! call.
 //!
 //! # Example
 //!
@@ -28,7 +27,7 @@
 //! assert_eq!(row.formula, 10);
 //!
 //! // Many runs: the same bound holds across every sampled schedule.
-//! let sweep = &e8_seed_sweep(&[5], 0..8, None)[0];
+//! let sweep = &e8_seed_sweep(&[5], 0..8)[0];
 //! assert_eq!(sweep.protocol.min, sweep.formula);
 //! assert_eq!(sweep.protocol.p99, sweep.formula);
 //! ```

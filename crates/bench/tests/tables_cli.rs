@@ -36,6 +36,8 @@ fn an_unknown_section_id_exits_2_with_the_valid_ids() {
 fn an_unknown_flag_exits_2_instead_of_being_dropped() {
     assert_rejected(&["e13", "--seed", "8"], "\"--seed\"");
     assert_rejected(&["e14", "--shards", "2"], "\"--shards\"");
+    // Every run is sequential: there is no worker count to set.
+    assert_rejected(&["e8", "--jobs", "2"], "\"--jobs\"");
     // E14 and E15 run fixed workloads: their retired axis flags are
     // unknown flags too.
     assert_rejected(&["e15", "--batch", "8"], "\"--batch\"");

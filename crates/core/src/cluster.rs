@@ -55,11 +55,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// The process id the next joiner added would receive.
-    pub fn next_joiner_id(&self) -> ProcessId {
-        ProcessId((self.n + self.joiners.len()) as u32)
-    }
-
     /// Builds the simulator with all members registered.
     pub fn build(self) -> Sim<Msg, Member> {
         let initial: View = (0..self.n as u32).map(ProcessId).collect();

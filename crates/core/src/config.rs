@@ -244,13 +244,6 @@ impl ObserveConfig {
             poll_every: 100,
         }
     }
-
-    /// Overrides the polling interval.
-    pub fn poll_every(mut self, interval: u64) -> Self {
-        assert!(interval > 0, "poll interval must be positive");
-        self.poll_every = interval;
-        self
-    }
 }
 
 #[cfg(test)]

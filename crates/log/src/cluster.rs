@@ -31,8 +31,11 @@ pub struct LogConfig {
     /// Client pipeline window: requests each client keeps in flight.
     /// 1 reproduces the strict closed loop of the unbatched baseline.
     pub window: usize,
-    /// Compaction: applied slots of hot state each replica keeps above
-    /// its floor (`usize::MAX` disables compaction).
+    /// Snapshot catch-up: how far the compaction floor trails the applied
+    /// prefix. The floor prunes nothing; a joiner's `Sync` from below it
+    /// is answered with a snapshot plus the applied tail from the floor on
+    /// (`usize::MAX` keeps the floor at 0, so a joiner gets the whole
+    /// applied log).
     pub compact_keep: usize,
 }
 
@@ -86,7 +89,8 @@ impl LogConfig {
         self
     }
 
-    /// Sets the compaction keep budget (`usize::MAX` = never compact).
+    /// Sets how far the compaction floor trails the applied prefix
+    /// (`usize::MAX` = the floor stays at 0, no snapshot catch-up).
     pub fn compact_keep(mut self, keep: usize) -> Self {
         assert!(keep >= 1, "compaction must keep the working tail");
         self.compact_keep = keep;
@@ -94,7 +98,8 @@ impl LogConfig {
     }
 
     /// The unbatched, uncompacted preset: batches of one, one request in
-    /// flight per client, full history retained — PR 9's baseline traffic.
+    /// flight per client, joiners caught up from the whole applied log
+    /// rather than a snapshot: the per-slot baseline's traffic.
     pub fn unbatched(self) -> Self {
         self.batch(1).window(1).compact_keep(usize::MAX)
     }

@@ -27,7 +27,8 @@
 //! [`Client`] emit through a [`gmp_sim::Out`] sink, which inside
 //! [`gmp_sim`]'s deterministic engine is the handler's context and
 //! outside it a `Vec` of [`gmp_sim::Effect`]s. Batch size, client pipeline
-//! window and the compaction budget are [`LogConfig`] knobs;
+//! window and how far the snapshot floor trails the applied prefix are
+//! [`LogConfig`] knobs;
 //! `LogConfig::default()` is the batched trim and
 //! [`LogConfig::unbatched`](cluster::LogConfig::unbatched) is the batch-1,
 //! window-1, uncompacted preset, whose traffic matches PR 9's per-slot

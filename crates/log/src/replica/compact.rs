@@ -73,9 +73,9 @@ impl ReplicatedLog {
         }
     }
 
-    /// Answers a joiner's `Sync`: below the floor the prefix is gone, so
-    /// the snapshot that summarizes it goes with the retained tail —
-    /// O(tail).
+    /// Answers a joiner's `Sync`: from below the floor, the snapshot that
+    /// summarizes the prefix goes with the applied tail from the floor on
+    /// — O(tail).
     pub(super) fn on_sync(&self, out: &mut impl Out<LogMsg>, from: ProcessId, req: u64) {
         let body = self.catch_up(req, self.floor);
         out.send(from, LogMsg::SyncOk(Arc::from(body)));

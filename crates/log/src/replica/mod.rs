@@ -231,8 +231,8 @@ pub struct ReplicatedLog {
 impl ReplicatedLog {
     /// A blank log: `max_inflight` caps concurrently proposed slots,
     /// `batch_max` commands go per `AcceptBatch` (1 = propose each request
-    /// on arrival) and compaction keeps `compact_keep` applied slots of hot
-    /// state (`usize::MAX` = off).
+    /// on arrival) and the compaction floor trails the applied prefix by
+    /// `compact_keep` slots (`usize::MAX` = the floor stays at 0).
     pub fn with_tuning(max_inflight: usize, batch_max: usize, compact_keep: usize) -> Self {
         assert!(max_inflight >= 1, "the in-flight window must admit work");
         assert!(batch_max >= 1, "a batch carries at least one command");

@@ -32,30 +32,20 @@
 //! message clone — whether via [`Ctx::broadcast`] or a per-target
 //! [`Ctx::send`] loop — an O(1) reference bump on one allocation instead
 //! of a deep copy. A seed sweep
-//! replays one scenario across a seed range on the scoped-thread worker
-//! [`pool`] ([`pool::run_indexed`], one task per seed, results in seed
-//! order) and condenses each per-run metric with [`Summary::of`].
+//! replays one scenario once per seed, one run after another, and
+//! condenses each per-run metric with [`Summary::of`].
 //!
 //! # Threading and the `Send` audit
 //!
-//! A run is one deterministic sequential event loop; the engine's only
-//! parallelism is *between* runs. A sweep task builds its `Sim` from its
-//! own seed on the worker thread that runs it, and [`pool::run_indexed`]
-//! returns the results in index order — byte-identical to a sequential
-//! map at every job count. A `Sim` may also be built on one thread and
-//! run on another: `Sim<M, N>: Send` whenever `M: Send` and `N: Send`,
-//! because every engine
-//! internal is owned data (`SmallRng` is a plain xoshiro256++ state; the
-//! event queue is a slab `Vec`, a boxed bucket array of indices into it
-//! and a heap of far-event keys; link state is hash maps of plain values) or
-//! an atomically reference-counted payload (a [`std::sync::Arc`]). No *value* in the stack holds an `Rc`, a
-//! thread-local or interior mutability, so the auto trait holds —
-//! pinned by a compile-time assertion in `engine.rs`'s tests. (The one
-//! thread-local in the crate is not part of any value: a dropped
-//! [`Trace`] parks its cleared event buffer in a per-thread spare slot
-//! that the next `Trace` built on *that* thread takes over — capacity
-//! only, never contents — so a `Sim` moved to another thread simply
-//! parks its buffer there.)
+//! A run is one deterministic sequential event loop, and the crate starts
+//! no thread. `Sim<M, N>: Send` whenever `M: Send` and `N: Send`: every
+//! engine internal is owned data or an [`std::sync::Arc`] payload, so a
+//! run may be built on one thread and driven on another — pinned by a
+//! compile-time assertion in `engine.rs`'s tests. (The one thread-local
+//! in the crate is not part of any value: a dropped [`Trace`] parks its
+//! cleared event buffer in a per-thread spare slot that the next `Trace`
+//! built on *that* thread takes over — capacity only, never contents —
+//! so a `Sim` moved to another thread simply parks its buffer there.)
 //!
 //! # Example
 //!
@@ -89,7 +79,6 @@
 
 pub mod net;
 pub mod node;
-pub mod pool;
 pub mod stats;
 pub mod trace;
 

@@ -18,9 +18,9 @@ thread_local! {
     /// The cleared event buffer of the largest `Trace` dropped on this
     /// thread so far (up to [`SPARE_MAX_BYTES`]); [`Trace::new`] takes it,
     /// so the second and every later run on a thread — a seed sweep, a
-    /// pool worker, a proptest case — appends into warm capacity instead
-    /// of re-growing a multi-megabyte `Vec` from empty. One slot, replaced
-    /// only by a larger buffer; per thread, so parallel sweeps share
+    /// proptest case — appends into warm capacity instead of re-growing a
+    /// multi-megabyte `Vec` from empty. One slot, replaced only by a
+    /// larger buffer; per thread, so runs on different threads share
     /// nothing. Contents never survive: only capacity is recycled.
     static SPARE: RefCell<Vec<TraceEvent>> = const { RefCell::new(Vec::new()) };
 }

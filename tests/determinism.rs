@@ -10,9 +10,8 @@ mod common;
 
 use common::{fingerprint, fnv1a};
 use gmp::protocol::cluster;
-use gmp::sim::{pool, Sim};
+use gmp::sim::Sim;
 use gmp::types::ProcessId;
-use std::num::NonZeroUsize;
 
 fn run(n: usize, seed: u64) -> Vec<String> {
     let mut sim = cluster(n, seed);
@@ -101,33 +100,6 @@ fn a_recycled_trace_buffer_replays_the_cold_goldens() {
         sim.run_until(20_000);
         let fp = fingerprint(sim.trace());
         assert_eq!((fp.len(), fnv1a(&fp)), (events, hash), "{warm}");
-    }
-}
-
-/// The thread pool must be invisible in sweep output: for the golden
-/// cluster scenario (the same `(n, seed, fault schedule)` family the
-/// fingerprints above pin), a sweep on `pool::run_indexed` at every job
-/// count returns, per seed, exactly what a plain sequential map does —
-/// per-tag message counters, trace length, survivors and end time.
-/// Worker threads race for *seeds*, never for a run's events (and each
-/// recycles only its own thread's trace buffer).
-#[test]
-fn parallel_sweep_is_byte_identical_to_sequential() {
-    let run = |seed: usize| {
-        let mut sim = cluster(6, seed as u64);
-        sim.crash_at(ProcessId(5), 400);
-        sim.crash_at(ProcessId(1), 900);
-        sim.run_until(6_000);
-        let events = sim.trace().events.len();
-        (sim.stats().clone(), events, sim.living().len(), sim.now())
-    };
-    let sequential: Vec<_> = (0..10).map(run).collect();
-    for jobs in [1, 2, 4, 8] {
-        let parallel = pool::run_indexed(NonZeroUsize::new(jobs).unwrap(), 10, run);
-        assert_eq!(
-            parallel, sequential,
-            "jobs={jobs}: parallel sweep diverged from the sequential map"
-        );
     }
 }
 
