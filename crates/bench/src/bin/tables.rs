@@ -315,23 +315,16 @@ fn main() {
     }
 
     if want("e9") {
-        println!("== E9: heartbeat fan-out — shared digests vs per-peer clones ==");
+        println!("== E9: heartbeat fan-out — one shared digest per faulty-set change ==");
+        println!("(one exclusion; messages stay Θ(n²)/interval, payload builds Θ(n)/run)\n");
         println!(
-            "(one exclusion; messages stay Θ(n²)/interval, payload builds drop to Θ(n)/run)\n"
-        );
-        println!(
-            "{:<6} {:<10} {:<12} {:<16} {:<16} legacy clones (Θ(n²)/interval)",
-            "n", "intervals", "heartbeats", "msgs/interval", "payload builds"
+            "{:<6} {:<10} {:<12} {:<16} payload builds",
+            "n", "intervals", "heartbeats", "msgs/interval"
         );
         for r in e9_heartbeat_fanout(&[8, 16, 32, 64, 128], seed) {
             println!(
-                "{:<6} {:<10} {:<12} {:<16.1} {:<16} {}",
-                r.n,
-                r.intervals,
-                r.heartbeats,
-                r.msgs_per_interval,
-                r.payload_builds,
-                r.legacy_builds
+                "{:<6} {:<10} {:<12} {:<16.1} {}",
+                r.n, r.intervals, r.heartbeats, r.msgs_per_interval, r.payload_builds
             );
         }
         println!(
@@ -520,8 +513,9 @@ fn main() {
             rows[0].msgs_per_op
         );
 
-        // The joiner-sync arm: with compaction forced low, a late joiner
-        // must catch up from snapshot + tail, not by replaying the log.
+        // The joiner-sync arm: with the catch-up budget forced low, a late
+        // joiner must catch up from snapshot + tail, not by replaying the
+        // log.
         let sync = e15_joiner_sync(seed);
         println!(
             "\njoiner sync (compact_keep {}, join at {}): log {} slots, SyncOk = snapshot + {} \
@@ -534,8 +528,8 @@ fn main() {
             "the joiner replayed the whole prefix instead of booting from a snapshot"
         );
         assert!(
-            sync.tail <= 2 * sync.compact_keep as u64 + 64,
-            "SyncOk tail {} exceeds the compaction budget {}",
+            sync.tail == sync.compact_keep as u64,
+            "SyncOk tail {} is not the catch-up budget {}",
             sync.tail,
             sync.compact_keep
         );

@@ -715,9 +715,6 @@ pub struct FanoutRow {
     /// Faulty-set payloads materialized across the run (one per member per
     /// *change* of its faulty set).
     pub payload_builds: u64,
-    /// What the per-peer-clone encoding would have materialized: one `Vec`
-    /// per heartbeat message plus one per member per tick.
-    pub legacy_builds: u64,
 }
 
 /// Measures the heartbeat hot path at each group size: one exclusion makes
@@ -726,9 +723,9 @@ pub struct FanoutRow {
 ///
 /// The digest refactor leaves the *message* count untouched — the paper
 /// costs protocols in messages (§7.2), and heartbeats stay all-to-all at
-/// Θ(n²) per interval — but payload constructions collapse from one per
-/// message (`legacy_builds`, Θ(n²) per interval) to one per faulty-set
-/// change (`payload_builds`, ≤ a small multiple of n for the whole run).
+/// Θ(n²) per interval — but payload constructions are one per faulty-set
+/// change (`payload_builds`, ≤ a small multiple of n for the whole run),
+/// not one per message.
 ///
 /// E9 is one run per group size, rows in `ns` order.
 ///
@@ -738,7 +735,6 @@ pub struct FanoutRow {
 /// let rows = e9_heartbeat_fanout(&[8], 0);
 /// let r = &rows[0];
 /// assert!(r.payload_builds <= 2 * 8, "at most a couple builds per member");
-/// assert!(r.legacy_builds as f64 > 0.5 * r.msgs_per_interval * r.intervals as f64);
 /// ```
 pub fn e9_heartbeat_fanout(ns: &[usize], seed: u64) -> Vec<FanoutRow> {
     ns.iter()
@@ -753,16 +749,12 @@ pub fn e9_heartbeat_fanout(ns: &[usize], seed: u64) -> Vec<FanoutRow> {
             let payload_builds: u64 = (0..n as u32)
                 .map(|p| sim.node(ProcessId(p)).heartbeat_payload_builds())
                 .sum();
-            // The retired encoding cloned the faulty `Vec` into every
-            // heartbeat and materialized it once per member per tick.
-            let legacy_builds = heartbeats + intervals * n as u64;
             FanoutRow {
                 n,
                 intervals,
                 heartbeats,
                 msgs_per_interval: heartbeats as f64 / intervals as f64,
                 payload_builds,
-                legacy_builds,
             }
         })
         .collect()
@@ -1079,7 +1071,7 @@ fn e14_failover(sim: &Sim<AppMsg, LogProc>, crash_at: u64) -> Option<u64> {
 }
 
 /// The log configuration every E14 run uses: the unbatched baseline
-/// (batches of one, strict closed loop, no compaction). The batching
+/// (batches of one, strict closed loop, no snapshot catch-up). The batching
 /// ladder is E15's.
 pub fn e14_log_config() -> LogConfig {
     LogConfig::default().unbatched()
@@ -1140,7 +1132,7 @@ pub fn e14_replicated_log(seeds: u64) -> Vec<LogRow> {
 // ---------------------------------------------------------------------
 // E15 — the batching/pipelining ladder: committed throughput and wire
 // messages per operation across (batch, window) cells, against the
-// unbatched PR-9 baseline, plus the snapshot-compacted joiner-sync gate
+// unbatched PR-9 baseline, plus the snapshot joiner-sync gate
 // ---------------------------------------------------------------------
 
 /// One `(batch, window)` cell of E15's ladder, aggregated over seeds.
@@ -1167,11 +1159,13 @@ pub struct BatchRow {
     pub prefix_ok: bool,
 }
 
-/// Outcome of E15's joiner-sync arm: one run with compaction forced low,
-/// a joiner admitted late, and the state transfer it received measured.
+/// Outcome of E15's joiner-sync arm: one run with the catch-up budget
+/// forced low, a joiner admitted late, and the state transfer it received
+/// measured.
 #[derive(Clone, Debug)]
 pub struct SyncRow {
-    /// Compaction keep budget forced on every replica.
+    /// Catch-up budget forced on every replica: the applied entries a
+    /// snapshot `SyncOk` ships.
     pub compact_keep: usize,
     /// When the joiner first asked to join.
     pub join_at: u64,
@@ -1180,7 +1174,7 @@ pub struct SyncRow {
     /// Tail entries the joiner's `SyncOk` actually shipped.
     pub tail: u64,
     /// Whether that `SyncOk` carried a snapshot (it must, once the donor
-    /// has compacted past slot 0).
+    /// has applied more than `compact_keep` entries).
     pub snapshot: bool,
     /// The joiner booted above slot 0 — its applied vectors start at the
     /// snapshot floor instead of replaying the whole prefix.
@@ -1223,7 +1217,7 @@ pub fn e15_log_batching(seeds: u64) -> Vec<BatchRow> {
         let lc = if (b, w) == (1, 1) {
             LogConfig::default().unbatched()
         } else {
-            // Batched cells keep the default compaction budget; the
+            // Batched cells keep the default catch-up budget; the
             // leader's admission window scales with the batch so the
             // batch can actually fill.
             LogConfig::default()
@@ -1274,18 +1268,18 @@ pub fn e15_log_batching(seeds: u64) -> Vec<BatchRow> {
     rows
 }
 
-/// E15's joiner-sync arm: forces a small compaction budget, runs the
-/// batched steady workload long enough for every replica to compact well
-/// past slot 0, then admits a joiner and measures the state transfer it
-/// received. The point of snapshot-compacted `Sync`: the `SyncOk` payload
-/// is O(tail) — bounded by the compaction budget — not O(log).
+/// E15's joiner-sync arm: forces a small catch-up budget, runs the
+/// batched steady workload long enough for every replica to apply far
+/// more than that, then admits a joiner and measures the state transfer
+/// it received. The point of a snapshot `Sync`: the `SyncOk` payload is
+/// the last `compact_keep` entries, not O(log).
 ///
 /// ```
 /// use gmp_bench::e15_joiner_sync;
 ///
 /// let row = e15_joiner_sync(1);
 /// assert!(row.snapshot && row.agree);
-/// assert!(row.tail <= 2 * row.compact_keep as u64 + 64);
+/// assert_eq!(row.tail, row.compact_keep as u64);
 /// assert!(row.log_len >= 4 * row.tail);
 /// ```
 pub fn e15_joiner_sync(seed: u64) -> SyncRow {
@@ -1469,13 +1463,7 @@ mod tests {
                 "n={n}: heartbeat messages per interval collapsed unexpectedly: {}",
                 row.msgs_per_interval
             );
-            // The retired per-peer-clone encoding built Θ(n²) payloads per
-            // interval for the whole run…
-            assert!(
-                row.legacy_builds >= row.intervals * (n - 1) * (n - 2),
-                "n={n}: legacy formula lost its quadratic shape"
-            );
-            // …the digest encoding builds at most a couple per *member*
+            // The digest encoding builds at most a couple per *member*
             // total (empty → {victim} → empty is one change that needs a
             // snapshot), i.e. Θ(n) for the run, regardless of interval
             // count.

@@ -31,11 +31,10 @@ pub struct LogConfig {
     /// Client pipeline window: requests each client keeps in flight.
     /// 1 reproduces the strict closed loop of the unbatched baseline.
     pub window: usize,
-    /// Snapshot catch-up: how far the compaction floor trails the applied
-    /// prefix. The floor prunes nothing; a joiner's `Sync` from below it
-    /// is answered with a snapshot plus the applied tail from the floor on
-    /// (`usize::MAX` keeps the floor at 0, so a joiner gets the whole
-    /// applied log).
+    /// Snapshot catch-up: how many applied entries a joiner's `Sync` is
+    /// answered with. A joiner missing more gets a snapshot of the prefix
+    /// plus the last `compact_keep` entries (`usize::MAX`: the whole
+    /// applied log, no snapshot).
     pub compact_keep: usize,
 }
 
@@ -89,15 +88,15 @@ impl LogConfig {
         self
     }
 
-    /// Sets how far the compaction floor trails the applied prefix
-    /// (`usize::MAX` = the floor stays at 0, no snapshot catch-up).
+    /// Sets how many applied entries a snapshot catch-up ships
+    /// (`usize::MAX` = the whole applied log, no snapshot catch-up).
     pub fn compact_keep(mut self, keep: usize) -> Self {
-        assert!(keep >= 1, "compaction must keep the working tail");
+        assert!(keep >= 1, "a catch-up ships at least one entry");
         self.compact_keep = keep;
         self
     }
 
-    /// The unbatched, uncompacted preset: batches of one, one request in
+    /// The unbatched, snapshot-free preset: batches of one, one request in
     /// flight per client, joiners caught up from the whole applied log
     /// rather than a snapshot: the per-slot baseline's traffic.
     pub fn unbatched(self) -> Self {

@@ -19,19 +19,19 @@
 //! What remains is the steady-state phase 2 — one per-range path
 //! (`AcceptBatch`/`AcceptOkRange`/`DecideBatch`), a single command being a
 //! range of one — the new-leader recovery round, and joiner state
-//! transfer (snapshot + tail once compaction has passed the joiner's
-//! prefix) — see [`ReplicatedLog`]. Its Paxos roles (leader, acceptor,
-//! learner, and compaction with catch-up) each live in one file of
+//! transfer (snapshot + the last `compact_keep` entries once the joiner
+//! misses more) — see [`ReplicatedLog`]. Its Paxos roles (leader,
+//! acceptor, learner, and catch-up) each live in one file of
 //! [`replica`], and debug builds check its invariants after every entry
 //! point. Everything is sans-IO: the log and the
 //! [`Client`] emit through a [`gmp_sim::Out`] sink, which inside
 //! [`gmp_sim`]'s deterministic engine is the handler's context and
 //! outside it a `Vec` of [`gmp_sim::Effect`]s. Batch size, client pipeline
-//! window and how far the snapshot floor trails the applied prefix are
+//! window and how many applied entries a snapshot catch-up ships are
 //! [`LogConfig`] knobs;
 //! `LogConfig::default()` is the batched trim and
 //! [`LogConfig::unbatched`](cluster::LogConfig::unbatched) is the batch-1,
-//! window-1, uncompacted preset, whose traffic matches PR 9's per-slot
+//! window-1, snapshot-free preset, whose traffic matches PR 9's per-slot
 //! baseline message for message.
 //!
 //! # Quickstart

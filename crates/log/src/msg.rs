@@ -32,12 +32,12 @@ impl LogCmd {
     }
 }
 
-/// A compacted summary of everything below a replica's compaction floor:
+/// A summary of everything below a cut in a replica's applied log:
 /// enough for a receiver to serve reads of the dedup state and to accept
-/// decides above the floor, without ever seeing the pruned prefix.
+/// decides above the cut, without ever seeing the prefix.
 ///
-/// The floor invariant: every slot `< floor` is committed (decided and
-/// applied) at the snapshot's producer, and `clients` holds the dedup
+/// Every slot `< floor` is committed (decided and applied) at the
+/// snapshot's producer, and `clients` holds the dedup
 /// high-water mark — the last committed `seq` — of every client with a
 /// command anywhere in `[0, floor)` *or* in the producer's applied suffix
 /// (carrying the suffix marks too costs nothing and lets receivers adopt
@@ -60,9 +60,9 @@ pub struct RecoverOkBody {
     /// Echo of the recover's ballot.
     pub ballot: Ver,
     /// Present iff the responder cannot report entries all the way down to
-    /// the requested floor.
+    /// the requested slot.
     pub snapshot: Option<Snapshot>,
-    /// This acceptor's accepted entries above the requested floor (above
+    /// This acceptor's accepted entries from the requested slot on (from
     /// the snapshot's floor, when one is attached), as `(slot, ballot,
     /// cmd)`.
     pub entries: Vec<(u64, Ver, LogCmd)>,
@@ -74,7 +74,8 @@ pub struct SyncOkBody {
     /// First slot of `entries`: the sync's `from`, or the snapshot's floor
     /// when one is attached.
     pub from: u64,
-    /// Present iff the responder compacted past the requested `from`.
+    /// Present iff the responder cut its answer above the requested
+    /// `from`.
     pub snapshot: Option<Snapshot>,
     /// Committed suffix starting at `from`, as `(deciding ballot, cmd)`.
     pub entries: Vec<(Ver, LogCmd)>,
@@ -149,7 +150,7 @@ pub enum LogMsg {
     },
     /// Acceptor → new leader: accepted entries at slot ≥ the recover's
     /// `from`. When the responder's own log starts above the requested
-    /// floor (it booted from a snapshot and holds nothing below its base),
+    /// slot (it booted from a snapshot and holds nothing below its base),
     /// it attaches its current snapshot so the requester can catch up
     /// first.
     RecoverOk(Arc<RecoverOkBody>),
@@ -159,11 +160,10 @@ pub enum LogMsg {
         /// First slot the joiner is missing (its committed length).
         from: u64,
     },
-    /// Leader → joiner: state transfer. With compaction idle this is the
-    /// committed entries from `from` in slot order, as before; once the
-    /// responder's compaction floor has passed `from`, the prefix below
-    /// the floor ships as a [`Snapshot`] and `entries` is only the tail
-    /// above it — O(tail), not O(log).
+    /// Leader → joiner: state transfer. This is the committed entries from
+    /// `from` in slot order; once more than the responder's `compact_keep`
+    /// entries lie above `from`, the prefix ships as a [`Snapshot`] and
+    /// `entries` is only the last `compact_keep` — O(keep), not O(log).
     SyncOk(Arc<SyncOkBody>),
 }
 

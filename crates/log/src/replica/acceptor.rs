@@ -58,7 +58,7 @@ impl ReplicatedLog {
     /// accepted at slot ≥ `req` — the applied vectors up to the applied
     /// prefix (committed implies accepted), the window above it. Below
     /// `base` nothing survives as entries; the snapshot goes instead and
-    /// the entries start at its floor.
+    /// the entries start at `base`.
     pub(super) fn on_recover(
         &mut self,
         out: &mut impl Out<LogMsg>,

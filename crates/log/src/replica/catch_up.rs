@@ -1,25 +1,10 @@
-//! Compaction and catch-up: the floor below which the applied log is
-//! summarized by per-client high-water marks, the [`Snapshot`] that
-//! carries that summary, and the `Sync` answer that ships it plus the
-//! applied tail to a joiner.
+//! Catch-up: the [`Snapshot`] that summarizes an applied prefix by
+//! per-client high-water marks, and the `Sync` answer that ships it plus
+//! the applied tail to a joiner.
 
 use super::*;
 
 impl ReplicatedLog {
-    /// Advances the compaction floor once the applied suffix above it
-    /// exceeds twice the keep budget. The 2× hysteresis keeps the floor
-    /// from moving on every applied slot.
-    pub(super) fn maybe_compact(&mut self) {
-        if self.compact_keep == usize::MAX {
-            return;
-        }
-        let len = self.logical_len();
-        if len - self.floor <= 2 * self.compact_keep as u64 {
-            return;
-        }
-        self.floor = len - self.compact_keep as u64;
-    }
-
     /// Raises `client`'s dedup high-water mark to `seq` unless it already
     /// stands higher: a snapshot may have pre-adopted a later mark.
     pub(super) fn raise_mark(&mut self, client: ProcessId, seq: u64) {
@@ -27,19 +12,19 @@ impl ReplicatedLog {
         *mark = (*mark).max(seq);
     }
 
-    /// The compacted summary of everything below the floor: the floor plus
-    /// every client's dedup high-water mark.
-    fn snapshot(&self) -> Snapshot {
+    /// The summary of everything below `cut`: the cut plus every client's
+    /// dedup high-water mark.
+    fn snapshot(&self, cut: u64) -> Snapshot {
         Snapshot {
-            floor: self.floor,
+            floor: cut,
             clients: self.client_hwm.iter().map(|(&c, &seq)| (c, seq)).collect(),
         }
     }
 
     /// Installs a received snapshot: adopt any newer client marks, and if
     /// the snapshot's floor is ahead of our applied prefix, restart the
-    /// applied vectors at it (the pruned prefix is summarized, not lost —
-    /// that is the floor invariant).
+    /// applied vectors at it (every slot below the floor is committed and
+    /// its commands are summarized by the marks, not lost).
     pub(super) fn install_snapshot(&mut self, snap: Snapshot) {
         for (client, seq) in snap.clients {
             self.raise_mark(client, seq);
@@ -51,15 +36,15 @@ impl ReplicatedLog {
             self.base = snap.floor;
             self.slots.truncate_below(snap.floor);
         }
-        self.floor = self.floor.max(snap.floor);
     }
 
     /// The catch-up answer from slot `req`: the applied entries from
-    /// `req` on, or — when `req` lies below `cut` — the snapshot that
-    /// stands in for the prefix and the entries from the floor on.
+    /// `req` on, or — when `req` lies below `cut` (`base ≤ cut ≤
+    /// logical_len`) — the snapshot that stands in for the prefix and the
+    /// entries from `cut` on.
     pub(super) fn catch_up(&self, req: u64, cut: u64) -> SyncOkBody {
         let (snapshot, from) = if req < cut {
-            (Some(self.snapshot()), self.floor)
+            (Some(self.snapshot(cut)), cut)
         } else {
             (None, req)
         };
@@ -73,11 +58,13 @@ impl ReplicatedLog {
         }
     }
 
-    /// Answers a joiner's `Sync`: from below the floor, the snapshot that
-    /// summarizes the prefix goes with the applied tail from the floor on
-    /// — O(tail).
+    /// Answers a joiner's `Sync`: the last `compact_keep` applied entries
+    /// (all of them from `base`, if fewer), behind a snapshot when `req`
+    /// lies below them — O(keep), not O(log).
     pub(super) fn on_sync(&self, out: &mut impl Out<LogMsg>, from: ProcessId, req: u64) {
-        let body = self.catch_up(req, self.floor);
+        let keep = self.compact_keep as u64;
+        let cut = self.base.max(self.logical_len().saturating_sub(keep));
+        let body = self.catch_up(req, cut);
         out.send(from, LogMsg::SyncOk(Arc::from(body)));
     }
 }

@@ -54,9 +54,8 @@ impl ReplicatedLog {
         self.store(slot, ballot, cmd, true);
     }
 
-    /// Applies every parked decision contiguous with the applied prefix —
-    /// popping the window's front — then compacts if the hot state
-    /// outgrew its bound.
+    /// Applies every parked decision contiguous with the applied prefix,
+    /// popping the window's front.
     fn apply_contiguous(&mut self) {
         while let Some(&Entry {
             ballot,
@@ -72,6 +71,5 @@ impl ReplicatedLog {
                 self.raise_mark(cmd.client, cmd.seq);
             }
         }
-        self.maybe_compact();
     }
 }

@@ -32,12 +32,12 @@
 //! | `leader.rs` | leader (proposer) | `become_leader`, `on_request`, `on_recover_ok`, `finish_recovery_if_ready`, `propose_queued`, `propose_batch`, `count_acks`, `decide_slots` |
 //! | `acceptor.rs` | acceptor | `on_accept`, `accept`, `on_recover` |
 //! | `learner.rs` | replica (learner) | `on_decide`, `on_sync_ok`, `learn_and_apply`, `learn`, `apply_contiguous` |
-//! | `compact.rs` | compaction and catch-up | `maybe_compact`, `raise_mark`, `snapshot`, `install_snapshot`, `catch_up`, `on_sync` |
+//! | `catch_up.rs` | catch-up | `raise_mark`, `snapshot`, `install_snapshot`, `catch_up`, `on_sync` |
 //!
-//! Debug builds check the log's invariants after every entry point
-//! (`base ≤ floor ≤ logical_len`, the applied vectors in step, the window
-//! above the applied prefix, a leader that is active and believes itself
-//! leader); release builds compile the check out.
+//! Debug builds check the log's invariants after every entry point (the
+//! applied vectors in step, the window above the applied prefix, a leader
+//! that is active and believes itself leader); release builds compile the
+//! check out.
 //!
 //! # Where per-slot state lives
 //!
@@ -56,7 +56,7 @@
 //! in a third. The one command-keyed table, the leader's `admitted` set,
 //! is a hash set: it is only probed, never iterated on a path that emits
 //! a message. Committed commands are deduplicated by the per-client
-//! high-water marks alone (see Compaction).
+//! high-water marks alone (see Catch-up).
 //!
 //! # Batching and pipelining
 //!
@@ -74,21 +74,17 @@
 //! peer. Decide-path refills re-propose straight from the queue (no extra
 //! flush tick), so a saturated pipeline stays saturated.
 //!
-//! # Compaction
+//! # Catch-up
 //!
-//! Replicas maintain a **compaction floor**, `base ≤ floor ≤
-//! logical_len`: every slot below it is committed and summarized by a
-//! [`Snapshot`] — the floor itself plus one `last seq` dedup high-water
-//! mark per client. The mark is a complete dedup summary because links
-//! are FIFO and the leader proposes in admission order, so each client's
-//! sequence numbers commit in monotone order: `seq ≤ mark` ⇔ committed,
-//! above the floor and below it alike. Once `logical_len - floor >
-//! 2·compact_keep`, the floor advances to `logical_len - compact_keep`;
-//! nothing is pruned, since the window ends where the applied prefix
-//! begins and the marks are one per client.
-//! Joiner `Sync` below the floor answers with snapshot + tail (O(tail),
-//! not O(log)); a snapshot-booted replica starts its applied vectors at
-//! `base = snapshot.floor` instead of 0.
+//! A replica keeps every slot it applied, and one `last seq` dedup
+//! high-water mark per client summarizes every command committed before
+//! any slot. The mark is a complete dedup summary because links are FIFO
+//! and the leader proposes in admission order, so each client's sequence
+//! numbers commit in monotone order: `seq ≤ mark` ⇔ committed. A joiner's
+//! `Sync` is answered with the last `compact_keep` applied entries; when
+//! it asks from below them, a [`Snapshot`] — the cut plus the marks —
+//! stands in for the prefix (O(keep), not O(log)), and the joiner starts
+//! its applied vectors at `base = snapshot.floor` instead of 0.
 //!
 //! On every view install where this process is `Mgr` it (re)runs the
 //! **recovery round** — multipaxos phase 1 at ballot = the new view
@@ -135,7 +131,7 @@
 //! the call that arms it, so it keeps its place behind that call's sends.
 
 mod acceptor;
-mod compact;
+mod catch_up;
 mod leader;
 mod learner;
 
@@ -195,9 +191,6 @@ pub struct ReplicatedLog {
     ballots: Vec<Ver>,
     /// Local simulated time each slot was applied.
     applied_at: Vec<Time>,
-    /// Compaction floor: every slot below is committed and summarized by
-    /// the per-client high-water marks. `base ≤ floor ≤ logical_len`.
-    floor: u64,
     /// Per-client dedup high-water mark: `client → last committed seq`.
     /// Complete because per-client seqs commit in order. Ordered: the
     /// failover re-reply walks it onto the wire.
@@ -209,8 +202,8 @@ pub struct ReplicatedLog {
     /// Max commands per `AcceptBatch`; at 1 requests are proposed on
     /// arrival instead of waiting for a flush timer.
     batch_max: usize,
-    /// Applied suffix length that triggers compaction (`usize::MAX`
-    /// disables it; compaction runs when `logical_len - floor > 2·keep`).
+    /// How many applied entries a snapshot catch-up ships (`usize::MAX`:
+    /// a `Sync` gets every entry from `base`, with no snapshot).
     compact_keep: usize,
     /// A flush timer is armed and not yet fired — don't arm another.
     flush_armed: bool,
@@ -231,12 +224,13 @@ pub struct ReplicatedLog {
 impl ReplicatedLog {
     /// A blank log: `max_inflight` caps concurrently proposed slots,
     /// `batch_max` commands go per `AcceptBatch` (1 = propose each request
-    /// on arrival) and the compaction floor trails the applied prefix by
-    /// `compact_keep` slots (`usize::MAX` = the floor stays at 0).
+    /// on arrival) and a joiner's `Sync` is answered with the last
+    /// `compact_keep` applied entries behind a snapshot (`usize::MAX` =
+    /// every entry, no snapshot).
     pub fn with_tuning(max_inflight: usize, batch_max: usize, compact_keep: usize) -> Self {
         assert!(max_inflight >= 1, "the in-flight window must admit work");
         assert!(batch_max >= 1, "a batch carries at least one command");
-        assert!(compact_keep >= 1, "compaction must keep the working tail");
+        assert!(compact_keep >= 1, "a catch-up ships at least one entry");
         ReplicatedLog {
             me: ProcessId(u32::MAX),
             view: Vec::new(),
@@ -246,7 +240,6 @@ impl ReplicatedLog {
             committed: Vec::new(),
             ballots: Vec::new(),
             applied_at: Vec::new(),
-            floor: 0,
             client_hwm: BTreeMap::new(),
             lead: None,
             max_inflight,
@@ -295,12 +288,6 @@ impl ReplicatedLog {
         self.base
     }
 
-    /// The compaction floor: every slot below it is committed here and
-    /// summarized by the per-client high-water marks.
-    pub fn floor(&self) -> u64 {
-        self.floor
-    }
-
     /// One past the last applied slot (`base + committed().len()`).
     pub fn logical_len(&self) -> u64 {
         self.base + self.committed.len() as u64
@@ -317,7 +304,7 @@ impl ReplicatedLog {
         self.slots.get(slot).filter(|e| e.decided).map(|e| e.cmd)
     }
 
-    /// Sizes of the prunable hot state, for memory-bound assertions:
+    /// Sizes of the hot state, for memory-bound assertions:
     /// `(accepted, parked, admitted, client marks)` — window entries, the
     /// decided ones among them, the leader's admitted-command set (0 on a
     /// follower), per-client marks.
@@ -509,7 +496,6 @@ impl ReplicatedLog {
     #[cfg(debug_assertions)]
     fn check_invariants(&self) {
         let (len, n) = (self.logical_len(), self.committed.len());
-        assert!(self.base <= self.floor && self.floor <= len);
         assert!(self.ballots.len() == n && self.applied_at.len() == n);
         assert!(self.slots.len() == 0 || self.slots.span().start >= len);
         assert!(self.lead.is_none() || self.active);
@@ -985,12 +971,12 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Compaction, snapshots, high-water dedup
+    // Snapshot catch-up, high-water dedup
     // ------------------------------------------------------------------
 
     /// A solitary leader (quorum 1) that has committed `ops` commands
-    /// from client 9, compacting down to `keep`.
-    fn solitary_compacted(ops: u64, keep: usize) -> ReplicatedLog {
+    /// from client 9, answering a `Sync` with up to `keep` entries.
+    fn solitary(ops: u64, keep: usize) -> ReplicatedLog {
         let mut sink = Sink::new();
         let mut log = ReplicatedLog::with_tuning(8, 1, keep);
         log.bind(ProcessId(0));
@@ -1009,20 +995,17 @@ mod tests {
     }
 
     #[test]
-    fn compaction_prunes_hot_state_and_dedups_from_the_mark() {
+    fn an_applied_log_leaves_an_empty_window_and_dedups_from_the_mark() {
         let mut sink = Sink::new();
-        let log = solitary_compacted(20, 4);
+        let log = solitary(20, 4);
         assert_eq!(log.committed_ops(), 20);
-        // Floor advances by `keep` each time the suffix exceeds 2·keep:
-        // trigger at len 9 → 5, 14 → 10, 19 → 15.
-        assert_eq!(log.floor(), 15);
         let (acc, parked, admitted, hwm) = log.hot_sizes();
         assert_eq!(acc, 0, "the window holds nothing applied");
         assert_eq!(parked, 0);
         assert_eq!(admitted, 0, "every admitted command was learned");
         assert_eq!(hwm, 1, "one mark per client");
-        // A duplicate far below the floor, and one above it, answer from
-        // the mark and are not proposed again.
+        // An old duplicate, and a recent one, answer from the mark and
+        // are not proposed again.
         let mut log = log;
         for seq in [3, 17] {
             log.step_message(
@@ -1050,9 +1033,9 @@ mod tests {
     }
 
     #[test]
-    fn sync_below_the_floor_ships_a_snapshot_plus_tail() {
+    fn sync_from_below_the_last_keep_entries_ships_a_snapshot_plus_tail() {
         let mut sink = Sink::new();
-        let mut log = solitary_compacted(20, 4);
+        let mut log = solitary(20, 4);
         log.step_message(&mut sink, ProcessId(5), LogMsg::Sync { from: 0 }, 40);
         let out = sends(&mut sink);
         assert_eq!(out.len(), 1);
@@ -1067,31 +1050,32 @@ mod tests {
         else {
             panic!("expected a snapshot-bearing SyncOk, got {body:?}");
         };
-        assert_eq!(*from, 15);
-        assert_eq!(snap.floor, 15);
+        assert_eq!(*from, 16);
+        assert_eq!(snap.floor, 16);
         assert_eq!(snap.clients, vec![(ProcessId(9), 19)]);
-        assert_eq!(entries.len(), 5, "O(tail), not O(log)");
-        // A fresh replica boots from it: vectors restart at the floor.
+        assert_eq!(entries.len(), 4, "O(keep), not O(log)");
+        // A fresh replica boots from it: vectors restart at the cut.
         let mut joiner = ReplicatedLog::with_tuning(8, 1, usize::MAX);
         joiner.bind(ProcessId(5));
         joiner.step_event(&mut sink, view(1, [0, 5], 0), 41);
         sink.clear();
         joiner.step_message(&mut sink, ProcessId(0), out[0].1.clone(), 42);
-        assert_eq!(joiner.base(), 15);
+        assert_eq!(joiner.base(), 16);
         assert_eq!(joiner.logical_len(), 20);
-        assert_eq!(joiner.committed().len(), 5);
-        assert_eq!(joiner.last_sync(), Some((true, 5)));
+        assert_eq!(joiner.committed().len(), 4);
+        assert_eq!(joiner.last_sync(), Some((true, 4)));
         // The adopted marks dedup below its base.
         assert!(joiner.is_committed(&cmd(9, 2)));
         assert!(!joiner.is_committed(&cmd(9, 20)));
     }
 
     #[test]
-    fn recover_between_base_and_floor_reports_committed_entries() {
+    fn recover_above_the_base_reports_committed_entries() {
         let mut sink = Sink::new();
-        let mut log = solitary_compacted(20, 4);
-        // A new leader probing from slot 10 (< floor 15, ≥ base 0) gets
-        // the committed range [10, 15) plus everything accepted above.
+        let mut log = solitary(20, 4);
+        // A new leader probing from slot 10 (≥ base 0, below the last
+        // `keep` entries) gets the committed range [10, 20) plus
+        // everything accepted above, and no snapshot.
         log.step_message(
             &mut sink,
             ProcessId(1),
@@ -1519,17 +1503,5 @@ mod tests {
             sink.last(),
             Some(Effect::Timer { tag: LOG_FLUSH, .. })
         ));
-    }
-
-    /// The invariants hold by construction; a floor planted above the
-    /// applied prefix is caught.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "self.floor <= len")]
-    fn a_floor_above_the_applied_prefix_breaks_the_invariants() {
-        let mut log = solitary_compacted(20, 4);
-        log.check_invariants();
-        log.floor = log.logical_len() + 1;
-        log.check_invariants();
     }
 }

@@ -14,8 +14,8 @@
 //!
 //! The default `LogConfig` is the batched trim: the leader coalesces
 //! same-tick commands into one `AcceptBatch` (`batch`), clients keep a
-//! pipeline window in flight (`window`), and replicas compact per-slot
-//! state below a floor once the log outgrows `compact_keep`.
+//! pipeline window in flight (`window`), and a joiner catches up from a
+//! snapshot plus the last `compact_keep` applied entries.
 //! `LogConfig::default().unbatched()` is the strict one-at-a-time preset —
 //! every command a batch of one, proposed on arrival — try it here and
 //! watch committed ops drop ~4x.
@@ -27,13 +27,7 @@ fn main() {
     let clients = 3;
     let crash_at = 3_000;
 
-    // Default knobs, except a compaction budget small enough for this
-    // run's ~7k commands to cross the floor-advance hysteresis — so the
-    // printout below shows the hot state actually being pruned.
-    let mut sim = LogClusterBuilder::new(replicas, clients)
-        .seed(2024)
-        .log_config(LogConfig::default().compact_keep(1_024))
-        .build();
+    let mut sim = LogClusterBuilder::new(replicas, clients).seed(2024).build();
 
     // p0 is the senior member, hence the initial Mgr and log leader.
     sim.crash_at(ProcessId(0), crash_at);
@@ -47,13 +41,12 @@ fn main() {
         let (m, l) = (node.member(), node.log());
         let (accepted, _, admitted, _) = l.hot_sizes();
         println!(
-            "  {} -> view v{} ({} members), {} committed ops, floor {} \
+            "  {} -> view v{} ({} members), {} committed ops \
              ({} accepted / {} admitted hot){}",
             p,
             m.ver(),
             m.view().len(),
             l.committed_ops(),
-            l.floor(),
             accepted,
             admitted,
             if l.is_leader() { "  [leader]" } else { "" }
