@@ -345,3 +345,35 @@ fn partition_heal_burst_matches_the_binary_heap_golden() {
         0xc7ec_11d9_a1be_144a,
     );
 }
+
+/// The one-phase baseline's Claim 7.1 run (a partition at 50, each side's
+/// coordinator committing the other's removal), pinned event for event:
+/// `tables c71` prints only its summary.
+#[test]
+fn claim_7_1_run_matches_its_golden() {
+    assert_golden(
+        "claim 7.1",
+        || gmp::baselines::claim_7_1_run(1),
+        10_000,
+        7_731,
+        0x08df_e365_41d5_e545,
+    );
+}
+
+/// The symmetric baseline as `tables e5`'s n = 8 row runs it (seed
+/// 42 + 8, the last member crashed at 300), pinned event for event.
+#[test]
+fn symmetric_e5_run_matches_its_golden() {
+    use gmp::baselines::SymmetricMember;
+    use gmp::types::View;
+    let build = || {
+        let view: View = (0..8).map(ProcessId).collect();
+        let mut sim = gmp::sim::Builder::new().seed(50).build();
+        for _ in 0..8 {
+            sim.add_node(SymmetricMember::new(view.clone(), 40, 200));
+        }
+        sim.crash_at(ProcessId(7), 300);
+        sim
+    };
+    assert_golden("symmetric e5", build, 10_000, 23_159, 0x0fc1_98f2_5923_b28c);
+}
