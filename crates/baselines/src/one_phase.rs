@@ -8,12 +8,10 @@
 //! version, violating GMP-2/GMP-3. The [`scenarios`](crate::scenarios)
 //! module builds exactly the proof's run.
 
-use gmp_detect::{HeartbeatDetector, Isolation};
-use gmp_sim::{Ctx, Message, Node};
-use gmp_types::note::FaultySource;
-use gmp_types::{Note, Op, ProcessId, Ver, View};
-
-const TICK: u64 = 1;
+use crate::shell::{Shell, TICK};
+use gmp_sim::{Ctx, Message, Node, Out};
+use gmp_types::note::{FaultySource, QuitReason};
+use gmp_types::{Note, ProcessId, Ver, View};
 
 /// Messages of the one-phase protocol.
 #[derive(Clone, Debug)]
@@ -39,167 +37,99 @@ impl Message for OneMsg {
 }
 
 /// A member running the (unsound) one-phase protocol.
+///
+/// Sans-IO like `gmp_core::Member`: every entry point emits through an
+/// [`Out`] sink, so a `Vec<gmp_sim::Effect<OneMsg>>` drives it as well as
+/// the simulator does.
 pub struct OnePhaseMember {
-    me: ProcessId,
-    view: View,
-    ver: Ver,
-    fd: HeartbeatDetector,
-    iso: Isolation,
-    faulty: std::collections::BTreeSet<ProcessId>,
-    heartbeat_every: u64,
+    shell: Shell,
 }
 
 impl OnePhaseMember {
     /// An initial member with the given view and failure-detection timing.
     pub fn new(initial_view: View, heartbeat_every: u64, suspect_after: u64) -> Self {
         OnePhaseMember {
-            me: ProcessId(u32::MAX),
-            view: initial_view,
-            ver: 0,
-            fd: HeartbeatDetector::new(suspect_after),
-            iso: Isolation::new(),
-            faulty: Default::default(),
-            heartbeat_every,
+            shell: Shell::new(initial_view, heartbeat_every, suspect_after),
         }
     }
 
     /// Current local view.
     pub fn view(&self) -> &View {
-        &self.view
+        &self.shell.view
     }
 
     /// Current local version.
     pub fn ver(&self) -> Ver {
-        self.ver
+        self.shell.ver
     }
 
     /// True when this process currently considers itself coordinator: the
     /// most senior member it does not believe faulty.
     pub fn is_coordinator(&self) -> bool {
-        self.view
-            .iter()
-            .find(|p| !self.faulty.contains(p))
-            .map(|p| p == self.me)
-            .unwrap_or(false)
+        self.shell.coordinator() == Some(self.shell.me)
     }
 
-    fn apply_remove(&mut self, ctx: &mut Ctx<'_, OneMsg>, target: ProcessId) {
-        if !self.view.contains(target) {
-            return;
-        }
-        self.view.remove(target);
-        self.ver += 1;
-        ctx.note(Note::OpApplied {
-            op: Op::remove(target),
-            ver: self.ver,
-        });
-        let mgr = self
-            .view
-            .iter()
-            .find(|p| !self.faulty.contains(p))
-            .unwrap_or(self.me);
-        ctx.note(Note::ViewInstalled {
-            ver: self.ver,
-            members: self.view.shared(),
-            mgr,
-        });
+    /// Starts the member as process `me` at time `now` (once, first).
+    pub fn start(&mut self, out: &mut impl Out<OneMsg>, me: ProcessId, now: u64) {
+        self.shell.start(out, me, now);
     }
 
-    fn handle_faulty(&mut self, ctx: &mut Ctx<'_, OneMsg>, q: ProcessId) {
-        if q == self.me || !self.iso.isolate(q) {
+    /// Handles `msg` from `from`, delivered at time `now`.
+    pub fn receive(&mut self, out: &mut impl Out<OneMsg>, from: ProcessId, msg: OneMsg, now: u64) {
+        if !self.shell.admit(out, from, now) {
             return;
         }
-        self.fd.release(q);
-        ctx.note(Note::Faulty {
-            suspect: q,
-            source: FaultySource::Observation,
-        });
-        if !self.view.contains(q) {
+        if let OneMsg::Commit { target, ver } = msg {
+            if target == self.shell.me {
+                out.note(Note::Quit {
+                    reason: QuitReason::Excluded,
+                });
+                out.quit();
+            } else if ver == self.shell.ver + 1 {
+                // The faulty belief that justifies the commit (GMP-1 is
+                // the one clause this protocol *does* satisfy).
+                self.shell.suspect(out, target, FaultySource::Gossip);
+                self.shell.remove(out, target, Shell::coordinator);
+            }
+        }
+    }
+
+    /// Handles the timer `tag` this member armed, due at time `now`.
+    pub fn fire(&mut self, out: &mut impl Out<OneMsg>, tag: u64, now: u64) {
+        if tag != TICK {
             return;
         }
-        self.faulty.insert(q);
-        if self.is_coordinator() {
+        for q in self.shell.beat(out, OneMsg::Heartbeat, now) {
+            self.suspect(out, q);
+        }
+        self.shell.rearm(out);
+    }
+
+    fn suspect(&mut self, out: &mut impl Out<OneMsg>, q: ProcessId) {
+        if self.shell.suspect(out, q, FaultySource::Observation) && self.is_coordinator() {
             // One phase: no invitation, no acknowledgement — just commit.
-            let ver = self.ver + 1;
-            ctx.broadcast(
-                self.view.iter().filter(|&p| p != self.me),
-                OneMsg::Commit { target: q, ver },
-            );
-            self.apply_remove(ctx, q);
+            let ver = self.shell.ver + 1;
+            for p in self.shell.view.iter() {
+                if p != self.shell.me {
+                    out.send(p, OneMsg::Commit { target: q, ver });
+                }
+            }
+            self.shell.remove(out, q, Shell::coordinator);
         }
     }
 }
 
 impl Node<OneMsg> for OnePhaseMember {
     fn on_start(&mut self, ctx: &mut Ctx<'_, OneMsg>) {
-        self.me = ctx.id();
-        let now = ctx.now();
-        for p in self.view.to_vec() {
-            if p != self.me {
-                self.fd.track(p, now);
-            }
-        }
-        ctx.note(Note::ViewInstalled {
-            ver: 0,
-            members: self.view.shared(),
-            mgr: self.view.most_senior().expect("non-empty view"),
-        });
-        ctx.set_timer(self.heartbeat_every, TICK);
+        self.start(ctx, ctx.id(), ctx.now());
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, OneMsg>, from: ProcessId, msg: OneMsg) {
-        if self.iso.is_isolated(from) {
-            ctx.note(Note::Isolated { from });
-            return;
-        }
-        self.fd.heard_from(from, ctx.now());
-        match msg {
-            OneMsg::Heartbeat => {}
-            OneMsg::Commit { target, ver } => {
-                if target == self.me {
-                    ctx.note(Note::Quit {
-                        reason: gmp_types::note::QuitReason::Excluded,
-                    });
-                    ctx.quit();
-                    return;
-                }
-                if ver == self.ver + 1 {
-                    self.handle_faulty_belief_only(ctx, target);
-                    self.apply_remove(ctx, target);
-                }
-            }
-        }
+        self.receive(ctx, from, msg, ctx.now());
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, OneMsg>, tag: u64) {
-        if tag != TICK {
-            return;
-        }
-        let targets: Vec<ProcessId> = self
-            .view
-            .iter()
-            .filter(|&p| p != self.me && !self.faulty.contains(&p))
-            .collect();
-        ctx.broadcast(targets, OneMsg::Heartbeat);
-        for q in self.fd.tick(ctx.now()) {
-            self.handle_faulty(ctx, q);
-        }
-        ctx.set_timer(self.heartbeat_every, TICK);
-    }
-}
-
-impl OnePhaseMember {
-    /// Records the faulty belief that justifies an incoming commit (GMP-1
-    /// is the one clause this protocol *does* satisfy).
-    fn handle_faulty_belief_only(&mut self, ctx: &mut Ctx<'_, OneMsg>, q: ProcessId) {
-        if q != self.me && self.iso.isolate(q) {
-            self.fd.release(q);
-            ctx.note(Note::Faulty {
-                suspect: q,
-                source: FaultySource::Gossip,
-            });
-            self.faulty.insert(q);
-        }
+        self.fire(ctx, tag, ctx.now());
     }
 }
 

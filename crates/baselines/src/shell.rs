@@ -1,0 +1,142 @@
+//! The failure-detection shell both baselines share: the local view and
+//! version, a heartbeat detector, the S1 isolation filter and the
+//! heartbeat tick. Each baseline wraps one and adds only its own protocol.
+//!
+//! Views only shrink here (no baseline admits joiners), so a view member
+//! is believed faulty exactly when it is isolated: the isolation bitmap is
+//! the faulty set.
+
+use gmp_detect::{HeartbeatDetector, Isolation};
+use gmp_sim::Out;
+use gmp_types::note::FaultySource;
+use gmp_types::{Note, Op, ProcessId, Ver, View};
+
+/// The heartbeat tick's timer tag, the only timer a baseline arms.
+pub(crate) const TICK: u64 = 1;
+
+/// One baseline member's view, version and failure detection.
+pub(crate) struct Shell {
+    pub(crate) me: ProcessId,
+    pub(crate) view: View,
+    pub(crate) ver: Ver,
+    fd: HeartbeatDetector,
+    /// S1: every process this one believes faulty, whose messages it
+    /// discards.
+    iso: Isolation,
+    heartbeat_every: u64,
+}
+
+impl Shell {
+    /// An unstarted member of `view` with the given failure-detection timing.
+    pub(crate) fn new(view: View, heartbeat_every: u64, suspect_after: u64) -> Self {
+        Shell {
+            me: ProcessId(u32::MAX),
+            view,
+            ver: 0,
+            fd: HeartbeatDetector::new(suspect_after),
+            iso: Isolation::new(),
+            heartbeat_every,
+        }
+    }
+
+    /// Starts as process `me` at `now`: tracks every peer, notes the
+    /// initial view and arms the tick.
+    pub(crate) fn start<M>(&mut self, out: &mut impl Out<M>, me: ProcessId, now: u64) {
+        self.me = me;
+        for p in self.view.iter() {
+            if p != me {
+                self.fd.track(p, now);
+            }
+        }
+        out.note(Note::ViewInstalled {
+            ver: 0,
+            members: self.view.shared(),
+            mgr: self.view.most_senior().expect("non-empty view"),
+        });
+        out.set_timer(self.heartbeat_every, TICK);
+    }
+
+    /// S1, then the life sign: whether a message from `from`, delivered
+    /// at `now`, reaches the protocol.
+    pub(crate) fn admit<M>(&mut self, out: &mut impl Out<M>, from: ProcessId, now: u64) -> bool {
+        if self.iso.is_isolated(from) {
+            out.note(Note::Isolated { from });
+            return false;
+        }
+        self.fd.heard_from(from, now);
+        true
+    }
+
+    /// The tick's first half: sends `heartbeat` to every view member not
+    /// believed faulty and returns the peers whose lease expired. The
+    /// caller handles those, then calls [`Shell::rearm`].
+    pub(crate) fn beat<M: Clone>(
+        &mut self,
+        out: &mut impl Out<M>,
+        heartbeat: M,
+        now: u64,
+    ) -> Vec<ProcessId> {
+        for p in self.view.iter() {
+            if p != self.me && !self.is_faulty(p) {
+                out.send(p, heartbeat.clone());
+            }
+        }
+        self.fd.tick(now)
+    }
+
+    /// The tick's second half: arms the next one.
+    pub(crate) fn rearm<M>(&self, out: &mut impl Out<M>) {
+        out.set_timer(self.heartbeat_every, TICK);
+    }
+
+    /// Comes to believe `q` faulty: isolates it, stops monitoring it and
+    /// notes the belief. Returns whether `q` is a view member newly
+    /// believed faulty, which the protocol then acts on.
+    pub(crate) fn suspect<M>(
+        &mut self,
+        out: &mut impl Out<M>,
+        q: ProcessId,
+        source: FaultySource,
+    ) -> bool {
+        if q == self.me || !self.iso.isolate(q) {
+            return false;
+        }
+        self.fd.release(q);
+        out.note(Note::Faulty { suspect: q, source });
+        self.view.contains(q)
+    }
+
+    /// Whether this process believes view member `p` faulty.
+    pub(crate) fn is_faulty(&self, p: ProcessId) -> bool {
+        self.iso.is_isolated(p)
+    }
+
+    /// The most senior view member not believed faulty.
+    pub(crate) fn coordinator(&self) -> Option<ProcessId> {
+        self.view.iter().find(|&p| !self.is_faulty(p))
+    }
+
+    /// Applies `remove(target)` if `target` is a member: bumps the version
+    /// and notes the op and the new view, whose coordinator is `mgr` of
+    /// the shrunk shell (this process if `None`).
+    pub(crate) fn remove<M>(
+        &mut self,
+        out: &mut impl Out<M>,
+        target: ProcessId,
+        mgr: fn(&Shell) -> Option<ProcessId>,
+    ) {
+        if !self.view.remove(target) {
+            return;
+        }
+        self.ver += 1;
+        out.note(Note::OpApplied {
+            op: Op::remove(target),
+            ver: self.ver,
+        });
+        out.note(Note::ViewInstalled {
+            ver: self.ver,
+            members: self.view.shared(),
+            mgr: mgr(self).unwrap_or(self.me),
+        });
+    }
+}

@@ -11,13 +11,11 @@
 //! assumptions, but makes no attempt at the paper's reconfiguration
 //! subtleties (that is the point of the comparison).
 
-use gmp_detect::{HeartbeatDetector, Isolation};
-use gmp_sim::{Ctx, Message, Node};
+use crate::shell::{Shell, TICK};
+use gmp_sim::{Ctx, Message, Node, Out};
 use gmp_types::note::FaultySource;
-use gmp_types::{Note, Op, ProcessId, Ver, View};
+use gmp_types::{ProcessId, Ver, View};
 use std::collections::{BTreeMap, BTreeSet};
-
-const TICK: u64 = 1;
 
 /// Messages of the symmetric protocol.
 #[derive(Clone, Debug)]
@@ -49,81 +47,110 @@ impl Message for SymMsg {
 }
 
 /// A member of the symmetric protocol.
+///
+/// Sans-IO like `gmp_core::Member`: every entry point emits through an
+/// [`Out`] sink, so a `Vec<gmp_sim::Effect<SymMsg>>` drives it as well as
+/// the simulator does.
 pub struct SymmetricMember {
-    me: ProcessId,
-    view: View,
-    ver: Ver,
-    fd: HeartbeatDetector,
-    iso: Isolation,
-    faulty: BTreeSet<ProcessId>,
+    shell: Shell,
     /// Who has voted `Suspect(target)`.
     votes: BTreeMap<ProcessId, BTreeSet<ProcessId>>,
     /// Who has declared `Ready(target)`.
     ready: BTreeMap<ProcessId, BTreeSet<ProcessId>>,
     sent_ready: BTreeSet<ProcessId>,
-    heartbeat_every: u64,
 }
 
 impl SymmetricMember {
     /// An initial member with the given view and failure-detection timing.
     pub fn new(initial_view: View, heartbeat_every: u64, suspect_after: u64) -> Self {
         SymmetricMember {
-            me: ProcessId(u32::MAX),
-            view: initial_view,
-            ver: 0,
-            fd: HeartbeatDetector::new(suspect_after),
-            iso: Isolation::new(),
-            faulty: Default::default(),
+            shell: Shell::new(initial_view, heartbeat_every, suspect_after),
             votes: Default::default(),
             ready: Default::default(),
             sent_ready: Default::default(),
-            heartbeat_every,
         }
     }
 
     /// Current local view.
     pub fn view(&self) -> &View {
-        &self.view
+        &self.shell.view
     }
 
     /// Current local version.
     pub fn ver(&self) -> Ver {
-        self.ver
+        self.shell.ver
+    }
+
+    /// Starts the member as process `me` at time `now` (once, first).
+    pub fn start(&mut self, out: &mut impl Out<SymMsg>, me: ProcessId, now: u64) {
+        self.shell.start(out, me, now);
+    }
+
+    /// Handles `msg` from `from`, delivered at time `now`.
+    pub fn receive(&mut self, out: &mut impl Out<SymMsg>, from: ProcessId, msg: SymMsg, now: u64) {
+        if !self.shell.admit(out, from, now) {
+            return;
+        }
+        match msg {
+            SymMsg::Heartbeat => {}
+            SymMsg::Suspect { target } => {
+                if target == self.shell.me {
+                    return; // slander about self is ignored (S1 will bite)
+                }
+                self.votes.entry(target).or_default().insert(from);
+                self.suspect(out, target, FaultySource::Gossip);
+                self.advance(out, target);
+            }
+            SymMsg::Ready { target } => {
+                self.ready.entry(target).or_default().insert(from);
+                self.advance(out, target);
+            }
+        }
+    }
+
+    /// Handles the timer `tag` this member armed, due at time `now`.
+    pub fn fire(&mut self, out: &mut impl Out<SymMsg>, tag: u64, now: u64) {
+        if tag != TICK {
+            return;
+        }
+        for q in self.shell.beat(out, SymMsg::Heartbeat, now) {
+            self.suspect(out, q, FaultySource::Observation);
+        }
+        self.shell.rearm(out);
     }
 
     /// The members whose votes are required for `target`'s exclusion: every
     /// current member not itself under suspicion, plus this process.
     fn electorate(&self, target: ProcessId) -> BTreeSet<ProcessId> {
-        self.view
+        let sh = &self.shell;
+        sh.view
             .iter()
-            .filter(|&p| p == self.me || (!self.faulty.contains(&p) && p != target))
+            .filter(|&p| p == sh.me || (!sh.is_faulty(p) && p != target))
             .collect()
     }
 
-    fn suspect(&mut self, ctx: &mut Ctx<'_, SymMsg>, q: ProcessId, source: FaultySource) {
-        if q == self.me || !self.iso.isolate(q) {
+    /// Sends one round's `msg` about `target` to every other member.
+    fn round(&self, out: &mut impl Out<SymMsg>, target: ProcessId, msg: SymMsg) {
+        for p in self.shell.view.iter() {
+            if p != self.shell.me && p != target {
+                out.send(p, msg.clone());
+            }
+        }
+    }
+
+    fn suspect(&mut self, out: &mut impl Out<SymMsg>, q: ProcessId, source: FaultySource) {
+        if !self.shell.suspect(out, q, source) {
             return;
         }
-        self.fd.release(q);
-        ctx.note(Note::Faulty { suspect: q, source });
-        if !self.view.contains(q) {
-            return;
-        }
-        self.faulty.insert(q);
         // Symmetric: every believer broadcasts its own suspicion round.
-        let targets: Vec<ProcessId> = self
-            .view
-            .iter()
-            .filter(|&p| p != self.me && p != q)
-            .collect();
-        ctx.broadcast(targets, SymMsg::Suspect { target: q });
-        self.votes.entry(q).or_default().insert(self.me);
-        self.advance(ctx, q);
+        self.round(out, q, SymMsg::Suspect { target: q });
+        self.votes.entry(q).or_default().insert(self.shell.me);
+        self.advance(out, q);
     }
 
     /// Checks whether a round for `target` completed and moves it forward.
-    fn advance(&mut self, ctx: &mut Ctx<'_, SymMsg>, target: ProcessId) {
-        if !self.view.contains(target) {
+    fn advance(&mut self, out: &mut impl Out<SymMsg>, target: ProcessId) {
+        if !self.shell.view.contains(target) {
             return;
         }
         let electorate = self.electorate(target);
@@ -132,34 +159,19 @@ impl SymmetricMember {
             return;
         }
         if self.sent_ready.insert(target) {
-            let targets: Vec<ProcessId> = self
-                .view
-                .iter()
-                .filter(|&p| p != self.me && p != target)
-                .collect();
-            ctx.broadcast(targets, SymMsg::Ready { target });
-            self.ready.entry(target).or_default().insert(self.me);
+            self.round(out, target, SymMsg::Ready { target });
+            self.ready.entry(target).or_default().insert(self.shell.me);
         }
         let ready = self.ready.entry(target).or_default();
         if electorate.iter().all(|p| ready.contains(p)) {
             // Everyone has seen everyone's vote: apply deterministically.
-            self.view.remove(target);
-            self.ver += 1;
-            ctx.note(Note::OpApplied {
-                op: Op::remove(target),
-                ver: self.ver,
-            });
-            ctx.note(Note::ViewInstalled {
-                ver: self.ver,
-                members: self.view.shared(),
-                mgr: self.view.most_senior().unwrap_or(self.me),
-            });
+            self.shell.remove(out, target, |sh| sh.view.most_senior());
             self.votes.remove(&target);
             self.ready.remove(&target);
             // A member's failure may complete other pending rounds.
             let pending: Vec<ProcessId> = self.votes.keys().copied().collect();
             for t in pending {
-                self.advance(ctx, t);
+                self.advance(out, t);
             }
         }
     }
@@ -167,58 +179,15 @@ impl SymmetricMember {
 
 impl Node<SymMsg> for SymmetricMember {
     fn on_start(&mut self, ctx: &mut Ctx<'_, SymMsg>) {
-        self.me = ctx.id();
-        let now = ctx.now();
-        for p in self.view.to_vec() {
-            if p != self.me {
-                self.fd.track(p, now);
-            }
-        }
-        ctx.note(Note::ViewInstalled {
-            ver: 0,
-            members: self.view.shared(),
-            mgr: self.view.most_senior().expect("non-empty view"),
-        });
-        ctx.set_timer(self.heartbeat_every, TICK);
+        self.start(ctx, ctx.id(), ctx.now());
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, SymMsg>, from: ProcessId, msg: SymMsg) {
-        if self.iso.is_isolated(from) {
-            ctx.note(Note::Isolated { from });
-            return;
-        }
-        self.fd.heard_from(from, ctx.now());
-        match msg {
-            SymMsg::Heartbeat => {}
-            SymMsg::Suspect { target } => {
-                if target == self.me {
-                    return; // slander about self is ignored (S1 will bite)
-                }
-                self.votes.entry(target).or_default().insert(from);
-                self.suspect(ctx, target, FaultySource::Gossip);
-                self.advance(ctx, target);
-            }
-            SymMsg::Ready { target } => {
-                self.ready.entry(target).or_default().insert(from);
-                self.advance(ctx, target);
-            }
-        }
+        self.receive(ctx, from, msg, ctx.now());
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SymMsg>, tag: u64) {
-        if tag != TICK {
-            return;
-        }
-        let targets: Vec<ProcessId> = self
-            .view
-            .iter()
-            .filter(|&p| p != self.me && !self.faulty.contains(&p))
-            .collect();
-        ctx.broadcast(targets, SymMsg::Heartbeat);
-        for q in self.fd.tick(ctx.now()) {
-            self.suspect(ctx, q, FaultySource::Observation);
-        }
-        ctx.set_timer(self.heartbeat_every, TICK);
+        self.fire(ctx, tag, ctx.now());
     }
 }
 

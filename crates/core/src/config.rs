@@ -226,23 +226,17 @@ pub struct ObserveConfig {
     /// Members to subscribe to, tried in order; once view updates arrive,
     /// the observed membership itself extends the fail-over list.
     pub contacts: Vec<ProcessId>,
-    /// How often subscription health is re-checked.
-    pub poll_every: u64,
 }
 
 impl ObserveConfig {
-    /// An observer first subscribing at `at` through `contacts`, polling
-    /// every 100 ticks.
+    /// An observer first subscribing at `at` through `contacts`. It
+    /// re-checks its subscription every 100 ticks.
     pub fn new(at: u64, contacts: Vec<ProcessId>) -> Self {
         assert!(
             !contacts.is_empty(),
             "an observer needs at least one contact"
         );
-        ObserveConfig {
-            at,
-            contacts,
-            poll_every: 100,
-        }
+        ObserveConfig { at, contacts }
     }
 }
 

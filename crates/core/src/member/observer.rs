@@ -3,7 +3,7 @@
 //! when the stream goes quiet; members push every installed view to their
 //! subscribers.
 
-use super::{Member, OBSERVE};
+use super::{Member, OBSERVE, OBSERVE_EVERY};
 use crate::msg::{Msg, ViewUpdateBody};
 use gmp_sim::Out;
 use gmp_types::{Note, ProcessId, Ver, View};
@@ -108,7 +108,7 @@ impl Member {
     /// Periodic observer maintenance: subscribe, detect a dead contact,
     /// fail over to the next one.
     pub(super) fn on_observe_tick(&mut self, out: &mut impl Out<Msg>) {
-        let (Some(obs), Some(observe)) = (self.obs.as_mut(), &self.cfg.observe) else {
+        let Some(obs) = self.obs.as_mut() else {
             return;
         };
         let now = self.now;
@@ -132,6 +132,6 @@ impl Member {
         if !obs.subscribed {
             out.send(contact, Msg::Subscribe);
         }
-        out.set_timer(observe.poll_every, OBSERVE);
+        out.set_timer(OBSERVE_EVERY, OBSERVE);
     }
 }

@@ -670,8 +670,9 @@ mod tests {
     impl Node<TMsg> for PingPong {
         fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg>) {
             if ctx.id() == ProcessId(0) {
-                let all = (0..self.n).map(ProcessId);
-                ctx.broadcast(all, TMsg::Ping(0));
+                for p in 1..self.n {
+                    ctx.send(ProcessId(p), TMsg::Ping(0));
+                }
             }
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_, TMsg>, from: ProcessId, msg: TMsg) {
@@ -843,7 +844,9 @@ mod tests {
         let history = p0_history(
             4,
             |ctx| {
-                ctx.broadcast((0..4).map(ProcessId), TMsg::Ping(0));
+                for p in 1..4 {
+                    ctx.send(ProcessId(p), TMsg::Ping(0));
+                }
                 ctx.note(Note::Custom("sent".into()));
                 ctx.set_timer(5, 1);
             },

@@ -28,10 +28,10 @@
 //! edges, so the engine never carries them — [`Trace::lamports`] and
 //! [`Trace::to_event_log`] rebuild the stamps for the caller that needs
 //! them. Fan-out payloads are cheap too:
-//! wrapping a payload in a [`std::sync::Arc`] makes every per-recipient
-//! message clone — whether via [`Ctx::broadcast`] or a per-target
-//! [`Ctx::send`] loop — an O(1) reference bump on one allocation instead
-//! of a deep copy. A seed sweep
+//! a broadcast is a loop of [`Out::send`]s, one message clone per
+//! recipient, and wrapping the payload in a [`std::sync::Arc`] makes each
+//! clone an O(1) reference bump on one allocation instead of a deep copy.
+//! A seed sweep
 //! replays one scenario once per seed, one run after another, and
 //! condenses each per-run metric with [`Summary::of`].
 //!

@@ -64,32 +64,6 @@ impl<'a, M: Message> Ctx<'a, M> {
         self.core.send(self.pid, self.proc, to, msg);
     }
 
-    /// `Bcast(p, G, m)` (§3.1): sends `msg` to every process in `to` except
-    /// this one. Indivisible in the sense that no other handler of this
-    /// process runs in between, but *not* failure-atomic: a scheduled crash
-    /// can cut it short after any prefix of the sends.
-    ///
-    /// The message is cloned once per recipient. For payload-free messages
-    /// that clone is trivially cheap; for bulk payloads, wrap them in an
-    /// [`Arc`](std::sync::Arc) so one constructed payload fans out to
-    /// `n − 1` recipients as O(1) reference bumps instead of deep copies.
-    /// The same wrapping keeps `M` small, and every send and delivery
-    /// moves `M` through the engine's event record. (`gmp-core`'s `Member`
-    /// does not call this: it is written against [`Out`], so it broadcasts
-    /// as single [`Out::send`]s, each recipient's copy sharing one body — a
-    /// `Commit`'s, a `ReconfCommit`'s, a heartbeat digest's snapshot — and
-    /// a crash cuts them the same way.)
-    pub fn broadcast<I>(&mut self, to: I, msg: M)
-    where
-        I: IntoIterator<Item = ProcessId>,
-    {
-        for p in to {
-            if p != self.pid {
-                self.send(p, msg.clone());
-            }
-        }
-    }
-
     /// Arms a one-shot timer that fires after `delay` ticks, delivering
     /// `tag` to [`Node::on_timer`]. Timers cannot be cancelled: a handler
     /// that no longer wants one ignores its tag when it fires.
@@ -170,49 +144,5 @@ impl<M> Out<M> for Vec<Effect<M>> {
     }
     fn quit(&mut self) {
         self.push(Effect::Quit);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[derive(Clone, Debug)]
-    struct M0;
-    impl Message for M0 {
-        fn tag(&self) -> &'static str {
-            "m0"
-        }
-    }
-
-    /// Process 1 broadcasts to the whole group at start.
-    struct Caster;
-    impl Node<M0> for Caster {
-        fn on_start(&mut self, ctx: &mut Ctx<'_, M0>) {
-            if ctx.id() == ProcessId(1) {
-                ctx.broadcast([ProcessId(0), ProcessId(1), ProcessId(2)], M0);
-            }
-        }
-        fn on_message(&mut self, _: &mut Ctx<'_, M0>, _: ProcessId, _: M0) {}
-        fn on_timer(&mut self, _: &mut Ctx<'_, M0>, _: u64) {}
-    }
-
-    #[test]
-    fn broadcast_skips_self() {
-        let mut sim = crate::Builder::new().build::<M0, Caster>();
-        for _ in 0..3 {
-            sim.add_node(Caster);
-        }
-        sim.run_until(0);
-        let targets: Vec<ProcessId> = sim
-            .trace()
-            .events
-            .iter()
-            .filter_map(|e| match e.kind {
-                TraceKind::Send { to, .. } => Some(to),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(targets, vec![ProcessId(0), ProcessId(2)]);
     }
 }

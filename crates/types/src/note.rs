@@ -120,8 +120,6 @@ pub enum QuitReason {
         /// The majority threshold that was required.
         needed: usize,
     },
-    /// Other (diagnostics).
-    Other(String),
 }
 
 impl fmt::Display for Note {

@@ -1,0 +1,132 @@
+//! No-panic fuzz of the two baselines, `OnePhaseMember` and
+//! `SymmetricMember`, each stepped by hand through a `Vec` sink with no
+//! simulator: started as an initial member, it is fed arbitrary messages
+//! from arbitrary senders and arbitrary timer tags. Ids stay in
+//! `0..n + 2` (the members and two strangers), because the isolation
+//! filter is a bitmap sized by the largest id it has seen.
+//!
+//! Per case, after every input:
+//! - no input panics;
+//! - the view is a subset of the initial view (no baseline admits anyone);
+//! - the version counts the members removed, one per installed view.
+//!
+//! The machines have no stopped state, so a quit member keeps being
+//! stepped: the properties do not lean on a driver dropping its input.
+
+use gmp::baselines::{OneMsg, OnePhaseMember, SymMsg, SymmetricMember};
+use gmp::sim::Effect;
+use gmp::types::{ProcessId, Ver, View};
+use proptest::collection::vec;
+use proptest::prelude::*;
+
+/// The fuzzed member's id.
+const ME: ProcessId = ProcessId(1);
+
+/// What reaches the member next, and how many ticks after the last input:
+/// a message kind with raw sender and target ids (reduced to `0..n + 2`
+/// once `n` is drawn) and a version, or a timer tag.
+#[derive(Debug)]
+enum Input {
+    Msg {
+        kind: u8,
+        from: u32,
+        target: u32,
+        ver: Ver,
+    },
+    Timer(u64),
+}
+
+/// A version is small or `Ver::MAX`.
+fn input() -> impl Strategy<Value = (u64, Input)> {
+    (0u8..5, 0u32..7, 0u32..7, 0u64..6, 0u64..120).prop_map(|(kind, from, target, v, dt)| {
+        let input = match kind {
+            // The tick and two tags no baseline arms.
+            4 => Input::Timer(v % 3),
+            _ => Input::Msg {
+                kind,
+                from,
+                target,
+                ver: if v == 5 { Ver::MAX } else { v },
+            },
+        };
+        (dt, input)
+    })
+}
+
+/// `p0..p{n-1}` in a rotated seniority order.
+fn initial(n: u32, shift: u32) -> View {
+    (0..n).map(|i| ProcessId((i + shift) % n)).collect()
+}
+
+/// The view stayed inside the initial one, and `ver` counts its removals.
+fn check(initial: &View, view: &View, ver: Ver) {
+    assert!(
+        view.iter().all(|p| initial.contains(p)),
+        "view {:?} left the initial {:?}",
+        view.to_vec(),
+        initial.to_vec()
+    );
+    assert_eq!(ver, (initial.len() - view.len()) as Ver, "ver");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn the_one_phase_baseline_survives_arbitrary_inputs(
+        n in 2u32..6,
+        shift in 0u32..5,
+        timing in (1u64..60, 1u64..300),
+        inputs in vec(input(), 1..200),
+    ) {
+        let view = initial(n, shift % n);
+        let mut m = OnePhaseMember::new(view.clone(), timing.0, timing.1);
+        let mut out: Vec<Effect<OneMsg>> = Vec::new();
+        m.start(&mut out, ME, 0);
+        let mut now = 0;
+        for (dt, input) in inputs {
+            now += dt;
+            match input {
+                Input::Msg { kind, from, target, ver } => {
+                    let msg = match kind {
+                        0 | 1 => OneMsg::Heartbeat,
+                        _ => OneMsg::Commit { target: ProcessId(target % (n + 2)), ver },
+                    };
+                    m.receive(&mut out, ProcessId(from % (n + 2)), msg, now);
+                }
+                Input::Timer(tag) => m.fire(&mut out, tag, now),
+            }
+            check(&view, m.view(), m.ver());
+        }
+    }
+
+    #[test]
+    fn the_symmetric_baseline_survives_arbitrary_inputs(
+        n in 2u32..6,
+        shift in 0u32..5,
+        timing in (1u64..60, 1u64..300),
+        inputs in vec(input(), 1..200),
+    ) {
+        let view = initial(n, shift % n);
+        let mut m = SymmetricMember::new(view.clone(), timing.0, timing.1);
+        let mut out: Vec<Effect<SymMsg>> = Vec::new();
+        m.start(&mut out, ME, 0);
+        let mut now = 0;
+        for (dt, input) in inputs {
+            now += dt;
+            match input {
+                Input::Msg { kind, from, target, .. } => {
+                    let target = ProcessId(target % (n + 2));
+                    let msg = match kind {
+                        0 => SymMsg::Heartbeat,
+                        1 | 2 => SymMsg::Suspect { target },
+                        _ => SymMsg::Ready { target },
+                    };
+                    m.receive(&mut out, ProcessId(from % (n + 2)), msg, now);
+                }
+                Input::Timer(tag) => m.fire(&mut out, tag, now),
+            }
+            check(&view, m.view(), m.ver());
+        }
+    }
+}

@@ -185,16 +185,15 @@ fn log_workload_replays_byte_identical() {
 /// Batched companion to the scenario above: the same crash schedule with
 /// leader batching (`AcceptBatch` + the 1-tick flush timer), client
 /// pipelining active — the two mechanisms the unbatched trim never
-/// exercises (no joiner sends a `Sync`, so its catch-up budget of 256 is
-/// inert). Replay must reproduce it event for event; the CI determinism
-/// job double-runs this scenario too.
+/// exercises. Replay must reproduce it event for event; the CI
+/// determinism job double-runs this scenario too.
 #[test]
 fn batched_log_workload_replays_byte_identical() {
     use gmp::log::{LogClusterBuilder, LogConfig};
     let build = || {
         let mut sim = LogClusterBuilder::new(5, 3)
             .seed(2024)
-            .log_config(LogConfig::default().batch(8).window(4).compact_keep(256))
+            .log_config(LogConfig::default().batch(8).window(4))
             .build();
         sim.crash_at(ProcessId(0), 2_000);
         sim

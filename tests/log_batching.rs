@@ -26,8 +26,9 @@ fn build(
     b.build()
 }
 
-/// Committed logs of every living replica, in pid order.
-fn replica_logs(sim: &Sim<AppMsg, LogProc>) -> Vec<Vec<LogCmd>> {
+/// `(base, committed entries)` of every living replica, in pid order: a
+/// joiner booted from a snapshot holds only `[base, len)`.
+fn replica_logs(sim: &Sim<AppMsg, LogProc>) -> Vec<(u64, Vec<LogCmd>)> {
     let mut pids: Vec<ProcessId> = sim
         .living()
         .into_iter()
@@ -35,13 +36,22 @@ fn replica_logs(sim: &Sim<AppMsg, LogProc>) -> Vec<Vec<LogCmd>> {
         .collect();
     pids.sort();
     pids.into_iter()
-        .map(|p| sim.node(p).log().committed().to_vec())
+        .map(|p| {
+            let log = sim.node(p).log();
+            (log.base(), log.committed().to_vec())
+        })
         .collect()
 }
 
-/// Per-client committed seqs, in slot order, from the longest log.
-fn per_client_seqs(logs: &[Vec<LogCmd>]) -> BTreeMap<ProcessId, Vec<u64>> {
-    let longest = logs.iter().max_by_key(|l| l.len()).expect("some replica");
+/// Per-client committed seqs, in slot order, from the longest log that
+/// starts at slot 0 (a founder's: founders keep every applied entry).
+fn per_client_seqs(logs: &[(u64, Vec<LogCmd>)]) -> BTreeMap<ProcessId, Vec<u64>> {
+    let longest = logs
+        .iter()
+        .filter(|(base, _)| *base == 0)
+        .map(|(_, l)| l)
+        .max_by_key(|l| l.len())
+        .expect("some founder");
     let mut seqs: BTreeMap<ProcessId, Vec<u64>> = BTreeMap::new();
     for c in longest.iter().filter(|c| !c.is_noop()) {
         seqs.entry(c.client).or_default().push(c.seq);
@@ -54,13 +64,16 @@ proptest! {
     // failures replay from proptest-regressions/.
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Across the whole (seed, n, batch, window, catch-up budget, leader
-    /// crash) knob space: replica logs stay prefix-identical, every
-    /// client's committed commands are a gapless in-order prefix of its
-    /// issue stream (exactly-once, no reordering), and no client acks more
-    /// than committed. The duplicates a failover's retries send are
-    /// answered from the client marks wherever they land. No joiner sends
-    /// a `Sync` here, so the catch-up budget must change nothing.
+    /// Across the whole (seed, n, batch, window, catch-up budget, joiner,
+    /// leader crash) knob space: replica logs agree on every slot they
+    /// share (a joiner booted from a snapshot holds only `[base, len)`),
+    /// every client's committed commands are a gapless in-order prefix of
+    /// its issue stream (exactly-once, no reordering), and no client acks
+    /// more than committed. The duplicates a failover's retries send are
+    /// answered from the client marks wherever they land. The optional
+    /// joiner's `Sync` is answered with the whole applied log or with a
+    /// snapshot plus the last `compact_keep` entries, so the catch-up
+    /// budget decides what it boots from.
     #[test]
     fn batched_log_safe_across_knob_space(
         seed in 0u64..500,
@@ -68,6 +81,7 @@ proptest! {
         batch in 1usize..=16,
         window in 1usize..=8,
         keep in 0usize..3,
+        join in 0usize..4,
         crash in proptest::bool::ANY,
     ) {
         let clients = 2usize;
@@ -77,7 +91,8 @@ proptest! {
             .window(window)
             .max_inflight(batch.max(8))
             .compact_keep([8, 64, usize::MAX][keep]);
-        let mut seq = build(n, clients, seed, lc, None);
+        let join_at = [None, Some(1_000), Some(2_500), Some(4_000)][join];
+        let mut seq = build(n, clients, seed, lc, join_at);
         if crash {
             seq.crash_at(ProcessId(0), horizon / 2);
         }
@@ -85,7 +100,7 @@ proptest! {
 
         let logs = replica_logs(&seq);
         prop_assert!(
-            logs_agree(logs.iter().map(|l| (0, l.as_slice()))),
+            logs_agree(logs.iter().map(|(base, l)| (*base, l.as_slice()))),
             "replica logs diverged"
         );
         for (client, seqs) in per_client_seqs(&logs) {
@@ -95,15 +110,18 @@ proptest! {
                 "client {:?} committed out of order or more than once", client
             );
         }
+        // Clients come after the replicas and the joiner.
+        let first_client = n + join_at.is_some() as usize;
         let lats: Vec<Vec<u64>> = (0..clients as u32)
-            .map(|k| sim_client(&seq, n, k).latencies().to_vec())
+            .map(|k| sim_client(&seq, first_client, k).latencies().to_vec())
             .collect();
         for (k, l) in lats.iter().enumerate() {
             let committed = logs
                 .iter()
                 .map(|log| {
-                    log.iter()
-                        .filter(|c| c.client == ProcessId((n + k) as u32))
+                    log.1
+                        .iter()
+                        .filter(|c| c.client == ProcessId((first_client + k) as u32))
                         .count()
                 })
                 .max()
@@ -116,8 +134,8 @@ proptest! {
     }
 }
 
-fn sim_client(sim: &Sim<AppMsg, LogProc>, replicas: usize, k: u32) -> &gmp::log::Client {
-    sim.node(ProcessId(replicas as u32 + k)).client()
+fn sim_client(sim: &Sim<AppMsg, LogProc>, first: usize, k: u32) -> &gmp::log::Client {
+    sim.node(ProcessId(first as u32 + k)).client()
 }
 
 #[test]
