@@ -8,10 +8,10 @@
 //! version, violating GMP-2/GMP-3. The [`scenarios`](crate::scenarios)
 //! module builds exactly the proof's run.
 
-use crate::shell::{Shell, TICK};
+use crate::shell::Shell;
 use gmp_sim::{Ctx, Message, Node, Out};
 use gmp_types::note::{FaultySource, QuitReason};
-use gmp_types::{Note, ProcessId, Ver, View};
+use gmp_types::{ProcessId, Ver, View};
 
 /// Messages of the one-phase protocol.
 #[derive(Clone, Debug)]
@@ -81,10 +81,7 @@ impl OnePhaseMember {
         }
         if let OneMsg::Commit { target, ver } = msg {
             if target == self.shell.me {
-                out.note(Note::Quit {
-                    reason: QuitReason::Excluded,
-                });
-                out.quit();
+                self.shell.quit(out, QuitReason::Excluded);
             } else if ver == self.shell.ver + 1 {
                 // The faulty belief that justifies the commit (GMP-1 is
                 // the one clause this protocol *does* satisfy).
@@ -96,7 +93,7 @@ impl OnePhaseMember {
 
     /// Handles the timer `tag` this member armed, due at time `now`.
     pub fn fire(&mut self, out: &mut impl Out<OneMsg>, tag: u64, now: u64) {
-        if tag != TICK {
+        if !self.shell.ticks(tag) {
             return;
         }
         for q in self.shell.beat(out, OneMsg::Heartbeat, now) {
@@ -136,7 +133,8 @@ impl Node<OneMsg> for OnePhaseMember {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmp_sim::Builder;
+    use crate::shell::TICK;
+    use gmp_sim::{Builder, Effect};
 
     fn cluster(n: u32, seed: u64) -> gmp_sim::Sim<OneMsg, OnePhaseMember> {
         let view: View = (0..n).map(ProcessId).collect();
@@ -157,6 +155,27 @@ mod tests {
             assert!(!sim.node(p).view().contains(ProcessId(2)));
             assert_eq!(sim.node(p).ver(), 1);
         }
+    }
+
+    /// Excluded by a commit, p1 of {p0, p1, p2} quits and stays stopped:
+    /// a later tick sends no heartbeat and re-arms nothing, and a later
+    /// message is not admitted.
+    #[test]
+    fn an_excluded_member_stays_stopped() {
+        let view: View = (0..3).map(ProcessId).collect();
+        let mut m = OnePhaseMember::new(view, 40, 200);
+        let mut out: Vec<Effect<OneMsg>> = Vec::new();
+        m.start(&mut out, ProcessId(1), 0);
+        let commit = OneMsg::Commit {
+            target: ProcessId(1),
+            ver: 1,
+        };
+        m.receive(&mut out, ProcessId(0), commit, 10);
+        assert!(matches!(out.last(), Some(Effect::Quit)), "{out:?}");
+        out.clear();
+        m.fire(&mut out, TICK, 40);
+        m.receive(&mut out, ProcessId(2), OneMsg::Heartbeat, 50);
+        assert!(out.is_empty(), "effects after quit: {out:?}");
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //!
 //! Views only shrink here (no baseline admits joiners), so a view member
 //! is believed faulty exactly when it is isolated: the isolation bitmap is
-//! the faulty set.
+//! the faulty set. A member that quit is stopped: it admits no message and
+//! acts on no tick.
 
 use gmp_detect::{HeartbeatDetector, Isolation};
 use gmp_sim::Out;
-use gmp_types::note::FaultySource;
+use gmp_types::note::{FaultySource, QuitReason};
 use gmp_types::{Note, Op, ProcessId, Ver, View};
 
 /// The heartbeat tick's timer tag, the only timer a baseline arms.
@@ -24,6 +25,8 @@ pub(crate) struct Shell {
     /// discards.
     iso: Isolation,
     heartbeat_every: u64,
+    /// Set by [`Shell::quit`]; nothing reaches the member after it.
+    stopped: bool,
 }
 
 impl Shell {
@@ -36,6 +39,7 @@ impl Shell {
             fd: HeartbeatDetector::new(suspect_after),
             iso: Isolation::new(),
             heartbeat_every,
+            stopped: false,
         }
     }
 
@@ -57,14 +61,31 @@ impl Shell {
     }
 
     /// S1, then the life sign: whether a message from `from`, delivered
-    /// at `now`, reaches the protocol.
+    /// at `now`, reaches the protocol. None reaches a stopped member.
     pub(crate) fn admit<M>(&mut self, out: &mut impl Out<M>, from: ProcessId, now: u64) -> bool {
+        if self.stopped {
+            return false;
+        }
         if self.iso.is_isolated(from) {
             out.note(Note::Isolated { from });
             return false;
         }
         self.fd.heard_from(from, now);
         true
+    }
+
+    /// Whether timer `tag` is a tick this member acts on: its own, and
+    /// not after a quit.
+    pub(crate) fn ticks(&self, tag: u64) -> bool {
+        tag == TICK && !self.stopped
+    }
+
+    /// Executes `quit` for `reason`: notes it, stops the process and
+    /// leaves the member stopped.
+    pub(crate) fn quit<M>(&mut self, out: &mut impl Out<M>, reason: QuitReason) {
+        out.note(Note::Quit { reason });
+        out.quit();
+        self.stopped = true;
     }
 
     /// The tick's first half: sends `heartbeat` to every view member not

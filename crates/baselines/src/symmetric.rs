@@ -11,7 +11,7 @@
 //! assumptions, but makes no attempt at the paper's reconfiguration
 //! subtleties (that is the point of the comparison).
 
-use crate::shell::{Shell, TICK};
+use crate::shell::Shell;
 use gmp_sim::{Ctx, Message, Node, Out};
 use gmp_types::note::FaultySource;
 use gmp_types::{ProcessId, Ver, View};
@@ -110,7 +110,7 @@ impl SymmetricMember {
 
     /// Handles the timer `tag` this member armed, due at time `now`.
     pub fn fire(&mut self, out: &mut impl Out<SymMsg>, tag: u64, now: u64) {
-        if tag != TICK {
+        if !self.shell.ticks(tag) {
             return;
         }
         for q in self.shell.beat(out, SymMsg::Heartbeat, now) {

@@ -607,7 +607,8 @@ pub fn ab2_timeout_sweep(seed: u64) -> Vec<TimeoutRow> {
                 .values()
                 .flat_map(|vs| vs.iter())
                 .filter(|v| !v.members.contains(&ProcessId(5)))
-                .map(|v| sim.trace().events[v.event].time)
+                .filter_map(|v| sim.trace().events.get(v.event))
+                .map(|e| e.time)
                 .max()
                 .and_then(|t| t.checked_sub(crash_time));
             let spurious = a

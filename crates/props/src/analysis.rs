@@ -144,50 +144,34 @@ mod tests {
     use gmp_sim::TraceEvent;
     use gmp_types::note::FaultySource;
 
-    fn note_event(pid: u32, note: Note) -> TraceEvent {
-        TraceEvent {
-            time: 0,
-            pid: ProcessId(pid),
-            kind: TraceKind::Note(Box::new(note)),
-        }
-    }
-
     #[test]
     fn analysis_collects_records() {
         let mut t = Trace {
             n: 3,
-            events: Vec::new(),
+            events: Default::default(),
         };
-        t.events.push(note_event(
-            0,
+        for note in [
             Note::ViewInstalled {
                 ver: 0,
                 members: vec![ProcessId(0), ProcessId(1)].into(),
                 mgr: ProcessId(0),
             },
-        ));
-        t.events.push(note_event(
-            0,
             Note::Faulty {
                 suspect: ProcessId(1),
                 source: FaultySource::Observation,
             },
-        ));
-        t.events.push(note_event(
-            0,
             Note::OpApplied {
                 op: Op::remove(ProcessId(1)),
                 ver: 1,
             },
-        ));
-        t.events.push(note_event(
-            0,
             Note::ViewInstalled {
                 ver: 1,
                 members: vec![ProcessId(0)].into(),
                 mgr: ProcessId(0),
             },
-        ));
+        ] {
+            t.events.push_note(0, ProcessId(0), note);
+        }
         t.events.push(TraceEvent {
             time: 5,
             pid: ProcessId(1),

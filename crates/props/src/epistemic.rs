@@ -41,7 +41,7 @@ pub fn check_hindsight(trace: &Trace) -> Vec<HindsightRecord> {
     let a = analyze(trace);
     let log = trace.to_event_log();
     let mut out = Vec::new();
-    for views in a.views.values() {
+    for (&pid, views) in &a.views {
         for v in views {
             if v.ver < 2 {
                 continue;
@@ -53,7 +53,7 @@ pub fn check_hindsight(trace: &Trace) -> Vec<HindsightRecord> {
                 .filter(|w| w.ver == v.ver - 1)
                 .any(|w| log.in_causal_past(w.event, v.event));
             out.push(HindsightRecord {
-                pid: trace.events[v.event].pid,
+                pid,
                 ver: v.ver,
                 knows_previous: prev_installed_in_past,
             });
@@ -149,7 +149,7 @@ mod tests {
     fn empty_trace_is_trivially_fine() {
         let trace = Trace {
             n: 2,
-            events: Vec::new(),
+            events: Default::default(),
         };
         assert!(check_hindsight(&trace).is_empty());
         assert!(hindsight_holds(&trace));

@@ -7,7 +7,7 @@ use crate::net::{BlockMode, NetState};
 use crate::node::{Ctx, Message, Node};
 use crate::queue::EventQueue;
 use crate::stats::Stats;
-use crate::trace::{Trace, TraceEvent, TraceKind};
+use crate::trace::{Trace, TraceEvent, TraceKind, MAX_PROCESSES};
 use crate::Time;
 use gmp_types::{Note, ProcessId};
 use rand::rngs::SmallRng;
@@ -208,11 +208,16 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
     ///
     /// # Panics
     ///
-    /// Panics if the simulation has already started.
+    /// Panics if the simulation has already started, or if it already has
+    /// 2²⁹ processes: a trace record packs a sender's id into 29 bits.
     pub fn add_node(&mut self, node: N) -> ProcessId {
         assert!(
             !self.started,
             "cannot add nodes after the simulation started"
+        );
+        assert!(
+            self.slots.len() < MAX_PROCESSES,
+            "a run has at most {MAX_PROCESSES} processes"
         );
         let pid = ProcessId(self.slots.len() as u32);
         self.slots.push(Slot {
@@ -491,7 +496,7 @@ impl<M: Message> Core<M> {
         });
     }
 
-    fn record(&mut self, pid: ProcessId, kind: TraceKind) {
+    fn record(&mut self, pid: ProcessId, kind: TraceKind<'_>) {
         self.trace.events.push(TraceEvent {
             time: self.time,
             pid,
@@ -564,13 +569,13 @@ impl<M: Message> Core<M> {
 
     pub(crate) fn note(&mut self, pid: ProcessId, proc: &Proc, note: Note) {
         if proc.status.is_up() {
-            self.record(pid, TraceKind::Note(Box::new(note)));
+            self.trace.events.push_note(self.time, pid, note);
         }
     }
 
     /// Stops `pid` for good and records why: `kind` is its `Crash` or
     /// its own `Quit`.
-    pub(crate) fn stop(&mut self, pid: ProcessId, proc: &mut Proc, kind: TraceKind) {
+    pub(crate) fn stop(&mut self, pid: ProcessId, proc: &mut Proc, kind: TraceKind<'_>) {
         if proc.status.is_up() {
             proc.status = match kind {
                 TraceKind::Crash => NodeStatus::Crashed,
@@ -781,26 +786,31 @@ mod tests {
         fn on_timer(&mut self, _: &mut Ctx<'_, TMsg>, _: u64) {}
     }
 
-    /// Runs `script` on process 0 of `n` and returns p0's history as
-    /// `(lamport, kind)` pairs, the stamps rebuilt from the trace.
-    fn p0_history(
+    /// Runs `script` on process 0 of `n` until t = 1000.
+    fn run_script(
         n: u32,
         script: fn(&mut Ctx<'_, TMsg>),
         setup: impl FnOnce(&mut Sim<TMsg, Script>),
-    ) -> Vec<(u64, TraceKind)> {
+    ) -> Sim<TMsg, Script> {
         let mut sim = Builder::new().seed(2).build();
         for _ in 0..n {
             sim.add_node(Script(script));
         }
         setup(&mut sim);
         sim.run_until(1_000);
+        sim
+    }
+
+    /// p0's history as `(lamport, kind)` pairs, the stamps rebuilt from
+    /// the trace.
+    fn p0_history(sim: &Sim<TMsg, Script>) -> Vec<(u64, TraceKind<'_>)> {
         let trace = sim.trace();
         trace
             .events
             .iter()
             .zip(trace.lamports())
             .filter(|(e, _)| e.pid == ProcessId(0))
-            .map(|(e, lamport)| (lamport, e.kind.clone()))
+            .map(|(e, lamport)| (lamport, e.kind))
             .collect()
     }
 
@@ -809,7 +819,7 @@ mod tests {
     /// and the timer armed before the quit never fires.
     #[test]
     fn quit_cuts_off_every_later_effect() {
-        let history = p0_history(
+        let sim = run_script(
             2,
             |ctx| {
                 ctx.note(Note::Custom("before".into()));
@@ -822,15 +832,16 @@ mod tests {
             },
             |_| {},
         );
+        let before = Note::Custom("before".into());
         let send = TraceKind::Send {
             to: ProcessId(1),
             tag: "ping",
         };
         assert_eq!(
-            history,
+            p0_history(&sim),
             vec![
                 (1, TraceKind::Start),
-                (1, TraceKind::Note(Box::new(Note::Custom("before".into())))),
+                (1, TraceKind::Note(&before)),
                 (2, send),
                 (3, TraceKind::Quit),
             ]
@@ -841,7 +852,7 @@ mod tests {
     /// emits after the crashing send, not only the remaining sends.
     #[test]
     fn mid_broadcast_crash_drops_later_notes_and_timers() {
-        let history = p0_history(
+        let sim = run_script(
             4,
             |ctx| {
                 for p in 1..4 {
@@ -852,7 +863,7 @@ mod tests {
             },
             |sim| sim.crash_after_sends_at(ProcessId(0), 0, None, 2),
         );
-        let kinds: Vec<&TraceKind> = history.iter().map(|(_, k)| k).collect();
+        let kinds: Vec<TraceKind> = p0_history(&sim).into_iter().map(|(_, k)| k).collect();
         assert!(
             matches!(
                 kinds[..],
@@ -1079,7 +1090,10 @@ mod tests {
         sim.run_until(600);
         let events = &sim.trace().events;
         assert!(
-            events.windows(2).all(|w| w[0].time <= w[1].time),
+            events
+                .iter()
+                .zip(events.iter().skip(1))
+                .all(|(a, b)| a.time <= b.time),
             "trace times must be non-decreasing"
         );
         let crash = events
@@ -1088,7 +1102,7 @@ mod tests {
             .expect("the crash was recorded");
         assert_eq!(crash.time, 500, "a past-dated crash happens now");
         assert_eq!(sim.status(ProcessId(1)), NodeStatus::Crashed);
-        assert_eq!(events.last().map(|e| e.pid), Some(ProcessId(0)));
+        assert_eq!(events.iter().last().map(|e| e.pid), Some(ProcessId(0)));
     }
 
     #[test]

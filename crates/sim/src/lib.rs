@@ -91,7 +91,7 @@ pub use hash::{IntHasher, IntSet};
 pub use net::BlockMode;
 pub use node::{Ctx, Effect, Message, Node, Out};
 pub use stats::{Stats, Summary};
-pub use trace::{Trace, TraceEvent, TraceKind};
+pub use trace::{Events, Trace, TraceEvent, TraceKind};
 
 /// Simulated time, in abstract ticks. Processes never read this directly —
 /// they only see timers firing — preserving the "no global clock" model.

@@ -10,12 +10,14 @@
 //! - the view is a subset of the initial view (no baseline admits anyone);
 //! - the version counts the members removed, one per installed view.
 //!
-//! The machines have no stopped state, so a quit member keeps being
-//! stepped: the properties do not lean on a driver dropping its input.
+//! And at the end of the case, nothing follows `Effect::Quit` in the sink,
+//! whose one `Note::Quit` is the effect just before it. A quit member
+//! keeps being stepped: it is its own stopped state, not a driver dropping
+//! its input, that keeps it silent.
 
 use gmp::baselines::{OneMsg, OnePhaseMember, SymMsg, SymmetricMember};
 use gmp::sim::Effect;
-use gmp::types::{ProcessId, Ver, View};
+use gmp::types::{Note, ProcessId, Ver, View};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -69,6 +71,24 @@ fn check(initial: &View, view: &View, ver: Ver) {
     assert_eq!(ver, (initial.len() - view.len()) as Ver, "ver");
 }
 
+/// At most one `Effect::Quit`, last in the sink, right after its note.
+fn check_quit<M: std::fmt::Debug>(out: &[Effect<M>]) {
+    let quits: Vec<usize> = (0..out.len())
+        .filter(|&i| matches!(out[i], Effect::Quit))
+        .collect();
+    let noted: Vec<usize> = (0..out.len())
+        .filter(|&i| matches!(out[i], Effect::Note(Note::Quit { .. })))
+        .collect();
+    match quits[..] {
+        [] => assert!(noted.is_empty(), "quit notes at {noted:?} without a quit"),
+        [q] => {
+            assert_eq!(q + 1, out.len(), "effects after Quit: {:?}", &out[q..]);
+            assert!(q >= 1 && noted == [q - 1], "quit notes at {noted:?}");
+        }
+        _ => panic!("{} quits", quits.len()),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -98,6 +118,7 @@ proptest! {
             }
             check(&view, m.view(), m.ver());
         }
+        check_quit(&out);
     }
 
     #[test]
@@ -128,5 +149,6 @@ proptest! {
             }
             check(&view, m.view(), m.ver());
         }
+        check_quit(&out);
     }
 }

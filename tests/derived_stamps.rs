@@ -100,7 +100,7 @@ fn held_then_released_and_dropped_messages_rebuild() {
     let log = trace.to_event_log();
     assert_eq!(log.len(), trace.events.len());
     let edges = message_edges(trace);
-    let event = |i: usize| &trace.events[i];
+    let event = |i: usize| trace.events.get(i).expect("an edge indexes the trace");
     let released = edges.values().any(|&(send, recv)| {
         recv.is_some_and(|recv| {
             a.contains(&event(send).pid) != a.contains(&event(recv).pid)

@@ -262,8 +262,8 @@ fn joiner_welcomed_mid_suspicion_learns_the_faulty_set_by_digest() {
             .iter()
             .filter(|e| e.pid == joiner)
             .collect();
-        fn note(e: &TraceEvent) -> Option<&Note> {
-            match &e.kind {
+        fn note<'a>(e: &TraceEvent<'a>) -> Option<&'a Note> {
+            match e.kind {
                 TraceKind::Note(note) => Some(note),
                 _ => None,
             }
@@ -279,7 +279,7 @@ fn joiner_welcomed_mid_suspicion_learns_the_faulty_set_by_digest() {
             .unwrap_or_else(|| {
                 panic!("seed {seed}: joiner never learned the faulty set — digest gap")
             });
-        let Some(Note::Faulty { suspect, source }) = note(evs[first]) else {
+        let Some(Note::Faulty { suspect, source }) = note(&evs[first]) else {
             unreachable!()
         };
         assert_eq!(*suspect, ProcessId(4), "seed {seed}");
