@@ -12,7 +12,7 @@ use crate::Time;
 use gmp_types::{Note, ProcessId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Liveness status of a simulated process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,7 +82,8 @@ impl Builder {
             slots: Vec::new(),
             core: Core {
                 queue: EventQueue::new(),
-                held: HashMap::new(),
+                held: BTreeMap::new(),
+                unreleased: BTreeMap::new(),
                 net: NetState::new(self.delay_min, self.delay_max),
                 rng: SmallRng::seed_from_u64(self.seed),
                 time: 0,
@@ -122,9 +123,12 @@ pub(crate) struct InFlight<M> {
 
 /// What a queued event does. The event queue only reads the `(time, seq)`
 /// key around it; the payload types are `pub(crate)` only because this
-/// enum names them.
+/// enum names them. A `Token` is a delivery on a released link that
+/// carries no message: it takes the link's oldest undelivered one out of
+/// the backlog.
 pub(crate) enum QKind<M> {
     Deliver(InFlight<M>),
+    Token { from: ProcessId, to: ProcessId },
     Timer { pid: ProcessId, tag: u64 },
     Crash { pid: ProcessId },
     Control(Control),
@@ -187,8 +191,13 @@ pub struct Sim<M: Message, N: Node<M>> {
 /// update, so [`Ctx`] borrows it while the handler runs.
 pub(crate) struct Core<M> {
     queue: EventQueue<M>,
-    /// Held messages per directed link, in send order.
-    held: HashMap<(u32, u32), Vec<InFlight<M>>>,
+    /// Every message a block or a partition caught and that is not
+    /// delivered yet, by link and then message id: each link's backlog,
+    /// in send order.
+    held: BTreeMap<(ProcessId, ProcessId, u64), InFlight<M>>,
+    /// Per link, how many of its held messages no queued
+    /// [`QKind::Token`] will deliver: its share of [`Stats::held`].
+    unreleased: BTreeMap<(ProcessId, ProcessId), u64>,
     net: NetState,
     rng: SmallRng,
     pub(crate) time: Time,
@@ -320,7 +329,8 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
     }
 
     /// Unblocks the directed link `from -> to` at `at`; held messages are
-    /// then delivered (with fresh delays, preserving FIFO order).
+    /// then delivered at fresh delivery times, oldest first, and ahead of
+    /// every later message on the link (§2.1's FIFO channels).
     pub fn unblock_link_at(&mut self, from: ProcessId, to: ProcessId, at: Time) {
         self.core
             .enqueue(at, QKind::Control(Control::Unblock { from, to }));
@@ -410,19 +420,25 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
 
     fn dispatch(&mut self, ev: Queued<M>) {
         self.core.time = ev.time;
-        match ev.kind {
-            QKind::Deliver(inf) => self.deliver(inf),
-            QKind::Timer { pid, tag } => self.invoke(pid, Trigger::Timer { tag }),
+        // One call site for `deliver`, so it inlines here.
+        let inf = match ev.kind {
+            QKind::Deliver(inf) => inf,
+            QKind::Token { from, to } => self.core.take_oldest(from, to),
+            QKind::Timer { pid, tag } => return self.invoke(pid, Trigger::Timer { tag }),
             QKind::Crash { pid } => {
                 self.core.assert_in_run(pid);
                 let proc = &mut self.slots[pid.index()].proc;
-                self.core.stop(pid, proc, TraceKind::Crash);
+                return self.core.stop(pid, proc, TraceKind::Crash);
             }
-            QKind::Control(c) => self.core.apply_control(c),
-        }
+            QKind::Control(c) => return self.core.apply_control(c),
+        };
+        self.deliver(inf);
     }
 
-    fn deliver(&mut self, inf: InFlight<M>) {
+    /// Delivers, holds or drops `inf` by the receiver's status and the
+    /// link's fate. A link with a backlog hands over its oldest message
+    /// instead, so it stays FIFO through blocks, partitions and releases.
+    fn deliver(&mut self, mut inf: InFlight<M>) {
         let core = &mut self.core;
         if !self.slots[inf.to.index()].proc.status.is_up() {
             core.stats.dropped_dead_receiver += 1;
@@ -431,19 +447,15 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         // The link state is consulted at delivery time, so a block installed
         // after the send still catches in-flight messages.
         match core.net.fate(inf.from, inf.to) {
-            Some(BlockMode::Hold) => {
-                core.stats.held += 1;
-                core.held
-                    .entry((inf.from.0, inf.to.0))
-                    .or_default()
-                    .push(inf);
-                return;
-            }
+            Some(BlockMode::Hold) => return core.hold(inf),
             Some(BlockMode::Drop) => {
                 core.stats.dropped_link += 1;
                 return;
             }
             None => {}
+        }
+        if !core.held.is_empty() {
+            inf = core.oldest(inf);
         }
         self.invoke(inf.to, Trigger::Recv(inf));
     }
@@ -524,8 +536,8 @@ impl<M: Message> Core<M> {
         assert!(to.index() < self.n, "send to unknown process {to}");
         let tag = msg.tag();
         self.msg_counter += 1;
-        self.record(pid, TraceKind::Send { to, tag });
-        self.stats.record_send(tag);
+        let k = self.trace.events.push_send(self.time, pid, to, tag);
+        self.stats.record_send(k, tag);
         let inf = InFlight {
             from: pid,
             to,
@@ -533,10 +545,7 @@ impl<M: Message> Core<M> {
             msg_id: self.msg_counter,
         };
         match self.net.fate(pid, to) {
-            Some(BlockMode::Hold) => {
-                self.stats.held += 1;
-                self.held.entry((pid.0, to.0)).or_default().push(inf);
-            }
+            Some(BlockMode::Hold) => self.hold(inf),
             Some(BlockMode::Drop) => {
                 self.stats.dropped_link += 1;
             }
@@ -616,25 +625,48 @@ impl<M: Message> Core<M> {
         }
     }
 
-    /// Reschedules held messages for every link that is no longer blocked.
+    /// Holds `inf` in its link's backlog until a release.
+    #[cold]
+    fn hold(&mut self, inf: InFlight<M>) {
+        self.stats.held += 1;
+        *self.unreleased.entry((inf.from, inf.to)).or_default() += 1;
+        self.held.insert((inf.from, inf.to, inf.msg_id), inf);
+    }
+
+    /// The oldest undelivered message of `inf`'s link, `inf` included.
+    #[cold]
+    fn oldest(&mut self, inf: InFlight<M>) -> InFlight<M> {
+        let (from, to) = (inf.from, inf.to);
+        self.held.insert((from, to, inf.msg_id), inf);
+        self.take_oldest(from, to)
+    }
+
+    /// Takes the oldest message out of the backlog of the link `from ->
+    /// to`: what a token delivers.
+    fn take_oldest(&mut self, from: ProcessId, to: ProcessId) -> InFlight<M> {
+        let oldest = self.held.range((from, to, 0)..=(from, to, u64::MAX)).next();
+        let (&key, _) = oldest.expect("a token's link has a backlog");
+        self.held.remove(&key).expect("the key was just found")
+    }
+
+    /// Releases the held messages of every link that is no longer
+    /// blocked: one [`QKind::Token`] each, at a fresh delivery time.
     fn release_unblocked(&mut self) {
-        // Released messages draw fresh per-message delays from the run's
-        // RNG, so the links must be visited in a deterministic order — map
-        // iteration order must never reach the RNG stream.
-        let mut links: Vec<(u32, u32)> = self.held.keys().copied().collect();
-        links.sort_unstable();
-        for (f, t) in links {
-            if self.net.fate(ProcessId(f), ProcessId(t)).is_none() {
-                let msgs = self.held.remove(&(f, t)).unwrap_or_default();
-                for inf in msgs {
-                    self.stats.held = self.stats.held.saturating_sub(1);
-                    let at = self
-                        .net
-                        .schedule(&mut self.rng, self.time, inf.from, inf.to);
-                    self.enqueue(at, QKind::Deliver(inf));
+        // The tokens draw their delays from the run's RNG, so the links are
+        // visited in a deterministic order: the map's, which is link order.
+        let mut unreleased = std::mem::take(&mut self.unreleased);
+        unreleased.retain(|&(from, to), &mut count| {
+            let blocked = self.net.fate(from, to).is_some();
+            if !blocked {
+                self.stats.held -= count;
+                for _ in 0..count {
+                    let at = self.net.schedule(&mut self.rng, self.time, from, to);
+                    self.enqueue(at, QKind::Token { from, to });
                 }
             }
-        }
+            blocked
+        });
+        self.unreleased = unreleased;
     }
 }
 

@@ -23,7 +23,7 @@
 //! [`Note`](gmp_types::Note) is recorded in a [`Trace`], so runs can be
 //! checked against the GMP specification afterwards (`gmp-props`) and
 //! message complexity can be measured (`gmp-bench`). Recording an event
-//! is one 40-byte push at every `n`: message ids, receive tags, Lamport
+//! is one 24-byte push at every `n`: message ids, receive tags, Lamport
 //! stamps and vector clocks are functions of the recorded `Send`/`Recv`
 //! edges, so the engine never carries them — [`Trace::lamports`] and
 //! [`Trace::to_event_log`] rebuild the stamps for the caller that needs

@@ -58,8 +58,9 @@ impl<'a, M: Message> Ctx<'a, M> {
         self.core.time
     }
 
-    /// Sends `msg` to `to`. Channels are reliable and FIFO unless the
-    /// experiment has blocked the link or crashed the receiver.
+    /// Sends `msg` to `to`. Channels are FIFO, and reliable unless the
+    /// experiment severs the link or crashes the receiver; a held link
+    /// delays its messages but keeps their order.
     pub fn send(&mut self, to: ProcessId, msg: M) {
         self.core.send(self.pid, self.proc, to, msg);
     }

@@ -1,43 +1,30 @@
 //! Message accounting for complexity experiments (§7.2), and order
 //! statistics for aggregating one metric across a batch of seeded runs.
 
-/// Per-tag counters for the dozen or so message kinds of a run.
-///
-/// A message's tag is a string literal, so the same `&'static str` —
-/// pointer and length — arrives every time: [`bump`](TagCounts::bump)
-/// probes by identity first and compares text only on a miss, when a tag
-/// is new or the same text reaches it from a second address (another
-/// codegen unit's copy of the literal, a leaked `String`). Entries sit in
-/// first-seen order; everything that reads them goes by text.
+/// Per-tag send counters, one per entry of the trace's tag table and at
+/// the same index, so a send is counted without a second lookup. The
+/// table gives the same text at a second address (another codegen unit's
+/// copy of a literal, a leaked `String`) an entry of its own; everything
+/// that reads the counters goes by text, so such entries add up.
 #[derive(Clone, Debug, Default)]
 struct TagCounts(Vec<(&'static str, u64)>);
 
 impl TagCounts {
-    #[inline]
-    fn bump(&mut self, tag: &'static str) {
-        match self.0.iter_mut().find(|(t, _)| std::ptr::eq(*t, tag)) {
-            Some((_, count)) => *count += 1,
-            None => self.bump_by_text(tag),
-        }
-    }
-
-    #[cold]
-    fn bump_by_text(&mut self, tag: &'static str) {
-        match self.0.iter_mut().find(|(t, _)| *t == tag) {
-            Some((_, count)) => *count += 1,
-            None => self.0.push((tag, 1)),
-        }
-    }
-
     fn get(&self, tag: &str) -> u64 {
-        self.0.iter().find(|(t, _)| *t == tag).map_or(0, |e| e.1)
+        self.0.iter().filter(|(t, _)| *t == tag).map(|e| e.1).sum()
     }
 
-    /// The counters sorted by tag: the form that does not depend on the
-    /// order the tags were first seen in.
+    /// The counters sorted by tag, one per text: the form that depends on
+    /// neither the order the tags were first seen in nor their addresses.
     fn sorted(&self) -> Vec<(&'static str, u64)> {
         let mut pairs = self.0.clone();
         pairs.sort_unstable();
+        pairs.dedup_by(|next, kept| {
+            next.0 == kept.0 && {
+                kept.1 += next.1;
+                true
+            }
+        });
         pairs
     }
 }
@@ -74,9 +61,18 @@ pub struct Stats {
 }
 
 impl Stats {
+    /// Counts a send of `tag`, whose index in the trace's tag table is
+    /// `k`. Indices are dense in first-send order, so a new one is the
+    /// next entry.
     #[inline]
-    pub(crate) fn record_send(&mut self, tag: &'static str) {
-        self.sends.bump(tag);
+    pub(crate) fn record_send(&mut self, k: u32, tag: &'static str) {
+        match self.sends.0.get_mut(k as usize) {
+            Some((_, count)) => *count += 1,
+            None => {
+                debug_assert_eq!(k as usize, self.sends.0.len(), "tag indices are dense");
+                self.sends.0.push((tag, 1));
+            }
+        }
     }
 
     /// Number of messages sent with the given tag.
@@ -165,39 +161,41 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Events;
+    use gmp_types::ProcessId;
+
+    /// The counters of a run that sent `tags`, each counted at its index
+    /// in a trace's tag table, as the engine counts it.
+    fn count(tags: &[&'static str]) -> Stats {
+        let mut events = Events::default();
+        let mut s = Stats::default();
+        for &tag in tags {
+            s.record_send(events.push_send(0, ProcessId(0), ProcessId(1), tag), tag);
+        }
+        s
+    }
 
     #[test]
     fn counting() {
-        let mut s = Stats::default();
-        s.record_send("a");
-        s.record_send("a");
-        s.record_send("b");
+        let s = count(&["a", "a", "b"]);
         assert_eq!(s.sends("a"), 2);
         assert_eq!(s.sends("b"), 1);
         assert_eq!(s.sends("c"), 0);
         assert_eq!(s.sends_total(), 3);
         assert_eq!(s.sends_matching(|t| t == "a"), 2);
-        let mut expected = Stats::default();
-        for tag in ["b", "a", "a"] {
-            expected.record_send(tag);
-        }
-        assert_eq!(s, expected, "exactly a: 2 and b: 1");
+        assert_eq!(s, count(&["b", "a", "a"]), "exactly a: 2 and b: 1");
     }
 
     #[test]
     fn equality_ignores_the_order_tags_were_first_seen_in() {
-        let (mut a, mut b) = (Stats::default(), Stats::default());
-        for tag in ["x", "y", "y"] {
-            a.record_send(tag);
-        }
-        for tag in ["y", "x", "y"] {
-            b.record_send(tag);
-        }
-        assert_eq!(a, b, "same per-tag counts");
-        b.record_send("x");
-        assert_ne!(a, b, "a count differs");
-        a.record_send("z");
-        assert_ne!(a, b, "equal totals, different tags");
+        let a = count(&["x", "y", "y"]);
+        assert_eq!(a, count(&["y", "x", "y"]), "same per-tag counts");
+        assert_ne!(a, count(&["y", "x", "y", "x"]), "a count differs");
+        assert_ne!(
+            count(&["x", "y", "y", "z"]),
+            count(&["y", "x", "y", "x"]),
+            "equal totals, different tags"
+        );
         let mut c = a.clone();
         c.held += 1;
         assert_ne!(a, c, "the drop and hold counters compare too");
@@ -206,22 +204,17 @@ mod tests {
     #[test]
     fn equal_text_at_another_address_lands_in_the_same_counter() {
         // The same tag text from a second address — another codegen unit's
-        // copy of a literal, here a leaked `String` — misses the identity
-        // probe and must still aggregate, whichever copy came first.
+        // copy of a literal, here a leaked `String` — takes an entry of its
+        // own in the tag table, and must still aggregate, whichever copy
+        // came first.
         let leaked: &'static str = Box::leak(String::from("hb").into_boxed_str());
         assert!(!std::ptr::eq(leaked, "hb"));
-        let mut s = Stats::default();
-        for tag in ["zz", leaked, "hb", "aa", leaked, "hb"] {
-            s.record_send(tag);
-        }
+        let s = count(&["zz", leaked, "hb", "aa", leaked, "hb"]);
         assert_eq!(s.sends("hb"), 4);
         assert_eq!(s.sends_total(), 6);
         assert_eq!(s.sends_matching(|t| t == "hb"), 4);
         assert_eq!((s.sends("aa"), s.sends("zz")), (1, 1));
-        let mut expected = Stats::default();
-        for tag in ["aa", "hb", "hb", "hb", "hb", "zz"] {
-            expected.record_send(tag);
-        }
+        let expected = count(&["aa", "hb", "hb", "hb", "hb", "zz"]);
         assert_eq!(s, expected, "one hb counter, not one per address");
     }
 

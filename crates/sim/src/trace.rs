@@ -120,42 +120,30 @@ fn word(kind: u32, payload: u32) -> u32 {
     kind | payload << KIND_BITS
 }
 
-/// Every distinct message tag of a trace, once: a `Send` record stores
-/// its tag's index here. Tags are string literals, so each is found by
-/// its address: first in a one-entry cache of the last tag looked up
-/// (a heartbeat round repeats one tag), then in an open-addressed table
-/// that holds each tag next to its index. The same text at a second
-/// address (another codegen unit's copy of the literal) takes a second
-/// entry, and decodes to that copy.
+/// Every distinct message tag of a run, once, in first-send order: a
+/// `Send` record stores its tag's index here, and [`Stats`](crate::Stats)
+/// counts the send at the same index. Tags are string literals, so each
+/// is found by its address: first in a one-entry cache of the last tag
+/// looked up (a heartbeat round repeats one tag), then by a scan of the
+/// list (no protocol here has more than two dozen tags). The same text at
+/// a second address (another codegen unit's copy of the literal) takes a
+/// second entry, and decodes to that copy.
 #[derive(Clone, Debug, Default)]
 struct Tags {
     /// The tags, in first-send order.
     list: Vec<&'static str>,
-    /// Each tag with its index into `list`, probed linearly from the
-    /// address's hash. A power of two long, and at most half full, so
-    /// every probe meets an empty slot.
-    slots: Vec<Option<(&'static str, u32)>>,
     /// The last tag looked up, and its index.
     last: Option<(&'static str, u32)>,
 }
 
 impl Tags {
-    /// Where a probe for `tag` starts, in a table whose length is
-    /// `mask + 1`.
-    #[inline]
-    fn home(tag: &'static str, mask: usize) -> usize {
-        const K: u64 = 0x9E37_79B9_7F4A_7C15;
-        // Fibonacci hashing: the product's high half is the well-mixed one.
-        ((tag.as_ptr() as u64).wrapping_mul(K) >> 32) as usize & mask
-    }
-
     /// The index of `tag`, added on first sight.
     #[inline]
     fn index(&mut self, tag: &'static str) -> u32 {
         match self.last {
             Some((last, k)) if std::ptr::eq(last, tag) => k,
             _ => {
-                let k = self.probe(tag);
+                let k = self.scan(tag);
                 self.last = Some((tag, k));
                 k
             }
@@ -165,46 +153,17 @@ impl Tags {
     /// [`Tags::index`] past the cache, kept out of line so the engine's
     /// send path inlines only the cache check.
     #[inline(never)]
-    fn probe(&mut self, tag: &'static str) -> u32 {
-        let mask = self.slots.len().wrapping_sub(1);
-        let mut i = Self::home(tag, mask);
-        // Ends at an empty slot, or at once in an empty table.
-        while let Some(&Some((t, k))) = self.slots.get(i) {
-            if std::ptr::eq(t, tag) {
-                return k;
-            }
-            i = (i + 1) & mask;
-        }
-        self.add(tag)
-    }
-
-    #[cold]
-    fn add(&mut self, tag: &'static str) -> u32 {
-        self.list.push(tag);
-        if self.list.len() * 2 > self.slots.len() {
-            self.slots = vec![None; (self.list.len() * 4).next_power_of_two()];
-            for k in 0..self.list.len() {
-                self.place(k);
-            }
-        } else {
-            self.place(self.list.len() - 1);
-        }
-        (self.list.len() - 1) as u32
-    }
-
-    /// Puts `list[k]` in the first empty slot from its home.
-    fn place(&mut self, k: usize) {
-        let mask = self.slots.len() - 1;
-        let tag = self.list[k];
-        let mut i = Self::home(tag, mask);
-        while self.slots[i].is_some() {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = Some((tag, k as u32));
+    fn scan(&mut self, tag: &'static str) -> u32 {
+        let k = self.list.iter().position(|&t| std::ptr::eq(t, tag));
+        let k = k.unwrap_or_else(|| {
+            self.list.push(tag);
+            self.list.len() - 1
+        });
+        k as u32
     }
 }
 
-/// The events of a run, in simulation order: one [`Record`] each, with
+/// The events of a run, in simulation order: one 24-byte record each, with
 /// notes and message tags held once in side tables. [`Events::iter`] and
 /// [`Events::get`] decode records into [`TraceEvent`]s, whose notes
 /// borrow from here.
@@ -242,7 +201,7 @@ impl Events {
     ///
     /// # Panics
     ///
-    /// Panics if a `Recv`'s sender id is [`MAX_PROCESSES`] or more, or if
+    /// Panics if a `Recv`'s sender id is 2²⁹ or more, or if
     /// the trace already holds that many distinct tags.
     // Always inlined: the engine's call sites pass a known kind, so the
     // match folds away instead of dispatching through a jump table on
@@ -251,30 +210,49 @@ impl Events {
     pub fn push(&mut self, event: TraceEvent<'_>) {
         let (word, arg) = match event.kind {
             TraceKind::Start => (START, 0),
-            TraceKind::Send { to, tag } => (word(SEND, self.tags.index(tag)), u64::from(to.0)),
+            TraceKind::Send { to, tag } => {
+                self.push_send(event.time, event.pid, to, tag);
+                return;
+            }
             TraceKind::Recv { from, msg_id } => (word(RECV, from.0), msg_id),
             TraceKind::Timer { tag } => (TIMER, tag),
             TraceKind::Crash => (CRASH, 0),
             TraceKind::Quit => (QUIT, 0),
             TraceKind::Note(note) => return self.push_note(event.time, event.pid, note.clone()),
         };
-        self.records.push(Record {
-            time: event.time,
-            arg,
-            pid: event.pid.0,
-            word,
-        });
+        self.append(event.time, event.pid, word, arg);
+    }
+
+    /// Appends `pid`'s send of a `tag` message to `to` at `time`, and
+    /// returns the tag's index: the one [`Stats`](crate::Stats) counts it
+    /// at.
+    #[inline]
+    pub(crate) fn push_send(
+        &mut self,
+        time: Time,
+        pid: ProcessId,
+        to: ProcessId,
+        tag: &'static str,
+    ) -> u32 {
+        let k = self.tags.index(tag);
+        self.append(time, pid, word(SEND, k), u64::from(to.0));
+        k
     }
 
     /// Appends `note` as `pid`'s event at `time`.
     #[inline(never)]
     pub fn push_note(&mut self, time: Time, pid: ProcessId, note: Note) {
         self.notes.push((self.records.len(), note));
+        self.append(time, pid, NOTE, (self.notes.len() - 1) as u64);
+    }
+
+    #[inline(always)]
+    fn append(&mut self, time: Time, pid: ProcessId, word: u32, arg: u64) {
         self.records.push(Record {
             time,
-            arg: (self.notes.len() - 1) as u64,
+            arg,
             pid: pid.0,
-            word: NOTE,
+            word,
         });
     }
 
