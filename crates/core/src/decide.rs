@@ -3,7 +3,9 @@
 //!
 //! These are pure functions of the initiator's state and its Phase I
 //! responses, which makes the case analysis of §5 directly unit- and
-//! property-testable.
+//! property-testable. A response carries `seq(p)` and `next(p)` only:
+//! `ver(p) = |seq(p)|`, one version per committed operation, so a
+//! respondent ahead of the initiator always holds a longer sequence.
 //!
 //! Two indexing ambiguities in the paper's pseudo-code are resolved here as
 //! documented in `DESIGN.md`:
@@ -16,19 +18,24 @@
 
 use gmp_types::{NextEntry, Op, ProcessId, Ver, View};
 
-/// A Phase I response `OK(seq(p), next(p))` together with the responder's
-/// version, as collected by a reconfiguration initiator. The initiator's own
-/// state participates as a response too (`r ∈ PhaseIResp(r)`).
+/// A Phase I response `OK(seq(p), next(p))` together with the responder,
+/// as collected by a reconfiguration initiator. The initiator's own state
+/// participates as a response too (`r ∈ PhaseIResp(r)`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PhaseOneResp {
     /// The responder.
     pub from: ProcessId,
-    /// `ver(p)` at response time.
-    pub ver: Ver,
     /// `seq(p)`: the committed operation sequence.
     pub seq: Vec<Op>,
     /// `next(p)`: the expectation list.
     pub next: Vec<NextEntry>,
+}
+
+impl PhaseOneResp {
+    /// `ver(p)` at response time: the length of `seq(p)`.
+    pub fn ver(&self) -> Ver {
+        self.seq.len() as Ver
+    }
 }
 
 /// The outcome of `Determine(RL_r, invis, v)` (Fig. 6).
@@ -149,17 +156,16 @@ fn get_next(queue: &[Op], rl: &[Op]) -> Vec<Op> {
 /// * `queue` — the initiator's own pending operations, in execution order
 ///   (`Recovered` then `Faulty`), for `GetNext`.
 ///
-/// Respondents outside the `ver(r) ± 1` band permitted by Prop. 5.1 are
-/// ignored defensively (they cannot occur in protocol-generated runs).
+/// Each version is `ver(p) = |seq(p)|`. Respondents outside the
+/// `ver(r) ± 1` band permitted by Prop. 5.1 are ignored defensively (they
+/// cannot occur in protocol-generated runs).
 ///
-/// Returns `None` when the proposal would need a version after
-/// `Ver::MAX`: no round can be numbered, so none is started. A catch-up
-/// to `Ver::MAX` itself is still decided, with a contingent plan that
-/// the new `Mgr` cannot number either. Also `None` when the responses
-/// would make `RL_r` empty (an ahead respondent whose `seq` is no longer,
-/// a lagging one whose `seq` is no shorter, or a detectable proposal of
-/// no operations) or longer than `v` (more operations than versions up
-/// to it): receivers ignore such a proposal, so no round could complete.
+/// A catch-up installs the suffix of a longer `seq` past the slowest
+/// respondent's, so it is never empty nor longer than its version. A fresh
+/// proposal propagates a respondent's `next` entry as it came off the
+/// wire: `None` when that makes `RL_r` empty or longer than `v` (more
+/// operations than versions up to it), since receivers ignore such a
+/// proposal and no round could complete.
 pub fn determine(
     me: &PhaseOneResp,
     others: &[PhaseOneResp],
@@ -169,18 +175,17 @@ pub fn determine(
 ) -> Option<Decision> {
     let mut all: Vec<&PhaseOneResp> = Vec::with_capacity(others.len() + 1);
     all.push(me);
-    all.extend(others.iter().filter(|r| r.ver.abs_diff(me.ver) <= 1));
+    let my_ver = me.ver();
+    all.extend(others.iter().filter(|r| r.ver().abs_diff(my_ver) <= 1));
     // The contingent plan after a catch-up to `v`: the detectable proposal
-    // for `v + 1`, else `GetNext`. `Ver::MAX` has no successor to plan for.
+    // for `v + 1`, else `GetNext`.
     let plan_after = |v: Ver, rl: &[Op]| {
-        v.checked_add(1)
-            .and_then(|next| select_proposal(&all, next, view))
-            .unwrap_or_else(|| get_next(queue, rl))
+        select_proposal(&all, v + 1, view).unwrap_or_else(|| get_next(queue, rl))
     };
 
     // L: respondents one version ahead; S: one version behind (§5).
-    let l_rep = all.iter().find(|r| r.ver > me.ver);
-    let s_rep = all.iter().any(|r| r.ver < me.ver);
+    let l_rep = all.iter().find(|r| r.ver() > my_ver);
+    let s_rep = all.iter().any(|r| r.ver() < my_ver);
     // The proposal must cover the gap from the *slowest* respondent: with
     // two successive partial commits, L (at ver(r)+1) and S (at ver(r)−1)
     // can coexist (Prop. 5.1 allows the ±1 band), and a proposal starting
@@ -196,14 +201,14 @@ pub fn determine(
 
     let decision = if let Some(l) = l_rep {
         // Incomplete installation of version ver(L): catch everyone up.
-        let v = l.ver;
+        let v = l.ver();
         let rl: Vec<Op> = l.seq[min_len..].to_vec();
         let invis = plan_after(v, &rl);
         Decision { v, rl, invis }
     } else if s_rep {
         // Incomplete installation of version ver(r): re-propose the suffix
         // the laggards are missing.
-        let v = me.ver;
+        let v = my_ver;
         let rl: Vec<Op> = me.seq[min_len..].to_vec();
         let invis = plan_after(v, &rl);
         Decision { v, rl, invis }
@@ -211,7 +216,7 @@ pub fn determine(
         // Everyone agrees on ver(r): propose a fresh change for v =
         // ver(r)+1, propagating any detectable proposal for it (D.4–D.6,
         // with the index fix described in the module docs).
-        let v = me.ver.checked_add(1)?;
+        let v = my_ver + 1;
         let rl = select_proposal(&all, v, view).unwrap_or_else(|| vec![Op::remove(old_mgr)]);
         let invis = get_next(queue, &rl);
         Decision { v, rl, invis }
@@ -232,13 +237,18 @@ mod tests {
         View::new(ids.iter().map(|&i| pid(i)).collect())
     }
 
-    fn resp(from: u32, ver: Ver, seq: Vec<Op>, next: Vec<NextEntry>) -> PhaseOneResp {
+    fn resp(from: u32, seq: Vec<Op>, next: Vec<NextEntry>) -> PhaseOneResp {
         PhaseOneResp {
             from: pid(from),
-            ver,
             seq,
             next,
         }
+    }
+
+    /// A committed sequence of `len` removals of p10, p11, …: the state
+    /// of a respondent at version `len`.
+    fn history(len: u32) -> Vec<Op> {
+        (0..len).map(|i| Op::remove(pid(10 + i))).collect()
     }
 
     /// Quiescent failure of Mgr: no proposals anywhere, everyone at the same
@@ -247,8 +257,8 @@ mod tests {
     #[test]
     fn fresh_branch_proposes_mgr_removal() {
         let v = view(&[0, 1, 2, 3, 4]);
-        let me = resp(1, 0, vec![], vec![]);
-        let others = [resp(2, 0, vec![], vec![]), resp(3, 0, vec![], vec![])];
+        let me = resp(1, vec![], vec![]);
+        let others = [resp(2, vec![], vec![]), resp(3, vec![], vec![])];
         let d = determine(
             &me,
             &others,
@@ -269,11 +279,8 @@ mod tests {
     fn fresh_branch_propagates_single_proposal() {
         let v = view(&[0, 1, 2, 3, 4]);
         let mgr_plan = NextEntry::concrete(vec![Op::remove(pid(4))], pid(0), 1);
-        let me = resp(1, 0, vec![], vec![]);
-        let others = [
-            resp(2, 0, vec![], vec![mgr_plan]),
-            resp(3, 0, vec![], vec![]),
-        ];
+        let me = resp(1, vec![], vec![]);
+        let others = [resp(2, vec![], vec![mgr_plan]), resp(3, vec![], vec![])];
         let d = determine(&me, &others, &v, pid(0), &[Op::remove(pid(0))]).unwrap();
         assert_eq!(d.v, 1);
         assert_eq!(d.rl, vec![Op::remove(pid(4))]);
@@ -290,10 +297,10 @@ mod tests {
         // proposed remove(p0). p1's proposal is stably-defined.
         let from_mgr = NextEntry::concrete(vec![Op::remove(pid(4))], pid(0), 1);
         let from_rec = NextEntry::concrete(vec![Op::remove(pid(0))], pid(1), 1);
-        let me = resp(2, 0, vec![], vec![]);
+        let me = resp(2, vec![], vec![]);
         let others = [
-            resp(3, 0, vec![], vec![from_mgr]),
-            resp(4, 0, vec![], vec![from_rec]),
+            resp(3, vec![], vec![from_mgr]),
+            resp(4, vec![], vec![from_rec]),
         ];
         let d = determine(&me, &others, &v, pid(0), &[]).unwrap();
         assert_eq!(d.v, 1);
@@ -310,10 +317,10 @@ mod tests {
     fn ahead_branch_catches_up() {
         let v = view(&[0, 1, 2, 3, 4]);
         let committed = Op::remove(pid(4));
-        let me = resp(1, 0, vec![], vec![]);
+        let me = resp(1, vec![], vec![]);
         let others = [
-            resp(2, 1, vec![committed], vec![]), // member of L
-            resp(3, 0, vec![], vec![]),
+            resp(2, vec![committed], vec![]), // member of L
+            resp(3, vec![], vec![]),
         ];
         let d = determine(&me, &others, &v, pid(0), &[Op::remove(pid(0))]).unwrap();
         assert_eq!(d.v, 1);
@@ -328,8 +335,8 @@ mod tests {
         let v = view(&[0, 1, 2, 3, 4]);
         let committed = Op::remove(pid(4));
         let plan = NextEntry::concrete(vec![Op::remove(pid(0))], pid(0), 2);
-        let me = resp(1, 0, vec![], vec![]);
-        let others = [resp(2, 1, vec![committed], vec![plan])];
+        let me = resp(1, vec![], vec![]);
+        let others = [resp(2, vec![committed], vec![plan])];
         let d = determine(&me, &others, &v, pid(0), &[]).unwrap();
         assert_eq!(d.v, 1);
         assert_eq!(d.rl, vec![committed]);
@@ -342,11 +349,8 @@ mod tests {
     fn behind_branch_reproposes_suffix() {
         let v = view(&[0, 1, 2, 3, 4]);
         let committed = Op::remove(pid(4));
-        let me = resp(1, 1, vec![committed], vec![]);
-        let others = [
-            resp(2, 1, vec![committed], vec![]),
-            resp(3, 0, vec![], vec![]),
-        ];
+        let me = resp(1, vec![committed], vec![]);
+        let others = [resp(2, vec![committed], vec![]), resp(3, vec![], vec![])];
         let d = determine(&me, &others, &v, pid(0), &[Op::remove(pid(0))]).unwrap();
         assert_eq!(d.v, 1);
         assert_eq!(d.rl, vec![committed]);
@@ -357,8 +361,8 @@ mod tests {
     #[test]
     fn placeholders_are_ignored() {
         let v = view(&[0, 1, 2]);
-        let me = resp(1, 0, vec![], vec![NextEntry::placeholder(pid(2))]);
-        let others = [resp(2, 0, vec![], vec![NextEntry::placeholder(pid(1))])];
+        let me = resp(1, vec![], vec![NextEntry::placeholder(pid(2))]);
+        let others = [resp(2, vec![], vec![NextEntry::placeholder(pid(1))])];
         let d = determine(&me, &others, &v, pid(0), &[]).unwrap();
         assert_eq!(d.rl, vec![Op::remove(pid(0))]);
     }
@@ -368,10 +372,7 @@ mod tests {
     #[test]
     fn proposals_dedupe() {
         let e = NextEntry::concrete(vec![Op::remove(pid(3))], pid(0), 1);
-        let rs = [
-            resp(1, 0, vec![], vec![e.clone()]),
-            resp(2, 0, vec![], vec![e]),
-        ];
+        let rs = [resp(1, vec![], vec![e.clone()]), resp(2, vec![], vec![e])];
         let props = proposals_for_ver(&rs, 1);
         assert_eq!(props.len(), 1);
         assert_eq!(distinct_op_sets(&props), 1);
@@ -382,7 +383,7 @@ mod tests {
     fn distinct_op_sets_vs_proposers() {
         let a = NextEntry::concrete(vec![Op::remove(pid(3))], pid(0), 1);
         let b = NextEntry::concrete(vec![Op::remove(pid(3))], pid(1), 1);
-        let rs = [resp(1, 0, vec![], vec![a]), resp(2, 0, vec![], vec![b])];
+        let rs = [resp(1, vec![], vec![a]), resp(2, vec![], vec![b])];
         let props = proposals_for_ver(&rs, 1);
         assert_eq!(props.len(), 2);
         assert_eq!(distinct_op_sets(&props), 1);
@@ -392,41 +393,24 @@ mod tests {
     #[test]
     fn out_of_band_responses_ignored() {
         let v = view(&[0, 1, 2]);
-        let me = resp(1, 5, vec![], vec![]);
-        let others = [resp(2, 9, vec![], vec![])]; // impossible per Prop. 5.1
+        let me = resp(1, history(5), vec![]);
+        let others = [resp(2, history(9), vec![])]; // impossible per Prop. 5.1
         let d = determine(&me, &others, &v, pid(0), &[]).unwrap();
         assert_eq!(d.v, 6, "fresh branch from the initiator's own version");
     }
 
-    /// `Ver::MAX` has no successor: a fresh proposal there is not numbered,
-    /// and a catch-up to it looks for no proposal beyond it.
-    #[test]
-    fn the_last_version_bounds_every_branch() {
-        let v = view(&[0, 1, 2, 3, 4]);
-        let (op, queue) = (Op::remove(pid(4)), [Op::remove(pid(0))]);
-        let fresh = [resp(2, Ver::MAX, vec![], vec![])];
-        let me = resp(1, Ver::MAX, vec![], vec![]);
-        assert_eq!(determine(&me, &fresh, &v, pid(0), &queue), None);
-        let ahead = [resp(2, Ver::MAX, vec![op], vec![])];
-        let me = resp(1, Ver::MAX - 1, vec![], vec![]);
-        let behind = [resp(2, Ver::MAX - 1, vec![], vec![])];
-        let me_at_max = resp(1, Ver::MAX, vec![op], vec![]);
-        for (me, others) in [(&me, &ahead), (&me_at_max, &behind)] {
-            let d = determine(me, others, &v, pid(0), &queue).unwrap();
-            assert_eq!((d.v, d.rl, d.invis), (Ver::MAX, vec![op], queue.to_vec()));
-        }
-    }
-
-    /// A catch-up that would install nothing, and a detectable proposal
-    /// of no operations, decide nothing.
+    /// A detectable proposal of no operations decides nothing. A
+    /// catch-up always installs something: an ahead respondent's `seq`
+    /// is longer than the initiator's by its version.
     #[test]
     fn an_empty_rl_is_never_decided() {
         let v = view(&[0, 1, 2, 3, 4]);
-        let me = resp(1, 3, vec![], vec![]);
-        let ahead = [resp(2, 4, vec![], vec![])];
-        assert_eq!(determine(&me, &ahead, &v, pid(0), &[]), None);
+        let me = resp(1, history(3), vec![]);
+        let ahead = [resp(2, history(4), vec![])];
+        let d = determine(&me, &ahead, &v, pid(0), &[]).unwrap();
+        assert_eq!((d.v, d.rl), (4, history(4)[3..].to_vec()));
         let empty = NextEntry::concrete(vec![], pid(0), 4);
-        let fresh = [resp(2, 3, vec![], vec![empty])];
+        let fresh = [resp(2, history(3), vec![empty])];
         assert_eq!(determine(&me, &fresh, &v, pid(0), &[]), None);
     }
 
@@ -436,35 +420,17 @@ mod tests {
         let _ = get_stable(&[], &view(&[0]));
     }
 
-    /// Responses are wire input: one whose `seq` does not grow with its
-    /// version breaks Theorem 5.1's prefix order, and decides nothing
-    /// rather than panic.
-    #[test]
-    fn respondents_out_of_prefix_order_decide_nothing() {
-        let view = View::new((0..4).map(pid).collect());
-        let ops = vec![Op::remove(pid(0)), Op::remove(pid(3))];
-        let me = resp(1, 2, ops.clone(), vec![]);
-        let ahead_but_shorter = resp(2, 3, ops[..1].to_vec(), vec![]);
-        assert_eq!(
-            determine(&me, &[ahead_but_shorter], &view, pid(0), &[]),
-            None
-        );
-        let behind_but_longer = resp(2, 1, [&ops[..], &ops[..]].concat(), vec![]);
-        assert_eq!(
-            determine(&me, &[behind_but_longer], &view, pid(0), &[]),
-            None
-        );
-    }
-
     /// A decision never installs more operations than there are versions
-    /// up to its own: receivers would ignore it.
+    /// up to its own: receivers would ignore it. Only a detectable
+    /// proposal, propagated as a respondent states it, can be that long.
     #[test]
     fn a_decision_longer_than_its_version_is_dropped() {
         let view = View::new((0..4).map(pid).collect());
         let ops = vec![Op::remove(pid(0)), Op::remove(pid(3))];
-        let me = resp(1, 0, vec![], vec![]);
-        let ahead = resp(2, 1, ops, vec![]);
-        assert_eq!(determine(&me, &[ahead], &view, pid(0), &[]), None);
+        let me = resp(1, vec![], vec![]);
+        let plan = NextEntry::concrete(ops, pid(0), 1);
+        let fresh = resp(2, vec![], vec![plan]);
+        assert_eq!(determine(&me, &[fresh], &view, pid(0), &[]), None);
     }
 }
 
@@ -486,19 +452,16 @@ mod catch_up_tests {
         let op2 = Op::remove(pid(1));
         let me = PhaseOneResp {
             from: pid(2),
-            ver: 1,
             seq: vec![op1],
             next: vec![],
         };
         let ahead = PhaseOneResp {
             from: pid(3),
-            ver: 2,
             seq: vec![op1, op2],
             next: vec![],
         };
         let behind = PhaseOneResp {
             from: pid(4),
-            ver: 0,
             seq: vec![],
             next: vec![],
         };
@@ -519,13 +482,11 @@ mod catch_up_tests {
         let op1 = Op::remove(pid(0));
         let me = PhaseOneResp {
             from: pid(2),
-            ver: 1,
             seq: vec![op1],
             next: vec![],
         };
         let behind = PhaseOneResp {
             from: pid(4),
-            ver: 0,
             seq: vec![],
             next: vec![],
         };
@@ -540,7 +501,6 @@ mod catch_up_tests {
         let view = View::new((0..4).map(pid).collect());
         let me = PhaseOneResp {
             from: pid(1),
-            ver: 0,
             seq: vec![],
             next: vec![],
         };

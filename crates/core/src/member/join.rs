@@ -50,7 +50,6 @@ impl Member {
     pub(super) fn welcome(&self, mgr: ProcessId) -> Msg {
         Msg::Welcome(Arc::from(WelcomeBody {
             members: self.view.to_vec(),
-            ver: self.ver,
             seq: self.seq.clone(),
             mgr,
         }))
@@ -81,19 +80,13 @@ impl Member {
     }
 
     fn on_welcome(&mut self, out: &mut impl Out<Msg>, body: Arc<WelcomeBody>) -> Step {
-        let WelcomeBody {
-            members,
-            ver: v,
-            seq,
-            mgr,
-        } = Arc::unwrap_or_clone(body);
+        let WelcomeBody { members, seq, mgr } = Arc::unwrap_or_clone(body);
         // A member list that repeats a process, or leaves out this joiner,
         // is no view to join: ignore it whole and keep asking.
         let Some(view) = View::try_new(members).filter(|view| view.contains(self.me)) else {
             return Ok(());
         };
         self.view = view;
-        self.ver = v;
         self.seq = seq;
         self.mgr = mgr;
         self.lifecycle = Lifecycle::Active;

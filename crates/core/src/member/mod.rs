@@ -131,12 +131,17 @@ enum Phase {
 /// [`JoinConfig`](crate::JoinConfig). Step it through [`Member::start`],
 /// [`Member::receive`] and [`Member::fire`], each given the sink its
 /// effects go to.
+///
+/// The member's version `ver(p)` is not stored: it numbers the views
+/// installed since the initial one, one per operation of `seq(p)`, so
+/// [`Member::ver`] is the sequence's length. A `Welcome` or
+/// `InterrogateOk` hands over the sequence alone.
 pub struct Member {
     cfg: Config,
     me: ProcessId,
     lifecycle: Lifecycle,
     view: View,
-    ver: Ver,
+    /// `seq(p)`, the installed operations in order: `ver(p)` is its length.
     seq: Vec<Op>,
     next: Vec<NextEntry>,
     mgr: ProcessId,
@@ -247,7 +252,6 @@ impl Member {
             lifecycle,
             mgr: view.most_senior().unwrap_or(ProcessId(u32::MAX)),
             view,
-            ver: 0,
             seq: Vec::new(),
             next: Vec::new(),
             faulty: BTreeSet::new(),
@@ -276,9 +280,9 @@ impl Member {
         &self.view
     }
 
-    /// The current local version `ver(p)`.
+    /// The current local version `ver(p)`: the length of `seq(p)`.
     pub fn ver(&self) -> Ver {
-        self.ver
+        self.seq.len() as Ver
     }
 
     /// Whom this process considers coordinator.
@@ -525,13 +529,8 @@ impl Member {
         }
         round.oks.insert(from);
         if let (Phase::Interrogate { resp }, Msg::InterrogateOk(body)) = (&mut round.phase, msg) {
-            let InterrogateOkBody { ver, seq, next } = Arc::unwrap_or_clone(body);
-            resp.push(PhaseOneResp {
-                from,
-                ver,
-                seq,
-                next,
-            });
+            let InterrogateOkBody { seq, next } = Arc::unwrap_or_clone(body);
+            resp.push(PhaseOneResp { from, seq, next });
         }
         self.finish_round(out)
     }
@@ -592,8 +591,9 @@ impl Member {
         self.faulty.iter().copied().collect()
     }
 
-    /// Applies one committed membership operation, bumping the version and
-    /// emitting the trace notes the property checkers consume.
+    /// Applies one committed membership operation, appending it to `seq`
+    /// (which bumps the version) and emitting the trace notes the property
+    /// checkers consume.
     fn apply_op(&mut self, out: &mut impl Out<Msg>, op: Op) -> Step {
         match op.kind {
             OpKind::Remove => {
@@ -624,13 +624,15 @@ impl Member {
         // reduces to tracking exactly the added member.
         self.install_topology(self.now);
         self.seq.push(op);
-        self.ver += 1;
         // The per-peer bookkeeping needs no further pruning: the removal
         // above dropped the excluded member's `last_report` entry, and its
         // lease went with the detector slot that `fd.forget` and
         // `install_topology`'s releases freed, so the bookkeeping stays
         // bounded by the view size across arbitrarily long runs.
-        out.note(Note::OpApplied { op, ver: self.ver });
+        out.note(Note::OpApplied {
+            op,
+            ver: self.ver(),
+        });
         self.announce_view(out);
         self.notify_subscribers(out);
         Ok(())
@@ -639,7 +641,7 @@ impl Member {
     /// Records the view just installed: the trace note the GMP checks and
     /// the consumers' `ViewInstalled` read.
     fn announce_view(&self, out: &mut impl Out<Msg>) {
-        let (ver, members, mgr) = (self.ver, self.view.shared(), self.mgr);
+        let (ver, members, mgr) = (self.ver(), self.view.shared(), self.mgr);
         out.note(Note::ViewInstalled { ver, members, mgr });
     }
 
@@ -759,7 +761,7 @@ impl Node<Msg> for Member {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ConfigBuilder, JoinConfig, ObserveConfig};
+    use crate::config::{JoinConfig, ObserveConfig};
     use crate::event::MemberEvent;
     use crate::msg::{CommitBody, HeartbeatDigest, ReconfBody, ViewUpdateBody, WelcomeBody};
     use crate::topology::Sparse;
@@ -770,21 +772,23 @@ mod tests {
 
     /// A joiner started as p2 with p0 as its contact.
     fn joiner() -> Member {
-        joiner_with(Config::builder())
-    }
-
-    fn joiner_with(cfg: ConfigBuilder) -> Member {
-        let cfg = cfg.joining(JoinConfig::new(1, vec![ProcessId(0)])).build();
-        let mut m = Member::joiner(cfg);
+        let join = JoinConfig::new(1, vec![ProcessId(0)]);
+        let mut m = Member::joiner(Config::builder().joining(join).build());
         m.start(&mut Sink::new(), ProcessId(2), 0);
         m
     }
 
-    fn welcome(members: &[u32], ver: Ver) -> Msg {
+    /// A committed sequence of `len` removals of p10, p11, …: the history
+    /// of a group at version `len` whose view holds none of them.
+    fn history(len: u32) -> Vec<Op> {
+        (0..len).map(|i| Op::remove(ProcessId(10 + i))).collect()
+    }
+
+    /// A `Welcome` from p0 into `members` at version `ver`.
+    fn welcome(members: &[u32], ver: u32) -> Msg {
         Msg::Welcome(Arc::from(WelcomeBody {
             members: members.iter().copied().map(ProcessId).collect(),
-            ver,
-            seq: Vec::new(),
+            seq: history(ver),
             mgr: ProcessId(0),
         }))
     }
@@ -994,43 +998,6 @@ mod tests {
         );
     }
 
-    /// `Ver::MAX` has no successor: rounds that would need one are dropped
-    /// instead of overflowing.
-    #[test]
-    fn rounds_at_the_last_version_do_not_overflow() {
-        let mut m = joiner();
-        m.receive(
-            &mut Sink::new(),
-            ProcessId(0),
-            welcome(&[0, 1, 2], Ver::MAX),
-            5,
-        );
-        assert_eq!((m.lifecycle(), m.ver()), (Lifecycle::Active, Ver::MAX));
-        let mut out = Sink::new();
-        let invite = Op::add(ProcessId(4));
-        for ver in [Ver::MAX, Ver::MAX - 7] {
-            let commit = Msg::Commit(Arc::from(CommitBody {
-                op: Op::add(ProcessId(3)),
-                ver,
-                next: Some(invite),
-                faulty: Vec::new(),
-                recovered: Vec::new(),
-            }));
-            m.receive(&mut out, ProcessId(0), commit, 6);
-        }
-        let rl = vec![Op::add(ProcessId(3))];
-        let reconf = Msg::ReconfCommit(reconf(rl, Ver::MAX, vec![invite]));
-        m.receive(&mut out, ProcessId(0), reconf, 7);
-        assert_eq!((m.lifecycle(), m.ver()), (Lifecycle::Active, Ver::MAX));
-        assert!(!out.iter().any(|e| matches!(
-            e,
-            Effect::Send {
-                msg: Msg::UpdateOk { .. },
-                ..
-            }
-        )));
-    }
-
     /// A wire message whose reconfiguration installs no operation, or
     /// more operations than there are versions up to its own, is ignored
     /// whole: p2, welcomed at v3 into p0..p2, keeps its version, view and
@@ -1073,35 +1040,30 @@ mod tests {
         assert_reconf_ignored(Msg::ReconfCommit(rl_longer_than_its_version()));
     }
 
-    /// p3 answers the interrogation from one version ahead but with no
-    /// longer a `seq`: the catch-up would install nothing, so p2 proposes
-    /// nothing rather than a proposal with an empty `rl`.
+    /// p2, welcomed into p0..p4 at v3, suspects both seniors and
+    /// interrogates the rest. p3 answers at v3 with an empty plan for v4
+    /// in its `next`: propagating it would install nothing, so p2
+    /// proposes nothing rather than a proposal with an empty `rl`.
     #[test]
     fn interrogation_that_decides_an_empty_rl_proposes_nothing() {
         let mut m = joiner();
-        let out = interrogate_at(&mut m, 3, 4, Vec::new());
-        assert!(out.is_empty(), "{out:?}");
-        assert_eq!((m.lifecycle(), m.ver()), (Lifecycle::Active, 3));
-    }
-
-    /// p2, welcomed into p0..p4 at `ver`, suspects both seniors and
-    /// interrogates the rest; p3 answers from `ahead` with `seq`, p4 from
-    /// `ver`. Returns the messages p2 sent after the answers.
-    fn interrogate_at(m: &mut Member, ver: Ver, ahead: Ver, seq: Vec<Op>) -> Vec<Msg> {
         let mut out = Sink::new();
-        m.receive(&mut out, ProcessId(0), welcome(&[0, 1, 2, 3, 4], ver), 5);
+        m.receive(&mut out, ProcessId(0), welcome(&[0, 1, 2, 3, 4], 3), 5);
         m.inject_suspicion(ProcessId(0));
         m.inject_suspicion(ProcessId(1));
         m.fire(&mut out, TICK, 6);
         assert!(sent(&mut out)
             .iter()
             .any(|msg| matches!(msg, Msg::Interrogate)));
-        for (p, ver, seq) in [(3, ahead, seq), (4, ver, Vec::new())] {
-            let next = Vec::new();
-            let resp = Arc::from(InterrogateOkBody { ver, seq, next });
+        let empty = NextEntry::concrete(Vec::new(), ProcessId(0), 4);
+        for (p, next) in [(3, vec![empty]), (4, Vec::new())] {
+            let seq = history(3);
+            let resp = Arc::from(InterrogateOkBody { seq, next });
             m.receive(&mut out, ProcessId(p), Msg::InterrogateOk(resp), 7);
         }
-        sent(&mut out)
+        let out = sent(&mut out);
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!((m.lifecycle(), m.ver()), (Lifecycle::Active, 3));
     }
 
     /// The messages sent into `out` since it was last read, which empties it.
@@ -1112,51 +1074,6 @@ mod tests {
             _ => None,
         })
         .collect()
-    }
-
-    /// A reconfiguration initiator at `Ver::MAX` has no version to propose:
-    /// it starts no round. One a version behind still catches up to it.
-    #[test]
-    fn reconfiguration_proposes_no_version_after_the_last() {
-        let mut m = joiner();
-        let out = interrogate_at(&mut m, Ver::MAX, Ver::MAX, Vec::new());
-        assert!(out.is_empty(), "{out:?}");
-        assert_eq!((m.lifecycle(), m.ver()), (Lifecycle::Active, Ver::MAX));
-
-        let mut m = joiner();
-        let seq = vec![Op::remove(ProcessId(1))];
-        let out = interrogate_at(&mut m, Ver::MAX - 1, Ver::MAX, seq.clone());
-        assert!(out.iter().all(|msg| matches!(
-            msg,
-            Msg::Propose(body) if body.ver == Ver::MAX && body.rl == seq
-        )));
-        assert_eq!(out.len(), 4, "one proposal per other member");
-    }
-
-    /// A reconfiguration that installs `Ver::MAX` makes its initiator `Mgr`
-    /// with no version left for the contingent plan: it announces the
-    /// commit and invites nobody, with or without condensed rounds.
-    #[test]
-    fn the_new_mgr_at_the_last_version_invites_nobody() {
-        for compression in [true, false] {
-            let mut m = joiner_with(Config::builder().compression(compression));
-            let out = interrogate_at(&mut m, Ver::MAX - 1, Ver::MAX - 1, Vec::new());
-            assert!(matches!(&out[0], Msg::Propose(body) if body.ver == Ver::MAX));
-            let mut sink = Sink::new();
-            for p in [3, 4] {
-                m.receive(&mut sink, ProcessId(p), Msg::ProposeOk { ver: Ver::MAX }, 8);
-            }
-            let out = sent(&mut sink);
-            assert_eq!((m.ver(), m.mgr()), (Ver::MAX, ProcessId(2)));
-            assert!(matches!(&out[0], Msg::ReconfCommit(body) if body.ver == Ver::MAX));
-            assert!(!out.iter().any(|msg| matches!(msg, Msg::Invite { .. })));
-            // A later suspicion finds no version to number its update.
-            let report = Msg::FaultyReport {
-                suspect: ProcessId(4),
-            };
-            m.receive(&mut sink, ProcessId(3), report, 9);
-            assert!(sent(&mut sink).is_empty());
-        }
     }
 
     /// A `Commit` from `Mgr` of `op` installing `ver`, stating `faulty`.
@@ -1218,36 +1135,6 @@ mod tests {
                 .iter()
                 .any(|msg| matches!(msg, Msg::Interrogate)));
         }
-    }
-
-    /// A coordinator that commits `Ver::MAX` has no version to number a
-    /// next operation: its commit carries none and it invites nobody, even
-    /// with a joiner queued.
-    #[test]
-    fn the_mgr_committing_the_last_version_invites_nobody() {
-        let mut m = joiner();
-        let out = interrogate_at(&mut m, Ver::MAX - 2, Ver::MAX - 2, Vec::new());
-        assert!(matches!(&out[0], Msg::Propose(body) if body.ver == Ver::MAX - 1));
-        let mut sink = Sink::new();
-        for p in [3, 4] {
-            let ok = Msg::ProposeOk { ver: Ver::MAX - 1 };
-            m.receive(&mut sink, ProcessId(p), ok, 8);
-        }
-        let join = Msg::JoinRequest {
-            joiner: ProcessId(7),
-        };
-        m.receive(&mut sink, ProcessId(3), join, 9);
-        sink.clear();
-        for p in [3, 4] {
-            m.receive(&mut sink, ProcessId(p), Msg::UpdateOk { ver: Ver::MAX }, 10);
-        }
-        assert_eq!((m.ver(), m.is_mgr()), (Ver::MAX, true));
-        let out = sent(&mut sink);
-        assert_eq!(out.len(), 2, "one commit per other member: {out:?}");
-        assert!(out.iter().all(|msg| matches!(
-            msg,
-            Msg::Commit(body) if body.ver == Ver::MAX && body.next.is_none()
-        )));
     }
 
     /// The invariants hold by construction; a planted non-member in the

@@ -55,7 +55,7 @@ impl Member {
     fn view_update(&self) -> Msg {
         Msg::ViewUpdate(Arc::from(ViewUpdateBody {
             members: self.view.to_vec(),
-            ver: self.ver,
+            ver: self.ver(),
             mgr: self.mgr,
         }))
     }

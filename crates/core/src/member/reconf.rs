@@ -38,11 +38,12 @@ impl Member {
 
     /// Phase I: interrogate the rest of the view.
     fn start_reconf(&mut self, out: &mut impl Out<Msg>) -> Step {
-        out.note(Note::ReconfStarted { from_ver: self.ver });
+        out.note(Note::ReconfStarted {
+            from_ver: self.ver(),
+        });
         self.broadcast(out, Msg::Interrogate);
         let mine = PhaseOneResp {
             from: self.me,
-            ver: self.ver,
             seq: self.seq.clone(),
             next: self.next.clone(),
         };
@@ -60,7 +61,6 @@ impl Member {
         }
         // Respond with the pre-placeholder state (§4.4 ordering).
         let resp = InterrogateOkBody {
-            ver: self.ver,
             seq: self.seq.clone(),
             next: self.next.clone(),
         };
@@ -102,7 +102,7 @@ impl Member {
     ) -> Step {
         let queue = self.queue_ops();
         let Some(decision) = determine(&resp[0], &resp[1..], &self.view, self.mgr, &queue) else {
-            return Ok(()); // no version left to propose, or nothing to install
+            return Ok(()); // nothing to install
         };
         if !self.cfg.three_phase_reconfig {
             // Claim 7.2 baseline: commit directly after interrogation. The
@@ -136,7 +136,7 @@ impl Member {
             ref invis,
             faulty: ref f,
         } = *body;
-        if !matches!(self.role, Role::Outer) || v < self.ver || !installs_ops(body) {
+        if !matches!(self.role, Role::Outer) || v < self.ver() || !installs_ops(body) {
             return Ok(()); // initiator is behind us (stale), or a malformed proposal
         }
         if f.contains(&self.me)
@@ -172,7 +172,7 @@ impl Member {
         // installed views (and observer notifications) to it.
         self.mgr = self.me;
         self.apply_rl(out, &rl, v)?;
-        out.note(Note::BecameMgr { ver: self.ver });
+        out.note(Note::BecameMgr { ver: self.ver() });
         self.forced = invis.iter().copied().collect();
         let invis = if self.cfg.compression {
             invis
@@ -192,17 +192,15 @@ impl Member {
         self.role = Role::MgrIdle;
         let usable =
             self.cfg.compression && self.forced.front().is_some_and(|&op| self.op_valid(op));
-        match self.ver.checked_add(1).filter(|_| usable) {
-            // The reconfiguration commit doubled as the invitation for the
-            // first contingent operation: go straight to the await phase.
-            Some(ver) => {
-                let op = self.forced.pop_front().expect("plan is non-empty");
-                self.begin_round(out, Phase::Update { op, ver })
-            }
-            // No usable plan, compression off, or no version after
-            // `Ver::MAX`: fresh invitations, if they can be numbered.
-            None => self.mgr_start_update(out),
+        if !usable {
+            // No usable plan, or compression off: fresh invitations.
+            return self.mgr_start_update(out);
         }
+        // The reconfiguration commit doubled as the invitation for the
+        // first contingent operation: go straight to the await phase.
+        let op = self.forced.pop_front().expect("plan is non-empty");
+        let ver = self.ver() + 1;
+        self.begin_round(out, Phase::Update { op, ver })
     }
 
     pub(super) fn on_reconf_commit(
@@ -217,7 +215,7 @@ impl Member {
             ref invis,
             faulty: ref f,
         } = *body;
-        if !matches!(self.role, Role::Outer) || v < self.ver || !installs_ops(body) {
+        if !matches!(self.role, Role::Outer) || v < self.ver() || !installs_ops(body) {
             return Ok(()); // stale, or a malformed commit
         }
         if f.contains(&self.me)
@@ -248,7 +246,8 @@ impl Member {
     /// Applies a reconfiguration proposal `rl` installing version `v`,
     /// starting from whatever prefix this process already holds.
     fn apply_rl(&mut self, out: &mut impl Out<Msg>, rl: &[Op], v: Ver) -> Step {
-        if self.ver >= v {
+        let ver = self.ver();
+        if ver >= v {
             return Ok(());
         }
         debug_assert!(
@@ -256,19 +255,19 @@ impl Member {
             "a reconfiguration proposal installs at least one op"
         );
         let start = v.saturating_sub(rl.len() as u64);
-        if self.ver < start {
+        if ver < start {
             // Further behind than the proposal can repair; impossible per
             // Prop. 5.1 but tolerated defensively.
             out.note(Note::Custom(format!(
                 "cannot catch up: at v{} but proposal covers v{}..v{}",
-                self.ver, start, v
+                ver, start, v
             )));
             return Ok(());
         }
-        for &op in &rl[(self.ver - start) as usize..] {
+        for &op in &rl[(ver - start) as usize..] {
             self.apply_op(out, op)?;
         }
-        debug_assert_eq!(self.ver, v);
+        debug_assert_eq!(self.ver(), v);
         Ok(())
     }
 

@@ -52,16 +52,12 @@ impl Member {
         None
     }
 
-    /// Invites the group to the next operation, if there is one and a
-    /// version to number it: `Ver::MAX` has no successor, so no round
-    /// starts there.
+    /// Invites the group to the next operation, if there is one.
     pub(super) fn mgr_start_update(&mut self, out: &mut impl Out<Msg>) -> Step {
-        let Some(ver) = self.ver.checked_add(1) else {
-            return Ok(());
-        };
         let Some(op) = self.mgr_pick_next() else {
             return Ok(());
         };
+        let ver = self.ver() + 1;
         self.broadcast(out, Msg::Invite { op, ver });
         self.begin_round(out, Phase::Update { op, ver })
     }
@@ -70,7 +66,7 @@ impl Member {
     /// installing `ver`, and go on to the next operation.
     pub(super) fn mgr_commit(&mut self, out: &mut impl Out<Msg>, op: Op, ver: Ver) -> Step {
         self.apply_op(out, op)?;
-        debug_assert_eq!(self.ver, ver);
+        debug_assert_eq!(self.ver(), ver);
         if op.kind == OpKind::Add {
             out.send(op.target, self.welcome(self.me));
         }
@@ -78,13 +74,8 @@ impl Member {
             self.broadcast(out, self.commit(op, ver, None));
             return self.mgr_start_update(out); // fresh invitation for the next op
         }
-        // Condensed round: the commit doubles as the invitation for the
-        // next op, if there is a version to number it.
-        let next = if ver < Ver::MAX {
-            self.mgr_pick_next()
-        } else {
-            None
-        };
+        // Condensed round: the commit doubles as the next op's invitation.
+        let next = self.mgr_pick_next();
         self.broadcast(out, self.commit(op, ver, next));
         match next {
             Some(op) => self.begin_round(out, Phase::Update { op, ver: ver + 1 }),
@@ -103,10 +94,10 @@ impl Member {
         op: Op,
         v: Ver,
     ) -> Step {
-        if from != self.mgr || !matches!(self.role, Role::Outer) || v <= self.ver {
+        if from != self.mgr || !matches!(self.role, Role::Outer) || v <= self.ver() {
             return Ok(()); // not our Mgr's, or a stale duplicate
         }
-        if v - self.ver > 1 {
+        if v - self.ver() > 1 {
             self.buffered.push((from, Msg::Invite { op, ver: v }));
             return Ok(());
         }
@@ -115,8 +106,7 @@ impl Member {
 
     /// Fig. 9's answer to an invitation for `op` from `coord`, or to the
     /// contingent op a commit carries in its place: act on the belief it
-    /// states, expect `op` at the next version and acknowledge. `Ver::MAX`
-    /// has no next version, so there the invitation is dropped.
+    /// states, expect `op` at the next version and acknowledge.
     pub(super) fn accept_invite(
         &mut self,
         out: &mut impl Out<Msg>,
@@ -130,9 +120,7 @@ impl Member {
             OpKind::Remove => self.handle_faulty(out, op.target, FaultySource::Gossip)?,
             OpKind::Add => out.note(Note::Operating { id: op.target }),
         }
-        let Some(v) = self.ver.checked_add(1) else {
-            return Ok(());
-        };
+        let v = self.ver() + 1;
         self.next = vec![NextEntry::concrete(vec![op], coord, v)];
         out.send(coord, Msg::UpdateOk { ver: v });
         Ok(())
@@ -154,22 +142,22 @@ impl Member {
             faulty: ref f,
             recovered: ref r,
         } = *body;
-        if v < self.ver {
+        if v < self.ver() {
             return Ok(()); // stale
         }
-        if v - self.ver > 1 {
+        if v - self.ver() > 1 {
             self.buffered.push((from, Msg::Commit(body)));
             return Ok(());
         }
         if f.contains(&self.me) || nxt.is_some_and(|n| n.removes(self.me)) {
             return self.do_quit(out, QuitReason::Excluded);
         }
-        if v == self.ver {
+        if v == self.ver() {
             // Already installed (e.g. a joiner bootstrapped by `Welcome` at
             // this very version): only the contingent part matters.
             return self.process_contingent(out, nxt, f, r);
         }
-        // v == self.ver + 1: apply.
+        // v == self.ver() + 1: apply.
         for &q in f {
             if q != op.target {
                 self.handle_faulty(out, q, FaultySource::Gossip)?;
@@ -213,7 +201,7 @@ impl Member {
     /// Replays buffered future-view messages that have become current.
     pub(super) fn drain_buffer(&mut self, out: &mut impl Out<Msg>) -> Step {
         loop {
-            let cur = self.ver;
+            let cur = self.ver();
             // Discard obsolete entries.
             let update_ver = |m: &Msg| match m {
                 Msg::Invite { ver, .. } => Some(*ver),
@@ -222,13 +210,14 @@ impl Member {
             };
             self.buffered
                 .retain(|(_, m)| update_ver(m).is_none_or(|ver| ver > cur));
-            let pos = self.buffered.iter().position(|(_, m)| {
-                update_ver(m).is_some_and(|ver| cur.checked_add(1) == Some(ver))
-            });
+            let pos = self
+                .buffered
+                .iter()
+                .position(|(_, m)| update_ver(m) == Some(cur + 1));
             let Some(pos) = pos else { return Ok(()) };
             let (from, msg) = self.buffered.remove(pos);
             self.dispatch(out, from, msg)?;
-            if self.ver == cur {
+            if self.ver() == cur {
                 // Nothing advanced (the buffered message was an invite):
                 // wait for more traffic.
                 return Ok(());

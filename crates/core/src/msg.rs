@@ -59,11 +59,10 @@ pub struct CommitBody {
 }
 
 /// Body of [`Msg::InterrogateOk`]: an outer process's Phase I response
-/// `OK(seq(p), next(p))`.
+/// `OK(seq(p), next(p))`. It states no version: the responder's `ver(p)`
+/// is the length of its `seq(p)`.
 #[derive(Clone, Debug)]
 pub struct InterrogateOkBody {
-    /// Responder's local version.
-    pub ver: Ver,
     /// Responder's committed operation sequence `seq(p)`.
     pub seq: Vec<Op>,
     /// Responder's expectation list `next(p)`.
@@ -86,15 +85,14 @@ pub struct ReconfBody {
     pub faulty: Vec<ProcessId>,
 }
 
-/// Body of [`Msg::Welcome`]: state transfer to a newly added member.
+/// Body of [`Msg::Welcome`]: state transfer to a newly added member. The
+/// joiner's version is the length of the sequence it is handed.
 #[derive(Clone, Debug)]
 pub struct WelcomeBody {
     /// Seniority-ordered membership of the current view.
     pub members: Vec<ProcessId>,
-    /// Current version.
-    pub ver: Ver,
-    /// Committed operation sequence (so the joiner can serve future
-    /// interrogations).
+    /// Committed operation sequence: its length is the current version,
+    /// and the joiner serves future interrogations from it.
     pub seq: Vec<Op>,
     /// The current coordinator.
     pub mgr: ProcessId,

@@ -82,7 +82,6 @@ fn a_reconfiguration_shares_one_body_per_phase() {
         .any(|(_, m)| matches!(m, Msg::Interrogate)));
     for p in 2..N {
         let resp = InterrogateOkBody {
-            ver: 0,
             seq: Vec::new(),
             next: Vec::new(),
         };

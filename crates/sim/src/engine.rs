@@ -336,9 +336,11 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
             .enqueue(at, QKind::Control(Control::Unblock { from, to }));
     }
 
-    /// Partitions the processes into the given groups at time `at`.
-    /// Cross-partition messages are held (unbounded delay), not lost. An
-    /// `at` already past means "now".
+    /// Partitions the processes into the given groups at time `at`,
+    /// replacing any partition in force. Cross-partition messages are held
+    /// (unbounded delay), not lost; a link the new groups reconnect has
+    /// its held messages released, as by a heal. An `at` already past
+    /// means "now".
     ///
     /// # Panics
     ///
@@ -597,15 +599,9 @@ impl<M: Message> Core<M> {
     fn apply_control(&mut self, c: Control) {
         match c {
             Control::Partition(groups) => self.net.partition(self.n, &groups),
-            Control::Heal => {
-                self.net.set_partition(None);
-                self.release_unblocked();
-            }
+            Control::Heal => self.net.set_partition(None),
             Control::Block { from, to, mode } => self.net.block(from, to, mode),
-            Control::Unblock { from, to } => {
-                self.net.unblock(from, to);
-                self.release_unblocked();
-            }
+            Control::Unblock { from, to } => self.net.unblock(from, to),
             Control::SetDelay { from, to, range } => self.net.set_delay_override(from, to, range),
             Control::CrashAfterSends {
                 pid,
@@ -621,8 +617,12 @@ impl<M: Message> Core<M> {
                     }
                     self.crash_after[pid.index()] = Some(SendCrash { tag, remaining });
                 }
+                return;
             }
         }
+        // Any link control may reconnect a link with a backlog: a heal, an
+        // unblock, or a partition that puts both ends in one group.
+        self.release_unblocked();
     }
 
     /// Holds `inf` in its link's backlog until a release.

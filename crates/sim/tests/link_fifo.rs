@@ -117,6 +117,26 @@ fn a_release_keeps_the_backlog_ahead_of_later_messages() {
     assert_eq!(received(&sim)[&(p0, p1)], [1, 2]);
 }
 
+/// A second partition that puts both ends of a cut link in one group
+/// reconnects it, and releases its backlog as a heal would: with no heal
+/// in the run, every message p0 sent still reaches p1, in order.
+#[test]
+fn a_partition_that_reconnects_a_link_releases_its_backlog() {
+    let mut sim = Builder::new().build();
+    sim.add_node(Sender {
+        n: 2,
+        at: (1..100).collect(),
+    });
+    sim.add_node(Sender { n: 2, at: vec![] });
+    let (p0, p1) = (ProcessId(0), ProcessId(1));
+    sim.partition_at(&[&[p0], &[p1]], 10);
+    sim.partition_at(&[&[p0, p1]], 30);
+    sim.run_until(10_000);
+    let got = received(&sim).remove(&(p0, p1)).unwrap_or_default();
+    assert_eq!(sim.stats().held, 0, "nothing stays held");
+    assert_eq!(got, (1..100).collect::<Vec<u64>>());
+}
+
 /// Processes of the random runs: six directed links.
 const N: u32 = 3;
 /// Every process sends to every other once a tick until here.

@@ -95,7 +95,6 @@ proptest! {
         let committed: Vec<Op> = (0..10).map(|i| Op::remove(ProcessId(40 + i))).collect();
         let me = PhaseOneResp {
             from: ProcessId(1),
-            ver: my_ver,
             seq: committed[..my_ver as usize].to_vec(),
             next: vec![],
         };
@@ -103,7 +102,6 @@ proptest! {
         if ahead {
             others.push(PhaseOneResp {
                 from: ProcessId(2),
-                ver: my_ver + 1,
                 seq: committed[..(my_ver + 1) as usize].to_vec(),
                 next: vec![],
             });
@@ -111,21 +109,20 @@ proptest! {
         if behind {
             others.push(PhaseOneResp {
                 from: ProcessId(3),
-                ver: my_ver - 1,
                 seq: committed[..(my_ver - 1) as usize].to_vec(),
                 next: vec![],
             });
         }
         let d = determine(&me, &others, &view, ProcessId(0), &[]).unwrap();
         // The proposed version is at most one past the fastest respondent.
-        let vmax = others.iter().map(|r| r.ver).chain([my_ver]).max().unwrap();
+        let vmax = others.iter().map(PhaseOneResp::ver).chain([my_ver]).max().unwrap();
         prop_assert!(d.v <= vmax + 1, "proposal skips: v={} vmax={}", d.v, vmax);
         prop_assert!(d.v >= my_ver, "proposal regresses");
         // The ops cover exactly versions (v - rl.len(), v].
         prop_assert!(!d.rl.is_empty());
         prop_assert!(d.v as usize >= d.rl.len());
         // Slowest respondent can apply the proposal without skipping.
-        let vmin = others.iter().map(|r| r.ver).chain([my_ver]).min().unwrap();
+        let vmin = others.iter().map(PhaseOneResp::ver).chain([my_ver]).min().unwrap();
         prop_assert!(d.v as usize - d.rl.len() <= vmin as usize);
     }
 
@@ -150,7 +147,7 @@ proptest! {
         }
         // An entry for a *different* version never shows up.
         next.push(NextEntry::concrete(vec![Op::remove(ProcessId(99))], ProcessId(9), ver + 1));
-        let resp = [PhaseOneResp { from: ProcessId(0), ver: 0, seq: vec![], next }];
+        let resp = [PhaseOneResp { from: ProcessId(0), seq: vec![], next }];
         let props = proposals_for_ver(&resp, ver);
         prop_assert_eq!(props.len(), n_concrete);
         prop_assert!(props.iter().all(|p| p.ops[0].target != ProcessId(99)));
