@@ -2,7 +2,7 @@
 //! heartbeats carrying faulty-set digests (F2 gossip), and the monitoring
 //! set the topology draws over each installed view.
 
-use super::{Lifecycle, Member, Step, TICK};
+use super::{faulty_in, Lifecycle, Member, Step, TICK};
 use crate::msg::{HeartbeatDigest, Msg};
 use gmp_sim::Out;
 use gmp_types::note::FaultySource;
@@ -91,22 +91,24 @@ impl Member {
         // refuses every id it names), and a receiver that missed it — a
         // `Joining` peer, a newly enrolled one, one behind a lossy link —
         // gets it on its next beat.
-        if self.cfg.gossip && !self.faulty.iter().eq(self.hb.digest.faulty()) {
-            self.hb.digest = if self.faulty.is_empty() {
+        let carried = self.hb.digest.faulty().iter().copied();
+        if self.cfg.gossip && !self.faulty_set().eq(carried) {
+            let faulty = self.faulty_vec();
+            self.hb.digest = if faulty.is_empty() {
                 HeartbeatDigest::empty()
             } else {
                 self.hb.builds += 1;
-                HeartbeatDigest::snapshot(self.faulty_vec().into())
+                HeartbeatDigest::snapshot(faulty.into())
             };
         }
         // Heartbeats (and their digests) go to the *monitoring set*, not
         // the whole view — under the default Flat topology these coincide.
         // Suspicion relay on sparse graphs falls out of this line plus the
         // rebuild above: learning `Faulty{q}` (by timeout or digest)
-        // changes `self.faulty`, which re-publishes the snapshot to
+        // changes the faulty set, which re-publishes the snapshot to
         // exactly these monitors on this very tick.
         for &p in &self.topo_monitored {
-            if !self.faulty.contains(&p) {
+            if !self.iso.is_isolated(p) {
                 let digest = self.hb.digest.clone();
                 out.send(p, Msg::Heartbeat { digest });
             }
@@ -114,11 +116,11 @@ impl Member {
 
         // Periodic re-reports keep GMP-5 live across coordinator changes
         // and lost observers.
-        if !self.is_mgr() && self.mgr != self.me && !self.faulty.contains(&self.mgr) {
-            for &q in &self.faulty {
+        if !self.is_mgr() && self.mgr != self.me && !self.is_faulty(self.mgr) {
+            for q in faulty_in(&self.iso, &self.view) {
                 let last = self.last_report.get(&q);
                 let due = last.is_none_or(|&t| now.saturating_sub(t) >= self.cfg.suspect_after);
-                if self.view.contains(q) && due {
+                if due {
                     out.send(self.mgr, Msg::FaultyReport { suspect: q });
                     self.last_report.insert(q, now);
                 }

@@ -73,7 +73,7 @@ impl Member {
                     return self.mgr_start_update(out);
                 }
             }
-        } else if !self.faulty.contains(&self.mgr) && self.mgr != self.me {
+        } else if !self.is_faulty(self.mgr) && self.mgr != self.me {
             out.send(self.mgr, Msg::JoinRequest { joiner });
         }
         Ok(())

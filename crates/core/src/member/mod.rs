@@ -135,7 +135,9 @@ enum Phase {
 /// The member's version `ver(p)` is not stored: it numbers the views
 /// installed since the initial one, one per operation of `seq(p)`, so
 /// [`Member::ver`] is the sequence's length. A `Welcome` or
-/// `InterrogateOk` hands over the sequence alone.
+/// `InterrogateOk` hands over the sequence alone. Nor is `Faulty(p)`
+/// stored: S1's isolation filter is the one record of suspicion, and
+/// [`Member::faulty_set`] is the part of the view it holds.
 pub struct Member {
     cfg: Config,
     me: ProcessId,
@@ -145,13 +147,13 @@ pub struct Member {
     seq: Vec<Op>,
     next: Vec<NextEntry>,
     mgr: ProcessId,
-    /// `Faulty(p)`: believed faulty but not yet removed from the view.
-    faulty: BTreeSet<ProcessId>,
     /// `Recovered(Mgr)`: queued joiners (meaningful while coordinator).
     recovered: VecDeque<ProcessId>,
     /// Contingent operations inherited from reconfiguration (`invis`),
     /// executed first once this member is coordinator.
     forced: VecDeque<Op>,
+    /// S1, and the one record of suspicion: `Faulty(p)` is the part of
+    /// the view isolated here (see [`Member::faulty_set`]).
     iso: Isolation,
     /// The failure detector: one lease per monitored peer.
     fd: HeartbeatDetector,
@@ -254,7 +256,6 @@ impl Member {
             view,
             seq: Vec::new(),
             next: Vec::new(),
-            faulty: BTreeSet::new(),
             recovered: VecDeque::new(),
             forced: VecDeque::new(),
             iso: Isolation::new(),
@@ -314,9 +315,17 @@ impl Member {
         &self.next
     }
 
-    /// Processes currently believed faulty and still in the view.
+    /// `Faulty(p)`: the members of the view this process believes faulty,
+    /// in ascending id order. It is read off S1 (the isolated ids that are
+    /// in the view), so a process already isolated when an add puts it in
+    /// the view is faulty from then on.
     pub fn faulty_set(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.faulty.iter().copied()
+        faulty_in(&self.iso, &self.view)
+    }
+
+    /// Whether `q` is in `Faulty(p)`.
+    fn is_faulty(&self, q: ProcessId) -> bool {
+        self.iso.is_isolated(q) && self.view.contains(q)
     }
 
     /// Queues a spurious suspicion, applied at the next detector tick.
@@ -501,7 +510,7 @@ impl Member {
         let pending = self
             .view
             .iter()
-            .filter(|&p| p != self.me && !self.faulty.contains(&p))
+            .filter(|&p| p != self.me && !self.iso.is_isolated(p))
             .collect();
         let oks = BTreeSet::new();
         self.role = Role::Await(Round {
@@ -588,7 +597,7 @@ impl Member {
     }
 
     fn faulty_vec(&self) -> Vec<ProcessId> {
-        self.faulty.iter().copied().collect()
+        self.faulty_set().collect()
     }
 
     /// Applies one committed membership operation, appending it to `seq`
@@ -602,9 +611,8 @@ impl Member {
                 }
                 // GMP-1: `q ∉ Memb(p) ⇒ faulty_p(q)` — the belief always
                 // precedes the removal, whatever path committed it.
-                self.mark_faulty_quiet(out, op.target, FaultySource::Gossip);
+                self.suspect(out, op.target, FaultySource::Gossip);
                 self.view.remove(op.target);
-                self.faulty.remove(&op.target);
                 self.last_report.remove(&op.target);
                 self.fd.forget(op.target);
             }
@@ -645,34 +653,25 @@ impl Member {
         out.note(Note::ViewInstalled { ver, members, mgr });
     }
 
-    /// The start of `faulty_p(q)` (§2.2) on both paths below: isolates `q`
-    /// (S1), frees its lease and records the suspicion. False when `q` is
-    /// this member or already believed faulty.
+    /// `faulty_p(q)` (§2.2) without driving any protocol step: isolates
+    /// `q` (S1), which makes it faulty while it is in the view, frees its
+    /// lease, drops it from the queued joiners and records the suspicion.
+    /// False when `q` is this member or already believed faulty. Called
+    /// alone inside a protocol transition (applying a removal or a
+    /// proposal), where GMP-1 requires the belief to precede the removal
+    /// but a succession step mid-transition would be unsound.
     fn suspect(&mut self, out: &mut impl Out<Msg>, q: ProcessId, source: FaultySource) -> bool {
         if q == self.me || !self.iso.isolate(q) {
             return false;
         }
         self.fd.release(q);
+        self.recovered.retain(|&j| j != q);
         out.note(Note::Faulty { suspect: q, source });
         true
     }
 
-    /// Records `faulty_p(q)` without driving any protocol step: used while
-    /// already inside a protocol transition (e.g. applying a reconfiguration
-    /// proposal), where GMP-1 requires the belief to precede the removal but
-    /// triggering succession logic mid-step would be unsound.
-    fn mark_faulty_quiet(&mut self, out: &mut impl Out<Msg>, q: ProcessId, source: FaultySource) {
-        if !self.suspect(out, q, source) {
-            return;
-        }
-        if self.view.contains(q) {
-            self.faulty.insert(q);
-        }
-        self.recovered.retain(|&j| j != q);
-    }
-
-    /// The core `faulty_p(q)` event (§2.2): isolates `q` (S1), records the
-    /// belief, and drives whatever protocol step the suspicion unblocks.
+    /// The core `faulty_p(q)` event (§2.2): [`suspect`](Self::suspect),
+    /// then whatever protocol step the suspicion of a member unblocks.
     fn handle_faulty(
         &mut self,
         out: &mut impl Out<Msg>,
@@ -682,8 +681,6 @@ impl Member {
         if !self.suspect(out, q, source) || !self.view.contains(q) {
             return Ok(());
         }
-        self.faulty.insert(q);
-        self.recovered.retain(|&j| j != q);
         // Drop placeholders of a dead interrogator: we stop waiting for its
         // proposal. Concrete entries are evidence and stay (§4.4).
         self.next.retain(|e| !(e.is_placeholder() && e.coord == q));
@@ -700,7 +697,7 @@ impl Member {
                 if matches!(source, FaultySource::Observation | FaultySource::Injected)
                     && q != self.mgr
                     && self.mgr != self.me
-                    && !self.faulty.contains(&self.mgr)
+                    && !self.is_faulty(self.mgr)
                 {
                     out.send(self.mgr, Msg::FaultyReport { suspect: q });
                     self.last_report.insert(q, self.now);
@@ -712,19 +709,14 @@ impl Member {
 
     /// What every step keeps, checked after each entry point in debug
     /// builds: the awaited round asks only other members and never twice,
-    /// and the faulty set and the report throttle stay within the view.
-    /// The monitoring set is checked where it changes, at each view
-    /// install.
+    /// and never awaits an isolated one (S1 drops its every answer); the
+    /// report throttle stays within the view. The monitoring set is
+    /// checked where it changes, at each view install.
     #[cfg(debug_assertions)]
     fn check_invariants(&self) {
         let within_view = |set: &BTreeSet<ProcessId>| {
             set.is_empty() || self.view.iter().filter(|p| set.contains(p)).count() == set.len()
         };
-        assert!(
-            within_view(&self.faulty),
-            "faulty {:?} outside the view",
-            self.faulty
-        );
         assert!(
             self.last_report.keys().all(|&q| self.view.contains(q)),
             "report throttle {:?} outside the view",
@@ -740,8 +732,19 @@ impl Member {
                 oks.is_disjoint(pending) && within_view(oks),
                 "oks {oks:?} outside the view or still pending"
             );
+            assert!(
+                pending.iter().all(|&p| !self.iso.is_isolated(p)),
+                "pending {pending:?} awaits an isolated process"
+            );
         }
     }
+}
+
+/// The isolated ids that are in `view`, ascending: `Faulty(p)` of the
+/// member that holds both. A free function so that a caller can walk it
+/// while it updates the member's other fields.
+fn faulty_in<'a>(iso: &'a Isolation, view: &'a View) -> impl Iterator<Item = ProcessId> + 'a {
+    iso.iter().filter(|&q| view.contains(q))
 }
 
 impl Node<Msg> for Member {
@@ -1113,27 +1116,68 @@ mod tests {
         assert_eq!(m.view().as_slice(), [0, 1, 2].map(ProcessId));
     }
 
+    /// Gossip names p4 before p1 has applied p4's add: once the add puts
+    /// the isolated p4 in the view, p4 is faulty. p1 reports it to `Mgr`
+    /// on its next tick and sends it no heartbeat (S1 would drop any
+    /// answer, so nothing may ever wait on p4).
+    #[test]
+    fn a_process_isolated_before_its_add_is_faulty_once_added() {
+        let (p0, p2, p4) = (ProcessId(0), ProcessId(2), ProcessId(4));
+        let mut m = p1_of_four();
+        let mut out = Sink::new();
+        let digest = HeartbeatDigest::snapshot(Arc::from(vec![p4]));
+        m.receive(&mut out, p2, Msg::Heartbeat { digest }, 5);
+        let invite = Msg::Invite {
+            op: Op::add(p4),
+            ver: 1,
+        };
+        m.receive(&mut out, p0, invite, 6);
+        m.receive(&mut out, p0, commit(Op::add(p4), 1, Vec::new()), 7);
+        assert!(m.view().contains(p4));
+        assert_eq!(m.faulty_set().collect::<Vec<_>>(), [p4]);
+        out.clear();
+        m.fire(&mut out, TICK, 40);
+        let to = |p: ProcessId| {
+            out.iter().filter_map(move |e| match e {
+                Effect::Send { to, msg } if *to == p => Some(msg),
+                _ => None,
+            })
+        };
+        let reports: Vec<_> = to(p0)
+            .filter(|msg| matches!(msg, Msg::FaultyReport { suspect } if *suspect == p4))
+            .collect();
+        assert_eq!(reports.len(), 1, "p4 is reported to Mgr");
+        assert_eq!(to(p4).count(), 0, "p4 gets no heartbeat");
+    }
+
     /// A message whose faulty set makes p1 suspect `Mgr` p0, its only
     /// senior, turns p1 into a reconfiguration initiator on the spot: the
-    /// update the message carries is then not p1's to install.
+    /// update the message carries is then not p1's to install, and a
+    /// proposal is not p1's to accept. Accepting it would suspect p3,
+    /// whose answer p1's own interrogation awaits.
     #[test]
     fn an_update_whose_suspicions_start_a_reconfiguration_installs_nothing() {
         let (p0, p3) = (ProcessId(0), ProcessId(3));
-        let rl = vec![Op::remove(p3)];
-        let reconf_commit = Msg::ReconfCommit(Arc::from(ReconfBody {
-            rl,
+        let body = Arc::from(ReconfBody {
+            rl: vec![Op::remove(p3)],
             ver: 1,
             invis: Vec::new(),
             faulty: vec![p0],
-        }));
-        for (from, msg) in [(0, commit(Op::remove(p3), 1, vec![p0])), (2, reconf_commit)] {
+        });
+        let msgs = [
+            (0, commit(Op::remove(p3), 1, vec![p0])),
+            (2, Msg::ReconfCommit(Arc::clone(&body))),
+            (2, Msg::Propose(body)),
+        ];
+        for (from, msg) in msgs {
             let mut m = p1_of_four();
             let mut out = Sink::new();
             m.receive(&mut out, ProcessId(from), msg, 5);
             assert_eq!((m.ver(), m.view().len()), (0, 4));
-            assert!(sent(&mut out)
-                .iter()
-                .any(|msg| matches!(msg, Msg::Interrogate)));
+            assert_eq!(m.faulty_set().collect::<Vec<_>>(), [p0]);
+            let sent = sent(&mut out);
+            assert!(sent.iter().any(|msg| matches!(msg, Msg::Interrogate)));
+            assert!(!sent.iter().any(|msg| matches!(msg, Msg::ProposeOk { .. })));
         }
     }
 

@@ -3,7 +3,7 @@
 //! propose what to install, and commit it as the new `Mgr`; as an outer
 //! process, answer each phase.
 
-use super::{Member, Phase, Role, Step};
+use super::{faulty_in, Member, Phase, Role, Step};
 use crate::decide::{determine, PhaseOneResp};
 use crate::msg::{InterrogateOkBody, Msg, ReconfBody};
 use gmp_sim::Out;
@@ -29,8 +29,8 @@ impl Member {
             .view
             .seniors_of(self.me)
             .iter()
-            .all(|s| self.faulty.contains(s));
-        if seniors_faulty && self.faulty.contains(&self.mgr) {
+            .all(|&s| self.is_faulty(s));
+        if seniors_faulty && self.is_faulty(self.mgr) {
             return self.start_reconf(out);
         }
         Ok(())
@@ -75,24 +75,6 @@ impl Member {
         Ok(())
     }
 
-    /// The initiator's own pending operations for `GetNext`: queued joiners
-    /// first (Fig. 8 serves `Recovered` first), then queued removals.
-    fn queue_ops(&self) -> Vec<Op> {
-        let mut q: Vec<Op> = self
-            .recovered
-            .iter()
-            .filter(|j| !self.view.contains(**j))
-            .map(|&j| Op::add(j))
-            .collect();
-        q.extend(
-            self.faulty
-                .iter()
-                .filter(|f| self.view.contains(**f))
-                .map(|&f| Op::remove(f)),
-        );
-        q
-    }
-
     /// Phase I is answered by a majority: decide what to install (Fig. 6)
     /// and propose it.
     pub(super) fn reconf_decide(
@@ -100,7 +82,7 @@ impl Member {
         out: &mut impl Out<Msg>,
         resp: Vec<PhaseOneResp>,
     ) -> Step {
-        let queue = self.queue_ops();
+        let queue: Vec<Op> = self.queued_ops().collect();
         let Some(decision) = determine(&resp[0], &resp[1..], &self.view, self.mgr, &queue) else {
             return Ok(()); // nothing to install
         };
@@ -148,10 +130,13 @@ impl Member {
         for &q in f {
             self.handle_faulty(out, q, FaultySource::Gossip)?;
         }
+        if !matches!(self.role, Role::Outer) {
+            return Ok(()); // those suspicions made this member an initiator
+        }
         // "p executes faulty_p(RL_r) upon receipt of r's proposal" (§6).
         for op in rl {
             if op.kind == OpKind::Remove {
-                self.mark_faulty_quiet(out, op.target, FaultySource::Gossip);
+                self.suspect(out, op.target, FaultySource::Gossip);
             }
         }
         self.next = vec![NextEntry::concrete(rl.clone(), from, v)];
@@ -272,11 +257,10 @@ impl Member {
     }
 
     fn report_suspects(&mut self, out: &mut impl Out<Msg>) {
-        if self.mgr == self.me || self.faulty.contains(&self.mgr) {
+        if self.mgr == self.me || self.is_faulty(self.mgr) {
             return;
         }
-        let suspects = self.faulty.iter().copied();
-        for q in suspects.filter(|&q| self.view.contains(q) && q != self.mgr) {
+        for q in faulty_in(&self.iso, &self.view) {
             out.send(self.mgr, Msg::FaultyReport { suspect: q });
             self.last_report.insert(q, self.now);
         }

@@ -34,22 +34,25 @@ impl Member {
         }
     }
 
+    /// The operations this member would coordinate next, in the order
+    /// Fig. 8 serves them: `Recovered` joiners not yet in the view, then
+    /// removals of `Faulty`. A reconfiguration initiator hands the same
+    /// queue to `GetNext`.
+    pub(super) fn queued_ops(&self) -> impl Iterator<Item = Op> + '_ {
+        let joiners = self.recovered.iter().filter(|&&j| !self.view.contains(j));
+        let joiners = joiners.map(|&j| Op::add(j));
+        joiners.chain(self.faulty_set().map(Op::remove))
+    }
+
     /// Picks the next operation for the coordinator: inherited contingent
-    /// plan first, then queued joiners, then queued removals.
+    /// plan first, then the queue.
     fn mgr_pick_next(&mut self) -> Option<Op> {
-        while let Some(&op) = self.forced.front() {
-            self.forced.pop_front();
+        while let Some(op) = self.forced.pop_front() {
             if self.op_valid(op) {
                 return Some(op);
             }
         }
-        if let Some(&j) = self.recovered.iter().find(|j| !self.view.contains(**j)) {
-            return Some(Op::add(j));
-        }
-        if let Some(&f) = self.faulty.iter().find(|f| self.view.contains(**f)) {
-            return Some(Op::remove(f));
-        }
-        None
+        self.queued_ops().next()
     }
 
     /// Invites the group to the next operation, if there is one.

@@ -21,8 +21,11 @@
 //! believe `q` faulty — by timeout, gossip or injection, the *spurious*
 //! detections §2.2 discusses — isolates `q` and
 //! [`release`](HeartbeatDetector::release)s its lease, and never tracks an
-//! isolated peer again. Gossip (F2) is a protocol concern and lives in
-//! `gmp-core`, which piggybacks faulty sets on protocol messages.
+//! isolated peer again. The filter is the owner's one record of
+//! suspicion: it reads its faulty set off [`Isolation::iter`] (the
+//! isolated ids, ascending) as the isolated members of its view. Gossip
+//! (F2) is a protocol concern and lives in `gmp-core`, which piggybacks
+//! faulty sets on protocol messages.
 //!
 //! The detector keeps one slot per enrolled peer: its id and its lease.
 //! A life sign is one store into the peer's slot; expiry is a scan of the
@@ -328,7 +331,9 @@ impl HeartbeatDetector {
 ///
 /// The filter is consulted for every received message, so it is a bitmap
 /// indexed by `ProcessId` (ids are small and dense — the assumption the
-/// detector's id index already makes).
+/// detector's id index already makes: the bitmap is sized by the largest
+/// id isolated). Its owner's faulty set is read off it with
+/// [`iter`](Isolation::iter).
 #[derive(Clone, Debug, Default)]
 pub struct Isolation {
     /// Bit `q.index()` is set iff `q` is isolated; grown on demand.
@@ -358,11 +363,26 @@ impl Isolation {
         let word = self.bits.get(q.index() / 64).copied().unwrap_or(0);
         word >> (q.index() % 64) & 1 == 1
     }
+
+    /// Every isolated id, in ascending order. Walks the set bits alone:
+    /// O(words + isolated ids), one `trailing_zeros` per id.
+    pub fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        let words = self.bits.iter().enumerate().filter(|&(_, &w)| w != 0);
+        words.flat_map(|(i, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
+                rest &= rest - 1;
+                Some(ProcessId(i as u32 * 64 + bit))
+            })
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     const P1: ProcessId = ProcessId(1);
     const P2: ProcessId = ProcessId(2);
@@ -718,5 +738,26 @@ mod tests {
         // Ids past the bitmap's end read as not isolated, without growing it.
         assert!(!iso.is_isolated(ProcessId(1_001)));
         assert!(!iso.is_isolated(ProcessId(u32::MAX)));
+        let ascending = isolated.iter().copied().collect::<BTreeSet<_>>();
+        assert!(iso.iter().map(|p| p.0).eq(ascending));
+    }
+
+    proptest::proptest! {
+        /// `iter` yields exactly the isolated ids, ascending, over random
+        /// ids that straddle the bitmap's word edges (63 | 64, 127 | 128)
+        /// and leave whole words empty.
+        #[test]
+        fn isolation_iter_matches_a_set_model(
+            ids in proptest::collection::vec(0u32..400, 0..40),
+            edges in proptest::collection::vec(0usize..4, 0..4),
+        ) {
+            let mut iso = Isolation::new();
+            let mut model = BTreeSet::new();
+            let edge_ids = edges.iter().map(|&e| [63, 64, 127, 128][e]);
+            for q in ids.into_iter().chain(edge_ids) {
+                proptest::prop_assert_eq!(iso.isolate(ProcessId(q)), model.insert(q));
+            }
+            proptest::prop_assert!(iso.iter().map(|p| p.0).eq(model.iter().copied()));
+        }
     }
 }

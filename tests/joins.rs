@@ -302,3 +302,41 @@ fn joiner_welcomed_mid_suspicion_learns_the_faulty_set_by_digest() {
         check_safety(sim.trace()).assert_ok();
     }
 }
+
+/// A process isolated before its add reaches this member is faulty the
+/// moment the add puts it in the view. Schedule (every delay 5):
+///
+/// * p0 invites the joiner p4 at 105, and the link p0 → p1 holds from 112,
+///   so p1 sees the invitation but not the commit (p2 and p3 install v1
+///   at 120);
+/// * p4 crashes at 121; at 320 p0, p2 and p3 suspect it, and p1, silent
+///   from p0 since the hold, suspects p0 and starts a reconfiguration;
+/// * p1 takes p4's suspicion from p2's digest at 325, before it knows p4
+///   is a member; p0 crashes at 322 and the hold lifts at 330;
+/// * p1 installs v1, which adds p4, as the new `Mgr` at 340.
+///
+/// p4 is then isolated and in p1's view. A round that awaited it would
+/// wait forever (S1 drops its every answer), and nothing else would ever
+/// remove it: p1 must commit `remove(p4)` and then `remove(p0)`, and every
+/// survivor end at v3 = {p1, p2, p3}.
+#[test]
+fn a_process_isolated_before_its_add_is_removed_after_it() {
+    use gmp::sim::BlockMode;
+
+    let (p0, p1, p4) = (ProcessId(0), ProcessId(1), ProcessId(4));
+    let b = ClusterBuilder::new(4, Config::default()).joiner(JoinConfig::new(100, vec![p0]));
+    let mut sim = b.sim(Builder::new().seed(0).delay(5, 5)).build();
+    sim.block_link_at(p0, p1, BlockMode::Hold, 112);
+    sim.crash_at(p4, 121);
+    sim.crash_at(p0, 322);
+    sim.unblock_link_at(p0, p1, 330);
+    sim.run_until(20_000);
+    check_all(sim.trace()).assert_ok();
+    assert_eq!(sim.living(), [1, 2, 3].map(ProcessId));
+    for p in sim.living() {
+        let m = sim.node(p);
+        assert_eq!(m.ver(), 3, "add p4, remove p4, remove p0 at {p}");
+        assert_eq!(m.view().as_slice(), [1, 2, 3].map(ProcessId), "at {p}");
+        assert_eq!(m.mgr(), p1, "at {p}");
+    }
+}

@@ -9,7 +9,8 @@
 //! Per case, three things must hold:
 //! - no input panics, which in a debug build includes the member's own
 //!   invariant check at the end of every entry point (a round awaits only
-//!   other members, and the faulty and monitoring sets stay in the view);
+//!   other members and none it has isolated, and the report throttle and
+//!   monitoring set stay in the view);
 //! - nothing follows `Effect::Quit` in the sink;
 //! - the one `Note::Quit` is the effect just before it, so no note that
 //!   `MemberEvent::of` maps follows the quit event.
