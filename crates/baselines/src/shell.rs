@@ -1,13 +1,13 @@
 //! The failure-detection shell both baselines share: the local view and
-//! version, a heartbeat detector, the S1 isolation filter and the
-//! heartbeat tick. Each baseline wraps one and adds only its own protocol.
+//! version, the local detector (F1 and S1) and the heartbeat tick. Each
+//! baseline wraps one and adds only its own protocol.
 //!
 //! Views only shrink here (no baseline admits joiners), so a view member
-//! is believed faulty exactly when it is isolated: the isolation bitmap is
-//! the faulty set. A member that quit is stopped: it admits no message and
-//! acts on no tick.
+//! is believed faulty exactly when it is isolated: the detector's isolated
+//! ids are the faulty set. A member that quit is stopped: it admits no
+//! message and acts on no tick.
 
-use gmp_detect::{HeartbeatDetector, Isolation};
+use gmp_detect::HeartbeatDetector;
 use gmp_sim::Out;
 use gmp_types::note::{FaultySource, QuitReason};
 use gmp_types::{Note, Op, ProcessId, Ver, View};
@@ -20,10 +20,9 @@ pub(crate) struct Shell {
     pub(crate) me: ProcessId,
     pub(crate) view: View,
     pub(crate) ver: Ver,
+    /// Leases of the monitored peers, and S1: every process this one
+    /// believes faulty, whose messages it discards.
     fd: HeartbeatDetector,
-    /// S1: every process this one believes faulty, whose messages it
-    /// discards.
-    iso: Isolation,
     heartbeat_every: u64,
     /// Set by [`Shell::quit`]; nothing reaches the member after it.
     stopped: bool,
@@ -37,7 +36,6 @@ impl Shell {
             view,
             ver: 0,
             fd: HeartbeatDetector::new(suspect_after),
-            iso: Isolation::new(),
             heartbeat_every,
             stopped: false,
         }
@@ -66,12 +64,11 @@ impl Shell {
         if self.stopped {
             return false;
         }
-        if self.iso.is_isolated(from) {
+        let admitted = self.fd.admit(from, now);
+        if !admitted {
             out.note(Note::Isolated { from });
-            return false;
         }
-        self.fd.heard_from(from, now);
-        true
+        admitted
     }
 
     /// Whether timer `tag` is a tick this member acts on: its own, and
@@ -119,17 +116,16 @@ impl Shell {
         q: ProcessId,
         source: FaultySource,
     ) -> bool {
-        if q == self.me || !self.iso.isolate(q) {
+        if q == self.me || !self.fd.isolate(q) {
             return false;
         }
-        self.fd.release(q);
         out.note(Note::Faulty { suspect: q, source });
         self.view.contains(q)
     }
 
     /// Whether this process believes view member `p` faulty.
     pub(crate) fn is_faulty(&self, p: ProcessId) -> bool {
-        self.iso.is_isolated(p)
+        self.fd.is_isolated(p)
     }
 
     /// The most senior view member not believed faulty.

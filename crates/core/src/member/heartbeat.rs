@@ -27,8 +27,8 @@ impl Member {
     /// new monitors are tracked with `lease` as their presumed last life
     /// sign. Called on every view install (initial start, welcome, and
     /// each applied operation). A monitor this member believes faulty
-    /// stays in the set — heartbeats skip it — but is never tracked: S1 is
-    /// recorded in `iso` alone, and the detector holds only leases.
+    /// stays in the set — heartbeats skip it — but the detector never
+    /// tracks an isolated peer again.
     ///
     /// Emits no trace events and draws no randomness; `track` is a no-op
     /// for already-enrolled peers and `release` for never-enrolled ones —
@@ -54,15 +54,7 @@ impl Member {
             // `fd.forget` in the removal path; releasing them again
             // would be a harmless no-op, skipped for clarity.
         }
-        // One exact allocation per install: ascending inserts would
-        // otherwise double the id index to twice the largest monitored id.
-        let end = self.topo_monitored.iter().map(|p| p.index() + 1).max();
-        self.fd.reserve_ids(end.unwrap_or(0));
-        for &p in &self.topo_monitored {
-            if !self.iso.is_isolated(p) {
-                self.fd.track(p, lease);
-            }
-        }
+        self.fd.monitor(&self.topo_monitored, lease);
     }
 
     pub(super) fn on_tick(&mut self, out: &mut impl Out<Msg>) -> Step {
@@ -108,7 +100,7 @@ impl Member {
         // changes the faulty set, which re-publishes the snapshot to
         // exactly these monitors on this very tick.
         for &p in &self.topo_monitored {
-            if !self.iso.is_isolated(p) {
+            if !self.fd.is_isolated(p) {
                 let digest = self.hb.digest.clone();
                 out.send(p, Msg::Heartbeat { digest });
             }
@@ -117,7 +109,7 @@ impl Member {
         // Periodic re-reports keep GMP-5 live across coordinator changes
         // and lost observers.
         if !self.is_mgr() && self.mgr != self.me && !self.is_faulty(self.mgr) {
-            for q in faulty_in(&self.iso, &self.view) {
+            for q in faulty_in(&self.fd, &self.view) {
                 let last = self.last_report.get(&q);
                 let due = last.is_none_or(|&t| now.saturating_sub(t) >= self.cfg.suspect_after);
                 if due {

@@ -66,7 +66,7 @@ impl Member {
             return Ok(());
         }
         if self.is_mgr() {
-            if !self.recovered.contains(&joiner) && !self.iso.is_isolated(joiner) {
+            if !self.recovered.contains(&joiner) && !self.fd.is_isolated(joiner) {
                 self.recovered.push_back(joiner);
                 out.note(Note::JoinRequested { joiner });
                 if matches!(self.role, Role::MgrIdle) {
@@ -103,10 +103,14 @@ impl Member {
         // Replay coordinator rounds that overtook this Welcome (see
         // `receive_joining`). `dispatch` re-buffers anything still ahead
         // of the installed view; stale entries fail the handlers' version
-        // guards.
+        // guards. A replayed message can isolate a later one's sender, so
+        // each passes S1 again.
         for (sender, msg) in std::mem::take(&mut self.buffered) {
-            self.fd.heard_from(sender, self.now);
-            self.dispatch(out, sender, msg)?;
+            if self.fd.admit(sender, self.now) {
+                self.dispatch(out, sender, msg)?;
+            } else {
+                out.note(Note::Isolated { from: sender });
+            }
         }
         Ok(())
     }

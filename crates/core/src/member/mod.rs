@@ -52,7 +52,7 @@ mod update;
 use crate::config::Config;
 use crate::decide::PhaseOneResp;
 use crate::msg::{InterrogateOkBody, Msg};
-use gmp_detect::{HeartbeatDetector, Isolation};
+use gmp_detect::HeartbeatDetector;
 use gmp_sim::{Ctx, Node, Out};
 use gmp_types::note::{FaultySource, QuitReason};
 use gmp_types::{NextEntry, Note, Op, OpKind, ProcessId, Ver, View};
@@ -136,7 +136,7 @@ enum Phase {
 /// installed since the initial one, one per operation of `seq(p)`, so
 /// [`Member::ver`] is the sequence's length. A `Welcome` or
 /// `InterrogateOk` hands over the sequence alone. Nor is `Faulty(p)`
-/// stored: S1's isolation filter is the one record of suspicion, and
+/// stored: the detector's S1 record is the one record of suspicion, and
 /// [`Member::faulty_set`] is the part of the view it holds.
 pub struct Member {
     cfg: Config,
@@ -152,20 +152,26 @@ pub struct Member {
     /// Contingent operations inherited from reconfiguration (`invis`),
     /// executed first once this member is coordinator.
     forced: VecDeque<Op>,
-    /// S1, and the one record of suspicion: `Faulty(p)` is the part of
-    /// the view isolated here (see [`Member::faulty_set`]).
-    iso: Isolation,
-    /// The failure detector: one lease per monitored peer.
+    /// The local detector: one lease per monitored peer (F1), and S1,
+    /// the one record of suspicion — `Faulty(p)` is the part of the view
+    /// isolated here (see [`Member::faulty_set`]).
     fd: HeartbeatDetector,
     role: Role,
-    /// Future-view update messages, waiting for their view (§3).
+    /// Future-view update messages, waiting for their view (§3). Wire
+    /// input grows it, and nothing bounds it but the traffic: a joiner
+    /// keeps every `Invite`, `Commit`, `Interrogate`, `Propose` and
+    /// `ReconfCommit` from any sender until a `Welcome` replays them, and
+    /// an outer member keeps every future-version `Invite` or `Commit`
+    /// from its `Mgr` until its version reaches it (one stating
+    /// `ver = u64::MAX` never drains). No id sizes it.
     buffered: Vec<(ProcessId, Msg)>,
     /// Suspicions queued by tests/experiments, applied at the next tick.
     injected: Vec<ProcessId>,
     /// Last time each suspect was reported to `Mgr` (for re-reports).
     /// Keyed by id, not by detector slot: on a sparse topology a suspect
     /// learned by gossip is one this member does not monitor. An entry
-    /// goes when its suspect leaves the view.
+    /// goes when its suspect leaves the view, so it stays within the view
+    /// (checked after every entry point in debug builds).
     last_report: BTreeMap<ProcessId, u64>,
     /// Sender-side state of the heartbeat digests (F2).
     hb: HbGossip,
@@ -175,7 +181,9 @@ pub struct Member {
     /// re-enumerating the view. `install_topology` keeps it (and the
     /// detector's enrolment) in sync with the view.
     topo_monitored: Vec<ProcessId>,
-    /// Observers subscribed to this member's view stream (§8).
+    /// Observers subscribed to this member's view stream (§8): every
+    /// distinct sender of a `Subscribe`, kept for good. One entry per
+    /// sender, whatever its id; nothing drops an observer that stopped.
     subscribers: BTreeSet<ProcessId>,
     /// Observer-side state, when this process is an observer.
     obs: Option<ObsState>,
@@ -258,7 +266,6 @@ impl Member {
             next: Vec::new(),
             recovered: VecDeque::new(),
             forced: VecDeque::new(),
-            iso: Isolation::new(),
             fd: HeartbeatDetector::new(suspect_after),
             role: Role::Outer,
             buffered: Vec::new(),
@@ -320,12 +327,12 @@ impl Member {
     /// in the view), so a process already isolated when an add puts it in
     /// the view is faulty from then on.
     pub fn faulty_set(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        faulty_in(&self.iso, &self.view)
+        faulty_in(&self.fd, &self.view)
     }
 
     /// Whether `q` is in `Faulty(p)`.
     fn is_faulty(&self, q: ProcessId) -> bool {
-        self.iso.is_isolated(q) && self.view.contains(q)
+        self.fd.is_isolated(q) && self.view.contains(q)
     }
 
     /// Queues a spurious suspicion, applied at the next detector tick.
@@ -418,7 +425,9 @@ impl Member {
             return;
         }
         // S1: messages from perceived-faulty processes are discarded.
-        if self.iso.is_isolated(from) {
+        // Otherwise the message is a life sign; a joiner or an observer
+        // enrols nobody, so there it renews no lease.
+        if !self.fd.admit(from, now) {
             out.note(Note::Isolated { from });
             return;
         }
@@ -430,13 +439,7 @@ impl Member {
                 }
                 Ok(())
             }
-            _ => {
-                // Life sign: one indexed load in the detector's id index,
-                // which covers every guard — a suspected or forgotten
-                // peer's slot was freed, and a stranger never had one.
-                self.fd.heard_from(from, self.now);
-                self.dispatch(out, from, msg)
-            }
+            _ => self.dispatch(out, from, msg),
         };
         #[cfg(debug_assertions)]
         self.check_invariants();
@@ -510,7 +513,7 @@ impl Member {
         let pending = self
             .view
             .iter()
-            .filter(|&p| p != self.me && !self.iso.is_isolated(p))
+            .filter(|&p| p != self.me && !self.fd.is_isolated(p))
             .collect();
         let oks = BTreeSet::new();
         self.role = Role::Await(Round {
@@ -654,17 +657,16 @@ impl Member {
     }
 
     /// `faulty_p(q)` (§2.2) without driving any protocol step: isolates
-    /// `q` (S1), which makes it faulty while it is in the view, frees its
-    /// lease, drops it from the queued joiners and records the suspicion.
+    /// `q` (S1, which frees its lease), making it faulty while it is in the
+    /// view, drops it from the queued joiners and records the suspicion.
     /// False when `q` is this member or already believed faulty. Called
     /// alone inside a protocol transition (applying a removal or a
     /// proposal), where GMP-1 requires the belief to precede the removal
     /// but a succession step mid-transition would be unsound.
     fn suspect(&mut self, out: &mut impl Out<Msg>, q: ProcessId, source: FaultySource) -> bool {
-        if q == self.me || !self.iso.isolate(q) {
+        if q == self.me || !self.fd.isolate(q) {
             return false;
         }
-        self.fd.release(q);
         self.recovered.retain(|&j| j != q);
         out.note(Note::Faulty { suspect: q, source });
         true
@@ -733,7 +735,7 @@ impl Member {
                 "oks {oks:?} outside the view or still pending"
             );
             assert!(
-                pending.iter().all(|&p| !self.iso.is_isolated(p)),
+                pending.iter().all(|&p| !self.fd.is_isolated(p)),
                 "pending {pending:?} awaits an isolated process"
             );
         }
@@ -743,8 +745,11 @@ impl Member {
 /// The isolated ids that are in `view`, ascending: `Faulty(p)` of the
 /// member that holds both. A free function so that a caller can walk it
 /// while it updates the member's other fields.
-fn faulty_in<'a>(iso: &'a Isolation, view: &'a View) -> impl Iterator<Item = ProcessId> + 'a {
-    iso.iter().filter(|&q| view.contains(q))
+fn faulty_in<'a>(
+    fd: &'a HeartbeatDetector,
+    view: &'a View,
+) -> impl Iterator<Item = ProcessId> + 'a {
+    fd.isolated().iter().copied().filter(|&q| view.contains(q))
 }
 
 impl Node<Msg> for Member {
@@ -822,7 +827,7 @@ mod tests {
         }
     }
 
-    /// S1 lives in `iso` alone: a peer this member suspects while it is
+    /// S1 is the detector's: a peer this member suspects while it is
     /// still in the view is never tracked again, not even when the next
     /// view install re-tracks every monitor.
     #[test]
@@ -1148,6 +1153,72 @@ mod tests {
             .collect();
         assert_eq!(reports.len(), 1, "p4 is reported to Mgr");
         assert_eq!(to(p4).count(), 0, "p4 gets no heartbeat");
+    }
+
+    /// Ids on the wire never size the detector. A digest naming the two
+    /// largest ids leaves p1's id index as small as it was and changes
+    /// nothing it sends; an add of a huge id enrols it without growing
+    /// the index either.
+    #[test]
+    fn huge_ids_on_the_wire_leave_the_id_index_small() {
+        let (p0, p2) = (ProcessId(0), ProcessId(2));
+        let huge = [u32::MAX - 1, u32::MAX].map(ProcessId);
+        let mut m = p1_of_four();
+        let mut twin = p1_of_four();
+        let beat = |faulty: &[ProcessId]| Msg::Heartbeat {
+            digest: HeartbeatDigest::snapshot(Arc::from(faulty)),
+        };
+        m.receive(&mut Sink::new(), p2, beat(&huge), 5);
+        twin.receive(&mut Sink::new(), p2, beat(&[]), 5);
+        assert!(m.fd.id_span() <= 64, "id index spans {}", m.fd.id_span());
+        assert!(huge.iter().all(|&q| m.fd.is_isolated(q)));
+        let (mut out, mut twin_out) = (Sink::new(), Sink::new());
+        m.fire(&mut out, TICK, 40);
+        twin.fire(&mut twin_out, TICK, 40);
+        assert_eq!(format!("{out:?}"), format!("{twin_out:?}"));
+
+        let joiner = ProcessId(u32::MAX - 7);
+        m.receive(&mut out, p0, commit(Op::add(joiner), 1, Vec::new()), 41);
+        assert_eq!(m.view().as_slice().last(), Some(&joiner));
+        let enrolled: Vec<_> = m.fd.enrolled().collect();
+        assert_eq!(enrolled, [p0, p2, ProcessId(3), joiner]);
+        assert!(m.fd.id_span() <= 64, "id index spans {}", m.fd.id_span());
+    }
+
+    /// S1 holds across a joiner's replay: p2 buffers a `Commit` from
+    /// `Mgr` p0 whose faulty list names p1, then p1's `Interrogate`. The
+    /// `Welcome` replays both; once the commit isolates p1, p1's
+    /// interrogation is dropped, so p2 neither answers it nor suspects
+    /// p0, whom it would infer faulty as senior to the initiator p1.
+    #[test]
+    fn a_replayed_message_from_a_process_isolated_by_the_replay_is_dropped() {
+        let (p0, p1) = (ProcessId(0), ProcessId(1));
+        let mut m = joiner();
+        let mut out = Sink::new();
+        m.receive(&mut out, p0, commit(Op::add(ProcessId(9)), 4, vec![p1]), 3);
+        m.receive(&mut out, p1, Msg::Interrogate, 4);
+        m.receive(&mut out, p0, welcome(&[0, 1, 2, 3], 3), 5);
+        assert_eq!((m.ver(), m.faulty_vec()), (4, vec![p1]));
+        assert!(out
+            .iter()
+            .any(|e| matches!(e, Effect::Note(Note::Isolated { from }) if *from == p1)));
+        assert!(sent(&mut out).is_empty(), "p2 answered or interrogated");
+    }
+
+    /// `View` takes any id, the largest too: a debug build welcomes a
+    /// joiner into a view that names `u32::MAX` and monitors it.
+    #[test]
+    fn a_welcome_naming_the_largest_id_is_joined() {
+        let mut m = joiner();
+        m.receive(
+            &mut Sink::new(),
+            ProcessId(0),
+            welcome(&[0, 2, u32::MAX], 3),
+            5,
+        );
+        assert_eq!((m.lifecycle(), m.ver()), (Lifecycle::Active, 3));
+        let enrolled: Vec<_> = m.fd.enrolled().collect();
+        assert_eq!(enrolled, [ProcessId(0), ProcessId(u32::MAX)]);
     }
 
     /// A message whose faulty set makes p1 suspect `Mgr` p0, its only

@@ -260,7 +260,7 @@ impl Member {
         if self.mgr == self.me || self.is_faulty(self.mgr) {
             return;
         }
-        for q in faulty_in(&self.iso, &self.view) {
+        for q in faulty_in(&self.fd, &self.view) {
             out.send(self.mgr, Msg::FaultyReport { suspect: q });
             self.last_report.insert(q, self.now);
         }

@@ -108,9 +108,11 @@ fn report_throttle_only_holds_in_view_suspects() {
     assert_eq!(sim.node(ProcessId(0)).ver(), 3, "three exclusions commit");
 }
 
-/// The member drives its detector only through `track`, `heard_from`,
-/// `release`, `forget` and `tick`. This test pins the claim
-/// that nothing else about the member moves detection: it replays one
+/// The member drives its detector only through `monitor` (a batch of
+/// `track`s), `admit` (S1, then `heard_from`), `heard_from`, `isolate`
+/// (S1, then `release`), `release`, `forget` and `tick`. This test pins
+/// the claim that nothing else about the member moves detection: the
+/// oracle models S1 by the `release` alone, and it replays one
 /// member's exact trace schedule — start, receptions, tick timers,
 /// suspicions, exclusions — through a bare [`HeartbeatDetector`] oracle
 /// and demands the oracle produce the identical observation-sourced

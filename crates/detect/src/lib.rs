@@ -14,18 +14,19 @@
 //! * **S1** — once `p` believes `q` faulty, `p` never receives a message
 //!   from `q` again.
 //!
-//! This crate provides the timeout-based observer ([`HeartbeatDetector`],
-//! F1) and the monotone inbound filter ([`Isolation`], S1). The two are
-//! kept apart: the detector is a lease table and nothing else, and S1 is
-//! recorded once, in the owner's `Isolation`. An owner that comes to
-//! believe `q` faulty — by timeout, gossip or injection, the *spurious*
-//! detections §2.2 discusses — isolates `q` and
-//! [`release`](HeartbeatDetector::release)s its lease, and never tracks an
-//! isolated peer again. The filter is the owner's one record of
-//! suspicion: it reads its faulty set off [`Isolation::iter`] (the
-//! isolated ids, ascending) as the isolated members of its view. Gossip
-//! (F2) is a protocol concern and lives in `gmp-core`, which piggybacks
-//! faulty sets on protocol messages.
+//! This crate provides a process's one local detector,
+//! [`HeartbeatDetector`]: the timeout-based observer (F1) and the monotone
+//! inbound filter (S1) behind one id index. An owner that comes to believe
+//! `q` faulty — by timeout, gossip or injection, the *spurious* detections
+//! §2.2 discusses — [`isolate`](HeartbeatDetector::isolate)s it, which
+//! frees `q`'s lease for good: every later
+//! [`track`](HeartbeatDetector::track) of `q` is a no-op. Each received
+//! message passes [`admit`](HeartbeatDetector::admit) once, which is S1
+//! and the life sign in one index load. The isolated ids are the owner's
+//! one record of suspicion: it reads its faulty set off
+//! [`isolated`](HeartbeatDetector::isolated) (ascending) as the isolated
+//! members of its view. Gossip (F2) is a protocol concern and lives in
+//! `gmp-core`, which piggybacks faulty sets on protocol messages.
 //!
 //! The detector keeps one slot per enrolled peer: its id and its lease.
 //! A life sign is one store into the peer's slot; expiry is a scan of the
@@ -45,6 +46,11 @@ pub use reference::MapDetector;
 
 /// `by_pid` entry of an id with no slot.
 const NO_SLOT: u32 = u32::MAX;
+/// `by_pid` entry of an isolated id.
+const ISOLATED: u32 = u32::MAX - 1;
+/// The id index covers at most the ids below this; a larger id never
+/// grows it. The largest simulated group, E13's, has 4 096 processes.
+const DENSE_IDS: usize = 1 << 16;
 
 /// One enrolled peer.
 #[derive(Clone, Debug)]
@@ -54,10 +60,12 @@ struct Slot {
     lease: Option<u64>,
 }
 
-/// Timeout-based failure observer (source F1).
+/// A process's local failure detector: timeout-based observation (source
+/// F1) and the isolation filter of S1.
 ///
-/// The detector is driven explicitly: the owner reports life signs with
-/// [`heard_from`](HeartbeatDetector::heard_from) and polls
+/// The detector is driven explicitly: the owner passes each received
+/// message through [`admit`](HeartbeatDetector::admit) (or reports a bare
+/// life sign with [`heard_from`](HeartbeatDetector::heard_from)) and polls
 /// [`tick`](HeartbeatDetector::tick) from a periodic timer. Any received
 /// message counts as a life sign, not just heartbeats — which matches the
 /// paper's reading of "time" as a mere tool for suspecting crashes.
@@ -76,8 +84,8 @@ struct Slot {
 /// `min`, removals leave it (a bound that is too low costs one scan, never
 /// a missed expiry), and each scan recomputes it exactly. The scan walks
 /// the slots, Θ(peers ever enrolled here), not the id index, which is
-/// Θ(largest id) — a degree-4 member of a 1024-ring would pay for a
-/// thousand empty entries per scan. The rare expired ids are sorted
+/// Θ(largest id enrolled) — a degree-4 member of a 1024-ring would pay for
+/// a thousand empty entries per scan. The rare expired ids are sorted
 /// afterwards, so suspicions come out in ascending id order at exactly
 /// the instants a deadline heap would produce.
 ///
@@ -86,12 +94,25 @@ struct Slot {
 /// Each enrolled peer has one slot: its id and its lease, so every
 /// enrolled peer holds a lease. [`tick`](HeartbeatDetector::tick) frees
 /// the slot of each peer it expires, and
-/// [`release`](HeartbeatDetector::release) and
-/// [`forget`](HeartbeatDetector::forget) free the slot they name; a freed
-/// slot waits for the next enrolment. No handle leaves the detector —
-/// every access goes through the id index, which never points at a freed
-/// slot — so a recycled slot needs no generation: its new occupant starts
-/// from a fresh lease, and nothing can still address the old one.
+/// [`release`](HeartbeatDetector::release),
+/// [`forget`](HeartbeatDetector::forget) and
+/// [`isolate`](HeartbeatDetector::isolate) free the slot they name; a
+/// freed slot waits for the next enrolment. No handle leaves the detector
+/// — every access goes through the id index, which never points at a
+/// freed slot — so a recycled slot needs no generation: its new occupant
+/// starts from a fresh lease, and nothing can still address the old one.
+///
+/// # One index, bounded by no id
+///
+/// Each entry of the id index says "enrolled at slot `i`", "no slot" or
+/// "isolated", so one load answers both S1 and the life sign. The
+/// isolated ids are also kept as a sorted list, the one record of S1,
+/// which every entry the index covers mirrors. Only enrolment grows the
+/// index, and only to cover ids below a fixed cap (2¹⁶), so an id named
+/// on the wire never sizes it: an isolated id past the index's end is
+/// found by binary search of the list, and an enrolled id at or past the
+/// cap by a scan of the slots. Storage is O(peers enrolled + ids
+/// isolated), plus an index of at most the cap.
 ///
 /// # Invariant: process instances never return
 ///
@@ -108,11 +129,12 @@ pub struct HeartbeatDetector {
     slots: Vec<Slot>,
     /// Indices of free slots, reused last-freed first.
     free: Vec<u32>,
-    /// `pid.index() → slot` of every enrolled peer ([`NO_SLOT`]
-    /// otherwise), grown on demand or sized up front by
-    /// [`reserve_ids`](Self::reserve_ids). Ids are small (initial members
-    /// plus joiners), never `u32::MAX` (the pre-start sentinel).
+    /// `pid.index() →` the peer's slot, [`NO_SLOT`] or [`ISOLATED`], for
+    /// ids below its length, which stays within [`DENSE_IDS`]. Grown on
+    /// enrolment, or sized up front by [`monitor`](Self::monitor).
     by_pid: Vec<u32>,
+    /// S1: every isolated id, ascending.
+    isolated: Vec<ProcessId>,
     /// Lower bound on the earliest lease deadline (`u64::MAX`: no lease
     /// can be due); [`tick`](Self::tick) returns at once below it.
     next_due: u64,
@@ -137,76 +159,105 @@ impl HeartbeatDetector {
             slots: Vec::new(),
             free: Vec::new(),
             by_pid: Vec::new(),
+            isolated: Vec::new(),
             next_due: u64::MAX,
             #[cfg(debug_assertions)]
             forgotten: BTreeSet::new(),
         }
     }
 
-    /// `p`'s slot, if `p` is enrolled.
+    /// What the index says of `p`: its slot, [`NO_SLOT`] or [`ISOLATED`].
     #[inline]
-    fn slot_of(&self, p: ProcessId) -> Option<usize> {
-        let i = *self.by_pid.get(p.index())?;
-        if i == NO_SLOT {
-            return None;
-        }
-        debug_assert_eq!(self.slots[i as usize].pid, p, "id index out of step");
-        Some(i as usize)
+    fn entry(&self, p: ProcessId) -> u32 {
+        let Some(&e) = self.by_pid.get(p.index()) else {
+            return self.entry_past_index(p);
+        };
+        debug_assert!(
+            e >= ISOLATED || self.slots[e as usize].pid == p,
+            "id index out of step"
+        );
+        e
     }
 
-    /// Sizes the id index to cover ids below `end` in one exact
-    /// allocation, so the enrolments that follow never grow it: the owner
-    /// calls this before tracking a batch of peers whose largest id + 1 is
-    /// `end`, instead of letting ascending enrolments double the index to
-    /// twice the largest id. No-op when the index already covers `end`.
-    pub fn reserve_ids(&mut self, end: usize) {
-        if let Some(more) = end.checked_sub(self.by_pid.len()) {
+    /// [`entry`](Self::entry) of an id the index does not cover. Enrolling
+    /// an id below [`DENSE_IDS`] grows the index to cover it, so only a
+    /// larger one can hold a slot here.
+    #[cold]
+    fn entry_past_index(&self, p: ProcessId) -> u32 {
+        if self.isolated.binary_search(&p).is_ok() {
+            return ISOLATED;
+        }
+        if p.index() < DENSE_IDS {
+            return NO_SLOT;
+        }
+        let slot = self
+            .slots
+            .iter()
+            .position(|s| s.pid == p && s.lease.is_some());
+        slot.map_or(NO_SLOT, |i| i as u32)
+    }
+
+    /// Tracks each of `peers` (see [`track`](Self::track)) with `lease`
+    /// as its last life sign, after sizing the id index for all of them
+    /// in one exact allocation: ascending enrolments would otherwise
+    /// double it to twice the largest id. Ids from the cap on take no
+    /// room in it.
+    pub fn monitor(&mut self, peers: &[ProcessId], lease: u64) {
+        let end = peers
+            .iter()
+            .map(|p| p.index() + 1)
+            .filter(|&end| end <= DENSE_IDS);
+        if let Some(more) = end.max().and_then(|end| end.checked_sub(self.by_pid.len())) {
             self.by_pid.reserve_exact(more);
-            self.by_pid.resize(end, NO_SLOT);
+        }
+        for &p in peers {
+            self.track(p, lease);
         }
     }
 
     /// How many ids the index has room for: the memory it holds, in
-    /// entries.
+    /// entries. Never more than 2¹⁶, whatever ids the detector is handed.
     pub fn id_span(&self) -> usize {
         self.by_pid.capacity()
     }
 
     /// Every enrolled peer — each holds a lease — in ascending id order.
     pub fn enrolled(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.by_pid
-            .iter()
-            .enumerate()
-            .filter(|&(_, &i)| i != NO_SLOT)
-            .map(|(p, _)| ProcessId(p as u32))
+        let held = self.slots.iter().filter(|s| s.lease.is_some());
+        let mut ids: Vec<ProcessId> = held.map(|s| s.pid).collect();
+        ids.sort_unstable();
+        ids.into_iter()
     }
 
     /// Starts monitoring `p`, treating `now` as the last life sign (a grace
     /// period equal to the full timeout). A peer that was not enrolled gets
-    /// a slot; tracking an enrolled peer is a no-op. The owner decides whom
-    /// to track: it never tracks a peer it believes faulty.
+    /// a slot; tracking an enrolled or an isolated peer is a no-op, so a
+    /// peer believed faulty is never monitored again.
     ///
     /// # Panics
     ///
     /// In debug builds, panics if `p` was previously
-    /// [`forget`](HeartbeatDetector::forget)ten: process instances never
-    /// return in the model, so re-tracking a retired id is a caller bug.
+    /// [`forget`](HeartbeatDetector::forget)ten and is not isolated:
+    /// process instances never return in the model, so re-tracking a
+    /// retired id is a caller bug.
     pub fn track(&mut self, p: ProcessId, now: u64) {
+        if self.entry(p) != NO_SLOT {
+            return;
+        }
         #[cfg(debug_assertions)]
         debug_assert!(
             !self.forgotten.contains(&p),
             "re-tracking forgotten process {p}: instances never return"
         );
-        if self.slot_of(p).is_none() {
-            self.enrol(p, now);
-            // The one way an earlier deadline than the bound can appear.
-            self.next_due = self.next_due.min(now.saturating_add(self.suspect_after));
-        }
+        self.enrol(p, now);
+        // The one way an earlier deadline than the bound can appear.
+        self.next_due = self.next_due.min(now.saturating_add(self.suspect_after));
     }
 
-    /// Gives `p` a slot — a free one if there is one — holding `lease`.
+    /// Gives `p` a slot — a free one if there is one — holding `lease`,
+    /// and an index entry if `p` is below the cap. An index grown here
+    /// marks the isolated ids it newly covers.
     fn enrol(&mut self, p: ProcessId, lease: u64) {
-        debug_assert_ne!(p.0, u32::MAX, "the pre-start sentinel has no slot");
         let slot = Slot {
             pid: p,
             lease: Some(lease),
@@ -221,8 +272,19 @@ impl HeartbeatDetector {
                 (self.slots.len() - 1) as u32
             }
         };
-        if self.by_pid.len() <= p.index() {
+        if p.index() >= DENSE_IDS {
+            return;
+        }
+        let start = self.by_pid.len();
+        if start <= p.index() {
             self.by_pid.resize(p.index() + 1, NO_SLOT);
+            let from = self.isolated.partition_point(|q| q.index() < start);
+            for q in self.isolated[from..]
+                .iter()
+                .take_while(|q| q.index() < p.index())
+            {
+                self.by_pid[q.index()] = ISOLATED;
+            }
         }
         self.by_pid[p.index()] = i;
     }
@@ -241,15 +303,15 @@ impl HeartbeatDetector {
     /// Stops monitoring `p` *without* retiring its id: the slot and its
     /// lease are freed for the next enrolment, and a later
     /// [`track`](HeartbeatDetector::track) legally re-enrols `p` under a
-    /// fresh slot and lease. Owners call it when they come to believe `p`
-    /// faulty, and when a view change moves a still-live member out of
-    /// their monitoring set (a sparse ring re-knits around every install,
-    /// and a later change can move it back in). No-op for ids that are
-    /// not enrolled (releasing an already-`forget`ten or expired peer must
-    /// be harmless).
+    /// fresh slot and lease. Owners call it when a view change moves a
+    /// still-live member out of their monitoring set (a sparse ring
+    /// re-knits around every install, and a later change can move it back
+    /// in). No-op for ids that are not enrolled (releasing an
+    /// already-`forget`ten, expired or isolated peer must be harmless).
     pub fn release(&mut self, p: ProcessId) {
-        if let Some(i) = self.slot_of(p) {
-            self.free_slot(i);
+        let e = self.entry(p);
+        if e < ISOLATED {
+            self.free_slot(e as usize);
         }
     }
 
@@ -258,8 +320,57 @@ impl HeartbeatDetector {
     fn free_slot(&mut self, i: usize) {
         let slot = &mut self.slots[i];
         slot.lease = None;
-        self.by_pid[slot.pid.index()] = NO_SLOT;
+        if let Some(e) = self.by_pid.get_mut(slot.pid.index()) {
+            *e = NO_SLOT;
+        }
         self.free.push(i as u32);
+    }
+
+    /// S1: from now on `q` is believed faulty, for good. Frees `q`'s slot,
+    /// and every later [`track`](Self::track) of `q` is a no-op. Returns
+    /// `true` if `q` was not isolated before.
+    pub fn isolate(&mut self, q: ProcessId) -> bool {
+        let Err(at) = self.isolated.binary_search(&q) else {
+            return false;
+        };
+        self.release(q);
+        self.isolated.insert(at, q);
+        if let Some(e) = self.by_pid.get_mut(q.index()) {
+            *e = ISOLATED;
+        }
+        true
+    }
+
+    /// Whether messages from `q` must be discarded.
+    #[inline]
+    pub fn is_isolated(&self, q: ProcessId) -> bool {
+        self.entry(q) == ISOLATED
+    }
+
+    /// Every isolated id, in ascending order.
+    pub fn isolated(&self) -> &[ProcessId] {
+        &self.isolated
+    }
+
+    /// S1, then the life sign: whether a message from `q`, delivered at
+    /// `now`, may be received. `false` if `q` is isolated; otherwise
+    /// renews `q`'s lease if it is enrolled. One index load for every id
+    /// the index covers.
+    #[inline]
+    pub fn admit(&mut self, q: ProcessId, now: u64) -> bool {
+        match self.entry(q) {
+            ISOLATED => false,
+            NO_SLOT => true,
+            i => {
+                if let Some(t) = &mut self.slots[i as usize].lease {
+                    // Stale information (`now <= *t`) must not shorten the
+                    // lease; a lease that only moves forward keeps
+                    // `next_due` a bound.
+                    *t = (*t).max(now);
+                }
+                true
+            }
+        }
     }
 
     /// Records a life sign from `p`. Ignored for peers that are not
@@ -269,17 +380,9 @@ impl HeartbeatDetector {
     /// yet) must not silently enroll it for suspicion.
     #[inline]
     pub fn heard_from(&mut self, p: ProcessId, now: u64) {
-        // Every enrolled peer holds a lease, and a released, expired or
-        // never-tracked one has no slot, so the index load is every check
-        // there is.
-        if let Some(i) = self.slot_of(p) {
-            if let Some(t) = &mut self.slots[i].lease {
-                // Stale information (`now <= *t`) must not shorten the
-                // lease; a lease that only moves forward keeps `next_due`
-                // a bound.
-                *t = (*t).max(now);
-            }
-        }
+        // A released, expired, isolated or never-tracked peer has no
+        // slot, so `admit`'s index load is every check there is.
+        let _ = self.admit(p, now);
     }
 
     /// Evaluates timeouts at time `now`, returning the peers newly suspected
@@ -320,62 +423,6 @@ impl HeartbeatDetector {
             "a forgotten id resurfaced from a recycled slot: {expired:?}"
         );
         expired
-    }
-}
-
-/// The monotone isolation filter of system property S1.
-///
-/// "Once a process `p` believes another, `q`, to be faulty, `p` never
-/// receives messages from `q` again" — including after `q`'s removal from
-/// the view, and forever (process instances are never reused).
-///
-/// The filter is consulted for every received message, so it is a bitmap
-/// indexed by `ProcessId` (ids are small and dense — the assumption the
-/// detector's id index already makes: the bitmap is sized by the largest
-/// id isolated). Its owner's faulty set is read off it with
-/// [`iter`](Isolation::iter).
-#[derive(Clone, Debug, Default)]
-pub struct Isolation {
-    /// Bit `q.index()` is set iff `q` is isolated; grown on demand.
-    bits: Vec<u64>,
-}
-
-impl Isolation {
-    /// An empty filter.
-    pub fn new() -> Self {
-        Isolation::default()
-    }
-
-    /// Adds `q` to the isolated set. Returns `true` if newly isolated.
-    pub fn isolate(&mut self, q: ProcessId) -> bool {
-        let (word, bit) = (q.index() / 64, 1u64 << (q.index() % 64));
-        if self.bits.len() <= word {
-            self.bits.resize(word + 1, 0);
-        }
-        let fresh = self.bits[word] & bit == 0;
-        self.bits[word] |= bit;
-        fresh
-    }
-
-    /// Whether messages from `q` must be discarded.
-    #[inline]
-    pub fn is_isolated(&self, q: ProcessId) -> bool {
-        let word = self.bits.get(q.index() / 64).copied().unwrap_or(0);
-        word >> (q.index() % 64) & 1 == 1
-    }
-
-    /// Every isolated id, in ascending order. Walks the set bits alone:
-    /// O(words + isolated ids), one `trailing_zeros` per id.
-    pub fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        let words = self.bits.iter().enumerate().filter(|&(_, &w)| w != 0);
-        words.flat_map(|(i, &w)| {
-            let mut rest = w;
-            std::iter::from_fn(move || {
-                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
-                rest &= rest - 1;
-                Some(ProcessId(i as u32 * 64 + bit))
-            })
-        })
     }
 }
 
@@ -716,48 +763,131 @@ mod tests {
 
     #[test]
     fn isolation_is_monotone() {
-        let mut iso = Isolation::new();
-        assert!(!iso.is_isolated(P1));
-        assert!(iso.isolate(P1));
-        assert!(!iso.isolate(P1));
-        assert!(iso.is_isolated(P1));
-        assert!(!iso.is_isolated(P2));
+        let mut d = HeartbeatDetector::new(100);
+        d.track(P1, 0);
+        assert!(!d.is_isolated(P1));
+        assert!(d.isolate(P1));
+        assert!(!d.isolate(P1));
+        assert!(d.is_isolated(P1));
+        assert!(!d.is_isolated(P2));
+        assert!(d.enrolled().next().is_none(), "isolation frees the lease");
+        d.track(P1, 50); // a no-op: an isolated peer is never monitored
+        assert!(d.enrolled().next().is_none());
+        assert!(d.tick(10_000).is_empty());
+        assert!(!d.admit(P1, 60), "S1 drops its messages");
+        assert!(d.admit(P2, 60), "a stranger's messages are received");
     }
 
     #[test]
-    fn isolation_iterates_ascending_across_bitmap_words() {
-        let mut iso = Isolation::new();
-        let isolated = [200, 3, 64, 63, 1_000];
+    fn isolated_ids_are_found_past_the_index_without_growing_it() {
+        let mut d = HeartbeatDetector::new(100);
+        let isolated = [200, 3, 64, 63, 1_000, u32::MAX];
         for q in isolated {
-            assert!(iso.isolate(ProcessId(q)));
+            assert!(d.isolate(ProcessId(q)));
         }
-        assert!(!iso.isolate(ProcessId(64)));
-        for q in 0..=1_000 {
-            assert_eq!(iso.is_isolated(ProcessId(q)), isolated.contains(&q), "p{q}");
+        assert!(!d.isolate(ProcessId(64)));
+        assert_eq!(d.id_span(), 0, "isolation alone takes no index room");
+        // Tracking p70 grows the index past 3, 63 and 64, which it marks.
+        d.track(ProcessId(70), 0);
+        assert!(d.id_span() <= 71);
+        for q in (0..=1_001).chain([u32::MAX - 1, u32::MAX]) {
+            assert_eq!(d.is_isolated(ProcessId(q)), isolated.contains(&q), "p{q}");
         }
-        // Ids past the bitmap's end read as not isolated, without growing it.
-        assert!(!iso.is_isolated(ProcessId(1_001)));
-        assert!(!iso.is_isolated(ProcessId(u32::MAX)));
         let ascending = isolated.iter().copied().collect::<BTreeSet<_>>();
-        assert!(iso.iter().map(|p| p.0).eq(ascending));
+        assert!(d.isolated().iter().map(|p| p.0).eq(ascending));
+        assert_eq!(d.enrolled().collect::<Vec<_>>(), [ProcessId(70)]);
+    }
+
+    #[test]
+    fn ids_from_the_cap_on_enrol_without_index_room() {
+        let (cap, top) = (ProcessId(DENSE_IDS as u32), ProcessId(u32::MAX));
+        let mut d = HeartbeatDetector::new(100);
+        d.monitor(&[top, P1, cap], 0);
+        assert!(d.id_span() <= 2, "only p1 takes index room");
+        assert_eq!(d.enrolled().collect::<Vec<_>>(), [P1, cap, top]);
+        assert!(d.admit(top, 50));
+        assert_eq!(d.tick(100), [P1, cap], "p{} renewed its lease", top.0);
+        assert!(d.isolate(top));
+        assert!(!d.admit(top, 120) && d.is_isolated(top));
+        d.track(top, 120);
+        assert!(d.enrolled().next().is_none());
+        assert!(d.tick(10_000).is_empty(), "isolation freed the lease");
+    }
+
+    /// One id of the model proptest: from `0..200`, from the whole `u32`
+    /// range, or an edge that uniform draws never hit.
+    fn model_id(kind: u8, small: u32, wide: u32) -> ProcessId {
+        let cap = DENSE_IDS as u32;
+        let edges = [0, cap - 1, cap, u32::MAX - 1, u32::MAX];
+        ProcessId(match kind {
+            0 => wide,
+            1 => edges[small as usize % edges.len()],
+            _ => small,
+        })
     }
 
     proptest::proptest! {
-        /// `iter` yields exactly the isolated ids, ascending, over random
-        /// ids that straddle the bitmap's word edges (63 | 64, 127 | 128)
-        /// and leave whole words empty.
+        /// Interleaved track, isolate, release, forget, admit and tick
+        /// over ids drawn from `0..200`, from the whole `u32` range and
+        /// from its edges: after every step `is_isolated` (of every id
+        /// named so far), `isolated()` and `enrolled()` match `BTreeSet`
+        /// models, no isolated id is enrolled, and the index spans at most
+        /// the cap.
         #[test]
-        fn isolation_iter_matches_a_set_model(
-            ids in proptest::collection::vec(0u32..400, 0..40),
-            edges in proptest::collection::vec(0usize..4, 0..4),
+        fn the_id_index_matches_a_set_model(
+            steps in proptest::collection::vec(
+                (0u8..7, 0u8..5, 0u32..200, 0u32..=u32::MAX, 0u64..40),
+                1..120,
+            ),
         ) {
-            let mut iso = Isolation::new();
-            let mut model = BTreeSet::new();
-            let edge_ids = edges.iter().map(|&e| [63, 64, 127, 128][e]);
-            for q in ids.into_iter().chain(edge_ids) {
-                proptest::prop_assert_eq!(iso.isolate(ProcessId(q)), model.insert(q));
+            let mut d = HeartbeatDetector::new(100);
+            let mut isolated = BTreeSet::new();
+            let mut enrolled = BTreeSet::new();
+            let mut forgotten = BTreeSet::new();
+            let mut named = BTreeSet::new();
+            let mut now = 0;
+            for (op, kind, small, wide, dt) in steps {
+                now += dt;
+                let p = model_id(kind, small, wide);
+                named.insert(p);
+                match op {
+                    // Instances never return: nobody re-tracks a
+                    // forgotten id.
+                    0 | 1 if forgotten.contains(&p) => {}
+                    0 | 1 => {
+                        d.track(p, now);
+                        if !isolated.contains(&p) {
+                            enrolled.insert(p);
+                        }
+                    }
+                    2 => {
+                        proptest::prop_assert_eq!(d.isolate(p), isolated.insert(p));
+                        enrolled.remove(&p);
+                    }
+                    3 => {
+                        d.release(p);
+                        enrolled.remove(&p);
+                    }
+                    4 => {
+                        d.forget(p);
+                        enrolled.remove(&p);
+                        forgotten.insert(p);
+                    }
+                    5 => proptest::prop_assert_eq!(d.admit(p, now), !isolated.contains(&p)),
+                    _ => {
+                        for q in d.tick(now) {
+                            proptest::prop_assert!(enrolled.remove(&q), "{q} expired unenrolled");
+                        }
+                    }
+                }
+                for &q in &named {
+                    proptest::prop_assert_eq!(d.is_isolated(q), isolated.contains(&q), "{}", q);
+                }
+                proptest::prop_assert!(d.isolated().iter().eq(&isolated));
+                proptest::prop_assert!(d.enrolled().eq(enrolled.iter().copied()));
+                proptest::prop_assert!(d.enrolled().all(|q| !d.is_isolated(q)));
+                proptest::prop_assert!(d.id_span() <= DENSE_IDS);
             }
-            proptest::prop_assert!(iso.iter().map(|p| p.0).eq(model.iter().copied()));
         }
     }
 }

@@ -193,7 +193,9 @@ pub struct ReplicatedLog {
     applied_at: Vec<Time>,
     /// Per-client dedup high-water mark: `client → last committed seq`.
     /// Complete because per-client seqs commit in order. Ordered: the
-    /// failover re-reply walks it onto the wire.
+    /// failover re-reply walks it onto the wire. One entry per client
+    /// whose command ever committed, whatever its id, kept for good:
+    /// exactly-once needs the mark of every client that may retry.
     client_hwm: BTreeMap<ProcessId, u64>,
     /// Leader-only state, while this process is `Mgr`.
     lead: Option<LeaderState>,

@@ -1,9 +1,9 @@
 //! No-panic fuzz of the two baselines, `OnePhaseMember` and
 //! `SymmetricMember`, each stepped by hand through a `Vec` sink with no
 //! simulator: started as an initial member, it is fed arbitrary messages
-//! from arbitrary senders and arbitrary timer tags. Ids stay in
-//! `0..n + 2` (the members and two strangers), because the isolation
-//! filter is a bitmap sized by the largest id it has seen.
+//! from arbitrary senders and arbitrary timer tags. Senders and targets
+//! are mostly in `0..n + 2` (the members and two strangers), and one in
+//! four comes from the whole `u32` range.
 //!
 //! Per case, after every input:
 //! - no input panics;
@@ -25,8 +25,8 @@ use proptest::prelude::*;
 const ME: ProcessId = ProcessId(1);
 
 /// What reaches the member next, and how many ticks after the last input:
-/// a message kind with raw sender and target ids (reduced to `0..n + 2`
-/// once `n` is drawn) and a version, or a timer tag.
+/// a message kind with raw sender and target ids (see [`pid`]) and a
+/// version, or a timer tag.
 #[derive(Debug)]
 enum Input {
     Msg {
@@ -38,9 +38,28 @@ enum Input {
     Timer(u64),
 }
 
+/// A raw id: three times in four in `0..7`, otherwise any id; 0,
+/// `u32::MAX - 1` and `u32::MAX` are drawn explicitly, since uniform draws
+/// never hit them.
+fn raw_id() -> impl Strategy<Value = u32> {
+    (0u8..16, 0u32..7, 0u32..=u32::MAX).prop_map(|(pick, small, wide)| match pick {
+        0..=11 => small,
+        12 => 0,
+        13 => u32::MAX - 1,
+        14 => u32::MAX,
+        _ => wide,
+    })
+}
+
+/// The id a raw one names once `n` is drawn: a small one reduced to
+/// `0..n + 2`, any other as it is.
+fn pid(raw: u32, n: u32) -> ProcessId {
+    ProcessId(if raw < 7 { raw % (n + 2) } else { raw })
+}
+
 /// A version is small or `Ver::MAX`.
 fn input() -> impl Strategy<Value = (u64, Input)> {
-    (0u8..5, 0u32..7, 0u32..7, 0u64..6, 0u64..120).prop_map(|(kind, from, target, v, dt)| {
+    (0u8..5, raw_id(), raw_id(), 0u64..6, 0u64..120).prop_map(|(kind, from, target, v, dt)| {
         let input = match kind {
             // The tick and two tags no baseline arms.
             4 => Input::Timer(v % 3),
@@ -110,9 +129,9 @@ proptest! {
                 Input::Msg { kind, from, target, ver } => {
                     let msg = match kind {
                         0 | 1 => OneMsg::Heartbeat,
-                        _ => OneMsg::Commit { target: ProcessId(target % (n + 2)), ver },
+                        _ => OneMsg::Commit { target: pid(target, n), ver },
                     };
-                    m.receive(&mut out, ProcessId(from % (n + 2)), msg, now);
+                    m.receive(&mut out, pid(from, n), msg, now);
                 }
                 Input::Timer(tag) => m.fire(&mut out, tag, now),
             }
@@ -137,13 +156,13 @@ proptest! {
             now += dt;
             match input {
                 Input::Msg { kind, from, target, .. } => {
-                    let target = ProcessId(target % (n + 2));
+                    let target = pid(target, n);
                     let msg = match kind {
                         0 => SymMsg::Heartbeat,
                         1 | 2 => SymMsg::Suspect { target },
                         _ => SymMsg::Ready { target },
                     };
-                    m.receive(&mut out, ProcessId(from % (n + 2)), msg, now);
+                    m.receive(&mut out, pid(from, n), msg, now);
                 }
                 Input::Timer(tag) => m.fire(&mut out, tag, now),
             }

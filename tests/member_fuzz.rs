@@ -1,8 +1,10 @@
 //! No-panic fuzz of one `Member`, stepped by hand through a `Vec` sink
 //! with no simulator: started as an initial member, a joiner or an
 //! observer, it is fed arbitrary well-typed messages and timer tags. Ids
-//! come from a small range, so messages name the member itself, its
-//! peers and strangers alike. Every version a message states sits near
+//! come mostly from a small range, so messages name the member itself,
+//! its peers and strangers alike; one in four comes from the whole `u32`
+//! range, so no id a message names may size the member's state. Every
+//! version a message states sits near
 //! both 0 and `u64::MAX`; a `Welcome` or `InterrogateOk` states none,
 //! since the version it hands over is the length of its `seq`.
 //!
@@ -28,9 +30,19 @@ use std::sync::Arc;
 /// The fuzzed member's id.
 const ME: ProcessId = ProcessId(2);
 
-/// Ids `p0..p5`: the member, up to four peers and a stranger.
+/// Ids `p0..p5` (the member, up to four peers and a stranger) three times
+/// in four, otherwise any id: 0, `u32::MAX - 1` and `u32::MAX` are drawn
+/// explicitly, since uniform draws never hit them.
 fn id() -> impl Strategy<Value = ProcessId> {
-    (0u32..6).prop_map(ProcessId)
+    (0u8..16, 0u32..6, 0u32..=u32::MAX).prop_map(|(pick, small, wide)| {
+        ProcessId(match pick {
+            0..=11 => small,
+            12 => 0,
+            13 => u32::MAX - 1,
+            14 => u32::MAX,
+            _ => wide,
+        })
+    })
 }
 
 /// A version near 0 or near `u64::MAX`.
