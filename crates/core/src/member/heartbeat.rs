@@ -6,7 +6,7 @@ use super::{faulty_in, Lifecycle, Member, Step, TICK};
 use crate::msg::{HeartbeatDigest, Msg};
 use gmp_sim::Out;
 use gmp_types::note::FaultySource;
-use gmp_types::ProcessId;
+use gmp_types::{ProcessId, Ver};
 use std::collections::BTreeSet;
 
 /// Sender-side heartbeat-gossip state: the faulty set travels as one
@@ -18,6 +18,11 @@ pub(super) struct HbGossip {
     digest: HeartbeatDigest,
     /// Snapshot materializations, for the E9 fan-out experiment.
     pub(super) builds: u64,
+    /// `(isolated ids, version)` when the digest was last compared with
+    /// the faulty set. The set is the isolated ids within the view; the
+    /// isolated ids only grow and the view only changes with the
+    /// version, so while this pair holds the digest still matches.
+    compared: Option<(usize, Ver)>,
 }
 
 impl Member {
@@ -83,8 +88,12 @@ impl Member {
         // refuses every id it names), and a receiver that missed it — a
         // `Joining` peer, a newly enrolled one, one behind a lossy link —
         // gets it on its next beat.
+        // The set is walked only when it may have moved since the last
+        // walk (see `HbGossip::compared`).
+        let compared = Some((self.fd.isolated().len(), self.ver()));
+        let moved = std::mem::replace(&mut self.hb.compared, compared) != compared;
         let carried = self.hb.digest.faulty().iter().copied();
-        if self.cfg.gossip && !self.faulty_set().eq(carried) {
+        if self.cfg.gossip && moved && !self.faulty_set().eq(carried) {
             let faulty = self.faulty_vec();
             self.hb.digest = if faulty.is_empty() {
                 HeartbeatDigest::empty()

@@ -1124,7 +1124,9 @@ mod tests {
     /// Gossip names p4 before p1 has applied p4's add: once the add puts
     /// the isolated p4 in the view, p4 is faulty. p1 reports it to `Mgr`
     /// on its next tick and sends it no heartbeat (S1 would drop any
-    /// answer, so nothing may ever wait on p4).
+    /// answer, so nothing may ever wait on p4), and the beats it sends
+    /// carry p4 in their digest, though no id was isolated since the
+    /// tick before the add.
     #[test]
     fn a_process_isolated_before_its_add_is_faulty_once_added() {
         let (p0, p2, p4) = (ProcessId(0), ProcessId(2), ProcessId(4));
@@ -1132,6 +1134,22 @@ mod tests {
         let mut out = Sink::new();
         let digest = HeartbeatDigest::snapshot(Arc::from(vec![p4]));
         m.receive(&mut out, p2, Msg::Heartbeat { digest }, 5);
+        // A tick while p4 is outside the view: the faulty set is empty,
+        // so the beats carry an empty digest.
+        m.fire(&mut out, TICK, 6);
+        let digests = |out: &Sink| -> Vec<Vec<ProcessId>> {
+            out.iter()
+                .filter_map(|e| match e {
+                    Effect::Send {
+                        msg: Msg::Heartbeat { digest },
+                        ..
+                    } => Some(digest.faulty().to_vec()),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(digests(&out), [[], [], []]);
+        out.clear();
         let invite = Msg::Invite {
             op: Op::add(p4),
             ver: 1,
@@ -1153,6 +1171,9 @@ mod tests {
             .collect();
         assert_eq!(reports.len(), 1, "p4 is reported to Mgr");
         assert_eq!(to(p4).count(), 0, "p4 gets no heartbeat");
+        // The add moved the view, not the isolated ids: the digest is
+        // rebuilt all the same.
+        assert_eq!(digests(&out), [[p4], [p4], [p4]]);
     }
 
     /// Ids on the wire never size the detector. A digest naming the two

@@ -259,10 +259,10 @@ mod tests {
         assert!(beat.faulty().is_empty());
     }
 
-    /// Every send moves a `Msg` into the engine's event record and every
+    /// Every send moves a `Msg` into the engine's event queue and every
     /// delivery moves it out. At 128 B and above LLVM emits each such move
     /// as a `memcpy` call on baseline x86-64; a 24-byte message keeps the
-    /// whole record under that limit. A new variant that carries a vector
+    /// queue's slab entry at 48 B. A new variant that carries a vector
     /// puts it in a body behind an `Arc`, like `Commit`'s.
     #[cfg(target_pointer_width = "64")]
     #[test]

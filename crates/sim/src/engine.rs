@@ -87,7 +87,6 @@ impl Builder {
                 net: NetState::new(self.delay_min, self.delay_max),
                 rng: SmallRng::seed_from_u64(self.seed),
                 time: 0,
-                seq: 0,
                 msg_counter: 0,
                 n: 0,
                 crash_after: Vec::new(),
@@ -121,9 +120,9 @@ pub(crate) struct InFlight<M> {
     msg_id: u64,
 }
 
-/// What a queued event does. The event queue only reads the `(time, seq)`
-/// key around it; the payload types are `pub(crate)` only because this
-/// enum names them. A `Token` is a delivery on a released link that
+/// What a queued event does. The event queue keeps its `(time, seq)` key
+/// by where it links it and reads nothing inside; the payload types are
+/// `pub(crate)` only because this enum names them. A `Token` is a delivery on a released link that
 /// carries no message: it takes the link's oldest undelivered one out of
 /// the backlog.
 pub(crate) enum QKind<M> {
@@ -156,12 +155,6 @@ pub(crate) enum Control {
         tag: Option<&'static str>,
         remaining: u32,
     },
-}
-
-pub(crate) struct Queued<M> {
-    pub(crate) time: Time,
-    pub(crate) seq: u64,
-    pub(crate) kind: QKind<M>,
 }
 
 /// What makes a process take a step.
@@ -201,7 +194,6 @@ pub(crate) struct Core<M> {
     net: NetState,
     rng: SmallRng,
     pub(crate) time: Time,
-    seq: u64,
     msg_counter: u64,
     /// Number of processes, fixed when the run starts.
     n: usize,
@@ -379,8 +371,8 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         if !self.started {
             self.start();
         }
-        while let Some(ev) = self.core.queue.pop_due(until) {
-            self.dispatch(ev);
+        while let Some((time, kind)) = self.core.queue.pop_due(until) {
+            self.dispatch(time, kind);
         }
         self.core.time = self.core.time.max(until);
     }
@@ -406,24 +398,24 @@ impl<M: Message, N: Node<M>> Sim<M, N> {
         // the very first event (e.g. arm a mid-broadcast crash for a
         // broadcast performed in `on_start`).
         let mut deferred = Vec::new();
-        while let Some(ev) = self.core.queue.pop_due(0) {
-            match ev.kind {
-                QKind::Control(_) | QKind::Crash { .. } => self.dispatch(ev),
-                _ => deferred.push(ev),
+        while let Some((time, kind)) = self.core.queue.pop_due(0) {
+            match kind {
+                QKind::Control(_) | QKind::Crash { .. } => self.dispatch(time, kind),
+                _ => deferred.push(kind),
             }
         }
-        for ev in deferred {
-            self.core.queue.push(ev);
+        for kind in deferred {
+            self.core.queue.push(0, kind);
         }
         for i in 0..n {
             self.invoke(ProcessId(i as u32), Trigger::Start);
         }
     }
 
-    fn dispatch(&mut self, ev: Queued<M>) {
-        self.core.time = ev.time;
+    fn dispatch(&mut self, time: Time, kind: QKind<M>) {
+        self.core.time = time;
         // One call site for `deliver`, so it inlines here.
-        let inf = match ev.kind {
+        let inf = match kind {
             QKind::Deliver(inf) => inf,
             QKind::Token { from, to } => self.core.take_oldest(from, to),
             QKind::Timer { pid, tag } => return self.invoke(pid, Trigger::Timer { tag }),
@@ -501,13 +493,7 @@ impl<M: Message> Core<M> {
     /// Queues `kind` for `time` — or for now, if `time` is already past:
     /// the clock never runs backwards.
     fn enqueue(&mut self, time: Time, kind: QKind<M>) {
-        let time = time.max(self.time);
-        self.seq += 1;
-        self.queue.push(Queued {
-            time,
-            seq: self.seq,
-            kind,
-        });
+        self.queue.push(time.max(self.time), kind);
     }
 
     fn record(&mut self, pid: ProcessId, kind: TraceKind<'_>) {
@@ -673,6 +659,7 @@ impl<M: Message> Core<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::Entry;
     use gmp_types::Note;
 
     /// How many messages tagged `tag` the trace records as received.
@@ -1051,31 +1038,47 @@ mod tests {
         assert_eq!(sim.node(ProcessId(0)).fired, vec![(5, 0)]);
     }
 
-    /// The queued record is moved on every push and every pop. At 128 B
-    /// and above LLVM emits each such move as a `memcpy` call on baseline
-    /// x86-64; with the tag left to [`Message::tag`] and the send's Lamport
-    /// stamp to the trace, a 40-byte message (`gmp-log`'s `AppMsg`) queues
-    /// in at most 80 B.
+    /// A queued event is moved into its slab entry on every push and out
+    /// on every pop. At 128 B and above LLVM emits each such move as a
+    /// `memcpy` call on baseline x86-64; with the tag left to
+    /// [`Message::tag`], the send's Lamport stamp to the trace, and the
+    /// event's time and `seq` to where the queue links it, a 40-byte
+    /// message enum (`gmp-log`'s `AppMsg`) queues in at most 64 B. A
+    /// 40-byte message with no spare tag values, such as `[u64; 5]`,
+    /// takes 72 B: the event kind then needs a tag of its own.
     #[cfg(target_pointer_width = "64")]
     #[test]
-    fn a_40_byte_message_queues_in_at_most_80_bytes() {
+    fn a_40_byte_message_enum_takes_a_slab_entry_of_at_most_64_bytes() {
         use std::mem::size_of;
+        #[allow(dead_code)]
         #[derive(Clone, Debug)]
-        struct Forty(#[allow(dead_code)] [u64; 5]);
+        enum Forty {
+            Wide([u64; 4], u32),
+            Narrow(u32),
+        }
         impl Message for Forty {
             fn tag(&self) -> &'static str {
                 "forty"
             }
         }
         assert_eq!(size_of::<Forty>(), 40);
-        let queued = size_of::<Queued<Forty>>();
-        assert!(queued <= 80, "Queued<Forty> is {queued} B");
+        let entry = size_of::<Entry<Forty>>();
+        assert!(entry <= 64, "Entry<Forty> is {entry} B");
+        #[derive(Clone, Debug)]
+        struct Packed(#[allow(dead_code)] [u64; 5]);
+        impl Message for Packed {
+            fn tag(&self) -> &'static str {
+                "packed"
+            }
+        }
+        let entry = size_of::<Entry<Packed>>();
+        assert!(entry <= 72, "Entry<Packed> is {entry} B");
     }
 
-    /// A 24-byte message enum (`gmp-core`'s `Msg`) queues in at most 56 B.
+    /// A 24-byte message enum (`gmp-core`'s `Msg`) queues in at most 48 B.
     #[cfg(target_pointer_width = "64")]
     #[test]
-    fn a_24_byte_message_queues_in_at_most_56_bytes() {
+    fn a_24_byte_message_enum_takes_a_slab_entry_of_at_most_48_bytes() {
         use std::mem::size_of;
         #[allow(dead_code)]
         #[derive(Clone, Debug)]
@@ -1089,8 +1092,8 @@ mod tests {
             }
         }
         assert_eq!(size_of::<TwentyFour>(), 24);
-        let queued = size_of::<Queued<TwentyFour>>();
-        assert!(queued <= 56, "Queued<TwentyFour> is {queued} B");
+        let entry = size_of::<Entry<TwentyFour>>();
+        assert!(entry <= 48, "Entry<TwentyFour> is {entry} B");
     }
 
     /// A fault scheduled for a moment already past takes effect now: the

@@ -2,15 +2,20 @@
 //! through a slab, with a binary heap of keys only for events beyond the
 //! ring.
 //!
-//! The engine consumes events in `(time, seq)` order. Almost every event
-//! is scheduled a few ticks ahead (message delays, heartbeat and detector
-//! timers), so instead of sifting queued records through a heap of tens
-//! of thousands (`Queued<Msg>` is 56 B and `Queued<AppMsg>` 72 B; the size
-//! guards in `engine.rs` hold them to at most 56 and 80 B), the queue
+//! The engine consumes events in `(time, seq)` order, `seq` being the
+//! order of their pushes. Almost every event is scheduled a few ticks
+//! ahead (message delays, heartbeat and detector timers), so instead of
+//! sifting queued records through a heap of tens of thousands, the queue
 //! keeps one FIFO per tick for the next [`WINDOW`] ticks: pushing appends
 //! to the tick's list, popping unlinks the head of the earliest non-empty
 //! one — both O(1).
 //!
+//! * **Keys are positions.** A linked event's time is its bucket's tick
+//!   and its `seq` its place in the bucket's list, so a slab entry holds
+//!   only the list link and the event ([`QKind`]): 48 B for `gmp-core`'s
+//!   `Msg` and 64 B for `gmp-log`'s `AppMsg` (the size guards in
+//!   `engine.rs` hold them there). Only a far event's key is stored, in
+//!   the heap.
 //! * **Window rule.** The ring covers the ticks `base .. base + WINDOW`,
 //!   bucket `t mod WINDOW` holding tick `t`. `base` only moves forward,
 //!   never past the `until` it is asked to search up to, and a caller may
@@ -32,7 +37,7 @@
 //!   the per-tick peak, while the slab holds exactly the peak number of
 //!   events pending at once — what the binary heap it replaced held.
 
-use crate::engine::Queued;
+use crate::engine::QKind;
 use crate::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -51,18 +56,26 @@ struct Bucket {
     tail: u32,
 }
 
-struct Entry<M> {
+/// One slab slot: a pending event, or a link of the free list.
+pub(crate) struct Entry<M> {
     /// Next entry of the same tick, or of the free list; unused while
     /// the event waits in the far heap.
     next: u32,
     /// `None` while the entry is on the free list.
-    ev: Option<Queued<M>>,
+    kind: Option<QKind<M>>,
 }
 
 /// Pending events in `(time, seq)` order. See the module docs.
 pub(crate) struct EventQueue<M> {
     slab: Vec<Entry<M>>,
     free: u32,
+    /// The `seq` of the last push.
+    seq: u64,
+    /// `(time, seq)` of every slab entry, for the bucket-order check of
+    /// debug builds; kept beside the slab so that an entry's layout is
+    /// the one release builds measure.
+    #[cfg(debug_assertions)]
+    keys: Vec<(Time, u64)>,
     buckets: Box<[Bucket; WINDOW as usize]>,
     /// First tick of the window; no pending event is earlier.
     base: Time,
@@ -81,6 +94,9 @@ impl<M> EventQueue<M> {
         EventQueue {
             slab: Vec::new(),
             free: NIL,
+            seq: 0,
+            #[cfg(debug_assertions)]
+            keys: Vec::new(),
             buckets: Box::new(
                 [Bucket {
                     head: NIL,
@@ -93,25 +109,23 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Adds an event. Sequence numbers must grow from push to push (except
-    /// when re-pushing just-popped events of the current tick, in their
-    /// pop order).
+    /// Adds `kind` at `time`, after every event pushed before it for the
+    /// same time.
     ///
     /// # Panics
     ///
     /// Panics if the event is scheduled behind the window, i.e. earlier
     /// than an `until` already searched with nothing left due.
-    pub(crate) fn push(&mut self, ev: Queued<M>) {
+    pub(crate) fn push(&mut self, time: Time, kind: QKind<M>) {
         assert!(
-            ev.time >= self.base,
-            "event scheduled at {} but the queue already advanced to {}",
-            ev.time,
+            time >= self.base,
+            "event scheduled at {time} but the queue already advanced to {}",
             self.base
         );
-        let (time, seq) = (ev.time, ev.seq);
+        self.seq += 1;
         let entry = Entry {
             next: NIL,
-            ev: Some(ev),
+            kind: Some(kind),
         };
         let idx = if self.free == NIL {
             let idx = u32::try_from(self.slab.len())
@@ -127,23 +141,28 @@ impl<M> EventQueue<M> {
             *slot = entry;
             idx
         };
+        #[cfg(debug_assertions)]
+        {
+            self.keys.resize(self.slab.len(), (0, 0));
+            self.keys[idx as usize] = (time, self.seq);
+        }
         if time - self.base < WINDOW {
             self.link(time, idx);
         } else {
-            self.far.push(Reverse((time, seq, idx)));
+            self.far.push(Reverse((time, self.seq, idx)));
         }
     }
 
-    /// Removes and returns the earliest pending event if its time is at
-    /// most `until`.
-    pub(crate) fn pop_due(&mut self, until: Time) -> Option<Queued<M>> {
+    /// Removes and returns the earliest pending event, with its time, if
+    /// that time is at most `until`.
+    pub(crate) fn pop_due(&mut self, until: Time) -> Option<(Time, QKind<M>)> {
         if !self.seek(until) {
             return None;
         }
         let bucket = &mut self.buckets[bucket_of(self.base)];
         let idx = bucket.head;
         let entry = &mut self.slab[idx as usize];
-        let ev = entry.ev.take().expect("linked entries hold an event");
+        let kind = entry.kind.take().expect("linked entries hold an event");
         bucket.head = entry.next;
         if bucket.head == NIL {
             bucket.tail = NIL;
@@ -151,14 +170,7 @@ impl<M> EventQueue<M> {
         entry.next = self.free;
         self.free = idx;
         self.near -= 1;
-        Some(ev)
-    }
-
-    /// `(time, seq)` of the pending event in slab entry `idx`.
-    fn key(&self, idx: u32) -> (Time, u64) {
-        let ev = self.slab[idx as usize].ev.as_ref();
-        ev.map(|e| (e.time, e.seq))
-            .expect("pending entries hold an event")
+        Some((self.base, kind))
     }
 
     /// Links slab entry `idx`, an event at `time` inside the window, at
@@ -166,10 +178,14 @@ impl<M> EventQueue<M> {
     fn link(&mut self, time: Time, idx: u32) {
         let b = bucket_of(time);
         let tail = self.buckets[b].tail;
-        debug_assert!(
-            tail == NIL || (self.key(tail).0 == time && self.key(tail) < self.key(idx)),
-            "bucket for tick {time} would leave seq order"
-        );
+        #[cfg(debug_assertions)]
+        {
+            let key = |i: u32| self.keys[i as usize];
+            assert!(
+                tail == NIL || (key(tail).0 == time && key(tail) < key(idx)),
+                "bucket for tick {time} would leave seq order"
+            );
+        }
         self.slab[idx as usize].next = NIL;
         if tail == NIL {
             self.buckets[b].head = idx;
@@ -219,20 +235,23 @@ impl<M> EventQueue<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::QKind;
     use gmp_types::ProcessId;
     use proptest::prelude::*;
 
-    fn ev(time: Time, seq: u64) -> Queued<()> {
-        Queued {
-            time,
-            seq,
-            kind: QKind::Crash { pid: ProcessId(0) },
+    /// An event that carries its push's number `k`, as a timer tag.
+    fn ev(k: u64) -> QKind<()> {
+        QKind::Timer {
+            pid: ProcessId(0),
+            tag: k,
         }
     }
 
-    fn key(ev: Option<Queued<()>>) -> Option<(Time, u64)> {
-        ev.map(|e| (e.time, e.seq))
+    /// `(time, number)` of a popped [`ev`].
+    fn key(ev: Option<(Time, QKind<()>)>) -> Option<(Time, u64)> {
+        ev.map(|(time, kind)| match kind {
+            QKind::Timer { tag, .. } => (time, tag),
+            _ => unreachable!("the tests queue only timers"),
+        })
     }
 
     /// The plain `(time, seq)` min-heap the queue replaced, with the same
@@ -275,7 +294,7 @@ mod tests {
                 };
                 if let Some(delay) = delay {
                     seq += 1;
-                    queue.push(ev(now + delay, seq));
+                    queue.push(now + delay, ev(seq));
                     reference.0.push(Reverse((now + delay, seq)));
                     continue;
                 }
@@ -309,12 +328,12 @@ mod tests {
     #[test]
     fn far_event_precedes_a_later_near_event_on_the_same_tick() {
         let mut q = EventQueue::new();
-        q.push(ev(300, 1)); // beyond the window: far heap
-        q.push(ev(100, 2));
+        q.push(300, ev(1)); // beyond the window: far heap
+        q.push(100, ev(2));
         assert_eq!(key(q.pop_due(1_000)), Some((100, 2)));
         // At tick 100 the window covers 300: this push goes to the bucket.
-        q.push(ev(300, 3));
-        q.push(ev(299, 4));
+        q.push(300, ev(3));
+        q.push(299, ev(4));
         let order: Vec<_> = std::iter::from_fn(|| key(q.pop_due(1_000))).collect();
         assert_eq!(order, vec![(299, 4), (300, 1), (300, 3)]);
     }
@@ -325,21 +344,21 @@ mod tests {
     #[test]
     fn repushing_deferred_time_zero_events_keeps_their_order() {
         let mut q = EventQueue::new();
-        for seq in 1..=4 {
-            q.push(ev(0, seq));
+        for k in 1..=4 {
+            q.push(0, ev(k));
         }
-        q.push(ev(5, 5));
-        let popped: Vec<_> = std::iter::from_fn(|| q.pop_due(0)).collect();
-        assert_eq!(popped.len(), 4);
-        // Seqs 1 and 3 were controls, dispatched on the spot — one of
+        q.push(5, ev(5));
+        let popped: Vec<_> = std::iter::from_fn(|| key(q.pop_due(0))).collect();
+        assert_eq!(popped, vec![(0, 1), (0, 2), (0, 3), (0, 4)]);
+        // Events 1 and 3 were controls, dispatched on the spot — one of
         // them scheduling a follow-up for time 0 that is popped by the
         // same loop; 2 and 4 are deferred.
-        q.push(ev(0, 6));
+        q.push(0, ev(6));
         assert_eq!(key(q.pop_due(0)), Some((0, 6)));
-        for e in popped.into_iter().filter(|e| e.seq % 2 == 0) {
-            q.push(e);
+        for (time, k) in popped.into_iter().filter(|&(_, k)| k % 2 == 0) {
+            q.push(time, ev(k));
         }
-        q.push(ev(0, 7));
+        q.push(0, ev(7));
         let order: Vec<_> = std::iter::from_fn(|| key(q.pop_due(10))).collect();
         assert_eq!(order, vec![(0, 2), (0, 4), (0, 7), (5, 5)]);
     }
@@ -347,10 +366,10 @@ mod tests {
     #[test]
     fn nothing_is_due_before_its_time_and_base_never_passes_until() {
         let mut q = EventQueue::new();
-        q.push(ev(1_000, 1));
+        q.push(1_000, ev(1));
         assert!(q.pop_due(999).is_none());
         // The search stopped at 999, so scheduling there is still legal.
-        q.push(ev(999, 2));
+        q.push(999, ev(2));
         assert_eq!(key(q.pop_due(999)), Some((999, 2)));
         assert!(q.pop_due(999).is_none());
         assert_eq!(key(q.pop_due(1_000)), Some((1_000, 1)));
@@ -362,7 +381,7 @@ mod tests {
     fn pushing_behind_the_window_is_rejected() {
         let mut q = EventQueue::new();
         assert!(q.pop_due(50).is_none());
-        q.push(ev(49, 1));
+        q.push(49, ev(1));
     }
 
     /// Memory is bounded by the peak number of events pending at once, not
@@ -377,7 +396,7 @@ mod tests {
         for round in 0..10 {
             for i in 0..BURST as u64 {
                 seq += 1;
-                q.push(ev(now + 1 + i % 10, seq));
+                q.push(now + 1 + i % 10, ev(seq));
             }
             assert_eq!(q.near, BURST);
             assert_eq!(

@@ -2,8 +2,10 @@
 //! run can rebuild. Message ids, receive tags, Lamport stamps
 //! ([`Trace::lamports`]) and vector stamps ([`Trace::to_event_log`]) are
 //! functions of the recorded `Send`/`Recv` edges, so the engine never
-//! stamps, and each event is stored as one 24-byte record that
-//! [`Events`] decodes into a [`TraceEvent`] on every read.
+//! stamps, and each event is stored as one 12-byte record that
+//! [`Events`] decodes into a [`TraceEvent`] on every read. Its time is
+//! shared with every neighbour at the same time: one side-table entry per
+//! run of equal times.
 
 use crate::Time;
 use gmp_causality::{CowClock, EventLog, LoggedEvent, Stamp};
@@ -91,17 +93,21 @@ const TIMER: u32 = 3;
 const CRASH: u32 = 4;
 const QUIT: u32 = 5;
 const NOTE: u32 = 6;
+/// An event whose `arg` does not fit in 32 bits: its record's `arg` indexes
+/// [`Events::wide`], which holds the event's own `word` and its `arg`.
+const WIDE: u32 = 7;
 
-/// One stored event: what a [`TraceEvent`] is before it is decoded.
-/// `word` is the kind in its low [`KIND_BITS`] bits over a payload —
-/// a `Send`'s index into [`Tags`], a `Recv`'s sender — and `arg` is a
-/// `Send`'s receiver, a `Recv`'s message id, a `Timer`'s tag or a
-/// `Note`'s index into [`Events::notes`]. Plain data: clearing a buffer of
+/// One stored event: what a [`TraceEvent`] is before it is decoded, less
+/// its time (see [`Events::times`]). `word` is the kind in its low
+/// [`KIND_BITS`] bits over a payload — a `Send`'s index into [`Tags`], a
+/// `Recv`'s sender — and `arg` is a `Send`'s receiver, a `Recv`'s message
+/// id, a `Timer`'s tag or a `Note`'s index into [`Events::notes`]. An
+/// `arg` of 2³² or more — a message id or a timer tag that large — is
+/// stored as a [`WIDE`] record instead. Plain data: clearing a buffer of
 /// them drops nothing.
 #[derive(Clone, Copy, Debug)]
 struct Record {
-    time: Time,
-    arg: u64,
+    arg: u32,
     pid: u32,
     word: u32,
 }
@@ -163,15 +169,23 @@ impl Tags {
     }
 }
 
-/// The events of a run, in simulation order: one 24-byte record each, with
-/// notes and message tags held once in side tables. [`Events::iter`] and
-/// [`Events::get`] decode records into [`TraceEvent`]s, whose notes
-/// borrow from here.
+/// The events of a run, in simulation order: one 12-byte record each, with
+/// times, notes, message tags and wide arguments held once in side tables.
+/// [`Events::iter`] and [`Events::get`] decode records into
+/// [`TraceEvent`]s, whose notes borrow from here.
 #[derive(Clone, Default)]
 pub struct Events {
     records: Vec<Record>,
+    /// The time of every record, one `(first record index, time)` entry
+    /// per run of equal times: record `i` has the time of the last entry
+    /// whose first index is at most `i`. The engine's clock only moves
+    /// forward, so this grows once per tick that has events, not once per
+    /// event; an out-of-order time pushed by hand opens a run of its own.
+    times: Vec<(usize, Time)>,
     /// Every note, with the index of its record.
     notes: Vec<(usize, Note)>,
+    /// The `(word, arg)` of every [`WIDE`] record, in record order.
+    wide: Vec<(u32, u64)>,
     tags: Tags,
 }
 
@@ -188,12 +202,28 @@ impl Events {
 
     /// Event `i`, if there is one.
     pub fn get(&self, i: usize) -> Option<TraceEvent<'_>> {
-        self.records.get(i).map(|&r| self.decode(r))
+        self.records
+            .get(i)
+            .map(|&r| self.decode(r, self.time_of(i)))
     }
 
-    /// All events, in simulation order.
+    /// All events, in simulation order. The times are walked with a
+    /// cursor alongside the records.
     pub fn iter(&self) -> impl Iterator<Item = TraceEvent<'_>> {
-        self.records.iter().map(|&r| self.decode(r))
+        let mut runs = self.times.iter().peekable();
+        let mut time = 0;
+        self.records.iter().enumerate().map(move |(i, &r)| {
+            if let Some(&(_, t)) = runs.next_if(|&&(first, _)| first == i) {
+                time = t;
+            }
+            self.decode(r, time)
+        })
+    }
+
+    /// The time of record `i`: a binary search of [`Events::times`].
+    fn time_of(&self, i: usize) -> Time {
+        let run = self.times.partition_point(|&(first, _)| first <= i);
+        self.times[run - 1].1
     }
 
     /// Appends `event`; a `Note` is copied into the side table (the engine
@@ -202,7 +232,8 @@ impl Events {
     /// # Panics
     ///
     /// Panics if a `Recv`'s sender id is 2²⁹ or more, or if
-    /// the trace already holds that many distinct tags.
+    /// the trace already holds that many distinct tags. Message ids and
+    /// timer tags take any `u64`.
     // Always inlined: the engine's call sites pass a known kind, so the
     // match folds away instead of dispatching through a jump table on
     // every event.
@@ -248,34 +279,53 @@ impl Events {
 
     #[inline(always)]
     fn append(&mut self, time: Time, pid: ProcessId, word: u32, arg: u64) {
+        if self.times.last().is_none_or(|&(_, t)| t != time) {
+            self.times.push((self.records.len(), time));
+        }
+        let (word, arg) = match u32::try_from(arg) {
+            Ok(arg) => (word, arg),
+            Err(_) => (WIDE, self.push_wide(word, arg)),
+        };
         self.records.push(Record {
-            time,
             arg,
             pid: pid.0,
             word,
         });
     }
 
+    /// Stores the `word` and `arg` of an event whose `arg` needs more than
+    /// 32 bits, and returns their index for its [`WIDE`] record.
+    #[cold]
+    #[inline(never)]
+    fn push_wide(&mut self, word: u32, arg: u64) -> u32 {
+        self.wide.push((word, arg));
+        u32::try_from(self.wide.len() - 1).expect("fewer than 2³² wide events")
+    }
+
     #[inline]
-    fn decode(&self, r: Record) -> TraceEvent<'_> {
-        let payload = r.word >> KIND_BITS;
-        let kind = match r.word & KIND_MASK {
+    fn decode(&self, r: Record, time: Time) -> TraceEvent<'_> {
+        let (word, arg) = match r.word {
+            WIDE => self.wide[r.arg as usize],
+            word => (word, u64::from(r.arg)),
+        };
+        let payload = word >> KIND_BITS;
+        let kind = match word & KIND_MASK {
             START => TraceKind::Start,
             SEND => TraceKind::Send {
-                to: ProcessId(r.arg as u32),
+                to: ProcessId(arg as u32),
                 tag: self.tags.list[payload as usize],
             },
             RECV => TraceKind::Recv {
                 from: ProcessId(payload),
-                msg_id: r.arg,
+                msg_id: arg,
             },
-            TIMER => TraceKind::Timer { tag: r.arg },
+            TIMER => TraceKind::Timer { tag: arg },
             CRASH => TraceKind::Crash,
             QUIT => TraceKind::Quit,
-            _ => TraceKind::Note(&self.notes[r.arg as usize].1),
+            _ => TraceKind::Note(&self.notes[arg as usize].1),
         };
         TraceEvent {
-            time: r.time,
+            time,
             pid: ProcessId(r.pid),
             kind,
         }
@@ -355,7 +405,7 @@ impl Trace {
         events
             .notes
             .iter()
-            .map(|(i, note)| (events.decode(events.records[*i]), note))
+            .map(|&(i, ref note)| (events.decode(events.records[i], events.time_of(i)), note))
     }
 
     /// Iterator over the events of one process, in history order.
@@ -537,9 +587,9 @@ mod tests {
     /// byte stream of a run: it keeps only what the run cannot rebuild,
     /// and clearing a buffer of them is O(1).
     #[test]
-    fn a_trace_record_is_at_most_24_bytes_and_needs_no_drop() {
+    fn a_trace_record_is_at_most_12_bytes_and_needs_no_drop() {
         let size = std::mem::size_of::<Record>();
-        assert!(size <= 24, "Record is {size} B");
+        assert!(size <= 12, "Record is {size} B");
         assert!(!std::mem::needs_drop::<Record>());
     }
 
@@ -722,14 +772,28 @@ mod tests {
         trace(2, &[ev(0, send(1)), ev(1, recv(0, 0))]).lamports();
     }
 
-    /// A `u64` drawn from the edges as often as from the middle.
+    /// A `u64` drawn from the edges — of the range and of a record's
+    /// 32-bit `arg` — as often as from the middle.
     fn wide() -> impl Strategy<Value = u64> {
-        (0u8..4, 0u32..=u32::MAX, 0u32..=u32::MAX).prop_map(|(pick, hi, lo)| match pick {
+        (0u8..7, 0u32..=u32::MAX, 0u32..=u32::MAX).prop_map(|(pick, hi, lo)| match pick {
             0 => 0,
             1 => u64::MAX,
-            2 => u64::from(lo),
+            2 => u64::from(u32::MAX),
+            3 => 1 << 32,
+            4 => u64::from(lo),
             _ => u64::from(hi) << 32 | u64::from(lo),
         })
+    }
+
+    /// The next event's time after `prev`: mostly the same or a little
+    /// later, as the engine records them, but also earlier, or anywhere.
+    fn next_time(prev: Time, (pick, x): (u8, u64)) -> Time {
+        match pick {
+            0 | 1 => prev,
+            2 => prev.saturating_add(x % 8),
+            3 => prev.saturating_sub(x % 8),
+            _ => x,
+        }
     }
 
     /// A pid drawn from the edges of the range a record packs.
@@ -747,15 +811,16 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Whatever is pushed comes back, event for event, through
-        /// `iter()`, `get(i)` and `notes()`: every kind, times
-        /// and timer tags and message ids up to `u64::MAX`, the largest
-        /// sender a record packs, and up to 300 distinct tags (no protocol
-        /// has 30), a third of them copies of another's text at a second
-        /// address.
+        /// `iter()`, `get(i)` and `notes()`: every kind, timer tags and
+        /// message ids over all of `u64` (on both sides of 2³², where a
+        /// record's `arg` overflows into the wide table), times in runs,
+        /// out of order and up to `u64::MAX`, the largest sender a record
+        /// packs, and up to 300 distinct tags (no protocol has 30), a
+        /// third of them copies of another's text at a second address.
         #[test]
         fn records_decode_to_the_events_pushed(
             ops in proptest::collection::vec(
-                (0u8..7, wide(), pid(u32::MAX), pid(MAX_PROCESSES as u32 - 1), 0usize..300),
+                (0u8..7, wide(), pid(u32::MAX), pid(MAX_PROCESSES as u32 - 1), 0usize..300, (0u8..5, wide())),
                 0..400,
             ),
         ) {
@@ -772,7 +837,8 @@ mod tests {
             };
             let notes: Vec<Note> = (0..ops.len()).map(|i| Note::Custom(format!("n{i}"))).collect();
             let mut want: Vec<TraceEvent> = Vec::new();
-            for (i, &(kind, x, p, q, k)) in ops.iter().enumerate() {
+            let mut time = 0;
+            for (i, &(kind, x, p, q, k, t)) in ops.iter().enumerate() {
                 let kind = match kind {
                     0 => TraceKind::Start,
                     1 => TraceKind::Send { to: p, tag: tag(k) },
@@ -782,7 +848,8 @@ mod tests {
                     5 => TraceKind::Quit,
                     _ => TraceKind::Note(&notes[i]),
                 };
-                want.push(TraceEvent { time: x.rotate_left(7), pid: p, kind });
+                time = next_time(time, t);
+                want.push(TraceEvent { time, pid: p, kind });
             }
             let mut t = Trace::new(1);
             for (i, &e) in want.iter().enumerate() {
@@ -798,6 +865,7 @@ mod tests {
             prop_assert_eq!(&t.events.iter().collect::<Vec<_>>(), &want);
             for (i, e) in want.iter().enumerate() {
                 prop_assert_eq!(t.events.get(i), Some(*e));
+                prop_assert_eq!(t.events.get(i), t.events.iter().nth(i));
             }
             prop_assert_eq!(t.events.get(want.len()), None);
             // A decoded tag is the very `&'static str` that was sent.
