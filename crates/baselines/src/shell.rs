@@ -41,15 +41,12 @@ impl Shell {
         }
     }
 
-    /// Starts as process `me` at `now`: tracks every peer, notes the
+    /// Starts as process `me` at `now`: monitors every peer, notes the
     /// initial view and arms the tick.
     pub(crate) fn start<M>(&mut self, out: &mut impl Out<M>, me: ProcessId, now: u64) {
         self.me = me;
-        for p in self.view.iter() {
-            if p != me {
-                self.fd.track(p, now);
-            }
-        }
+        let peers: Vec<ProcessId> = self.view.iter().filter(|&p| p != me).collect();
+        self.fd.monitor(&peers, now);
         out.note(Note::ViewInstalled {
             ver: 0,
             members: self.view.shared(),

@@ -6,8 +6,7 @@ use super::{faulty_in, Lifecycle, Member, Step, TICK};
 use crate::msg::{HeartbeatDigest, Msg};
 use gmp_sim::Out;
 use gmp_types::note::FaultySource;
-use gmp_types::{ProcessId, Ver};
-use std::collections::BTreeSet;
+use gmp_types::Ver;
 
 /// Sender-side heartbeat-gossip state: the faulty set travels as one
 /// `Arc`-shared snapshot per *change*, not one `Vec` per target per tick.
@@ -49,15 +48,19 @@ impl Member {
             "topology contract: {monitored:?} is not within the view less {}, in view order",
             self.me
         );
-        let keep: BTreeSet<ProcessId> = monitored.iter().copied().collect();
         let old = std::mem::replace(&mut self.topo_monitored, monitored);
-        for p in old {
-            if !keep.contains(&p) && self.view.contains(p) {
-                self.fd.release(p);
+        // Every start has no old set, hence nothing to release.
+        if !old.is_empty() {
+            let mut keep = self.topo_monitored.clone();
+            keep.sort_unstable();
+            for p in old {
+                if keep.binary_search(&p).is_err() && self.view.contains(p) {
+                    self.fd.release(p);
+                }
+                // Ex-monitors no longer in the view were already retired
+                // by `fd.forget` in the removal path; releasing them again
+                // would be a harmless no-op, skipped for clarity.
             }
-            // Ex-monitors no longer in the view were already retired by
-            // `fd.forget` in the removal path; releasing them again
-            // would be a harmless no-op, skipped for clarity.
         }
         self.fd.monitor(&self.topo_monitored, lease);
     }

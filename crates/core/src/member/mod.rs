@@ -827,6 +827,25 @@ mod tests {
         }
     }
 
+    /// A member's id index spans its neighbourhood, not the ids below
+    /// it: on a 1024-ring of degree 4 the 1020 inner members index five
+    /// ids each and only the four that wrap round index the whole ring,
+    /// ~9 200 entries in all where an index from id 0 held ~528 000.
+    #[test]
+    fn sparse_members_index_their_neighbourhoods_only() {
+        let view: View = (0..1024).map(ProcessId).collect();
+        let cfg = Config::builder().topology(Sparse::new(4)).build();
+        let total: usize = view
+            .iter()
+            .map(|me| {
+                let mut m = Member::new(cfg.clone(), view.clone());
+                m.start(&mut Sink::new(), me, 0);
+                m.fd.id_span()
+            })
+            .sum();
+        assert!(total <= 10_000, "the members' id indexes span {total}");
+    }
+
     /// S1 is the detector's: a peer this member suspects while it is
     /// still in the view is never tracked again, not even when the next
     /// view install re-tracks every monitor.

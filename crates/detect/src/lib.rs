@@ -48,8 +48,8 @@ pub use reference::MapDetector;
 const NO_SLOT: u32 = u32::MAX;
 /// `by_pid` entry of an isolated id.
 const ISOLATED: u32 = u32::MAX - 1;
-/// The id index covers at most the ids below this; a larger id never
-/// grows it. The largest simulated group, E13's, has 4 096 processes.
+/// The id index covers ids below this only; a larger id never grows it.
+/// The largest simulated group, E13's, has 4 096 processes.
 const DENSE_IDS: usize = 1 << 16;
 
 /// One enrolled peer.
@@ -83,11 +83,12 @@ struct Slot {
 /// operation that can introduce an earlier deadline — lowers it with
 /// `min`, removals leave it (a bound that is too low costs one scan, never
 /// a missed expiry), and each scan recomputes it exactly. The scan walks
-/// the slots, Θ(peers ever enrolled here), not the id index, which is
-/// Θ(largest id enrolled) — a degree-4 member of a 1024-ring would pay for
-/// a thousand empty entries per scan. The rare expired ids are sorted
-/// afterwards, so suspicions come out in ascending id order at exactly
-/// the instants a deadline heap would produce.
+/// the slots, Θ(peers ever enrolled here), not the id index, which spans
+/// the enrolled ids — a wrap-around member of a 1024-ring watches four
+/// neighbours across the whole ring and would pay for a thousand empty
+/// entries per scan. The rare expired ids are sorted afterwards, so
+/// suspicions come out in ascending id order at exactly the instants a
+/// deadline heap would produce.
 ///
 /// # A slot table behind an id index
 ///
@@ -105,14 +106,22 @@ struct Slot {
 /// # One index, bounded by no id
 ///
 /// Each entry of the id index says "enrolled at slot `i`", "no slot" or
-/// "isolated", so one load answers both S1 and the life sign. The
-/// isolated ids are also kept as a sorted list, the one record of S1,
-/// which every entry the index covers mirrors. Only enrolment grows the
-/// index, and only to cover ids below a fixed cap (2¹⁶), so an id named
-/// on the wire never sizes it: an isolated id past the index's end is
-/// found by binary search of the list, and an enrolled id at or past the
-/// cap by a scan of the slots. Storage is O(peers enrolled + ids
-/// isolated), plus an index of at most the cap.
+/// "isolated", so one load answers both S1 and the life sign. The index
+/// is a window `lo .. lo + len` over the ids: it covers the span of the
+/// ids enrolled below a fixed cap (2¹⁶), not every id from 0, so a member
+/// that watches four ring neighbours indexes five ids whatever their
+/// values, and an id's entry is one subtraction away. The isolated ids
+/// are also kept as a sorted list, the one record of S1, which every
+/// entry the window covers mirrors. Only enrolment grows the window — up
+/// by an amortized `resize`, down by shifting the index once, each
+/// marking the isolated ids it newly covers — and it never shrinks, so
+/// its worst case is `0 ..` the largest id enrolled. An id named on the
+/// wire never sizes it: an isolated id outside the window is found by
+/// binary search of the list, and an enrolled id at or past the cap by a
+/// scan of the slots. [`monitor`](HeartbeatDetector::monitor) sizes the
+/// window for a whole monitoring set in one allocation, and
+/// [`id_span`](HeartbeatDetector::id_span) reads its length. Storage is
+/// O(peers enrolled + ids isolated), plus an index over the enrolled span.
 ///
 /// # Invariant: process instances never return
 ///
@@ -129,10 +138,13 @@ pub struct HeartbeatDetector {
     slots: Vec<Slot>,
     /// Indices of free slots, reused last-freed first.
     free: Vec<u32>,
-    /// `pid.index() →` the peer's slot, [`NO_SLOT`] or [`ISOLATED`], for
-    /// ids below its length, which stays within [`DENSE_IDS`]. Grown on
-    /// enrolment, or sized up front by [`monitor`](Self::monitor).
+    /// `pid.index() - lo →` the peer's slot, [`NO_SLOT`] or [`ISOLATED`],
+    /// for the ids of the window `lo .. lo + len`, which lies below
+    /// [`DENSE_IDS`]. Grown on enrolment, or sized up front by
+    /// [`monitor`](Self::monitor); never shrunk.
     by_pid: Vec<u32>,
+    /// The first id the index covers.
+    lo: usize,
     /// S1: every isolated id, ascending.
     isolated: Vec<ProcessId>,
     /// Lower bound on the earliest lease deadline (`u64::MAX`: no lease
@@ -159,6 +171,7 @@ impl HeartbeatDetector {
             slots: Vec::new(),
             free: Vec::new(),
             by_pid: Vec::new(),
+            lo: 0,
             isolated: Vec::new(),
             next_due: u64::MAX,
             #[cfg(debug_assertions)]
@@ -166,10 +179,17 @@ impl HeartbeatDetector {
         }
     }
 
+    /// Where `p`'s entry sits in the index; past its end (wrapped round)
+    /// for an id below the window.
+    #[inline]
+    fn at(&self, p: ProcessId) -> usize {
+        p.index().wrapping_sub(self.lo)
+    }
+
     /// What the index says of `p`: its slot, [`NO_SLOT`] or [`ISOLATED`].
     #[inline]
     fn entry(&self, p: ProcessId) -> u32 {
-        let Some(&e) = self.by_pid.get(p.index()) else {
+        let Some(&e) = self.by_pid.get(self.at(p)) else {
             return self.entry_past_index(p);
         };
         debug_assert!(
@@ -180,7 +200,7 @@ impl HeartbeatDetector {
     }
 
     /// [`entry`](Self::entry) of an id the index does not cover. Enrolling
-    /// an id below [`DENSE_IDS`] grows the index to cover it, so only a
+    /// an id below [`DENSE_IDS`] grows the window to cover it, so only a
     /// larger one can hold a slot here.
     #[cold]
     fn entry_past_index(&self, p: ProcessId) -> u32 {
@@ -199,26 +219,26 @@ impl HeartbeatDetector {
 
     /// Tracks each of `peers` (see [`track`](Self::track)) with `lease`
     /// as its last life sign, after sizing the id index for all of them
-    /// in one exact allocation: ascending enrolments would otherwise
-    /// double it to twice the largest id. Ids from the cap on take no
-    /// room in it.
+    /// in one exact allocation, from their smallest id to their largest:
+    /// enrolments one at a time would otherwise shift the index down or
+    /// double it up. Ids from the cap on take no room in it.
     pub fn monitor(&mut self, peers: &[ProcessId], lease: u64) {
-        let end = peers
-            .iter()
-            .map(|p| p.index() + 1)
-            .filter(|&end| end <= DENSE_IDS);
-        if let Some(more) = end.max().and_then(|end| end.checked_sub(self.by_pid.len())) {
-            self.by_pid.reserve_exact(more);
+        let below = peers.iter().map(|p| p.index()).filter(|&i| i < DENSE_IDS);
+        let (lo, hi) = below.fold((usize::MAX, 0), |(lo, hi), i| (lo.min(i), hi.max(i)));
+        if lo <= hi {
+            self.cover(lo, hi + 1, true);
         }
         for &p in peers {
             self.track(p, lease);
         }
     }
 
-    /// How many ids the index has room for: the memory it holds, in
-    /// entries. Never more than 2¹⁶, whatever ids the detector is handed.
+    /// How many ids the index covers: the length of its window, from the
+    /// smallest to the largest id ever enrolled below the cap (or handed
+    /// to [`monitor`](Self::monitor)). Never more than 2¹⁶, whatever ids
+    /// the detector is handed.
     pub fn id_span(&self) -> usize {
-        self.by_pid.capacity()
+        self.by_pid.len()
     }
 
     /// Every enrolled peer — each holds a lease — in ascending id order.
@@ -255,8 +275,7 @@ impl HeartbeatDetector {
     }
 
     /// Gives `p` a slot — a free one if there is one — holding `lease`,
-    /// and an index entry if `p` is below the cap. An index grown here
-    /// marks the isolated ids it newly covers.
+    /// and an index entry if `p` is below the cap.
     fn enrol(&mut self, p: ProcessId, lease: u64) {
         let slot = Slot {
             pid: p,
@@ -275,18 +294,45 @@ impl HeartbeatDetector {
         if p.index() >= DENSE_IDS {
             return;
         }
-        let start = self.by_pid.len();
-        if start <= p.index() {
-            self.by_pid.resize(p.index() + 1, NO_SLOT);
-            let from = self.isolated.partition_point(|q| q.index() < start);
-            for q in self.isolated[from..]
-                .iter()
-                .take_while(|q| q.index() < p.index())
-            {
-                self.by_pid[q.index()] = ISOLATED;
-            }
+        self.cover(p.index(), p.index() + 1, false);
+        let at = self.at(p);
+        self.by_pid[at] = i;
+    }
+
+    /// Grows the window to cover the ids `lo .. end`, all below the cap,
+    /// and marks the isolated ids it newly covers. Growing down shifts
+    /// the index once, into one allocation for the whole new window;
+    /// growing up is an amortized `resize`, or an `exact` one.
+    fn cover(&mut self, lo: usize, end: usize, exact: bool) {
+        if self.by_pid.is_empty() {
+            self.lo = lo;
         }
-        self.by_pid[p.index()] = i;
+        let (old_lo, old_end) = (self.lo, self.lo + self.by_pid.len());
+        let end = end.max(old_end);
+        if lo < old_lo {
+            let mut by_pid = Vec::with_capacity(end - lo);
+            by_pid.resize(old_lo - lo, NO_SLOT);
+            by_pid.extend_from_slice(&self.by_pid);
+            self.by_pid = by_pid;
+            self.lo = lo;
+            self.mark_isolated(lo, old_lo);
+        }
+        if end > old_end {
+            let len = end - self.lo;
+            if exact {
+                self.by_pid.reserve_exact(len - self.by_pid.len());
+            }
+            self.by_pid.resize(len, NO_SLOT);
+            self.mark_isolated(old_end, end);
+        }
+    }
+
+    /// Marks the isolated ids of `from .. to`, which the window covers.
+    fn mark_isolated(&mut self, from: usize, to: usize) {
+        let start = self.isolated.partition_point(|q| q.index() < from);
+        for q in self.isolated[start..].iter().take_while(|q| q.index() < to) {
+            self.by_pid[q.index() - self.lo] = ISOLATED;
+        }
     }
 
     /// Stops monitoring `p` for good (it was removed from the view): the
@@ -318,9 +364,9 @@ impl HeartbeatDetector {
     /// Returns slot `i` to the free list; its occupant is no longer
     /// enrolled.
     fn free_slot(&mut self, i: usize) {
-        let slot = &mut self.slots[i];
-        slot.lease = None;
-        if let Some(e) = self.by_pid.get_mut(slot.pid.index()) {
+        self.slots[i].lease = None;
+        let at = self.at(self.slots[i].pid);
+        if let Some(e) = self.by_pid.get_mut(at) {
             *e = NO_SLOT;
         }
         self.free.push(i as u32);
@@ -335,7 +381,8 @@ impl HeartbeatDetector {
         };
         self.release(q);
         self.isolated.insert(at, q);
-        if let Some(e) = self.by_pid.get_mut(q.index()) {
+        let at = self.at(q);
+        if let Some(e) = self.by_pid.get_mut(at) {
             *e = ISOLATED;
         }
         true
@@ -787,7 +834,8 @@ mod tests {
         }
         assert!(!d.isolate(ProcessId(64)));
         assert_eq!(d.id_span(), 0, "isolation alone takes no index room");
-        // Tracking p70 grows the index past 3, 63 and 64, which it marks.
+        // Tracking p70 gives the index a window of one id: 3, 63 and 64
+        // stay outside it, for the binary search to find.
         d.track(ProcessId(70), 0);
         assert!(d.id_span() <= 71);
         for q in (0..=1_001).chain([u32::MAX - 1, u32::MAX]) {
@@ -814,6 +862,41 @@ mod tests {
         assert!(d.tick(10_000).is_empty(), "isolation freed the lease");
     }
 
+    #[test]
+    fn downward_growth_re_marks_the_isolated_ids_it_covers() {
+        let (p1, p3, p10) = (ProcessId(1), ProcessId(3), ProcessId(10));
+        let mut d = HeartbeatDetector::new(100);
+        assert!(d.isolate(p3));
+        d.track(p10, 0);
+        assert_eq!(d.id_span(), 1, "the window starts at the first id");
+        d.track(p1, 0); // shifts the window down to p1, past p3
+        assert_eq!(d.id_span(), 10);
+        assert!(d.is_isolated(p3));
+        d.track(p3, 0);
+        assert_eq!(d.enrolled().collect::<Vec<_>>(), [p1, p10], "p3 stays out");
+        assert!(!d.admit(p3, 10), "S1 still drops p3's messages");
+        assert!(d.admit(p1, 10) && d.admit(p10, 10));
+    }
+
+    #[test]
+    fn ids_on_both_sides_of_the_window_reach_their_own_leases() {
+        let (p2, p700, top) = (ProcessId(2), ProcessId(700), ProcessId(65_535));
+        let mut d = HeartbeatDetector::new(100);
+        d.track(p700, 0);
+        d.track(p2, 0); // grows the window down
+        d.track(top, 0); // and up, to the last id below the cap
+        assert_eq!(d.id_span(), 65_534);
+        assert_eq!(d.enrolled().collect::<Vec<_>>(), [p2, p700, top]);
+        assert!(d.admit(p700, 50), "renews p700's lease alone");
+        d.release(p2);
+        assert_eq!(d.tick(100), [top], "p2 was released, p700 renewed");
+        assert!(d.tick(149).is_empty());
+        assert_eq!(d.tick(150), [p700]);
+        assert!(d.enrolled().next().is_none());
+        d.track(p2, 200);
+        assert_eq!(d.tick(300), [p2], "a fresh lease in p2's old entry");
+    }
+
     /// One id of the model proptest: from `0..200`, from the whole `u32`
     /// range, or an edge that uniform draws never hit.
     fn model_id(kind: u8, small: u32, wide: u32) -> ProcessId {
@@ -832,7 +915,7 @@ mod tests {
         /// from its edges: after every step `is_isolated` (of every id
         /// named so far), `isolated()` and `enrolled()` match `BTreeSet`
         /// models, no isolated id is enrolled, and the index spans at most
-        /// the cap.
+        /// the cap and at most the ids below it that were ever enrolled.
         #[test]
         fn the_id_index_matches_a_set_model(
             steps in proptest::collection::vec(
@@ -845,6 +928,8 @@ mod tests {
             let mut enrolled = BTreeSet::new();
             let mut forgotten = BTreeSet::new();
             let mut named = BTreeSet::new();
+            // Smallest and largest id below the cap ever enrolled.
+            let mut span: Option<(usize, usize)> = None;
             let mut now = 0;
             for (op, kind, small, wide, dt) in steps {
                 now += dt;
@@ -858,6 +943,10 @@ mod tests {
                         d.track(p, now);
                         if !isolated.contains(&p) {
                             enrolled.insert(p);
+                            if p.index() < DENSE_IDS {
+                                let (lo, hi) = span.unwrap_or((p.index(), p.index()));
+                                span = Some((lo.min(p.index()), hi.max(p.index())));
+                            }
                         }
                     }
                     2 => {
@@ -887,6 +976,8 @@ mod tests {
                 proptest::prop_assert!(d.enrolled().eq(enrolled.iter().copied()));
                 proptest::prop_assert!(d.enrolled().all(|q| !d.is_isolated(q)));
                 proptest::prop_assert!(d.id_span() <= DENSE_IDS);
+                let most = span.map_or(0, |(lo, hi)| hi - lo + 1);
+                proptest::prop_assert!(d.id_span() <= most, "spans {} > {}", d.id_span(), most);
             }
         }
     }
