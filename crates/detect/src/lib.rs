@@ -108,20 +108,23 @@ struct Slot {
 /// Each entry of the id index says "enrolled at slot `i`", "no slot" or
 /// "isolated", so one load answers both S1 and the life sign. The index
 /// is a window `lo .. lo + len` over the ids: it covers the span of the
-/// ids enrolled below a fixed cap (2¹⁶), not every id from 0, so a member
-/// that watches four ring neighbours indexes five ids whatever their
-/// values, and an id's entry is one subtraction away. The isolated ids
-/// are also kept as a sorted list, the one record of S1, which every
-/// entry the window covers mirrors. Only enrolment grows the window — up
-/// by an amortized `resize`, down by shifting the index once, each
-/// marking the isolated ids it newly covers — and it never shrinks, so
-/// its worst case is `0 ..` the largest id enrolled. An id named on the
-/// wire never sizes it: an isolated id outside the window is found by
-/// binary search of the list, and an enrolled id at or past the cap by a
-/// scan of the slots. [`monitor`](HeartbeatDetector::monitor) sizes the
-/// window for a whole monitoring set in one allocation, and
-/// [`id_span`](HeartbeatDetector::id_span) reads its length. Storage is
-/// O(peers enrolled + ids isolated), plus an index over the enrolled span.
+/// ids enrolled below a fixed cap (2¹⁶), from the smallest to the
+/// largest, not every id from 0, and an id's entry is one subtraction
+/// away. A member that watches four ring neighbours indexes five ids
+/// when their ids are contiguous, and the whole ring when they wrap
+/// round past id 0. The isolated ids are also kept as a sorted list, the
+/// one record of S1, which every entry the window covers mirrors. Only
+/// enrolment grows the window — up by doubling its room, never past the
+/// cap, down by shifting the index once into room for the whole new
+/// window, each marking the isolated ids it newly covers — and it never
+/// shrinks, so its worst case is `0 ..` the largest id enrolled. An id
+/// named on the wire never sizes it: an isolated id outside the window
+/// is found by binary search of the list, and an enrolled id at or past
+/// the cap by a scan of the slots. [`monitor`](HeartbeatDetector::monitor)
+/// sizes the window for a whole monitoring set at once, and
+/// [`id_span`](HeartbeatDetector::id_span) reads the room it holds.
+/// Storage is O(peers enrolled + ids isolated), plus an index over the
+/// enrolled span.
 ///
 /// # Invariant: process instances never return
 ///
@@ -218,27 +221,29 @@ impl HeartbeatDetector {
     }
 
     /// Tracks each of `peers` (see [`track`](Self::track)) with `lease`
-    /// as its last life sign, after sizing the id index for all of them
-    /// in one exact allocation, from their smallest id to their largest:
-    /// enrolments one at a time would otherwise shift the index down or
-    /// double it up. Ids from the cap on take no room in it.
+    /// as its last life sign, after widening the id index once to cover
+    /// them all, from their smallest id to their largest: enrolments one
+    /// at a time would otherwise shift the index down or double it up. A
+    /// fresh index gets exactly that room. Ids from the cap on take no
+    /// room in it.
     pub fn monitor(&mut self, peers: &[ProcessId], lease: u64) {
         let below = peers.iter().map(|p| p.index()).filter(|&i| i < DENSE_IDS);
         let (lo, hi) = below.fold((usize::MAX, 0), |(lo, hi), i| (lo.min(i), hi.max(i)));
         if lo <= hi {
-            self.cover(lo, hi + 1, true);
+            self.cover(lo, hi + 1);
         }
         for &p in peers {
             self.track(p, lease);
         }
     }
 
-    /// How many ids the index covers: the length of its window, from the
-    /// smallest to the largest id ever enrolled below the cap (or handed
-    /// to [`monitor`](Self::monitor)). Never more than 2¹⁶, whatever ids
-    /// the detector is handed.
+    /// How many ids the index has room for: the memory it holds, in
+    /// entries. At least the span from the smallest to the largest id
+    /// ever enrolled below the cap (or handed to
+    /// [`monitor`](Self::monitor)), at most twice it, and never more than
+    /// 2¹⁶, whatever ids the detector is handed.
     pub fn id_span(&self) -> usize {
-        self.by_pid.len()
+        self.by_pid.capacity()
     }
 
     /// Every enrolled peer — each holds a lease — in ascending id order.
@@ -294,16 +299,17 @@ impl HeartbeatDetector {
         if p.index() >= DENSE_IDS {
             return;
         }
-        self.cover(p.index(), p.index() + 1, false);
+        self.cover(p.index(), p.index() + 1);
         let at = self.at(p);
         self.by_pid[at] = i;
     }
 
     /// Grows the window to cover the ids `lo .. end`, all below the cap,
     /// and marks the isolated ids it newly covers. Growing down shifts
-    /// the index once, into one allocation for the whole new window;
-    /// growing up is an amortized `resize`, or an `exact` one.
-    fn cover(&mut self, lo: usize, end: usize, exact: bool) {
+    /// the index once, into room for exactly the new window; growing up
+    /// at least doubles the room, as `resize` would, but never past the
+    /// cap, and gives a fresh index exactly the room it needs.
+    fn cover(&mut self, lo: usize, end: usize) {
         if self.by_pid.is_empty() {
             self.lo = lo;
         }
@@ -319,8 +325,10 @@ impl HeartbeatDetector {
         }
         if end > old_end {
             let len = end - self.lo;
-            if exact {
-                self.by_pid.reserve_exact(len - self.by_pid.len());
+            let room = self.by_pid.capacity();
+            if len > room {
+                let room = (2 * room).clamp(len, DENSE_IDS - self.lo);
+                self.by_pid.reserve_exact(room - self.by_pid.len());
             }
             self.by_pid.resize(len, NO_SLOT);
             self.mark_isolated(old_end, end);
@@ -868,9 +876,9 @@ mod tests {
         let mut d = HeartbeatDetector::new(100);
         assert!(d.isolate(p3));
         d.track(p10, 0);
-        assert_eq!(d.id_span(), 1, "the window starts at the first id");
+        assert!(d.id_span() < 11, "the window starts at p10, not at p0");
         d.track(p1, 0); // shifts the window down to p1, past p3
-        assert_eq!(d.id_span(), 10);
+        assert_eq!(d.id_span(), 10, "room for exactly p1 ..= p10");
         assert!(d.is_isolated(p3));
         d.track(p3, 0);
         assert_eq!(d.enrolled().collect::<Vec<_>>(), [p1, p10], "p3 stays out");
@@ -885,7 +893,11 @@ mod tests {
         d.track(p700, 0);
         d.track(p2, 0); // grows the window down
         d.track(top, 0); // and up, to the last id below the cap
-        assert_eq!(d.id_span(), 65_534);
+        let span = d.id_span();
+        assert!(
+            (65_534..=DENSE_IDS).contains(&span),
+            "p2 ..= p65535: {span}"
+        );
         assert_eq!(d.enrolled().collect::<Vec<_>>(), [p2, p700, top]);
         assert!(d.admit(p700, 50), "renews p700's lease alone");
         d.release(p2);
@@ -895,6 +907,20 @@ mod tests {
         assert!(d.enrolled().next().is_none());
         d.track(p2, 200);
         assert_eq!(d.tick(300), [p2], "a fresh lease in p2's old entry");
+    }
+
+    #[test]
+    fn the_index_never_holds_room_past_the_cap() {
+        let mut d = HeartbeatDetector::new(100);
+        d.monitor(&[ProcessId(0), ProcessId(40_000)], 0);
+        assert_eq!(d.id_span(), 40_001, "a fresh index gets exact room");
+        d.monitor(&[ProcessId(65_535)], 0); // doubling would make 80 002
+        assert_eq!(d.id_span(), DENSE_IDS);
+        let mut d = HeartbeatDetector::new(100);
+        for p in [1, 2, 3, 40_000, 65_535] {
+            d.track(ProcessId(p), 0);
+        }
+        assert!(d.id_span() <= DENSE_IDS, "room for {}", d.id_span());
     }
 
     /// One id of the model proptest: from `0..200`, from the whole `u32`
@@ -914,8 +940,9 @@ mod tests {
         /// over ids drawn from `0..200`, from the whole `u32` range and
         /// from its edges: after every step `is_isolated` (of every id
         /// named so far), `isolated()` and `enrolled()` match `BTreeSet`
-        /// models, no isolated id is enrolled, and the index spans at most
-        /// the cap and at most the ids below it that were ever enrolled.
+        /// models, no isolated id is enrolled, and the index's window spans
+        /// at most the ids below the cap that were ever enrolled, in room
+        /// for at most twice them and at most the cap.
         #[test]
         fn the_id_index_matches_a_set_model(
             steps in proptest::collection::vec(
@@ -977,7 +1004,8 @@ mod tests {
                 proptest::prop_assert!(d.enrolled().all(|q| !d.is_isolated(q)));
                 proptest::prop_assert!(d.id_span() <= DENSE_IDS);
                 let most = span.map_or(0, |(lo, hi)| hi - lo + 1);
-                proptest::prop_assert!(d.id_span() <= most, "spans {} > {}", d.id_span(), most);
+                proptest::prop_assert!(d.by_pid.len() <= most, "spans {} > {}", d.by_pid.len(), most);
+                proptest::prop_assert!(d.id_span() <= 2 * most, "room {} > 2 × {}", d.id_span(), most);
             }
         }
     }
